@@ -54,7 +54,7 @@
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, PhaseTimings, Placement, ProfileConfig, RunConfig, RunTelemetry, Simulator,
+    Metrics, Observe, PhaseTimings, Placement, ProfileConfig, RunConfig, RunTelemetry, Simulator,
     TelemetryConfig, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
@@ -459,10 +459,13 @@ fn scale_run(
 ) {
     let mut sim = Simulator::new(g, scale_fleet(g.len()), 77)
         .expect("fleet size matches")
-        .with_profile(ProfileConfig::default())
-        // Aggregates and high-water marks only: the tier gates the logical
-        // counters, not the per-round series.
-        .with_telemetry(TelemetryConfig::default().without_history());
+        .with_observe(Observe {
+            profile: Some(ProfileConfig::default()),
+            // Aggregates and high-water marks only: the tier gates the
+            // logical counters, not the per-round series.
+            telemetry: Some(TelemetryConfig::default().without_history()),
+            trace: None,
+        });
     if let Some(p) = placement {
         sim = sim.with_placement(p);
     }
@@ -474,8 +477,9 @@ fn scale_run(
     let metrics = sim.run(&cfg).expect("scaling workload terminates");
     let wall = t0.elapsed();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
-    let profile = sim.take_profile().expect("profiling on");
-    let telemetry = sim.take_telemetry().expect("telemetry on");
+    let observed = sim.take_observed();
+    let profile = observed.profile.expect("profiling on");
+    let telemetry = observed.telemetry.expect("telemetry on");
     (metrics, digests, profile, telemetry, wall)
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Profiles the simulator-executed protocols — clean and healing Borůvka
 //! MST, Valiant bit-fix permutation routing, and healing walks — with the
-//! traffic-class profiler (`Simulator::with_profile`): per-class totals,
+//! traffic-class profiler (`Observe::profile`): per-class totals,
 //! the top-10 hot edges with per-class attribution, the ack/retransmit
 //! share of the healing runs versus their clean counterparts, per-class
 //! round-level distributions (p50/p95/max), and an ASCII heatmap of the

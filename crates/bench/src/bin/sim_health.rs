@@ -32,7 +32,7 @@ use amt_bench::report::{parse, Json};
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::Report;
 use amt_core::congest::{
-    Distribution, Metrics, Placement, RunConfig, RunTelemetry, Simulator, TelemetryConfig,
+    Distribution, Metrics, Observe, Placement, RunConfig, RunTelemetry, Simulator, TelemetryConfig,
 };
 use amt_core::prelude::*;
 
@@ -63,12 +63,15 @@ fn health_run(
     let mut sim = Simulator::new(g, scale_fleet(g.len()), SEED)
         .expect("fleet size matches")
         .with_placement(placement)
-        .with_telemetry(cfg);
+        .with_observe(Observe {
+            telemetry: Some(cfg),
+            ..Observe::default()
+        });
     let m = sim
         .run(&RunConfig::all_done().with_threads(threads))
         .expect("scaling workload terminates");
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
-    let t = sim.take_telemetry().expect("telemetry on");
+    let t = sim.take_observed().telemetry.expect("telemetry on");
     (m, digests, t)
 }
 
@@ -236,11 +239,14 @@ fn force_failure() {
     let run_id = "sim_health_forced";
     let mut sim = Simulator::new(&g, scale_fleet(g.len()), SEED)
         .expect("fleet size matches")
-        .with_telemetry(
-            TelemetryConfig::default()
-                .with_run_id(run_id)
-                .with_flight_capacity(FLIGHT),
-        );
+        .with_observe(Observe {
+            telemetry: Some(
+                TelemetryConfig::default()
+                    .with_run_id(run_id)
+                    .with_flight_capacity(FLIGHT),
+            ),
+            ..Observe::default()
+        });
     let err = sim
         .run(&RunConfig {
             max_rounds: CAP,
@@ -248,7 +254,10 @@ fn force_failure() {
         })
         .expect_err("the beacon schedule cannot finish in 12 rounds");
     println!("run failed as intended: {err}");
-    let t = sim.telemetry().expect("telemetry survives the abort");
+    let t = sim
+        .take_observed()
+        .telemetry
+        .expect("telemetry survives the abort");
     assert_eq!(t.rounds, CAP, "every capped round must be recorded");
 
     let path = std::path::PathBuf::from(report_dir()).join(format!("flightrec_{run_id}.json"));

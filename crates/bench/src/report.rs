@@ -21,37 +21,19 @@ use amt_congest::{
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Schema version written to every report file. Bump when a required key is
-/// added, removed, or changes shape.
+/// Schema version written to every report file, and the only one
+/// [`validate`] accepts. Bump when a required key is added, removed, or
+/// changes shape.
 ///
-/// Version history:
-/// * **1** — config / tables / metrics / phase_timings / timelines.
-/// * **2** — adds the required `profiles` section: per-run traffic-class
-///   totals (`profiles.<name>.<class>.{messages,bits}`) recorded with
-///   [`Report::profile`].
-/// * **3** — adds the required `recovery` section: per-run recovery-SLO
-///   summaries of a [`RecoveryTimeline`]
-///   (`recovery.<name>.{spans,open,ttr_p50,ttr_p95,ttr_max}`) recorded
-///   with [`Report::recovery`]; `metrics.<name>` additionally carries the
-///   churn counters `lost_to_churn` and `restarts`.
-/// * **4** — adds the required `shards` section: per-placement intra/cross
-///   shard traffic attribution of a [`ShardSplit`]
-///   (`shards.<name>.{shards,intra_messages,cross_messages,intra_bits,
-///   cross_bits}` plus one nested `shards.<name>.<class>.{…}` object per
-///   traffic class) recorded with [`Report::shards`].
-/// * **5** — adds the required `telemetry` section: execution-health
-///   counters of a [`RunTelemetry`]
-///   (`telemetry.<name>.{rounds,nodes_stepped,messages_staged,
-///   active_nodes_hwm,inbox_queued_hwm,staged_sends_hwm,wake_queue_hwm,
-///   arena_bytes_hwm}`) recorded with [`Report::telemetry`]; timeline
-///   entries additionally carry `edge_load_stride` and, whenever snapshots
-///   were recorded, a `final_snapshot_round` that must equal `rounds` (the
-///   final-round-snapshot guarantee).
+/// Every section is required: `config`, `tables`, `metrics`,
+/// `phase_timings` and `timelines`, plus per-run traffic-class totals
+/// (`profiles`, [`Report::profile`]), recovery-SLO summaries of a
+/// [`RecoveryTimeline`] (`recovery`, [`Report::recovery`]), intra/cross
+/// shard traffic of a [`ShardSplit`] (`shards`, [`Report::shards`]) and the
+/// execution-health counters of a [`RunTelemetry`] (`telemetry`,
+/// [`Report::telemetry`]). A timeline that recorded snapshots carries a
+/// `final_snapshot_round` that must equal its `rounds`.
 pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema version [`validate`] still accepts; committed version-1
-/// artifacts stay valid (they simply predate the `profiles` section).
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// A JSON value (object keys keep insertion order for stable diffs).
 #[derive(Clone, Debug, PartialEq)]
@@ -403,9 +385,8 @@ impl Parser<'_> {
 // Schema validation
 // ---------------------------------------------------------------------------
 
-/// Structurally validates a parsed report against the schema. Every version
-/// in [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`] is accepted; the
-/// `profiles` section is required (and checked) from version 2 on.
+/// Structurally validates a parsed report against the schema. Only
+/// [`SCHEMA_VERSION`] is accepted, and every section is required.
 ///
 /// # Errors
 ///
@@ -414,21 +395,15 @@ pub fn validate(root: &Json) -> Result<(), String> {
     let Json::Obj(_) = root else {
         return Err("root must be an object".to_string());
     };
-    let version = match root.get("schema_version") {
-        Some(Json::Num(v))
-            if *v >= MIN_SCHEMA_VERSION as f64
-                && *v <= SCHEMA_VERSION as f64
-                && *v == v.trunc() =>
-        {
-            *v as u64
-        }
+    match root.get("schema_version") {
+        Some(Json::Num(v)) if *v == SCHEMA_VERSION as f64 => {}
         Some(other) => {
             return Err(format!(
-                "schema_version must be in {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}, got {other:?}"
+                "schema_version must be {SCHEMA_VERSION}, got {other:?}"
             ))
         }
         None => return Err("missing schema_version".to_string()),
-    };
+    }
     match root.get("experiment") {
         Some(Json::Str(s)) if !s.is_empty() => {}
         _ => return Err("experiment must be a non-empty string".to_string()),
@@ -500,150 +475,142 @@ pub fn validate(root: &Json) -> Result<(), String> {
             }
         }
     }
-    if version >= 5 {
-        // Final-round-snapshot guarantee: a timeline that recorded strided
-        // snapshots must say which round closed the series, and it must be
-        // the run's final round.
-        if let Some(Json::Obj(timelines)) = root.get("timelines") {
-            for (name, entry) in timelines {
-                let snapshots = match entry.get("snapshots") {
-                    Some(Json::Num(v)) => *v,
-                    _ => 0.0,
-                };
-                if snapshots > 0.0 {
-                    match (entry.get("final_snapshot_round"), entry.get("rounds")) {
-                        (Some(Json::Num(last)), Some(Json::Num(rounds))) if last == rounds => {}
-                        (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
-                            return Err(format!(
-                                "timelines.{name}: final snapshot at round {last} but the run \
-                                 ended at round {rounds}"
-                            ))
-                        }
-                        _ => {
-                            return Err(format!(
-                                "timelines.{name}: snapshots recorded but no \
-                                 final_snapshot_round (required from schema 5)"
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-        let Some(Json::Obj(telemetry)) = root.get("telemetry") else {
-            return Err("telemetry must be an object (required from schema 5)".to_string());
-        };
-        for (name, entry) in telemetry {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("telemetry.{name} must be an object"));
+    // Final-round-snapshot guarantee: a timeline that recorded strided
+    // snapshots must say which round closed the series, and it must be
+    // the run's final round.
+    if let Some(Json::Obj(timelines)) = root.get("timelines") {
+        for (name, entry) in timelines {
+            let snapshots = match entry.get("snapshots") {
+                Some(Json::Num(v)) => *v,
+                _ => 0.0,
             };
-            for key in [
-                "rounds",
-                "nodes_stepped",
-                "messages_staged",
-                "active_nodes_hwm",
-                "inbox_queued_hwm",
-                "staged_sends_hwm",
-                "wake_queue_hwm",
-                "arena_bytes_hwm",
-            ] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
+            if snapshots > 0.0 {
+                match (entry.get("final_snapshot_round"), entry.get("rounds")) {
+                    (Some(Json::Num(last)), Some(Json::Num(rounds))) if last == rounds => {}
+                    (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
+                        return Err(format!(
+                            "timelines.{name}: final snapshot at round {last} but the run \
+                             ended at round {rounds}"
+                        ))
+                    }
                     _ => {
                         return Err(format!(
-                            "telemetry.{name}.{key} must be a non-negative number"
+                            "timelines.{name}: snapshots recorded but no \
+                             final_snapshot_round"
                         ))
                     }
                 }
             }
+        }
+    }
+    let Some(Json::Obj(telemetry)) = root.get("telemetry") else {
+        return Err("telemetry must be an object".to_string());
+    };
+    for (name, entry) in telemetry {
+        let Json::Obj(fields) = entry else {
+            return Err(format!("telemetry.{name} must be an object"));
+        };
+        for key in [
+            "rounds",
+            "nodes_stepped",
+            "messages_staged",
+            "active_nodes_hwm",
+            "inbox_queued_hwm",
+            "staged_sends_hwm",
+            "wake_queue_hwm",
+            "arena_bytes_hwm",
+        ] {
+            match entry.get(key) {
+                Some(Json::Num(v)) if *v >= 0.0 => {}
+                _ => {
+                    return Err(format!(
+                        "telemetry.{name}.{key} must be a non-negative number"
+                    ))
+                }
+            }
+        }
+        for (k, v) in fields {
+            if !matches!(v, Json::Num(_)) {
+                return Err(format!("telemetry.{name}.{k} must be a number"));
+            }
+        }
+    }
+    let Some(Json::Obj(profiles)) = root.get("profiles") else {
+        return Err("profiles must be an object".to_string());
+    };
+    for (name, entry) in profiles {
+        let Json::Obj(classes) = entry else {
+            return Err(format!("profiles.{name} must be an object"));
+        };
+        for (class, totals) in classes {
+            let Json::Obj(fields) = totals else {
+                return Err(format!("profiles.{name}.{class} must be an object"));
+            };
             for (k, v) in fields {
                 if !matches!(v, Json::Num(_)) {
-                    return Err(format!("telemetry.{name}.{k} must be a number"));
+                    return Err(format!("profiles.{name}.{class}.{k} must be a number"));
                 }
             }
         }
     }
-    if version >= 2 {
-        let Some(Json::Obj(profiles)) = root.get("profiles") else {
-            return Err("profiles must be an object (required from schema 2)".to_string());
+    let Some(Json::Obj(shards)) = root.get("shards") else {
+        return Err("shards must be an object".to_string());
+    };
+    for (name, entry) in shards {
+        let Json::Obj(fields) = entry else {
+            return Err(format!("shards.{name} must be an object"));
         };
-        for (name, entry) in profiles {
-            let Json::Obj(classes) = entry else {
-                return Err(format!("profiles.{name} must be an object"));
-            };
-            for (class, totals) in classes {
-                let Json::Obj(fields) = totals else {
-                    return Err(format!("profiles.{name}.{class} must be an object"));
-                };
-                for (k, v) in fields {
-                    if !matches!(v, Json::Num(_)) {
-                        return Err(format!("profiles.{name}.{class}.{k} must be a number"));
-                    }
-                }
+        for key in [
+            "shards",
+            "intra_messages",
+            "cross_messages",
+            "intra_bits",
+            "cross_bits",
+        ] {
+            match entry.get(key) {
+                Some(Json::Num(v)) if *v >= 0.0 => {}
+                _ => return Err(format!("shards.{name}.{key} must be a non-negative number")),
             }
         }
-    }
-    if version >= 4 {
-        let Some(Json::Obj(shards)) = root.get("shards") else {
-            return Err("shards must be an object (required from schema 4)".to_string());
-        };
-        for (name, entry) in shards {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("shards.{name} must be an object"));
-            };
-            for key in [
-                "shards",
-                "intra_messages",
-                "cross_messages",
-                "intra_bits",
-                "cross_bits",
-            ] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
-                    _ => return Err(format!("shards.{name}.{key} must be a non-negative number")),
-                }
-            }
-            for (k, v) in fields {
-                match v {
-                    Json::Num(_) => {}
-                    // Per-traffic-class nested split.
-                    Json::Obj(inner) => {
-                        for (ik, iv) in inner {
-                            if !matches!(iv, Json::Num(_)) {
-                                return Err(format!("shards.{name}.{k}.{ik} must be a number"));
-                            }
+        for (k, v) in fields {
+            match v {
+                Json::Num(_) => {}
+                // Per-traffic-class nested split.
+                Json::Obj(inner) => {
+                    for (ik, iv) in inner {
+                        if !matches!(iv, Json::Num(_)) {
+                            return Err(format!("shards.{name}.{k}.{ik} must be a number"));
                         }
                     }
-                    _ => {
-                        return Err(format!(
-                            "shards.{name}.{k} must be a number or per-class object"
-                        ))
-                    }
+                }
+                _ => {
+                    return Err(format!(
+                        "shards.{name}.{k} must be a number or per-class object"
+                    ))
                 }
             }
         }
     }
-    if version >= 3 {
-        let Some(Json::Obj(recovery)) = root.get("recovery") else {
-            return Err("recovery must be an object (required from schema 3)".to_string());
+    let Some(Json::Obj(recovery)) = root.get("recovery") else {
+        return Err("recovery must be an object".to_string());
+    };
+    for (name, entry) in recovery {
+        let Json::Obj(fields) = entry else {
+            return Err(format!("recovery.{name} must be an object"));
         };
-        for (name, entry) in recovery {
-            let Json::Obj(fields) = entry else {
-                return Err(format!("recovery.{name} must be an object"));
-            };
-            for key in ["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"] {
-                match entry.get(key) {
-                    Some(Json::Num(v)) if *v >= 0.0 => {}
-                    _ => {
-                        return Err(format!(
-                            "recovery.{name}.{key} must be a non-negative number"
-                        ))
-                    }
+        for key in ["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"] {
+            match entry.get(key) {
+                Some(Json::Num(v)) if *v >= 0.0 => {}
+                _ => {
+                    return Err(format!(
+                        "recovery.{name}.{key} must be a non-negative number"
+                    ))
                 }
             }
-            for (k, v) in fields {
-                if !matches!(v, Json::Num(_)) {
-                    return Err(format!("recovery.{name}.{k} must be a number"));
-                }
+        }
+        for (k, v) in fields {
+            if !matches!(v, Json::Num(_)) {
+                return Err(format!("recovery.{name}.{k} must be a number"));
             }
         }
     }
@@ -1150,179 +1117,79 @@ mod tests {
     }
 
     #[test]
-    fn validator_is_version_aware_about_profiles() {
+    fn validator_requires_every_section_at_exactly_the_current_version() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
-
-        // A version-1 document legitimately has no profiles section.
-        let mut v1: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| {
-                k != "profiles" && k != "recovery" && k != "shards" && k != "telemetry"
-            })
-            .cloned()
-            .collect();
-        v1[0].1 = Json::Num(1.0);
-        validate(&Json::Obj(v1.clone())).expect("v1 without profiles is valid");
-
-        // The same document claiming version 2 must carry the section.
-        let mut v2_missing = v1;
-        v2_missing[0].1 = Json::Num(2.0);
-        assert!(validate(&Json::Obj(v2_missing)).is_err());
-
-        // Future versions are rejected until the validator learns them.
-        let mut future = pairs.clone();
-        future[0].1 = Json::Num((SCHEMA_VERSION + 1) as f64);
-        assert!(validate(&Json::Obj(future)).is_err());
-
-        // A malformed class entry is caught.
-        let mut bad = pairs.clone();
-        for (k, v) in &mut bad {
-            if k == "profiles" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![("walk/token".into(), "lots".into())]),
-                )]);
+        let replaced = |section: &str, value: Json| {
+            let mut doc = pairs.clone();
+            for (k, v) in &mut doc {
+                if k == section {
+                    *v = Json::Obj(vec![("run".into(), value.clone())]);
+                }
             }
-        }
-        assert!(validate(&Json::Obj(bad)).is_err());
-    }
-
-    #[test]
-    fn validator_is_version_aware_about_recovery() {
-        let good = sample_report().to_json();
-        let Json::Obj(pairs) = &good else {
-            unreachable!()
+            Json::Obj(doc)
         };
-
-        // A version-2 document legitimately has no recovery section.
-        let mut v2: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "recovery")
-            .cloned()
-            .collect();
-        v2[0].1 = Json::Num(2.0);
-        validate(&Json::Obj(v2.clone())).expect("v2 without recovery is valid");
-
-        // The same document claiming version 3 must carry the section.
-        let mut v3_missing = v2;
-        v3_missing[0].1 = Json::Num(3.0);
-        assert!(validate(&Json::Obj(v3_missing)).is_err());
-
-        // A recovery entry missing a required percentile is caught.
-        let mut bad = pairs.clone();
-        for (k, v) in &mut bad {
-            if k == "recovery" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![("spans".into(), 1u64.into())]),
-                )]);
-            }
+        // (section, a malformed `run` entry of that section)
+        let cases: [(&str, Json); 5] = [
+            (
+                "profiles",
+                Json::Obj(vec![("walk/token".into(), "lots".into())]),
+            ),
+            ("recovery", Json::Obj(vec![("spans".into(), 1u64.into())])),
+            ("shards", Json::Obj(vec![("shards".into(), 4u64.into())])),
+            (
+                "shards",
+                Json::Obj(vec![
+                    ("shards".into(), 2u64.into()),
+                    ("intra_messages".into(), 1u64.into()),
+                    ("cross_messages".into(), 2u64.into()),
+                    ("intra_bits".into(), 10u64.into()),
+                    ("cross_bits".into(), 20u64.into()),
+                    (
+                        "walk/token".into(),
+                        Json::Obj(vec![("cross_messages".into(), "lots".into())]),
+                    ),
+                ]),
+            ),
+            (
+                "telemetry",
+                Json::Obj(vec![("rounds".into(), 10u64.into())]),
+            ),
+        ];
+        for (section, bad) in cases {
+            let missing: Vec<_> = pairs
+                .iter()
+                .filter(|(k, _)| k != section)
+                .cloned()
+                .collect();
+            assert!(
+                validate(&Json::Obj(missing)).is_err(),
+                "{section} is required"
+            );
+            assert!(
+                validate(&replaced(section, bad)).is_err(),
+                "a malformed {section} entry is caught"
+            );
         }
-        assert!(validate(&Json::Obj(bad)).is_err());
+        // Older and future versions are rejected alike.
+        for version in [1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1] {
+            let mut other = pairs.clone();
+            other[0].1 = Json::Num(version as f64);
+            assert!(validate(&Json::Obj(other)).is_err(), "version {version}");
+        }
     }
 
     #[test]
-    fn validator_is_version_aware_about_shards() {
-        let good = sample_report().to_json();
-        let Json::Obj(pairs) = &good else {
-            unreachable!()
-        };
-
-        // A version-3 document legitimately has no shards section.
-        let mut v3: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "shards")
-            .cloned()
-            .collect();
-        v3[0].1 = Json::Num(3.0);
-        validate(&Json::Obj(v3.clone())).expect("v3 without shards is valid");
-
-        // The same document claiming version 4 must carry the section.
-        let mut v4_missing = v3;
-        v4_missing[0].1 = Json::Num(4.0);
-        assert!(validate(&Json::Obj(v4_missing)).is_err());
-
-        // A shards entry missing a required counter is caught.
-        let mut bad = pairs.clone();
-        for (k, v) in &mut bad {
-            if k == "shards" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![("shards".into(), 4u64.into())]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(bad)).is_err());
-
-        // A malformed per-class entry is caught.
-        let mut bad_class = pairs.clone();
-        for (k, v) in &mut bad_class {
-            if k == "shards" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![
-                        ("shards".into(), 2u64.into()),
-                        ("intra_messages".into(), 1u64.into()),
-                        ("cross_messages".into(), 2u64.into()),
-                        ("intra_bits".into(), 10u64.into()),
-                        ("cross_bits".into(), 20u64.into()),
-                        (
-                            "walk/token".into(),
-                            Json::Obj(vec![("cross_messages".into(), "lots".into())]),
-                        ),
-                    ]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(bad_class)).is_err());
-    }
-
-    #[test]
-    fn validator_is_version_aware_about_telemetry() {
-        let good = sample_report().to_json();
-        let Json::Obj(pairs) = &good else {
-            unreachable!()
-        };
-
-        // A version-4 document legitimately has no telemetry section.
-        let mut v4: Vec<_> = pairs
-            .iter()
-            .filter(|(k, _)| k != "telemetry")
-            .cloned()
-            .collect();
-        v4[0].1 = Json::Num(4.0);
-        validate(&Json::Obj(v4.clone())).expect("v4 without telemetry is valid");
-
-        // The same document claiming version 5 must carry the section.
-        let mut v5_missing = v4;
-        v5_missing[0].1 = Json::Num(5.0);
-        assert!(validate(&Json::Obj(v5_missing)).is_err());
-
-        // A telemetry entry missing a required gauge is caught.
-        let mut bad = pairs.clone();
-        for (k, v) in &mut bad {
-            if k == "telemetry" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![("rounds".into(), 10u64.into())]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(bad)).is_err());
-    }
-
-    #[test]
-    fn validator_enforces_final_snapshot_round_from_v5() {
+    fn validator_enforces_final_snapshot_round() {
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
         };
 
         // A snapshotted timeline whose last snapshot is not the final round
-        // violates the PR 5 guarantee — rejected at schema 5...
+        // violates the final-round-snapshot guarantee and is rejected...
         let mut torn = pairs.clone();
         for (k, v) in &mut torn {
             if k == "timelines" {
@@ -1336,7 +1203,7 @@ mod tests {
                 )]);
             }
         }
-        assert!(validate(&Json::Obj(torn.clone())).is_err());
+        assert!(validate(&Json::Obj(torn)).is_err());
 
         // ...as is one that recorded snapshots but never said where the
         // series ended.
@@ -1353,13 +1220,6 @@ mod tests {
             }
         }
         assert!(validate(&Json::Obj(silent)).is_err());
-
-        // Pre-5 artifacts predate the key; the same shape claiming v4 is
-        // untouched by the check.
-        let mut v4 = torn;
-        v4[0].1 = Json::Num(4.0);
-        let v4: Vec<_> = v4.into_iter().filter(|(k, _)| k != "telemetry").collect();
-        validate(&Json::Obj(v4)).expect("v4 is exempt from the snapshot check");
     }
 
     #[test]

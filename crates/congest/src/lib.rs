@@ -63,6 +63,7 @@ mod sim;
 
 pub mod churn;
 pub mod faults;
+pub mod observe;
 pub mod primitives;
 pub mod profile;
 pub mod telemetry;
@@ -74,6 +75,7 @@ pub use error::CongestError;
 pub use faults::{CrashEvent, FaultEvent, FaultKind, FaultPlan};
 pub use message::{bits_for_count, bits_for_value, CongestMessage};
 pub use metrics::Metrics;
+pub use observe::{Observe, Observed, ObservedRuns};
 pub use primitives::reliable::{reliable_broadcast, Reliable, ReliableLink};
 pub use profile::{
     class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, ShardClassSplit, ShardSplit,

@@ -1,0 +1,213 @@
+//! One observation pipeline for the round engine.
+//!
+//! A run is observed by up to three layers — the round timeline
+//! ([`crate::trace`]), traffic-class attribution ([`crate::profile`]) and
+//! execution health ([`crate::telemetry`]). They are requested together
+//! with one [`Observe`] value ([`crate::Simulator::with_observe`]), fed by
+//! one recorder inside the engine, and handed back together as one
+//! [`Observed`] ([`crate::Simulator::take_observed`]). Drivers that chain
+//! several simulator runs fold them with [`ObservedRuns`].
+//!
+//! Every layer shares one contract: off (the default) costs a branch per
+//! hook and leaves the execution path byte-identical; on, it never changes
+//! `Metrics`, protocol state, RNG streams, the fault and churn logs, or
+//! another layer's record.
+
+use crate::profile::{ProfileConfig, TrafficClass, TrafficProfile};
+use crate::telemetry::{RoundHealth, RunTelemetry, TelemetryConfig, TelemetryState};
+use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
+use crate::Metrics;
+
+/// Which observation layers record the runs of a [`crate::Simulator`];
+/// `None` leaves a layer off (the default for all three).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Observe {
+    /// Round timeline, protocol span events, and edge-load snapshots.
+    pub trace: Option<TraceConfig>,
+    /// Per-traffic-class delivery attribution.
+    pub profile: Option<ProfileConfig>,
+    /// Per-shard step samples, engine gauges, and the flight recorder.
+    pub telemetry: Option<TelemetryConfig>,
+}
+
+/// What the observation layers recorded over one run; a layer that was off
+/// is `None`. A run aborted by an error keeps what was recorded up to the
+/// abort (a trace then has an empty `final_edge_load`).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Observed {
+    /// The round timeline.
+    pub trace: Option<RunTrace>,
+    /// The traffic-class profile.
+    pub profile: Option<TrafficProfile>,
+    /// The execution-health record.
+    pub telemetry: Option<RunTelemetry>,
+}
+
+/// Observations folded across the runs of a multi-run driver (per-phase or
+/// per-epoch simulators): every run's trace in run order, and one profile
+/// whose timeline shifts each run by the rounds elapsed before it, so its
+/// totals match the driver's accumulated [`Metrics`]. Telemetry is per run
+/// and not folded.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ObservedRuns {
+    /// One trace per traced run, in run order.
+    pub traces: Vec<RunTrace>,
+    /// The cumulative profile (`None` if no run was profiled).
+    pub profile: Option<TrafficProfile>,
+}
+
+impl ObservedRuns {
+    /// Folds one run's observations in; `round_offset` is the number of
+    /// rounds the driver executed before that run.
+    pub fn absorb(&mut self, run: Observed, round_offset: u64) {
+        self.traces.extend(run.trace);
+        if let Some(p) = run.profile {
+            self.profile
+                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
+                .absorb(&p, round_offset);
+        }
+    }
+}
+
+/// The recording state of one run, fed by the round engine at fixed points
+/// of every round: [`Recorder::begin_round`], the step's events and gauges,
+/// each delivery, [`Recorder::end_round`], and [`Recorder::stopped`] on a
+/// clean stop.
+pub(crate) struct Recorder {
+    trace: Option<RunTrace>,
+    profile: Option<TrafficProfile>,
+    telemetry: Option<TelemetryState>,
+    /// The round being recorded, and the metrics at its start: deliveries
+    /// are stamped with the round, round samples are deltas against the
+    /// start.
+    round: u64,
+    start: Metrics,
+    /// This round's gauges, held from the step until the round closes.
+    health: Option<RoundHealth>,
+}
+
+impl Recorder {
+    /// A recorder for a run over a graph with `edges` edges.
+    pub(crate) fn new(observe: &Observe, edges: usize) -> Self {
+        Recorder {
+            trace: observe.trace.map(|tc| RunTrace {
+                edge_load_stride: tc.edge_load_stride,
+                ..RunTrace::default()
+            }),
+            profile: observe.profile.map(|_| TrafficProfile::new(edges)),
+            telemetry: observe.telemetry.clone().map(TelemetryState::new),
+            round: 0,
+            start: Metrics::default(),
+            health: None,
+        }
+    }
+
+    /// Whether protocol span events are recorded.
+    pub(crate) fn records_events(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Whether per-shard step samples and engine gauges are recorded.
+    pub(crate) fn records_shards(&self) -> bool {
+        self.telemetry.is_some()
+    }
+
+    /// Opens `round`, before any of its crashes or deliveries are counted.
+    pub(crate) fn begin_round(&mut self, round: u64, metrics: Metrics) {
+        self.round = round;
+        self.start = metrics;
+    }
+
+    /// Takes the span events the round's step emitted.
+    pub(crate) fn events(&mut self, events: &mut Vec<TraceEvent>) {
+        if let Some(t) = self.trace.as_mut() {
+            t.events.append(events);
+        }
+    }
+
+    /// Holds the round's engine gauges until [`Recorder::end_round`].
+    pub(crate) fn gauges(&mut self, health: RoundHealth) {
+        self.health = Some(health);
+    }
+
+    /// Attributes one delivery of `bits` bits over `edge` to `class` — at
+    /// the same point that counts it in `Metrics`, so per-class totals sum
+    /// exactly to the run's.
+    #[inline]
+    pub(crate) fn delivered(&mut self, class: TrafficClass, edge: usize, bits: u64) {
+        if let Some(p) = self.profile.as_mut() {
+            p.record(class, self.round, edge, bits);
+        }
+    }
+
+    /// Closes the round: one [`RoundSample`] feeds both the trace timeline
+    /// and the telemetry flight recorder. `nodes_down` is only evaluated
+    /// when one of them is on.
+    pub(crate) fn end_round(
+        &mut self,
+        metrics: Metrics,
+        nodes_down: impl FnOnce(&Metrics) -> u64,
+        active_nodes: u64,
+        edge_load: &[u64],
+    ) {
+        if self.trace.is_none() && self.telemetry.is_none() {
+            return;
+        }
+        let (round, s) = (self.round, &self.start);
+        let sample = RoundSample {
+            round,
+            messages: metrics.messages - s.messages,
+            bits: metrics.bits - s.bits,
+            dropped: metrics.dropped - s.dropped,
+            corrupted: metrics.corrupted - s.corrupted,
+            delayed: metrics.delayed - s.delayed,
+            lost_to_crash: metrics.lost_to_crash - s.lost_to_crash,
+            crashed: metrics.crashed - s.crashed,
+            lost_to_churn: metrics.lost_to_churn - s.lost_to_churn,
+            restarts: metrics.restarts - s.restarts,
+            nodes_down: nodes_down(&metrics),
+            active_nodes,
+        };
+        if let Some(t) = self.trace.as_mut() {
+            t.samples.push(sample);
+            let stride = t.edge_load_stride;
+            if stride > 0 && round % stride == 0 {
+                t.snapshots.push(EdgeLoadSnapshot {
+                    round,
+                    load: edge_load.to_vec(),
+                });
+            }
+        }
+        if let Some(ts) = self.telemetry.as_mut() {
+            let health = self.health.take().expect("gauges recorded this round");
+            ts.record_round(sample, health);
+        }
+    }
+
+    /// Records the final per-edge loads of a run that stopped cleanly.
+    pub(crate) fn stopped(&mut self, edge_load: &[u64]) {
+        let Some(t) = self.trace.as_mut() else {
+            return;
+        };
+        t.final_edge_load = edge_load.to_vec();
+        // Strided snapshots always include the final round: without this, a
+        // stride that does not divide the stopping round would leave the
+        // series ending mid-run.
+        if t.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(self.round) {
+            t.snapshots.push(EdgeLoadSnapshot {
+                round: self.round,
+                load: edge_load.to_vec(),
+            });
+        }
+    }
+
+    /// Everything recorded, including after an aborted run: the flight
+    /// recorder's last rounds are the post-mortem.
+    pub(crate) fn finish(self) -> Observed {
+        Observed {
+            trace: self.trace,
+            profile: self.profile,
+            telemetry: self.telemetry.map(TelemetryState::finish),
+        }
+    }
+}

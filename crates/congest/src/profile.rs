@@ -10,8 +10,8 @@
 //!
 //! # Contract
 //!
-//! * **Off by default, zero cost.** Profiling is enabled with
-//!   [`crate::Simulator::with_profile`]; a run without it takes the exact
+//! * **Off by default, zero cost.** Profiling is enabled through
+//!   [`crate::Observe::profile`]; a run without it takes the exact
 //!   same code path — `Metrics`, `RunTrace`, protocol state, and RNG
 //!   streams are byte-identical to a build without this module.
 //! * **Exact attribution.** The profiler records at the engine's delivery
@@ -59,8 +59,7 @@ pub mod class {
     pub const REL_RETRANSMIT: TrafficClass = "reliable/retransmit";
 }
 
-/// What the profiler should record, attached via
-/// [`crate::Simulator::with_profile`].
+/// What the profiler should record ([`crate::Observe::profile`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfileConfig {
     /// How many hot edges [`TrafficProfile::analyze`] ranks by default.
@@ -105,8 +104,7 @@ pub struct ClassStats {
 /// Per-`(class, round)` and per-`(class, edge)` delivery counts of one run.
 ///
 /// Recorded by the round engine when profiling is enabled; retrieve it with
-/// [`crate::Simulator::take_profile`] (or through
-/// [`crate::trace::RunTrace::profile`] when tracing is also on).
+/// [`crate::Simulator::take_observed`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficProfile {
     edge_count: usize,

@@ -55,11 +55,10 @@
 
 use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, NoChurn};
 use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
-use crate::profile::{class, ProfileConfig, TrafficClass, TrafficProfile};
-use crate::telemetry::{
-    RoundHealth, RunTelemetry, ShardRoundSample, TelemetryConfig, TelemetryState,
-};
-use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
+use crate::observe::{Observe, Observed, Recorder};
+use crate::profile::{class, TrafficClass};
+use crate::telemetry::{RoundHealth, ShardRoundSample};
+use crate::trace::TraceEvent;
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
 use amt_graphs::partitioning::Placement;
 use amt_graphs::{Graph, NodeId};
@@ -448,8 +447,8 @@ impl<M: CongestMessage> Ctx<'_, M> {
 
     /// Emits a span/phase marker into the run's [`RunTrace`].
     ///
-    /// A no-op (one branch) unless tracing was enabled with
-    /// [`Simulator::with_trace`]; emitting events must therefore never be
+    /// A no-op (one branch) unless tracing was requested with
+    /// [`Simulator::with_observe`]; emitting events must therefore never be
     /// the protocol's only side effect. Events are recorded in
     /// `(round, node)` order independently of the worker-thread count.
     pub fn trace_event(&mut self, label: &'static str, value: u64) {
@@ -589,6 +588,30 @@ impl<M> Default for Pending<M> {
     }
 }
 
+impl<M: CongestMessage> Pending<M> {
+    /// Delivers `msg` over `to` — the one place a delivery is counted: its
+    /// frame width in `metrics.bits`, the edge's load, the recorder's
+    /// attribution to `class` — and stages it for the next round's inbox.
+    /// The round's message count is the number staged.
+    #[inline]
+    fn deliver(
+        &mut self,
+        to: Link,
+        class: TrafficClass,
+        msg: M,
+        metrics: &mut Metrics,
+        edge_load: &mut [u64],
+        rec: &mut Recorder,
+    ) {
+        let width = msg.bit_width() as u64;
+        metrics.bits += width;
+        edge_load[to.edge] += 1;
+        rec.delivered(class, to.edge, width);
+        self.dst.push(to.dst as u32);
+        self.msg.push((to.dst_port, msg));
+    }
+}
+
 /// Groups `pend` by destination into `arena` with a **stable** counting
 /// sort: per-destination message order is exactly the staging order (the
 /// ordered merge's), which is what keeps inbox contents byte-identical to
@@ -702,6 +725,12 @@ struct StepOut<M> {
     /// Number of protocol callbacks that actually ran this round — the
     /// `active_nodes` trace gauge.
     stepped: u64,
+    /// Span events the steps emitted, in node order; `Some` iff tracing
+    /// is on.
+    events: Option<Vec<TraceEvent>>,
+    /// One [`ShardRoundSample`] per executor shard; `Some` iff telemetry
+    /// is on.
+    shards: Option<Vec<ShardRoundSample>>,
 }
 
 impl<M> Default for StepOut<M> {
@@ -712,17 +741,48 @@ impl<M> Default for StepOut<M> {
             done: Vec::new(),
             wakes: Vec::new(),
             stepped: 0,
+            events: None,
+            shards: None,
         }
     }
 }
 
 impl<M> StepOut<M> {
+    /// An empty output recording the same observations as `self`.
+    fn empty_like(&self) -> Self {
+        StepOut {
+            events: self.events.as_ref().map(|_| Vec::new()),
+            shards: self.shards.as_ref().map(|_| Vec::new()),
+            ..StepOut::default()
+        }
+    }
+
+    /// Clears the round's contents, keeping which observations it records.
     fn clear(&mut self) {
         self.slab.clear();
         self.index.clear();
         self.done.clear();
         self.wakes.clear();
         self.stepped = 0;
+        if let Some(events) = self.events.as_mut() {
+            events.clear();
+        }
+        if let Some(shards) = self.shards.as_mut() {
+            shards.clear();
+        }
+    }
+
+    /// Appends shard `shard`'s telemetry sample for a step that began at
+    /// `start` (`Some` iff telemetry is on).
+    fn sample_shard(&mut self, shard: u32, start: Option<std::time::Instant>) {
+        if let (Some(samples), Some(t)) = (self.shards.as_mut(), start) {
+            samples.push(ShardRoundSample {
+                shard,
+                wall_nanos: t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+                nodes_stepped: self.stepped,
+                messages_staged: self.slab.len() as u64,
+            });
+        }
     }
 }
 
@@ -752,15 +812,22 @@ impl<M: Clone> StepOut<M> {
     }
 }
 
+/// Where a message lands: the receiving node and port, and the edge it
+/// crosses.
+#[derive(Clone, Copy)]
+struct Link {
+    dst: usize,
+    dst_port: usize,
+    edge: usize,
+}
+
 /// A message an injected delay is holding back, with the original sender
 /// kept for the loss event if the destination crashes first.
 struct Held<M> {
     release_round: u64,
     src: usize,
     src_port: usize,
-    dst: usize,
-    dst_port: usize,
-    edge: usize,
+    to: Link,
     class: TrafficClass,
     msg: M,
 }
@@ -861,8 +928,8 @@ struct StepOutcome {
 /// sharded threaded — are interchangeable under the determinism contract;
 /// everything else about a round lives in [`round_engine`].
 ///
-/// `shards` is the telemetry sample sink: `None` (telemetry off) costs one
-/// branch; when `Some`, the stepper appends one [`ShardRoundSample`] per
+/// `out` also carries what the run observes of the step: span events when
+/// tracing is on, and when telemetry is on one [`ShardRoundSample`] per
 /// executor shard (a single shard 0 for the sequential stepper) with the
 /// shard's step wall-time and work counters.
 trait RoundStepper<M> {
@@ -872,65 +939,78 @@ trait RoundStepper<M> {
         active: &[u32],
         inbox: &InboxArena<M>,
         out: &mut StepOut<M>,
-        events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
     ) -> StepOutcome;
 }
 
-/// The sequential stepper: owns borrowed views of the node state machines
-/// and RNG streams, steps the round's active nodes in place (ascending id;
-/// descending behind the `reverse` test hook), and appends to the engine's
-/// [`StepOut`].
-struct InlineStepper<'a, P: Protocol> {
-    nodes: &'a mut [P],
-    rngs: &'a mut [StdRng],
+/// What every node step of one round reads besides the node's own state.
+#[derive(Clone, Copy)]
+struct StepEnv<'a> {
     csr: &'a Csr,
     /// Round at which each node crash-stops (`u64::MAX` = never); empty on
     /// the clean path.
     crash_round: &'a [u64],
     churn: Option<&'a ChurnSchedule>,
-    /// The reusable staging slab, sized to the maximum degree.
-    staged: Vec<Option<(TrafficClass, P::Message)>>,
     budget_bits: usize,
-    /// Test hook: visit nodes in descending order (the determinism
-    /// contract says this must not change any observable).
-    reverse: bool,
+    round: u64,
 }
 
-impl<P: Protocol> InlineStepper<'_, P> {
-    #[allow(clippy::too_many_arguments)]
+impl StepEnv<'_> {
+    /// Whether `v` sits the round out: crash-stopped, or offline under churn
+    /// (like a crash, but temporary). Its inbox is discarded either way.
+    #[inline]
+    fn skips(&self, v: usize) -> bool {
+        self.crash_round.get(v).is_some_and(|&r| r <= self.round)
+            || self.churn.is_some_and(|ch| ch.node_down(self.round, v))
+    }
+}
+
+/// One executor shard's node state: its protocol instances and RNG streams
+/// in ascending id order, plus the staging slab sized to the shard's
+/// maximum degree. The sequential stepper is one shard over every node.
+struct Shard<'a, P: Protocol> {
+    nodes: &'a mut [P],
+    rngs: &'a mut [StdRng],
+    staged: Vec<Option<(TrafficClass, P::Message)>>,
+}
+
+impl<P: Protocol> Shard<'_, P> {
+    /// Steps node `v`, held at index `i` of this shard: runs `init`,
+    /// `on_restart` or `round` on `group`, then appends the node's staged
+    /// sends, done flag and wake request to `out`. Returns the node's
+    /// CONGEST violation, if any.
     fn step_node(
         &mut self,
+        env: &StepEnv<'_>,
+        i: usize,
         v: usize,
-        round: u64,
         group: &[(usize, P::Message)],
         out: &mut StepOut<P::Message>,
-        violation: &mut Option<CongestError>,
-        events: &mut Option<&mut Vec<TraceEvent>>,
-    ) {
-        let degree = self.csr.degree(v);
+    ) -> Option<CongestError> {
+        let degree = env.csr.degree(v);
+        let mut violation = None;
         let mut wake: Option<u64> = None;
         {
             let mut ctx = Ctx {
                 node: NodeId::from(v),
                 degree,
-                neighbors: self.csr.neighbors(v),
-                round,
-                budget_bits: self.budget_bits,
+                neighbors: env.csr.neighbors(v),
+                round: env.round,
+                budget_bits: env.budget_bits,
                 staged: &mut self.staged[..degree],
                 default_class: P::TRAFFIC_CLASS,
-                rng: &mut self.rngs[v],
-                violation,
+                rng: &mut self.rngs[i],
+                violation: &mut violation,
                 wake: &mut wake,
-                trace: events.as_deref_mut(),
-                churn: self.churn,
+                trace: out.events.as_mut(),
+                churn: env.churn,
             };
-            if round == 0 {
-                self.nodes[v].init(&mut ctx);
-            } else if self.churn.is_some_and(|ch| ch.rejoining(round, v)) {
-                self.nodes[v].on_restart(&mut ctx);
+            let node = &mut self.nodes[i];
+            if env.round == 0 {
+                node.init(&mut ctx);
+            } else if env.churn.is_some_and(|ch| ch.rejoining(env.round, v)) {
+                node.on_restart(&mut ctx);
             } else {
-                self.nodes[v].round(&mut ctx, group);
+                node.round(&mut ctx, group);
             }
         }
         // Drain the slab unconditionally so it is clean for the next node
@@ -945,12 +1025,64 @@ impl<P: Protocol> InlineStepper<'_, P> {
         if len > 0 {
             out.index.push((v as u32, len));
         }
-        out.done.push((v as u32, self.nodes[v].is_done()));
+        out.done.push((v as u32, self.nodes[i].is_done()));
         if let Some(r) = wake {
             out.wakes.push((v as u32, r));
         }
         out.stepped += 1;
+        violation
     }
+
+    /// Steps this shard's `active` nodes in ascending order, `index`
+    /// mapping a node id to its index in the shard. Returns the first
+    /// violation with its node; the rest of the sweep is then skipped (the
+    /// run aborts; state after an error is unspecified).
+    fn sweep(
+        &mut self,
+        env: &StepEnv<'_>,
+        index: impl Fn(usize) -> usize,
+        active: &[u32],
+        inbox: &InboxArena<P::Message>,
+        out: &mut StepOut<P::Message>,
+    ) -> Option<(u32, CongestError)> {
+        let mut violation = None;
+        let mut ri = 0usize;
+        for &vu in active {
+            let v = vu as usize;
+            // Pair the node with its inbox group *before* any skip: crashed
+            // and churn-offline receivers still swallow their mail (it was
+            // lost on arrival, not left queued).
+            let mut group: &[(usize, P::Message)] = &[];
+            if ri < inbox.nodes.len() && inbox.nodes[ri] == vu {
+                group = inbox.group(ri);
+                ri += 1;
+            }
+            if env.skips(v) || violation.is_some() {
+                continue;
+            }
+            violation = self
+                .step_node(env, index(v), v, group, out)
+                .map(|err| (vu, err));
+        }
+        debug_assert_eq!(
+            ri,
+            inbox.nodes.len(),
+            "every inbox group had an active receiver"
+        );
+        violation
+    }
+}
+
+/// The sequential stepper: one [`Shard`] over every node, stepped in place
+/// (ascending id; descending behind the `reverse` test hook), appending to
+/// the engine's [`StepOut`].
+struct InlineStepper<'a, P: Protocol> {
+    shard: Shard<'a, P>,
+    /// The run's step environment; `round` is set per step.
+    env: StepEnv<'a>,
+    /// Test hook: visit nodes in descending order (the determinism
+    /// contract says this must not change any observable).
+    reverse: bool,
 }
 
 impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
@@ -960,53 +1092,22 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
         active: &[u32],
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
-        mut events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
     ) -> StepOutcome {
-        // Wall-clock only ticks when telemetry asked for samples; the off
-        // path is byte-identical (one branch).
-        let step_start = shards.as_ref().map(|_| std::time::Instant::now());
-        let mut violation: Option<CongestError> = None;
-        if !self.reverse {
-            let mut ri = 0usize;
-            for &vu in active {
-                let v = vu as usize;
-                // Pair the node with its inbox group *before* any skip:
-                // crashed and churn-offline receivers still swallow their
-                // mail (it was lost on arrival, not left queued).
-                let mut group: &[(usize, P::Message)] = &[];
-                if ri < inbox.nodes.len() && inbox.nodes[ri] == vu {
-                    group = inbox.group(ri);
-                    ri += 1;
-                }
-                if self.crash_round.get(v).is_some_and(|&r| r <= round) {
-                    // Crash-stopped: no step, inbox discarded.
-                    continue;
-                }
-                if self.churn.is_some_and(|ch| ch.node_down(round, v)) {
-                    // Churn outage: like a crash, but temporary.
-                    continue;
-                }
-                // After a violation the rest of the sweep is skipped (the
-                // run aborts; state after an error is unspecified).
-                if violation.is_some() {
-                    continue;
-                }
-                self.step_node(v, round, group, out, &mut violation, &mut events);
-            }
-            debug_assert_eq!(
-                ri,
-                inbox.nodes.len(),
-                "every inbox group had an active receiver"
-            );
+        let env = StepEnv { round, ..self.env };
+        // Wall-clock only ticks when telemetry asked for samples.
+        let start = out.shards.is_some().then(std::time::Instant::now);
+        let violation = if !self.reverse {
+            self.shard
+                .sweep(&env, |v| v, active, inbox, out)
+                .map(|(_, err)| err)
         } else {
             // Descending test visit. Unlike the forward sweep this steps
-            // *every* eligible node with a per-node violation slot and lets
-            // descending overwrites land on the lowest violating node —
-            // the forward sweep's canonical error. (Which nodes violate is
-            // visit-order independent because nodes cannot interact
-            // mid-round; protocol state after an error is unspecified,
-            // which covers the extra stepping.)
+            // *every* eligible node and lets descending overwrites land on
+            // the lowest violating node — the forward sweep's canonical
+            // error. (Which nodes violate is visit-order independent
+            // because nodes cannot interact mid-round; protocol state after
+            // an error is unspecified, which covers the extra stepping.)
+            let mut violation = None;
             let mut ri = inbox.nodes.len();
             for &vu in active.iter().rev() {
                 let v = vu as usize;
@@ -1015,31 +1116,18 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
                     ri -= 1;
                     group = inbox.group(ri);
                 }
-                if self.crash_round.get(v).is_some_and(|&r| r <= round) {
+                if env.skips(v) {
                     continue;
                 }
-                if self.churn.is_some_and(|ch| ch.node_down(round, v)) {
-                    continue;
-                }
-                let mut this_violation: Option<CongestError> = None;
-                self.step_node(v, round, group, out, &mut this_violation, &mut events);
-                if this_violation.is_some() {
-                    violation = this_violation;
+                if let Some(err) = self.shard.step_node(&env, v, v, group, out) {
+                    violation = Some(err);
                 }
             }
             debug_assert_eq!(ri, 0, "every inbox group had an active receiver");
             out.canonicalize_reversed();
-        }
-        if let Some(samples) = shards {
-            samples.push(ShardRoundSample {
-                shard: 0,
-                wall_nanos: step_start.map_or(0, |t| {
-                    t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-                }),
-                nodes_stepped: out.stepped,
-                messages_staged: out.slab.len() as u64,
-            });
-        }
+            violation
+        };
+        out.sample_shard(0, start);
         StepOutcome {
             violation,
             aborted: false,
@@ -1048,35 +1136,15 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
 }
 
 /// One round's work order for a sharded worker: the shard's slice of the
-/// active list and inbox arena, plus the output buffers the worker fills.
-/// Jobs shuttle between coordinator and worker and are recycled round over
+/// active list and inbox arena, plus the output the worker fills. Jobs
+/// shuttle between coordinator and worker and are recycled round over
 /// round, so the per-round cost is copying the shard's slices, not
 /// allocation.
 struct RoundJob<M> {
     round: u64,
     active: Vec<u32>,
-    inbox_index: Vec<(u32, u32)>,
-    inbox_slab: Vec<(usize, M)>,
+    inbox: InboxArena<M>,
     out: StepOut<M>,
-    events: Vec<TraceEvent>,
-    /// Wall-clock nanoseconds the worker spent stepping this job's nodes,
-    /// stamped only when telemetry is on (0 otherwise). Host observability
-    /// metadata — never feeds an observable.
-    wall_nanos: u64,
-}
-
-impl<M> Default for RoundJob<M> {
-    fn default() -> Self {
-        RoundJob {
-            round: 0,
-            active: Vec::new(),
-            inbox_index: Vec::new(),
-            inbox_slab: Vec::new(),
-            out: StepOut::default(),
-            events: Vec::new(),
-            wall_nanos: 0,
-        }
-    }
 }
 
 /// A worker's completed round, handing the recycled job back.
@@ -1117,19 +1185,21 @@ impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
         active: &[u32],
         inbox: &InboxArena<M>,
         out: &mut StepOut<M>,
-        mut events: Option<&mut Vec<TraceEvent>>,
-        shards: Option<&mut Vec<ShardRoundSample>>,
     ) -> StepOutcome {
         let workers = self.job_txs.len();
         let mut jobs: Vec<RoundJob<M>> = self
             .stash
             .iter_mut()
             .map(|slot| {
-                let mut job = slot.take().unwrap_or_default();
+                let mut job = slot.take().unwrap_or_else(|| RoundJob {
+                    round: 0,
+                    active: Vec::new(),
+                    inbox: InboxArena::default(),
+                    out: out.empty_like(),
+                });
                 job.round = round;
                 job.active.clear();
-                job.inbox_index.clear();
-                job.inbox_slab.clear();
+                job.inbox.clear();
                 job
             })
             .collect();
@@ -1140,10 +1210,9 @@ impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
         }
         for (i, &vu) in inbox.nodes.iter().enumerate() {
             let job = &mut jobs[self.shard_of[vu as usize] as usize];
-            let s = inbox.offsets[i] as usize;
-            let e = inbox.offsets[i + 1] as usize;
-            job.inbox_index.push((vu, (e - s) as u32));
-            job.inbox_slab.extend_from_slice(&inbox.slab[s..e]);
+            job.inbox.nodes.push(vu);
+            job.inbox.slab.extend_from_slice(inbox.group(i));
+            job.inbox.offsets.push(job.inbox.slab.len() as u32);
         }
         let mut sent = 0usize;
         for (w, job) in jobs.into_iter().enumerate() {
@@ -1174,17 +1243,11 @@ impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
             }
             self.stash[reply.worker] = Some(reply.job);
         }
-        // Telemetry samples must be drawn *before* the splice-back below:
-        // the monotone concat zeroes `stepped` and drains the slabs.
-        if let Some(samples) = shards {
-            for (w, slot) in self.stash.iter().enumerate() {
-                let job = slot.as_ref().expect("every worker replied");
-                samples.push(ShardRoundSample {
-                    shard: w as u32,
-                    wall_nanos: job.wall_nanos,
-                    nodes_stepped: job.out.stepped,
-                    messages_staged: job.out.slab.len() as u64,
-                });
+        // Each worker sampled its own shard; collect them in shard order.
+        if let Some(samples) = out.shards.as_mut() {
+            for slot in &mut self.stash {
+                let job = slot.as_mut().expect("every worker replied");
+                samples.append(job.out.shards.as_mut().expect("jobs mirror out"));
             }
         }
         if self.monotone {
@@ -1197,12 +1260,12 @@ impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
                 out.wakes.append(&mut job.out.wakes);
                 out.stepped += job.out.stepped;
                 job.out.stepped = 0;
-                if let Some(ev) = events.as_mut() {
-                    ev.append(&mut job.events);
+                if let (Some(ev), Some(job_ev)) = (out.events.as_mut(), job.out.events.as_mut()) {
+                    ev.append(job_ev);
                 }
             }
         } else {
-            self.merge_by_node(active, out, events);
+            self.merge_by_node(active, out);
         }
         StepOutcome {
             violation: violation.map(|(_, err)| err),
@@ -1218,18 +1281,13 @@ impl<M: CongestMessage> ThreadedStepper<'_, M> {
     /// stream is ascending by node within its shard, and a node appears in
     /// its shard's `done` stream iff the worker stepped it, so the merged
     /// result is exactly the sequential visit's.
-    fn merge_by_node(
-        &mut self,
-        active: &[u32],
-        out: &mut StepOut<M>,
-        mut events: Option<&mut Vec<TraceEvent>>,
-    ) {
-        let workers = self.job_txs.len();
+    fn merge_by_node(&mut self, active: &[u32], out: &mut StepOut<M>) {
         let mut jobs: Vec<&mut RoundJob<M>> = self
             .stash
             .iter_mut()
             .map(|slot| slot.as_mut().expect("every worker replied"))
             .collect();
+        let workers = jobs.len();
         let mut done_at = vec![0usize; workers];
         let mut index_at = vec![0usize; workers];
         let mut slab_at = vec![0usize; workers];
@@ -1256,13 +1314,12 @@ impl<M: CongestMessage> ThreadedStepper<'_, M> {
                     wake_at[w] += 1;
                 }
             }
-            if let Some(ev) = events.as_mut() {
-                while job
-                    .events
+            if let (Some(ev), Some(job_ev)) = (out.events.as_mut(), job.out.events.as_ref()) {
+                while job_ev
                     .get(event_at[w])
                     .is_some_and(|e| e.node.index() as u32 == v)
                 {
-                    ev.push(job.events[event_at[w]]);
+                    ev.push(job_ev[event_at[w]]);
                     event_at[w] += 1;
                 }
             }
@@ -1270,10 +1327,8 @@ impl<M: CongestMessage> ThreadedStepper<'_, M> {
         for (w, job) in jobs.into_iter().enumerate() {
             debug_assert_eq!(done_at[w], job.out.done.len());
             debug_assert_eq!(slab_at[w], job.out.slab.len());
-            debug_assert_eq!(event_at[w], job.events.len());
-            job.out.stepped = 0;
+            debug_assert_eq!(event_at[w], job.out.events.as_ref().map_or(0, Vec::len));
             job.out.clear();
-            job.events.clear();
         }
     }
 }
@@ -1301,7 +1356,7 @@ struct Wakeups {
 /// construction (sparse path) or the full node list, the protocol step
 /// (via `stepper`), the ordered `(sender, port)` merge with per-message
 /// fault sampling (via `hook`), the stable release sweep over the delay
-/// queue, delivery accounting, tracing, inbox grouping
+/// queue, delivery accounting, observation (via `rec`), inbox grouping
 /// ([`group_pending`]), and the stop check. The clean path instantiates
 /// this with [`NoFaults`] — every hook call inlines away — and is the
 /// exact pristine executor; the faulty path instantiates it with
@@ -1323,12 +1378,7 @@ fn round_engine<M, S, H, C>(
     hook: &mut H,
     churn: &mut C,
     wk: &Wakeups,
-    trace_cfg: Option<TraceConfig>,
-    trace_out: &mut Option<RunTrace>,
-    profile_cfg: Option<ProfileConfig>,
-    profile_out: &mut Option<TrafficProfile>,
-    telemetry_cfg: Option<&TelemetryConfig>,
-    telemetry_out: &mut Option<RunTelemetry>,
+    rec: &mut Recorder,
 ) -> Result<Metrics>
 where
     M: CongestMessage,
@@ -1353,29 +1403,10 @@ where
         done,
         ..
     } = scratch;
+    // The stepper records exactly the observations the recorder wants.
+    out.events = rec.records_events().then(Vec::new);
+    out.shards = rec.records_shards().then(Vec::new);
     let mut metrics = Metrics::default();
-    let mut trace = trace_cfg.map(|tc| {
-        (
-            tc,
-            RunTrace {
-                edge_load_stride: tc.edge_load_stride,
-                ..RunTrace::default()
-            },
-        )
-    });
-    // The profiler records at the delivery points below — the same events
-    // that drive `metrics.messages`/`bits` and `edge_load` — so per-class
-    // totals sum exactly to the undifferentiated counters.
-    let mut profile = profile_cfg.map(|_| TrafficProfile::new(edge_load.len()));
-    // Telemetry recording state plus the per-round shard-sample scratch the
-    // stepper fills; `None` (the default) costs a handful of branches per
-    // round and leaves every observable byte-identical.
-    let mut telemetry = telemetry_cfg.map(|tc| {
-        (
-            TelemetryState::new(tc.clone()),
-            Vec::<ShardRoundSample>::new(),
-        )
-    });
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
     });
@@ -1389,9 +1420,9 @@ where
     let (mut crash_i, mut down_i, mut rejoin_i) = (0usize, 0usize, 0usize);
 
     'rounds: for round in 0..=cfg.max_rounds {
-        // Snapshot the counters so the round's sample records deltas
-        // (including crashes applied at the top of this round).
-        let round_start = metrics;
+        // Open the round before its crashes are applied, so its sample
+        // records them.
+        rec.begin_round(round, metrics);
         hook.begin_round(round, &mut metrics);
         churn.begin_round(round, &mut metrics);
         // Nodes leaving the computation this round count as done: fault
@@ -1448,14 +1479,7 @@ where
             &all_nodes[..]
         };
         out.clear();
-        let outcome = stepper.step(
-            round,
-            active_list,
-            cur,
-            out,
-            trace.as_mut().map(|(_, t)| &mut t.events),
-            telemetry.as_mut().map(|(_, samples)| samples),
-        );
+        let outcome = stepper.step(round, active_list, cur, out);
         if outcome.aborted {
             // The placeholder round-limit error is never observed: the
             // caller joins its workers and re-raises the panic.
@@ -1481,25 +1505,30 @@ where
                 timers.entry(r).or_default().push(v);
             }
         }
+        if let Some(events) = out.events.as_mut() {
+            rec.events(events);
+        }
         // Gauge sampling point: the inbox arena still holds this round's
         // mail and the staged sends have not been drained by the merge yet,
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
         // thread counts, placements, and engines.
-        let mut health = telemetry.as_mut().map(|(_, shard_samples)| RoundHealth {
-            round,
-            active_nodes: active_list.len() as u64,
-            inbox_queued: cur.slab.len() as u64,
-            staged_sends: out.slab.len() as u64,
-            wake_queue: timers.values().map(|v| v.len() as u64).sum(),
-            arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, M)>()
-                + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, M)>()
-                + held.len() * std::mem::size_of::<Held<M>>()) as u64,
-            shards: std::mem::take(shard_samples),
-        });
+        if let Some(shards) = out.shards.as_mut() {
+            rec.gauges(RoundHealth {
+                round,
+                active_nodes: active_list.len() as u64,
+                inbox_queued: cur.slab.len() as u64,
+                staged_sends: out.slab.len() as u64,
+                wake_queue: timers.values().map(|v| v.len() as u64).sum(),
+                arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, M)>()
+                    + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, M)>()
+                    + held.len() * std::mem::size_of::<Held<M>>())
+                    as u64,
+                shards: std::mem::take(shards),
+            });
+        }
         // Ordered merge with per-message fault sampling: ascending
         // (sender, port), whatever order or thread staged the sends.
-        let mut delivered = 0u64;
         let mut slab = std::mem::take(&mut out.slab);
         {
             let mut sends = slab.drain(..);
@@ -1510,14 +1539,17 @@ where
                     let (port, cls, msg) = sends.next().expect("slab and index agree");
                     let port = port as usize;
                     let (dst, edge) = neighbors[port];
-                    let (dst, edge) = (dst as usize, edge as usize);
-                    let dst_port = csr.peer_port(v, port) as usize;
-                    if hook.is_crashed(dst) {
+                    let to = Link {
+                        dst: dst as usize,
+                        dst_port: csr.peer_port(v, port) as usize,
+                        edge: edge as usize,
+                    };
+                    if hook.is_crashed(to.dst) {
                         // Lost to the crash; the Crashed event already
                         // records the cause, so this is not a drop fault.
                         continue;
                     }
-                    if churn.edge_down(round, edge) || churn.node_down(round, dst) {
+                    if churn.edge_down(round, to.edge) || churn.node_down(round, to.dst) {
                         // The link was down (or the destination offline) in
                         // the round the message was staged: lost to churn.
                         // Verdicts use the staging round, matching what the
@@ -1527,17 +1559,7 @@ where
                         continue;
                     }
                     match hook.fate(round, v, port) {
-                        Fate::Deliver => {
-                            let width = msg.bit_width() as u64;
-                            metrics.bits += width;
-                            edge_load[edge] += 1;
-                            if let Some(p) = profile.as_mut() {
-                                p.record(cls, round, edge, width);
-                            }
-                            pend.dst.push(dst as u32);
-                            pend.msg.push((dst_port, msg));
-                            delivered += 1;
-                        }
+                        Fate::Deliver => pend.deliver(to, cls, msg, &mut metrics, edge_load, rec),
                         Fate::Drop => {
                             metrics.dropped += 1;
                             hook.record(round, v, port, FaultKind::Dropped);
@@ -1545,35 +1567,14 @@ where
                         Fate::Corrupt => {
                             metrics.corrupted += 1;
                             let mask = hook.flip_mask(round, v, port, msg.bit_width());
-                            match msg.corrupted(mask) {
-                                Some(garbled) => {
-                                    hook.record(
-                                        round,
-                                        v,
-                                        port,
-                                        FaultKind::Corrupted { delivered: true },
-                                    );
-                                    let width = garbled.bit_width() as u64;
-                                    metrics.bits += width;
-                                    edge_load[edge] += 1;
-                                    if let Some(p) = profile.as_mut() {
-                                        p.record(cls, round, edge, width);
-                                    }
-                                    pend.dst.push(dst as u32);
-                                    pend.msg.push((dst_port, garbled));
-                                    delivered += 1;
-                                }
-                                None => {
-                                    // No canonical encoding, or the flipped
-                                    // frame no longer parses: the receiver
-                                    // sees nothing.
-                                    hook.record(
-                                        round,
-                                        v,
-                                        port,
-                                        FaultKind::Corrupted { delivered: false },
-                                    );
-                                }
+                            let garbled = msg.corrupted(mask);
+                            // `None`: no canonical encoding, or the flipped
+                            // frame no longer parses — the receiver sees
+                            // nothing.
+                            let delivered = garbled.is_some();
+                            hook.record(round, v, port, FaultKind::Corrupted { delivered });
+                            if let Some(garbled) = garbled {
+                                pend.deliver(to, cls, garbled, &mut metrics, edge_load, rec);
                             }
                         }
                         Fate::Delay(by) => {
@@ -1583,9 +1584,7 @@ where
                                 release_round: round + by,
                                 src: v,
                                 src_port: port,
-                                dst,
-                                dst_port,
-                                edge,
+                                to,
                                 class: cls,
                                 msg,
                             });
@@ -1604,63 +1603,26 @@ where
         for h in held.drain(..) {
             if h.release_round > round {
                 held_next.push(h);
-            } else if hook.is_crashed(h.dst) {
+            } else if hook.is_crashed(h.to.dst) {
                 metrics.lost_to_crash += 1;
                 hook.record(round, h.src, h.src_port, FaultKind::LostToCrash);
-            } else if churn.edge_down(round, h.edge) || churn.node_down(round, h.dst) {
+            } else if churn.edge_down(round, h.to.edge) || churn.node_down(round, h.to.dst) {
                 // The delay outlived the link (or the destination's
                 // uptime): the release round's topology decides.
                 churn.record_loss(round, h.src, h.src_port, &mut metrics);
             } else {
-                let width = h.msg.bit_width() as u64;
-                metrics.bits += width;
-                edge_load[h.edge] += 1;
-                if let Some(p) = profile.as_mut() {
-                    p.record(h.class, round, h.edge, width);
-                }
-                pend.dst.push(h.dst as u32);
-                pend.msg.push((h.dst_port, h.msg));
-                delivered += 1;
+                pend.deliver(h.to, h.class, h.msg, &mut metrics, edge_load, rec);
             }
         }
         std::mem::swap(held, held_next);
+        let delivered = pend.dst.len() as u64;
         metrics.messages += delivered;
         metrics.peak_messages_per_round = metrics.peak_messages_per_round.max(delivered);
-        // One round sample feeds both the trace timeline and the telemetry
-        // flight recorder; computed iff either consumer is attached.
-        let sample = (trace.is_some() || telemetry.is_some()).then(|| RoundSample {
-            round,
-            messages: delivered,
-            bits: metrics.bits - round_start.bits,
-            dropped: metrics.dropped - round_start.dropped,
-            corrupted: metrics.corrupted - round_start.corrupted,
-            delayed: metrics.delayed - round_start.delayed,
-            lost_to_crash: metrics.lost_to_crash - round_start.lost_to_crash,
-            crashed: metrics.crashed - round_start.crashed,
-            lost_to_churn: metrics.lost_to_churn - round_start.lost_to_churn,
-            restarts: metrics.restarts - round_start.restarts,
-            // Availability gauge: fault crash-stops are permanent, so
-            // the cumulative count is exactly "down now"; churn outages
-            // are read off the schedule for this round.
-            nodes_down: metrics.crashed + churn.down_count(round),
-            active_nodes: out.stepped,
-        });
-        if let Some((tc, t)) = trace.as_mut() {
-            t.samples
-                .push(sample.expect("sample computed when tracing"));
-            if tc.edge_load_stride > 0 && round % tc.edge_load_stride == 0 {
-                t.snapshots.push(EdgeLoadSnapshot {
-                    round,
-                    load: edge_load.to_vec(),
-                });
-            }
-        }
-        if let Some((ts, _)) = telemetry.as_mut() {
-            ts.record_round(
-                sample.expect("sample computed when telemetry is on"),
-                health.take().expect("health captured when telemetry is on"),
-            );
-        }
+        // Availability gauge: fault crash-stops are permanent, so the
+        // cumulative count is exactly "down now"; churn outages are read
+        // off the schedule for this round.
+        let nodes_down = |m: &Metrics| m.crashed + churn.down_count(round);
+        rec.end_round(metrics, nodes_down, out.stepped, edge_load);
         // Group this round's deliveries into next round's inbox arena and
         // swap it in (the consumed arena becomes the next grouping target).
         group_pending(pend, cnt, cursor, perm, next);
@@ -1673,31 +1635,11 @@ where
         };
         if stop {
             metrics.max_edge_congestion = edge_load.iter().copied().max().unwrap_or(0);
-            if let Some((tc, t)) = trace.as_mut() {
-                t.final_edge_load = edge_load.to_vec();
-                // Strided snapshots always include the final round: without
-                // this, a stride that does not divide the stopping round
-                // would leave the series ending mid-run (the in-loop push
-                // above already covered the stride-aligned case).
-                if tc.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(round) {
-                    t.snapshots.push(EdgeLoadSnapshot {
-                        round,
-                        load: edge_load.to_vec(),
-                    });
-                }
-            }
+            rec.stopped(edge_load);
             result = Ok(metrics);
             break 'rounds;
         }
     }
-    if let (Some(t), Some(p)) = (trace.as_mut(), profile.as_ref()) {
-        t.1.profile = Some(p.clone());
-    }
-    *trace_out = trace.map(|(_, t)| t);
-    *profile_out = profile;
-    // Recorded telemetry is handed back even (especially) when the run
-    // errored: the flight recorder's last K rounds are the post-mortem.
-    *telemetry_out = telemetry.map(|(ts, _)| ts.finish());
     result
 }
 
@@ -1753,22 +1695,10 @@ pub struct Simulator<'g, P: Protocol> {
     /// static-topology execution path.
     churn_plan: Option<ChurnPlan>,
     churn_events: Vec<ChurnEvent>,
-    /// Tracing request; `None` (the default) disables all recording and
-    /// leaves every execution path byte-identical to the untraced build.
-    trace_cfg: Option<TraceConfig>,
-    /// Timeline recorded by the most recent [`Self::run`] (when enabled).
-    trace: Option<RunTrace>,
-    /// Traffic-class profiling request; `None` (the default) records
-    /// nothing and leaves every path byte-identical to an unprofiled run.
-    profile_cfg: Option<ProfileConfig>,
-    /// Profile recorded by the most recent [`Self::run`] (when enabled).
-    profile: Option<TrafficProfile>,
-    /// Runtime-execution telemetry request; `None` (the default) records
-    /// nothing and leaves every path byte-identical to an uninstrumented
-    /// run.
-    telemetry_cfg: Option<TelemetryConfig>,
-    /// Telemetry recorded by the most recent [`Self::run`] (when enabled).
-    telemetry: Option<RunTelemetry>,
+    /// Which observation layers record each run (all off by default).
+    observe: Observe,
+    /// What they recorded in the most recent [`Self::run`].
+    observed: Observed,
     /// Explicit node→shard placement for the threaded executor; `None`
     /// (the default) shards into contiguous id chunks.
     placement: Option<Placement>,
@@ -1802,12 +1732,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             crashed: vec![false; n],
             churn_plan: None,
             churn_events: Vec::new(),
-            trace_cfg: None,
-            trace: None,
-            profile_cfg: None,
-            profile: None,
-            telemetry_cfg: None,
-            telemetry: None,
+            observe: Observe::default(),
+            observed: Observed::default(),
             placement: None,
         })
     }
@@ -1831,79 +1757,27 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self
     }
 
-    /// Enables round-level tracing for every subsequent [`Self::run`].
+    /// Sets which observation layers — trace, profile, telemetry — record
+    /// every subsequent [`Self::run`] (see [`crate::observe`]).
     ///
     /// Recording never changes observable behavior: `Metrics`, protocol
-    /// state, and RNG streams are byte-identical with tracing on or off,
-    /// on the clean, faulty, and multi-threaded execution paths alike.
-    pub fn with_trace(mut self, cfg: TraceConfig) -> Self {
-        self.trace_cfg = Some(cfg);
-        self
-    }
-
-    /// The timeline recorded by the most recent [`Self::run`], if tracing
-    /// was enabled. A run aborted by an error leaves the rounds recorded up
-    /// to the abort (with an empty `final_edge_load`).
-    pub fn trace(&self) -> Option<&RunTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's timeline.
-    pub fn take_trace(&mut self) -> Option<RunTrace> {
-        self.trace.take()
-    }
-
-    /// Enables traffic-class profiling for every subsequent [`Self::run`].
-    ///
-    /// Like tracing, profiling never changes observable behavior: `Metrics`,
-    /// `RunTrace`, protocol state, and RNG streams are byte-identical with
-    /// profiling on or off, on every execution path. When tracing is also
-    /// enabled the profile is additionally attached to the run's
-    /// [`RunTrace::profile`].
-    pub fn with_profile(mut self, cfg: ProfileConfig) -> Self {
-        self.profile_cfg = Some(cfg);
-        self
-    }
-
-    /// The traffic profile recorded by the most recent [`Self::run`], if
-    /// profiling was enabled.
-    pub fn profile(&self) -> Option<&TrafficProfile> {
-        self.profile.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's traffic profile.
-    pub fn take_profile(&mut self) -> Option<TrafficProfile> {
-        self.profile.take()
-    }
-
-    /// Enables runtime-execution telemetry for every subsequent
-    /// [`Self::run`]: per-shard step wall-times and work counters, engine
-    /// gauges (active-set occupancy, inbox/staged depths, wake-queue depth,
-    /// arena bytes), a fixed-capacity flight recorder of the last K rounds,
-    /// and optional NDJSON streaming ([`TelemetryConfig::stream_to`]).
-    ///
-    /// Same contract as [`Self::with_trace`] / [`Self::with_profile`]:
-    /// recording never changes observable behavior — `Metrics`, protocol
-    /// state, RNG streams, traces, and profiles are byte-identical with
-    /// telemetry on or off, on every execution path. When a run ends in an
-    /// error the flight recorder is automatically dumped to
+    /// state, RNG streams, and the fault and churn logs are byte-identical
+    /// with any subset of the layers on, and each layer's record is the
+    /// same whichever others are on, on every execution path. When a run
+    /// with telemetry ends in an error the flight recorder is dumped to
     /// `experiments_out/flightrec_<run_id>.json` (see
     /// [`crate::telemetry::dump_flight`]); call
     /// [`Self::dump_flight_recorder`] for degraded-but-successful outcomes.
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry_cfg = Some(cfg);
+    pub fn with_observe(mut self, observe: Observe) -> Self {
+        self.observe = observe;
         self
     }
 
-    /// The telemetry recorded by the most recent [`Self::run`], if enabled.
-    /// A run aborted by an error keeps everything recorded up to the abort.
-    pub fn telemetry(&self) -> Option<&RunTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Takes ownership of the most recent run's telemetry.
-    pub fn take_telemetry(&mut self) -> Option<RunTelemetry> {
-        self.telemetry.take()
+    /// Takes what the observation layers recorded in the most recent
+    /// [`Self::run`]. A run aborted by an error keeps what was recorded up
+    /// to the abort.
+    pub fn take_observed(&mut self) -> Observed {
+        std::mem::take(&mut self.observed)
     }
 
     /// Dumps the most recent run's flight recorder (last K rounds plus the
@@ -1913,9 +1787,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// errored runs dump automatically. `None` if telemetry was off (or the
     /// dump could not be written; a failed dump never raises).
     pub fn dump_flight_recorder(&self, reason: &str) -> Option<std::path::PathBuf> {
-        let telemetry = self.telemetry.as_ref()?;
+        let telemetry = self.observed.telemetry.as_ref()?;
         let run_id = self
-            .telemetry_cfg
+            .observe
+            .telemetry
             .as_ref()
             .map_or("run", |tc| tc.run_id.as_str());
         crate::telemetry::dump_flight(
@@ -2020,9 +1895,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     fn run_inner(&mut self, cfg: &RunConfig, reverse_visit: bool) -> Result<Metrics> {
-        self.trace = None;
-        self.profile = None;
-        self.telemetry = None;
+        self.observed = Observed::default();
         self.churn_events.clear();
         // Take both plans for the duration of the run instead of cloning
         // them (schedules can be long-lived and big); they are restored
@@ -2037,7 +1910,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // artifacts go. Dump failures are swallowed — the run's own error
         // is the story.
         if let Err(e) = &result {
-            if self.telemetry.is_some() {
+            if self.observed.telemetry.is_some() {
                 self.dump_flight_recorder(&format!("{e}"));
             }
         }
@@ -2172,18 +2045,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let n = self.graph.len();
         let budget_bits = cfg.budget_factor * bits_for_count(n.max(2));
         self.reset_edge_load();
-        let trace_cfg = self.trace_cfg;
-        let profile_cfg = self.profile_cfg;
-        let telemetry_cfg = self.telemetry_cfg.clone();
         let Simulator {
             nodes,
             rngs,
             csr,
             edge_load,
             scratch,
-            trace,
-            profile,
-            telemetry,
+            observe,
+            observed,
             ..
         } = self;
         let csr: &Csr = csr;
@@ -2191,15 +2060,21 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         staged.clear();
         staged.resize_with(csr.max_degree(0, n), || None);
         let mut stepper = InlineStepper::<P> {
-            nodes,
-            rngs,
-            csr,
-            crash_round,
-            churn: sched,
-            staged,
-            budget_bits,
+            shard: Shard {
+                nodes,
+                rngs,
+                staged,
+            },
+            env: StepEnv {
+                csr,
+                crash_round,
+                churn: sched,
+                budget_bits,
+                round: 0,
+            },
             reverse: reverse_visit,
         };
+        let mut rec = Recorder::new(observe, edge_load.len());
         let result = round_engine(
             cfg,
             csr,
@@ -2209,14 +2084,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             hook,
             churn,
             wk,
-            trace_cfg,
-            trace,
-            profile_cfg,
-            profile,
-            telemetry_cfg.as_ref(),
-            telemetry,
+            &mut rec,
         );
-        scratch.staged = stepper.staged;
+        *observed = rec.finish();
+        scratch.staged = stepper.shard.staged;
         result
     }
 
@@ -2272,24 +2143,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             shard_len[s] += 1;
             shard_max_degree[s] = shard_max_degree[s].max(self.csr.degree(v));
         }
-        let trace_cfg = self.trace_cfg;
-        let tracing = trace_cfg.is_some();
-        let profile_cfg = self.profile_cfg;
-        let telemetry_cfg = self.telemetry_cfg.clone();
-        // Workers only pay for the wall-clock stamp when telemetry is on.
-        let telem = telemetry_cfg.is_some();
         let Simulator {
             nodes,
             rngs,
             csr,
             edge_load,
             scratch,
-            trace,
-            profile,
-            telemetry,
+            observe,
+            observed,
             ..
         } = self;
         let csr: &Csr = csr;
+        let env = StepEnv {
+            csr,
+            crash_round,
+            churn: sched,
+            budget_bits,
+            round: 0,
+        };
         let shard_of: &[u32] = placement.shard_of();
         let local_idx: &[u32] = &local_idx;
 
@@ -2324,98 +2195,28 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 let reply_tx = reply_tx.clone();
                 let max_degree = shard_max_degree[w];
                 handles.push(s.spawn(move || {
-                    let mut staged: Vec<Option<(TrafficClass, P::Message)>> = Vec::new();
+                    let mut staged = Vec::new();
                     staged.resize_with(max_degree, || None);
+                    let mut shard = Shard {
+                        nodes: &mut my_nodes,
+                        rngs: &mut my_rngs,
+                        staged,
+                    };
                     while let Ok(mut job) = job_rx.recv() {
-                        let round = job.round;
                         job.out.clear();
-                        job.events.clear();
-                        let step_start = telem.then(std::time::Instant::now);
-                        let mut violation: Option<(u32, CongestError)> = None;
-                        let mut slab_pos = 0usize;
-                        let mut ri = 0usize;
-                        for ai in 0..job.active.len() {
-                            let vu = job.active[ai];
-                            let v = vu as usize;
-                            // Pair the node with its inbox slice *before*
-                            // any skip: crashed and churn-offline receivers
-                            // still swallow their mail.
-                            let mut group_range = slab_pos..slab_pos;
-                            if ri < job.inbox_index.len() && job.inbox_index[ri].0 == vu {
-                                let len = job.inbox_index[ri].1 as usize;
-                                group_range = slab_pos..slab_pos + len;
-                                slab_pos += len;
-                                ri += 1;
-                            }
-                            if crash_round.get(v).is_some_and(|&r| r <= round) {
-                                // Crash-stopped: no step, inbox discarded,
-                                // counts as done.
-                                continue;
-                            }
-                            if sched.is_some_and(|ch| ch.node_down(round, v)) {
-                                // Churn outage: like a crash, but temporary
-                                // (see the inline stepper).
-                                continue;
-                            }
-                            // After a violation the rest of the shard is
-                            // skipped (the run aborts; state after an error
-                            // is unspecified).
-                            if violation.is_some() {
-                                continue;
-                            }
-                            let degree = csr.degree(v);
-                            let mut local_violation = None;
-                            let mut wake: Option<u64> = None;
-                            {
-                                let mut ctx = Ctx {
-                                    node: NodeId::from(v),
-                                    degree,
-                                    neighbors: csr.neighbors(v),
-                                    round,
-                                    budget_bits,
-                                    staged: &mut staged[..degree],
-                                    default_class: P::TRAFFIC_CLASS,
-                                    rng: &mut my_rngs[local_idx[v] as usize],
-                                    violation: &mut local_violation,
-                                    wake: &mut wake,
-                                    trace: if tracing { Some(&mut job.events) } else { None },
-                                    churn: sched,
-                                };
-                                let node = &mut my_nodes[local_idx[v] as usize];
-                                if round == 0 {
-                                    node.init(&mut ctx);
-                                } else if sched.is_some_and(|ch| ch.rejoining(round, v)) {
-                                    node.on_restart(&mut ctx);
-                                } else {
-                                    node.round(&mut ctx, &job.inbox_slab[group_range]);
-                                }
-                            }
-                            if let Some(err) = local_violation {
-                                violation = Some((vu, err));
-                            }
-                            let mut len = 0u32;
-                            for (port, slot) in staged[..degree].iter_mut().enumerate() {
-                                if let Some((cls, msg)) = slot.take() {
-                                    job.out.slab.push((port as u32, cls, msg));
-                                    len += 1;
-                                }
-                            }
-                            if len > 0 {
-                                job.out.index.push((vu, len));
-                            }
-                            job.out
-                                .done
-                                .push((vu, my_nodes[local_idx[v] as usize].is_done()));
-                            if let Some(r) = wake {
-                                job.out.wakes.push((vu, r));
-                            }
-                            job.out.stepped += 1;
-                        }
-                        debug_assert_eq!(slab_pos, job.inbox_slab.len());
-                        debug_assert_eq!(ri, job.inbox_index.len());
-                        job.wall_nanos = step_start.map_or(0, |t| {
-                            t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-                        });
+                        let start = job.out.shards.is_some().then(std::time::Instant::now);
+                        let env = StepEnv {
+                            round: job.round,
+                            ..env
+                        };
+                        let violation = shard.sweep(
+                            &env,
+                            |v| local_idx[v] as usize,
+                            &job.active,
+                            &job.inbox,
+                            &mut job.out,
+                        );
+                        job.out.sample_shard(w as u32, start);
                         let reply = RoundReply {
                             worker: w,
                             job,
@@ -2437,6 +2238,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 monotone,
                 stash: (0..workers).map(|_| None).collect(),
             };
+            let mut rec = Recorder::new(observe, edge_load.len());
             let result = round_engine(
                 cfg,
                 csr,
@@ -2446,13 +2248,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 hook,
                 churn,
                 wk,
-                trace_cfg,
-                trace,
-                profile_cfg,
-                profile,
-                telemetry_cfg.as_ref(),
-                telemetry,
+                &mut rec,
             );
+            *observed = rec.finish();
             // Dropping the stepper closes the job channels; workers drain
             // and exit, handing their shards back.
             drop(stepper);
@@ -2484,6 +2282,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ObservedRuns, ProfileConfig, RunTrace, TelemetryConfig, TraceConfig};
     use amt_graphs::EdgeId;
     use rand::RngExt;
 
@@ -3050,13 +2849,16 @@ mod tests {
         let run = |threads: usize, full_sweep: bool| {
             let mut sim = Simulator::new(&g, ticker_fleet(6), 3)
                 .unwrap()
-                .with_trace(TraceConfig::default());
+                .with_observe(Observe {
+                    trace: Some(TraceConfig::default()),
+                    ..Observe::default()
+                });
             let cfg = RunConfig::all_done()
                 .with_threads(threads)
                 .with_full_sweep(full_sweep);
             let m = sim.run(&cfg).unwrap();
             let got: Vec<Vec<u64>> = sim.nodes().iter().map(|p| p.got.clone()).collect();
-            let trace = sim.take_trace().unwrap();
+            let trace = sim.take_observed().trace.unwrap();
             (m, got, trace)
         };
         let strip_active = |mut t: RunTrace| {
@@ -3226,11 +3028,17 @@ mod tests {
             let cfg = RunConfig::default().with_threads(threads);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.profile().is_none(), "profiling is off by default");
+            assert!(
+                plain.take_observed().profile.is_none(),
+                "profiling is off by default"
+            );
 
             let mut profiled = Simulator::new(&g, walker_fleet(32), 77)
                 .unwrap()
-                .with_profile(ProfileConfig::default());
+                .with_observe(Observe {
+                    profile: Some(ProfileConfig::default()),
+                    ..Observe::default()
+                });
             let m_profiled = profiled.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_profiled,
@@ -3241,7 +3049,10 @@ mod tests {
             assert_eq!(s_plain, s_profiled, "profiling changed protocol state");
             assert_eq!(plain.edge_load(), profiled.edge_load());
 
-            let profile = profiled.take_profile().expect("profiling was enabled");
+            let profile = profiled
+                .take_observed()
+                .profile
+                .expect("profiling was enabled");
             assert_eq!(profile.total_messages(), m_profiled.messages);
             assert_eq!(profile.total_bits(), m_profiled.bits);
             assert_eq!(profile.edge_messages_total(), profiled.edge_load());
@@ -3263,11 +3074,17 @@ mod tests {
             let cfg = RunConfig::default().with_threads(threads);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.telemetry().is_none(), "telemetry is off by default");
+            assert!(
+                plain.take_observed().telemetry.is_none(),
+                "telemetry is off by default"
+            );
 
             let mut watched = Simulator::new(&g, walker_fleet(32), 77)
                 .unwrap()
-                .with_telemetry(TelemetryConfig::default());
+                .with_observe(Observe {
+                    telemetry: Some(TelemetryConfig::default()),
+                    ..Observe::default()
+                });
             let m_watched = watched.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_watched,
@@ -3278,7 +3095,10 @@ mod tests {
             assert_eq!(s_plain, s_watched, "telemetry changed protocol state");
             assert_eq!(plain.edge_load(), watched.edge_load());
 
-            let t = watched.take_telemetry().expect("telemetry was enabled");
+            let t = watched
+                .take_observed()
+                .telemetry
+                .expect("telemetry was enabled");
             assert_eq!(t.shards, threads, "one shard sample stream per worker");
             assert_eq!(t.rounds, m_watched.rounds);
             // Every round stepped at least the nodes that did work, and the
@@ -3302,25 +3122,39 @@ mod tests {
         }
     }
 
-    /// With tracing and profiling both on, the profile rides on the
-    /// `RunTrace` and matches the one taken from the simulator.
+    /// [`ObservedRuns`] keeps every run's trace in order and folds the
+    /// profiles at the given round offsets; a run absorbed at offset 0
+    /// into an empty fold keeps its own profile.
     #[test]
-    fn profile_is_attached_to_the_trace() {
+    fn observed_runs_keep_traces_and_shift_profiles() {
         let g = amt_graphs::generators::hypercube(4);
-        let mut sim = Simulator::new(&g, walker_fleet(16), 5)
-            .unwrap()
-            .with_trace(TraceConfig::default())
-            .with_profile(ProfileConfig::default());
-        sim.run(&RunConfig::default()).unwrap();
-        let trace = sim.take_trace().unwrap();
-        let profile = sim.take_profile().unwrap();
-        assert_eq!(trace.profile.as_ref(), Some(&profile));
-        // Tracing alone leaves `RunTrace::profile` empty.
-        let mut untraced = Simulator::new(&g, walker_fleet(16), 5)
-            .unwrap()
-            .with_trace(TraceConfig::default());
-        untraced.run(&RunConfig::default()).unwrap();
-        assert!(untraced.take_trace().unwrap().profile.is_none());
+        let observe = Observe {
+            trace: Some(TraceConfig::default()),
+            profile: Some(ProfileConfig::default()),
+            telemetry: None,
+        };
+        let run = || {
+            let mut sim = Simulator::new(&g, walker_fleet(16), 5)
+                .unwrap()
+                .with_observe(observe.clone());
+            let m = sim.run(&RunConfig::default()).unwrap();
+            (m, sim.take_observed())
+        };
+        let (m, first) = run();
+        let mut runs = ObservedRuns::default();
+        runs.absorb(first.clone(), 0);
+        assert_eq!(runs.profile, first.profile);
+        let (_, second) = run();
+        runs.absorb(second.clone(), m.rounds + 1);
+        assert_eq!(
+            runs.traces,
+            vec![first.trace.unwrap(), second.trace.unwrap()]
+        );
+        let profile = runs.profile.unwrap();
+        assert_eq!(profile.total_messages(), 2 * m.messages);
+        let timeline = &profile.per_class[0].timeline;
+        assert!(timeline.windows(2).all(|w| w[0].round < w[1].round));
+        assert_eq!(timeline.last().map(|s| s.round), Some(2 * m.rounds));
     }
 
     /// Malformed `AMT_SIM_THREADS` values are rejected loudly; valid ones
@@ -3351,11 +3185,17 @@ mod tests {
             let cfg = RunConfig::default().with_threads(threads);
             let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             let m_plain = plain.run(&cfg).unwrap();
-            assert!(plain.trace().is_none(), "tracing is off by default");
+            assert!(
+                plain.take_observed().trace.is_none(),
+                "tracing is off by default"
+            );
 
             let mut traced = Simulator::new(&g, walker_fleet(32), 77)
                 .unwrap()
-                .with_trace(TraceConfig::default().with_edge_load_stride(2));
+                .with_observe(Observe {
+                    trace: Some(TraceConfig::default().with_edge_load_stride(2)),
+                    ..Observe::default()
+                });
             let m_traced = traced.run(&cfg).unwrap();
             assert_eq!(
                 m_plain, m_traced,
@@ -3365,7 +3205,7 @@ mod tests {
             let s_traced: Vec<u64> = traced.nodes().iter().map(|p| p.trace).collect();
             assert_eq!(s_plain, s_traced, "tracing changed protocol state");
 
-            let trace = traced.take_trace().expect("tracing was enabled");
+            let trace = traced.take_observed().trace.expect("tracing was enabled");
             assert_eq!(trace.reconstruct_metrics(), m_traced);
             assert_eq!(trace.samples.len() as u64, m_traced.rounds + 1);
             assert!(trace.events.iter().any(|e| e.label == "token_seen"));
@@ -3382,10 +3222,13 @@ mod tests {
         let run = |threads: usize| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 5)
                 .unwrap()
-                .with_trace(TraceConfig::default());
+                .with_observe(Observe {
+                    trace: Some(TraceConfig::default()),
+                    ..Observe::default()
+                });
             sim.run(&RunConfig::default().with_threads(threads))
                 .unwrap();
-            sim.take_trace().unwrap()
+            sim.take_observed().trace.unwrap()
         };
         let baseline = run(1);
         assert!(!baseline.events.is_empty());
@@ -3516,7 +3359,10 @@ mod tests {
         let mut sim = Simulator::new(&g, pinger_pair(8), 5)
             .unwrap()
             .with_churn_plan(plan)
-            .with_trace(TraceConfig::default());
+            .with_observe(Observe {
+                trace: Some(TraceConfig::default()),
+                ..Observe::default()
+            });
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
@@ -3548,7 +3394,7 @@ mod tests {
         );
         // The per-round timeline carries the losses and sums back to the
         // run's metrics (the reconstruct contract extends to churn).
-        let trace = sim.take_trace().unwrap();
+        let trace = sim.take_observed().trace.unwrap();
         assert_eq!(trace.samples[2].lost_to_churn, 2);
         assert_eq!(trace.samples[3].lost_to_churn, 2);
         assert_eq!(trace.samples[2].nodes_down, 0);

@@ -10,8 +10,8 @@
 //!
 //! # Contract
 //!
-//! * **Off by default, zero cost.** Telemetry is off unless
-//!   [`crate::Simulator::with_telemetry`] is called; a disabled run takes
+//! * **Off by default, zero cost.** Telemetry is off unless requested
+//!   through [`crate::Observe::telemetry`]; a disabled run takes
 //!   the exact same code path — `Metrics`, protocol state, RNG streams,
 //!   traces, and profiles are byte-identical with telemetry on or off.
 //! * **Exact logical gauges.** Active-set occupancy, inbox/staged queue
@@ -35,8 +35,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// What to record and where to stream it, attached via
-/// [`crate::Simulator::with_telemetry`].
+/// What to record and where to stream it ([`crate::Observe::telemetry`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryConfig {
     /// Rounds retained by the flight recorder ring buffer (oldest frames

@@ -10,7 +10,7 @@
 //! # Contract
 //!
 //! * **Disabled by default, zero overhead.** Tracing is off unless
-//!   [`crate::Simulator::with_trace`] is called; a disabled run takes the
+//!   requested through [`crate::Observe::trace`]; a disabled run takes the
 //!   exact same code path bit for bit — `Metrics`, protocol state, and RNG
 //!   streams are byte-identical with tracing on or off.
 //! * **Deterministic.** Samples are recorded once per round in round order;
@@ -22,13 +22,11 @@
 //!   `Metrics` exactly — see [`RunTrace::reconstruct_metrics`], which tests
 //!   use to cross-check the simulator's own accounting.
 
-use crate::profile::TrafficProfile;
 use crate::Metrics;
 use amt_graphs::NodeId;
 use std::time::Duration;
 
-/// What a [`RunTrace`] should record, attached via
-/// [`crate::Simulator::with_trace`].
+/// What a [`RunTrace`] should record ([`crate::Observe::trace`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record a cumulative per-edge load snapshot every `edge_load_stride`
@@ -125,10 +123,6 @@ pub struct RunTrace {
     pub edge_load_stride: u64,
     /// Final cumulative per-edge loads (empty if the run aborted early).
     pub final_edge_load: Vec<u64>,
-    /// Traffic-class profile of the run, when profiling was enabled
-    /// alongside tracing ([`crate::Simulator::with_profile`]); `None`
-    /// otherwise, so untraced comparisons are unaffected.
-    pub profile: Option<TrafficProfile>,
 }
 
 impl RunTrace {
@@ -443,7 +437,6 @@ mod tests {
             snapshots: Vec::new(),
             edge_load_stride: 0,
             final_edge_load: vec![3, 7, 0],
-            profile: None,
         };
         let m = trace.reconstruct_metrics();
         assert_eq!(

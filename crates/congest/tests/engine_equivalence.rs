@@ -10,8 +10,8 @@
 
 use amt_congest::trace::{RunTrace, TraceConfig};
 use amt_congest::{
-    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Placement, ProfileConfig, Protocol,
-    RunConfig, RunTelemetry, Simulator, TelemetryConfig, TrafficProfile,
+    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Observe, Placement, ProfileConfig,
+    Protocol, RunConfig, RunTelemetry, Simulator, TelemetryConfig, TrafficProfile,
 };
 use amt_graphs::{generators, EdgeId, Graph, GraphBuilder, NodeId};
 use rand::RngExt;
@@ -144,11 +144,11 @@ fn observe_full(
     let g = generators::hypercube(6);
     let mut sim = Simulator::new(&g, fleet(g.len()), 2024)
         .unwrap()
-        .with_trace(TraceConfig::default().with_edge_load_stride(2))
-        .with_profile(ProfileConfig::default());
-    if telemetry {
-        sim = sim.with_telemetry(TelemetryConfig::default());
-    }
+        .with_observe(Observe {
+            trace: Some(TraceConfig::default().with_edge_load_stride(2)),
+            profile: Some(ProfileConfig::default()),
+            telemetry: telemetry.then(TelemetryConfig::default),
+        });
     if let Some(p) = placement {
         sim = sim.with_placement(p);
     }
@@ -183,12 +183,13 @@ fn observe_full(
         sim.run(&cfg)
     }
     .unwrap();
-    let mut trace = sim.take_trace().unwrap();
+    let observed = sim.take_observed();
+    let mut trace = observed.trace.unwrap();
     let active_total = trace.samples.iter().map(|s| s.active_nodes).sum();
     for s in &mut trace.samples {
         s.active_nodes = 0;
     }
-    let run_telemetry = sim.take_telemetry();
+    let run_telemetry = observed.telemetry;
     (
         Observation {
             metrics,
@@ -197,7 +198,7 @@ fn observe_full(
             fault_events: sim.fault_events().to_vec(),
             crashed: sim.crashed_nodes(),
             churn_events: sim.churn_events().to_vec(),
-            profile: sim.take_profile().unwrap(),
+            profile: observed.profile.unwrap(),
             // Reverse visits keep per-round events in reverse node order by
             // long-standing contract, so the timeline is only part of the
             // cross-engine comparison for forward runs.
@@ -552,9 +553,10 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
                 digest: 0,
             })
             .collect();
-        let mut sim = Simulator::new(&g, nodes, 7)
-            .unwrap()
-            .with_trace(TraceConfig::default());
+        let mut sim = Simulator::new(&g, nodes, 7).unwrap().with_observe(Observe {
+            trace: Some(TraceConfig::default()),
+            ..Observe::default()
+        });
         if let Some(p) = placement {
             sim = sim.with_placement(p);
         }
@@ -562,7 +564,7 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
             .with_threads(threads)
             .with_full_sweep(full_sweep);
         let m = sim.run(&cfg).unwrap();
-        let trace = sim.take_trace().unwrap();
+        let trace = sim.take_observed().trace.unwrap();
         let empty_rounds = trace.samples.iter().filter(|s| s.active_nodes == 0).count();
         let digests: Vec<u64> = sim.nodes().iter().map(|p| p.digest).collect();
         (m, digests, empty_rounds)

@@ -2,7 +2,8 @@
 //! and the delivered-bits accounting audit for corrupted frames.
 
 use amt_congest::{
-    Ctx, FaultKind, FaultPlan, Metrics, Protocol, RunConfig, RunTrace, Simulator, TraceConfig,
+    Ctx, FaultKind, FaultPlan, Metrics, Observe, Protocol, RunConfig, RunTrace, Simulator,
+    TraceConfig,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -71,7 +72,7 @@ fn run_sim(mut sim: Simulator<'_, Walker>, threads: usize) -> RunResult {
         .unwrap();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let loads = sim.edge_load().to_vec();
-    (m, sim.take_trace().unwrap(), digests, loads)
+    (m, sim.take_observed().trace.unwrap(), digests, loads)
 }
 
 #[test]
@@ -81,7 +82,10 @@ fn clean_threaded_and_inert_fault_paths_agree() {
         run_sim(
             Simulator::new(&g, fleet(32), 2024)
                 .unwrap()
-                .with_trace(TraceConfig::default().with_edge_load_stride(3)),
+                .with_observe(Observe {
+                    trace: Some(TraceConfig::default().with_edge_load_stride(3)),
+                    ..Observe::default()
+                }),
             threads,
         )
     };
@@ -100,7 +104,10 @@ fn clean_threaded_and_inert_fault_paths_agree() {
         Simulator::new(&g, fleet(32), 2024)
             .unwrap()
             .with_fault_plan(inert)
-            .with_trace(TraceConfig::default().with_edge_load_stride(3)),
+            .with_observe(Observe {
+                trace: Some(TraceConfig::default().with_edge_load_stride(3)),
+                ..Observe::default()
+            }),
         1,
     );
     assert_eq!(faulty, baseline, "inert fault plan diverged from clean run");
@@ -178,13 +185,16 @@ fn corrupted_frame_bits_count_delivered_widths() {
     let mut sim = Simulator::new(&g, mk(sends), 9)
         .unwrap()
         .with_fault_plan(FaultPlan::none().seeded(31).with_corruption(1.0))
-        .with_trace(TraceConfig::default());
+        .with_observe(Observe {
+            trace: Some(TraceConfig::default()),
+            ..Observe::default()
+        });
     let cfg = RunConfig {
         budget_factor: 64,
         ..RunConfig::all_done()
     };
     let m = sim.run(&cfg).unwrap();
-    let trace = sim.take_trace().unwrap();
+    let trace = sim.take_observed().trace.unwrap();
 
     // Every staged frame was hit by the corruption fault.
     assert_eq!(m.corrupted, sends, "all frames must be corrupted");
@@ -241,9 +251,12 @@ fn strided_snapshots_always_include_the_final_round() {
     let probe = |stride| {
         let mut sim = Simulator::new(&g, fleet(16), 7)
             .unwrap()
-            .with_trace(TraceConfig::default().with_edge_load_stride(stride));
+            .with_observe(Observe {
+                trace: Some(TraceConfig::default().with_edge_load_stride(stride)),
+                ..Observe::default()
+            });
         let m = sim.run(&RunConfig::default()).unwrap();
-        (m, sim.take_trace().unwrap())
+        (m, sim.take_observed().trace.unwrap())
     };
     let (baseline, _) = probe(1);
     let run_len = baseline.rounds;
@@ -277,9 +290,12 @@ fn faulty_timeline_replays_metrics_exactly() {
     let mut sim = Simulator::new(&g, fleet(16), 55)
         .unwrap()
         .with_fault_plan(plan)
-        .with_trace(TraceConfig::default().with_edge_load_stride(1));
+        .with_observe(Observe {
+            trace: Some(TraceConfig::default().with_edge_load_stride(1)),
+            ..Observe::default()
+        });
     let m = sim.run(&RunConfig::default()).unwrap();
-    let trace = sim.take_trace().unwrap();
+    let trace = sim.take_observed().trace.unwrap();
 
     assert_eq!(trace.reconstruct_metrics(), m);
     assert!(m.message_faults() > 0, "plan must actually inject faults");

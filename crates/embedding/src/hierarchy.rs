@@ -15,6 +15,20 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
+/// How overlay emulation is priced ([`Hierarchy::emulate_paths`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum EmulationMode {
+    /// Each schedule round at level `p` is charged one full level-`p` round
+    /// (the paper's sequential emulation model; cheap to simulate,
+    /// conservative).
+    #[default]
+    Factored,
+    /// Each schedule round is expanded recursively into the actual
+    /// lower-level traffic and priced by store-and-forward scheduling down
+    /// to base edges (tight, slower to simulate).
+    Exact,
+}
+
 /// The constructed hierarchy of §3.1: overlays `G₀ … G_k` (the last being
 /// the bottom complete graphs), the Θ(log n)-wise partition, and portals.
 ///
@@ -584,8 +598,15 @@ impl<'g> Hierarchy<'g> {
     /// Measured base-round cost of delivering messages along *multi-hop*
     /// paths of level-`p` edges: the level-`p` store-and-forward schedule is
     /// computed first, then each of its rounds (a batch of single crossings)
-    /// is priced by [`Hierarchy::emulate_batch`].
-    pub fn emulate_paths(&self, level: u32, paths: &[Vec<(EdgeId, bool)>]) -> u64 {
+    /// is priced under `mode` — by [`Hierarchy::emulate_batch`]
+    /// ([`EmulationMode::Factored`]) or [`Hierarchy::emulate_batch_exact`]
+    /// ([`EmulationMode::Exact`]).
+    pub fn emulate_paths(
+        &self,
+        level: u32,
+        paths: &[Vec<(EdgeId, bool)>],
+        mode: EmulationMode,
+    ) -> u64 {
         if paths.iter().all(Vec::is_empty) {
             return 0;
         }
@@ -601,32 +622,10 @@ impl<'g> Hierarchy<'g> {
                     .iter()
                     .map(|&k| (key_edge(k), key_is_forward(k)))
                     .collect();
-                self.emulate_batch(level, &batch)
-            })
-            .sum()
-    }
-
-    /// Like [`Hierarchy::emulate_paths`], but with every schedule round
-    /// priced by exact recursive expansion ([`Hierarchy::emulate_batch_exact`])
-    /// instead of the conservative full-round factoring. Tighter but slower
-    /// to simulate.
-    pub fn emulate_paths_exact(&self, level: u32, paths: &[Vec<(EdgeId, bool)>]) -> u64 {
-        if paths.iter().all(Vec::is_empty) {
-            return 0;
-        }
-        let key_paths: Vec<Vec<u64>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&(e, f)| dir_key(e, f)).collect())
-            .collect();
-        let (_, schedule) = route_paths_schedule(&key_paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let batch: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                self.emulate_batch_exact(level, &batch)
+                match mode {
+                    EmulationMode::Factored => self.emulate_batch(level, &batch),
+                    EmulationMode::Exact => self.emulate_batch_exact(level, &batch),
+                }
             })
             .sum()
     }

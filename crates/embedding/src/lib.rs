@@ -38,7 +38,7 @@ pub mod level0;
 
 pub use config::HierarchyConfig;
 pub use error::EmbedError;
-pub use hierarchy::Hierarchy;
+pub use hierarchy::{EmulationMode, Hierarchy};
 pub use overlay::{dir_key, key_edge, key_is_forward, Overlay};
 pub use portals::{PortalEntry, PortalTable};
 pub use stats::{BuildStats, LevelStats};

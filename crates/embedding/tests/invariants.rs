@@ -1,7 +1,7 @@
 //! Structural invariants of the hierarchy across configurations and graph
 //! families.
 
-use amt_embedding::{Hierarchy, HierarchyConfig, VirtualId};
+use amt_embedding::{EmulationMode, Hierarchy, HierarchyConfig, VirtualId};
 use amt_graphs::{generators, EdgeId, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +103,8 @@ fn emulation_of_empty_batches_is_free() {
     for level in 0..=h.depth() {
         assert_eq!(h.emulate_batch(level, &[]), 0);
         assert_eq!(h.emulate_batch_exact(level, &[]), 0);
-        assert_eq!(h.emulate_paths(level, &[]), 0);
+        assert_eq!(h.emulate_paths(level, &[], EmulationMode::Factored), 0);
+        assert_eq!(h.emulate_paths(level, &[], EmulationMode::Exact), 0);
     }
 }
 

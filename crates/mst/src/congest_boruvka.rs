@@ -9,8 +9,8 @@
 
 use crate::{reference::UnionFind, MstError, Result};
 use amt_congest::{
-    bits_for_value, class, Ctx, Metrics, PhaseTimings, ProfileConfig, Protocol, RunConfig,
-    Simulator, TrafficClass, TrafficProfile,
+    bits_for_value, class, Ctx, Metrics, Observe, Observed, ObservedRuns, PhaseTimings,
+    ProfileConfig, Protocol, RunConfig, Simulator, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{EdgeId, WeightedGraph};
 use std::collections::HashSet;
@@ -80,9 +80,8 @@ impl Protocol for MinFlood {
 }
 
 /// Floods per-node initial `u64` values to minima over the subgraph whose
-/// edges are in `active`, returning the converged values, metrics, and —
-/// when `profile` is set — the flood's traffic profile. Messages are
-/// attributed to `class`.
+/// edges are in `active`, returning the converged values, metrics, and
+/// what the `observe` layers recorded. Messages are attributed to `class`.
 pub(crate) fn min_flood(
     wg: &WeightedGraph,
     active: &HashSet<EdgeId>,
@@ -90,8 +89,8 @@ pub(crate) fn min_flood(
     seed: u64,
     threads: usize,
     class: TrafficClass,
-    profile: Option<ProfileConfig>,
-) -> Result<(Vec<u64>, Metrics, Option<TrafficProfile>)> {
+    observe: &Observe,
+) -> Result<(Vec<u64>, Metrics, Observed)> {
     let g = wg.graph();
     let nodes = g
         .nodes()
@@ -107,10 +106,7 @@ pub(crate) fn min_flood(
             class,
         })
         .collect();
-    let mut sim = Simulator::new(g, nodes, seed)?;
-    if let Some(pc) = profile {
-        sim = sim.with_profile(pc);
-    }
+    let mut sim = Simulator::new(g, nodes, seed)?.with_observe(observe.clone());
     // Candidate values carry (weight, edge id); allow the wider encoding —
     // still O(log n) bits for polynomially bounded weights.
     let cfg = RunConfig {
@@ -119,8 +115,12 @@ pub(crate) fn min_flood(
     }
     .with_threads(threads);
     let metrics = sim.run(&cfg)?;
-    let prof = sim.take_profile();
-    Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics, prof))
+    let observed = sim.take_observed();
+    Ok((
+        sim.nodes().iter().map(|p| p.value).collect(),
+        metrics,
+        observed,
+    ))
 }
 
 /// Encodes a `(canonical weight, edge)` candidate as one orderable `u64`.
@@ -187,14 +187,11 @@ pub fn run_instrumented(
     let mut metrics = Metrics::default();
     let mut iterations = 0u32;
     let mut wall = PhaseTimings::new();
-    let mut total_profile: Option<TrafficProfile> = None;
-    let absorb = |total: &mut Option<TrafficProfile>, p: Option<TrafficProfile>, at: u64| {
-        if let Some(p) = p {
-            total
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, at);
-        }
+    let observe = Observe {
+        profile,
+        ..Observe::default()
     };
+    let mut runs = ObservedRuns::default();
     let cap = 2 * (n.max(2) as f64).log2().ceil() as u32 + 10;
 
     while comp.iter().collect::<HashSet<_>>().len() > 1 {
@@ -223,10 +220,10 @@ pub fn run_instrumented(
             seed ^ u64::from(iterations),
             threads,
             class::MST_FLOOD,
-            profile,
+            &observe,
         )?;
         metrics = metrics.then(m1);
-        absorb(&mut total_profile, p1, at);
+        runs.absorb(p1, at);
         wall.record("candidate_flood", t0.elapsed());
 
         // Merge along every fragment's minimum outgoing edge.
@@ -265,10 +262,10 @@ pub fn run_instrumented(
             seed ^ 0xF00D ^ u64::from(iterations),
             threads,
             class::MST_LABEL,
-            profile,
+            &observe,
         )?;
         metrics = metrics.then(m2);
-        absorb(&mut total_profile, p2, at);
+        runs.absorb(p2, at);
         comp = labels;
         wall.record("label_flood", t0.elapsed());
     }
@@ -283,7 +280,7 @@ pub fn run_instrumented(
             messages: metrics.messages,
             wall,
         },
-        total_profile,
+        runs.profile,
     ))
 }
 

@@ -85,7 +85,7 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
             seed ^ u64::from(iters),
             0,
             amt_congest::class::MST_FLOOD,
-            None,
+            &amt_congest::Observe::default(),
         )?;
         phase1 = phase1.then(m);
 
@@ -112,7 +112,7 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
             seed ^ 0xBEEF ^ u64::from(iters),
             0,
             amt_congest::class::MST_LABEL,
-            None,
+            &amt_congest::Observe::default(),
         )?;
         phase1 = phase1.then(m2);
         comp = labels;

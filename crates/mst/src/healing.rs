@@ -47,8 +47,8 @@ use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
     bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind, FaultPlan, Metrics,
-    ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink, RunConfig, RunTrace,
-    Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink,
+    RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 use std::collections::{HashMap, HashSet};
@@ -129,40 +129,6 @@ impl Protocol for ReliableMinFlood {
     }
 }
 
-/// Observability knobs and outputs of one healing phase — threaded through
-/// [`reliable_min_flood`] so the per-phase simulators can be traced and
-/// profiled without widening every return tuple.
-struct PhaseObs {
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-    traces: Vec<RunTrace>,
-    total_profile: Option<TrafficProfile>,
-}
-
-impl PhaseObs {
-    fn new(trace: Option<TraceConfig>, profile: Option<ProfileConfig>) -> Self {
-        PhaseObs {
-            trace,
-            profile,
-            traces: Vec::new(),
-            total_profile: None,
-        }
-    }
-
-    /// Collects one finished phase's trace/profile from `sim`, folding the
-    /// profile in at cumulative round offset `at`.
-    fn collect(&mut self, sim: &mut Simulator<'_, ReliableMinFlood>, at: u64) {
-        if let Some(t) = sim.take_trace() {
-            self.traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            self.total_profile
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, at);
-        }
-    }
-}
-
 /// What one flooding phase observed besides its converged values.
 struct PhaseDamage {
     /// Nodes newly crash-stopped by the fault plan this phase.
@@ -180,7 +146,8 @@ struct PhaseDamage {
 /// observed ([`PhaseDamage`]). Data frames are attributed to `class`;
 /// `phase` is the global phase number for `"mst_phase"` spans. Damage
 /// events (crashes, outages, cuts) open spans in `timeline` on the global
-/// clock.
+/// clock. The `observe` layers' records fold into `runs` at
+/// `rounds_so_far`.
 #[allow(clippy::too_many_arguments)]
 fn reliable_min_flood(
     wg: &WeightedGraph,
@@ -197,7 +164,8 @@ fn reliable_min_flood(
     threads: usize,
     class: TrafficClass,
     phase: u64,
-    obs: &mut PhaseObs,
+    observe: &Observe,
+    runs: &mut ObservedRuns,
     rounds_so_far: u64,
 ) -> Result<(Vec<u64>, Metrics, PhaseDamage)> {
     let g = wg.graph();
@@ -232,13 +200,8 @@ fn reliable_min_flood(
     }
     let mut sim = Simulator::new(g, nodes, seed)?
         .with_fault_plan(phase_plan)
-        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed));
-    if let Some(tc) = obs.trace {
-        sim = sim.with_trace(tc);
-    }
-    if let Some(pc) = obs.profile {
-        sim = sim.with_profile(pc);
-    }
+        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed))
+        .with_observe(observe.clone());
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         budget_factor: 32,
@@ -247,7 +210,7 @@ fn reliable_min_flood(
         ..RunConfig::default()
     };
     let metrics = sim.run(&cfg)?;
-    obs.collect(&mut sim, rounds_so_far);
+    runs.absorb(sim.take_observed(), rounds_so_far);
     for e in sim.fault_events() {
         if matches!(e.kind, FaultKind::Crashed) {
             crash_rounds.entry(e.node.0).or_insert(elapsed + e.round);
@@ -523,7 +486,12 @@ pub fn run_healing_churned_instrumented(
     let mut crash_rounds: HashMap<u32, u64> = HashMap::new();
     let mut elapsed = 0u64;
     let mut labels_stale = false;
-    let mut obs = PhaseObs::new(trace, profile);
+    let observe = Observe {
+        trace,
+        profile,
+        telemetry: None,
+    };
+    let mut runs = ObservedRuns::default();
     let mut phase = 0u64;
     let mut timeline = RecoveryTimeline::new();
     let mut cut_tree_edges: Vec<EdgeId> = Vec::new();
@@ -677,7 +645,8 @@ pub fn run_healing_churned_instrumented(
                 threads,
                 class::MST_LABEL,
                 phase,
-                &mut obs,
+                &observe,
+                &mut runs,
                 metrics.rounds,
             )?;
             elapsed += m.rounds;
@@ -793,7 +762,8 @@ pub fn run_healing_churned_instrumented(
             threads,
             class::MST_FLOOD,
             phase,
-            &mut obs,
+            &observe,
+            &mut runs,
             metrics.rounds,
         )?;
         elapsed += m1.rounds;
@@ -900,7 +870,8 @@ pub fn run_healing_churned_instrumented(
             threads,
             class::MST_LABEL,
             phase,
-            &mut obs,
+            &observe,
+            &mut runs,
             metrics.rounds,
         )?;
         elapsed += m2.rounds;
@@ -977,8 +948,8 @@ pub fn run_healing_churned_instrumented(
             metrics,
             timeline,
         },
-        obs.traces,
-        obs.total_profile,
+        runs.traces,
+        runs.profile,
     ))
 }
 

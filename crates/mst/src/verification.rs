@@ -76,7 +76,7 @@ pub fn verify_spanning_tree_distributed(
         seed,
         0,
         amt_congest::class::MST_LABEL,
-        None,
+        &amt_congest::Observe::default(),
     )?;
     metrics = metrics.then(m1);
 

@@ -38,9 +38,9 @@
 
 use crate::{Result, RouteError};
 use amt_congest::{
-    bits_for_count, class, ChurnKind, ChurnPlan, Ctx, Metrics, ProfileConfig, Protocol,
-    RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass,
-    TrafficProfile,
+    bits_for_count, class, ChurnKind, ChurnPlan, Ctx, Metrics, Observe, ObservedRuns,
+    ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition,
+    TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -368,17 +368,17 @@ pub fn route_bitfix_instrumented(
         sources[s.index()].push((i as u32, t.0));
     }
     let nodes = route_nodes(g, ports, &mut sources, dims);
-    let mut sim = Simulator::new(g, nodes, seed)?;
-    if let Some(pc) = profile {
-        sim = sim.with_profile(pc);
-    }
+    let mut sim = Simulator::new(g, nodes, seed)?.with_observe(Observe {
+        profile,
+        ..Observe::default()
+    });
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
     }
     .with_threads(threads);
     let metrics = sim.run(&cfg)?;
-    let prof = sim.take_profile();
+    let prof = sim.take_observed().profile;
     let mut endpoints = vec![NodeId(0); requests.len()];
     let mut delivered = 0usize;
     for (v, node) in sim.nodes().iter().enumerate() {
@@ -483,8 +483,12 @@ pub fn route_bitfix_churned_instrumented(
     let mut pending: Vec<u32> = (0..requests.len() as u32).collect();
     let mut metrics = Metrics::default();
     let mut timeline = RecoveryTimeline::new();
-    let mut traces: Vec<RunTrace> = Vec::new();
-    let mut total_profile: Option<TrafficProfile> = None;
+    let observe = Observe {
+        trace,
+        profile,
+        telemetry: None,
+    };
+    let mut runs = ObservedRuns::default();
     let mut rerouted = 0u64;
     let mut elapsed = 0u64;
     let mut epochs = 0u32;
@@ -505,27 +509,15 @@ pub fn route_bitfix_churned_instrumented(
             nodes,
             seed ^ u64::from(epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         )?
-        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed));
-        if let Some(tc) = trace {
-            sim = sim.with_trace(tc);
-        }
-        if let Some(pc) = profile {
-            sim = sim.with_profile(pc);
-        }
+        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed))
+        .with_observe(observe.clone());
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
         }
         .with_threads(threads);
         let m = sim.run(&cfg)?;
-        if let Some(t) = sim.take_trace() {
-            traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            total_profile
-                .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
-                .absorb(&p, elapsed);
-        }
+        runs.absorb(sim.take_observed(), elapsed);
         for ev in sim.churn_events() {
             if matches!(
                 ev.kind,
@@ -563,8 +555,8 @@ pub fn route_bitfix_churned_instrumented(
             metrics,
             timeline,
         },
-        traces,
-        total_profile,
+        runs.traces,
+        runs.profile,
     ))
 }
 

@@ -2,27 +2,13 @@
 
 use crate::{Result, RouteError, RoutingOutcome};
 use amt_congest::PhaseTimings;
-use amt_embedding::{Hierarchy, VirtualId};
+use amt_embedding::{EmulationMode, Hierarchy, VirtualId};
 use amt_graphs::{EdgeId, NodeId};
 use amt_walks::{parallel, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// How overlay emulation is priced during routing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EmulationMode {
-    /// Each schedule round at level `p` is charged one full level-`p` round
-    /// (the paper's sequential emulation model; cheap to simulate,
-    /// conservative).
-    #[default]
-    Factored,
-    /// Each schedule round is expanded recursively into the actual
-    /// lower-level traffic and priced by store-and-forward scheduling down
-    /// to base edges (tight, slower to simulate).
-    Exact,
-}
 
 /// Knobs of the hierarchical router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,15 +104,6 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
     /// The hierarchy this router operates on.
     pub fn hierarchy(&self) -> &Hierarchy<'g> {
         self.h
-    }
-
-    /// Prices a batch of level-`d` edge paths under the configured
-    /// emulation mode.
-    fn emulate(&self, d: u32, paths: &[Vec<(EdgeId, bool)>]) -> u64 {
-        match self.cfg.emulation {
-            EmulationMode::Factored => self.h.emulate_paths(d, paths),
-            EmulationMode::Exact => self.h.emulate_paths_exact(d, paths),
-        }
     }
 
     /// Routes one packet per `(source, destination)` request, in parallel,
@@ -317,7 +294,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             }
             acc.bottom_crossings += paths.len() as u64;
             let t0 = Instant::now();
-            acc.bottom_rounds += self.emulate(d, &paths);
+            acc.bottom_rounds += self.h.emulate_paths(d, &paths, self.cfg.emulation);
             acc.wall.record("bottom", t0.elapsed());
             return results;
         }
@@ -391,7 +368,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         }
         acc.hop_crossings += hop_paths.iter().map(|p| p.len() as u64).sum::<u64>();
         let t0 = Instant::now();
-        acc.hop_rounds[d as usize] += self.emulate(d, &hop_paths);
+        acc.hop_rounds[d as usize] += self.h.emulate_paths(d, &hop_paths, self.cfg.emulation);
         acc.wall.record("hops", t0.elapsed());
 
         // Leg 2: from the landing nodes to the final goals.

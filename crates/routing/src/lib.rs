@@ -32,13 +32,14 @@ pub mod clique;
 pub mod congest_route;
 pub mod lenzen;
 
+pub use amt_embedding::EmulationMode;
 pub use congest_route::{
     route_bitfix, route_bitfix_churned, route_bitfix_churned_instrumented,
     route_bitfix_instrumented, ChurnedRouteOutcome, CongestRouteOutcome, MAX_ROUTE_EPOCHS,
     STALL_LIMIT,
 };
 pub use error::RouteError;
-pub use hierarchical::{EmulationMode, HierarchicalRouter, RouterConfig};
+pub use hierarchical::{HierarchicalRouter, RouterConfig};
 pub use outcome::RoutingOutcome;
 
 /// Result alias for routing operations.

@@ -45,8 +45,8 @@
 use crate::{WalkKind, WalkSpec};
 use amt_congest::{
     class, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind, FaultPlan, Metrics,
-    ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition,
-    TraceConfig, TrafficClass, TrafficProfile,
+    Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace,
+    Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -540,8 +540,12 @@ pub fn run_walks_healing_churned_instrumented(
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
     let mut timeline = RecoveryTimeline::new();
-    let mut traces: Vec<RunTrace> = Vec::new();
-    let mut total_profile: Option<TrafficProfile> = None;
+    let observe = Observe {
+        trace,
+        profile,
+        telemetry: None,
+    };
+    let mut runs = ObservedRuns::default();
     let mut crashed: Vec<bool> = vec![false; g.len()];
     // Walks still owed an endpoint, re-issued each epoch from the start.
     let mut pending: Vec<u32> = (0..specs.len() as u32)
@@ -615,13 +619,8 @@ pub fn run_walks_healing_churned_instrumented(
         let epoch_churn = churn.clone().at_offset(churn.round_offset + round_offset);
         let mut sim = Simulator::new(g, nodes, seed ^ u64::from(epoch))?
             .with_fault_plan(epoch_plan)
-            .with_churn_plan(epoch_churn);
-        if let Some(tc) = trace {
-            sim = sim.with_trace(tc);
-        }
-        if let Some(pc) = profile {
-            sim = sim.with_profile(pc);
-        }
+            .with_churn_plan(epoch_churn)
+            .with_observe(observe.clone());
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             budget_factor: 16,
@@ -630,15 +629,7 @@ pub fn run_walks_healing_churned_instrumented(
             ..RunConfig::default()
         };
         metrics = metrics.then(sim.run(&cfg)?);
-        if let Some(t) = sim.take_trace() {
-            traces.push(t);
-        }
-        if let Some(p) = sim.take_profile() {
-            match total_profile.as_mut() {
-                Some(tp) => tp.absorb(&p, round_offset),
-                None => total_profile = Some(p),
-            }
-        }
+        runs.absorb(sim.take_observed(), round_offset);
         for v in sim.crashed_nodes() {
             crashed[v.index()] = true;
         }
@@ -710,8 +701,8 @@ pub fn run_walks_healing_churned_instrumented(
             rerouted,
             timeline,
         },
-        traces,
-        total_profile,
+        runs.traces,
+        runs.profile,
     ))
 }
 

@@ -8,7 +8,7 @@
 //! (walks and Borůvka MST), and the churned bit-fix router.
 
 use amt_core::congest::{
-    Ctx, Metrics, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
+    Ctx, Metrics, Observe, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
     StopCondition, TelemetryConfig, TrafficProfile,
 };
 use amt_core::mst::healing::run_healing_churned;
@@ -123,7 +123,10 @@ fn profiled_chatter_run(
     let mut sim = Simulator::new(g, nodes, 17)
         .unwrap()
         .with_fault_plan(plan.clone())
-        .with_profile(ProfileConfig::default());
+        .with_observe(Observe {
+            profile: Some(ProfileConfig::default()),
+            ..Observe::default()
+        });
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
@@ -143,7 +146,7 @@ fn profiled_chatter_run(
             sim.crashed_nodes(),
             checksums,
         ),
-        sim.take_profile().unwrap(),
+        sim.take_observed().profile.unwrap(),
         loads,
     )
 }
@@ -202,7 +205,10 @@ fn telemetry_chatter_run(
     let mut sim = Simulator::new(g, nodes, 17)
         .unwrap()
         .with_fault_plan(plan.clone())
-        .with_telemetry(TelemetryConfig::default());
+        .with_observe(Observe {
+            telemetry: Some(TelemetryConfig::default()),
+            ..Observe::default()
+        });
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
@@ -214,7 +220,10 @@ fn telemetry_chatter_run(
         sim.run(&cfg).unwrap()
     };
     let checksums = sim.nodes().iter().map(|c| c.checksum).collect();
-    let telemetry = sim.take_telemetry().expect("telemetry was enabled");
+    let telemetry = sim
+        .take_observed()
+        .telemetry
+        .expect("telemetry was enabled");
     (
         (
             metrics,

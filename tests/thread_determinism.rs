@@ -6,8 +6,8 @@
 //! loss pattern itself is part of the contract.
 
 use amt_core::congest::{
-    class, Ctx, Metrics, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
-    StopCondition, TelemetryConfig,
+    class, Ctx, Metrics, Observe, Placement, ProfileConfig, Protocol, RunConfig, RunTelemetry,
+    Simulator, StopCondition, TelemetryConfig,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
@@ -459,10 +459,13 @@ fn profiled_runs_sum_exactly_and_are_identical_across_thread_counts() {
     let run_profiled = |threads: usize| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8)
             .unwrap()
-            .with_profile(ProfileConfig::default());
+            .with_observe(Observe {
+                profile: Some(ProfileConfig::default()),
+                ..Observe::default()
+            });
         let m = sim.run(&cfg(threads)).unwrap();
         let loads = sim.edge_load().to_vec();
-        (m, sim.take_profile().unwrap(), loads)
+        (m, sim.take_observed().profile.unwrap(), loads)
     };
     let (m, profile, loads) = run_profiled(1);
 
@@ -515,7 +518,10 @@ fn telemetry_runs_are_identical_across_thread_counts() {
     let run = |threads: usize, telemetry: bool| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
         if telemetry {
-            sim = sim.with_telemetry(TelemetryConfig::default());
+            sim = sim.with_observe(Observe {
+                telemetry: Some(TelemetryConfig::default()),
+                ..Observe::default()
+            });
         }
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
@@ -528,7 +534,7 @@ fn telemetry_runs_are_identical_across_thread_counts() {
             .iter()
             .map(|p| (p.delivered, p.checksum))
             .collect();
-        (m, state, sim.take_telemetry())
+        (m, state, sim.take_observed().telemetry)
     };
     let logical = |t: &RunTelemetry| {
         (
