@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the hot substrates: k-wise hashing,
-//! parallel-walk scheduling, path routing, level-0 construction, one
-//! routing instance, and an end-to-end MST at fixed size.
+//! parallel-walk scheduling, path routing, exact emulation pricing, level-0
+//! construction, one routing instance, and an end-to-end MST at fixed size.
 
 use amt_bench::{expander, tau_estimate};
+use amt_core::embedding::{dir_key, EmulationScratch};
 use amt_core::kwise::PartitionHash;
 use amt_core::prelude::*;
 use amt_core::walks::parallel::{degree_proportional_specs, run_parallel_walks};
@@ -45,6 +46,25 @@ fn bench_path_router(c: &mut Criterion) {
         .collect();
     c.bench_function("schedule/route_2k_paths_len8", |b| {
         b.iter(|| route_paths(black_box(&paths), 1).rounds)
+    });
+
+    // Exact recursive pricing: single crossings of 32 level-1 edges (one
+    // hop batch) expanded through level 0 down to base-graph schedules.
+    let g = expander(32, 6, 1);
+    let mut cfg = HierarchyConfig::auto(&g, tau_estimate(&g), 1);
+    cfg.beta = 4;
+    cfg.levels = 2;
+    let h = Hierarchy::build(&g, cfg).unwrap();
+    let hops: Vec<Vec<u64>> = h
+        .overlay(1)
+        .graph()
+        .edges()
+        .take(32)
+        .map(|(e, _, _)| vec![dir_key(e, true)])
+        .collect();
+    let mut scratch = EmulationScratch::new();
+    c.bench_function("schedule/emulate_paths_exact_n32_2level", |b| {
+        b.iter(|| h.emulate_paths(1, black_box(&hops), EmulationMode::Exact, &mut scratch))
     });
 }
 

@@ -2,8 +2,9 @@
 //! `τ_mix · 2^O(√(log n log log n))` rounds.
 //!
 //! Sweeps `n` on expanders and routes a fixed permutation; reports measured
-//! rounds (both emulation pricings), the baselines, and the per-node-load
-//! sweep of the footnote-3 phase splitting.
+//! rounds (both emulation pricings), the share of exact-pricing batches
+//! priced in closed form (single crossings), the baselines, and the
+//! per-node-load sweep of the footnote-3 phase splitting.
 
 use amt_bench::{expander, loglog_slope, paper_growth, scaled_levels, tau_estimate, Report};
 use amt_core::prelude::*;
@@ -30,6 +31,7 @@ fn main() {
         "exact_rounds",
         "exact/tau",
         "factored",
+        "solo_share",
         "sp_ref",
         "walk_ref",
         "2^sqrt_ref",
@@ -69,6 +71,13 @@ fn main() {
             exact.total_base_rounds.to_string(),
             format!("{norm:.1}"),
             factored.total_base_rounds.to_string(),
+            {
+                let batches = exact.solo_batches + exact.scheduled_batches;
+                format!(
+                    "{:.2} of {batches}",
+                    exact.solo_batches as f64 / batches.max(1) as f64
+                )
+            },
             sp.rounds.to_string(),
             format!("{} ({}/{})", walk.rounds, walk.delivered, reqs.len()),
             format!("{:.0}", paper_growth(n)),

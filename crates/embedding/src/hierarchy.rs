@@ -8,7 +8,7 @@ use crate::{
 use amt_congest::PhaseTimings;
 use amt_graphs::{traversal, EdgeId, Graph, GraphBuilder, NodeId};
 use amt_kwise::PartitionHash;
-use amt_walks::{parallel, route_paths, route_paths_schedule, WalkKind, WalkSpec};
+use amt_walks::{parallel, KeyPaths, KeySlab, PathScheduler, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -27,6 +27,48 @@ pub enum EmulationMode {
     /// lower-level traffic and priced by store-and-forward scheduling down
     /// to base edges (tight, slower to simulate).
     Exact,
+}
+
+/// How many emulation batches were priced in closed form and how many were
+/// scheduled ([`EmulationScratch::take_counts`]). Both are pure functions
+/// of the priced traffic, so they are deterministic.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PricingCounts {
+    /// Batches of a single crossing, priced by one lookup.
+    pub solo_batches: u64,
+    /// Batches of two or more crossings, priced by scheduling them.
+    pub scheduled_batches: u64,
+}
+
+/// Reusable state of emulation pricing: one [`PathScheduler`] per
+/// hierarchy level plus one for multi-hop paths, and the running
+/// [`PricingCounts`]. Create one per routing call and pass it to every
+/// [`Hierarchy::emulate_paths`] / [`Hierarchy::emulate_batch`] call; the
+/// arenas then stop allocating once they have grown to the largest batch.
+#[derive(Clone, Debug, Default)]
+pub struct EmulationScratch {
+    levels: Vec<PathScheduler>,
+    counts: PricingCounts,
+}
+
+impl EmulationScratch {
+    /// Empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counts accumulated since the last call, resetting them.
+    pub fn take_counts(&mut self) -> PricingCounts {
+        std::mem::take(&mut self.counts)
+    }
+
+    /// The first `n` schedulers, creating missing ones, and the counts.
+    fn parts(&mut self, n: usize) -> (&mut [PathScheduler], &mut PricingCounts) {
+        if self.levels.len() < n {
+            self.levels.resize_with(n, PathScheduler::new);
+        }
+        (&mut self.levels[..n], &mut self.counts)
+    }
 }
 
 /// The constructed hierarchy of §3.1: overlays `G₀ … G_k` (the last being
@@ -63,6 +105,9 @@ pub struct Hierarchy<'g> {
     members: Vec<Vec<Vec<u32>>>,
     /// Measured base rounds of one full round of each overlay level.
     full_round: Vec<u64>,
+    /// `solo[p][k]`: exact base-round price of a level-`p` batch holding
+    /// only directed key `k` (see [`Hierarchy::solo_prices`]).
+    solo: Vec<Vec<u64>>,
     /// Measured construction statistics.
     pub stats: crate::BuildStats,
 }
@@ -124,8 +169,9 @@ impl<'g> Hierarchy<'g> {
         let mut wall = PhaseTimings::new();
         let mut mark = Instant::now();
         let (ov0, mut st0) = level0::build(base, &vmap, &cfg, &mut rng);
+        let mut full_round = vec![Self::full_round_of(&ov0, 0, &[])];
+        let mut solo = vec![Self::solo_prices(&ov0, None)];
         let mut overlays = vec![ov0];
-        let mut full_round = vec![Self::full_round_of(&overlays[0], 0, &[])];
         st0.full_round_base_cost = full_round[0];
         let mut level_stats = vec![st0];
         wall.record("level0", mark.elapsed());
@@ -145,6 +191,7 @@ impl<'g> Hierarchy<'g> {
             )?;
             full_round.push(Self::full_round_of(&ov, p, &full_round));
             st.full_round_base_cost = full_round[p as usize];
+            solo.push(Self::solo_prices(&ov, solo.last()));
             overlays.push(ov);
             level_stats.push(st);
         }
@@ -161,6 +208,7 @@ impl<'g> Hierarchy<'g> {
         full_round.push(Self::full_round_of(&ovb, levels, &full_round));
         stb.full_round_base_cost = full_round[levels as usize];
         stb.build_base_rounds = full_round[levels as usize];
+        solo.push(Self::solo_prices(&ovb, solo.last()));
         overlays.push(ovb);
         level_stats.push(stb);
         wall.record("bottom", mark.elapsed());
@@ -209,6 +257,7 @@ impl<'g> Hierarchy<'g> {
             portals,
             members,
             full_round,
+            solo,
             stats,
         })
     }
@@ -219,18 +268,33 @@ impl<'g> Hierarchy<'g> {
     /// one full round of that level (the sequential emulation model of
     /// Lemma 3.1).
     fn full_round_of(overlay: &Overlay, level: u32, full_round: &[u64]) -> u64 {
-        let g = overlay.graph();
-        let mut paths = Vec::with_capacity(2 * g.edge_count());
-        for (e, _, _) in g.edges() {
-            paths.push(overlay.key_path(e, true));
-            paths.push(overlay.key_path(e, false));
-        }
-        let rounds = route_paths(&paths, 1).rounds.max(1);
+        // Every directed key, in ascending order: edge `e` forward, then
+        // backward, for each edge in turn.
+        let every: Vec<u64> = (0..2 * overlay.graph().edge_count() as u64).collect();
+        let rounds = PathScheduler::new()
+            .measure(&overlay.crossing_paths(&every), 1)
+            .rounds
+            .max(1);
         if level == 0 {
             rounds
         } else {
             rounds * full_round[(level - 1) as usize]
         }
+    }
+
+    /// Exact price of every single-crossing batch of `overlay`, indexed by
+    /// directed key. A lone message meets no contention, so its level-`p`
+    /// crossing is scheduled one level-`(p−1)` key per round, and each of
+    /// those rounds is again a single crossing: the price is the path
+    /// length at level 0 and the sum of the level below's prices over the
+    /// path above it.
+    fn solo_prices(overlay: &Overlay, below: Option<&Vec<u64>>) -> Vec<u64> {
+        (0..2 * overlay.graph().edge_count() as u64)
+            .map(|key| match below {
+                None => overlay.dir_path(key).len() as u64,
+                Some(below) => overlay.dir_path(key).map(|k| below[k as usize]).sum(),
+            })
+            .collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -259,7 +323,7 @@ impl<'g> Hierarchy<'g> {
         let run = parallel::run_parallel_walks(gp, WalkKind::DeltaRegular, &specs, rng);
 
         let mut builder = GraphBuilder::with_capacity(vnodes, vnodes * cfg.overlay_degree);
-        let mut edge_paths: Vec<Vec<u64>> = Vec::new();
+        let mut edge_paths = KeySlab::new();
         let mut kept: Vec<usize> = Vec::new();
         let mut fallback_edges = 0usize;
         let mut chosen: Vec<u32> = Vec::with_capacity(cfg.overlay_degree);
@@ -278,7 +342,7 @@ impl<'g> Hierarchy<'g> {
                 }
                 chosen.push(end);
                 builder.add_edge(vid as usize, end as usize);
-                edge_paths.push(t.dir_keys().collect());
+                edge_paths.push(t.dir_keys());
                 kept.push(idx);
             }
             if chosen.is_empty() {
@@ -307,19 +371,11 @@ impl<'g> Hierarchy<'g> {
         }
 
         let lower_rounds = 2 * run.stats.rounds + run.replay_rounds(&kept);
-        let graph = builder.build();
-        let (avg_path_len, max_path_len) = {
-            let total: usize = edge_paths.iter().map(Vec::len).sum();
-            let max = edge_paths.iter().map(Vec::len).max().unwrap_or(0);
-            (
-                if edge_paths.is_empty() {
-                    0.0
-                } else {
-                    total as f64 / edge_paths.len() as f64
-                },
-                max,
-            )
-        };
+        // Freed before the paths are copied, as in `level0::build`.
+        drop(run);
+        let overlay = Overlay::new(p, builder.build(), edge_paths, fallback_edges);
+        let graph = overlay.graph();
+        let (avg_path_len, max_path_len) = overlay.path_length_stats();
         let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
         let st = LevelStats {
             level: p,
@@ -333,7 +389,7 @@ impl<'g> Hierarchy<'g> {
             min_degree: degrees.iter().copied().min().unwrap_or(0),
             max_degree: degrees.iter().copied().max().unwrap_or(0),
         };
-        Ok((Overlay::new(p, graph, edge_paths, fallback_edges), st))
+        Ok((overlay, st))
     }
 
     /// Bottom level: the complete graph on each depth-`levels` part, each
@@ -347,7 +403,7 @@ impl<'g> Hierarchy<'g> {
     ) -> Result<(Overlay, LevelStats)> {
         let gp = prev.graph();
         let mut builder = GraphBuilder::new(vnodes);
-        let mut edge_paths: Vec<Vec<u64>> = Vec::new();
+        let mut edge_paths = KeySlab::new();
         for part in members_bottom {
             for (i, &a) in part.iter().enumerate() {
                 for &b in part.iter().skip(i + 1) {
@@ -362,19 +418,9 @@ impl<'g> Hierarchy<'g> {
                 }
             }
         }
-        let graph = builder.build();
-        let (avg_path_len, max_path_len) = {
-            let total: usize = edge_paths.iter().map(Vec::len).sum();
-            let max = edge_paths.iter().map(Vec::len).max().unwrap_or(0);
-            (
-                if edge_paths.is_empty() {
-                    0.0
-                } else {
-                    total as f64 / edge_paths.len() as f64
-                },
-                max,
-            )
-        };
+        let overlay = Overlay::new(levels, builder.build(), edge_paths, 0);
+        let graph = overlay.graph();
+        let (avg_path_len, max_path_len) = overlay.path_length_stats();
         let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
         let st = LevelStats {
             level: levels,
@@ -388,7 +434,7 @@ impl<'g> Hierarchy<'g> {
             min_degree: degrees.iter().copied().min().unwrap_or(0),
             max_degree: degrees.iter().copied().max().unwrap_or(0),
         };
-        Ok((Overlay::new(levels, graph, edge_paths, 0), st))
+        Ok((overlay, st))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -578,83 +624,102 @@ impl<'g> Hierarchy<'g> {
         self.portals[(p - 1) as usize].get(vid, j)
     }
 
-    /// Measured base-round cost of delivering `batch` (directed level-`p`
-    /// edge crossings), pricing each schedule round at the full-round cost
-    /// of the level below (the sequential emulation model).
-    pub fn emulate_batch(&self, level: u32, batch: &[(EdgeId, bool)]) -> u64 {
-        if batch.is_empty() {
-            return 0;
-        }
-        let ov = &self.overlays[level as usize];
-        let paths: Vec<Vec<u64>> = batch.iter().map(|&(e, f)| ov.key_path(e, f)).collect();
-        let rounds = route_paths(&paths, 1).rounds;
-        if level == 0 {
-            rounds
-        } else {
-            rounds * self.full_round[(level - 1) as usize]
-        }
+    /// Measured base-round cost of delivering `batch`, a batch of
+    /// directed level-`level` keys (single edge crossings), priced under
+    /// `mode` (see [`Hierarchy::emulate_paths`]).
+    pub fn emulate_batch(
+        &self,
+        level: u32,
+        batch: &[u64],
+        mode: EmulationMode,
+        scratch: &mut EmulationScratch,
+    ) -> u64 {
+        let (scheds, counts) = scratch.parts(level as usize + 1);
+        self.price(level, batch, mode, scheds, counts)
     }
 
     /// Measured base-round cost of delivering messages along *multi-hop*
-    /// paths of level-`p` edges: the level-`p` store-and-forward schedule is
-    /// computed first, then each of its rounds (a batch of single crossings)
-    /// is priced under `mode` — by [`Hierarchy::emulate_batch`]
-    /// ([`EmulationMode::Factored`]) or [`Hierarchy::emulate_batch_exact`]
-    /// ([`EmulationMode::Exact`]).
-    pub fn emulate_paths(
+    /// paths of directed level-`level` keys: the level-`level`
+    /// store-and-forward schedule is computed first, then each of its rounds
+    /// (a batch of single crossings) is priced under `mode`:
+    ///
+    /// * [`EmulationMode::Factored`] — the batch is scheduled one level down
+    ///   and each round of that schedule is charged one full round of the
+    ///   level below;
+    /// * [`EmulationMode::Exact`] — each round of that schedule is itself a
+    ///   batch, priced recursively down to base-graph scheduling.
+    ///
+    /// A batch of one crossing is priced in closed form, with no
+    /// scheduling: its path length times the full-round cost below
+    /// (factored) or the build-time `solo` table (exact). `scratch` carries
+    /// the scheduler arenas between calls and counts both kinds of batch.
+    pub fn emulate_paths<P: KeyPaths + ?Sized>(
         &self,
         level: u32,
-        paths: &[Vec<(EdgeId, bool)>],
+        paths: &P,
         mode: EmulationMode,
+        scratch: &mut EmulationScratch,
     ) -> u64 {
-        if paths.iter().all(Vec::is_empty) {
-            return 0;
-        }
-        let key_paths: Vec<Vec<u64>> = paths
+        // Levels `0 ..= level` price the rounds; the slot above them holds
+        // the multi-hop schedule while they do.
+        let top = level as usize + 1;
+        let (scheds, counts) = scratch.parts(top + 1);
+        let (scheds, above) = scheds.split_at_mut(top);
+        let sched = &mut above[0];
+        sched.route(paths, 1);
+        sched
+            .schedule()
             .iter()
-            .map(|p| p.iter().map(|&(e, f)| dir_key(e, f)).collect())
-            .collect();
-        let (_, schedule) = route_paths_schedule(&key_paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let batch: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                match mode {
-                    EmulationMode::Factored => self.emulate_batch(level, &batch),
-                    EmulationMode::Exact => self.emulate_batch_exact(level, &batch),
-                }
-            })
+            .map(|batch| self.price(level, batch, mode, scheds, counts))
             .sum()
     }
 
-    /// Exact recursive emulation: every schedule round of level-`p` traffic
-    /// is expanded into an actual level-`(p−1)` batch and priced
-    /// recursively, down to base-graph scheduling. Costs at most
-    /// [`Hierarchy::emulate_batch`]; exponentially slower to simulate, meant
-    /// for validation at small scale.
-    pub fn emulate_batch_exact(&self, level: u32, batch: &[(EdgeId, bool)]) -> u64 {
-        if batch.is_empty() {
-            return 0;
+    /// The one pricing recursion behind [`Hierarchy::emulate_batch`] and
+    /// [`Hierarchy::emulate_paths`]. `scheds[p]` is level `p`'s scheduler.
+    fn price(
+        &self,
+        level: u32,
+        batch: &[u64],
+        mode: EmulationMode,
+        scheds: &mut [PathScheduler],
+        counts: &mut PricingCounts,
+    ) -> u64 {
+        let l = level as usize;
+        let ov = &self.overlays[l];
+        // Charge for `rounds` rounds of level-`level` traffic, each a full
+        // round of the level below (at level 0, a base round).
+        let factored = |rounds: u64| match l {
+            0 => rounds,
+            _ => rounds * self.full_round[l - 1],
+        };
+        match (batch, mode) {
+            ([], _) => 0,
+            (&[key], EmulationMode::Exact) => {
+                counts.solo_batches += 1;
+                self.solo[l][key as usize]
+            }
+            (&[key], EmulationMode::Factored) => {
+                counts.solo_batches += 1;
+                factored(ov.dir_path(key).len() as u64)
+            }
+            _ => {
+                counts.scheduled_batches += 1;
+                let (below, this) = scheds.split_at_mut(l);
+                let sched = &mut this[0];
+                let paths = ov.crossing_paths(batch);
+                match mode {
+                    EmulationMode::Exact if level > 0 => {
+                        sched.route(&paths, 1);
+                        sched
+                            .schedule()
+                            .iter()
+                            .map(|sub| self.price(level - 1, sub, mode, below, counts))
+                            .sum()
+                    }
+                    _ => factored(sched.measure(&paths, 1).rounds),
+                }
+            }
         }
-        let ov = &self.overlays[level as usize];
-        let paths: Vec<Vec<u64>> = batch.iter().map(|&(e, f)| ov.key_path(e, f)).collect();
-        if level == 0 {
-            return route_paths(&paths, 1).rounds;
-        }
-        let (_, schedule) = route_paths_schedule(&paths, 1);
-        schedule
-            .iter()
-            .map(|keys| {
-                let sub: Vec<(EdgeId, bool)> = keys
-                    .iter()
-                    .map(|&k| (key_edge(k), key_is_forward(k)))
-                    .collect();
-                self.emulate_batch_exact(level - 1, &sub)
-            })
-            .sum()
     }
 
     /// BFS path between two virtual nodes in the `level` overlay, as
@@ -842,12 +907,16 @@ mod tests {
     fn emulate_batch_exact_is_bounded_by_factored() {
         let (g, cfg) = small_hierarchy(29);
         let h = Hierarchy::build(&g, cfg).unwrap();
+        let mut scratch = EmulationScratch::new();
         for level in 0..=2u32 {
             let gp = h.overlay(level).graph();
-            let batch: Vec<(EdgeId, bool)> =
-                gp.edges().take(10).map(|(e, _, _)| (e, true)).collect();
-            let exact = h.emulate_batch_exact(level, &batch);
-            let factored = h.emulate_batch(level, &batch);
+            let batch: Vec<u64> = gp
+                .edges()
+                .take(10)
+                .map(|(e, _, _)| dir_key(e, true))
+                .collect();
+            let exact = h.emulate_batch(level, &batch, EmulationMode::Exact, &mut scratch);
+            let factored = h.emulate_batch(level, &batch, EmulationMode::Factored, &mut scratch);
             assert!(exact > 0);
             assert!(
                 exact <= factored,
@@ -860,6 +929,7 @@ mod tests {
     fn emulation_cost_grows_with_level() {
         let (g, cfg) = small_hierarchy(31);
         let h = Hierarchy::build(&g, cfg).unwrap();
+        let mut scratch = EmulationScratch::new();
         // One edge crossing at level p should cost at least as much as the
         // cheapest crossing at level 0 (paths expand through lower levels).
         let e0 = h
@@ -867,17 +937,17 @@ mod tests {
             .graph()
             .edges()
             .next()
-            .map(|(e, _, _)| (e, true))
+            .map(|(e, _, _)| dir_key(e, true))
             .unwrap();
-        let c0 = h.emulate_batch_exact(0, &[e0]);
+        let c0 = h.emulate_batch(0, &[e0], EmulationMode::Exact, &mut scratch);
         let e2 = h
             .overlay(2)
             .graph()
             .edges()
             .next()
-            .map(|(e, _, _)| (e, true))
+            .map(|(e, _, _)| dir_key(e, true))
             .unwrap();
-        let c2 = h.emulate_batch_exact(2, &[e2]);
+        let c2 = h.emulate_batch(2, &[e2], EmulationMode::Exact, &mut scratch);
         assert!(c2 >= c0.min(1), "c2 = {c2}, c0 = {c0}");
     }
 

@@ -4,7 +4,7 @@
 
 use crate::{HierarchyConfig, LevelStats, Overlay, VirtualId, VirtualMap};
 use amt_graphs::{Graph, GraphBuilder};
-use amt_walks::{parallel, WalkKind, WalkSpec};
+use amt_walks::{parallel, KeySlab, WalkKind, WalkSpec};
 use rand::{Rng, RngExt};
 
 /// Builds `G₀` and reports measured construction cost in base rounds.
@@ -38,7 +38,7 @@ pub fn build<R: Rng>(
     let run = parallel::run_parallel_walks(g, WalkKind::Lazy, &specs, rng);
 
     let mut builder = GraphBuilder::with_capacity(vnodes, vnodes * cfg.overlay_degree);
-    let mut edge_paths: Vec<Vec<u64>> = Vec::with_capacity(vnodes * cfg.overlay_degree);
+    let mut edge_paths = KeySlab::new();
     let mut kept_walks: Vec<usize> = Vec::with_capacity(vnodes * cfg.overlay_degree);
     let mut chosen: Vec<u32> = Vec::with_capacity(cfg.overlay_degree);
     for vid in 0..vnodes {
@@ -61,7 +61,7 @@ pub fn build<R: Rng>(
             builder.add_edge(vid, target as usize);
             // The arena's directed edge keys are bit-compatible with
             // `dir_key`, so the embedded path is a direct copy of the log.
-            edge_paths.push(t.dir_keys().collect());
+            edge_paths.push(t.dir_keys());
             kept_walks.push(idx);
         }
     }
@@ -69,20 +69,14 @@ pub fn build<R: Rng>(
     // Cost: forward + reverse of all walks, then forward replay of the kept
     // walks to inform the in-edge endpoints.
     let base_rounds = run.stats.rounds + run.reverse_rounds() + run.replay_rounds(&kept_walks);
+    // Freed before `Overlay::new` copies the paths, so the kept copy can
+    // take the walk arena's place instead of landing above it (DESIGN.md
+    // §2d, memory shape).
+    drop(run);
 
-    let graph = builder.build();
-    let (avg_path_len, max_path_len) = {
-        let total: usize = edge_paths.iter().map(Vec::len).sum();
-        let max = edge_paths.iter().map(Vec::len).max().unwrap_or(0);
-        (
-            if edge_paths.is_empty() {
-                0.0
-            } else {
-                total as f64 / edge_paths.len() as f64
-            },
-            max,
-        )
-    };
+    let overlay = Overlay::new(0, builder.build(), edge_paths, 0);
+    let graph = overlay.graph();
+    let (avg_path_len, max_path_len) = overlay.path_length_stats();
     let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
     let stats = LevelStats {
         level: 0,
@@ -96,7 +90,7 @@ pub fn build<R: Rng>(
         min_degree: degrees.iter().copied().min().unwrap_or(0),
         max_degree: degrees.iter().copied().max().unwrap_or(0),
     };
-    (Overlay::new(0, graph, edge_paths, 0), stats)
+    (overlay, stats)
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@ pub mod level0;
 
 pub use config::HierarchyConfig;
 pub use error::EmbedError;
-pub use hierarchy::{EmulationMode, Hierarchy};
-pub use overlay::{dir_key, key_edge, key_is_forward, Overlay};
+pub use hierarchy::{EmulationMode, EmulationScratch, Hierarchy, PricingCounts};
+pub use overlay::{dir_key, key_edge, key_is_forward, DirPath, Overlay};
 pub use portals::{PortalEntry, PortalTable};
 pub use stats::{BuildStats, LevelStats};
 pub use virt::{VirtualId, VirtualMap};

@@ -3,6 +3,7 @@
 
 use crate::VirtualId;
 use amt_graphs::{EdgeId, Graph};
+use amt_walks::{KeyPaths, KeySlab};
 
 /// Directed capacity key of an overlay (or base) edge: `edge·2 + direction`.
 ///
@@ -34,21 +35,26 @@ pub fn key_is_forward(key: u64) -> bool {
 /// * Level `p ≥ 1` paths are level-`(p−1)` overlay keys (the 2Δ-regular walk
 ///   trajectories of §3.1.2, or BFS paths for the bottom complete graphs and
 ///   fallback edges).
+///
+/// Only the forward paths are stored, in one [`KeySlab`] indexed by edge;
+/// [`Overlay::dir_path`] reads the reverse direction off the same keys.
 #[derive(Clone, Debug)]
 pub struct Overlay {
     level: u32,
     graph: Graph,
-    edge_paths: Vec<Vec<u64>>,
+    edge_paths: KeySlab,
     fallback_edges: usize,
 }
 
 impl Overlay {
-    /// Wraps a constructed level.
+    /// Wraps a constructed level; `edge_paths.get(e)` is edge `e`'s forward
+    /// path.
     ///
     /// # Panics
     ///
     /// Panics if `edge_paths.len() != graph.edge_count()`.
-    pub fn new(level: u32, graph: Graph, edge_paths: Vec<Vec<u64>>, fallback_edges: usize) -> Self {
+    pub fn new(level: u32, graph: Graph, edge_paths: KeySlab, fallback_edges: usize) -> Self {
+        let edge_paths = edge_paths.compacted();
         assert_eq!(
             edge_paths.len(),
             graph.edge_count(),
@@ -80,17 +86,30 @@ impl Overlay {
     /// The lower-level key path realizing edge `e`, in the requested
     /// direction (reversing flips both the order and each key's direction).
     pub fn key_path(&self, e: EdgeId, forward: bool) -> Vec<u64> {
-        let p = &self.edge_paths[e.index()];
-        if forward {
-            p.clone()
-        } else {
-            p.iter().rev().map(|k| k ^ 1).collect()
+        self.dir_path(dir_key(e, forward)).collect()
+    }
+
+    /// Borrowed view of the lower-level key path behind directed key `key`
+    /// (see [`Overlay::key_path`]); copies nothing.
+    pub fn dir_path(&self, key: u64) -> DirPath<'_> {
+        DirPath {
+            stored: self.edge_paths.get(key_edge(key).index()).iter(),
+            reversed: !key_is_forward(key),
+        }
+    }
+
+    /// The lower-level paths of a batch of directed keys, as a path set the
+    /// scheduler routes without copying (token `i` follows `batch[i]`).
+    pub(crate) fn crossing_paths<'a>(&'a self, batch: &'a [u64]) -> CrossingPaths<'a> {
+        CrossingPaths {
+            overlay: self,
+            batch,
         }
     }
 
     /// Raw stored (forward) path length of edge `e`.
     pub fn path_len(&self, e: EdgeId) -> usize {
-        self.edge_paths[e.index()].len()
+        self.edge_paths.get(e.index()).len()
     }
 
     /// `(average, max)` stored path length over all edges; `(0, 0)` when
@@ -99,8 +118,8 @@ impl Overlay {
         if self.edge_paths.is_empty() {
             return (0.0, 0);
         }
-        let total: usize = self.edge_paths.iter().map(Vec::len).sum();
-        let max = self.edge_paths.iter().map(Vec::len).max().unwrap_or(0);
+        let total = self.edge_paths.keys().len();
+        let max = self.edge_paths.iter().map(<[u64]>::len).max().unwrap_or(0);
         (total as f64 / self.edge_paths.len() as f64, max)
     }
 
@@ -114,6 +133,51 @@ impl Overlay {
             }
         }
         None
+    }
+}
+
+/// Iterator over one directed overlay-edge path: the stored keys forward,
+/// or backward with each key's direction bit flipped.
+#[derive(Clone, Debug)]
+pub struct DirPath<'a> {
+    stored: std::slice::Iter<'a, u64>,
+    reversed: bool,
+}
+
+impl Iterator for DirPath<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.reversed {
+            self.stored.next_back().map(|k| k ^ 1)
+        } else {
+            self.stored.next().copied()
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.stored.size_hint()
+    }
+}
+
+impl ExactSizeIterator for DirPath<'_> {}
+
+/// The lower-level paths of a batch of directed overlay keys
+/// ([`Overlay::crossing_paths`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CrossingPaths<'a> {
+    overlay: &'a Overlay,
+    batch: &'a [u64],
+}
+
+impl KeyPaths for CrossingPaths<'_> {
+    fn count(&self) -> usize {
+        self.batch.len()
+    }
+
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self.overlay.dir_path(self.batch[i])
     }
 }
 
@@ -133,12 +197,9 @@ mod tests {
     fn tiny_overlay() -> Overlay {
         // Two virtual nodes joined by one edge embedded as keys [k0, k1].
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        Overlay::new(
-            1,
-            g,
-            vec![vec![dir_key(EdgeId(7), true), dir_key(EdgeId(9), false)]],
-            0,
-        )
+        let mut paths = KeySlab::new();
+        paths.push([dir_key(EdgeId(7), true), dir_key(EdgeId(9), false)]);
+        Overlay::new(1, g, paths, 0)
     }
 
     #[test]
@@ -149,6 +210,17 @@ mod tests {
         assert_eq!(rev.len(), fwd.len());
         assert_eq!(rev[0], fwd[1] ^ 1);
         assert_eq!(rev[1], fwd[0] ^ 1);
+    }
+
+    #[test]
+    fn crossing_paths_view_the_directed_paths() {
+        let ov = tiny_overlay();
+        let batch = [dir_key(EdgeId(0), false), dir_key(EdgeId(0), true)];
+        let view = ov.crossing_paths(&batch);
+        assert_eq!(view.count(), 2);
+        let rev: Vec<u64> = view.path(0).collect();
+        assert_eq!(rev, ov.key_path(EdgeId(0), false));
+        assert_eq!(view.path(1).count(), 2);
     }
 
     #[test]
@@ -175,6 +247,6 @@ mod tests {
     #[should_panic(expected = "one embedded path required")]
     fn mismatched_paths_panic() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let _ = Overlay::new(0, g, vec![], 0);
+        let _ = Overlay::new(0, g, KeySlab::new(), 0);
     }
 }

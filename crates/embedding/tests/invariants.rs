@@ -1,8 +1,10 @@
 //! Structural invariants of the hierarchy across configurations and graph
 //! families.
 
-use amt_embedding::{EmulationMode, Hierarchy, HierarchyConfig, VirtualId};
-use amt_graphs::{generators, EdgeId, Graph, NodeId};
+use amt_embedding::{
+    dir_key, EmulationMode, EmulationScratch, Hierarchy, HierarchyConfig, VirtualId,
+};
+use amt_graphs::{generators, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,11 +102,13 @@ fn full_round_costs_are_monotone_in_level() {
 fn emulation_of_empty_batches_is_free() {
     let (_, g) = families(5).remove(2);
     let h = Hierarchy::build(&g, cfg_for(&g, 4, 1, 13)).unwrap();
+    let mut scratch = EmulationScratch::new();
+    let no_paths: &[Vec<u64>] = &[];
     for level in 0..=h.depth() {
-        assert_eq!(h.emulate_batch(level, &[]), 0);
-        assert_eq!(h.emulate_batch_exact(level, &[]), 0);
-        assert_eq!(h.emulate_paths(level, &[], EmulationMode::Factored), 0);
-        assert_eq!(h.emulate_paths(level, &[], EmulationMode::Exact), 0);
+        for mode in [EmulationMode::Factored, EmulationMode::Exact] {
+            assert_eq!(h.emulate_batch(level, &[], mode, &mut scratch), 0);
+            assert_eq!(h.emulate_paths(level, no_paths, mode, &mut scratch), 0);
+        }
     }
 }
 
@@ -117,14 +121,20 @@ fn single_edge_exact_emulation_equals_path_expansion() {
     let h = Hierarchy::build(&g, cfg_for(&g, 4, 1, 17)).unwrap();
     let ov1 = h.overlay(1);
     let (e, _, _) = ov1.graph().edges().next().expect("level 1 has edges");
-    let exact = h.emulate_batch_exact(1, &[(e, true)]);
+    let mut scratch = EmulationScratch::new();
+    let exact = h.emulate_batch(1, &[dir_key(e, true)], EmulationMode::Exact, &mut scratch);
     let mut expected = 0u64;
     for key in ov1.key_path(e, true) {
-        let e0 = EdgeId((key >> 1) as u32);
-        let fwd = key & 1 == 0;
-        expected += h.emulate_batch_exact(0, &[(e0, fwd)]);
+        expected += h.emulate_batch(0, &[key], EmulationMode::Exact, &mut scratch);
     }
     assert_eq!(exact, expected);
+    // ... and it equals the length of the fully expanded base path.
+    let base_len: usize = ov1
+        .key_path(e, true)
+        .iter()
+        .map(|&key| h.overlay(0).dir_path(key).len())
+        .sum();
+    assert_eq!(exact, base_len as u64);
 }
 
 #[test]

@@ -130,7 +130,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let stats = shortest_path_route(&g, &[(NodeId(0), NodeId(3))]);
         assert_eq!(stats.rounds, 3);
-        assert_eq!(stats.dilation, 3);
+        assert_eq!(stats.traversals, 3);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use crate::{Result, RouteError, RoutingOutcome};
 use amt_congest::PhaseTimings;
-use amt_embedding::{EmulationMode, Hierarchy, VirtualId};
-use amt_graphs::{EdgeId, NodeId};
-use amt_walks::{parallel, WalkKind, WalkSpec};
+use amt_embedding::{dir_key, EmulationMode, EmulationScratch, Hierarchy, VirtualId};
+use amt_graphs::NodeId;
+use amt_walks::{parallel, KeySlab, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -141,6 +141,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         // number of phases actually routed (empty phases are skipped), not
         // the planned split computed above.
         let mut outcome = RoutingOutcome::default();
+        let mut scratch = EmulationScratch::new();
         for phase in 0..phases {
             let batch: Vec<(NodeId, NodeId)> = requests
                 .iter()
@@ -151,7 +152,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             if batch.is_empty() {
                 continue;
             }
-            let phase_out = self.route_one_phase(&batch, &mut rng);
+            let phase_out = self.route_one_phase(&batch, &mut rng, &mut scratch);
             outcome.absorb(&phase_out);
         }
         if outcome.undelivered > 0 {
@@ -180,7 +181,12 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         phases.min(u64::from(u32::MAX)) as u32
     }
 
-    fn route_one_phase(&self, batch: &[(NodeId, NodeId)], rng: &mut StdRng) -> RoutingOutcome {
+    fn route_one_phase(
+        &self,
+        batch: &[(NodeId, NodeId)],
+        rng: &mut StdRng,
+        scratch: &mut EmulationScratch,
+    ) -> RoutingOutcome {
         let g = self.h.base();
         let vmap = self.h.vmap();
 
@@ -234,7 +240,8 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             hop_rounds: vec![0; self.h.depth() as usize],
             ..Default::default()
         };
-        let finals = self.recurse(0, pkts, &mut acc);
+        let finals = self.recurse(0, pkts, &mut acc, scratch);
+        let pricing = scratch.take_counts();
         debug_assert_eq!(finals.len(), batch.len());
         let mut final_pos = vec![u32::MAX; batch.len()];
         for (id, pos) in finals {
@@ -258,6 +265,8 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             portal_misses: acc.portal_misses,
             hop_crossings: acc.hop_crossings,
             bottom_crossings: acc.bottom_crossings,
+            solo_batches: pricing.solo_batches,
+            scheduled_batches: pricing.scheduled_batches,
             wall,
         }
     }
@@ -265,7 +274,13 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
     /// Routes packets whose `cur` and `goal` share a depth-`d` part.
     /// Returns `(id, final position)` for every packet given; a packet whose
     /// final position differs from its goal could not be delivered.
-    fn recurse(&self, d: u32, msgs: Vec<Pkt>, acc: &mut Accum) -> Vec<(u32, u32)> {
+    fn recurse(
+        &self,
+        d: u32,
+        msgs: Vec<Pkt>,
+        acc: &mut Accum,
+        scratch: &mut EmulationScratch,
+    ) -> Vec<(u32, u32)> {
         let mut results: Vec<(u32, u32)> = Vec::with_capacity(msgs.len());
         let mut live: Vec<Pkt> = Vec::with_capacity(msgs.len());
         for p in msgs {
@@ -282,11 +297,11 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         if d == self.h.depth() {
             // Bottom: deliver over the complete graph of each bottom part.
             let bottom = self.h.overlay(d);
-            let mut paths: Vec<Vec<(EdgeId, bool)>> = Vec::new();
+            let mut paths = KeySlab::new();
             for p in &live {
                 match bottom.edge_between(VirtualId(p.cur), VirtualId(p.goal)) {
                     Some((e, fwd)) => {
-                        paths.push(vec![(e, fwd)]);
+                        paths.push([dir_key(e, fwd)]);
                         results.push((p.id, p.goal));
                     }
                     None => results.push((p.id, p.cur)),
@@ -294,7 +309,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             }
             acc.bottom_crossings += paths.len() as u64;
             let t0 = Instant::now();
-            acc.bottom_rounds += self.h.emulate_paths(d, &paths, self.cfg.emulation);
+            acc.bottom_rounds += self.h.emulate_paths(d, &paths, self.cfg.emulation, scratch);
             acc.wall.record("bottom", t0.elapsed());
             return results;
         }
@@ -303,7 +318,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         let mut leg1: Vec<Pkt> = Vec::new();
         // Packets awaiting a portal hop: id → (portal entry, final goal).
         let mut pend: HashMap<u32, (amt_embedding::PortalEntry, u32)> = HashMap::new();
-        let mut fallback_paths: Vec<Vec<(EdgeId, bool)>> = Vec::new();
+        let mut fallback_paths = KeySlab::new();
         for p in live {
             let src_part = self.h.part_of(VirtualId(p.cur), child);
             let dst_part = self.h.part_of(VirtualId(p.goal), child);
@@ -330,7 +345,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                         .bfs_overlay_path(d, VirtualId(p.cur), VirtualId(p.goal))
                     {
                         Some(path) => {
-                            fallback_paths.push(path);
+                            fallback_paths.push(path.iter().map(|&(e, f)| dir_key(e, f)));
                             results.push((p.id, p.goal));
                         }
                         None => results.push((p.id, p.cur)),
@@ -342,18 +357,18 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         // Leg 1: intra-part packets go all the way; cross-part packets go to
         // their portals. All children recurse together (they are disjoint,
         // so their traffic batches in parallel).
-        let leg1_results = self.recurse(child, leg1, acc);
+        let leg1_results = self.recurse(child, leg1, acc, scratch);
 
         // Hop: cross one level-`d` edge per pending packet that reached its
         // portal, plus any BFS fallback journeys, all batched.
-        let mut hop_paths: Vec<Vec<(EdgeId, bool)>> = fallback_paths;
+        let mut hop_paths = fallback_paths;
         let mut leg2: Vec<Pkt> = Vec::new();
         for (id, pos) in leg1_results {
             match pend.remove(&id) {
                 None => results.push((id, pos)),
                 Some((entry, goal)) => {
                     if pos == entry.portal.0 {
-                        hop_paths.push(vec![(entry.edge, entry.forward)]);
+                        hop_paths.push([dir_key(entry.edge, entry.forward)]);
                         leg2.push(Pkt {
                             id,
                             cur: entry.target.0,
@@ -366,13 +381,15 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                 }
             }
         }
-        acc.hop_crossings += hop_paths.iter().map(|p| p.len() as u64).sum::<u64>();
+        acc.hop_crossings += hop_paths.keys().len() as u64;
         let t0 = Instant::now();
-        acc.hop_rounds[d as usize] += self.h.emulate_paths(d, &hop_paths, self.cfg.emulation);
+        acc.hop_rounds[d as usize] +=
+            self.h
+                .emulate_paths(d, &hop_paths, self.cfg.emulation, scratch);
         acc.wall.record("hops", t0.elapsed());
 
         // Leg 2: from the landing nodes to the final goals.
-        results.extend(self.recurse(child, leg2, acc));
+        results.extend(self.recurse(child, leg2, acc, scratch));
         results
     }
 }

@@ -135,8 +135,8 @@ mod tests {
         let stats = clique_two_phase(n, &reqs);
         assert!(stats.rounds > 0);
         // Relays that happen to land on the destination skip the second
-        // hop, so dilation sits between 1× and 2× the message count.
+        // hop, so the crossings sit between 1× and 2× the message count.
         let live = reqs.iter().filter(|(s, t)| s != t).count() as u64;
-        assert!(stats.dilation >= live && stats.dilation <= 2 * live);
+        assert!(stats.traversals >= live && stats.traversals <= 2 * live);
     }
 }

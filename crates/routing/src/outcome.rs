@@ -31,6 +31,11 @@ pub struct RoutingOutcome {
     pub hop_crossings: u64,
     /// Total bottom-clique edge crossings (final deliveries).
     pub bottom_crossings: u64,
+    /// Emulation batches of a single crossing, priced in closed form
+    /// without scheduling ([`amt_embedding::PricingCounts`]).
+    pub solo_batches: u64,
+    /// Emulation batches of two or more crossings, priced by scheduling.
+    pub scheduled_batches: u64,
     /// Host wall-clock time per routing stage (`"prep"`, `"hops"`,
     /// `"bottom"` entries); excluded from equality like all
     /// [`PhaseTimings`], so determinism comparisons stay exact.
@@ -79,6 +84,8 @@ impl RoutingOutcome {
         self.portal_misses += later.portal_misses;
         self.hop_crossings += later.hop_crossings;
         self.bottom_crossings += later.bottom_crossings;
+        self.solo_batches += later.solo_batches;
+        self.scheduled_batches += later.scheduled_batches;
         self.wall.merge(&later.wall);
     }
 }
@@ -107,6 +114,8 @@ mod tests {
             portal_misses: 1,
             hop_crossings: 7,
             bottom_crossings: 5,
+            solo_batches: 4,
+            scheduled_batches: 2,
             wall: prep_wall,
         };
         let mut hop_wall = PhaseTimings::new();
@@ -123,6 +132,8 @@ mod tests {
             portal_misses: 0,
             hop_crossings: 2,
             bottom_crossings: 3,
+            solo_batches: 1,
+            scheduled_batches: 6,
             wall: hop_wall,
         };
         a.absorb(&b);
@@ -139,6 +150,8 @@ mod tests {
                 portal_misses: 1,
                 hop_crossings: 9,
                 bottom_crossings: 8,
+                solo_batches: 5,
+                scheduled_batches: 8,
                 wall: PhaseTimings::new(), // equality on timings is vacuous
             }
         );

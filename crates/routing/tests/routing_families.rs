@@ -115,9 +115,9 @@ fn shortest_path_baseline_congestion_dilation_sanity() {
     let g = generators::hypercube(5);
     let reqs: Vec<_> = (0..32u32).map(|i| (NodeId(i), NodeId(31 - i))).collect();
     let stats = baseline::shortest_path_route(&g, &reqs);
-    // Antipodal routing on the 5-cube: dilation 5 per packet.
+    // Antipodal routing on the 5-cube: dilation 5, so 5 crossings per packet.
     assert!(stats.rounds >= 5);
-    assert_eq!(stats.dilation, 32 * 5);
+    assert_eq!(stats.traversals, 32 * 5);
     assert!(stats.rounds <= stats.max_key_congestion.max(1) * 5 + 5);
 }
 

@@ -40,4 +40,6 @@ pub use healing::{
 pub use kind::WalkKind;
 pub use parallel::{run_correlated_walks, run_parallel_walks};
 pub use parallel::{ParallelWalkRun, Trajectory, WalkArena, WalkSpec, WalkStats, STAY_KEY};
-pub use schedule::{route_paths, route_paths_schedule, PathRouteStats};
+pub use schedule::{
+    route_paths, route_paths_schedule, KeyPaths, KeySlab, PathRouteStats, PathScheduler,
+};

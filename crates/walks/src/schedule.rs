@@ -11,28 +11,393 @@
 //! The computed schedule is FIFO per key (ties broken by token id), which is
 //! within a constant factor of the optimal makespan for store-and-forward
 //! routing and is exactly what a distributed execution with per-edge queues
-//! would do.
+//! would do. Each round serves the keys with waiting tokens in ascending key
+//! order; a token that crosses a key joins its next key's queue for the
+//! following round.
+//!
+//! [`PathScheduler`] keeps every piece of state in flat arenas it reuses
+//! across calls (DESIGN.md §2d): keys are remapped to dense ids, per-key
+//! FIFO queues are intrusive lists over token ids, and the schedule is one
+//! [`KeySlab`] with one entry per round.
 
 use amt_congest::PhaseTimings;
-use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
+
+/// Empty-queue / end-of-list sentinel for the intrusive token lists.
+const NONE: u32 = u32::MAX;
 
 /// Measured statistics of one [`route_paths`] schedule.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathRouteStats {
     /// Makespan in rounds (0 when every path is empty).
     pub rounds: u64,
-    /// Total key crossings performed.
+    /// Total key crossings performed (the sum of path lengths: every token
+    /// is delivered).
     pub traversals: u64,
     /// Maximum number of tokens that crossed any single key in total
     /// (the congestion of the path system).
     pub max_key_congestion: u64,
-    /// Sum over tokens of path length (equals `traversals`; kept separate
-    /// for interface clarity when capacities drop tokens — they never do).
-    pub dilation: u64,
     /// Host wall-clock time of the schedule computation (`"schedule"`
-    /// entry); excluded from equality like all [`PhaseTimings`].
+    /// entry, recorded by [`route_paths`] and [`route_paths_schedule`]);
+    /// excluded from equality like all [`PhaseTimings`].
     pub wall: PhaseTimings,
+}
+
+/// A set of token paths the scheduler can route: token `i` crosses the
+/// keys of `path(i)` in order.
+///
+/// Implemented for slices, arrays and `Vec`s of anything that is a
+/// `[u64]` (so `&Vec<Vec<u64>>` routes as before), and for [`KeySlab`].
+/// Callers with paths stored elsewhere implement it to route borrowed
+/// views without copying them.
+pub trait KeyPaths {
+    /// Number of tokens.
+    fn count(&self) -> usize;
+    /// The keys token `i` crosses, in crossing order.
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_;
+}
+
+impl<T: AsRef<[u64]>> KeyPaths for [T] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self[i].as_ref().iter().copied()
+    }
+}
+
+impl<T: AsRef<[u64]>> KeyPaths for Vec<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self[i].as_ref().iter().copied()
+    }
+}
+
+impl<T: AsRef<[u64]>, const N: usize> KeyPaths for [T; N] {
+    fn count(&self) -> usize {
+        N
+    }
+
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self[i].as_ref().iter().copied()
+    }
+}
+
+/// Key sequences stored back to back in one slab: sequence `i` is
+/// `keys[ends[i − 1] .. ends[i]]`.
+///
+/// Serves both as a path set (one sequence per token) and as a schedule
+/// (one sequence per round: the keys crossed in that round).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KeySlab {
+    keys: Vec<u64>,
+    ends: Vec<usize>,
+}
+
+impl KeySlab {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of sequences.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the slab holds no sequences.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Sequence `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> &[u64] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.keys[start..self.ends[i]]
+    }
+
+    /// The sequences in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every key of every sequence, back to back.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// Appends one sequence.
+    pub fn push(&mut self, seq: impl IntoIterator<Item = u64>) {
+        self.keys.extend(seq);
+        self.ends.push(self.keys.len());
+    }
+
+    /// A copy in fresh allocations of exactly the used size, for slabs kept
+    /// for a long time.
+    pub fn compacted(self) -> KeySlab {
+        KeySlab {
+            keys: self.keys.to_vec(),
+            ends: self.ends.to_vec(),
+        }
+    }
+
+    /// Removes every sequence, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.clear();
+    }
+}
+
+impl KeyPaths for KeySlab {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn path(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+        self.get(i).iter().copied()
+    }
+}
+
+/// A reusable store-and-forward scheduler.
+///
+/// [`PathScheduler::route`] computes the FIFO schedule of a path set and
+/// keeps it in [`PathScheduler::schedule`] until the next call. All arenas
+/// are kept across calls, so a caller that routes many small path sets
+/// (recursive emulation pricing does) allocates only while the sets grow.
+///
+/// # Examples
+///
+/// ```
+/// use amt_walks::PathScheduler;
+/// let mut sched = PathScheduler::new();
+/// let stats = sched.route(&[vec![7, 1], vec![7, 2]], 1);
+/// assert_eq!(stats.rounds, 3);
+/// let rounds: Vec<&[u64]> = sched.schedule().iter().collect();
+/// assert_eq!(rounds, [&[7][..], &[1, 7], &[2]]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct PathScheduler {
+    /// The distinct keys in ascending order: dense id `d` is key
+    /// `distinct[d]`.
+    distinct: Vec<u64>,
+    /// Dense key id of every occurrence, token paths back to back.
+    occ: Vec<u32>,
+    /// Per dense key: tokens crossing it in total (its congestion).
+    load: Vec<u64>,
+    /// Per token: its next occurrence to cross, and one past its last.
+    at: Vec<u32>,
+    end: Vec<u32>,
+    /// Per dense key: first and last token of its FIFO queue.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per token: the token behind it in its current key's queue.
+    next: Vec<u32>,
+    /// Dense ids of the keys with waiting tokens, ascending (which is
+    /// ascending key order).
+    active: Vec<u32>,
+    next_active: Vec<u32>,
+    /// `(dense key, token)` crossings of this round, joining queues at its
+    /// end (store-and-forward).
+    arrivals: Vec<(u32, u32)>,
+    schedule: KeySlab,
+}
+
+impl PathScheduler {
+    /// A scheduler with empty arenas.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Routes every token along its path under per-key `capacity` and
+    /// records the schedule (see [`PathScheduler::schedule`]). The returned
+    /// stats carry no wall-clock entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`, or if there are `u32::MAX` or more tokens
+    /// or key occurrences in total.
+    pub fn route<P: KeyPaths + ?Sized>(&mut self, paths: &P, capacity: u32) -> PathRouteStats {
+        self.run::<true, P>(paths, capacity)
+    }
+
+    /// [`PathScheduler::route`] without recording the schedule, for callers
+    /// that need only the stats: the schedule holds one key per traversal,
+    /// which for a full round of an overlay is the largest arena by far.
+    /// [`PathScheduler::schedule`] is empty afterwards.
+    ///
+    /// # Panics
+    ///
+    /// As [`PathScheduler::route`].
+    pub fn measure<P: KeyPaths + ?Sized>(&mut self, paths: &P, capacity: u32) -> PathRouteStats {
+        self.run::<false, P>(paths, capacity)
+    }
+
+    fn run<const RECORD: bool, P: KeyPaths + ?Sized>(
+        &mut self,
+        paths: &P,
+        capacity: u32,
+    ) -> PathRouteStats {
+        assert!(capacity > 0, "capacity must be positive");
+        let PathScheduler {
+            distinct,
+            occ,
+            load,
+            at,
+            end,
+            head,
+            tail,
+            next,
+            active,
+            next_active,
+            arrivals,
+            schedule,
+        } = self;
+        let tokens = paths.count();
+
+        // Dense remap: a key's id is its rank among the distinct keys, found
+        // by bisection, so ids follow key order and no array is sized by the
+        // key values themselves. The keys are collected in a buffer that is
+        // sorted and deduplicated whenever it doubles, so it holds
+        // O(distinct keys), not one entry per occurrence: full-round path
+        // sets cross each key many times.
+        distinct.clear();
+        let (mut traversals, mut settled) = (0usize, 0usize);
+        for i in 0..tokens {
+            let before = distinct.len();
+            distinct.extend(paths.path(i));
+            traversals += distinct.len() - before;
+            if distinct.len() >= 2 * settled + 1024 {
+                distinct.sort_unstable();
+                distinct.dedup();
+                settled = distinct.len();
+            }
+        }
+        assert!(
+            tokens.max(traversals) < NONE as usize,
+            "path system exceeds u32::MAX tokens or key occurrences"
+        );
+        distinct.sort_unstable();
+        distinct.dedup();
+        load.clear();
+        load.resize(distinct.len(), 0);
+        occ.clear();
+        occ.reserve(traversals);
+        at.clear();
+        at.reserve(tokens);
+        end.clear();
+        end.reserve(tokens);
+        for i in 0..tokens {
+            at.push(occ.len() as u32);
+            for key in paths.path(i) {
+                let id = distinct.partition_point(|&k| k < key);
+                load[id] += 1;
+                occ.push(id as u32);
+            }
+            end.push(occ.len() as u32);
+        }
+        let max_key_congestion = load.iter().copied().max().unwrap_or(0);
+
+        head.clear();
+        head.resize(distinct.len(), NONE);
+        tail.clear();
+        tail.resize(distinct.len(), NONE);
+        next.clear();
+        next.resize(tokens, NONE);
+        active.clear();
+        let mut remaining = 0usize;
+        for tok in 0..tokens {
+            if at[tok] < end[tok] {
+                let key = occ[at[tok] as usize] as usize;
+                enqueue(head, tail, next, key, tok as u32, active);
+                remaining += 1;
+            }
+        }
+        active.sort_unstable();
+
+        schedule.clear();
+        if RECORD {
+            schedule.keys.reserve_exact(traversals);
+        }
+        let mut rounds = 0u64;
+        while remaining > 0 {
+            rounds += 1;
+            arrivals.clear();
+            next_active.clear();
+            for &key in active.iter() {
+                let key = key as usize;
+                for _ in 0..capacity {
+                    let tok = head[key];
+                    if tok == NONE {
+                        break;
+                    }
+                    head[key] = next[tok as usize];
+                    if RECORD {
+                        schedule.keys.push(distinct[key]);
+                    }
+                    let t = tok as usize;
+                    at[t] += 1;
+                    if at[t] == end[t] {
+                        remaining -= 1;
+                    } else {
+                        arrivals.push((occ[at[t] as usize], tok));
+                    }
+                }
+                if head[key] != NONE {
+                    next_active.push(key as u32);
+                }
+            }
+            // A key gains a queue entry here only if it had none, so it
+            // cannot already be in `next_active`.
+            for &(key, tok) in arrivals.iter() {
+                enqueue(head, tail, next, key as usize, tok, next_active);
+            }
+            next_active.sort_unstable();
+            std::mem::swap(active, next_active);
+            if RECORD {
+                schedule.ends.push(schedule.keys.len());
+            }
+        }
+        PathRouteStats {
+            rounds,
+            traversals: traversals as u64,
+            max_key_congestion,
+            wall: PhaseTimings::new(),
+        }
+    }
+
+    /// The schedule of the last [`PathScheduler::route`] call: entry `r` is
+    /// the multiset of keys crossed in round `r + 1`, in service order.
+    pub fn schedule(&self) -> &KeySlab {
+        &self.schedule
+    }
+}
+
+/// Appends `tok` to `key`'s queue, listing `key` in `active` if its queue
+/// was empty.
+fn enqueue(
+    head: &mut [u32],
+    tail: &mut [u32],
+    next: &mut [u32],
+    key: usize,
+    tok: u32,
+    active: &mut Vec<u32>,
+) {
+    if head[key] == NONE {
+        head[key] = tok;
+        active.push(key as u32);
+    } else {
+        next[tail[key] as usize] = tok;
+    }
+    tail[key] = tok;
+    next[tok as usize] = NONE;
 }
 
 /// Routes every token along its fixed path under per-key capacity, returning
@@ -57,99 +422,39 @@ pub struct PathRouteStats {
 /// assert_eq!(stats.rounds, 4);
 /// assert_eq!(stats.max_key_congestion, 3);
 /// ```
-pub fn route_paths(paths: &[Vec<u64>], capacity: u32) -> PathRouteStats {
-    route_paths_schedule(paths, capacity).0
+pub fn route_paths<P: KeyPaths + ?Sized>(paths: &P, capacity: u32) -> PathRouteStats {
+    let started = Instant::now();
+    let mut stats = PathScheduler::new().measure(paths, capacity);
+    stats.wall.record("schedule", started.elapsed());
+    stats
 }
 
-/// Like [`route_paths`], but also returns the schedule itself: for each
-/// round, the multiset of keys crossed in that round.
+/// Like [`route_paths`], but also returns the schedule itself: entry `r`
+/// holds the keys crossed in round `r + 1`.
 ///
 /// The hierarchical embedding uses this to *recursively* price overlay
 /// emulation: a round of level-`p` crossings becomes a batch of level-`(p−1)`
 /// messages, routed (and priced) by the same machinery one level down.
-pub fn route_paths_schedule(paths: &[Vec<u64>], capacity: u32) -> (PathRouteStats, Vec<Vec<u64>>) {
-    assert!(capacity > 0, "capacity must be positive");
+pub fn route_paths_schedule<P: KeyPaths + ?Sized>(
+    paths: &P,
+    capacity: u32,
+) -> (PathRouteStats, KeySlab) {
     let started = Instant::now();
-    let mut queues: HashMap<u64, VecDeque<u32>> = HashMap::new();
-    let mut congestion: HashMap<u64, u64> = HashMap::new();
-    let mut pos: Vec<u32> = vec![0; paths.len()];
-    let mut remaining = 0usize;
-    let mut dilation = 0u64;
-    for (i, p) in paths.iter().enumerate() {
-        dilation += p.len() as u64;
-        if !p.is_empty() {
-            queues.entry(p[0]).or_default().push_back(i as u32);
-            remaining += 1;
-        }
-        for &k in p {
-            *congestion.entry(k).or_insert(0) += 1;
-        }
-    }
-    let mut active: Vec<u64> = queues.keys().copied().collect();
-    active.sort_unstable(); // determinism
-    let mut rounds = 0u64;
-    let mut traversals = 0u64;
-    let mut arrivals: Vec<(u64, u32)> = Vec::new();
-    let mut schedule: Vec<Vec<u64>> = Vec::new();
-    while remaining > 0 {
-        rounds += 1;
-        arrivals.clear();
-        let mut crossed: Vec<u64> = Vec::new();
-        let mut next_active: Vec<u64> = Vec::with_capacity(active.len());
-        for &key in &active {
-            let q = queues.get_mut(&key).expect("active key has a queue");
-            for _ in 0..capacity {
-                let Some(tok) = q.pop_front() else { break };
-                traversals += 1;
-                crossed.push(key);
-                let p = &paths[tok as usize];
-                pos[tok as usize] += 1;
-                let at = pos[tok as usize] as usize;
-                if at >= p.len() {
-                    remaining -= 1;
-                } else {
-                    arrivals.push((p[at], tok));
-                }
-            }
-            if !q.is_empty() {
-                next_active.push(key);
-            }
-        }
-        // Tokens that crossed a key this round join their next key's queue
-        // for the following round (store-and-forward).
-        for &(key, tok) in &arrivals {
-            let q = queues.entry(key).or_default();
-            if q.is_empty() && !next_active.contains(&key) {
-                next_active.push(key);
-            }
-            q.push_back(tok);
-        }
-        next_active.sort_unstable();
-        next_active.dedup();
-        active = next_active;
-        schedule.push(crossed);
-    }
-    let mut wall = PhaseTimings::new();
-    wall.record("schedule", started.elapsed());
-    (
-        PathRouteStats {
-            rounds,
-            traversals,
-            max_key_congestion: congestion.values().copied().max().unwrap_or(0),
-            dilation,
-            wall,
-        },
-        schedule,
-    )
+    let mut sched = PathScheduler::new();
+    let mut stats = sched.route(paths, capacity);
+    stats.wall.record("schedule", started.elapsed());
+    (stats, sched.schedule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const NO_PATHS: [Vec<u64>; 0] = [];
+
     #[test]
     fn empty_input_is_free() {
-        let stats = route_paths(&[], 1);
+        let stats = route_paths(&NO_PATHS, 1);
         assert_eq!(stats.rounds, 0);
         let stats = route_paths(&[vec![], vec![]], 1);
         assert_eq!(stats.rounds, 0);
@@ -161,7 +466,6 @@ mod tests {
         let stats = route_paths(&[vec![1, 2, 3, 4]], 1);
         assert_eq!(stats.rounds, 4);
         assert_eq!(stats.traversals, 4);
-        assert_eq!(stats.dilation, 4);
     }
 
     #[test]
@@ -205,6 +509,18 @@ mod tests {
     fn repeated_key_within_one_path() {
         let stats = route_paths(&[vec![7, 7, 7]], 1);
         assert_eq!(stats.rounds, 3);
+        assert_eq!(stats.max_key_congestion, 3);
+    }
+
+    #[test]
+    fn huge_sparse_keys_are_remapped() {
+        let top = u64::MAX;
+        let paths = vec![vec![top, 0], vec![top, top - 1], vec![0]];
+        let (stats, sched) = route_paths_schedule(&paths, 1);
+        assert_eq!(stats.rounds, 3);
+        assert_eq!(stats.max_key_congestion, 2);
+        let rounds: Vec<&[u64]> = sched.iter().collect();
+        assert_eq!(rounds, [&[0, top][..], &[0, top], &[top - 1]]);
     }
 
     #[test]
@@ -218,15 +534,44 @@ mod tests {
         let paths = vec![vec![9, 1, 2], vec![9, 3], vec![5, 9, 6]];
         let (stats, sched) = route_paths_schedule(&paths, 1);
         assert_eq!(sched.len() as u64, stats.rounds);
-        let total: usize = sched.iter().map(Vec::len).sum();
-        assert_eq!(total as u64, stats.traversals);
+        assert_eq!(sched.keys().len() as u64, stats.traversals);
         // No key crossed more than capacity times per round.
-        for round in &sched {
-            let mut sorted = round.clone();
+        for round in sched.iter() {
+            let mut sorted = round.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), round.len(), "capacity violated in {round:?}");
         }
+    }
+
+    #[test]
+    fn scheduler_reuse_matches_fresh_runs() {
+        let big: Vec<Vec<u64>> = (0..40).map(|i| vec![i % 5, 100 + i % 3, i]).collect();
+        let small = vec![vec![3, 4], vec![3]];
+        let mut sched = PathScheduler::new();
+        for paths in [&big, &small, &big] {
+            let stats = sched.route(paths, 2);
+            let (fresh, fresh_sched) = route_paths_schedule(paths, 2);
+            assert_eq!(stats, fresh);
+            assert_eq!(sched.schedule(), &fresh_sched);
+        }
+    }
+
+    #[test]
+    fn key_slab_round_trips_sequences() {
+        let mut slab = KeySlab::new();
+        slab.push([1, 2, 3]);
+        slab.push([]);
+        slab.push([u64::MAX]);
+        assert_eq!(slab.len(), 3);
+        assert_eq!(slab.get(0), &[1, 2, 3]);
+        assert!(slab.get(1).is_empty());
+        assert_eq!(slab.get(2), &[u64::MAX]);
+        assert_eq!(slab.keys(), &[1, 2, 3, u64::MAX]);
+        let as_vecs: Vec<Vec<u64>> = slab.iter().map(<[u64]>::to_vec).collect();
+        assert_eq!(route_paths(&slab, 1), route_paths(&as_vecs, 1));
+        slab.clear();
+        assert!(slab.is_empty());
     }
 
     #[test]

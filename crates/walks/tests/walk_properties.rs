@@ -38,9 +38,9 @@ proptest! {
         let (stats, schedule) = route_paths_schedule(&paths, cap);
         prop_assert_eq!(schedule.len() as u64, stats.rounds);
         let mut delivered = 0u64;
-        for round in &schedule {
+        for round in schedule.iter() {
             // No key crossed more than `cap` times per round.
-            let mut sorted = round.clone();
+            let mut sorted = round.to_vec();
             sorted.sort_unstable();
             for chunk in sorted.chunk_by(|a, b| a == b) {
                 prop_assert!(chunk.len() as u32 <= cap);

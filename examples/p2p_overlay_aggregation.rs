@@ -83,8 +83,8 @@ fn main() {
     // --- Centralized shortest-path reference ---
     let sp = baseline::shortest_path_route(&g, &requests);
     println!(
-        "shortest-path (ref) : {:>8} rounds  (congestion {}, dilation ≤ {})",
-        sp.rounds, sp.max_key_congestion, sp.dilation
+        "shortest-path (ref) : {:>8} rounds  (congestion {}, {} edge crossings)",
+        sp.rounds, sp.max_key_congestion, sp.traversals
     );
 
     // --- Naive random-walk router ---
