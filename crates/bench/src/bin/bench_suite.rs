@@ -26,23 +26,18 @@
 //!   time-to-reconverge percentiles) alongside the usual counters;
 //! * **scaling tier** — a sparse two-class token workload on three pinned
 //!   2048-node instances (random 6-regular expander, id-interleaved
-//!   dumbbell of two expander halves, heavy-tailed Chung–Lu), stepped at
-//!   worker counts {1, 2, 4, 8, 16} under both a contiguous and a spectral
-//!   node→shard [`Placement`]. Protocol observables must be byte-identical
-//!   across every (threads, placement) configuration — placement is run
-//!   configuration, not semantics — so metrics/profiles are recorded once
-//!   per instance and wall-clock once per configuration. The recorded
-//!   profile is then attributed to both placements at 4 shards (`shards`
-//!   report section, schema v4); on the dumbbell the spectral placement
-//!   must route a strictly smaller share of messages across shards than
-//!   the contiguous one (hard assert). Every run in the tier executes
-//!   with [`TelemetryConfig`] attached: the reference run's logical
-//!   execution-health counters (work totals and gauge high-water marks)
-//!   enter the gated `telemetry` report section (schema v5), and every
-//!   (threads, placement) configuration must reproduce them exactly —
-//!   telemetry is thread- and placement-invariant by contract (hard
-//!   assert). `AMT_BENCH_SCALE_ONLY=1` runs just
-//!   this tier — CI uses it to re-validate at `AMT_SIM_THREADS` 1 and 4.
+//!   dumbbell of two expander halves, heavy-tailed Chung–Lu). Each
+//!   instance runs twice, and the repeat must reproduce the first run's
+//!   observables exactly (hard assert); the repeat's wall-clock is
+//!   recorded as `<instance>_t1_contiguous`. The recorded profile is
+//!   attributed after the fact to a contiguous and a spectral node→shard
+//!   [`Placement`] at 4 shards (`shards` report section, schema v4); on
+//!   the dumbbell the spectral placement must route a strictly smaller
+//!   share of messages across shards than the contiguous one (hard
+//!   assert). Every run in the tier executes with [`TelemetryConfig`]
+//!   attached: its logical execution-health counters (work totals and
+//!   gauge high-water marks) enter the gated `telemetry` report section
+//!   (schema v5). `AMT_BENCH_SCALE_ONLY=1` runs just this tier.
 //!
 //! Output: `experiments_out/BENCH_<git-describe>.json` (override the stem
 //! with a CLI argument, e.g. `bench_suite BENCH_baseline`) carrying rounds,
@@ -139,7 +134,6 @@ fn main() {
     let profile_cfg = Some(ProfileConfig::default());
     let scale_only = std::env::var("AMT_BENCH_SCALE_ONLY").is_ok_and(|v| v == "1");
     println!("# Canonical bench suite ({stem})\n");
-    bench.report.config("threads", 4u64);
     bench.report.config("scale_only", scale_only);
     bench.report.header(&[
         "bench",
@@ -162,7 +156,7 @@ fn main() {
         let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
         let t0 = Instant::now();
         let (out, profile) =
-            congest_boruvka::run_instrumented(&wg, 3, 4, profile_cfg).expect("connected");
+            congest_boruvka::run_instrumented(&wg, 3, 1, profile_cfg).expect("connected");
         let wall = t0.elapsed();
         let profile = profile.expect("profiling on");
         // `CongestMstOutcome` has no `Metrics`; reconstruct the comparable
@@ -219,7 +213,7 @@ fn main() {
             .collect();
         let t0 = Instant::now();
         let (out, profile) =
-            route_bitfix_instrumented(&g, &reqs, 12, 4, profile_cfg).expect("hypercube");
+            route_bitfix_instrumented(&g, &reqs, 12, 1, profile_cfg).expect("hypercube");
         let wall = t0.elapsed();
         bench.record("e2_route_bitfix_dim8", &out.metrics, profile.as_ref(), wall);
     }
@@ -280,7 +274,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(2);
         let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
         let t0 = Instant::now();
-        let (out, _) = congest_boruvka::run_instrumented(&wg, 3, 4, None).expect("connected");
+        let (out, _) = congest_boruvka::run_instrumented(&wg, 3, 1, None).expect("connected");
         let wall = t0.elapsed();
         let metrics = Metrics {
             rounds: out.rounds,
@@ -303,12 +297,12 @@ fn main() {
             .map(|i| (NodeId(i), NodeId((5 * i + 3) % n as u32)))
             .collect();
         let t0 = Instant::now();
-        let (out, _) = route_bitfix_instrumented(&g, &reqs, 12, 4, None).expect("hypercube");
+        let (out, _) = route_bitfix_instrumented(&g, &reqs, 12, 1, None).expect("hypercube");
         let wall = t0.elapsed();
         bench.record(name, &out.metrics, None, wall);
     }
 
-    // e16 faulty walk: the e16 threads-table configuration.
+    // e16 faulty walk: the e16 repeat-run configuration.
     {
         let g = expander(1024, 8, 16);
         let n = g.len();
@@ -320,17 +314,9 @@ fn main() {
             .collect();
         let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
         let t0 = Instant::now();
-        let (out, _, profile) = run_walks_healing_instrumented(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            11,
-            plan,
-            4,
-            None,
-            profile_cfg,
-        )
-        .expect("valid plan");
+        let (out, _, profile) =
+            run_walks_healing_instrumented(&g, WalkKind::Lazy, &specs, 11, plan, None, profile_cfg)
+                .expect("valid plan");
         let wall = t0.elapsed();
         bench.record("e16_faulty_walk", &out.metrics, profile.as_ref(), wall);
     }
@@ -362,7 +348,7 @@ fn main() {
             21,
             plan,
             churn,
-            4,
+            1,
             None,
             profile_cfg,
         )
@@ -388,7 +374,7 @@ fn main() {
             17,
             plan,
             churn,
-            4,
+            1,
             None,
             profile_cfg,
         )
@@ -413,7 +399,7 @@ fn main() {
             .with_restart(NodeId(6), 1, 4);
         let t0 = Instant::now();
         let (out, _, profile) =
-            route_bitfix_churned_instrumented(&g, &reqs, 12, churn, 4, None, profile_cfg)
+            route_bitfix_churned_instrumented(&g, &reqs, 12, churn, 1, None, profile_cfg)
                 .expect("hypercube");
         let wall = t0.elapsed();
         assert!(
@@ -444,12 +430,9 @@ fn finish(bench: Bench) {
     report.finish();
 }
 
-/// One scaling run; `threads: None` leaves the worker count to the run
-/// default (`AMT_SIM_THREADS` or available parallelism).
+/// One scaling run with profiling and telemetry on.
 fn scale_run(
     g: &Graph,
-    threads: Option<usize>,
-    placement: Option<Placement>,
 ) -> (
     Metrics,
     Vec<u64>,
@@ -466,15 +449,10 @@ fn scale_run(
             telemetry: Some(TelemetryConfig::default().without_history()),
             trace: None,
         });
-    if let Some(p) = placement {
-        sim = sim.with_placement(p);
-    }
-    let mut cfg = RunConfig::all_done();
-    if let Some(t) = threads {
-        cfg = cfg.with_threads(t);
-    }
     let t0 = Instant::now();
-    let metrics = sim.run(&cfg).expect("scaling workload terminates");
+    let metrics = sim
+        .run(&RunConfig::all_done())
+        .expect("scaling workload terminates");
     let wall = t0.elapsed();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let observed = sim.take_observed();
@@ -483,106 +461,64 @@ fn scale_run(
     (metrics, digests, profile, telemetry, wall)
 }
 
-/// The placement-aware scaling tier: three pinned 2048-node instances ×
-/// worker counts {1, 2, 4, 8, 16} × {contiguous, spectral} placements.
-/// Observables are placement- and thread-invariant (asserted), so metrics
-/// and profiles are recorded once per instance; wall-clock is recorded per
-/// configuration, and the instance's profile is attributed to both
-/// placements at 4 shards for the schema-v4 `shards` section.
+/// The scaling tier: three pinned 2048-node instances, each run twice
+/// (the repeat must reproduce the first run exactly). The first run's
+/// metrics, profile and telemetry enter the gated report sections, and its
+/// profile is attributed to a contiguous and a spectral placement at 4
+/// shards for the schema-v4 `shards` section.
 fn scaling_tier(bench: &mut Bench) {
     const SHARDS_FOR_SPLIT: usize = 4;
     const SPECTRAL_ITERS: usize = 120;
-    let thread_counts = [1usize, 2, 4, 8, 16];
 
     let instances = scaling_instances();
 
     struct TierResult {
         name: &'static str,
-        wall_rows: Vec<Vec<String>>,
+        wall: std::time::Duration,
         contiguous: amt_core::congest::ShardSplit,
         spectral: amt_core::congest::ShardSplit,
     }
     let mut results: Vec<TierResult> = Vec::new();
 
-    // The thread- and placement-invariant view of a run's telemetry: the
-    // per-shard vectors legitimately reshape with the worker count, but
-    // their totals and every gauge high-water mark may not move.
-    let invariants = |t: &RunTelemetry| {
-        (
-            t.rounds,
-            t.hwm,
-            t.shard_nodes_stepped.iter().sum::<u64>(),
-            t.shard_messages_staged.iter().sum::<u64>(),
-        )
-    };
-
     for (name, g) in &instances {
-        // Reference run at the default worker count: the one whose
-        // metrics/profile/telemetry enter the gated report sections.
-        let (metrics, digests, profile, telemetry, wall) = scale_run(g, None, None);
+        let (metrics, digests, profile, telemetry, wall) = scale_run(g);
         bench.record(name, &metrics, Some(&profile), wall);
         bench.report.telemetry(name, &telemetry);
 
-        let mut wall_rows = Vec::new();
-        for &threads in &thread_counts {
-            let placements: Vec<(&'static str, Option<Placement>)> = if threads == 1 {
-                // Single-worker runs never consult the placement.
-                vec![("contiguous", None)]
-            } else {
-                vec![
-                    ("contiguous", Some(Placement::contiguous(g.len(), threads))),
-                    (
-                        "spectral",
-                        Some(Placement::spectral(g, threads, SPECTRAL_ITERS)),
-                    ),
-                ]
-            };
-            for (kind, placement) in placements {
-                let (m, d, p, t, w) = scale_run(g, Some(threads), placement);
-                assert_eq!(
-                    (&m, &d, &p),
-                    (&metrics, &digests, &profile),
-                    "{name}: observables drifted at threads = {threads}, {kind} placement"
-                );
-                assert_eq!(
-                    invariants(&t),
-                    invariants(&telemetry),
-                    "{name}: telemetry gauges drifted at threads = {threads}, {kind} placement"
-                );
-                let label: &'static str =
-                    Box::leak(format!("{name}_t{threads}_{kind}").into_boxed_str());
-                bench.wall.record_nanos(label, w.as_nanos() as u64);
-                wall_rows.push(vec![
-                    name.to_string(),
-                    kind.to_string(),
-                    threads.to_string(),
-                    format!("{:.1}", w.as_secs_f64() * 1e3),
-                ]);
-            }
-        }
+        let (m, d, p, t, w) = scale_run(g);
+        assert_eq!(
+            (&m, &d, &p, &t),
+            (&metrics, &digests, &profile, &telemetry),
+            "{name}: a repeat run drifted"
+        );
+        let label: &'static str = Box::leak(format!("{name}_t1_contiguous").into_boxed_str());
+        bench.wall.record_nanos(label, w.as_nanos() as u64);
 
-        // Attribute the (placement-independent) profile to both placements
-        // at a fixed shard count.
+        // Attribute the recorded profile to both placements at a fixed
+        // shard count.
         let contiguous_flags = Placement::contiguous(g.len(), SHARDS_FOR_SPLIT).cross_edge_flags(g);
         let spectral_flags =
             Placement::spectral(g, SHARDS_FOR_SPLIT, SPECTRAL_ITERS).cross_edge_flags(g);
         results.push(TierResult {
             name,
-            wall_rows,
+            wall: w,
             contiguous: profile.shard_split(SHARDS_FOR_SPLIT, &contiguous_flags),
             spectral: profile.shard_split(SHARDS_FOR_SPLIT, &spectral_flags),
         });
     }
 
-    println!("\n## Scaling tier (placement-invariant observables asserted)\n");
+    println!("\n## Scaling tier (repeat runs asserted identical)\n");
     bench.report.section("scaling wall-clock");
     bench
         .report
         .header(&["instance", "placement", "threads", "wall_ms"]);
     for r in &results {
-        for row in &r.wall_rows {
-            bench.report.row(row);
-        }
+        bench.report.row(&[
+            r.name.to_string(),
+            "contiguous".to_string(),
+            "1".to_string(),
+            format!("{:.1}", r.wall.as_secs_f64() * 1e3),
+        ]);
     }
 
     println!();

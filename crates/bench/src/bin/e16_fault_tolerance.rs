@@ -17,7 +17,7 @@ use amt_bench::{expander, Report};
 use amt_core::congest::PhaseTimings;
 use amt_core::mst::{healing as mst_healing, reference, MstError};
 use amt_core::prelude::*;
-use amt_core::walks::{run_walks_healing, run_walks_healing_threaded, WalkKind, WalkSpec};
+use amt_core::walks::{run_walks_healing, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -161,26 +161,21 @@ fn main() {
     println!("Crashing node 0 mid-run forces fragment-leader loss; the restart");
     println!("counter shows it degrades to re-flooding, never a hang.");
 
-    threads_table(&mut report);
+    repeat_table(&mut report);
     report.finish();
 }
 
-/// Wall-clock vs simulator threads on the faulty path (the E1 table's
+/// Wall-clock and repeat runs on the faulty path (the E1 table's
 /// counterpart): message-identity fault keying makes the fault stream a
-/// pure function of message identity, so the healing protocols produce
-/// byte-identical outcomes at every thread count — checked per row.
-fn threads_table(report: &mut Report) {
-    println!("\n## Wall-clock vs simulator threads (faulty path, expander n = 1024");
+/// pure function of message identity, so a repeat of each healing protocol
+/// produces a byte-identical outcome — checked per row.
+fn repeat_table(report: &mut Report) {
+    println!("\n## Wall-clock and repeat runs (faulty path, expander n = 1024");
     println!("## d = 8, drop = 0.05, 2 crashes)\n");
-    println!(
-        "hardware: {} core(s) available to this process\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
     report.header(&[
         "workload",
-        "threads",
         "wall_ms",
-        "speedup",
+        "repeat_wall_ms",
         "rounds",
         "identical",
     ]);
@@ -196,81 +191,49 @@ fn threads_table(report: &mut Report) {
         .collect();
     let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
 
-    let mut walks_base: Option<(f64, amt_core::walks::HealedWalkRun)> = None;
-    let mut mst_base: Option<(f64, mst_healing::HealedMstOutcome)> = None;
-    // Walls from this sweep and a repeat sweep; compared at the end with
-    // the tolerance-based `PhaseTimings::close_to` (its `Eq` is vacuous).
+    // Walls of each run and its repeat; compared at the end with the
+    // tolerance-based `PhaseTimings::close_to` (its `Eq` is vacuous).
     let mut sweep = PhaseTimings::new();
     let mut resweep = PhaseTimings::new();
-    for &threads in &[1usize, 2, 4, 8] {
-        let t0 = std::time::Instant::now();
-        let walks =
-            run_walks_healing_threaded(&g, WalkKind::Lazy, &specs, 11, plan.clone(), threads)
-                .unwrap();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = std::time::Instant::now();
-        run_walks_healing_threaded(&g, WalkKind::Lazy, &specs, 11, plan.clone(), threads).unwrap();
-        let ms2 = t1.elapsed().as_secs_f64() * 1e3;
-        let walks_label: &'static str = Box::leak(format!("walks_t{threads}").into_boxed_str());
-        sweep.record_nanos(walks_label, (ms * 1e6) as u64);
-        resweep.record_nanos(walks_label, (ms2 * 1e6) as u64);
-        let (speedup, identical) = match &walks_base {
-            None => (1.0, true),
-            Some((base_ms, base)) => (
-                base_ms / ms,
-                walks.endpoints == base.endpoints && walks.metrics == base.metrics,
-            ),
-        };
+    let mut row = |label: &'static str, ms: f64, ms2: f64, rounds: u64, identical: bool| {
+        sweep.record_nanos(label, (ms * 1e6) as u64);
+        resweep.record_nanos(label, (ms2 * 1e6) as u64);
         report.row(&[
-            "healing walks".into(),
-            threads.to_string(),
+            label.into(),
             format!("{ms:.1}"),
-            format!("{speedup:.2}x"),
-            walks.metrics.rounds.to_string(),
+            format!("{ms2:.1}"),
+            rounds.to_string(),
             identical.to_string(),
         ]);
-        assert!(identical, "healing walks diverged at {threads} threads");
-        if walks_base.is_none() {
-            walks_base = Some((ms, walks));
-        }
+        assert!(identical, "{label}: repeat run diverged");
+    };
 
-        let t0 = std::time::Instant::now();
-        let mst = mst_healing::run_healing_with(&wg, 11 ^ 0xE16, plan.clone(), threads).unwrap();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = std::time::Instant::now();
-        mst_healing::run_healing_with(&wg, 11 ^ 0xE16, plan.clone(), threads).unwrap();
-        let ms2 = t1.elapsed().as_secs_f64() * 1e3;
-        let mst_label: &'static str = Box::leak(format!("mst_t{threads}").into_boxed_str());
-        sweep.record_nanos(mst_label, (ms * 1e6) as u64);
-        resweep.record_nanos(mst_label, (ms2 * 1e6) as u64);
-        let (speedup, identical) = match &mst_base {
-            None => (1.0, true),
-            Some((base_ms, base)) => (
-                base_ms / ms,
-                mst.tree_edges == base.tree_edges && mst.metrics == base.metrics,
-            ),
-        };
-        report.row(&[
-            "healing boruvka".into(),
-            threads.to_string(),
-            format!("{ms:.1}"),
-            format!("{speedup:.2}x"),
-            mst.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "healing boruvka diverged at {threads} threads");
-        if mst_base.is_none() {
-            mst_base = Some((ms, mst));
-        }
-    }
+    let t0 = std::time::Instant::now();
+    let walks = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan.clone()).unwrap();
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = std::time::Instant::now();
+    let again = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan.clone()).unwrap();
+    let ms2 = t1.elapsed().as_secs_f64() * 1e3;
+    let identical = walks.endpoints == again.endpoints && walks.metrics == again.metrics;
+    row("healing walks", ms, ms2, walks.metrics.rounds, identical);
+
+    let t0 = std::time::Instant::now();
+    let mst = mst_healing::run_healing(&wg, 11 ^ 0xE16, plan.clone()).unwrap();
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t1 = std::time::Instant::now();
+    let again = mst_healing::run_healing(&wg, 11 ^ 0xE16, plan).unwrap();
+    let ms2 = t1.elapsed().as_secs_f64() * 1e3;
+    let identical = mst.tree_edges == again.tree_edges && mst.metrics == again.metrics;
+    row("healing boruvka", ms, ms2, mst.rounds, identical);
+
     println!("\n(the `identical` column is the faulty-path determinism contract:");
-    println!(" outcome, metrics, and fault counters are byte-identical at every");
-    println!(" thread count because fault verdicts are keyed on message identity,");
-    println!(" not arrival order)");
+    println!(" outcome, metrics, and fault counters are byte-identical on a");
+    println!(" repeat because fault verdicts are keyed on message identity, not");
+    println!(" arrival order)");
     println!(
-        "(wall repeatability: a second identical sweep agrees to within a\n\
-         10x factor on every cell: {} — compared via PhaseTimings::close_to,\n\
-         since `==` on wall timings is intentionally vacuous)",
+        "(wall repeatability: the repeat agrees to within a 10x factor on\n\
+         every row: {} — compared via PhaseTimings::close_to, since `==` on\n\
+         wall timings is intentionally vacuous)",
         sweep.close_to(&resweep, 0.9)
     );
 }

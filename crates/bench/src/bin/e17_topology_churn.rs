@@ -17,13 +17,13 @@
 //!   time-to-reconverge percentiles (p50/p95/max rounds from damage to
 //!   the next completed phase/epoch), and the soak asserts the
 //!   distributions are nonzero wherever churn actually bit;
-//! * **determinism** — one pinned cell per family re-runs at simulator
-//!   threads {1, 2, 4, 8} and must be byte-identical (outcome, metrics,
-//!   and recovery timeline), because churn verdicts are pure functions of
+//! * **determinism** — one pinned cell per family runs twice and the
+//!   repeat must be byte-identical (outcome, metrics, and recovery
+//!   timeline), because churn verdicts are pure functions of
 //!   `(churn seed, round, edge)`.
 //!
 //! `--smoke` (or `E17_SMOKE=1`) shrinks the sweep for CI: smaller graphs,
-//! one flap cell, threads {1, 4}.
+//! one flap cell.
 
 use amt_bench::{expander, Report};
 use amt_core::congest::CongestError;
@@ -108,7 +108,6 @@ fn churn_sweep(report: &mut Report, n: usize, walks: usize, flaps: &[f64], resta
                 21,
                 plan.clone(),
                 churn.clone(),
-                4,
             )
             .expect("valid plans");
             let walks_ok = walk_out.endpoints.iter().all(Option::is_some);
@@ -117,7 +116,7 @@ fn churn_sweep(report: &mut Report, n: usize, walks: usize, flaps: &[f64], resta
             slo_row(report, &name, &walk_out.timeline, walks_ok);
             assert!(walks_ok, "{name}: a walk failed to finish under churn");
 
-            let mst_out = mst_healing::run_healing_churned(&wg, 5, plan, churn, 4)
+            let mst_out = mst_healing::run_healing_churned(&wg, 5, plan, churn)
                 .expect("survivors stay connected");
             let want = survivor_mst_weight(&wg, &mst_out.crashed_nodes, &[]);
             let mst_ok = mst_out.total_weight == want;
@@ -154,7 +153,7 @@ fn route_cells(report: &mut Report, dim: u32, flaps: &[f64]) {
             .seeded(0x17 ^ (flap * 1000.0) as u64)
             .with_flaps(flap, 3)
             .with_restart(NodeId(6), 1, 4);
-        let out = route_bitfix_churned(&g, &reqs, 12, churn, 4).expect("hypercube");
+        let out = route_bitfix_churned(&g, &reqs, 12, churn).expect("hypercube");
         let ok = out.undelivered.is_empty() && !out.degraded();
         let name = format!("route flap={flap:.2}");
         report.metrics(&name, &out.metrics);
@@ -179,7 +178,7 @@ fn cut_cells(report: &mut Report, n: usize) {
         let mut rng = StdRng::seed_from_u64(17);
         let wg = WeightedGraph::with_random_weights(g, 4000, &mut rng);
         let churn = ChurnPlan::none().seeded(7).with_edge_cut(EdgeId(0), 4);
-        let out = mst_healing::run_healing_churned(&wg, 5, FaultPlan::none(), churn, 4)
+        let out = mst_healing::run_healing_churned(&wg, 5, FaultPlan::none(), churn)
             .expect("one cut edge never disconnects an expander");
         let want = survivor_mst_weight(&wg, &[], &[EdgeId(0)]);
         let ok = out.total_weight == want;
@@ -213,7 +212,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             .seeded(4)
             .with_edge_cut(EdgeId(3), 2)
             .with_edge_cut(EdgeId(4), 2);
-        let err = mst_healing::run_healing_churned(&wg, 1, FaultPlan::none(), churn, 4)
+        let err = mst_healing::run_healing_churned(&wg, 1, FaultPlan::none(), churn)
             .expect_err("cutting every bridge must partition");
         let ok = matches!(
             err,
@@ -244,7 +243,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             }
         }
         let reqs: Vec<(NodeId, NodeId)> = (1..8).map(|i| (NodeId(i), NodeId(i % 2))).collect();
-        let out = route_bitfix_churned(&g, &reqs, 9, churn, 4).expect("valid plan");
+        let out = route_bitfix_churned(&g, &reqs, 9, churn).expect("valid plan");
         let ok = out.degraded()
             && out.epochs == MAX_ROUTE_EPOCHS
             && reqs
@@ -265,12 +264,12 @@ fn cut_cells(report: &mut Report, n: usize) {
     }
 }
 
-/// The determinism contract under churn: one pinned cell per family,
-/// byte-identical (outcome, metrics, recovery timeline) at every thread
-/// count.
-fn threads_table(report: &mut Report, n: usize, walks: usize, thread_counts: &[usize]) {
-    println!("\n## Byte-identical replay vs simulator threads (churned path)\n");
-    report.header(&["workload", "threads", "rounds", "identical"]);
+/// The determinism contract under churn: one pinned cell per family, run
+/// twice; the repeat is byte-identical (outcome, metrics, recovery
+/// timeline).
+fn repeat_table(report: &mut Report, n: usize, walks: usize) {
+    println!("\n## Byte-identical replay (churned path)\n");
+    report.header(&["workload", "rounds", "identical"]);
     let g = expander(n, 6, 1);
     let mut rng = StdRng::seed_from_u64(17);
     let wg = WeightedGraph::with_random_weights(g.clone(), 4000, &mut rng);
@@ -289,51 +288,26 @@ fn threads_table(report: &mut Report, n: usize, walks: usize, thread_counts: &[u
     let reqs: Vec<(NodeId, NodeId)> = (0..64u32)
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % 64)))
         .collect();
+    let mut row = |label: &str, rounds: u64, identical: bool| {
+        report.row(&[label.into(), rounds.to_string(), identical.to_string()]);
+        assert!(identical, "{label}: repeat run diverged");
+    };
 
-    let mut walk_base = None;
-    let mut mst_base = None;
-    let mut route_base = None;
-    for &threads in thread_counts {
-        let w = run_walks_healing_churned(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            21,
-            plan.clone(),
-            churn.clone(),
-            threads,
-        )
-        .unwrap();
-        let identical = walk_base.get_or_insert_with(|| w.clone()) == &w;
-        report.row(&[
-            "churned walks".into(),
-            threads.to_string(),
-            w.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned walks diverged at {threads} threads");
+    let walk = || {
+        run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 21, plan.clone(), churn.clone())
+            .unwrap()
+    };
+    let w = walk();
+    row("churned walks", w.metrics.rounds, walk() == w);
 
-        let m =
-            mst_healing::run_healing_churned(&wg, 5, plan.clone(), churn.clone(), threads).unwrap();
-        let identical = mst_base.get_or_insert_with(|| m.clone()) == &m;
-        report.row(&[
-            "churned boruvka".into(),
-            threads.to_string(),
-            m.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned boruvka diverged at {threads} threads");
+    let mst = || mst_healing::run_healing_churned(&wg, 5, plan.clone(), churn.clone()).unwrap();
+    let m = mst();
+    row("churned boruvka", m.metrics.rounds, mst() == m);
 
-        let r = route_bitfix_churned(&rg, &reqs, 12, churn.clone(), threads).unwrap();
-        let identical = route_base.get_or_insert_with(|| r.clone()) == &r;
-        report.row(&[
-            "churned bit-fix".into(),
-            threads.to_string(),
-            r.metrics.rounds.to_string(),
-            identical.to_string(),
-        ]);
-        assert!(identical, "churned bit-fix diverged at {threads} threads");
-    }
+    let route = || route_bitfix_churned(&rg, &reqs, 12, churn.clone()).unwrap();
+    let r = route();
+    row("churned bit-fix", r.metrics.rounds, route() == r);
+
     println!("\n(`identical` compares the full outcome structs — endpoints/tree,");
     println!(" metrics, churn counters, and the recovery timeline — because churn");
     println!(" verdicts are keyed on (seed, round, edge), not on arrival order)");
@@ -357,17 +331,17 @@ fn main() {
         churn_sweep(&mut report, 128, 32, &[0.05], &[1]);
         route_cells(&mut report, 6, &[0.05]);
         cut_cells(&mut report, 128);
-        threads_table(&mut report, 128, 32, &[1, 4]);
+        repeat_table(&mut report, 128, 32);
     } else {
         churn_sweep(&mut report, 256, 128, &[0.02, 0.05, 0.10], &[0, 1, 2]);
         route_cells(&mut report, 8, &[0.02, 0.05, 0.10]);
         cut_cells(&mut report, 256);
-        threads_table(&mut report, 256, 128, &[1, 2, 4, 8]);
+        repeat_table(&mut report, 256, 128);
     }
 
     println!("\nEvery cell passed its in-process check: walks finish, trees match");
     println!("Kruskal on the surviving graph minus permanent cuts, routable");
     println!("packets arrive, disconnection fails fast as `Partitioned`, and the");
-    println!("churned path replays byte-identically at every thread count.");
+    println!("churned path replays byte-identically.");
     report.finish();
 }

@@ -45,9 +45,7 @@ impl Protocol for Courier {
 fn run(full_sweep: bool) -> (Metrics, Duration) {
     let g = generators::ring(RING);
     let mut sim = Simulator::new(&g, (0..RING).map(|_| Courier).collect(), 1).unwrap();
-    let cfg = RunConfig::default()
-        .with_threads(1)
-        .with_full_sweep(full_sweep);
+    let cfg = RunConfig::default().with_full_sweep(full_sweep);
     let t0 = Instant::now();
     let metrics = sim.run(&cfg).unwrap();
     (metrics, t0.elapsed())

@@ -854,25 +854,15 @@ impl Report {
 
     /// Records a named [`RunTelemetry`] as execution-health counters (the
     /// `telemetry` section, schema version 5). Logical counters only — per
-    /// the telemetry contract they are thread-count- and
-    /// placement-invariant, so the regression gate compares exact integers
-    /// across worker counts. Per-shard wall-clock detail (straggler
-    /// attribution, imbalance) is host measurement and deliberately stays
-    /// out of the report; it lives in `sim_health` output, flight-recorder
-    /// dumps, and the NDJSON stream.
+    /// the telemetry contract they are visit-order-invariant, so the
+    /// regression gate compares exact integers.
     pub fn telemetry(&mut self, name: &str, t: &RunTelemetry) {
         self.telemetry.push((
             name.to_string(),
             Json::Obj(vec![
                 ("rounds".into(), t.rounds.into()),
-                (
-                    "nodes_stepped".into(),
-                    t.shard_nodes_stepped.iter().sum::<u64>().into(),
-                ),
-                (
-                    "messages_staged".into(),
-                    t.shard_messages_staged.iter().sum::<u64>().into(),
-                ),
+                ("nodes_stepped".into(), t.nodes_stepped.into()),
+                ("messages_staged".into(), t.messages_staged.into()),
                 ("active_nodes_hwm".into(), t.hwm.active_nodes.into()),
                 ("inbox_queued_hwm".into(), t.hwm.inbox_queued.into()),
                 ("staged_sends_hwm".into(), t.hwm.staged_sends.into()),
@@ -1041,7 +1031,6 @@ mod tests {
         tl.record_damage(20);
         r.recovery("run", &tl);
         let telemetry = RunTelemetry {
-            shards: 2,
             rounds: 10,
             hwm: amt_congest::GaugeHighWater {
                 active_nodes: 64,
@@ -1050,8 +1039,8 @@ mod tests {
                 wake_queue: 4,
                 arena_bytes: 4096,
             },
-            shard_nodes_stepped: vec![30, 34],
-            shard_messages_staged: vec![17, 23],
+            nodes_stepped: 64,
+            messages_staged: 40,
             ..RunTelemetry::default()
         };
         r.telemetry("run", &telemetry);

@@ -3,9 +3,9 @@
 //!
 //! A `SPARSE_AWARE` mix of mail-driven random token forwarding (class
 //! `scale/token`) and timer-driven beacon bursts (class `scale/beacon`).
-//! Only a fraction of nodes is active in any round, so the threaded
-//! stepper's placement decides how much of the traffic crosses shard
-//! boundaries without changing a single observable bit.
+//! Only a fraction of nodes is active in any round, so a node→shard
+//! placement decides how much of the traffic would cross shard
+//! boundaries ([`amt_core::congest::TrafficProfile::shard_split`]).
 
 use amt_core::congest::{Ctx, Protocol, TrafficClass};
 use amt_core::prelude::*;
@@ -17,7 +17,7 @@ pub struct ScaleNode {
     beacons_left: u32,
     next_fire: u64,
     /// Order-sensitive digest of everything this node received — the
-    /// cheapest observable that catches any cross-thread reordering.
+    /// cheapest observable that catches any delivery reordering.
     pub digest: u64,
 }
 

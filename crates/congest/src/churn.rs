@@ -7,15 +7,14 @@
 //! — they go offline for a bounded number of rounds, lose their volatile
 //! state, and rejoin (see [`crate::Protocol::on_restart`]).
 //!
-//! The same determinism discipline as the fault layer applies, and for the
-//! same reason (the multi-threaded executor): every churn verdict is a pure
-//! function of `(churn seed, round, edge)` or `(plan, round, node)` —
-//! whether an edge is up in round `r` never depends on sampling order,
-//! thread count, or node-visit order. A trivial plan (see
+//! The same determinism discipline as the fault layer applies: every churn
+//! verdict is a pure function of `(churn seed, round, edge)` or
+//! `(plan, round, node)` — whether an edge is up in round `r` never depends
+//! on sampling order or node-visit order. A trivial plan (see
 //! [`ChurnPlan::is_trivial`]) leaves every run bit-for-bit identical to a
 //! churn-free run.
 //!
-//! Churn semantics, applied at the coordinator's merge alongside fault
+//! Churn semantics, applied at the engine's ordered merge alongside fault
 //! sampling:
 //!
 //! * a message staged over a **down edge** is lost ([`Metrics::lost_to_churn`],
@@ -272,7 +271,7 @@ impl ChurnPlan {
     /// Precomputes the per-run schedule tables (the churn analogue of
     /// [`crate::FaultPlan`]'s `crash_rounds` normalization): per-edge
     /// explicit outage lists and per-node merged offline intervals, computed
-    /// once and shared read-only with the executor's workers.
+    /// once and read by the stepper and the merge.
     pub(crate) fn normalize(&self, n: usize, m: usize) -> ChurnSchedule {
         let mut per_edge: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); m];
         for o in &self.outages {
@@ -322,8 +321,8 @@ fn flap_draw(seed: u64, window: u64, edge: u64) -> u64 {
 }
 
 /// The normalized, read-only schedule one run consults. All methods are
-/// pure functions of `(schedule, round, id)`; the executor's workers share
-/// it by reference.
+/// pure functions of `(schedule, round, id)`; the stepper and the merge
+/// share it by reference.
 #[derive(Debug)]
 pub(crate) struct ChurnSchedule {
     seed: u64,
@@ -563,7 +562,7 @@ impl<'p> ChurnState<'p> {
 impl ChurnHook for ChurnState<'_> {
     /// Diffs this round's topology against the previous round's, logging
     /// every transition in (edges, then nodes, ascending id) order — a
-    /// deterministic stream whatever the worker-thread count.
+    /// deterministic stream whatever the node-visit order.
     fn begin_round(&mut self, round: u64, metrics: &mut Metrics) {
         for (i, &e) in self.tracked_edges.iter().enumerate() {
             let down = self.sched.edge_down(round, e as usize);

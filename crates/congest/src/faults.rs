@@ -13,9 +13,8 @@
 //!   faulty execution, message for message, and
 //! * the verdict for a message does not depend on how many *other* messages
 //!   were sampled before it, so the executor may visit senders in any order
-//!   (or on any worker thread) without changing a single fault decision.
-//!   This order-independence is what admits the multi-threaded faulty path;
-//!   see the determinism contract in [`crate::sim`].
+//!   without changing a single fault decision; see the determinism contract
+//!   in [`crate::sim`].
 //!
 //! Fault semantics (applied between staging and delivery, per message):
 //!
@@ -168,8 +167,8 @@ impl FaultPlan {
 
     /// The earliest scheduled crash round per node (`u64::MAX` = never).
     ///
-    /// A pure function of the plan, shared with the executor's workers so
-    /// that "is `v` crashed in round `r`?" needs no mutable state.
+    /// A pure function of the plan, read by the stepper so that "is `v`
+    /// crashed in round `r`?" needs no mutable state.
     pub(crate) fn crash_rounds(&self, n: usize) -> Vec<u64> {
         let mut rounds = vec![u64::MAX; n];
         for c in &self.crashes {

@@ -37,21 +37,18 @@
 //!   Same zero-cost-when-off contract as [`trace`]; per-class totals sum
 //!   exactly to the run's [`Metrics`] and per-edge loads.
 //! * [`telemetry`] — opt-in runtime-execution health ([`RunTelemetry`]):
-//!   per-shard step wall-times with straggler attribution (imbalance =
-//!   max/mean shard wall), engine gauges (active-set occupancy, inbox /
-//!   staged-send / wake-queue depth, arena byte high-water marks), a
+//!   engine gauges (active-set occupancy, inbox / staged-send / wake-queue
+//!   depth, arena byte high-water marks), run work totals, a
 //!   fixed-capacity flight recorder holding the last K rounds (dumped to
 //!   `flightrec_<id>.json` when a run errors), and an optional NDJSON
-//!   live-stream sink. Logical counters are thread-count- and
-//!   placement-invariant; wall-times are host measurements outside the
-//!   determinism contract. Same zero-cost-when-off contract as [`trace`].
+//!   live-stream sink. Every counter is visit-order-invariant. Same
+//!   zero-cost-when-off contract as [`trace`].
 //!
 //! Determinism: every node owns a private RNG stream derived from
 //! `(run seed, node id)` and handed to protocols through [`Ctx::rng`], and
 //! staged messages are delivered in `(sender, port)` order — so every run is
 //! reproducible from `(graph, seed)` independently of executor visit order
-//! or the [`RunConfig::threads`] worker count (see the [`sim`](self)
-//! module docs for the full contract).
+//! (see the [`sim`](self) module docs for the full contract).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,7 +81,7 @@ pub use profile::{
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use telemetry::{
     dump_flight, render_flight_dump, FlightFrame, FlightRecorder, GaugeHighWater, RoundHealth,
-    RunTelemetry, ShardRoundSample, TelemetryConfig,
+    RunTelemetry, TelemetryConfig,
 };
 pub use trace::{
     Distribution, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceConfig, TraceEvent,

@@ -7,11 +7,7 @@
 /// (`budget_factor · ⌈log₂ n⌉` bits). The width should reflect a reasonable
 /// wire encoding — e.g. a node id costs `⌈log₂ n⌉` bits, a tag costs
 /// `⌈log₂ #variants⌉` bits — not Rust's in-memory layout.
-///
-/// Messages are `Send` so the simulator's multi-threaded round executor can
-/// move them between worker shards; plain-data message types get this for
-/// free.
-pub trait CongestMessage: Clone + std::fmt::Debug + Send {
+pub trait CongestMessage: Clone + std::fmt::Debug {
     /// Encoded width in bits.
     fn bit_width(&self) -> usize;
 

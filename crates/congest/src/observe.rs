@@ -26,7 +26,7 @@ pub struct Observe {
     pub trace: Option<TraceConfig>,
     /// Per-traffic-class delivery attribution.
     pub profile: Option<ProfileConfig>,
-    /// Per-shard step samples, engine gauges, and the flight recorder.
+    /// Engine gauges, run work totals, and the flight recorder.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -107,8 +107,8 @@ impl Recorder {
         self.trace.is_some()
     }
 
-    /// Whether per-shard step samples and engine gauges are recorded.
-    pub(crate) fn records_shards(&self) -> bool {
+    /// Whether engine gauges are recorded.
+    pub(crate) fn records_gauges(&self) -> bool {
         self.telemetry.is_some()
     }
 

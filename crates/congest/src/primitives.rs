@@ -1171,8 +1171,7 @@ mod tests {
                     // ARQ frames don't fit a 2-node default word budget.
                     budget_factor: 64,
                     ..RunConfig::default()
-                }
-                .with_threads(1);
+                };
                 sim.run(&cfg).unwrap();
                 for p in sim.nodes() {
                     assert_eq!(

@@ -18,10 +18,10 @@
 //!   points, the same events that drive `Metrics.messages`/`bits` and the
 //!   per-edge loads, so per-class totals sum *exactly* (`assert_eq`, not
 //!   approximately) to the run's `Metrics` totals and per-edge `edge_load`
-//!   counts — on the clean, faulty, and multi-threaded paths alike.
+//!   counts — on the clean, faulty, and churned paths alike.
 //! * **Deterministic.** Classes appear in first-delivery order, which the
 //!   engine's ordered `(sender, port)` merge makes independent of the
-//!   worker-thread count and node-visit order.
+//!   node-visit order.
 
 /// A traffic-class tag: a small open registry of `&'static str` names.
 ///
@@ -402,7 +402,7 @@ pub struct ShardClassSplit {
     /// Messages delivered over edges internal to one shard.
     pub intra_messages: u64,
     /// Messages delivered over edges whose endpoints live in different
-    /// shards (coordinator-crossing traffic under the threaded stepper).
+    /// shards (traffic a sharded executor would move between workers).
     pub cross_messages: u64,
     /// Bits delivered over intra-shard edges.
     pub intra_bits: u64,

@@ -11,8 +11,8 @@
 //!   made before — never on the order in which the executor happens to
 //!   visit nodes within a round.
 //! * **Ordered merge.** Messages staged in a round are delivered into the
-//!   next round's inboxes in `(sender id, port)` order, whatever order (or
-//!   thread) executed the senders.
+//!   next round's inboxes in `(sender id, port)` order, whatever order
+//!   executed the senders.
 //! * **Message-identity fault keying.** Fault verdicts are a counter-based
 //!   PRF of `(fault seed, round, sender, sender port)` — see
 //!   [`crate::faults`] — so which messages drop, corrupt, or delay is
@@ -26,22 +26,15 @@
 //!   reference ([`RunConfig::full_sweep`]) produce byte-identical results
 //!   for [`Protocol::SPARSE_AWARE`] protocols; the only observable that
 //!   names the strategy is the `active_nodes` trace gauge.
-//! * **Placement independence.** The threaded executor assigns nodes to
-//!   worker shards through an explicit [`Placement`] map (contiguous id
-//!   chunks by default, spectral cuts via [`Simulator::with_placement`]).
-//!   The coordinator splices worker outputs back in canonical ascending
-//!   *node* order — never worker order — so the placement changes only
-//!   wall-clock and cross-worker traffic, never an observable bit.
 //!
 //! Together these make protocol outputs, [`Metrics`], the fault-event log,
-//! and the churn-event log byte-identical for any visit order and any
-//! worker-thread count, which is what lets [`RunConfig::threads`]
-//! parallelize the clean, faulty, *and* churned paths without changing a
-//! single observable bit. There is exactly one round-loop engine
-//! ([`round_engine`]); the clean/faulty split is a [`FaultHook`] type
-//! parameter (the inert hook compiles to the pristine executor), the
-//! static/churned split is an independent [`ChurnHook`] type parameter,
-//! and the sequential/threaded split is a [`RoundStepper`] type parameter.
+//! and the churn-event log byte-identical for any visit order and either
+//! engine strategy — the two axes the equivalence suites check
+//! ([`Simulator::run_reverse_visit`] and [`RunConfig::full_sweep`]). There
+//! is exactly one round-loop engine ([`round_engine`]) over one sequential
+//! [`Stepper`]; the clean/faulty split is a [`FaultHook`] type parameter
+//! (the inert hook compiles to the pristine executor) and the
+//! static/churned split is an independent [`ChurnHook`] type parameter.
 //!
 //! # Data layout
 //!
@@ -57,16 +50,13 @@ use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, 
 use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
 use crate::observe::{Observe, Observed, Recorder};
 use crate::profile::{class, TrafficClass};
-use crate::telemetry::{RoundHealth, ShardRoundSample};
+use crate::telemetry::RoundHealth;
 use crate::trace::TraceEvent;
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
-use amt_graphs::partitioning::Placement;
 use amt_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::OnceLock;
 
 /// A per-node state machine executed by the [`Simulator`].
 ///
@@ -74,10 +64,7 @@ use std::sync::OnceLock;
 /// [`Protocol::init`]; on every subsequent round it calls
 /// [`Protocol::round`] with the messages delivered this round (sent by
 /// neighbors in the previous round), tagged with the receiving port.
-///
-/// Protocols are `Send` so the multi-threaded executor can shard node state
-/// machines across workers; protocols made of plain data get this for free.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// The message type this protocol sends over edges.
     type Message: CongestMessage;
 
@@ -159,12 +146,6 @@ pub struct RunConfig {
     pub budget_factor: usize,
     /// Termination rule.
     pub stop: StopCondition,
-    /// Worker threads for the executor, clean and faulty paths alike. `0`
-    /// (the default) resolves to the `AMT_SIM_THREADS` environment variable
-    /// if set, else to the machine's available parallelism; `1` is the
-    /// classic single-threaded loop. Results are byte-identical for every
-    /// value — see the module-level determinism contract.
-    pub threads: usize,
     /// Forces the classic full-sweep executor: every live node steps every
     /// round, even for [`Protocol::SPARSE_AWARE`] protocols. The default
     /// (`false`) lets sparse-aware protocols run on the active-set engine,
@@ -183,7 +164,6 @@ impl Default for RunConfig {
             max_rounds: 1_000_000,
             budget_factor: 8,
             stop: StopCondition::Quiescence,
-            threads: 0,
             full_sweep: false,
         }
     }
@@ -198,76 +178,12 @@ impl RunConfig {
         }
     }
 
-    /// Sets the executor worker-thread count (`0` = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Forces (or releases) the full-sweep reference executor; see
     /// [`RunConfig::full_sweep`].
     pub fn with_full_sweep(mut self, full_sweep: bool) -> Self {
         self.full_sweep = full_sweep;
         self
     }
-
-    /// Resolves [`RunConfig::threads`] against the node count: `0` becomes
-    /// the process default, and no more than one worker per node is used.
-    fn effective_threads(&self, n: usize) -> usize {
-        let requested = if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        };
-        requested.clamp(1, n.max(1))
-    }
-}
-
-/// Parses an `AMT_SIM_THREADS` value: a positive integer, surrounding
-/// whitespace allowed. `0` and non-numeric values are rejected with a
-/// message naming the variable — silently falling back to hardware
-/// parallelism would hide a typo (`AMT_SIM_THREADS=four`) behind an
-/// unrelated thread count.
-fn parse_thread_env(raw: &str) -> std::result::Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!(
-            "AMT_SIM_THREADS must be a positive integer (0 is reserved for \
-             RunConfig::threads, where it means \"auto\"); got {raw:?}"
-        )),
-        Ok(v) => Ok(v),
-        Err(_) => Err(format!(
-            "AMT_SIM_THREADS must be a positive integer, got {raw:?}"
-        )),
-    }
-}
-
-/// Process-wide default worker count: `AMT_SIM_THREADS` if set to a
-/// positive integer, else the available hardware parallelism.
-///
-/// # Panics
-///
-/// Panics on a malformed `AMT_SIM_THREADS` (non-numeric or `0`) instead of
-/// silently ignoring it — the variable exists precisely to pin the
-/// executor, so a typo must not fall through to hardware parallelism.
-///
-/// Note the `OnceLock` caching pitfall: the environment variable is read
-/// **once**, on the first auto-resolved run in the process, and the result
-/// (or the panic-worthy malformation) is cached for the process lifetime.
-/// Changing `AMT_SIM_THREADS` after that first use has no effect; tests
-/// that need a specific worker count should set [`RunConfig::threads`]
-/// explicitly rather than mutate the environment.
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(raw) = std::env::var("AMT_SIM_THREADS") {
-            match parse_thread_env(&raw) {
-                Ok(v) => v,
-                Err(msg) => panic!("{msg}"),
-            }
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-    })
 }
 
 /// SplitMix64-style finalizer deriving one node's stream seed from the run
@@ -440,7 +356,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
     ///
     /// The stream is seeded from `(run seed, node id)` at simulator
     /// construction, so the values drawn here are independent of the order
-    /// in which the executor visits nodes (and of the thread count).
+    /// in which the executor visits nodes.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -450,7 +366,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
     /// A no-op (one branch) unless tracing was requested with
     /// [`Simulator::with_observe`]; emitting events must therefore never be
     /// the protocol's only side effect. Events are recorded in
-    /// `(round, node)` order independently of the worker-thread count.
+    /// `(round, node)` order.
     pub fn trace_event(&mut self, label: &'static str, value: u64) {
         if let Some(events) = self.trace.as_mut() {
             events.push(TraceEvent {
@@ -532,9 +448,9 @@ impl Csr {
         self.peer_port[self.adj_off[v] as usize + port]
     }
 
-    /// Maximum degree over the node range `[lo, hi)`.
-    fn max_degree(&self, lo: usize, hi: usize) -> usize {
-        (lo..hi).map(|v| self.degree(v)).max().unwrap_or(0)
+    /// Maximum degree over all nodes.
+    fn max_degree(&self) -> usize {
+        (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 }
 
@@ -728,9 +644,6 @@ struct StepOut<M> {
     /// Span events the steps emitted, in node order; `Some` iff tracing
     /// is on.
     events: Option<Vec<TraceEvent>>,
-    /// One [`ShardRoundSample`] per executor shard; `Some` iff telemetry
-    /// is on.
-    shards: Option<Vec<ShardRoundSample>>,
 }
 
 impl<M> Default for StepOut<M> {
@@ -742,21 +655,11 @@ impl<M> Default for StepOut<M> {
             wakes: Vec::new(),
             stepped: 0,
             events: None,
-            shards: None,
         }
     }
 }
 
 impl<M> StepOut<M> {
-    /// An empty output recording the same observations as `self`.
-    fn empty_like(&self) -> Self {
-        StepOut {
-            events: self.events.as_ref().map(|_| Vec::new()),
-            shards: self.shards.as_ref().map(|_| Vec::new()),
-            ..StepOut::default()
-        }
-    }
-
     /// Clears the round's contents, keeping which observations it records.
     fn clear(&mut self) {
         self.slab.clear();
@@ -767,29 +670,13 @@ impl<M> StepOut<M> {
         if let Some(events) = self.events.as_mut() {
             events.clear();
         }
-        if let Some(shards) = self.shards.as_mut() {
-            shards.clear();
-        }
-    }
-
-    /// Appends shard `shard`'s telemetry sample for a step that began at
-    /// `start` (`Some` iff telemetry is on).
-    fn sample_shard(&mut self, shard: u32, start: Option<std::time::Instant>) {
-        if let (Some(samples), Some(t)) = (self.shards.as_mut(), start) {
-            samples.push(ShardRoundSample {
-                shard,
-                wall_nanos: t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                nodes_stepped: self.stepped,
-                messages_staged: self.slab.len() as u64,
-            });
-        }
     }
 }
 
 impl<M: Clone> StepOut<M> {
     /// Rewrites a descending-visit fill into the canonical ascending-sender
     /// layout the merge consumes. Only the reverse-visit test hook pays the
-    /// clone; the forward paths append in ascending order to begin with.
+    /// clone; the forward visit appends in ascending order to begin with.
     fn canonicalize_reversed(&mut self) {
         if self.index.len() > 1 {
             let mut run_start = Vec::with_capacity(self.index.len());
@@ -850,7 +737,7 @@ struct Scratch<M> {
     cursor: Vec<u32>,
     /// The stepper's per-round output.
     out: StepOut<M>,
-    /// The single staging slab the sequential stepper slices per node.
+    /// The single staging slab the stepper slices per node.
     staged: Vec<Option<(TrafficClass, M)>>,
     /// Delay queue of the faulty path (always empty on the clean path).
     held: Vec<Held<M>>,
@@ -911,50 +798,35 @@ impl<M> Scratch<M> {
     }
 }
 
-/// What one [`RoundStepper::step`] observed.
-struct StepOutcome {
-    /// Lowest-node CONGEST violation of the round, if any.
-    violation: Option<CongestError>,
-    /// A worker disappeared mid-run (it panicked); the caller joins the
-    /// workers and propagates the panic.
-    aborted: bool,
-}
-
-/// Executes the protocol step of one round for the given active nodes:
-/// pairs each active node with its inbox group (two-pointer merge against
-/// the arena's ascending receiver list), runs `init`/`round`/`on_restart`,
-/// and appends staged sends / done flags / wake requests to `out` in
-/// ascending node order. The two implementations — in-place sequential and
-/// sharded threaded — are interchangeable under the determinism contract;
-/// everything else about a round lives in [`round_engine`].
+/// The sequential stepper: every node's state machine and RNG stream in
+/// ascending id order, the staging slab sized to the maximum degree, and
+/// what every node step of a round reads besides the node's own state.
 ///
-/// `out` also carries what the run observes of the step: span events when
-/// tracing is on, and when telemetry is on one [`ShardRoundSample`] per
-/// executor shard (a single shard 0 for the sequential stepper) with the
-/// shard's step wall-time and work counters.
-trait RoundStepper<M> {
-    fn step(
-        &mut self,
-        round: u64,
-        active: &[u32],
-        inbox: &InboxArena<M>,
-        out: &mut StepOut<M>,
-    ) -> StepOutcome;
-}
-
-/// What every node step of one round reads besides the node's own state.
-#[derive(Clone, Copy)]
-struct StepEnv<'a> {
+/// [`Stepper::step`] executes the protocol step of one round for the
+/// given active nodes: it pairs each active node with its inbox group
+/// (two-pointer merge against the arena's ascending receiver list), runs
+/// `init`/`round`/`on_restart`, and appends staged sends, done flags and
+/// wake requests to a [`StepOut`] in ascending node order, together with
+/// the span events when tracing is on. Everything else about a round lives
+/// in [`round_engine`].
+struct Stepper<'a, P: Protocol> {
+    nodes: &'a mut [P],
+    rngs: &'a mut [StdRng],
+    staged: Vec<Option<(TrafficClass, P::Message)>>,
     csr: &'a Csr,
     /// Round at which each node crash-stops (`u64::MAX` = never); empty on
     /// the clean path.
     crash_round: &'a [u64],
     churn: Option<&'a ChurnSchedule>,
     budget_bits: usize,
+    /// The round being stepped.
     round: u64,
+    /// Test hook: visit nodes in descending order (the determinism
+    /// contract says this must not change any observable).
+    reverse: bool,
 }
 
-impl StepEnv<'_> {
+impl<P: Protocol> Stepper<'_, P> {
     /// Whether `v` sits the round out: crash-stopped, or offline under churn
     /// (like a crash, but temporary). Its inbox is discarded either way.
     #[inline]
@@ -962,52 +834,38 @@ impl StepEnv<'_> {
         self.crash_round.get(v).is_some_and(|&r| r <= self.round)
             || self.churn.is_some_and(|ch| ch.node_down(self.round, v))
     }
-}
 
-/// One executor shard's node state: its protocol instances and RNG streams
-/// in ascending id order, plus the staging slab sized to the shard's
-/// maximum degree. The sequential stepper is one shard over every node.
-struct Shard<'a, P: Protocol> {
-    nodes: &'a mut [P],
-    rngs: &'a mut [StdRng],
-    staged: Vec<Option<(TrafficClass, P::Message)>>,
-}
-
-impl<P: Protocol> Shard<'_, P> {
-    /// Steps node `v`, held at index `i` of this shard: runs `init`,
-    /// `on_restart` or `round` on `group`, then appends the node's staged
-    /// sends, done flag and wake request to `out`. Returns the node's
-    /// CONGEST violation, if any.
+    /// Steps node `v`: runs `init`, `on_restart` or `round` on `group`,
+    /// then appends the node's staged sends, done flag and wake request to
+    /// `out`. Returns the node's CONGEST violation, if any.
     fn step_node(
         &mut self,
-        env: &StepEnv<'_>,
-        i: usize,
         v: usize,
         group: &[(usize, P::Message)],
         out: &mut StepOut<P::Message>,
     ) -> Option<CongestError> {
-        let degree = env.csr.degree(v);
+        let degree = self.csr.degree(v);
         let mut violation = None;
         let mut wake: Option<u64> = None;
         {
             let mut ctx = Ctx {
                 node: NodeId::from(v),
                 degree,
-                neighbors: env.csr.neighbors(v),
-                round: env.round,
-                budget_bits: env.budget_bits,
+                neighbors: self.csr.neighbors(v),
+                round: self.round,
+                budget_bits: self.budget_bits,
                 staged: &mut self.staged[..degree],
                 default_class: P::TRAFFIC_CLASS,
-                rng: &mut self.rngs[i],
+                rng: &mut self.rngs[v],
                 violation: &mut violation,
                 wake: &mut wake,
                 trace: out.events.as_mut(),
-                churn: env.churn,
+                churn: self.churn,
             };
-            let node = &mut self.nodes[i];
-            if env.round == 0 {
+            let node = &mut self.nodes[v];
+            if self.round == 0 {
                 node.init(&mut ctx);
-            } else if env.churn.is_some_and(|ch| ch.rejoining(env.round, v)) {
+            } else if self.churn.is_some_and(|ch| ch.rejoining(self.round, v)) {
                 node.on_restart(&mut ctx);
             } else {
                 node.round(&mut ctx, group);
@@ -1025,7 +883,7 @@ impl<P: Protocol> Shard<'_, P> {
         if len > 0 {
             out.index.push((v as u32, len));
         }
-        out.done.push((v as u32, self.nodes[i].is_done()));
+        out.done.push((v as u32, self.nodes[v].is_done()));
         if let Some(r) = wake {
             out.wakes.push((v as u32, r));
         }
@@ -1033,73 +891,44 @@ impl<P: Protocol> Shard<'_, P> {
         violation
     }
 
-    /// Steps this shard's `active` nodes in ascending order, `index`
-    /// mapping a node id to its index in the shard. Returns the first
-    /// violation with its node; the rest of the sweep is then skipped (the
-    /// run aborts; state after an error is unspecified).
-    fn sweep(
-        &mut self,
-        env: &StepEnv<'_>,
-        index: impl Fn(usize) -> usize,
-        active: &[u32],
-        inbox: &InboxArena<P::Message>,
-        out: &mut StepOut<P::Message>,
-    ) -> Option<(u32, CongestError)> {
-        let mut violation = None;
-        let mut ri = 0usize;
-        for &vu in active {
-            let v = vu as usize;
-            // Pair the node with its inbox group *before* any skip: crashed
-            // and churn-offline receivers still swallow their mail (it was
-            // lost on arrival, not left queued).
-            let mut group: &[(usize, P::Message)] = &[];
-            if ri < inbox.nodes.len() && inbox.nodes[ri] == vu {
-                group = inbox.group(ri);
-                ri += 1;
-            }
-            if env.skips(v) || violation.is_some() {
-                continue;
-            }
-            violation = self
-                .step_node(env, index(v), v, group, out)
-                .map(|err| (vu, err));
-        }
-        debug_assert_eq!(
-            ri,
-            inbox.nodes.len(),
-            "every inbox group had an active receiver"
-        );
-        violation
-    }
-}
-
-/// The sequential stepper: one [`Shard`] over every node, stepped in place
-/// (ascending id; descending behind the `reverse` test hook), appending to
-/// the engine's [`StepOut`].
-struct InlineStepper<'a, P: Protocol> {
-    shard: Shard<'a, P>,
-    /// The run's step environment; `round` is set per step.
-    env: StepEnv<'a>,
-    /// Test hook: visit nodes in descending order (the determinism
-    /// contract says this must not change any observable).
-    reverse: bool,
-}
-
-impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
+    /// Steps round `round` for the `active` nodes (ascending; descending
+    /// behind the `reverse` test hook) and returns the lowest node's
+    /// CONGEST violation, if any — the run then aborts, and state after an
+    /// error is unspecified.
     fn step(
         &mut self,
         round: u64,
         active: &[u32],
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
-    ) -> StepOutcome {
-        let env = StepEnv { round, ..self.env };
-        // Wall-clock only ticks when telemetry asked for samples.
-        let start = out.shards.is_some().then(std::time::Instant::now);
-        let violation = if !self.reverse {
-            self.shard
-                .sweep(&env, |v| v, active, inbox, out)
-                .map(|(_, err)| err)
+    ) -> Option<CongestError> {
+        self.round = round;
+        if !self.reverse {
+            let mut ri = 0usize;
+            for &vu in active {
+                let v = vu as usize;
+                // Pair the node with its inbox group *before* any skip:
+                // crashed and churn-offline receivers still swallow their
+                // mail (it was lost on arrival, not left queued).
+                let mut group: &[(usize, P::Message)] = &[];
+                if ri < inbox.nodes.len() && inbox.nodes[ri] == vu {
+                    group = inbox.group(ri);
+                    ri += 1;
+                }
+                if self.skips(v) {
+                    continue;
+                }
+                if let Some(err) = self.step_node(v, group, out) {
+                    // The rest of the sweep is skipped.
+                    return Some(err);
+                }
+            }
+            debug_assert_eq!(
+                ri,
+                inbox.nodes.len(),
+                "every inbox group had an active receiver"
+            );
+            None
         } else {
             // Descending test visit. Unlike the forward sweep this steps
             // *every* eligible node and lets descending overwrites land on
@@ -1116,219 +945,16 @@ impl<P: Protocol> RoundStepper<P::Message> for InlineStepper<'_, P> {
                     ri -= 1;
                     group = inbox.group(ri);
                 }
-                if env.skips(v) {
+                if self.skips(v) {
                     continue;
                 }
-                if let Some(err) = self.shard.step_node(&env, v, v, group, out) {
+                if let Some(err) = self.step_node(v, group, out) {
                     violation = Some(err);
                 }
             }
             debug_assert_eq!(ri, 0, "every inbox group had an active receiver");
             out.canonicalize_reversed();
             violation
-        };
-        out.sample_shard(0, start);
-        StepOutcome {
-            violation,
-            aborted: false,
-        }
-    }
-}
-
-/// One round's work order for a sharded worker: the shard's slice of the
-/// active list and inbox arena, plus the output the worker fills. Jobs
-/// shuttle between coordinator and worker and are recycled round over
-/// round, so the per-round cost is copying the shard's slices, not
-/// allocation.
-struct RoundJob<M> {
-    round: u64,
-    active: Vec<u32>,
-    inbox: InboxArena<M>,
-    out: StepOut<M>,
-}
-
-/// A worker's completed round, handing the recycled job back.
-struct RoundReply<M> {
-    worker: usize,
-    job: RoundJob<M>,
-    /// Lowest-node violation of the shard, tagged with the node.
-    violation: Option<(u32, CongestError)>,
-}
-
-/// The multi-threaded stepper: nodes are assigned to worker shards by an
-/// explicit [`Placement`] map (contiguous chunks by default, spectral
-/// k-way cuts via [`Simulator::with_placement`]), one persistent worker
-/// per shard inside a [`std::thread::scope`]; each round the coordinator
-/// routes the active list and inbox arena through the node→shard map,
-/// ships the per-shard jobs out, and splices the workers' [`StepOut`]s
-/// back in **canonical ascending-node order** — by concatenation when the
-/// placement is id-monotone (every shard a contiguous id range), and by a
-/// cursor merge over the shard streams otherwise. Either way the stream
-/// handed to the engine's ordered merge is byte-identical to the
-/// sequential visit's. The worker side lives in
-/// [`Simulator::run_parallel`]; this type is the coordinator half.
-struct ThreadedStepper<'p, M> {
-    job_txs: Vec<mpsc::Sender<RoundJob<M>>>,
-    reply_rx: mpsc::Receiver<RoundReply<M>>,
-    /// Node id → owning worker shard.
-    shard_of: &'p [u32],
-    /// Shard ids nondecreasing in node id: splice-back may concatenate.
-    monotone: bool,
-    /// Recycled jobs, indexed by worker, parked here between rounds.
-    stash: Vec<Option<RoundJob<M>>>,
-}
-
-impl<M: CongestMessage> RoundStepper<M> for ThreadedStepper<'_, M> {
-    fn step(
-        &mut self,
-        round: u64,
-        active: &[u32],
-        inbox: &InboxArena<M>,
-        out: &mut StepOut<M>,
-    ) -> StepOutcome {
-        let workers = self.job_txs.len();
-        let mut jobs: Vec<RoundJob<M>> = self
-            .stash
-            .iter_mut()
-            .map(|slot| {
-                let mut job = slot.take().unwrap_or_else(|| RoundJob {
-                    round: 0,
-                    active: Vec::new(),
-                    inbox: InboxArena::default(),
-                    out: out.empty_like(),
-                });
-                job.round = round;
-                job.active.clear();
-                job.inbox.clear();
-                job
-            })
-            .collect();
-        // Route the ascending active list and inbox groups through the
-        // shard map; within each shard both stay ascending by node.
-        for &v in active {
-            jobs[self.shard_of[v as usize] as usize].active.push(v);
-        }
-        for (i, &vu) in inbox.nodes.iter().enumerate() {
-            let job = &mut jobs[self.shard_of[vu as usize] as usize];
-            job.inbox.nodes.push(vu);
-            job.inbox.slab.extend_from_slice(inbox.group(i));
-            job.inbox.offsets.push(job.inbox.slab.len() as u32);
-        }
-        let mut sent = 0usize;
-        for (w, job) in jobs.into_iter().enumerate() {
-            // A send can only fail if the worker panicked; the recv below
-            // notices and the caller joins to propagate the panic.
-            if self.job_txs[w].send(job).is_ok() {
-                sent += 1;
-            }
-        }
-        let aborted = StepOutcome {
-            violation: None,
-            aborted: true,
-        };
-        if sent < workers {
-            return aborted;
-        }
-        let mut violation: Option<(u32, CongestError)> = None;
-        for _ in 0..workers {
-            let Ok(reply) = self.reply_rx.recv() else {
-                return aborted;
-            };
-            if let Some((v, err)) = reply.violation {
-                // The deterministic error is the lowest-node one, exactly
-                // what the sequential visit would hit first.
-                if violation.as_ref().is_none_or(|&(best, _)| v < best) {
-                    violation = Some((v, err));
-                }
-            }
-            self.stash[reply.worker] = Some(reply.job);
-        }
-        // Each worker sampled its own shard; collect them in shard order.
-        if let Some(samples) = out.shards.as_mut() {
-            for slot in &mut self.stash {
-                let job = slot.as_mut().expect("every worker replied");
-                samples.append(job.out.shards.as_mut().expect("jobs mirror out"));
-            }
-        }
-        if self.monotone {
-            // Worker order IS ascending node order: concatenate.
-            for slot in &mut self.stash {
-                let job = slot.as_mut().expect("every worker replied");
-                out.slab.append(&mut job.out.slab);
-                out.index.append(&mut job.out.index);
-                out.done.append(&mut job.out.done);
-                out.wakes.append(&mut job.out.wakes);
-                out.stepped += job.out.stepped;
-                job.out.stepped = 0;
-                if let (Some(ev), Some(job_ev)) = (out.events.as_mut(), job.out.events.as_mut()) {
-                    ev.append(job_ev);
-                }
-            }
-        } else {
-            self.merge_by_node(active, out);
-        }
-        StepOutcome {
-            violation: violation.map(|(_, err)| err),
-            aborted: false,
-        }
-    }
-}
-
-impl<M: CongestMessage> ThreadedStepper<'_, M> {
-    /// Splices the shard [`StepOut`] streams back in ascending node order
-    /// for a non-monotone placement: walk the global active list and
-    /// consume each shard's streams through per-worker cursors. Every
-    /// stream is ascending by node within its shard, and a node appears in
-    /// its shard's `done` stream iff the worker stepped it, so the merged
-    /// result is exactly the sequential visit's.
-    fn merge_by_node(&mut self, active: &[u32], out: &mut StepOut<M>) {
-        let mut jobs: Vec<&mut RoundJob<M>> = self
-            .stash
-            .iter_mut()
-            .map(|slot| slot.as_mut().expect("every worker replied"))
-            .collect();
-        let workers = jobs.len();
-        let mut done_at = vec![0usize; workers];
-        let mut index_at = vec![0usize; workers];
-        let mut slab_at = vec![0usize; workers];
-        let mut wake_at = vec![0usize; workers];
-        let mut event_at = vec![0usize; workers];
-        for &v in active {
-            let w = self.shard_of[v as usize] as usize;
-            let job = &mut jobs[w];
-            if job.out.done.get(done_at[w]).is_some_and(|&(u, _)| u == v) {
-                out.done.push(job.out.done[done_at[w]]);
-                done_at[w] += 1;
-                out.stepped += 1;
-                if job.out.index.get(index_at[w]).is_some_and(|&(u, _)| u == v) {
-                    let (_, len) = job.out.index[index_at[w]];
-                    index_at[w] += 1;
-                    out.index.push((v, len));
-                    let s = slab_at[w];
-                    out.slab
-                        .extend_from_slice(&job.out.slab[s..s + len as usize]);
-                    slab_at[w] += len as usize;
-                }
-                if job.out.wakes.get(wake_at[w]).is_some_and(|&(u, _)| u == v) {
-                    out.wakes.push(job.out.wakes[wake_at[w]]);
-                    wake_at[w] += 1;
-                }
-            }
-            if let (Some(ev), Some(job_ev)) = (out.events.as_mut(), job.out.events.as_ref()) {
-                while job_ev
-                    .get(event_at[w])
-                    .is_some_and(|e| e.node.index() as u32 == v)
-                {
-                    ev.push(job_ev[event_at[w]]);
-                    event_at[w] += 1;
-                }
-            }
-        }
-        for (w, job) in jobs.into_iter().enumerate() {
-            debug_assert_eq!(done_at[w], job.out.done.len());
-            debug_assert_eq!(slab_at[w], job.out.slab.len());
-            debug_assert_eq!(event_at[w], job.out.events.as_ref().map_or(0, Vec::len));
-            job.out.clear();
         }
     }
 }
@@ -1354,7 +980,7 @@ struct Wakeups {
 ///
 /// Per round: start-of-round fault effects (crashes), active-set
 /// construction (sparse path) or the full node list, the protocol step
-/// (via `stepper`), the ordered `(sender, port)` merge with per-message
+/// (via [`Stepper::step`]), the ordered `(sender, port)` merge with per-message
 /// fault sampling (via `hook`), the stable release sweep over the delay
 /// queue, delivery accounting, observation (via `rec`), inbox grouping
 /// ([`group_pending`]), and the stop check. The clean path instantiates
@@ -1369,23 +995,22 @@ struct Wakeups {
 /// `messages`/`bits` count *deliveries*, so dropped/lost traffic never
 /// inflates the totals (documented on [`Metrics`]).
 #[allow(clippy::too_many_arguments)]
-fn round_engine<M, S, H, C>(
+fn round_engine<P, H, C>(
     cfg: &RunConfig,
-    csr: &Csr,
     edge_load: &mut [u64],
-    scratch: &mut Scratch<M>,
-    stepper: &mut S,
+    scratch: &mut Scratch<P::Message>,
+    stepper: &mut Stepper<'_, P>,
     hook: &mut H,
     churn: &mut C,
     wk: &Wakeups,
     rec: &mut Recorder,
 ) -> Result<Metrics>
 where
-    M: CongestMessage,
-    S: RoundStepper<M>,
+    P: Protocol,
     H: FaultHook,
     C: ChurnHook,
 {
+    let csr = stepper.csr;
     let n = csr.n();
     scratch.reset(n);
     let Scratch {
@@ -1405,7 +1030,6 @@ where
     } = scratch;
     // The stepper records exactly the observations the recorder wants.
     out.events = rec.records_events().then(Vec::new);
-    out.shards = rec.records_shards().then(Vec::new);
     let mut metrics = Metrics::default();
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
@@ -1479,13 +1103,7 @@ where
             &all_nodes[..]
         };
         out.clear();
-        let outcome = stepper.step(round, active_list, cur, out);
-        if outcome.aborted {
-            // The placeholder round-limit error is never observed: the
-            // caller joins its workers and re-raises the panic.
-            break 'rounds;
-        }
-        if let Some(err) = outcome.violation {
+        if let Some(err) = stepper.step(round, active_list, cur, out) {
             result = Err(err);
             break 'rounds;
         }
@@ -1512,23 +1130,22 @@ where
         // mail and the staged sends have not been drained by the merge yet,
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
-        // thread counts, placements, and engines.
-        if let Some(shards) = out.shards.as_mut() {
+        // visit orders and engines.
+        if rec.records_gauges() {
             rec.gauges(RoundHealth {
                 round,
                 active_nodes: active_list.len() as u64,
                 inbox_queued: cur.slab.len() as u64,
                 staged_sends: out.slab.len() as u64,
                 wake_queue: timers.values().map(|v| v.len() as u64).sum(),
-                arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, M)>()
-                    + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, M)>()
-                    + held.len() * std::mem::size_of::<Held<M>>())
+                arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
+                    + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
+                    + held.len() * std::mem::size_of::<Held<P::Message>>())
                     as u64,
-                shards: std::mem::take(shards),
             });
         }
         // Ordered merge with per-message fault sampling: ascending
-        // (sender, port), whatever order or thread staged the sends.
+        // (sender, port), whatever order staged the sends.
         let mut slab = std::mem::take(&mut out.slab);
         {
             let mut sends = slab.drain(..);
@@ -1678,7 +1295,7 @@ pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     nodes: Vec<P>,
     /// The graph in CSR form plus the peer-port table — the executor's
-    /// entire static view, shared read-only with the workers.
+    /// entire static view.
     csr: Csr,
     /// One private RNG per node; see the module determinism contract.
     rngs: Vec<StdRng>,
@@ -1699,9 +1316,6 @@ pub struct Simulator<'g, P: Protocol> {
     observe: Observe,
     /// What they recorded in the most recent [`Self::run`].
     observed: Observed,
-    /// Explicit node→shard placement for the threaded executor; `None`
-    /// (the default) shards into contiguous id chunks.
-    placement: Option<Placement>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -1734,27 +1348,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             churn_events: Vec::new(),
             observe: Observe::default(),
             observed: Observed::default(),
-            placement: None,
         })
-    }
-
-    /// Attaches an explicit node→shard [`Placement`] for the threaded
-    /// executor of every subsequent [`Self::run`].
-    ///
-    /// The placement is part of the run's *configuration*, not its
-    /// semantics: by the determinism contract every observable —
-    /// `Metrics`, protocol state, traces, profiles, fault/churn logs — is
-    /// byte-identical under any placement (and to the sequential path);
-    /// only wall-clock and cross-worker traffic depend on it. Runs that
-    /// resolve to a single thread ignore the placement entirely.
-    ///
-    /// Validated when a threaded run starts: the placement must cover
-    /// exactly the graph's nodes and have exactly as many shards as the
-    /// run's resolved worker count, else the run fails with
-    /// [`CongestError::PlacementInvalid`].
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
-        self
     }
 
     /// Sets which observation layers — trace, profile, telemetry — record
@@ -1867,8 +1461,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// With a non-trivial [`FaultPlan`] attached, each staged message's
     /// fate is sampled from the plan's message-identity PRF between staging
     /// and delivery; without one the execution is exactly the fault-free
-    /// simulator. Both paths parallelize over [`RunConfig::threads`]
-    /// workers, with byte-identical results for any thread count.
+    /// simulator.
     ///
     /// After a returned error the protocol and RNG states are unspecified
     /// (the run is aborted mid-round); the error value itself is
@@ -1885,10 +1478,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Runs with the per-round node visit order reversed — a test hook for
     /// the determinism contract: by the contract the result is
-    /// byte-identical to [`Self::run`]. The flag only has meaning for the
-    /// single-threaded stepper (pass `threads = 1`); the sharded stepper
-    /// already interleaves nodes differently and is covered by thread-count
-    /// identity.
+    /// byte-identical to [`Self::run`].
     #[doc(hidden)]
     pub fn run_reverse_visit(&mut self, cfg: &RunConfig) -> Result<Metrics> {
         self.run_inner(cfg, true)
@@ -1984,9 +1574,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Picks the engine strategy (active-set vs full sweep) and the
-    /// sequential or threaded stepper, and precomputes the run's
-    /// [`Wakeups`] event streams.
+    /// Picks the engine strategy (active-set vs full sweep), precomputes
+    /// the run's [`Wakeups`] event streams, and runs the engine over a
+    /// [`Stepper`] borrowing this simulator's nodes and RNG streams.
     fn dispatch<H: FaultHook, C: ChurnHook>(
         &mut self,
         cfg: &RunConfig,
@@ -2016,35 +1606,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             down_events,
             rejoin_events,
         };
-        let threads = cfg.effective_threads(self.graph.len());
-        if threads <= 1 {
-            self.run_seq(cfg, hook, churn, sched, crash_round, &wk, reverse_visit)
-        } else {
-            self.run_parallel(cfg, hook, churn, sched, crash_round, &wk, threads)
-        }
-    }
-
-    /// Resets the per-edge delivery counters at the start of a run.
-    fn reset_edge_load(&mut self) {
+        let budget_bits = cfg.budget_factor * bits_for_count(self.graph.len().max(2));
         self.edge_load.clear();
         self.edge_load.resize(self.graph.edge_count(), 0);
-    }
-
-    /// Single-threaded execution: the unified engine over [`InlineStepper`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_seq<H: FaultHook, C: ChurnHook>(
-        &mut self,
-        cfg: &RunConfig,
-        hook: &mut H,
-        churn: &mut C,
-        sched: Option<&ChurnSchedule>,
-        crash_round: &[u64],
-        wk: &Wakeups,
-        reverse_visit: bool,
-    ) -> Result<Metrics> {
-        let n = self.graph.len();
-        let budget_bits = cfg.budget_factor * bits_for_count(n.max(2));
-        self.reset_edge_load();
         let Simulator {
             nodes,
             rngs,
@@ -2055,226 +1619,33 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             observed,
             ..
         } = self;
-        let csr: &Csr = csr;
         let mut staged = std::mem::take(&mut scratch.staged);
         staged.clear();
-        staged.resize_with(csr.max_degree(0, n), || None);
-        let mut stepper = InlineStepper::<P> {
-            shard: Shard {
-                nodes,
-                rngs,
-                staged,
-            },
-            env: StepEnv {
-                csr,
-                crash_round,
-                churn: sched,
-                budget_bits,
-                round: 0,
-            },
-            reverse: reverse_visit,
-        };
-        let mut rec = Recorder::new(observe, edge_load.len());
-        let result = round_engine(
-            cfg,
-            csr,
-            edge_load,
-            scratch,
-            &mut stepper,
-            hook,
-            churn,
-            wk,
-            &mut rec,
-        );
-        *observed = rec.finish();
-        scratch.staged = stepper.shard.staged;
-        result
-    }
-
-    /// Multi-threaded execution: the unified engine over [`ThreadedStepper`],
-    /// with this method owning the worker side — placement-mapped node
-    /// shards, one persistent worker each, job/reply channels, buffer
-    /// recycling, and panic propagation on join.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel<H: FaultHook, C: ChurnHook>(
-        &mut self,
-        cfg: &RunConfig,
-        hook: &mut H,
-        churn: &mut C,
-        sched: Option<&ChurnSchedule>,
-        crash_round: &[u64],
-        wk: &Wakeups,
-        threads: usize,
-    ) -> Result<Metrics> {
-        let n = self.graph.len();
-        let budget_bits = cfg.budget_factor * bits_for_count(n.max(2));
-        self.reset_edge_load();
-        // Resolve the node→shard map: an explicit placement when attached
-        // (validated against this run's resolved worker count), else the
-        // default contiguous chunking.
-        let placement = match &self.placement {
-            Some(p) => {
-                if p.len() != n {
-                    return Err(CongestError::PlacementInvalid {
-                        reason: format!("placement covers {} nodes, graph has {n}", p.len()),
-                    });
-                }
-                if p.shards() != threads {
-                    return Err(CongestError::PlacementInvalid {
-                        reason: format!(
-                            "placement has {} shards, run resolved {threads} workers",
-                            p.shards()
-                        ),
-                    });
-                }
-                p.clone()
-            }
-            None => Placement::contiguous(n, threads),
-        };
-        let monotone = placement.is_id_monotone();
-        // Per-node position within its shard's ascending-id node list, and
-        // per-shard max degree (sizes the workers' staging buffers).
-        let mut local_idx = vec![0u32; n];
-        let mut shard_len = vec![0u32; threads];
-        let mut shard_max_degree = vec![0usize; threads];
-        for (v, idx) in local_idx.iter_mut().enumerate() {
-            let s = placement.shard_of()[v] as usize;
-            *idx = shard_len[s];
-            shard_len[s] += 1;
-            shard_max_degree[s] = shard_max_degree[s].max(self.csr.degree(v));
-        }
-        let Simulator {
+        staged.resize_with(csr.max_degree(), || None);
+        let mut stepper = Stepper::<P> {
             nodes,
             rngs,
-            csr,
-            edge_load,
-            scratch,
-            observe,
-            observed,
-            ..
-        } = self;
-        let csr: &Csr = csr;
-        let env = StepEnv {
+            staged,
             csr,
             crash_round,
             churn: sched,
             budget_bits,
             round: 0,
+            reverse: reverse_visit,
         };
-        let shard_of: &[u32] = placement.shard_of();
-        let local_idx: &[u32] = &local_idx;
-
-        // Shard node state machines and their RNG streams; workers own the
-        // shards for the duration of the run and hand them back at the end.
-        // Each shard holds its nodes in ascending id order, matching
-        // `local_idx`.
-        let all_nodes = std::mem::take(nodes);
-        let all_rngs = std::mem::take(rngs);
-        let workers = threads;
-        let mut node_shards: Vec<Vec<P>> = (0..workers)
-            .map(|w| Vec::with_capacity(shard_len[w] as usize))
-            .collect();
-        let mut rng_shards: Vec<Vec<StdRng>> = (0..workers)
-            .map(|w| Vec::with_capacity(shard_len[w] as usize))
-            .collect();
-        for (v, (p, r)) in all_nodes.into_iter().zip(all_rngs).enumerate() {
-            let s = shard_of[v] as usize;
-            node_shards[s].push(p);
-            rng_shards[s].push(r);
-        }
-
-        let (result, nodes_back, rngs_back) = std::thread::scope(|s| {
-            let (reply_tx, reply_rx) = mpsc::channel::<RoundReply<P::Message>>();
-            let mut job_txs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for (w, (mut my_nodes, mut my_rngs)) in
-                node_shards.into_iter().zip(rng_shards).enumerate()
-            {
-                let (job_tx, job_rx) = mpsc::channel::<RoundJob<P::Message>>();
-                job_txs.push(job_tx);
-                let reply_tx = reply_tx.clone();
-                let max_degree = shard_max_degree[w];
-                handles.push(s.spawn(move || {
-                    let mut staged = Vec::new();
-                    staged.resize_with(max_degree, || None);
-                    let mut shard = Shard {
-                        nodes: &mut my_nodes,
-                        rngs: &mut my_rngs,
-                        staged,
-                    };
-                    while let Ok(mut job) = job_rx.recv() {
-                        job.out.clear();
-                        let start = job.out.shards.is_some().then(std::time::Instant::now);
-                        let env = StepEnv {
-                            round: job.round,
-                            ..env
-                        };
-                        let violation = shard.sweep(
-                            &env,
-                            |v| local_idx[v] as usize,
-                            &job.active,
-                            &job.inbox,
-                            &mut job.out,
-                        );
-                        job.out.sample_shard(w as u32, start);
-                        let reply = RoundReply {
-                            worker: w,
-                            job,
-                            violation,
-                        };
-                        if reply_tx.send(reply).is_err() {
-                            break;
-                        }
-                    }
-                    (my_nodes, my_rngs)
-                }));
-            }
-            drop(reply_tx);
-
-            let mut stepper = ThreadedStepper::<P::Message> {
-                job_txs,
-                reply_rx,
-                shard_of,
-                monotone,
-                stash: (0..workers).map(|_| None).collect(),
-            };
-            let mut rec = Recorder::new(observe, edge_load.len());
-            let result = round_engine(
-                cfg,
-                csr,
-                edge_load,
-                scratch,
-                &mut stepper,
-                hook,
-                churn,
-                wk,
-                &mut rec,
-            );
-            *observed = rec.finish();
-            // Dropping the stepper closes the job channels; workers drain
-            // and exit, handing their shards back.
-            drop(stepper);
-            // Reassemble the node and RNG arrays in ascending id order by
-            // interleaving the shards back through the placement map.
-            let mut shard_iters = Vec::with_capacity(workers);
-            for handle in handles {
-                let (shard_nodes, shard_rngs) = match handle.join() {
-                    Ok(shard) => shard,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                };
-                shard_iters.push((shard_nodes.into_iter(), shard_rngs.into_iter()));
-            }
-            let mut nodes_back = Vec::with_capacity(n);
-            let mut rngs_back = Vec::with_capacity(n);
-            for &s in shard_of {
-                let (nodes_it, rngs_it) = &mut shard_iters[s as usize];
-                nodes_back.push(nodes_it.next().expect("shard hands back every node"));
-                rngs_back.push(rngs_it.next().expect("shard hands back every rng"));
-            }
-            (result, nodes_back, rngs_back)
-        });
-        *nodes = nodes_back;
-        *rngs = rngs_back;
+        let mut rec = Recorder::new(observe, edge_load.len());
+        let result = round_engine(
+            cfg,
+            edge_load,
+            scratch,
+            &mut stepper,
+            hook,
+            churn,
+            &wk,
+            &mut rec,
+        );
+        *observed = rec.finish();
+        scratch.staged = stepper.staged;
         result
     }
 }
@@ -2427,9 +1798,8 @@ mod tests {
     }
 
     /// Satellite regression: a node tripping two model violations in one
-    /// step must report the *first* one, on every engine strategy, thread
-    /// count, and visit order, and across nodes the lowest node's error is
-    /// canonical.
+    /// step must report the *first* one, in either visit order, and across
+    /// nodes the lowest node's error is canonical.
     struct MixedViolator {
         wide_first: bool,
     }
@@ -2463,35 +1833,32 @@ mod tests {
                 })
                 .collect()
         };
-        for threads in [1usize, 2, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let err = Simulator::new(&g, mk(true), 0)
-                .unwrap()
-                .run(&cfg)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                CongestError::MessageTooWide {
-                    bits: 64,
-                    budget: 16
-                },
-                "threads = {threads}: node 0's first violation must win"
-            );
-            let err = Simulator::new(&g, mk(false), 0)
-                .unwrap()
-                .run(&cfg)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                CongestError::DuplicateSend {
-                    node: NodeId(0),
-                    port: 0
-                },
-                "threads = {threads}: node 0's first violation must win"
-            );
-        }
+        let cfg = RunConfig::default();
+        let err = Simulator::new(&g, mk(true), 0)
+            .unwrap()
+            .run(&cfg)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CongestError::MessageTooWide {
+                bits: 64,
+                budget: 16
+            },
+            "node 0's first violation must win"
+        );
+        let err = Simulator::new(&g, mk(false), 0)
+            .unwrap()
+            .run(&cfg)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CongestError::DuplicateSend {
+                node: NodeId(0),
+                port: 0
+            },
+            "node 0's first violation must win"
+        );
         // The reverse test visit reports the same canonical error.
-        let cfg = RunConfig::default().with_threads(1);
         let err = Simulator::new(&g, mk(true), 0)
             .unwrap()
             .run_reverse_visit(&cfg)
@@ -2590,20 +1957,6 @@ mod tests {
             max_rounds: 50,
             ..Default::default()
         };
-        let err = sim.run(&cfg).unwrap_err();
-        assert_eq!(err, CongestError::RoundLimitExceeded { max_rounds: 50 });
-    }
-
-    #[test]
-    fn round_cap_enforced_in_parallel() {
-        let g = path(8);
-        let nodes = (0..8).map(|_| Chatter).collect();
-        let mut sim = Simulator::new(&g, nodes, 0).unwrap();
-        let cfg = RunConfig {
-            max_rounds: 50,
-            ..Default::default()
-        }
-        .with_threads(4);
         let err = sim.run(&cfg).unwrap_err();
         assert_eq!(err, CongestError::RoundLimitExceeded { max_rounds: 50 });
     }
@@ -2721,7 +2074,7 @@ mod tests {
     #[test]
     fn visit_order_cannot_change_outcomes() {
         let g = amt_graphs::generators::hypercube(5);
-        let cfg = RunConfig::default().with_threads(1);
+        let cfg = RunConfig::default();
         let mut fwd = Simulator::new(&g, walker_fleet(32), 9).unwrap();
         let m_fwd = fwd.run(&cfg).unwrap();
         let mut rev = Simulator::new(&g, walker_fleet(32), 9).unwrap();
@@ -2740,37 +2093,15 @@ mod tests {
         );
     }
 
-    /// Byte-identical metrics, protocol state, and edge loads across thread
-    /// counts, on a randomized workload.
-    #[test]
-    fn thread_count_cannot_change_outcomes() {
-        let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize| {
-            let mut sim = Simulator::new(&g, walker_fleet(32), 123).unwrap();
-            let m = sim
-                .run(&RunConfig::default().with_threads(threads))
-                .unwrap();
-            let traces: Vec<u64> = sim.nodes().iter().map(|p| p.trace).collect();
-            (m, traces, sim.edge_load().to_vec())
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 4, 8, 32] {
-            assert_eq!(run(threads), baseline, "threads = {threads} diverged");
-        }
-    }
-
     /// The determinism contract across engine strategies: the active-set
     /// engine must be byte-identical to the retained full-sweep reference
-    /// (metrics, protocol state, edge loads), at every thread count and
-    /// under visit-order reversal.
+    /// (metrics, protocol state, edge loads), in either visit order.
     #[test]
     fn sparse_engine_matches_full_sweep_reference() {
         let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize, reverse: bool, full_sweep: bool| {
+        let run = |reverse: bool, full_sweep: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let cfg = RunConfig::default()
-                .with_threads(threads)
-                .with_full_sweep(full_sweep);
+            let cfg = RunConfig::default().with_full_sweep(full_sweep);
             let m = if reverse {
                 sim.run_reverse_visit(&cfg).unwrap()
             } else {
@@ -2779,13 +2110,14 @@ mod tests {
             let traces: Vec<u64> = sim.nodes().iter().map(|p| p.trace).collect();
             (m, traces, sim.edge_load().to_vec())
         };
-        let reference = run(1, false, true);
+        let reference = run(false, true);
         assert!(reference.0.messages > 0);
-        for (threads, reverse) in [(1, false), (1, true), (2, false), (4, false), (8, false)] {
+        assert_eq!(run(true, true), reference, "reversed full sweep diverged");
+        for reverse in [false, true] {
             assert_eq!(
-                run(threads, reverse, false),
+                run(reverse, false),
                 reference,
-                "sparse engine diverged at threads = {threads}, reverse = {reverse}"
+                "sparse engine diverged at reverse = {reverse}"
             );
         }
     }
@@ -2846,16 +2178,14 @@ mod tests {
         // Quiescence would stop at round 1 (nothing in flight until the
         // first fire); AllDone keeps both engines going until the beacons
         // are spent, timers included.
-        let run = |threads: usize, full_sweep: bool| {
+        let run = |full_sweep: bool| {
             let mut sim = Simulator::new(&g, ticker_fleet(6), 3)
                 .unwrap()
                 .with_observe(Observe {
                     trace: Some(TraceConfig::default()),
                     ..Observe::default()
                 });
-            let cfg = RunConfig::all_done()
-                .with_threads(threads)
-                .with_full_sweep(full_sweep);
+            let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
             let m = sim.run(&cfg).unwrap();
             let got: Vec<Vec<u64>> = sim.nodes().iter().map(|p| p.got.clone()).collect();
             let trace = sim.take_observed().trace.unwrap();
@@ -2867,8 +2197,8 @@ mod tests {
             }
             t
         };
-        let sparse = run(1, false);
-        let full = run(1, true);
+        let sparse = run(false);
+        let full = run(true);
         // Node 1 heard every beacon: rounds 3, 6, 9, 12.
         assert_eq!(sparse.1[1], vec![3, 6, 9, 12]);
         assert_eq!(sparse.0, full.0, "metrics diverged across strategies");
@@ -2885,21 +2215,14 @@ mod tests {
             stepped(&sparse.2),
             stepped(&full.2)
         );
-        // Threaded sparse is fully identical to sequential sparse,
-        // active_nodes gauge included.
-        let sparse4 = run(4, false);
-        assert_eq!(sparse4.0, sparse.0);
-        assert_eq!(sparse4.1, sparse.1);
-        assert_eq!(sparse4.2, sparse.2);
-        assert_eq!(run(4, true).0, full.0);
     }
 
     /// The tentpole property end to end: with message-identity fault
     /// keying, the faulty path is byte-identical — `Metrics`, the
     /// fault-event log, crashed sets, protocol state, and edge loads —
-    /// across visit-order reversal and every thread count.
+    /// across visit-order reversal.
     #[test]
-    fn fault_stream_is_independent_of_visit_order_and_threads() {
+    fn fault_stream_is_independent_of_visit_order() {
         let g = amt_graphs::generators::hypercube(5);
         let plan = FaultPlan::none()
             .seeded(11)
@@ -2907,11 +2230,11 @@ mod tests {
             .with_corruption(0.05)
             .with_delays(0.1, 3)
             .with_crash(NodeId(3), 6);
-        let run = |threads: usize, reverse: bool| {
+        let run = |reverse: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 123)
                 .unwrap()
                 .with_fault_plan(plan.clone());
-            let cfg = RunConfig::default().with_threads(threads);
+            let cfg = RunConfig::default();
             let m = if reverse {
                 sim.run_reverse_visit(&cfg)
             } else {
@@ -2927,20 +2250,13 @@ mod tests {
                 sim.edge_load().to_vec(),
             )
         };
-        let baseline = run(1, false);
+        let baseline = run(false);
         assert!(
             baseline.0.message_faults() > 0,
             "the plan must actually inject faults"
         );
         assert_eq!(baseline.2, vec![NodeId(3)]);
-        assert_eq!(run(1, true), baseline, "visit-order reversal diverged");
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run(threads, false),
-                baseline,
-                "threads = {threads} diverged"
-            );
-        }
+        assert_eq!(run(true), baseline, "visit-order reversal diverged");
     }
 
     /// Satellite regression: a normalized-trivial plan *forced through the
@@ -2950,29 +2266,27 @@ mod tests {
     #[test]
     fn trivial_plan_through_faulty_engine_matches_clean_path() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1usize, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let m_clean = clean.run(&cfg).unwrap();
+        let cfg = RunConfig::default();
+        let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
+        let m_clean = clean.run(&cfg).unwrap();
 
-            // with_delays(0.9, 0) normalizes to no-delay: nothing can fire.
-            let plan = FaultPlan::none().seeded(99).with_delays(0.9, 0);
-            assert!(plan.is_trivial());
-            let mut forced = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let mut fs = FaultState::new(&plan, g.len()).unwrap();
-            let crash_round = plan.crash_rounds(g.len());
-            let m_forced = forced
-                .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, false)
-                .unwrap();
+        // with_delays(0.9, 0) normalizes to no-delay: nothing can fire.
+        let plan = FaultPlan::none().seeded(99).with_delays(0.9, 0);
+        assert!(plan.is_trivial());
+        let mut forced = Simulator::new(&g, walker_fleet(32), 9).unwrap();
+        let mut fs = FaultState::new(&plan, g.len()).unwrap();
+        let crash_round = plan.crash_rounds(g.len());
+        let m_forced = forced
+            .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, false)
+            .unwrap();
 
-            assert_eq!(m_clean, m_forced, "threads = {threads}: metrics diverged");
-            let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
-            let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(t_clean, t_forced, "threads = {threads}: state diverged");
-            assert_eq!(clean.edge_load(), forced.edge_load());
-            assert!(fs.events.is_empty());
-            assert!(forced.crashed_nodes().is_empty());
-        }
+        assert_eq!(m_clean, m_forced, "metrics diverged");
+        let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
+        let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
+        assert_eq!(t_clean, t_forced, "state diverged");
+        assert_eq!(clean.edge_load(), forced.edge_load());
+        assert!(fs.events.is_empty());
+        assert!(forced.crashed_nodes().is_empty());
     }
 
     /// Satellite regression (churn analogue): a normalized-trivial
@@ -2982,86 +2296,76 @@ mod tests {
     #[test]
     fn trivial_churn_plan_through_churned_engine_matches_clean_path() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1usize, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let m_clean = clean.run(&cfg).unwrap();
+        let cfg = RunConfig::default();
+        let mut clean = Simulator::new(&g, walker_fleet(32), 9).unwrap();
+        let m_clean = clean.run(&cfg).unwrap();
 
-            // with_flaps(0.9, 0) normalizes to no-flap: nothing can fire.
-            let plan = ChurnPlan::none().seeded(99).with_flaps(0.9, 0);
-            assert!(plan.is_trivial());
+        // with_flaps(0.9, 0) normalizes to no-flap: nothing can fire.
+        let plan = ChurnPlan::none().seeded(99).with_flaps(0.9, 0);
+        assert!(plan.is_trivial());
 
-            // Attached via the public API: routed to the clean hooks.
-            let mut routed = Simulator::new(&g, walker_fleet(32), 9)
-                .unwrap()
-                .with_churn_plan(plan.clone());
-            let m_routed = routed.run(&cfg).unwrap();
-            assert_eq!(
-                m_clean, m_routed,
-                "threads = {threads}: trivial-plan run diverged"
-            );
-            assert!(routed.churn_events().is_empty());
+        // Attached via the public API: routed to the clean hooks.
+        let mut routed = Simulator::new(&g, walker_fleet(32), 9)
+            .unwrap()
+            .with_churn_plan(plan.clone());
+        let m_routed = routed.run(&cfg).unwrap();
+        assert_eq!(m_clean, m_routed, "trivial-plan run diverged");
+        assert!(routed.churn_events().is_empty());
 
-            // Forced through the churn-aware engine: still byte-identical.
-            let mut forced = Simulator::new(&g, walker_fleet(32), 9).unwrap();
-            let sched = plan.normalize(g.len(), g.edge_count());
-            let mut cs = ChurnState::new(&sched);
-            let m_forced = forced
-                .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], false)
-                .unwrap();
-            assert_eq!(m_clean, m_forced, "threads = {threads}: metrics diverged");
-            let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
-            let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(t_clean, t_forced, "threads = {threads}: state diverged");
-            assert_eq!(clean.edge_load(), forced.edge_load());
-            assert!(cs.events.is_empty());
-        }
+        // Forced through the churn-aware engine: still byte-identical.
+        let mut forced = Simulator::new(&g, walker_fleet(32), 9).unwrap();
+        let sched = plan.normalize(g.len(), g.edge_count());
+        let mut cs = ChurnState::new(&sched);
+        let m_forced = forced
+            .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], false)
+            .unwrap();
+        assert_eq!(m_clean, m_forced, "metrics diverged");
+        let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
+        let t_forced: Vec<u64> = forced.nodes().iter().map(|p| p.trace).collect();
+        assert_eq!(t_clean, t_forced, "state diverged");
+        assert_eq!(clean.edge_load(), forced.edge_load());
+        assert!(cs.events.is_empty());
     }
 
     /// Profiling must be observably free (byte-identical `Metrics`, state,
     /// and edge loads) and exact: per-class totals sum to the run's
-    /// `Metrics` and per-edge loads, at every thread count.
+    /// `Metrics` and per-edge loads.
     #[test]
     fn profiling_is_observably_free_and_sums_exactly() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(
-                plain.take_observed().profile.is_none(),
-                "profiling is off by default"
-            );
+        let cfg = RunConfig::default();
+        let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
+        let m_plain = plain.run(&cfg).unwrap();
+        assert!(
+            plain.take_observed().profile.is_none(),
+            "profiling is off by default"
+        );
 
-            let mut profiled = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_observe(Observe {
-                    profile: Some(ProfileConfig::default()),
-                    ..Observe::default()
-                });
-            let m_profiled = profiled.run(&cfg).unwrap();
-            assert_eq!(
-                m_plain, m_profiled,
-                "threads = {threads}: profiling changed metrics"
-            );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_profiled: Vec<u64> = profiled.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_profiled, "profiling changed protocol state");
-            assert_eq!(plain.edge_load(), profiled.edge_load());
+        let mut profiled = Simulator::new(&g, walker_fleet(32), 77)
+            .unwrap()
+            .with_observe(Observe {
+                profile: Some(ProfileConfig::default()),
+                ..Observe::default()
+            });
+        let m_profiled = profiled.run(&cfg).unwrap();
+        assert_eq!(m_plain, m_profiled, "profiling changed metrics");
+        let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
+        let s_profiled: Vec<u64> = profiled.nodes().iter().map(|p| p.trace).collect();
+        assert_eq!(s_plain, s_profiled, "profiling changed protocol state");
+        assert_eq!(plain.edge_load(), profiled.edge_load());
 
-            let profile = profiled
-                .take_observed()
-                .profile
-                .expect("profiling was enabled");
-            assert_eq!(profile.total_messages(), m_profiled.messages);
-            assert_eq!(profile.total_bits(), m_profiled.bits);
-            assert_eq!(profile.edge_messages_total(), profiled.edge_load());
-            // TokenWalker never picks a class, so everything is DEFAULT.
-            assert_eq!(profile.per_class.len(), 1);
-            assert_eq!(profile.per_class[0].class, class::DEFAULT);
-            let a = profile.analyze(10);
-            assert_eq!(a.max_edge_congestion, m_profiled.max_edge_congestion);
-        }
+        let profile = profiled
+            .take_observed()
+            .profile
+            .expect("profiling was enabled");
+        assert_eq!(profile.total_messages(), m_profiled.messages);
+        assert_eq!(profile.total_bits(), m_profiled.bits);
+        assert_eq!(profile.edge_messages_total(), profiled.edge_load());
+        // TokenWalker never picks a class, so everything is DEFAULT.
+        assert_eq!(profile.per_class.len(), 1);
+        assert_eq!(profile.per_class[0].class, class::DEFAULT);
+        let a = profile.analyze(10);
+        assert_eq!(a.max_edge_congestion, m_profiled.max_edge_congestion);
     }
 
     /// Telemetry honours the same contract as tracing and profiling: off by
@@ -3070,56 +2374,47 @@ mod tests {
     #[test]
     fn telemetry_is_observably_free() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(
-                plain.take_observed().telemetry.is_none(),
-                "telemetry is off by default"
-            );
+        let cfg = RunConfig::default();
+        let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
+        let m_plain = plain.run(&cfg).unwrap();
+        assert!(
+            plain.take_observed().telemetry.is_none(),
+            "telemetry is off by default"
+        );
 
-            let mut watched = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_observe(Observe {
-                    telemetry: Some(TelemetryConfig::default()),
-                    ..Observe::default()
-                });
-            let m_watched = watched.run(&cfg).unwrap();
-            assert_eq!(
-                m_plain, m_watched,
-                "threads = {threads}: telemetry changed metrics"
-            );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_watched: Vec<u64> = watched.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_watched, "telemetry changed protocol state");
-            assert_eq!(plain.edge_load(), watched.edge_load());
+        let mut watched = Simulator::new(&g, walker_fleet(32), 77)
+            .unwrap()
+            .with_observe(Observe {
+                telemetry: Some(TelemetryConfig::default()),
+                ..Observe::default()
+            });
+        let m_watched = watched.run(&cfg).unwrap();
+        assert_eq!(m_plain, m_watched, "telemetry changed metrics");
+        let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
+        let s_watched: Vec<u64> = watched.nodes().iter().map(|p| p.trace).collect();
+        assert_eq!(s_plain, s_watched, "telemetry changed protocol state");
+        assert_eq!(plain.edge_load(), watched.edge_load());
 
-            let t = watched
-                .take_observed()
-                .telemetry
-                .expect("telemetry was enabled");
-            assert_eq!(t.shards, threads, "one shard sample stream per worker");
-            assert_eq!(t.rounds, m_watched.rounds);
-            // Every round stepped at least the nodes that did work, and the
-            // per-shard staging counters reconcile with the message total.
-            let stepped: u64 = t.shard_nodes_stepped.iter().sum();
-            assert!(stepped > 0);
-            assert_eq!(
-                t.shard_messages_staged.iter().sum::<u64>(),
-                m_watched.messages,
-                "threads = {threads}: staged-send attribution must sum to the run's messages"
-            );
-            assert!(t.imbalance() >= 1.0, "imbalance is max/mean, so >= 1");
-            assert_eq!(t.history.len() as u64, m_watched.rounds + 1);
-            assert!(!t.recent.is_empty(), "flight recorder retains rounds");
-            assert_eq!(
-                t.recent.frames().last().map(|f| f.health.round),
-                Some(m_watched.rounds),
-                "flight recorder ends at the final round"
-            );
-            assert!(t.hwm.active_nodes >= 1);
-        }
+        let t = watched
+            .take_observed()
+            .telemetry
+            .expect("telemetry was enabled");
+        assert_eq!(t.rounds, m_watched.rounds);
+        // Every round stepped at least the nodes that did work, and the
+        // staging total reconciles with the message total.
+        assert!(t.nodes_stepped > 0);
+        assert_eq!(
+            t.messages_staged, m_watched.messages,
+            "staged sends must sum to the run's messages"
+        );
+        assert_eq!(t.history.len() as u64, m_watched.rounds + 1);
+        assert!(!t.recent.is_empty(), "flight recorder retains rounds");
+        assert_eq!(
+            t.recent.frames().last().map(|f| f.health.round),
+            Some(m_watched.rounds),
+            "flight recorder ends at the final round"
+        );
+        assert!(t.hwm.active_nodes >= 1);
     }
 
     /// [`ObservedRuns`] keeps every run's trace in order and folds the
@@ -3157,89 +2452,57 @@ mod tests {
         assert_eq!(timeline.last().map(|s| s.round), Some(2 * m.rounds));
     }
 
-    /// Malformed `AMT_SIM_THREADS` values are rejected loudly; valid ones
-    /// parse (whitespace-tolerant). The panic itself lives behind a
-    /// process-wide `OnceLock` (see [`default_threads`]), so the parser is
-    /// what gets unit-tested.
-    #[test]
-    fn thread_env_parsing() {
-        assert_eq!(parse_thread_env("4"), Ok(4));
-        assert_eq!(parse_thread_env(" 2 \n"), Ok(2));
-        let err = parse_thread_env("four").unwrap_err();
-        assert!(err.contains("AMT_SIM_THREADS"), "{err}");
-        assert!(err.contains("four"), "{err}");
-        let err = parse_thread_env("0").unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        assert!(parse_thread_env("").is_err());
-        assert!(parse_thread_env("-3").is_err());
-        assert!(parse_thread_env("3.5").is_err());
-    }
-
     /// Enabling tracing must not change a single observable bit, and the
-    /// recorded timeline must reconstruct the run's `Metrics` exactly, on
-    /// both the sequential and the threaded clean path.
+    /// recorded timeline must reconstruct the run's `Metrics` exactly.
     #[test]
     fn tracing_is_observably_free_and_replays_metrics() {
         let g = amt_graphs::generators::hypercube(5);
-        for threads in [1, 4] {
-            let cfg = RunConfig::default().with_threads(threads);
-            let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-            let m_plain = plain.run(&cfg).unwrap();
-            assert!(
-                plain.take_observed().trace.is_none(),
-                "tracing is off by default"
-            );
+        let cfg = RunConfig::default();
+        let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
+        let m_plain = plain.run(&cfg).unwrap();
+        assert!(
+            plain.take_observed().trace.is_none(),
+            "tracing is off by default"
+        );
 
-            let mut traced = Simulator::new(&g, walker_fleet(32), 77)
-                .unwrap()
-                .with_observe(Observe {
-                    trace: Some(TraceConfig::default().with_edge_load_stride(2)),
-                    ..Observe::default()
-                });
-            let m_traced = traced.run(&cfg).unwrap();
-            assert_eq!(
-                m_plain, m_traced,
-                "threads = {threads}: tracing changed metrics"
-            );
-            let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-            let s_traced: Vec<u64> = traced.nodes().iter().map(|p| p.trace).collect();
-            assert_eq!(s_plain, s_traced, "tracing changed protocol state");
+        let mut traced = Simulator::new(&g, walker_fleet(32), 77)
+            .unwrap()
+            .with_observe(Observe {
+                trace: Some(TraceConfig::default().with_edge_load_stride(2)),
+                ..Observe::default()
+            });
+        let m_traced = traced.run(&cfg).unwrap();
+        assert_eq!(m_plain, m_traced, "tracing changed metrics");
+        let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
+        let s_traced: Vec<u64> = traced.nodes().iter().map(|p| p.trace).collect();
+        assert_eq!(s_plain, s_traced, "tracing changed protocol state");
 
-            let trace = traced.take_observed().trace.expect("tracing was enabled");
-            assert_eq!(trace.reconstruct_metrics(), m_traced);
-            assert_eq!(trace.samples.len() as u64, m_traced.rounds + 1);
-            assert!(trace.events.iter().any(|e| e.label == "token_seen"));
-            assert!(!trace.snapshots.is_empty());
-            assert_eq!(trace.final_edge_load, traced.edge_load());
-        }
+        let trace = traced.take_observed().trace.expect("tracing was enabled");
+        assert_eq!(trace.reconstruct_metrics(), m_traced);
+        assert_eq!(trace.samples.len() as u64, m_traced.rounds + 1);
+        assert!(trace.events.iter().any(|e| e.label == "token_seen"));
+        assert!(!trace.snapshots.is_empty());
+        assert_eq!(trace.final_edge_load, traced.edge_load());
     }
 
-    /// The threaded executor's event merge must reproduce the sequential
-    /// `(round, node)` event order exactly.
+    /// Span events are recorded in `(round, node)` order.
     #[test]
-    fn trace_events_merge_in_sequential_order() {
+    fn trace_events_are_in_round_node_order() {
         let g = amt_graphs::generators::hypercube(5);
-        let run = |threads: usize| {
-            let mut sim = Simulator::new(&g, walker_fleet(32), 5)
-                .unwrap()
-                .with_observe(Observe {
-                    trace: Some(TraceConfig::default()),
-                    ..Observe::default()
-                });
-            sim.run(&RunConfig::default().with_threads(threads))
-                .unwrap();
-            sim.take_observed().trace.unwrap()
-        };
-        let baseline = run(1);
-        assert!(!baseline.events.is_empty());
-        for w in baseline.events.windows(2) {
+        let mut sim = Simulator::new(&g, walker_fleet(32), 5)
+            .unwrap()
+            .with_observe(Observe {
+                trace: Some(TraceConfig::default()),
+                ..Observe::default()
+            });
+        sim.run(&RunConfig::default()).unwrap();
+        let trace = sim.take_observed().trace.unwrap();
+        assert!(!trace.events.is_empty());
+        for w in trace.events.windows(2) {
             assert!(
                 (w[0].round, w[0].node.index()) <= (w[1].round, w[1].node.index()),
-                "sequential events must be (round, node)-ordered"
+                "events must be (round, node)-ordered"
             );
-        }
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), baseline, "threads = {threads} trace diverged");
         }
     }
 
@@ -3366,8 +2629,7 @@ mod tests {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(1);
+        };
         let m = sim.run(&cfg).unwrap();
         // Both endpoints send every round; rounds 2 and 3 are eaten by the
         // outage in both directions.
@@ -3418,8 +2680,7 @@ mod tests {
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(1);
+        };
         let m = sim.run(&cfg).unwrap();
         // Node 0's beacons of rounds 2 and 3 die against the offline node;
         // node 1, being down, stages nothing those rounds.
@@ -3448,21 +2709,20 @@ mod tests {
 
     /// Engine-level churn determinism: a plan mixing PRF flaps, a periodic
     /// outage, and a restart produces byte-identical metrics, churn-event
-    /// logs, protocol state, and edge loads across thread counts and under
-    /// visit-order reversal.
+    /// logs, protocol state, and edge loads under visit-order reversal.
     #[test]
-    fn churned_runs_are_identical_across_threads_and_visit_order() {
+    fn churned_runs_are_identical_under_visit_order_reversal() {
         let g = amt_graphs::generators::hypercube(5);
         let plan = ChurnPlan::none()
             .seeded(41)
             .with_flaps(0.08, 6)
             .with_periodic_outage(EdgeId(3), 4, 3, 11)
             .with_restart(NodeId(7), 5, 4);
-        let run = |threads: usize, reverse: bool| {
+        let run = |reverse: bool| {
             let mut sim = Simulator::new(&g, walker_fleet(32), 9)
                 .unwrap()
                 .with_churn_plan(plan.clone());
-            let cfg = RunConfig::default().with_threads(threads);
+            let cfg = RunConfig::default();
             let m = if reverse {
                 sim.run_reverse_visit(&cfg).unwrap()
             } else {
@@ -3476,20 +2736,13 @@ mod tests {
                 sim.edge_load().to_vec(),
             )
         };
-        let baseline = run(1, false);
+        let baseline = run(false);
         assert!(
             baseline.0.lost_to_churn > 0,
             "the plan must actually bite: {:?}",
             baseline.0
         );
         assert_eq!(baseline.0.restarts, 1);
-        assert_eq!(run(1, true), baseline, "visit-order reversal diverged");
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run(threads, false),
-                baseline,
-                "threads = {threads} diverged"
-            );
-        }
+        assert_eq!(run(true), baseline, "visit-order reversal diverged");
     }
 }

@@ -1,12 +1,11 @@
-//! Opt-in runtime-execution telemetry: per-shard straggler attribution,
-//! engine gauges, a fixed-capacity flight recorder, and live NDJSON
-//! streaming.
+//! Opt-in runtime-execution telemetry: engine gauges, run work totals, a
+//! fixed-capacity flight recorder, and live NDJSON streaming.
 //!
 //! [`crate::trace`] and [`crate::profile`] observe *what the protocol did*
 //! (deliveries, faults, traffic classes); this module observes *how the
-//! runtime executed it*: which shard was the straggler each round, how deep
-//! the inbox slab and wake queue got, how many bytes the arenas peaked at,
-//! and what the last rounds looked like when a long run dies.
+//! runtime executed it*: how many nodes it stepped, how deep the inbox slab
+//! and wake queue got, how many bytes the arenas peaked at, and what the
+//! last rounds looked like when a long run dies.
 //!
 //! # Contract
 //!
@@ -17,15 +16,10 @@
 //! * **Exact logical gauges.** Active-set occupancy, inbox/staged queue
 //!   depths, wake-queue depth, and arena byte high-water marks are pure
 //!   functions of the run (graph, seed, config, plans): the same across
-//!   thread counts, visit orders, and engine variants. Arena bytes are
-//!   computed from element *counts* times element size, never allocator
-//!   capacity, so they carry no allocator nondeterminism.
-//! * **Wall-times are host metadata.** Per-shard step wall-times (and the
-//!   imbalance factors derived from them) measure the host machine, not the
-//!   simulated execution — like [`crate::PhaseTimings`] they are excluded
-//!   from every determinism comparison. Per-shard *work* counters (nodes
-//!   stepped, messages staged) are logical and deterministic for a fixed
-//!   `(threads, placement)` configuration.
+//!   visit orders. Arena bytes are computed from element *counts* times
+//!   element size, never allocator capacity, so they carry no allocator
+//!   nondeterminism. The work totals (nodes stepped, messages staged) are
+//!   logical too.
 //! * **Telemetry never fails a run.** Stream and dump I/O errors are
 //!   swallowed; a full flight recorder evicts its oldest frame.
 
@@ -102,24 +96,7 @@ impl TelemetryConfig {
     }
 }
 
-/// One executor shard's work in one round.
-///
-/// Under the threaded stepper there is one sample per worker shard; the
-/// sequential stepper reports a single shard 0. `wall_nanos` is host
-/// wall-clock (excluded from determinism); the work counters are logical.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardRoundSample {
-    /// Shard (worker) index under the run's placement.
-    pub shard: u32,
-    /// Host wall-clock nanoseconds the shard spent stepping its nodes.
-    pub wall_nanos: u64,
-    /// Nodes the shard stepped this round.
-    pub nodes_stepped: u64,
-    /// Messages the shard staged for delivery this round.
-    pub messages_staged: u64,
-}
-
-/// Engine gauges plus per-shard samples for one executed round.
+/// Engine gauges for one executed round.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundHealth {
     /// The round number.
@@ -136,37 +113,6 @@ pub struct RoundHealth {
     /// Bytes logically held by the message arenas this round (element
     /// counts × element sizes; allocator-independent).
     pub arena_bytes: u64,
-    /// Per-shard work and wall samples, in shard order.
-    pub shards: Vec<ShardRoundSample>,
-}
-
-impl RoundHealth {
-    /// The slowest shard's wall-time this round (0 with no shards).
-    pub fn max_shard_wall(&self) -> u64 {
-        self.shards.iter().map(|s| s.wall_nanos).max().unwrap_or(0)
-    }
-
-    /// Straggler imbalance factor: `max_shard_wall / mean_shard_wall`.
-    /// `1.0` for fewer than two shards or an all-zero round — a perfectly
-    /// balanced round scores 1.0, a round where one shard did all the
-    /// waiting scores ≈ shard count.
-    pub fn imbalance(&self) -> f64 {
-        imbalance_of(self.shards.iter().map(|s| s.wall_nanos))
-    }
-}
-
-/// `max / mean` over a series, with degenerate cases collapsed to 1.0.
-fn imbalance_of(walls: impl Iterator<Item = u64>) -> f64 {
-    let walls: Vec<u64> = walls.collect();
-    if walls.len() < 2 {
-        return 1.0;
-    }
-    let total: u64 = walls.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let max = *walls.iter().max().expect("non-empty") as f64;
-    max / (total as f64 / walls.len() as f64)
 }
 
 /// High-water marks of the per-round gauges over a whole run.
@@ -201,7 +147,7 @@ pub struct FlightFrame {
     /// Protocol-level deliveries and faults of the round (the same shape
     /// [`crate::RunTrace`] records).
     pub sample: RoundSample,
-    /// Runtime gauges and per-shard samples of the round.
+    /// Runtime gauges of the round.
     pub health: RoundHealth,
 }
 
@@ -269,19 +215,14 @@ impl Default for FlightRecorder {
 /// Everything one telemetry-enabled run recorded.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunTelemetry {
-    /// Executor shards the run used (1 for the sequential stepper).
-    pub shards: usize,
     /// Rounds recorded.
     pub rounds: u64,
     /// Gauge high-water marks over the run.
     pub hwm: GaugeHighWater,
-    /// Total nodes stepped per shard over the run.
-    pub shard_nodes_stepped: Vec<u64>,
-    /// Total messages staged per shard over the run.
-    pub shard_messages_staged: Vec<u64>,
-    /// Total host wall nanoseconds per shard over the run (host metadata,
-    /// excluded from determinism comparisons).
-    pub shard_wall_nanos: Vec<u64>,
+    /// Protocol callbacks the engine ran over the run.
+    pub nodes_stepped: u64,
+    /// Messages staged for delivery over the run.
+    pub messages_staged: u64,
     /// Full per-round history ([`TelemetryConfig::history`]; empty when
     /// disabled).
     pub history: Vec<RoundHealth>,
@@ -290,23 +231,6 @@ pub struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    /// Whole-run straggler imbalance: `max / mean` of the per-shard wall
-    /// totals (1.0 for fewer than two shards).
-    pub fn imbalance(&self) -> f64 {
-        imbalance_of(self.shard_wall_nanos.iter().copied())
-    }
-
-    /// Distribution of the per-round imbalance factor, in milli-units
-    /// (1000 = perfectly balanced), over the recorded history. `None` when
-    /// history is off or empty.
-    pub fn round_imbalance_milli_distribution(&self) -> Option<Distribution> {
-        Distribution::try_of(
-            self.history
-                .iter()
-                .map(|h| (h.imbalance() * 1000.0).round() as u64),
-        )
-    }
-
     /// Distribution of wake-queue depth over the recorded history.
     pub fn wake_queue_distribution(&self) -> Option<Distribution> {
         Distribution::try_of(self.history.iter().map(|h| h.wake_queue))
@@ -361,19 +285,10 @@ impl TelemetryState {
 
     pub(crate) fn record_round(&mut self, sample: RoundSample, health: RoundHealth) {
         self.out.rounds = health.round;
-        self.out.shards = self.out.shards.max(health.shards.len());
         self.out.hwm.absorb(&health);
-        for s in &health.shards {
-            let i = s.shard as usize;
-            if self.out.shard_nodes_stepped.len() <= i {
-                self.out.shard_nodes_stepped.resize(i + 1, 0);
-                self.out.shard_messages_staged.resize(i + 1, 0);
-                self.out.shard_wall_nanos.resize(i + 1, 0);
-            }
-            self.out.shard_nodes_stepped[i] += s.nodes_stepped;
-            self.out.shard_messages_staged[i] += s.messages_staged;
-            self.out.shard_wall_nanos[i] += s.wall_nanos;
-        }
+        // The sample's `active_nodes` is the number of callbacks that ran.
+        self.out.nodes_stepped += sample.active_nodes;
+        self.out.messages_staged += health.staged_sends;
         let stride = self.cfg.stream_stride.max(1);
         if health.round.is_multiple_of(stride) {
             self.stream_frame(&sample, &health);
@@ -447,24 +362,6 @@ fn push_kv(out: &mut String, first: &mut bool, key: &str, value: impl std::fmt::
     out.push_str(&value.to_string());
 }
 
-fn shard_array(shards: &[ShardRoundSample]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut first = true;
-        out.push('{');
-        push_kv(&mut out, &mut first, "shard", s.shard);
-        push_kv(&mut out, &mut first, "wall_nanos", s.wall_nanos);
-        push_kv(&mut out, &mut first, "nodes_stepped", s.nodes_stepped);
-        push_kv(&mut out, &mut first, "messages_staged", s.messages_staged);
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
 fn health_object(h: &RoundHealth) -> String {
     let mut out = String::from("{");
     let mut first = true;
@@ -474,17 +371,6 @@ fn health_object(h: &RoundHealth) -> String {
     push_kv(&mut out, &mut first, "staged_sends", h.staged_sends);
     push_kv(&mut out, &mut first, "wake_queue", h.wake_queue);
     push_kv(&mut out, &mut first, "arena_bytes", h.arena_bytes);
-    push_kv(
-        &mut out,
-        &mut first,
-        "imbalance",
-        format!("{:.4}", h.imbalance()),
-    );
-    if !first {
-        out.push(',');
-    }
-    out.push_str("\"shards\":");
-    out.push_str(&shard_array(&h.shards));
     out.push('}');
     out
 }
@@ -521,23 +407,7 @@ fn ndjson_line(sample: &RoundSample, health: &RoundHealth) -> String {
     push_kv(&mut out, &mut first, "wake_queue", health.wake_queue);
     push_kv(&mut out, &mut first, "arena_bytes", health.arena_bytes);
     push_kv(&mut out, &mut first, "nodes_down", sample.nodes_down);
-    push_kv(
-        &mut out,
-        &mut first,
-        "imbalance",
-        format!("{:.4}", health.imbalance()),
-    );
-    if !first {
-        out.push(',');
-    }
-    out.push_str("\"shard_walls\":[");
-    for (i, s) in health.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.wall_nanos.to_string());
-    }
-    out.push_str("]}\n");
+    out.push_str("}\n");
     out
 }
 
@@ -571,12 +441,6 @@ pub fn render_flight_dump(
     );
     push_kv(&mut out, &mut first, "retained", telemetry.recent.len());
     push_kv(&mut out, &mut first, "oldest_round", oldest);
-    push_kv(
-        &mut out,
-        &mut first,
-        "imbalance",
-        format!("{:.4}", telemetry.imbalance()),
-    );
     out.push_str(",\"frames\":[");
     for (i, f) in telemetry.recent.frames().enumerate() {
         if i > 0 {
@@ -651,7 +515,7 @@ pub fn dump_flight(
 mod tests {
     use super::*;
 
-    fn health(round: u64, walls: &[u64]) -> RoundHealth {
+    fn health(round: u64) -> RoundHealth {
         RoundHealth {
             round,
             active_nodes: 10 + round,
@@ -659,29 +523,7 @@ mod tests {
             staged_sends: 7,
             wake_queue: 3,
             arena_bytes: 120,
-            shards: walls
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| ShardRoundSample {
-                    shard: i as u32,
-                    wall_nanos: w,
-                    nodes_stepped: 4,
-                    messages_staged: 2,
-                })
-                .collect(),
         }
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
-        // Walls [100, 300]: mean 200, max 300 → 1.5.
-        assert!((health(0, &[100, 300]).imbalance() - 1.5).abs() < 1e-9);
-        // Perfectly balanced → 1.0.
-        assert!((health(0, &[50, 50, 50]).imbalance() - 1.0).abs() < 1e-9);
-        // Degenerate cases collapse to 1.0.
-        assert!((health(0, &[]).imbalance() - 1.0).abs() < 1e-9);
-        assert!((health(0, &[9]).imbalance() - 1.0).abs() < 1e-9);
-        assert!((health(0, &[0, 0]).imbalance() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -693,7 +535,7 @@ mod tests {
                     round,
                     ..RoundSample::default()
                 },
-                health: health(round, &[1, 2]),
+                health: health(round),
             });
         }
         assert_eq!(rec.len(), 3);
@@ -704,40 +546,32 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_state_accumulates_shards_and_hwm() {
+    fn telemetry_state_accumulates_totals_and_hwm() {
         let mut st = TelemetryState::new(TelemetryConfig::default().with_flight_capacity(2));
         for round in 0..4u64 {
-            let mut h = health(round, &[10, 30]);
+            let mut h = health(round);
             h.wake_queue = round; // rising gauge
             st.record_round(
                 RoundSample {
                     round,
                     messages: 2,
+                    active_nodes: 4,
                     ..RoundSample::default()
                 },
                 h,
             );
         }
         let t = st.finish();
-        assert_eq!(t.shards, 2);
         assert_eq!(t.rounds, 3);
         assert_eq!(t.hwm.wake_queue, 3);
         assert_eq!(t.hwm.active_nodes, 13);
-        assert_eq!(t.shard_nodes_stepped, vec![16, 16]);
-        assert_eq!(t.shard_messages_staged, vec![8, 8]);
-        assert_eq!(t.shard_wall_nanos, vec![40, 120]);
-        assert!((t.imbalance() - 1.5).abs() < 1e-9);
+        assert_eq!(t.nodes_stepped, 16);
+        assert_eq!(t.messages_staged, 28);
         assert_eq!(t.history.len(), 4);
         assert_eq!(t.recent.len(), 2, "ring keeps only the last K rounds");
         assert_eq!(t.recent.oldest_round(), Some(2));
         // Distributions read the history.
         assert_eq!(t.wake_queue_distribution().expect("history on").max, 3);
-        assert_eq!(
-            t.round_imbalance_milli_distribution()
-                .expect("history on")
-                .max,
-            1500
-        );
     }
 
     #[test]
@@ -753,7 +587,7 @@ mod tests {
                     round,
                     ..RoundSample::default()
                 },
-                health(round, &[5]),
+                health(round),
             );
         }
         let t = st.finish();
@@ -773,7 +607,7 @@ mod tests {
                     messages: round,
                     ..RoundSample::default()
                 },
-                health(round, &[100, 300]),
+                health(round),
             );
         }
         let t = st.finish();
@@ -802,7 +636,6 @@ mod tests {
         // Both retained rounds are present with sample and health objects.
         assert!(doc.contains("\"sample\":{\"round\":3"));
         assert!(doc.contains("\"health\":{\"round\":4"));
-        assert!(doc.contains("\"imbalance\":1.5000"));
     }
 
     #[test]
@@ -813,12 +646,11 @@ mod tests {
                 messages: 9,
                 ..RoundSample::default()
             },
-            &health(7, &[10, 20, 60]),
+            &health(7),
         );
-        assert!(line.ends_with("]}\n"));
+        assert!(line.ends_with("}\n"));
         assert_eq!(line.matches('\n').count(), 1);
         assert!(line.contains("\"round\":7"));
-        assert!(line.contains("\"shard_walls\":[10,20,60]"));
-        assert!(line.contains("\"imbalance\":2.0000"));
+        assert!(line.contains("\"wake_queue\":3"));
     }
 }

@@ -62,23 +62,21 @@ fn fleet(n: usize) -> Vec<Walker> {
 type RunResult = (Metrics, RunTrace, Vec<u64>, Vec<u64>);
 
 /// One randomized run must be byte-identical — `Metrics` *and* the full
-/// round timeline — on the sequential clean path, the threaded clean path
-/// (1 and 4 workers), and the faulty executor driven by a plan that is
-/// non-trivial (so it takes the fault-sampling code path) but can never
-/// fire a fault (a crash scheduled far beyond termination).
-fn run_sim(mut sim: Simulator<'_, Walker>, threads: usize) -> RunResult {
-    let m = sim
-        .run(&RunConfig::default().with_threads(threads))
-        .unwrap();
+/// round timeline — on the clean path, a repeat of it, and the faulty
+/// executor driven by a plan that is non-trivial (so it takes the
+/// fault-sampling code path) but can never fire a fault (a crash scheduled
+/// far beyond termination).
+fn run_sim(mut sim: Simulator<'_, Walker>) -> RunResult {
+    let m = sim.run(&RunConfig::default()).unwrap();
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let loads = sim.edge_load().to_vec();
     (m, sim.take_observed().trace.unwrap(), digests, loads)
 }
 
 #[test]
-fn clean_threaded_and_inert_fault_paths_agree() {
+fn clean_repeat_and_inert_fault_paths_agree() {
     let g = amt_graphs::generators::hypercube(5);
-    let clean = |threads| {
+    let clean = || {
         run_sim(
             Simulator::new(&g, fleet(32), 2024)
                 .unwrap()
@@ -86,15 +84,12 @@ fn clean_threaded_and_inert_fault_paths_agree() {
                     trace: Some(TraceConfig::default().with_edge_load_stride(3)),
                     ..Observe::default()
                 }),
-            threads,
         )
     };
-    let baseline = clean(1);
+    let baseline = clean();
     assert!(baseline.0.messages > 0, "workload must send traffic");
     assert!(!baseline.1.events.is_empty(), "workload must emit events");
-    for threads in [2, 4] {
-        assert_eq!(clean(threads), baseline, "threads = {threads} diverged");
-    }
+    assert_eq!(clean(), baseline, "a repeat of the clean run diverged");
 
     // Non-trivial plan (goes through the fault executor) that cannot fire:
     // the only scheduled fault is a crash at a round never reached.
@@ -108,7 +103,6 @@ fn clean_threaded_and_inert_fault_paths_agree() {
                 trace: Some(TraceConfig::default().with_edge_load_stride(3)),
                 ..Observe::default()
             }),
-        1,
     );
     assert_eq!(faulty, baseline, "inert fault plan diverged from clean run");
 }

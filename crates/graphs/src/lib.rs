@@ -21,8 +21,8 @@
 //!   iteration).
 //! * [`partitioning`] — the Fiedler-vector sweep cut (the constructive side
 //!   of Cheeger's inequality), used to locate sparse cuts, and the k-way
-//!   spectral [`partitioning::Placement`] consumed by the threaded CONGEST
-//!   executor to minimize cross-shard edges.
+//!   spectral [`partitioning::Placement`], which minimizes cross-shard
+//!   edges for the simulator's after-the-fact traffic attribution.
 //! * [`io`] — plain-text edge-list reading/writing (SNAP-style).
 //!
 //! All randomized constructions take an explicit [`rand::Rng`] so that every

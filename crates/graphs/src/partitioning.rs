@@ -8,9 +8,10 @@
 //! independent upper-bound witness for `h(G)`.
 //!
 //! [`Placement`] extends the sweep into a k-way node→shard map via
-//! recursive spectral bisection with size-balance caps; the threaded
-//! CONGEST executor consumes it to keep cross-shard edges (and therefore
-//! cross-worker message traffic) low.
+//! recursive spectral bisection with size-balance caps, which keeps
+//! cross-shard edges (and therefore the traffic a sharded executor would
+//! move between workers) low. The CONGEST simulator's traffic profiles
+//! attribute deliveries to a placement after the fact.
 
 use crate::{expansion, GraphError, Result};
 use crate::{Graph, NodeId};
@@ -102,11 +103,10 @@ pub fn fiedler_sweep_cut(g: &Graph, power_iters: usize) -> Option<SweepCut> {
 
 /// An explicit node→shard map for `k`-way partitioned execution.
 ///
-/// The threaded CONGEST executor uses a `Placement` to decide which worker
-/// owns each node. Shard ids are dense in `0..shards`; shards may be empty.
-/// Placements are part of a run's configuration: the simulator's
-/// determinism contract says every observable is byte-identical for any
-/// placement, while wall-clock and cross-worker traffic depend on it.
+/// Shard ids are dense in `0..shards`; shards may be empty. The CONGEST
+/// simulator runs on one thread; a placement attributes a recorded traffic
+/// profile to shards after the fact (`TrafficProfile::shard_split` in
+/// `amt-congest`), measuring how much traffic would cross workers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
     shard_of: Vec<u32>,

@@ -83,7 +83,6 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
             &forest,
             &init,
             seed ^ u64::from(iters),
-            0,
             amt_congest::class::MST_FLOOD,
             &amt_congest::Observe::default(),
         )?;
@@ -110,7 +109,6 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
             &forest,
             &(0..n as u64).collect::<Vec<_>>(),
             seed ^ 0xBEEF ^ u64::from(iters),
-            0,
             amt_congest::class::MST_LABEL,
             &amt_congest::Observe::default(),
         )?;

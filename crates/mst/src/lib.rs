@@ -32,7 +32,7 @@ pub use almost_mixing::{AlmostMixingMst, AmtMstOutcome, IterationStats};
 pub use error::MstError;
 pub use healing::{
     run_healing, run_healing_churned, run_healing_churned_instrumented, run_healing_instrumented,
-    run_healing_with, HealedMstOutcome,
+    HealedMstOutcome,
 };
 
 /// Result alias for MST operations.

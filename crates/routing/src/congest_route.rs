@@ -330,17 +330,20 @@ pub fn route_bitfix(
     requests: &[(NodeId, NodeId)],
     seed: u64,
 ) -> Result<CongestRouteOutcome> {
-    let (out, _) = route_bitfix_instrumented(g, requests, seed, 0, None)?;
+    let (out, _) = route_bitfix_instrumented(g, requests, seed, 1, None)?;
     Ok(out)
 }
 
-/// [`route_bitfix`] with an explicit simulator worker-thread count (`0` =
-/// auto) and opt-in traffic profiling. When `profile` is set, the returned
-/// [`TrafficProfile`] splits the run into [`class::ROUTE_PORTAL`]
-/// (phase-1 detour hops) and [`class::ROUTE_PAYLOAD`] (phase-2 delivery
-/// hops), with totals summing exactly to the outcome's metrics. The
-/// outcome is byte-identical for every `threads` value and whether or not
-/// profiling is on.
+/// [`route_bitfix`] with opt-in traffic profiling. When `profile` is set,
+/// the returned [`TrafficProfile`] splits the run into
+/// [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
+/// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
+/// exactly to the outcome's metrics. The outcome is byte-identical whether
+/// or not profiling is on.
+///
+/// `_threads` is ignored: the simulator runs on one thread. The parameter
+/// stays until the repository benchmark, which calls this function with a
+/// thread count, drops it.
 ///
 /// # Errors
 ///
@@ -349,7 +352,7 @@ pub fn route_bitfix_instrumented(
     g: &Graph,
     requests: &[(NodeId, NodeId)],
     seed: u64,
-    threads: usize,
+    _threads: usize,
     profile: Option<ProfileConfig>,
 ) -> Result<(CongestRouteOutcome, Option<TrafficProfile>)> {
     let n = g.len();
@@ -375,8 +378,7 @@ pub fn route_bitfix_instrumented(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = sim.run(&cfg)?;
     let prof = sim.take_observed().profile;
     let mut endpoints = vec![NodeId(0); requests.len()];
@@ -444,16 +446,18 @@ pub fn route_bitfix_churned(
     requests: &[(NodeId, NodeId)],
     seed: u64,
     churn: ChurnPlan,
-    threads: usize,
 ) -> Result<ChurnedRouteOutcome> {
-    let (out, _, _) =
-        route_bitfix_churned_instrumented(g, requests, seed, churn, threads, None, None)?;
+    let (out, _, _) = route_bitfix_churned_instrumented(g, requests, seed, churn, 1, None, None)?;
     Ok(out)
 }
 
 /// [`route_bitfix_churned`] with opt-in tracing (one [`RunTrace`] per
 /// epoch) and traffic profiling accumulated across epochs. Neither changes
-/// the outcome, which is byte-identical at every thread count.
+/// the outcome.
+///
+/// `_threads` is ignored: the simulator runs on one thread. The parameter
+/// stays until the repository benchmark, which calls this function with a
+/// thread count, drops it.
 ///
 /// # Errors
 ///
@@ -463,7 +467,7 @@ pub fn route_bitfix_churned_instrumented(
     requests: &[(NodeId, NodeId)],
     seed: u64,
     churn: ChurnPlan,
-    threads: usize,
+    _threads: usize,
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
@@ -514,8 +518,7 @@ pub fn route_bitfix_churned_instrumented(
         let cfg = RunConfig {
             stop: StopCondition::AllDone,
             ..RunConfig::default()
-        }
-        .with_threads(threads);
+        };
         let m = sim.run(&cfg)?;
         runs.absorb(sim.take_observed(), elapsed);
         for ev in sim.churn_events() {
@@ -598,17 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        let g = generators::hypercube(6);
-        let reqs = shift_permutation(64, 13);
-        let a = route_bitfix_instrumented(&g, &reqs, 4, 1, Some(ProfileConfig::default())).unwrap();
-        let b = route_bitfix_instrumented(&g, &reqs, 4, 4, Some(ProfileConfig::default())).unwrap();
-        assert_eq!(a.0.endpoints, b.0.endpoints);
-        assert_eq!(a.0.metrics, b.0.metrics);
-        assert_eq!(a.1, b.1);
-    }
-
-    #[test]
     fn rejects_non_hypercubes_and_bad_requests() {
         let ring = generators::ring(8);
         assert!(matches!(
@@ -639,7 +631,7 @@ mod tests {
         let g = generators::hypercube(5);
         let reqs = shift_permutation(32, 7);
         let clean = route_bitfix(&g, &reqs, 3).unwrap();
-        let churned = route_bitfix_churned(&g, &reqs, 3, ChurnPlan::none().seeded(42), 0).unwrap();
+        let churned = route_bitfix_churned(&g, &reqs, 3, ChurnPlan::none().seeded(42)).unwrap();
         assert_eq!(churned.epochs, 1);
         assert_eq!(churned.rerouted, 0);
         assert!(!churned.degraded());
@@ -654,7 +646,7 @@ mod tests {
         let g = generators::hypercube(5);
         let reqs = shift_permutation(32, 11);
         let churn = ChurnPlan::none().seeded(17).with_flaps(0.15, 3);
-        let out = route_bitfix_churned(&g, &reqs, 5, churn, 0).unwrap();
+        let out = route_bitfix_churned(&g, &reqs, 5, churn).unwrap();
         assert!(!out.degraded(), "flaps must not cost deliveries");
         assert!(
             out.rerouted > 0,
@@ -672,7 +664,7 @@ mod tests {
         // Node 6 crashes at round 1 and returns at round 5: its queued and
         // in-flight packets are lost mid-epoch and must be re-issued.
         let churn = ChurnPlan::none().seeded(8).with_restart(NodeId(6), 1, 4);
-        let out = route_bitfix_churned(&g, &reqs, 7, churn, 0).unwrap();
+        let out = route_bitfix_churned(&g, &reqs, 7, churn).unwrap();
         assert!(
             !out.degraded(),
             "a transient restart must not cost deliveries"
@@ -699,7 +691,7 @@ mod tests {
             }
         }
         let reqs: Vec<(NodeId, NodeId)> = (1..8).map(|i| (NodeId(i), NodeId(i % 2))).collect();
-        let out = route_bitfix_churned(&g, &reqs, 4, churn, 0).unwrap();
+        let out = route_bitfix_churned(&g, &reqs, 4, churn).unwrap();
         assert!(out.degraded());
         assert_eq!(out.epochs, MAX_ROUTE_EPOCHS);
         for (i, &(_, t)) in reqs.iter().enumerate() {
@@ -724,8 +716,8 @@ mod tests {
             .seeded(31)
             .with_flaps(0.1, 4)
             .with_restart(NodeId(12), 3, 5);
-        let a = route_bitfix_churned(&g, &reqs, 6, churn.clone(), 1).unwrap();
-        let b = route_bitfix_churned(&g, &reqs, 6, churn, 4).unwrap();
+        let a = route_bitfix_churned(&g, &reqs, 6, churn.clone()).unwrap();
+        let b = route_bitfix_churned(&g, &reqs, 6, churn).unwrap();
         assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.undelivered, b.undelivered);
         assert_eq!(a.epochs, b.epochs);

@@ -165,23 +165,6 @@ pub fn run_walks_in_congest(
     specs: &[WalkSpec],
     seed: u64,
 ) -> Result<CongestWalkRun, CongestError> {
-    run_walks_in_congest_threaded(g, kind, specs, seed, 0)
-}
-
-/// [`run_walks_in_congest`] with an explicit simulator worker-thread count
-/// (`0` = the process default). The result is byte-identical for every
-/// `threads` value — the simulator's determinism contract.
-///
-/// # Errors
-///
-/// Propagates simulator violations, as [`run_walks_in_congest`].
-pub fn run_walks_in_congest_threaded(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    threads: usize,
-) -> Result<CongestWalkRun, CongestError> {
     let delta = g.max_degree();
     let mut initial: Vec<VecDeque<Token>> = vec![VecDeque::new(); g.len()];
     for (i, spec) in specs.iter().enumerate() {
@@ -211,8 +194,7 @@ pub fn run_walks_in_congest_threaded(
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = sim.run(&cfg)?;
     let mut endpoints = vec![NodeId(0); specs.len()];
     for (v, p) in sim.nodes().iter().enumerate() {

@@ -396,8 +396,7 @@ fn backoff_jitter(seed: u64, epoch: u32) -> u64 {
 
 /// Executes `specs` over the fault-injected simulator with custody-transfer
 /// retransmission and epoch re-issue; see the module docs for the healing
-/// mechanisms. Uses the auto-resolved executor thread count; see
-/// [`run_walks_healing_threaded`] to pin it.
+/// mechanisms.
 ///
 /// # Errors
 ///
@@ -409,30 +408,11 @@ pub fn run_walks_healing(
     seed: u64,
     plan: FaultPlan,
 ) -> Result<HealedWalkRun, CongestError> {
-    run_walks_healing_threaded(g, kind, specs, seed, plan, 0)
-}
-
-/// [`run_walks_healing`] with an explicit executor worker-thread count
-/// (`0` = auto). Message-identity fault keying makes the faulty path
-/// byte-identical at every thread count, so this only changes wall-clock.
-///
-/// # Errors
-///
-/// Propagates simulator violations and fault-plan validation errors.
-pub fn run_walks_healing_threaded(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    plan: FaultPlan,
-    threads: usize,
-) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) =
-        run_walks_healing_instrumented(g, kind, specs, seed, plan, threads, None, None)?;
+    let (run, _, _) = run_walks_healing_instrumented(g, kind, specs, seed, plan, None, None)?;
     Ok(run)
 }
 
-/// [`run_walks_healing_threaded`] with opt-in observability: when `trace`
+/// [`run_walks_healing`] with opt-in observability: when `trace`
 /// is set, returns one [`RunTrace`] per executed epoch (epoch re-issues
 /// appear as `"walk_epoch_reissue"` events); when `profile` is set, returns
 /// a single [`TrafficProfile`] accumulated across epochs whose per-class
@@ -442,14 +422,13 @@ pub fn run_walks_healing_threaded(
 /// # Errors
 ///
 /// Propagates simulator violations and fault-plan validation errors.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+#[allow(clippy::type_complexity)]
 pub fn run_walks_healing_instrumented(
     g: &Graph,
     kind: WalkKind,
     specs: &[WalkSpec],
     seed: u64,
     plan: FaultPlan,
-    threads: usize,
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
@@ -460,13 +439,13 @@ pub fn run_walks_healing_instrumented(
         seed,
         plan,
         ChurnPlan::none(),
-        threads,
+        1,
         trace,
         profile,
     )
 }
 
-/// [`run_walks_healing_threaded`] under topology churn: the same
+/// [`run_walks_healing`] under topology churn: the same
 /// custody-transfer / epoch-re-issue machinery executed against `churn`,
 /// with link-aware rerouting, restart state loss, and a
 /// [`RecoveryTimeline`] in the outcome (see the module docs). The churn
@@ -486,17 +465,19 @@ pub fn run_walks_healing_churned(
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    threads: usize,
 ) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) = run_walks_healing_churned_instrumented(
-        g, kind, specs, seed, plan, churn, threads, None, None,
-    )?;
+    let (run, _, _) =
+        run_walks_healing_churned_instrumented(g, kind, specs, seed, plan, churn, 1, None, None)?;
     Ok(run)
 }
 
 /// The full healing driver: faults, churn, and opt-in observability in one
 /// signature ([`run_walks_healing_instrumented`] is this with a trivial
 /// churn plan).
+///
+/// `_threads` is ignored: the simulator runs on one thread. The parameter
+/// stays until the repository benchmark, which calls this function with a
+/// thread count, drops it.
 ///
 /// # Errors
 ///
@@ -511,7 +492,7 @@ pub fn run_walks_healing_churned_instrumented(
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
-    threads: usize,
+    _threads: usize,
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
@@ -625,7 +606,6 @@ pub fn run_walks_healing_churned_instrumented(
             stop: StopCondition::AllDone,
             budget_factor: 16,
             max_rounds: 500_000,
-            threads,
             ..RunConfig::default()
         };
         metrics = metrics.then(sim.run(&cfg)?);
@@ -815,7 +795,7 @@ mod tests {
         let specs = degree_proportional_specs(&g, 1, 10);
         let churn = ChurnPlan::none().seeded(23).with_flaps(0.15, 5);
         let run =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 7, FaultPlan::none(), churn, 1)
+            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 7, FaultPlan::none(), churn)
                 .unwrap();
         assert!(run.metrics.lost_to_churn > 0, "flaps must bite");
         assert!(
@@ -832,7 +812,7 @@ mod tests {
             .with_restart(NodeId(3), 4, 6)
             .with_restart(NodeId(9), 8, 4);
         let run =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, FaultPlan::none(), churn, 1)
+            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, FaultPlan::none(), churn)
                 .unwrap();
         assert_eq!(run.metrics.crashed, 0, "restarts are not crash-stops");
         assert!(run.metrics.restarts >= 2, "both outages must complete");
@@ -855,17 +835,10 @@ mod tests {
             .seeded(29)
             .with_flaps(0.1, 4)
             .with_restart(NodeId(6), 5, 5);
-        let a = run_walks_healing_churned(
-            &g,
-            WalkKind::Lazy,
-            &specs,
-            8,
-            plan.clone(),
-            churn.clone(),
-            1,
-        )
-        .unwrap();
-        let b = run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 8, plan, churn, 4).unwrap();
+        let a =
+            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 8, plan.clone(), churn.clone())
+                .unwrap();
+        let b = run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 8, plan, churn).unwrap();
         assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.timeline, b.timeline);
@@ -888,7 +861,6 @@ mod tests {
             8,
             plan,
             ChurnPlan::none().seeded(99),
-            0,
         )
         .unwrap();
         assert_eq!(plain.endpoints, churned.endpoints);
@@ -908,7 +880,7 @@ mod tests {
         }];
         let churn = ChurnPlan::none().with_restart(NodeId(0), 0, 1_000_000);
         let err =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 3, FaultPlan::none(), churn, 1)
+            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 3, FaultPlan::none(), churn)
                 .unwrap_err();
         match err {
             CongestError::RetryExhausted { node, attempts, .. } => {

@@ -76,7 +76,7 @@ pub const STAY_KEY: u32 = u32::MAX;
 /// (see the module docs for the layout); [`WalkArena::traj`] hands out
 /// zero-copy [`Trajectory`] views. Equality is byte-equality of the
 /// recorded walks, which the determinism suites pin across engines and
-/// thread counts.
+/// repeat runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalkArena {
     /// Positions, stride `steps + 1` per walk; finished walks are padded

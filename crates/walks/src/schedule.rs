@@ -38,8 +38,8 @@ pub struct PathRouteStats {
     /// (the congestion of the path system).
     pub max_key_congestion: u64,
     /// Host wall-clock time of the schedule computation (`"schedule"`
-    /// entry, recorded by [`route_paths`] and [`route_paths_schedule`]);
-    /// excluded from equality like all [`PhaseTimings`].
+    /// entry, recorded by [`route_paths`]); excluded from equality like all
+    /// [`PhaseTimings`].
     pub wall: PhaseTimings,
 }
 
@@ -429,23 +429,6 @@ pub fn route_paths<P: KeyPaths + ?Sized>(paths: &P, capacity: u32) -> PathRouteS
     stats
 }
 
-/// Like [`route_paths`], but also returns the schedule itself: entry `r`
-/// holds the keys crossed in round `r + 1`.
-///
-/// The hierarchical embedding uses this to *recursively* price overlay
-/// emulation: a round of level-`p` crossings becomes a batch of level-`(p−1)`
-/// messages, routed (and priced) by the same machinery one level down.
-pub fn route_paths_schedule<P: KeyPaths + ?Sized>(
-    paths: &P,
-    capacity: u32,
-) -> (PathRouteStats, KeySlab) {
-    let started = Instant::now();
-    let mut sched = PathScheduler::new();
-    let mut stats = sched.route(paths, capacity);
-    stats.wall.record("schedule", started.elapsed());
-    (stats, sched.schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,10 +499,11 @@ mod tests {
     fn huge_sparse_keys_are_remapped() {
         let top = u64::MAX;
         let paths = vec![vec![top, 0], vec![top, top - 1], vec![0]];
-        let (stats, sched) = route_paths_schedule(&paths, 1);
+        let mut sched = PathScheduler::new();
+        let stats = sched.route(&paths, 1);
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.max_key_congestion, 2);
-        let rounds: Vec<&[u64]> = sched.iter().collect();
+        let rounds: Vec<&[u64]> = sched.schedule().iter().collect();
         assert_eq!(rounds, [&[0, top][..], &[0, top], &[top - 1]]);
     }
 
@@ -532,7 +516,9 @@ mod tests {
     #[test]
     fn schedule_batches_match_stats() {
         let paths = vec![vec![9, 1, 2], vec![9, 3], vec![5, 9, 6]];
-        let (stats, sched) = route_paths_schedule(&paths, 1);
+        let mut scheduler = PathScheduler::new();
+        let stats = scheduler.route(&paths, 1);
+        let sched = scheduler.schedule();
         assert_eq!(sched.len() as u64, stats.rounds);
         assert_eq!(sched.keys().len() as u64, stats.traversals);
         // No key crossed more than capacity times per round.
@@ -551,9 +537,9 @@ mod tests {
         let mut sched = PathScheduler::new();
         for paths in [&big, &small, &big] {
             let stats = sched.route(paths, 2);
-            let (fresh, fresh_sched) = route_paths_schedule(paths, 2);
-            assert_eq!(stats, fresh);
-            assert_eq!(sched.schedule(), &fresh_sched);
+            let mut fresh = PathScheduler::new();
+            assert_eq!(stats, fresh.route(paths, 2));
+            assert_eq!(sched.schedule(), fresh.schedule());
         }
     }
 

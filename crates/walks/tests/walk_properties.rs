@@ -2,7 +2,7 @@
 
 use amt_graphs::{generators, GraphBuilder, NodeId};
 use amt_walks::parallel::{degree_proportional_specs, run_correlated_walks, run_parallel_walks};
-use amt_walks::{route_paths, route_paths_schedule, WalkKind, WalkSpec};
+use amt_walks::{route_paths, PathScheduler, WalkKind, WalkSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +35,9 @@ proptest! {
             proptest::collection::vec(0u64..24, 0..8), 0..30),
         cap in 1u32..4,
     ) {
-        let (stats, schedule) = route_paths_schedule(&paths, cap);
+        let mut scheduler = PathScheduler::new();
+        let stats = scheduler.route(&paths, cap);
+        let schedule = scheduler.schedule();
         prop_assert_eq!(schedule.len() as u64, stats.rounds);
         let mut delivered = 0u64;
         for round in schedule.iter() {

@@ -1,19 +1,18 @@
-//! Cross-engine equivalence property test (ISSUE 8 satellite).
-//!
-//! The active-set engine must be **byte-identical** to the retained
-//! full-sweep reference stepper — `Metrics`, fault/churn event logs,
-//! crashed sets, protocol outputs, per-edge loads, traffic profiles, and
-//! round timelines (modulo the `active_nodes` executor gauge) — across
-//! clean, faulty, and churned runs, thread counts {1, 2, 4, 8}, and
-//! visit-order reversal. The workload mixes the two sparse wake sources:
-//! mail-driven random token forwarding and `Ctx::wake_in` beacon timers.
+//! Cross-engine equivalence: the active-set engine must be
+//! **byte-identical** to the retained full-sweep reference stepper —
+//! `Metrics`, fault/churn event logs, crashed sets, protocol outputs,
+//! per-edge loads, traffic profiles, and round timelines (modulo the
+//! `active_nodes` executor gauge) — across clean, faulty, and churned runs,
+//! in either node-visit order. The workload mixes the two sparse wake
+//! sources: mail-driven random token forwarding and `Ctx::wake_in` beacon
+//! timers.
 
-use amt_congest::trace::{RunTrace, TraceConfig};
-use amt_congest::{
-    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Observe, Placement, ProfileConfig,
-    Protocol, RunConfig, RunTelemetry, Simulator, TelemetryConfig, TrafficProfile,
+use amt_core::congest::trace::{RunTrace, TraceConfig};
+use amt_core::congest::{
+    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Observe, ProfileConfig, Protocol,
+    RunConfig, RunTelemetry, Simulator, TelemetryConfig, TrafficProfile,
 };
-use amt_graphs::{generators, EdgeId, Graph, GraphBuilder, NodeId};
+use amt_core::graphs::{generators, EdgeId, GraphBuilder, NodeId};
 use rand::RngExt;
 
 /// Mail-driven token walking plus timer-driven beacon bursts.
@@ -119,26 +118,14 @@ enum Scenario {
     Churned,
 }
 
-fn observe(scenario: Scenario, threads: usize, reverse: bool, full_sweep: bool) -> Observation {
-    observe_with(scenario, threads, reverse, full_sweep, None)
-}
-
-fn observe_with(
-    scenario: Scenario,
-    threads: usize,
-    reverse: bool,
-    full_sweep: bool,
-    placement: Option<Placement>,
-) -> Observation {
-    observe_full(scenario, threads, reverse, full_sweep, placement, false).0
+fn observe(scenario: Scenario, reverse: bool, full_sweep: bool) -> Observation {
+    observe_full(scenario, reverse, full_sweep, false).0
 }
 
 fn observe_full(
     scenario: Scenario,
-    threads: usize,
     reverse: bool,
     full_sweep: bool,
-    placement: Option<Placement>,
     telemetry: bool,
 ) -> (Observation, Option<RunTelemetry>) {
     let g = generators::hypercube(6);
@@ -149,9 +136,6 @@ fn observe_full(
             profile: Some(ProfileConfig::default()),
             telemetry: telemetry.then(TelemetryConfig::default),
         });
-    if let Some(p) = placement {
-        sim = sim.with_placement(p);
-    }
     match scenario {
         Scenario::Clean => {}
         Scenario::Faulty => {
@@ -174,9 +158,7 @@ fn observe_full(
             );
         }
     }
-    let cfg = RunConfig::all_done()
-        .with_threads(threads)
-        .with_full_sweep(full_sweep);
+    let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
     let metrics = if reverse {
         sim.run_reverse_visit(&cfg)
     } else {
@@ -189,7 +171,6 @@ fn observe_full(
     for s in &mut trace.samples {
         s.active_nodes = 0;
     }
-    let run_telemetry = observed.telemetry;
     (
         Observation {
             metrics,
@@ -205,12 +186,12 @@ fn observe_full(
             trace: if reverse { None } else { Some(trace) },
             active_total,
         },
-        run_telemetry,
+        observed.telemetry,
     )
 }
 
 fn check_scenario(scenario: Scenario) {
-    let reference = observe(scenario, 1, false, true);
+    let reference = observe(scenario, false, true);
     assert!(reference.metrics.messages > 0, "workload must send traffic");
     match scenario {
         Scenario::Clean => {}
@@ -225,127 +206,45 @@ fn check_scenario(scenario: Scenario) {
     }
     // The full sweep steps every live node every round; on this workload
     // the active-set engine must step strictly fewer node-rounds.
-    let sparse_seq = observe(scenario, 1, false, false);
+    let sparse = observe(scenario, false, false);
     assert!(
-        sparse_seq.active_total < reference.active_total,
+        sparse.active_total < reference.active_total,
         "active-set engine stepped {} node-rounds vs full sweep's {}",
-        sparse_seq.active_total,
+        sparse.active_total,
         reference.active_total
     );
-    // Thread counts include non-divisors of n = 64 (3, 7), so shard sizes
-    // are uneven under every placement below.
-    for (threads, reverse) in [
-        (1, false),
-        (1, true),
-        (2, false),
-        (3, false),
-        (4, false),
-        (7, false),
-        (8, false),
-    ] {
-        let got = observe(scenario, threads, reverse, false);
-        assert_matches_reference(
-            &got,
-            &reference,
-            reverse,
-            &format!("threads = {threads}, reverse = {reverse}"),
-        );
-        // The active set itself is part of the sparse determinism contract:
-        // every sparse strategy wakes exactly the same node-rounds.
-        assert_eq!(
-            got.active_total, sparse_seq.active_total,
-            "active set diverged at threads = {threads}, reverse = {reverse}"
-        );
+    // Every (visit order, engine strategy) cell reproduces the reference.
+    for reverse in [false, true] {
+        for full_sweep in [false, true] {
+            let got = observe(scenario, reverse, full_sweep);
+            let label = format!("reverse = {reverse}, full sweep = {full_sweep}");
+            assert_matches_reference(&got, &reference, reverse, &label);
+            // The active set itself is part of the determinism contract:
+            // each strategy steps the same node-rounds in either order.
+            let want = if full_sweep { &reference } else { &sparse };
+            assert_eq!(
+                got.active_total, want.active_total,
+                "active set diverged at {label}"
+            );
+        }
     }
-    // Placement independence: a spectral placement changes which worker
-    // owns each node (and the splice order the coordinator must undo), but
-    // never an observable bit.
-    let g = generators::hypercube(6);
-    for threads in [2usize, 3, 4, 7, 8] {
-        let spectral = Placement::spectral(&g, threads, 300);
-        let got = observe_with(scenario, threads, false, false, Some(spectral));
-        assert_matches_reference(
-            &got,
-            &reference,
-            false,
-            &format!("spectral placement, threads = {threads}"),
-        );
-        assert_eq!(
-            got.active_total, sparse_seq.active_total,
-            "active set diverged under spectral placement at threads = {threads}"
-        );
-    }
-    // Adversarial explicit placements at 3 workers: an interior short
-    // shard (regression for the old `w * chunk` bound arithmetic, which
-    // assumed every earlier shard was exactly `chunk` nodes) and a
-    // round-robin striping (non-monotone: exercises the merge-by-node
-    // splice rather than concat-by-worker).
-    let mut short_interior = vec![2u32; 64];
-    short_interior[0] = 0;
-    short_interior[1] = 0;
-    short_interior[2] = 0;
-    short_interior[3] = 1;
-    let stripes: Vec<u32> = (0..64u32).map(|v| v % 3).collect();
-    for (name, shard_of) in [
-        ("short interior shard", short_interior),
-        ("stripes", stripes),
-    ] {
-        let p = Placement::from_shard_of(shard_of, 3).unwrap();
-        let got = observe_with(scenario, 3, false, false, Some(p));
-        assert_matches_reference(&got, &reference, false, name);
-        assert_eq!(
-            got.active_total, sparse_seq.active_total,
-            "active set diverged under {name} placement"
-        );
-    }
-    // The full-sweep reference is itself strategy-independent.
-    let got = observe(scenario, 4, false, true);
-    assert_eq!(got, reference, "full sweep diverged at threads = 4");
-    let got = observe_with(
-        scenario,
-        4,
-        false,
-        true,
-        Some(Placement::spectral(&g, 4, 300)),
-    );
-    assert_eq!(
-        got, reference,
-        "full sweep diverged under spectral placement"
-    );
     // Attaching telemetry is observably free: every pre-existing
-    // observable stays byte-identical, and the layer's own logical
-    // counters (rounds, work totals, gauge high-water marks) are
-    // thread-, reversal-, and placement-invariant among sparse runs.
-    let logical = |t: &RunTelemetry| {
-        (
-            t.rounds,
-            t.hwm,
-            t.shard_nodes_stepped.iter().sum::<u64>(),
-            t.shard_messages_staged.iter().sum::<u64>(),
-        )
-    };
+    // observable stays byte-identical, and the layer's own counters
+    // (rounds, work totals, gauge high-water marks) are
+    // visit-order-invariant among sparse runs.
+    let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
     let mut expected = None;
-    for (threads, reverse, placement) in [
-        (1, false, None),
-        (1, true, None),
-        (4, false, None),
-        (7, false, Some(Placement::spectral(&g, 7, 300))),
-        (
-            3,
-            false,
-            Some(Placement::from_shard_of((0..64u32).map(|v| v % 3).collect(), 3).unwrap()),
-        ),
-    ] {
-        let (got, t) = observe_full(scenario, threads, reverse, false, placement, true);
+    for reverse in [false, true] {
+        let (got, t) = observe_full(scenario, reverse, false, true);
         assert_matches_reference(
             &got,
             &reference,
             reverse,
-            &format!("telemetry on, threads = {threads}, reverse = {reverse}"),
+            &format!("telemetry on, reverse = {reverse}"),
         );
         assert_eq!(
-            got.active_total, sparse_seq.active_total,
-            "telemetry perturbed the active set at threads = {threads}"
+            got.active_total, sparse.active_total,
+            "telemetry perturbed the active set at reverse = {reverse}"
         );
         let t = t.expect("telemetry recorded");
         match &expected {
@@ -353,19 +252,22 @@ fn check_scenario(scenario: Scenario) {
             Some(e) => assert_eq!(
                 &logical(&t),
                 e,
-                "telemetry logical counters drifted at threads = {threads}, reverse = {reverse}"
+                "telemetry counters drifted at reverse = {reverse}"
             ),
         }
     }
     // Full sweep with telemetry: observables still match the reference;
     // only the occupancy-derived gauges may exceed the sparse runs'.
-    let (got, t) = observe_full(scenario, 4, false, true, None, true);
+    let (got, t) = observe_full(scenario, false, true, true);
     assert_eq!(got, reference, "full sweep with telemetry diverged");
     let t = t.expect("telemetry recorded");
-    let sparse = expected.expect("sparse telemetry observed");
-    assert_eq!(t.rounds, sparse.0, "round count is engine-independent");
+    let sparse_counters = expected.expect("sparse telemetry observed");
+    assert_eq!(
+        t.rounds, sparse_counters.0,
+        "round count is engine-independent"
+    );
     assert!(
-        t.shard_nodes_stepped.iter().sum::<u64>() > sparse.2,
+        t.nodes_stepped > sparse_counters.2,
         "the full sweep must step strictly more node-rounds"
     );
 }
@@ -403,7 +305,7 @@ fn assert_matches_reference(
                 reference.trace.clone()
             },
         ),
-        "sparse engine diverged from full-sweep reference at {label}"
+        "diverged from the full-sweep reference at {label}"
     );
 }
 
@@ -422,80 +324,32 @@ fn churned_runs_match_full_sweep_reference() {
     check_scenario(Scenario::Churned);
 }
 
-fn digest_run(g: &Graph, threads: usize, placement: Option<Placement>) -> (Metrics, Vec<u64>) {
-    let mut sim = Simulator::new(g, fleet(g.len()), 2024).unwrap();
-    if let Some(p) = placement {
-        sim = sim.with_placement(p);
-    }
-    let cfg = RunConfig::all_done().with_threads(threads);
-    let m = sim.run(&cfg).unwrap();
-    (m, sim.nodes().iter().map(|p| p.digest).collect())
-}
-
-/// Requesting more workers than nodes clamps to one worker per node; the
-/// run is byte-identical to the sequential one, with and without an
-/// explicit placement at the clamped shard count.
-#[test]
-fn threads_exceeding_node_count_match_inline() {
-    let g = generators::hypercube(3); // n = 8
-    let reference = digest_run(&g, 1, None);
-    assert!(reference.0.messages > 0);
-    for threads in [8, 32, 1000] {
-        assert_eq!(
-            digest_run(&g, threads, None),
-            reference,
-            "threads = {threads} diverged on n = 8"
-        );
-    }
-    // `effective_threads` resolves 1000 requested workers to n = 8, so a
-    // placement must carry exactly 8 shards.
-    let spectral = Placement::spectral(&g, 8, 200);
-    assert_eq!(digest_run(&g, 1000, Some(spectral)), reference);
-}
-
 /// A single-node graph (with a self-loop, so tokens have somewhere to go)
-/// runs identically at every requested thread count.
+/// runs identically in either visit order and under either strategy.
 #[test]
-fn single_node_graph_matches_inline() {
+fn single_node_graph_matches_across_strategies() {
     let mut b = GraphBuilder::new(1);
     b.add_edge(0, 0);
     let g = b.build();
-    let reference = digest_run(&g, 1, None);
-    for threads in [2, 4, 64] {
+    let run = |reverse: bool, full_sweep: bool| -> (Metrics, Vec<u64>) {
+        let mut sim = Simulator::new(&g, fleet(g.len()), 2024).unwrap();
+        let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg)
+        } else {
+            sim.run(&cfg)
+        }
+        .unwrap();
+        (m, sim.nodes().iter().map(|p| p.digest).collect())
+    };
+    let reference = run(false, true);
+    for (reverse, full_sweep) in [(false, false), (true, false), (true, true)] {
         assert_eq!(
-            digest_run(&g, threads, None),
+            run(reverse, full_sweep),
             reference,
-            "threads = {threads} diverged on n = 1"
+            "reverse = {reverse}, full sweep = {full_sweep} diverged on n = 1"
         );
     }
-}
-
-/// A placement that doesn't match the graph or the resolved worker count
-/// fails deterministically instead of silently resharding.
-#[test]
-fn mismatched_placements_are_rejected() {
-    let g = generators::hypercube(4); // n = 16
-    let run = |threads: usize, p: Placement| {
-        Simulator::new(&g, fleet(g.len()), 2024)
-            .unwrap()
-            .with_placement(p)
-            .run(&RunConfig::all_done().with_threads(threads))
-    };
-    // Wrong node count.
-    let short = Placement::contiguous(8, 4);
-    assert!(matches!(
-        run(4, short),
-        Err(amt_congest::CongestError::PlacementInvalid { .. })
-    ));
-    // Wrong shard count for the resolved worker count.
-    let wrong_k = Placement::contiguous(16, 8);
-    assert!(matches!(
-        run(4, wrong_k),
-        Err(amt_congest::CongestError::PlacementInvalid { .. })
-    ));
-    // Single-threaded runs never consult the placement.
-    let ignored = Placement::contiguous(8, 4);
-    assert!(run(1, ignored).is_ok());
 }
 
 /// Timer-only protocol with long wake gaps: whole rounds pass with an
@@ -545,7 +399,7 @@ impl Protocol for PulseNode {
 #[test]
 fn rounds_with_empty_active_sets_match_across_strategies() {
     let g = generators::hypercube(4); // n = 16
-    let observe = |threads: usize, full_sweep: bool, placement: Option<Placement>| {
+    let observe = |reverse: bool, full_sweep: bool| {
         let nodes: Vec<PulseNode> = (0..g.len())
             .map(|v| PulseNode {
                 pulses_left: if v % 4 == 0 { 3 } else { 0 },
@@ -557,36 +411,26 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
             trace: Some(TraceConfig::default()),
             ..Observe::default()
         });
-        if let Some(p) = placement {
-            sim = sim.with_placement(p);
+        let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
+        let m = if reverse {
+            sim.run_reverse_visit(&cfg)
+        } else {
+            sim.run(&cfg)
         }
-        let cfg = RunConfig::all_done()
-            .with_threads(threads)
-            .with_full_sweep(full_sweep);
-        let m = sim.run(&cfg).unwrap();
+        .unwrap();
         let trace = sim.take_observed().trace.unwrap();
         let empty_rounds = trace.samples.iter().filter(|s| s.active_nodes == 0).count();
         let digests: Vec<u64> = sim.nodes().iter().map(|p| p.digest).collect();
         (m, digests, empty_rounds)
     };
-    let (m_ref, d_ref, _) = observe(1, true, None);
-    let (m_seq, d_seq, empty_seq) = observe(1, false, None);
+    let (m_ref, d_ref, _) = observe(false, true);
+    let (m_seq, d_seq, empty_seq) = observe(false, false);
     assert_eq!((&m_seq, &d_seq), (&m_ref, &d_ref));
     assert!(
         empty_seq > 0,
         "the workload must produce rounds with an empty active set"
     );
-    for threads in [2usize, 3, 4, 8] {
-        let (m, d, empty) = observe(threads, false, None);
-        assert_eq!((&m, &d), (&m_ref, &d_ref), "threads = {threads} diverged");
-        assert_eq!(empty, empty_seq, "empty-round count diverged");
-        let p = Placement::spectral(&g, threads, 200);
-        let (m, d, empty) = observe(threads, false, Some(p));
-        assert_eq!(
-            (&m, &d),
-            (&m_ref, &d_ref),
-            "spectral placement at threads = {threads} diverged"
-        );
-        assert_eq!(empty, empty_seq);
-    }
+    let (m, d, empty) = observe(true, false);
+    assert_eq!((&m, &d), (&m_ref, &d_ref), "reversed visit diverged");
+    assert_eq!(empty, empty_seq, "empty-round count diverged");
 }

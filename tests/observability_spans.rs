@@ -1,6 +1,7 @@
 //! Span observability: healing Borůvka phase transitions and healing-walk
 //! epoch re-issues must surface as `trace_event` spans in `RunTrace`, and
-//! the recorded spans must be byte-identical across executor thread counts.
+//! a repeat run must record byte-identical spans. (The test names predate
+//! the single-threaded engine; the repeat run replaced the thread axis.)
 
 use amt_core::congest::{FaultPlan, ProfileConfig, TraceConfig};
 use amt_core::graphs::{generators, NodeId, WeightedGraph};
@@ -13,8 +14,8 @@ use rand::SeedableRng;
 
 /// Healing Borůvka: every flooding phase opens with `"mst_phase"` spans
 /// carrying a strictly increasing global phase number, a crash-triggered
-/// restart adds extra phases, and the whole trace stream is identical at
-/// threads 1 and 4.
+/// restart adds extra phases, and a repeat run records the identical trace
+/// stream.
 #[test]
 fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
     let mut rng = StdRng::seed_from_u64(43);
@@ -23,18 +24,10 @@ fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
     // Node 0 is the minimum id — the implicit leader of its fragment.
     // Crashing it mid-run forces at least one phase restart.
     let plan = FaultPlan::none().seeded(5).with_crash(NodeId(0), 10);
-    let run = |threads| {
-        run_healing_instrumented(
-            &wg,
-            9,
-            plan.clone(),
-            threads,
-            Some(TraceConfig::default()),
-            None,
-        )
-        .unwrap()
+    let run = || {
+        run_healing_instrumented(&wg, 9, plan.clone(), Some(TraceConfig::default()), None).unwrap()
     };
-    let (out, traces, _) = run(1);
+    let (out, traces, _) = run();
     assert!(out.phase_restarts >= 1, "the crash must restart a phase");
     assert!(!traces.is_empty(), "each phase must contribute a trace");
 
@@ -51,15 +44,15 @@ fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
     let expected: Vec<u64> = (1..=traces.len() as u64).collect();
     assert_eq!(phase_of_trace, expected, "phase numbers increase by one");
 
-    let (out4, traces4, _) = run(4);
-    assert_eq!(out4.tree_edges, out.tree_edges);
-    assert_eq!(out4.metrics, out.metrics);
-    assert_eq!(traces4, traces, "span streams must not depend on threads");
+    let (again, traces_again, _) = run();
+    assert_eq!(again.tree_edges, out.tree_edges);
+    assert_eq!(again.metrics, out.metrics);
+    assert_eq!(traces_again, traces, "span streams must replay identically");
 }
 
 /// Healing walks: tokens re-issued after a carrier crash announce
 /// themselves with `"walk_epoch_reissue"` spans in their epoch's trace,
-/// one per re-issued walk, identically at threads 1 and 4.
+/// one per re-issued walk, identically on a repeat run.
 #[test]
 fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
     let g = generators::hypercube(5);
@@ -69,20 +62,19 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
         .seeded(2)
         .with_crash(NodeId(5), 4)
         .with_crash(NodeId(20), 6);
-    let run = |threads| {
+    let run = || {
         run_walks_healing_instrumented(
             &g,
             WalkKind::Lazy,
             &specs,
             11,
             plan.clone(),
-            threads,
             Some(TraceConfig::default()),
             Some(ProfileConfig::default()),
         )
         .unwrap()
     };
-    let (out, traces, profile) = run(1);
+    let (out, traces, profile) = run();
     assert_eq!(traces.len(), out.epochs as usize, "one trace per epoch");
     assert!(out.epochs > 1, "the crashes must force a re-issue epoch");
     assert!(out.reissued > 0);
@@ -127,9 +119,9 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
     assert_eq!(profile.total_messages(), out.metrics.messages);
     assert_eq!(profile.total_bits(), out.metrics.bits);
 
-    let (out4, traces4, profile4) = run(4);
-    assert_eq!(out4.endpoints, out.endpoints);
-    assert_eq!(out4.metrics, out.metrics);
-    assert_eq!(traces4, traces, "span streams must not depend on threads");
-    assert_eq!(profile4, Some(profile));
+    let (again, traces_again, profile_again) = run();
+    assert_eq!(again.endpoints, out.endpoints);
+    assert_eq!(again.metrics, out.metrics);
+    assert_eq!(traces_again, traces, "span streams must replay identically");
+    assert_eq!(profile_again, Some(profile));
 }

@@ -1,13 +1,11 @@
 //! The observation pipeline's contract on one fault-plus-churn workload:
 //! every subset of {trace, profile, telemetry} leaves the run's `Metrics`,
 //! node outputs, fault log and churn log exactly as an unobserved run's,
-//! and each layer records the same thing whichever other layers are on —
-//! at one and at two simulator threads.
+//! and each layer records the same thing whichever other layers are on.
 
 use amt_core::congest::{
-    class, ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, FlightRecorder, Metrics, Observe,
-    Observed, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator, StopCondition,
-    TelemetryConfig, TraceConfig,
+    class, ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Observe, Observed,
+    ProfileConfig, Protocol, RunConfig, Simulator, StopCondition, TelemetryConfig, TraceConfig,
 };
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -71,7 +69,7 @@ impl Protocol for Gossip {
 /// Everything a run exposes besides its observations.
 type Observables = (Metrics, Vec<u64>, Vec<FaultEvent>, Vec<ChurnEvent>);
 
-fn run(g: &Graph, threads: usize, observe: Observe) -> (Observables, Observed) {
+fn run(g: &Graph, observe: Observe) -> (Observables, Observed) {
     let nodes = (0..g.len())
         .map(|_| Gossip {
             rounds_left: 24,
@@ -99,8 +97,7 @@ fn run(g: &Graph, threads: usize, observe: Observe) -> (Observables, Observed) {
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
-    }
-    .with_threads(threads);
+    };
     let metrics = sim.run(&cfg).unwrap();
     let observables = (
         metrics,
@@ -111,29 +108,11 @@ fn run(g: &Graph, threads: usize, observe: Observe) -> (Observables, Observed) {
     (observables, sim.take_observed())
 }
 
-/// The telemetry record with its host wall-clock readings zeroed: what is
-/// left is a function of the run alone.
-fn logical(t: &RunTelemetry) -> RunTelemetry {
-    let mut t = t.clone();
-    t.shard_wall_nanos.iter_mut().for_each(|w| *w = 0);
-    for h in &mut t.history {
-        h.shards.iter_mut().for_each(|s| s.wall_nanos = 0);
-    }
-    let mut recent = FlightRecorder::new(t.recent.capacity());
-    for f in t.recent.frames() {
-        let mut f = f.clone();
-        f.health.shards.iter_mut().for_each(|s| s.wall_nanos = 0);
-        recent.push(f);
-    }
-    t.recent = recent;
-    t
-}
-
 #[test]
 fn every_observer_subset_is_observably_free_and_layer_independent() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
-    let (plain, nothing) = run(&g, 1, Observe::default());
+    let (plain, nothing) = run(&g, Observe::default());
     assert_eq!(
         nothing,
         Observed::default(),
@@ -148,41 +127,37 @@ fn every_observer_subset_is_observably_free_and_layer_independent() {
 
     let mut trace_ref = None;
     let mut profile_ref = None;
-    for threads in [1, 2] {
-        let mut telemetry_ref = None;
-        for mask in 0..8u8 {
-            let observe = Observe {
-                trace: (mask & 1 != 0).then(|| TraceConfig::default().with_edge_load_stride(4)),
-                profile: (mask & 2 != 0).then(ProfileConfig::default),
-                telemetry: (mask & 4 != 0).then(TelemetryConfig::default),
-            };
-            let (observables, observed) = run(&g, threads, observe);
-            assert_eq!(
-                observables, plain,
-                "threads {threads}, layers {mask:03b}: observation changed the run"
-            );
-            assert_eq!(observed.trace.is_some(), mask & 1 != 0);
-            assert_eq!(observed.profile.is_some(), mask & 2 != 0);
-            assert_eq!(observed.telemetry.is_some(), mask & 4 != 0);
-            if let Some(t) = observed.trace {
-                assert_eq!(t.reconstruct_metrics(), plain.0);
-                assert!(!t.events.is_empty());
-                let first = trace_ref.get_or_insert_with(|| t.clone());
-                assert_eq!(&t, first, "threads {threads}, layers {mask:03b}: trace");
-            }
-            if let Some(p) = observed.profile {
-                assert_eq!(p.total_messages(), plain.0.messages);
-                assert_eq!(p.per_class.len(), 2);
-                let first = profile_ref.get_or_insert_with(|| p.clone());
-                assert_eq!(&p, first, "threads {threads}, layers {mask:03b}: profile");
-            }
-            if let Some(t) = observed.telemetry {
-                assert_eq!(t.shards, threads);
-                assert_eq!(t.rounds, plain.0.rounds);
-                let t = logical(&t);
-                let first = telemetry_ref.get_or_insert_with(|| t.clone());
-                assert_eq!(&t, first, "threads {threads}, layers {mask:03b}: telemetry");
-            }
+    let mut telemetry_ref = None;
+    for mask in 0..8u8 {
+        let observe = Observe {
+            trace: (mask & 1 != 0).then(|| TraceConfig::default().with_edge_load_stride(4)),
+            profile: (mask & 2 != 0).then(ProfileConfig::default),
+            telemetry: (mask & 4 != 0).then(TelemetryConfig::default),
+        };
+        let (observables, observed) = run(&g, observe);
+        assert_eq!(
+            observables, plain,
+            "layers {mask:03b}: observation changed the run"
+        );
+        assert_eq!(observed.trace.is_some(), mask & 1 != 0);
+        assert_eq!(observed.profile.is_some(), mask & 2 != 0);
+        assert_eq!(observed.telemetry.is_some(), mask & 4 != 0);
+        if let Some(t) = observed.trace {
+            assert_eq!(t.reconstruct_metrics(), plain.0);
+            assert!(!t.events.is_empty());
+            let first = trace_ref.get_or_insert_with(|| t.clone());
+            assert_eq!(&t, first, "layers {mask:03b}: trace");
+        }
+        if let Some(p) = observed.profile {
+            assert_eq!(p.total_messages(), plain.0.messages);
+            assert_eq!(p.per_class.len(), 2);
+            let first = profile_ref.get_or_insert_with(|| p.clone());
+            assert_eq!(&p, first, "layers {mask:03b}: profile");
+        }
+        if let Some(t) = observed.telemetry {
+            assert_eq!(t.rounds, plain.0.rounds);
+            let first = telemetry_ref.get_or_insert_with(|| t.clone());
+            assert_eq!(&t, first, "layers {mask:03b}: telemetry");
         }
     }
 }

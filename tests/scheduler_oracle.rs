@@ -6,7 +6,7 @@ use amt_core::embedding::{
     key_edge, key_is_forward, EmulationMode, EmulationScratch, Hierarchy, HierarchyConfig,
 };
 use amt_core::graphs::generators;
-use amt_core::walks::{route_paths, route_paths_schedule, PathRouteStats, PathScheduler};
+use amt_core::walks::{route_paths, PathRouteStats, PathScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -43,9 +43,9 @@ proptest! {
         // The failing input, so a failure can be replayed.
         let ctx = format!("cap {cap}, paths {paths:?}, other {other:?}");
         let (want, want_sched) = reference::route_paths_schedule(&paths, cap);
-        let (stats, sched) = route_paths_schedule(&paths, cap);
-        prop_assert_eq!(&stats, &want, "{}", ctx);
-        prop_assert_eq!(rounds_of(&sched), want_sched.clone(), "{}", ctx);
+        let mut fresh = PathScheduler::new();
+        prop_assert_eq!(&fresh.route(&paths, cap), &want, "{}", ctx);
+        prop_assert_eq!(rounds_of(fresh.schedule()), want_sched.clone(), "{}", ctx);
         prop_assert_eq!(route_paths(&paths, cap), want.clone(), "{}", ctx);
         // A reused scheduler whose arenas hold another path set's state.
         let mut reused = PathScheduler::new();
@@ -82,12 +82,44 @@ fn large_sparse_path_set_matches_the_reference() {
     for cap in 1u32..5 {
         let (want, want_sched) = reference::route_paths_schedule(&paths, cap);
         assert!(want.traversals > 2048, "cap {cap}");
-        let (stats, sched) = route_paths_schedule(&paths, cap);
-        assert_eq!(stats, want, "cap {cap}");
-        assert_eq!(rounds_of(&sched), want_sched, "cap {cap}");
+        let mut fresh = PathScheduler::new();
+        assert_eq!(fresh.route(&paths, cap), want, "cap {cap}");
+        assert_eq!(rounds_of(fresh.schedule()), want_sched, "cap {cap}");
         assert_eq!(reused.route(&paths, cap), want, "cap {cap}");
         assert_eq!(rounds_of(reused.schedule()), want_sched, "cap {cap}");
         assert_eq!(reused.measure(&paths, cap), want, "cap {cap}");
+    }
+}
+
+/// The remap collects keys in a buffer it sorts and deduplicates whenever
+/// the buffer reaches `2·settled + 1024` entries. Here the distinct keys
+/// outgrow every compaction: about 5 000 occurrences over 3 000 keys, half
+/// within 1 500 of 0 and half within 1 500 of `u64::MAX`, so the buffer is
+/// compacted several times with a growing settled prefix and keys from both
+/// ends arriving between compactions.
+#[test]
+fn remap_compaction_keeps_keys_that_arrive_between_compactions() {
+    let mut rng = StdRng::seed_from_u64(29);
+    let paths: Vec<Vec<u64>> = (0..1700)
+        .map(|_| {
+            (0..rng.random_range(1..5usize))
+                .map(|_| {
+                    let k = rng.random_range(0..1500u64);
+                    if rng.random_bool(0.5) {
+                        k
+                    } else {
+                        u64::MAX - k
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut scheduler = PathScheduler::new();
+    for cap in [1u32, 3] {
+        let (want, want_sched) = reference::route_paths_schedule(&paths, cap);
+        assert!(want.traversals > 4096, "cap {cap}");
+        assert_eq!(scheduler.route(&paths, cap), want, "cap {cap}");
+        assert_eq!(rounds_of(scheduler.schedule()), want_sched, "cap {cap}");
     }
 }
 
