@@ -373,13 +373,6 @@ impl ChurnSchedule {
         g > 0 && self.node_outages[v].iter().any(|&(_, u)| u == g)
     }
 
-    /// Nodes offline in local round `round`.
-    pub(crate) fn down_count(&self, round: u64) -> u64 {
-        (0..self.node_outages.len())
-            .filter(|&v| self.node_down(round, v))
-            .count() as u64
-    }
-
     /// Edge ids whose up/down state can ever change (all edges when
     /// flapping is on, else just the explicitly scheduled ones).
     fn tracked_edges(&self) -> Vec<u32> {
@@ -500,8 +493,9 @@ pub(crate) trait ChurnHook {
     /// Accounts one message lost to churn and logs the event.
     fn record_loss(&mut self, round: u64, src: usize, port: usize, metrics: &mut Metrics);
 
-    /// Nodes offline in `round` (for the availability timeline).
-    fn down_count(&self, round: u64) -> u64;
+    /// Nodes offline in the round most recently begun (for the
+    /// availability timeline).
+    fn down_count(&self) -> u64;
 }
 
 /// The churn hook of the churn-free path: the topology never changes. All
@@ -524,7 +518,7 @@ impl ChurnHook for NoChurn {
         unreachable!("NoChurn never loses a message")
     }
 
-    fn down_count(&self, _round: u64) -> u64 {
+    fn down_count(&self) -> u64 {
         0
     }
 }
@@ -537,6 +531,9 @@ pub(crate) struct ChurnState<'p> {
     sched: &'p ChurnSchedule,
     /// Edges that can ever change state, in id order.
     tracked_edges: Vec<u32>,
+    /// Positions in `tracked_edges` of the edges with explicit schedules —
+    /// the only ones that can change state inside a flap window.
+    scheduled: Vec<u32>,
     /// Nodes with scheduled outages, in id order.
     tracked_nodes: Vec<u32>,
     edge_was_down: Vec<bool>,
@@ -548,7 +545,11 @@ impl<'p> ChurnState<'p> {
     pub(crate) fn new(sched: &'p ChurnSchedule) -> Self {
         let tracked_edges = sched.tracked_edges();
         let tracked_nodes = sched.tracked_nodes();
+        let scheduled = (0..tracked_edges.len() as u32)
+            .filter(|&i| !sched.per_edge[tracked_edges[i as usize] as usize].is_empty())
+            .collect();
         ChurnState {
+            scheduled,
             edge_was_down: vec![false; tracked_edges.len()],
             node_was_down: vec![false; tracked_nodes.len()],
             tracked_edges,
@@ -559,24 +560,45 @@ impl<'p> ChurnState<'p> {
     }
 }
 
+impl ChurnState<'_> {
+    /// Re-evaluates the `i`-th tracked edge in `round`, logging a
+    /// transition if its state changed.
+    fn diff_edge(&mut self, round: u64, i: usize) {
+        let e = self.tracked_edges[i];
+        let down = self.sched.edge_down(round, e as usize);
+        if down != self.edge_was_down[i] {
+            self.edge_was_down[i] = down;
+            let edge = EdgeId(e);
+            self.events.push(ChurnEvent {
+                round,
+                kind: if down {
+                    ChurnKind::EdgeDown { edge }
+                } else {
+                    ChurnKind::EdgeUp { edge }
+                },
+            });
+        }
+    }
+}
+
 impl ChurnHook for ChurnState<'_> {
     /// Diffs this round's topology against the previous round's, logging
     /// every transition in (edges, then nodes, ascending id) order — a
     /// deterministic stream whatever the node-visit order.
+    ///
+    /// A flap verdict is constant within a flap window, so an edge without
+    /// an explicit schedule can only change state in local round 0 or at a
+    /// global window boundary; every other round re-evaluates just the
+    /// explicitly scheduled edges (in the same ascending order).
     fn begin_round(&mut self, round: u64, metrics: &mut Metrics) {
-        for (i, &e) in self.tracked_edges.iter().enumerate() {
-            let down = self.sched.edge_down(round, e as usize);
-            if down != self.edge_was_down[i] {
-                self.edge_was_down[i] = down;
-                let edge = EdgeId(e);
-                self.events.push(ChurnEvent {
-                    round,
-                    kind: if down {
-                        ChurnKind::EdgeDown { edge }
-                    } else {
-                        ChurnKind::EdgeUp { edge }
-                    },
-                });
+        let flap_len = self.sched.flap_len;
+        if flap_len == 0 || round == 0 || (round + self.sched.offset).is_multiple_of(flap_len) {
+            for i in 0..self.tracked_edges.len() {
+                self.diff_edge(round, i);
+            }
+        } else {
+            for k in 0..self.scheduled.len() {
+                self.diff_edge(round, self.scheduled[k] as usize);
             }
         }
         for (i, &v) in self.tracked_nodes.iter().enumerate() {
@@ -619,8 +641,8 @@ impl ChurnHook for ChurnState<'_> {
         });
     }
 
-    fn down_count(&self, round: u64) -> u64 {
-        self.sched.down_count(round)
+    fn down_count(&self) -> u64 {
+        self.node_was_down.iter().filter(|&&down| down).count() as u64
     }
 }
 
@@ -723,8 +745,15 @@ mod tests {
         assert_eq!(downs, (4..10).collect::<Vec<_>>());
         let rejoins: Vec<u64> = (0..14).filter(|&r| s.rejoining(r, 2)).collect();
         assert_eq!(rejoins, vec![10]);
-        assert_eq!(s.down_count(5), 1);
-        assert_eq!(s.down_count(11), 0);
+        let mut st = ChurnState::new(&s);
+        let mut m = Metrics::default();
+        let down_counts: Vec<u64> = (0..12)
+            .map(|r| {
+                st.begin_round(r, &mut m);
+                st.down_count()
+            })
+            .collect();
+        assert_eq!(down_counts, [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -833,6 +862,91 @@ mod tests {
         let shifted = restart.at_offset(9).normalize(2, 1);
         assert!(shifted.node_down(1, 1) && shifted.node_down(2, 1));
         assert!(shifted.rejoining(3, 1));
+    }
+
+    /// The window-boundary diff in [`ChurnState::begin_round`] against a
+    /// brute-force reference that re-evaluates every edge and every node in
+    /// every round: identical event logs, restart counts and
+    /// [`ChurnHook::down_count`]s, for flap windows that do and do not
+    /// divide the clock offset, with and without explicit schedules.
+    #[test]
+    fn churn_diffs_match_the_every_edge_every_round_reference() {
+        let (n, m) = (12usize, 30usize);
+        let mixed = |flap_len: u64, offset: u64| {
+            ChurnPlan::none()
+                .seeded(flap_len * 31 + offset)
+                .with_flaps(0.3, flap_len)
+                .with_edge_outage(EdgeId(4), 9, 5)
+                .with_periodic_outage(EdgeId(4), 3, 2, 7)
+                .with_periodic_outage(EdgeId(17), 0, 3, 11)
+                .with_edge_cut(EdgeId(29), 40)
+                .with_restart(NodeId(2), 6, 4)
+                .with_restart(NodeId(9), 0, 3)
+                .with_restart(NodeId(9), 30, 8)
+                .at_offset(offset)
+        };
+        let plans = [
+            mixed(5, 7),
+            mixed(5, 10),
+            mixed(4, 0),
+            mixed(1, 3),
+            mixed(9, 2),
+            mixed(0, 6),
+            ChurnPlan::none().seeded(3).with_flaps(0.5, 3).at_offset(1),
+        ];
+        for plan in &plans {
+            let s = plan.normalize(n, m);
+            let mut st = ChurnState::new(&s);
+            let mut got = Metrics::default();
+            let mut want_events = Vec::new();
+            let mut want = Metrics::default();
+            let mut edge_was = vec![false; m];
+            let mut node_was = vec![false; n];
+            for r in 0..80 {
+                st.begin_round(r, &mut got);
+                for (e, was) in edge_was.iter_mut().enumerate() {
+                    let down = s.edge_down(r, e);
+                    if down != *was {
+                        *was = down;
+                        let edge = EdgeId(e as u32);
+                        want_events.push(ChurnEvent {
+                            round: r,
+                            kind: if down {
+                                ChurnKind::EdgeDown { edge }
+                            } else {
+                                ChurnKind::EdgeUp { edge }
+                            },
+                        });
+                    }
+                }
+                for (v, was) in node_was.iter_mut().enumerate() {
+                    let down = s.node_down(r, v);
+                    if down != *was {
+                        *was = down;
+                        let node = NodeId(v as u32);
+                        want_events.push(ChurnEvent {
+                            round: r,
+                            kind: if down {
+                                ChurnKind::NodeDown { node }
+                            } else {
+                                want.restarts += 1;
+                                ChurnKind::NodeRejoin { node }
+                            },
+                        });
+                    }
+                }
+                let down_now = (0..n).filter(|&v| s.node_down(r, v)).count() as u64;
+                assert_eq!(st.down_count(), down_now, "down count, round {r}, {plan:?}");
+            }
+            assert_eq!(st.events, want_events, "event log of {plan:?}");
+            assert_eq!(got, want, "metrics of {plan:?}");
+            assert!(
+                want_events
+                    .iter()
+                    .any(|e| matches!(e.kind, ChurnKind::EdgeUp { .. })),
+                "edges must come back in {plan:?}"
+            );
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod sim;
 pub mod churn;
 pub mod faults;
 pub mod observe;
+pub mod oracle;
 pub mod primitives;
 pub mod profile;
 pub mod telemetry;

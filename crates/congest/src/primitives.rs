@@ -726,6 +726,9 @@ pub mod reliable {
         /// with; retransmissions and bare acks use the shared
         /// [`class::REL_RETRANSMIT`] / [`class::REL_ACK`] classes.
         payload_class: TrafficClass,
+        /// The round [`Self::pump`] last asked to be woken in (`0` =
+        /// never), so an unchanged deadline is not requested twice.
+        armed: u64,
     }
 
     impl<M: CongestMessage> ReliableLink<M> {
@@ -756,6 +759,7 @@ pub mod reliable {
                 timeout: timeout.max(1),
                 max_attempts: max_attempts.max(1),
                 payload_class: class::REL_PAYLOAD,
+                armed: 0,
             }
         }
 
@@ -816,6 +820,14 @@ pub mod reliable {
         /// Emits at most one frame per port this round: a due
         /// retransmission, a new data frame, or a bare ack — data frames
         /// piggyback any pending ack.
+        ///
+        /// Afterwards nothing is queued behind a free port and no ack is
+        /// owed, so until mail arrives the earliest in-flight retry
+        /// deadline is the only round in which a port can act (retransmit
+        /// or give up). `pump` arms a [`Ctx::wake_in`] timer for that
+        /// round, which lets a [`Protocol::SPARSE_AWARE`] wrapper whose
+        /// empty-inbox rounds only pump sleep until then (non-sparse
+        /// protocols ignore the timer).
         pub fn pump(&mut self, ctx: &mut Ctx<'_, Reliable<M>>) {
             let round = ctx.round();
             for port in 0..self.ports.len() {
@@ -867,6 +879,18 @@ pub mod reliable {
                     ctx.send_classed(port, Reliable::Ack { seq }, class::REL_ACK);
                 }
             }
+            let deadline = self
+                .ports
+                .iter()
+                .filter_map(|st| st.inflight.as_ref().map(|f| f.next_retry))
+                .min();
+            if let Some(t) = deadline {
+                let delta = t.saturating_sub(round).max(1);
+                if round + delta != self.armed {
+                    self.armed = round + delta;
+                    ctx.wake_in(delta);
+                }
+            }
         }
 
         /// `true` when nothing is queued, in flight, or awaiting an ack —
@@ -897,13 +921,33 @@ pub mod reliable {
     /// Flooding broadcast over [`ReliableLink`]s: completes on any connected
     /// set of live nodes despite drops, corruption, delays, and crashes
     /// allowed by `plan`.
-    struct ReliableFlood {
-        value: Option<u64>,
+    pub(crate) struct ReliableFlood {
+        pub(crate) value: Option<u64>,
         link: ReliableLink<u64>,
         spread: bool,
     }
 
+    /// The run configuration of [`reliable_broadcast`].
+    pub(crate) const FLOOD_CONFIG: RunConfig = RunConfig {
+        max_rounds: 200_000,
+        budget_factor: 32,
+        stop: crate::StopCondition::AllDone,
+        full_sweep: false,
+    };
+
     impl ReliableFlood {
+        /// One flood node per node of `g`, `source` holding `value`, with
+        /// ARQ base timeout `timeout`.
+        pub(crate) fn fleet(g: &Graph, source: NodeId, value: u64, timeout: u64) -> Vec<Self> {
+            g.nodes()
+                .map(|v| ReliableFlood {
+                    value: (v == source).then_some(value),
+                    link: ReliableLink::new(g.degree(v), timeout, 12),
+                    spread: false,
+                })
+                .collect()
+        }
+
         fn spread_if_fresh(&mut self) {
             if let (Some(v), false) = (self.value, self.spread) {
                 self.spread = true;
@@ -912,8 +956,12 @@ pub mod reliable {
         }
     }
 
+    /// Skip-safe: an empty-inbox round only pumps the link, which arms
+    /// its own retry deadlines.
     impl Protocol for ReliableFlood {
         type Message = Reliable<u64>;
+
+        const SPARSE_AWARE: bool = true;
 
         fn init(&mut self, ctx: &mut Ctx<'_, Reliable<u64>>) {
             self.spread_if_fresh();
@@ -954,22 +1002,9 @@ pub mod reliable {
         );
         // First retry after the worst-case fault delay has passed.
         let timeout = 4 + 2 * plan.max_delay;
-        let nodes = g
-            .nodes()
-            .map(|v| ReliableFlood {
-                value: (v == source).then_some(value),
-                link: ReliableLink::new(g.degree(v), timeout, 12),
-                spread: false,
-            })
-            .collect();
+        let nodes = ReliableFlood::fleet(g, source, value, timeout);
         let mut sim = Simulator::new(g, nodes, seed)?.with_fault_plan(plan);
-        let cfg = RunConfig {
-            budget_factor: 32,
-            stop: crate::StopCondition::AllDone,
-            max_rounds: 200_000,
-            ..Default::default()
-        };
-        let metrics = sim.run(&cfg)?;
+        let metrics = sim.run(&FLOOD_CONFIG)?;
         Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics))
     }
 }
@@ -1102,6 +1137,66 @@ mod tests {
             "star upcast should parallelize, rounds = {}",
             m.rounds
         );
+    }
+
+    /// The reliable flood on the active-set engine against the full-sweep
+    /// reference, in both visit orders, under message faults (drops,
+    /// corruption, delays) plus a crash-stop.
+    #[test]
+    fn reliable_flood_matches_full_sweep_under_faults() {
+        let g = generators::hypercube(5);
+        let plan = crate::FaultPlan::none()
+            .seeded(5)
+            .with_drops(0.1)
+            .with_corruption(0.05)
+            .with_delays(0.1, 3)
+            .with_crash(NodeId(9), 6);
+        let timeout = 4 + 2 * plan.max_delay;
+        let build = || {
+            Simulator::new(
+                &g,
+                reliable::ReliableFlood::fleet(&g, NodeId(0), 77, timeout),
+                3,
+            )
+            .unwrap()
+            .with_fault_plan(plan.clone())
+        };
+        let reference =
+            crate::oracle::assert_engines_agree(build, &reliable::FLOOD_CONFIG, |p| p.value);
+        let m = reference.result.expect("the flood completes");
+        assert!(m.dropped > 0 && m.corrupted > 0 && m.delayed > 0);
+        assert_eq!(reference.crashed, vec![NodeId(9)]);
+        assert!(
+            reference
+                .outputs
+                .iter()
+                .enumerate()
+                .all(|(v, &x)| v == 9 || x == Some(77)),
+            "every live node learns the value"
+        );
+    }
+
+    /// As above under topology churn: link flaps, a crash-restart, and a
+    /// permanent cut.
+    #[test]
+    fn reliable_flood_matches_full_sweep_under_churn() {
+        let g = generators::hypercube(5);
+        let churn = crate::ChurnPlan::none()
+            .seeded(8)
+            .with_flaps(0.1, 6)
+            .with_restart(NodeId(4), 3, 9)
+            .with_edge_cut(amt_graphs::EdgeId(0), 2)
+            .at_offset(4);
+        let build = || {
+            Simulator::new(&g, reliable::ReliableFlood::fleet(&g, NodeId(0), 77, 4), 3)
+                .unwrap()
+                .with_churn_plan(churn.clone())
+        };
+        let reference =
+            crate::oracle::assert_engines_agree(build, &reliable::FLOOD_CONFIG, |p| p.value);
+        let m = reference.result.expect("the flood completes");
+        assert!(m.lost_to_churn > 0);
+        assert_eq!(m.restarts, 1);
     }
 
     /// One [`reliable::ReliableLink`] frame against a peer that never

@@ -85,6 +85,12 @@ pub trait Protocol {
     /// (periodic beacons, spontaneous timeouts) must either keep the
     /// default `false` or schedule their activity with [`Ctx::wake_in`].
     ///
+    /// Debug builds check the contract: the full sweep of a sparse-aware
+    /// protocol panics, naming the node and round, when a step the
+    /// active-set engine would have skipped stages a message, requests a
+    /// wake (re-arming an already pending round included), emits a trace
+    /// event, draws from the RNG, or changes `is_done`.
+    ///
     /// The executor choice never changes observable results:
     /// [`RunConfig::full_sweep`] forces the classic every-node sweep, and
     /// the two are byte-identical for contract-abiding protocols. Only
@@ -622,9 +628,13 @@ impl ActiveSet {
         }
     }
 
-    fn finish(&mut self) -> &[u32] {
+    fn finish(&mut self) {
         self.list.sort_unstable();
-        &self.list
+    }
+
+    /// Whether `v` was inserted since the last [`Self::begin`].
+    fn contains(&self, v: u32) -> bool {
+        self.stamp[v as usize] == self.epoch
     }
 }
 
@@ -838,12 +848,18 @@ impl<P: Protocol> Stepper<'_, P> {
     /// Steps node `v`: runs `init`, `on_restart` or `round` on `group`,
     /// then appends the node's staged sends, done flag and wake request to
     /// `out`. Returns the node's CONGEST violation, if any.
+    ///
+    /// `skippable` marks a step the active-set engine would not have taken
+    /// (see [`SkipCheck`]); such a step must be a no-op, and a step that is
+    /// not panics naming the node and round.
     fn step_node(
         &mut self,
         v: usize,
         group: &[(usize, P::Message)],
         out: &mut StepOut<P::Message>,
+        skippable: bool,
     ) -> Option<CongestError> {
+        let before = skippable.then(|| SkipCheck::of(&self.nodes[v], &self.rngs[v], out));
         let degree = self.csr.degree(v);
         let mut violation = None;
         let mut wake: Option<u64> = None;
@@ -888,6 +904,10 @@ impl<P: Protocol> Stepper<'_, P> {
             out.wakes.push((v as u32, r));
         }
         out.stepped += 1;
+        if let Some(before) = before {
+            let after = SkipCheck::of(&self.nodes[v], &self.rngs[v], out);
+            before.assert_no_op(after, v, self.round, len, wake);
+        }
         violation
     }
 
@@ -895,14 +915,20 @@ impl<P: Protocol> Stepper<'_, P> {
     /// behind the `reverse` test hook) and returns the lowest node's
     /// CONGEST violation, if any — the run then aborts, and state after an
     /// error is unspecified.
+    ///
+    /// `woken`, when given, is the set the active-set engine would have
+    /// stepped this round; every other stepped node is checked to be a
+    /// no-op (the debug-build [`Protocol::SPARSE_AWARE`] contract check).
     fn step(
         &mut self,
         round: u64,
         active: &[u32],
+        woken: Option<&ActiveSet>,
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
     ) -> Option<CongestError> {
         self.round = round;
+        let skippable = |v: u32| woken.is_some_and(|w| !w.contains(v));
         if !self.reverse {
             let mut ri = 0usize;
             for &vu in active {
@@ -918,7 +944,7 @@ impl<P: Protocol> Stepper<'_, P> {
                 if self.skips(v) {
                     continue;
                 }
-                if let Some(err) = self.step_node(v, group, out) {
+                if let Some(err) = self.step_node(v, group, out, skippable(vu)) {
                     // The rest of the sweep is skipped.
                     return Some(err);
                 }
@@ -948,7 +974,7 @@ impl<P: Protocol> Stepper<'_, P> {
                 if self.skips(v) {
                     continue;
                 }
-                if let Some(err) = self.step_node(v, group, out) {
+                if let Some(err) = self.step_node(v, group, out, skippable(vu)) {
                     violation = Some(err);
                 }
             }
@@ -959,6 +985,53 @@ impl<P: Protocol> Stepper<'_, P> {
     }
 }
 
+/// What the executor can see of a node around a step the active-set
+/// engine would have skipped: the debug-build check of the
+/// [`Protocol::SPARSE_AWARE`] contract. The full sweep of a sparse-aware
+/// protocol (under `debug_assertions`) takes one before and one after
+/// every such step and asserts that the step was a no-op — nothing staged,
+/// no wake requested, no span event, the RNG stream untouched, and
+/// `is_done` unchanged. Protocol state itself is opaque to the executor.
+struct SkipCheck {
+    rng: StdRng,
+    done: bool,
+    events: usize,
+}
+
+impl SkipCheck {
+    fn of<P: Protocol>(node: &P, rng: &StdRng, out: &StepOut<P::Message>) -> SkipCheck {
+        SkipCheck {
+            rng: rng.clone(),
+            done: node.is_done(),
+            events: out.events.as_ref().map_or(0, Vec::len),
+        }
+    }
+
+    /// Panics naming `v` and `round` unless the step between `self` and
+    /// `after`, which staged `staged` messages and requested `wake`, was a
+    /// no-op.
+    fn assert_no_op(self, after: SkipCheck, v: usize, round: u64, staged: u32, wake: Option<u64>) {
+        let broke = if staged > 0 {
+            format!("staged {staged} message(s)")
+        } else if let Some(r) = wake {
+            format!("requested a wake for round {r}")
+        } else if after.events != self.events {
+            "emitted a trace event".to_string()
+        } else if after.rng != self.rng {
+            "drew from its RNG stream".to_string()
+        } else if after.done != self.done {
+            format!("changed is_done to {}", after.done)
+        } else {
+            return;
+        };
+        panic!(
+            "SPARSE_AWARE contract violated: node {v} {broke} in round {round}, \
+             a round the active-set engine would have skipped (no mail, no due \
+             wake_in timer, no rejoin)"
+        );
+    }
+}
+
 /// Precomputed per-run event streams shared by both engines, each sorted
 /// ascending by `(round, node)`:
 ///
@@ -966,7 +1039,8 @@ impl<P: Protocol> Stepper<'_, P> {
 ///   bookkeeping (a crashed or churn-offline node counts as done while
 ///   down) on the sparse *and* full-sweep paths;
 /// * `rejoin_events` wake restarting nodes on the sparse path (the full
-///   sweep steps them anyway).
+///   sweep steps them anyway, and its debug-build contract check counts
+///   them as woken).
 struct Wakeups {
     /// Whether the active-set engine is in effect
     /// ([`Protocol::SPARSE_AWARE`] and not [`RunConfig::full_sweep`]).
@@ -1028,8 +1102,14 @@ where
         done,
         ..
     } = scratch;
-    // The stepper records exactly the observations the recorder wants.
-    out.events = rec.records_events().then(Vec::new);
+    // Debug builds check the SPARSE_AWARE contract on the full sweep: the
+    // engine keeps the timers and wake set the active-set engine would, and
+    // every node stepped outside that set must be a no-op (see
+    // [`SkipCheck`]).
+    let check = cfg!(debug_assertions) && P::SPARSE_AWARE && !wk.sparse;
+    // The stepper records exactly the observations the recorder wants (and
+    // the span events the contract check must see).
+    out.events = (rec.records_events() || check).then(Vec::new);
     let mut metrics = Metrics::default();
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
@@ -1068,7 +1148,7 @@ where
                 live_not_done -= 1;
             }
         }
-        let active_list: &[u32] = if wk.sparse {
+        if wk.sparse || check {
             active.begin();
             if round == 0 {
                 // Everyone inits.
@@ -1098,12 +1178,12 @@ where
                     rejoin_i += 1;
                 }
             }
-            active.finish()
-        } else {
-            &all_nodes[..]
-        };
+            active.finish();
+        }
+        let active_list: &[u32] = if wk.sparse { &active.list } else { all_nodes };
         out.clear();
-        if let Some(err) = stepper.step(round, active_list, cur, out) {
+        let woken = check.then_some(&*active);
+        if let Some(err) = stepper.step(round, active_list, woken, cur, out) {
             result = Err(err);
             break 'rounds;
         }
@@ -1118,7 +1198,7 @@ where
                 }
             }
         }
-        if wk.sparse {
+        if wk.sparse || check {
             for &(v, r) in out.wakes.iter() {
                 timers.entry(r).or_default().push(v);
             }
@@ -1137,7 +1217,12 @@ where
                 active_nodes: active_list.len() as u64,
                 inbox_queued: cur.slab.len() as u64,
                 staged_sends: out.slab.len() as u64,
-                wake_queue: timers.values().map(|v| v.len() as u64).sum(),
+                // The checked full sweep's timers are not a queue it serves.
+                wake_queue: if wk.sparse {
+                    timers.values().map(|v| v.len() as u64).sum()
+                } else {
+                    0
+                },
                 arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
                     + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
                     + held.len() * std::mem::size_of::<Held<P::Message>>())
@@ -1236,9 +1321,9 @@ where
         metrics.messages += delivered;
         metrics.peak_messages_per_round = metrics.peak_messages_per_round.max(delivered);
         // Availability gauge: fault crash-stops are permanent, so the
-        // cumulative count is exactly "down now"; churn outages are read
-        // off the schedule for this round.
-        let nodes_down = |m: &Metrics| m.crashed + churn.down_count(round);
+        // cumulative count is exactly "down now"; churn outages are the
+        // churn hook's view of this round.
+        let nodes_down = |m: &Metrics| m.crashed + churn.down_count();
         rec.end_round(metrics, nodes_down, out.stepped, edge_load);
         // Group this round's deliveries into next round's inbox arena and
         // swap it in (the consumed arena becomes the next grouping target).
@@ -1930,11 +2015,15 @@ mod tests {
         for v in [5u32, 2, 5, 7, 2, 0] {
             set.insert(v);
         }
-        assert_eq!(set.finish(), &[0, 2, 5, 7]);
+        set.finish();
+        assert_eq!(set.list, [0, 2, 5, 7]);
+        assert!(set.contains(7) && !set.contains(3));
         set.begin();
         set.insert(3);
         set.insert(3);
-        assert_eq!(set.finish(), &[3]);
+        set.finish();
+        assert_eq!(set.list, [3]);
+        assert!(set.contains(3) && !set.contains(7));
     }
 
     /// Echoes forever — must trip the round cap.

@@ -81,16 +81,57 @@ struct ReliableMinFlood {
     phase: u64,
 }
 
+/// The run configuration of one flooding phase.
+const FLOOD_CONFIG: RunConfig = RunConfig {
+    max_rounds: 500_000,
+    budget_factor: 32,
+    stop: StopCondition::AllDone,
+    full_sweep: false,
+};
+
 impl ReliableMinFlood {
+    /// One flood node per node of `g`: node `v` starts from `init[v]` and
+    /// floods over its `active` forest edges to live peers; `dead` nodes
+    /// neither spread nor receive. ARQ base timeout `timeout`, data frames
+    /// attributed to `class`, `"mst_phase"` spans numbered `phase`.
+    fn fleet(
+        g: &Graph,
+        active: &HashSet<EdgeId>,
+        dead: &[bool],
+        init: &[u64],
+        timeout: u64,
+        class: TrafficClass,
+        phase: u64,
+    ) -> Vec<Self> {
+        g.nodes()
+            .map(|v| ReliableMinFlood {
+                link: ReliableLink::new(g.degree(v), timeout, 8).with_payload_class(class),
+                active_ports: g
+                    .neighbors(v)
+                    .enumerate()
+                    .filter(|(_, (w, e))| active.contains(e) && !dead[w.index()])
+                    .map(|(p, _)| p)
+                    .collect(),
+                value: init[v.index()],
+                fresh: !dead[v.index()],
+                phase,
+            })
+            .collect()
+    }
+
     fn spread(&mut self) {
-        for p in self.active_ports.clone() {
+        for &p in &self.active_ports {
             self.link.send(p, self.value);
         }
     }
 }
 
+/// Skip-safe: an empty-inbox round after the first spread only pumps the
+/// link, which arms its own retry deadlines.
 impl Protocol for ReliableMinFlood {
     type Message = Reliable<u64>;
+
+    const SPARSE_AWARE: bool = true;
 
     fn init(&mut self, ctx: &mut Ctx<'_, Reliable<u64>>) {
         if self.fresh {
@@ -168,21 +209,7 @@ fn reliable_min_flood(
     rounds_so_far: u64,
 ) -> Result<(Vec<u64>, Metrics, PhaseDamage)> {
     let g = wg.graph();
-    let nodes = g
-        .nodes()
-        .map(|v| ReliableMinFlood {
-            link: ReliableLink::new(g.degree(v), timeout, 8).with_payload_class(class),
-            active_ports: g
-                .neighbors(v)
-                .enumerate()
-                .filter(|(_, (w, e))| active.contains(e) && !dead[w.index()])
-                .map(|(p, _)| p)
-                .collect(),
-            value: init[v.index()],
-            fresh: !dead[v.index()],
-            phase,
-        })
-        .collect();
+    let nodes = ReliableMinFlood::fleet(g, active, dead, init, timeout, class, phase);
     // This phase sees the tail of the global fault schedule: already-dead
     // nodes stay crashed from round 0, pending crashes fire once the
     // computation's global clock (elapsed + local round) reaches them. The
@@ -201,13 +228,7 @@ fn reliable_min_flood(
         .with_fault_plan(phase_plan)
         .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed))
         .with_observe(observe.clone());
-    let cfg = RunConfig {
-        stop: StopCondition::AllDone,
-        budget_factor: 32,
-        max_rounds: 500_000,
-        ..RunConfig::default()
-    };
-    let metrics = sim.run(&cfg)?;
+    let metrics = sim.run(&FLOOD_CONFIG)?;
     runs.absorb(sim.take_observed(), rounds_so_far);
     for e in sim.fault_events() {
         if matches!(e.kind, FaultKind::Crashed) {
@@ -936,9 +957,63 @@ pub fn run_healing_churned_instrumented(
 mod tests {
     use super::*;
     use crate::{congest_boruvka, reference};
+    use amt_congest::oracle::assert_engines_agree;
     use amt_graphs::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Runs one whole-graph flooding phase of distinct values on the
+    /// active-set engine against the full-sweep reference (both visit
+    /// orders) and returns the reference's result.
+    fn flood_engines_agree(
+        g: &Graph,
+        plan: &FaultPlan,
+        churn: &ChurnPlan,
+    ) -> amt_congest::Result<Metrics> {
+        let active: HashSet<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
+        let dead = vec![false; g.len()];
+        let init: Vec<u64> = (0..g.len() as u64).map(|v| (v * 7919) % 1000).collect();
+        let timeout = 4 + 2 * plan.max_delay;
+        let build = || {
+            let nodes =
+                ReliableMinFlood::fleet(g, &active, &dead, &init, timeout, class::MST_LABEL, 1);
+            Simulator::new(g, nodes, 17)
+                .unwrap()
+                .with_fault_plan(plan.clone())
+                .with_churn_plan(churn.clone())
+        };
+        let reference =
+            assert_engines_agree(build, &FLOOD_CONFIG, |p| (p.value, p.link.failures()));
+        reference.result
+    }
+
+    #[test]
+    fn reliable_min_flood_matches_full_sweep_under_faults() {
+        let g = generators::random_regular(48, 4, &mut StdRng::seed_from_u64(3)).unwrap();
+        let plan = FaultPlan::none()
+            .seeded(21)
+            .with_drops(0.08)
+            .with_corruption(0.04)
+            .with_delays(0.08, 3)
+            .with_crash(NodeId(7), 5);
+        let m = flood_engines_agree(&g, &plan, &ChurnPlan::none()).unwrap();
+        assert!(m.dropped > 0 && m.corrupted > 0 && m.delayed > 0);
+        assert_eq!(m.crashed, 1);
+    }
+
+    #[test]
+    fn reliable_min_flood_matches_full_sweep_under_churn() {
+        let g = generators::random_regular(48, 4, &mut StdRng::seed_from_u64(3)).unwrap();
+        let churn = ChurnPlan::none()
+            .seeded(12)
+            .with_flaps(0.08, 5)
+            .with_restart(NodeId(11), 4, 8)
+            .with_edge_cut(EdgeId(3), 3)
+            .at_offset(7);
+        let m = flood_engines_agree(&g, &FaultPlan::none(), &churn).unwrap();
+        assert!(m.lost_to_churn > 0);
+        assert_eq!(m.restarts, 1);
+    }
 
     /// Kruskal restricted to the surviving induced subgraph minus
     /// permanently cut edges, by canonical (weight, edge-id) order — the

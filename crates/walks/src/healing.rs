@@ -149,9 +149,51 @@ struct HealNode {
     max_attempts: u32,
     /// Which re-issue epoch this node is executing (0 = first attempt).
     epoch: u32,
+    /// The round this node last asked to be woken in (`0` = never), so an
+    /// unchanged deadline is not requested twice.
+    armed: u64,
 }
 
+/// The run configuration of one epoch.
+const EPOCH_CONFIG: RunConfig = RunConfig {
+    max_rounds: 500_000,
+    budget_factor: 16,
+    stop: StopCondition::AllDone,
+    full_sweep: false,
+};
+
 impl HealNode {
+    /// A node of `degree` ports holding the `ready` tokens at the start of
+    /// re-issue epoch `epoch`.
+    fn new(
+        degree: usize,
+        ready: VecDeque<(u32, u32)>,
+        delta: usize,
+        kind: WalkKind,
+        timeout: u64,
+        max_attempts: u32,
+        epoch: u32,
+    ) -> Self {
+        HealNode {
+            ready,
+            stayed: Vec::new(),
+            port_queue: vec![VecDeque::new(); degree],
+            inflight: (0..degree).map(|_| None).collect(),
+            ack_queue: vec![VecDeque::new(); degree],
+            suspect: vec![false; degree],
+            seen: HashMap::new(),
+            finished: Vec::new(),
+            rerouted: 0,
+            degree,
+            delta,
+            kind,
+            timeout,
+            max_attempts,
+            epoch,
+            armed: 0,
+        }
+    }
+
     /// Samples one transition per ready token; movers join a live port's
     /// FIFO queue, stays (and tokens with no live exit) burn one step. A
     /// port is live when its peer is not suspect *and* its link is up this
@@ -159,6 +201,9 @@ impl HealNode {
     /// predicates are pure per `(round, port)`, so filtering keeps the
     /// executor's determinism contract.
     fn drain_ready(&mut self, ctx: &mut Ctx<'_, HealMsg>) {
+        if self.ready.is_empty() {
+            return;
+        }
         let live: Vec<usize> = (0..self.degree)
             .filter(|&p| !self.suspect[p] && ctx.link_up(p))
             .collect();
@@ -250,16 +295,49 @@ impl HealNode {
             }
         }
     }
+
+    /// Arms the wake-up a sparse step needs after [`Self::emit`]: next
+    /// round while the node holds work it will act on with an empty inbox —
+    /// stayed or ready tokens, an owed ack, or a queued token behind a port
+    /// with no custody frame (`emit` sends an owed ack *instead* of such a
+    /// token) — else the earliest custody deadline, the only round in which
+    /// an idle port can retransmit or give up. A deadline can already be
+    /// due (an owed ack took its port's slot), hence the clamp to the next
+    /// round.
+    fn arm_wake(&mut self, ctx: &mut Ctx<'_, HealMsg>) {
+        let round = ctx.round();
+        let busy = !self.ready.is_empty()
+            || !self.stayed.is_empty()
+            || self.ack_queue.iter().any(|q| !q.is_empty())
+            || (0..self.degree)
+                .any(|p| self.inflight[p].is_none() && !self.port_queue[p].is_empty());
+        let deadline = if busy {
+            Some(round + 1)
+        } else {
+            self.inflight.iter().flatten().map(|f| f.next_retry).min()
+        };
+        if let Some(t) = deadline {
+            let delta = t.saturating_sub(round).max(1);
+            if round + delta != self.armed {
+                self.armed = round + delta;
+                ctx.wake_in(delta);
+            }
+        }
+    }
 }
 
 struct HealProtocol {
     node: HealNode,
 }
 
+/// Skip-safe: every step ends by arming the next round the node can act in
+/// with an empty inbox ([`HealNode::arm_wake`]).
 impl Protocol for HealProtocol {
     type Message = HealMsg;
 
     const TRAFFIC_CLASS: TrafficClass = class::WALK_TOKEN;
+
+    const SPARSE_AWARE: bool = true;
 
     fn init(&mut self, ctx: &mut Ctx<'_, HealMsg>) {
         // Walks resident here at the start of a re-issue epoch were lost to
@@ -352,12 +430,11 @@ impl Protocol for HealProtocol {
 
 impl HealProtocol {
     fn tick(&mut self, ctx: &mut Ctx<'_, HealMsg>) {
-        let stayed: Vec<_> = self.node.stayed.drain(..).collect();
-        for tok in stayed {
-            self.node.ready.push_back(tok);
-        }
-        self.node.drain_ready(ctx);
-        self.node.emit(ctx);
+        let node = &mut self.node;
+        node.ready.extend(node.stayed.drain(..));
+        node.drain_ready(ctx);
+        node.emit(ctx);
+        node.arm_wake(ctx);
     }
 }
 
@@ -559,23 +636,15 @@ pub fn run_walks_healing_churned_instrumented(
         let nodes: Vec<HealProtocol> = g
             .nodes()
             .map(|v| HealProtocol {
-                node: HealNode {
-                    ready: std::mem::take(&mut initial[v.index()]),
-                    stayed: Vec::new(),
-                    port_queue: vec![VecDeque::new(); g.degree(v)],
-                    inflight: (0..g.degree(v)).map(|_| None).collect(),
-                    ack_queue: vec![VecDeque::new(); g.degree(v)],
-                    suspect: vec![false; g.degree(v)],
-                    seen: HashMap::new(),
-                    finished: Vec::new(),
-                    rerouted: 0,
-                    degree: g.degree(v),
+                node: HealNode::new(
+                    g.degree(v),
+                    std::mem::take(&mut initial[v.index()]),
                     delta,
                     kind,
-                    timeout: epoch_timeout,
+                    epoch_timeout,
                     max_attempts,
                     epoch,
-                },
+                ),
             })
             .collect();
         // Epoch 0 runs the plan as scheduled; crash-stop is permanent, so
@@ -602,13 +671,7 @@ pub fn run_walks_healing_churned_instrumented(
             .with_fault_plan(epoch_plan)
             .with_churn_plan(epoch_churn)
             .with_observe(observe.clone());
-        let cfg = RunConfig {
-            stop: StopCondition::AllDone,
-            budget_factor: 16,
-            max_rounds: 500_000,
-            ..RunConfig::default()
-        };
-        metrics = metrics.then(sim.run(&cfg)?);
+        metrics = metrics.then(sim.run(&EPOCH_CONFIG)?);
         runs.absorb(sim.take_observed(), round_offset);
         for v in sim.crashed_nodes() {
             crashed[v.index()] = true;
@@ -690,7 +753,143 @@ pub fn run_walks_healing_churned_instrumented(
 mod tests {
     use super::*;
     use crate::parallel::degree_proportional_specs;
-    use amt_graphs::generators;
+    use amt_congest::oracle::{assert_engines_agree, EngineObservation};
+    use amt_graphs::{generators, EdgeId};
+
+    /// What a node reports after an epoch: finished walks and re-routes.
+    fn node_output(p: &HealProtocol) -> (Vec<u32>, u64) {
+        (p.node.finished.clone(), p.node.rerouted)
+    }
+
+    /// One first epoch of `specs` on the active-set engine against the
+    /// full-sweep reference, both visit orders; returns the reference.
+    fn epoch_engines_agree(
+        g: &Graph,
+        specs: &[WalkSpec],
+        plan: &FaultPlan,
+        churn: &ChurnPlan,
+    ) -> EngineObservation<(Vec<u32>, u64)> {
+        let timeout = 4 + 2 * plan.max_delay;
+        let build = || {
+            let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];
+            for (i, spec) in specs.iter().enumerate() {
+                initial[spec.start.index()].push_back((i as u32, spec.steps));
+            }
+            let nodes = g
+                .nodes()
+                .map(|v| HealProtocol {
+                    node: HealNode::new(
+                        g.degree(v),
+                        std::mem::take(&mut initial[v.index()]),
+                        g.max_degree(),
+                        WalkKind::Lazy,
+                        timeout,
+                        8,
+                        0,
+                    ),
+                })
+                .collect();
+            Simulator::new(g, nodes, 41)
+                .unwrap()
+                .with_fault_plan(plan.clone())
+                .with_churn_plan(churn.clone())
+        };
+        assert_engines_agree(build, &EPOCH_CONFIG, node_output)
+    }
+
+    #[test]
+    fn custody_walks_match_full_sweep_under_faults() {
+        let g = generators::hypercube(5);
+        let specs = degree_proportional_specs(&g, 1, 14);
+        let plan = FaultPlan::none()
+            .seeded(6)
+            .with_drops(0.1)
+            .with_corruption(0.05)
+            .with_delays(0.1, 3)
+            .with_crash(NodeId(12), 5);
+        let reference = epoch_engines_agree(&g, &specs, &plan, &ChurnPlan::none());
+        let m = reference.result.unwrap();
+        assert!(m.dropped > 0 && m.corrupted > 0 && m.delayed > 0);
+        assert_eq!(reference.crashed, vec![NodeId(12)]);
+        assert!(
+            reference.outputs.iter().any(|o| o.1 > 0),
+            "a custody give-up must re-route a token"
+        );
+    }
+
+    #[test]
+    fn custody_walks_match_full_sweep_under_churn() {
+        let g = generators::hypercube(5);
+        let specs = degree_proportional_specs(&g, 1, 14);
+        let churn = ChurnPlan::none()
+            .seeded(19)
+            .with_flaps(0.1, 4)
+            .with_restart(NodeId(3), 4, 6)
+            .with_edge_cut(EdgeId(5), 2)
+            .at_offset(3);
+        let reference = epoch_engines_agree(&g, &specs, &FaultPlan::none(), &churn);
+        let m = reference.result.unwrap();
+        assert!(m.lost_to_churn > 0);
+        assert_eq!(m.restarts, 1);
+    }
+
+    /// The 3-cube with node 0 starting in the custody state `setup` makes
+    /// and every other node empty; returns the reference observation.
+    fn cube_engines_agree(setup: impl Fn(&mut HealNode)) -> EngineObservation<(Vec<u32>, u64)> {
+        let g = generators::hypercube(3);
+        let build = || {
+            let nodes = (0..g.len())
+                .map(|v| {
+                    let mut node = HealNode::new(3, VecDeque::new(), 3, WalkKind::Lazy, 4, 8, 0);
+                    if v == 0 {
+                        setup(&mut node);
+                    }
+                    HealProtocol { node }
+                })
+                .collect();
+            Simulator::new(&g, nodes, 5).unwrap()
+        };
+        assert_engines_agree(build, &EPOCH_CONFIG, node_output)
+    }
+
+    /// Trap: `emit` sends an owed ack *instead of* the token queued behind
+    /// a free port, and nothing will arrive to wake the node. Its next
+    /// round must still step (missing it hangs the run at the round cap).
+    #[test]
+    fn queued_token_behind_an_owed_ack_is_woken() {
+        let reference = cube_engines_agree(|n| {
+            n.ack_queue[0].push_back((1, 9));
+            n.port_queue[0].push_back((0, 3));
+        });
+        reference.result.expect("the queued token must still leave");
+        assert!(
+            reference.outputs.iter().any(|o| o.0 == [0]),
+            "walk 0 finishes"
+        );
+    }
+
+    /// Trap: owed acks hold the port's only slot past the custody frame's
+    /// retry deadline, so when the node next arms its wake-up the deadline
+    /// is already behind it (a plain `deadline − round` underflows).
+    #[test]
+    fn overdue_retransmission_behind_owed_acks_is_woken() {
+        let reference = cube_engines_agree(|n| {
+            n.ack_queue[0].extend([(1, 9), (2, 9)]);
+            n.inflight[0] = Some(Inflight {
+                walk: 0,
+                left: 3,
+                next_retry: 0,
+                attempts: 1,
+            });
+        });
+        reference
+            .result
+            .expect("the overdue frame must be retransmitted");
+        assert!(
+            reference.outputs.iter().any(|o| o.0 == [0]),
+            "walk 0 finishes"
+        );
+    }
 
     #[test]
     fn healmsg_codec_roundtrips_and_detects_flips() {

@@ -434,3 +434,93 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
     assert_eq!((&m, &d), (&m_ref, &d_ref), "reversed visit diverged");
     assert_eq!(empty, empty_seq, "empty-round count diverged");
 }
+
+/// What [`Misstep`] does in a round with an empty inbox and no due timer —
+/// each one a breach of the `SPARSE_AWARE` contract.
+#[cfg(debug_assertions)]
+#[derive(Clone, Copy, Debug)]
+enum Misstep {
+    Send,
+    Draw,
+    Wake,
+    Trace,
+    Finish,
+}
+
+/// A protocol that claims `SPARSE_AWARE` but acts on idle rounds.
+#[cfg(debug_assertions)]
+struct MisstepNode {
+    misstep: Option<Misstep>,
+    done: bool,
+}
+
+#[cfg(debug_assertions)]
+impl Protocol for MisstepNode {
+    type Message = u32;
+
+    const SPARSE_AWARE: bool = true;
+
+    fn init(&mut self, _ctx: &mut Ctx<'_, u32>) {}
+
+    fn round(&mut self, ctx: &mut Ctx<'_, u32>, _inbox: &[(usize, u32)]) {
+        match self.misstep {
+            None => {}
+            Some(Misstep::Send) => ctx.send(0, 1),
+            Some(Misstep::Draw) => {
+                ctx.rng().random::<u64>();
+            }
+            Some(Misstep::Wake) => ctx.wake_in(3),
+            Some(Misstep::Trace) => ctx.trace_event("idle", ctx.round()),
+            Some(Misstep::Finish) => self.done = true,
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+}
+
+/// The debug-build contract checker: on the full sweep, a sparse-aware
+/// node stepped in a round the active-set engine would have skipped must
+/// be a no-op, and each kind of side effect panics naming the node and
+/// round. An honest protocol runs through.
+#[cfg(debug_assertions)]
+#[test]
+fn sparse_contract_violations_panic_on_the_checked_full_sweep() {
+    let run = |misstep: Option<Misstep>| {
+        std::panic::catch_unwind(move || {
+            let g = generators::hypercube(3);
+            let nodes = (0..g.len())
+                .map(|_| MisstepNode {
+                    misstep,
+                    done: false,
+                })
+                .collect();
+            let cfg = RunConfig {
+                max_rounds: 10,
+                ..RunConfig::default()
+            }
+            .with_full_sweep(true);
+            Simulator::new(&g, nodes, 3).unwrap().run(&cfg)
+        })
+    };
+    assert!(run(None).expect("an honest protocol passes").is_ok());
+    for (misstep, broke) in [
+        (Misstep::Send, "staged 1 message(s)"),
+        (Misstep::Draw, "drew from its RNG stream"),
+        (Misstep::Wake, "requested a wake for round 4"),
+        (Misstep::Trace, "emitted a trace event"),
+        (Misstep::Finish, "changed is_done to true"),
+    ] {
+        let payload = run(Some(misstep)).expect_err("the checker must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            msg.starts_with(&format!(
+                "SPARSE_AWARE contract violated: node 0 {broke} in round 1,"
+            )),
+            "{misstep:?}: unexpected panic message {msg:?}"
+        );
+    }
+}
