@@ -33,6 +33,7 @@ fn main() {
     ]);
     let mut prev: Option<(usize, f64)> = None;
     let mut slopes = Vec::new();
+    let mut mst_walls = Vec::new();
     for &n in &[32usize, 64, 128, 256] {
         let g = expander(n, 6, 1);
         let mut rng = StdRng::seed_from_u64(2);
@@ -45,7 +46,13 @@ fn main() {
             .levels(levels)
             .build()
             .expect("expander");
+        let started = std::time::Instant::now();
         let amt = sys.mst(&wg, 3).expect("connected");
+        let wall = started.elapsed();
+        let mut mst_wall = PhaseTimings::new();
+        mst_wall.record("mst", wall);
+        report.phase_timings(&format!("amt_mst_n{n}"), &mst_wall);
+        mst_walls.push(format!("n = {n}: {:.2} s", wall.as_secs_f64()));
         let ok_amt = reference::verify_mst(&wg, &amt.tree_edges);
         let gk = gkp::run(&wg, 3).expect("connected");
         let bo = congest_boruvka::run(&wg, 3).expect("connected");
@@ -78,6 +85,11 @@ fn main() {
         "\nlog-log slopes of rounds/instance/τ between consecutive n: {:?}",
         slopes.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
     );
+    println!(
+        "host wall of System::mst (exact pricing; not a table column): {}",
+        mst_walls.join(", ")
+    );
+    println!("(τ is the centralized spectral estimate, not a distributed measurement.)");
     println!("(paper: per routing instance the cost is τ·2^O(√(log n log log n)) —");
     println!(" subpolynomial; the MST multiplies it by O(log³ n) instances. Depth");
     println!(" increments of the partition tree show up as steps in the raw rounds.)\n");

@@ -1,6 +1,7 @@
 //! The full hierarchical structure: all overlay levels, the partition, the
 //! portal tables, and recursively measured emulation costs.
 
+use crate::race::BatchRace;
 use crate::{
     dir_key, key_edge, key_is_forward, level0, EmbedError, HierarchyConfig, LevelStats, Overlay,
     PortalEntry, PortalTable, Result, VirtualId, VirtualMap,
@@ -36,18 +37,21 @@ pub enum EmulationMode {
 pub struct PricingCounts {
     /// Batches of a single crossing, priced by one lookup.
     pub solo_batches: u64,
-    /// Batches of two or more crossings, priced by scheduling them.
+    /// Batches of two or more crossings, scheduled by the batch race
+    /// (DESIGN.md §2d; the name predates the race).
     pub scheduled_batches: u64,
 }
 
-/// Reusable state of emulation pricing: one [`PathScheduler`] per
-/// hierarchy level plus one for multi-hop paths, and the running
-/// [`PricingCounts`]. Create one per routing call and pass it to every
-/// [`Hierarchy::emulate_paths`] / [`Hierarchy::emulate_batch`] call; the
-/// arenas then stop allocating once they have grown to the largest batch.
+/// Reusable state of emulation pricing: one batch race per hierarchy level,
+/// one [`PathScheduler`] for the multi-hop schedule of
+/// [`Hierarchy::emulate_paths`], and the running [`PricingCounts`]. Create
+/// one per routing call and pass it to every [`Hierarchy::emulate_paths`] /
+/// [`Hierarchy::emulate_batch`] call; the arenas then stop allocating once
+/// they have grown to the largest batch.
 #[derive(Clone, Debug, Default)]
 pub struct EmulationScratch {
-    levels: Vec<PathScheduler>,
+    races: Vec<BatchRace>,
+    hops: PathScheduler,
     counts: PricingCounts,
 }
 
@@ -62,12 +66,14 @@ impl EmulationScratch {
         std::mem::take(&mut self.counts)
     }
 
-    /// The first `n` schedulers, creating missing ones, and the counts.
-    fn parts(&mut self, n: usize) -> (&mut [PathScheduler], &mut PricingCounts) {
-        if self.levels.len() < n {
-            self.levels.resize_with(n, PathScheduler::new);
+    /// The races of levels `0 ..= level`, creating missing ones, the
+    /// multi-hop scheduler and the counts.
+    fn parts(&mut self, level: u32) -> (&mut [BatchRace], &mut PathScheduler, &mut PricingCounts) {
+        let n = level as usize + 1;
+        if self.races.len() < n {
+            self.races.resize_with(n, BatchRace::default);
         }
-        (&mut self.levels[..n], &mut self.counts)
+        (&mut self.races[..n], &mut self.hops, &mut self.counts)
     }
 }
 
@@ -634,8 +640,8 @@ impl<'g> Hierarchy<'g> {
         mode: EmulationMode,
         scratch: &mut EmulationScratch,
     ) -> u64 {
-        let (scheds, counts) = scratch.parts(level as usize + 1);
-        self.price(level, batch, mode, scheds, counts)
+        let (races, _, counts) = scratch.parts(level);
+        self.price(level, batch, mode, races, counts)
     }
 
     /// Measured base-round cost of delivering messages along *multi-hop*
@@ -651,8 +657,9 @@ impl<'g> Hierarchy<'g> {
     ///
     /// A batch of one crossing is priced in closed form, with no
     /// scheduling: its path length times the full-round cost below
-    /// (factored) or the build-time `solo` table (exact). `scratch` carries
-    /// the scheduler arenas between calls and counts both kinds of batch.
+    /// (factored) or the build-time `solo` table (exact). Larger batches are
+    /// scheduled by the batch race (DESIGN.md §2d). `scratch` carries the
+    /// arenas between calls and counts both kinds of batch.
     pub fn emulate_paths<P: KeyPaths + ?Sized>(
         &self,
         level: u32,
@@ -660,28 +667,22 @@ impl<'g> Hierarchy<'g> {
         mode: EmulationMode,
         scratch: &mut EmulationScratch,
     ) -> u64 {
-        // Levels `0 ..= level` price the rounds; the slot above them holds
-        // the multi-hop schedule while they do.
-        let top = level as usize + 1;
-        let (scheds, counts) = scratch.parts(top + 1);
-        let (scheds, above) = scheds.split_at_mut(top);
-        let sched = &mut above[0];
-        sched.route(paths, 1);
-        sched
-            .schedule()
+        let (races, hops, counts) = scratch.parts(level);
+        hops.route(paths, 1);
+        hops.schedule()
             .iter()
-            .map(|batch| self.price(level, batch, mode, scheds, counts))
+            .map(|batch| self.price(level, batch, mode, races, counts))
             .sum()
     }
 
     /// The one pricing recursion behind [`Hierarchy::emulate_batch`] and
-    /// [`Hierarchy::emulate_paths`]. `scheds[p]` is level `p`'s scheduler.
+    /// [`Hierarchy::emulate_paths`]. `races[p]` is level `p`'s batch race.
     fn price(
         &self,
         level: u32,
         batch: &[u64],
         mode: EmulationMode,
-        scheds: &mut [PathScheduler],
+        races: &mut [BatchRace],
         counts: &mut PricingCounts,
     ) -> u64 {
         let l = level as usize;
@@ -704,19 +705,22 @@ impl<'g> Hierarchy<'g> {
             }
             _ => {
                 counts.scheduled_batches += 1;
-                let (below, this) = scheds.split_at_mut(l);
-                let sched = &mut this[0];
-                let paths = ov.crossing_paths(batch);
+                let (below, this) = races.split_at_mut(l);
+                let race = &mut this[0];
+                // The paths cross directed keys of the level below.
+                let key_space = 2 * match l {
+                    0 => self.base.edge_count(),
+                    _ => self.overlays[l - 1].graph().edge_count(),
+                };
                 match mode {
                     EmulationMode::Exact if level > 0 => {
-                        sched.route(&paths, 1);
-                        sched
-                            .schedule()
+                        race.route(ov.stored_paths(), batch, key_space);
+                        race.schedule()
                             .iter()
                             .map(|sub| self.price(level - 1, sub, mode, below, counts))
                             .sum()
                     }
-                    _ => factored(sched.measure(&paths, 1).rounds),
+                    _ => factored(race.measure(ov.stored_paths(), batch, key_space)),
                 }
             }
         }

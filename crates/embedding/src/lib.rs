@@ -20,8 +20,9 @@
 //!
 //! Round costs are **measured**: emulating a batch of level-`p` edge
 //! crossings recursively expands into level-`(p−1)` traffic and ultimately
-//! into base-graph traffic scheduled by the store-and-forward router of
-//! `amt-walks` ([`Hierarchy::emulate_batch`]).
+//! into base-graph traffic, each batch scheduled by a race over the stored
+//! paths that reproduces the store-and-forward router of `amt-walks`
+//! ([`Hierarchy::emulate_batch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ mod error;
 mod hierarchy;
 mod overlay;
 mod portals;
+mod race;
 mod stats;
 mod virt;
 

@@ -107,6 +107,12 @@ impl Overlay {
         }
     }
 
+    /// The stored forward paths, one per edge (the batch race steps over
+    /// them directly).
+    pub(crate) fn stored_paths(&self) -> &KeySlab {
+        &self.edge_paths
+    }
+
     /// Raw stored (forward) path length of edge `e`.
     pub fn path_len(&self, e: EdgeId) -> usize {
         self.edge_paths.get(e.index()).len()

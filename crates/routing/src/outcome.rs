@@ -34,7 +34,8 @@ pub struct RoutingOutcome {
     /// Emulation batches of a single crossing, priced in closed form
     /// without scheduling ([`amt_embedding::PricingCounts`]).
     pub solo_batches: u64,
-    /// Emulation batches of two or more crossings, priced by scheduling.
+    /// Emulation batches of two or more crossings, scheduled by the batch
+    /// race of [`amt_embedding`] (the name predates the race).
     pub scheduled_batches: u64,
     /// Host wall-clock time per routing stage (`"prep"`, `"hops"`,
     /// `"bottom"` entries); excluded from equality like all

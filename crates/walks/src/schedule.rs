@@ -120,8 +120,17 @@ impl KeySlab {
     ///
     /// Panics if `i >= self.len()`.
     pub fn get(&self, i: usize) -> &[u64] {
+        &self.keys[self.span(i)]
+    }
+
+    /// Where sequence `i` lies in [`KeySlab::keys`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn span(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.keys[start..self.ends[i]]
+        start..self.ends[i]
     }
 
     /// The sequences in order.
@@ -553,6 +562,8 @@ mod tests {
         assert_eq!(slab.get(0), &[1, 2, 3]);
         assert!(slab.get(1).is_empty());
         assert_eq!(slab.get(2), &[u64::MAX]);
+        assert_eq!(slab.span(1), 3..3);
+        assert_eq!(slab.span(2), 3..4);
         assert_eq!(slab.keys(), &[1, 2, 3, u64::MAX]);
         let as_vecs: Vec<Vec<u64>> = slab.iter().map(<[u64]>::to_vec).collect();
         assert_eq!(route_paths(&slab, 1), route_paths(&as_vecs, 1));

@@ -1,5 +1,6 @@
-//! Differential oracle for the flat path scheduler and emulation pricing:
-//! both must reproduce the original `HashMap` scheduler
+//! Differential oracle for the flat path scheduler and emulation pricing
+//! (whose batches the batch race schedules): both must reproduce the
+//! original `HashMap` scheduler
 //! (`crates/walks/tests/support/reference_schedule.rs`) byte for byte.
 
 use amt_core::embedding::{
@@ -249,6 +250,77 @@ fn emulation_pricing_matches_the_naive_recursion() {
                     let want = naive_batch(&h, level, &batch, mode, &mut want_counts);
                     let got = h.emulate_batch(level, &batch, mode, &mut scratch);
                     let counts = scratch.take_counts();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(
+                        (counts.solo_batches, counts.scheduled_batches),
+                        want_counts,
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The tokens of one level with the most contention: 24 copies of the
+/// longest directed path, then the directed keys whose paths share the
+/// longest prefixes with another path of the level.
+fn contended_batch(h: &Hierarchy, level: u32) -> Vec<u64> {
+    let ov = h.overlay(level);
+    let mut paths: Vec<(Vec<u64>, u64)> = (0..2 * ov.graph().edge_count() as u64)
+        .map(|k| (ov.dir_path(k).collect(), k))
+        .collect();
+    let longest = paths.iter().max_by_key(|(p, _)| p.len()).expect("edges").1;
+    paths.sort_unstable();
+    let mut shared: Vec<(usize, u64)> = paths
+        .windows(2)
+        .flat_map(|w| {
+            let common = w[0]
+                .0
+                .iter()
+                .zip(&w[1].0)
+                .take_while(|(a, b)| a == b)
+                .count();
+            [(common, w[0].1), (common, w[1].1)]
+        })
+        .collect();
+    shared.sort_unstable_by(|a, b| b.cmp(a));
+    let mut batch = vec![longest; 24];
+    batch.extend(shared.iter().take(16).map(|&(_, k)| k));
+    batch
+}
+
+/// Single-crossing batches of 2–200 random directed keys (repeats
+/// included) and one contention-heavy batch, priced at every level of 1-,
+/// 2- and 3-level hierarchies in both modes. One scratch serves every
+/// hierarchy, largest first, so each race runs over a claim table grown by
+/// an earlier hierarchy and holding its stale stamps.
+#[test]
+fn batch_race_pricing_matches_the_naive_recursion_on_large_batches() {
+    let mut scratch = EmulationScratch::new();
+    for (n, levels, beta, seed) in [(48usize, 3u32, 2u32, 13u64), (40, 2, 4, 11), (32, 1, 4, 9)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = generators::random_regular(n, 4, &mut rng).unwrap();
+        let mut cfg = HierarchyConfig::auto(&g, 20, seed);
+        cfg.beta = beta;
+        cfg.levels = levels;
+        let h = Hierarchy::build(&g, cfg).unwrap();
+        for level in 0..=levels {
+            let keys = 2 * h.overlay(level).graph().edge_count() as u64;
+            let mut batches: Vec<Vec<u64>> = (0..3)
+                .map(|_| {
+                    let len = rng.random_range(2..=200usize);
+                    (0..len).map(|_| rng.random_range(0..keys)).collect()
+                })
+                .collect();
+            batches.push(contended_batch(&h, level));
+            for batch in &batches {
+                for mode in [EmulationMode::Factored, EmulationMode::Exact] {
+                    let mut want_counts = (0, 0);
+                    let want = naive_batch(&h, level, batch, mode, &mut want_counts);
+                    let got = h.emulate_batch(level, batch, mode, &mut scratch);
+                    let counts = scratch.take_counts();
+                    let ctx = format!("levels {levels}, level {level}, {mode:?}, {batch:?}");
                     assert_eq!(got, want, "{ctx}");
                     assert_eq!(
                         (counts.solo_batches, counts.scheduled_batches),
