@@ -9,8 +9,7 @@
 //!   max edge congestion, fault counters), all
 //!   `profiles.<bench>.<class>` per-class totals, all
 //!   `recovery.<bench>` reconvergence statistics (span counts,
-//!   time-to-reconverge percentiles), all `shards.<bench>` intra/cross
-//!   placement-attribution counters, and all `telemetry.<bench>`
+//!   time-to-reconverge percentiles), and all `telemetry.<bench>`
 //!   execution-health counters (work totals and gauge high-water marks;
 //!   logical values only, by the telemetry contract) must be identical:
 //!   the simulator is deterministic, so *any* drift is a behavior change;
@@ -101,7 +100,7 @@ fn gate(baseline: &Json, candidate: &Json, opts: &Opts) -> (Vec<String>, Vec<Str
     let mut notes = Vec::new();
 
     // Deterministic counters: exact equality, baseline drives the key set.
-    for section in ["metrics", "profiles", "recovery", "shards", "telemetry"] {
+    for section in ["metrics", "profiles", "recovery", "telemetry"] {
         let base = scalars(baseline, section);
         let cand = scalars(candidate, section);
         for (path, want) in &base {
@@ -277,37 +276,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_counter_drift_is_exact() {
-        let shard_report = |cross: u64| {
+    fn profile_class_drift_is_exact() {
+        let profile_report = |walk_msgs: u64| {
             parse(&format!(
                 r#"{{
-                    "shards": {{
-                        "dumbbell/spectral": {{
-                            "shards": 4,
-                            "intra_messages": 90,
-                            "cross_messages": {cross},
-                            "intra_bits": 900,
-                            "cross_bits": 100,
-                            "walk/token": {{ "cross_messages": {cross} }}
+                    "profiles": {{
+                        "bench_a": {{
+                            "walk/token": {{ "messages": {walk_msgs}, "bits": 100 }},
+                            "rel/ack": {{ "messages": 3, "bits": 51 }}
                         }}
                     }}
                 }}"#
             ))
             .expect("valid synthetic json")
         };
-        let base = shard_report(10);
-        assert!(failures(&base, &shard_report(10), &Opts::default()).is_empty());
-        let f = failures(&base, &shard_report(11), &Opts::default());
-        // Both the total and the per-class nested counter drift.
-        assert_eq!(f.len(), 2, "{f:?}");
+        let base = profile_report(10);
+        assert!(failures(&base, &profile_report(10), &Opts::default()).is_empty());
+        // The per-class counters sit one level below the bench entry.
+        let f = failures(&base, &profile_report(11), &Opts::default());
+        assert_eq!(f.len(), 1, "{f:?}");
         assert!(
-            f.iter()
-                .any(|m| m.contains("shards.dumbbell/spectral.cross_messages")),
-            "{f:?}"
-        );
-        assert!(
-            f.iter()
-                .any(|m| m.contains("shards.dumbbell/spectral.walk/token.cross_messages")),
+            f[0].contains("profiles.bench_a.walk/token.messages"),
             "{f:?}"
         );
     }
@@ -318,7 +307,7 @@ mod tests {
             parse(&format!(
                 r#"{{
                     "telemetry": {{
-                        "mst/contiguous": {{
+                        "bench_a": {{
                             "rounds": 40,
                             "nodes_stepped": 5000,
                             "messages_staged": 9000,
@@ -337,10 +326,7 @@ mod tests {
         assert!(failures(&base, &tel_report(12), &Opts::default()).is_empty());
         let f = failures(&base, &tel_report(13), &Opts::default());
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(
-            f[0].contains("telemetry.mst/contiguous.wake_queue_hwm"),
-            "{f:?}"
-        );
+        assert!(f[0].contains("telemetry.bench_a.wake_queue_hwm"), "{f:?}");
     }
 
     #[test]

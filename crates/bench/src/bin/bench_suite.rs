@@ -1,5 +1,5 @@
 //! Canonical bench suite: pinned configurations of the flagship runs,
-//! written as a single schema-v5 report for the regression gate.
+//! written as a single schema-v6 report for the regression gate.
 //!
 //! Runs, with fully pinned seeds (so every counter is deterministic):
 //!
@@ -29,27 +29,22 @@
 //!   dumbbell of two expander halves, heavy-tailed Chung–Lu). Each
 //!   instance runs twice, and the repeat must reproduce the first run's
 //!   observables exactly (hard assert); the repeat's wall-clock is
-//!   recorded as `<instance>_t1_contiguous`. The recorded profile is
-//!   attributed after the fact to a contiguous and a spectral node→shard
-//!   [`Placement`] at 4 shards (`shards` report section, schema v4); on
-//!   the dumbbell the spectral placement must route a strictly smaller
-//!   share of messages across shards than the contiguous one (hard
-//!   assert). Every run in the tier executes with [`TelemetryConfig`]
-//!   attached: its logical execution-health counters (work totals and
-//!   gauge high-water marks) enter the gated `telemetry` report section
-//!   (schema v5). `AMT_BENCH_SCALE_ONLY=1` runs just this tier.
+//!   recorded as `<instance>_repeat`. Every run in the tier executes with
+//!   [`TelemetryConfig`] attached: its logical execution-health counters
+//!   (work totals and gauge high-water marks) enter the gated `telemetry`
+//!   report section. `AMT_BENCH_SCALE_ONLY=1` runs just this tier.
 //!
 //! Output: `experiments_out/BENCH_<git-describe>.json` (override the stem
 //! with a CLI argument, e.g. `bench_suite BENCH_baseline`) carrying rounds,
 //! messages, max edge congestion, wall-clock, messages/sec throughput,
-//! per-class totals, recovery statistics, and shard-attribution counters
-//! for every bench. `bench_compare` diffs two such files and exits nonzero
+//! per-class totals, recovery statistics, and telemetry counters for
+//! every bench. `bench_compare` diffs two such files and exits nonzero
 //! on drift.
 
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, Observe, PhaseTimings, Placement, ProfileConfig, RunConfig, RunTelemetry, Simulator,
+    Metrics, Observe, PhaseTimings, ProfileConfig, RunConfig, RunTelemetry, Simulator,
     TelemetryConfig, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
@@ -424,7 +419,7 @@ fn finish(bench: Bench) {
     report.phase_timings("throughput", &throughput);
     println!("\n(all counters are deterministic: compare two suite reports with");
     println!(" `bench_compare <baseline> <candidate>` — exact on rounds/messages/");
-    println!(" congestion/per-class totals, shard attribution, and telemetry");
+    println!(" congestion/per-class totals, recovery statistics, and telemetry");
     println!(" gauges, 25% tolerance with a 5 ms floor on wall-clock, and a");
     println!(" lower bound on messages/sec for the long tiers)");
     report.finish();
@@ -463,24 +458,11 @@ fn scale_run(
 
 /// The scaling tier: three pinned 2048-node instances, each run twice
 /// (the repeat must reproduce the first run exactly). The first run's
-/// metrics, profile and telemetry enter the gated report sections, and its
-/// profile is attributed to a contiguous and a spectral placement at 4
-/// shards for the schema-v4 `shards` section.
+/// metrics, profile and telemetry enter the gated report sections; the
+/// repeat's wall-clock is recorded as `<instance>_repeat`.
 fn scaling_tier(bench: &mut Bench) {
-    const SHARDS_FOR_SPLIT: usize = 4;
-    const SPECTRAL_ITERS: usize = 120;
-
-    let instances = scaling_instances();
-
-    struct TierResult {
-        name: &'static str,
-        wall: std::time::Duration,
-        contiguous: amt_core::congest::ShardSplit,
-        spectral: amt_core::congest::ShardSplit,
-    }
-    let mut results: Vec<TierResult> = Vec::new();
-
-    for (name, g) in &instances {
+    let mut walls: Vec<(&'static str, std::time::Duration)> = Vec::new();
+    for (name, g) in &scaling_instances() {
         let (metrics, digests, profile, telemetry, wall) = scale_run(g);
         bench.record(name, &metrics, Some(&profile), wall);
         bench.report.telemetry(name, &telemetry);
@@ -491,68 +473,17 @@ fn scaling_tier(bench: &mut Bench) {
             (&metrics, &digests, &profile, &telemetry),
             "{name}: a repeat run drifted"
         );
-        let label: &'static str = Box::leak(format!("{name}_t1_contiguous").into_boxed_str());
+        let label: &'static str = Box::leak(format!("{name}_repeat").into_boxed_str());
         bench.wall.record_nanos(label, w.as_nanos() as u64);
-
-        // Attribute the recorded profile to both placements at a fixed
-        // shard count.
-        let contiguous_flags = Placement::contiguous(g.len(), SHARDS_FOR_SPLIT).cross_edge_flags(g);
-        let spectral_flags =
-            Placement::spectral(g, SHARDS_FOR_SPLIT, SPECTRAL_ITERS).cross_edge_flags(g);
-        results.push(TierResult {
-            name,
-            wall: w,
-            contiguous: profile.shard_split(SHARDS_FOR_SPLIT, &contiguous_flags),
-            spectral: profile.shard_split(SHARDS_FOR_SPLIT, &spectral_flags),
-        });
+        walls.push((name, w));
     }
 
     println!("\n## Scaling tier (repeat runs asserted identical)\n");
     bench.report.section("scaling wall-clock");
-    bench
-        .report
-        .header(&["instance", "placement", "threads", "wall_ms"]);
-    for r in &results {
-        bench.report.row(&[
-            r.name.to_string(),
-            "contiguous".to_string(),
-            "1".to_string(),
-            format!("{:.1}", r.wall.as_secs_f64() * 1e3),
-        ]);
-    }
-
-    println!();
-    bench.report.section("shard attribution (4 shards)");
-    bench.report.header(&[
-        "instance",
-        "placement",
-        "cross_msgs",
-        "intra_msgs",
-        "cross_share_pct",
-    ]);
-    for r in &results {
-        for (kind, split) in [("contiguous", &r.contiguous), ("spectral", &r.spectral)] {
-            let label: &'static str = Box::leak(format!("{}_{kind}", r.name).into_boxed_str());
-            bench.report.shards(label, split);
-            bench.report.row(&[
-                r.name.to_string(),
-                kind.to_string(),
-                split.cross_messages.to_string(),
-                split.intra_messages.to_string(),
-                format!("{:.1}", split.cross_message_share() * 100.0),
-            ]);
-        }
-        if r.name == "scale_dumbbell_n2048" {
-            // The tier's acceptance criterion: on the interleaved dumbbell
-            // the spectral placement recovers the two halves, so strictly
-            // less of the traffic crosses shards than under contiguous
-            // striping.
-            assert!(
-                r.spectral.cross_message_share() < r.contiguous.cross_message_share(),
-                "dumbbell: spectral cross-share {:.4} must beat contiguous {:.4}",
-                r.spectral.cross_message_share(),
-                r.contiguous.cross_message_share()
-            );
-        }
+    bench.report.header(&["instance", "wall_ms"]);
+    for (name, wall) in walls {
+        bench
+            .report
+            .row(&[name.to_string(), format!("{:.1}", wall.as_secs_f64() * 1e3)]);
     }
 }

@@ -11,7 +11,7 @@
 //! Protocol observables must be byte-identical to a telemetry-off run —
 //! asserted here against a plain reference run, not just trusted.
 //!
-//! The counters of every instance are written as a schema-v5
+//! The counters of every instance are written as a schema-v6
 //! `SIM_HEALTH.json` report so CI's `validate_report` covers the telemetry
 //! section end-to-end.
 //!
@@ -59,7 +59,7 @@ fn fmt_dist(d: Option<Distribution>) -> String {
 fn analyze(smoke: bool) {
     let mut instances = scaling_instances();
     if smoke {
-        // The dumbbell is the instance with real placement structure.
+        // The dumbbell, with its sparse bridge cut, is the smoke instance.
         instances.retain(|(name, _)| *name == "scale_dumbbell_n2048");
     }
 

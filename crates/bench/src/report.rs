@@ -16,7 +16,7 @@
 //! in-memory values that never saw the encoder.
 
 use amt_congest::{
-    Metrics, PhaseTimings, RecoveryTimeline, RunTelemetry, RunTrace, ShardSplit, TrafficProfile,
+    Metrics, PhaseTimings, RecoveryTimeline, RunTelemetry, RunTrace, TrafficProfile,
 };
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -28,12 +28,32 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Every section is required: `config`, `tables`, `metrics`,
 /// `phase_timings` and `timelines`, plus per-run traffic-class totals
 /// (`profiles`, [`Report::profile`]), recovery-SLO summaries of a
-/// [`RecoveryTimeline`] (`recovery`, [`Report::recovery`]), intra/cross
-/// shard traffic of a [`ShardSplit`] (`shards`, [`Report::shards`]) and the
+/// [`RecoveryTimeline`] (`recovery`, [`Report::recovery`]) and the
 /// execution-health counters of a [`RunTelemetry`] (`telemetry`,
 /// [`Report::telemetry`]). A timeline that recorded snapshots carries a
-/// `final_snapshot_round` that must equal its `rounds`.
-pub const SCHEMA_VERSION: u64 = 5;
+/// `final_snapshot_round` that must equal its `rounds`. No other top-level
+/// key is allowed.
+pub const SCHEMA_VERSION: u64 = 6;
+
+/// Every top-level key of a report, in the order [`Report::finish`] writes
+/// them. [`validate`] rejects a document carrying any other key, so a
+/// section a schema bump removed cannot linger in a file that claims the
+/// new version.
+const TOP_LEVEL_KEYS: [&str; 13] = [
+    "schema_version",
+    "experiment",
+    "git_describe",
+    "created_unix",
+    "wall_seconds",
+    "config",
+    "tables",
+    "metrics",
+    "phase_timings",
+    "timelines",
+    "profiles",
+    "recovery",
+    "telemetry",
+];
 
 /// A JSON value (object keys keep insertion order for stable diffs).
 #[derive(Clone, Debug, PartialEq)]
@@ -386,15 +406,22 @@ impl Parser<'_> {
 // ---------------------------------------------------------------------------
 
 /// Structurally validates a parsed report against the schema. Only
-/// [`SCHEMA_VERSION`] is accepted, and every section is required.
+/// [`SCHEMA_VERSION`] is accepted, every section is required, and no other
+/// top-level key is allowed.
 ///
 /// # Errors
 ///
 /// Returns the first violation found (path and reason).
 pub fn validate(root: &Json) -> Result<(), String> {
-    let Json::Obj(_) = root else {
+    let Json::Obj(pairs) = root else {
         return Err("root must be an object".to_string());
     };
+    if let Some((key, _)) = pairs
+        .iter()
+        .find(|(k, _)| !TOP_LEVEL_KEYS.contains(&k.as_str()))
+    {
+        return Err(format!("unknown top-level key {key}"));
+    }
     match root.get("schema_version") {
         Some(Json::Num(v)) if *v == SCHEMA_VERSION as f64 => {}
         Some(other) => {
@@ -553,44 +580,6 @@ pub fn validate(root: &Json) -> Result<(), String> {
             }
         }
     }
-    let Some(Json::Obj(shards)) = root.get("shards") else {
-        return Err("shards must be an object".to_string());
-    };
-    for (name, entry) in shards {
-        let Json::Obj(fields) = entry else {
-            return Err(format!("shards.{name} must be an object"));
-        };
-        for key in [
-            "shards",
-            "intra_messages",
-            "cross_messages",
-            "intra_bits",
-            "cross_bits",
-        ] {
-            match entry.get(key) {
-                Some(Json::Num(v)) if *v >= 0.0 => {}
-                _ => return Err(format!("shards.{name}.{key} must be a non-negative number")),
-            }
-        }
-        for (k, v) in fields {
-            match v {
-                Json::Num(_) => {}
-                // Per-traffic-class nested split.
-                Json::Obj(inner) => {
-                    for (ik, iv) in inner {
-                        if !matches!(iv, Json::Num(_)) {
-                            return Err(format!("shards.{name}.{k}.{ik} must be a number"));
-                        }
-                    }
-                }
-                _ => {
-                    return Err(format!(
-                        "shards.{name}.{k} must be a number or per-class object"
-                    ))
-                }
-            }
-        }
-    }
     let Some(Json::Obj(recovery)) = root.get("recovery") else {
         return Err("recovery must be an object".to_string());
     };
@@ -645,7 +634,6 @@ pub struct Report {
     timelines: Vec<(String, Json)>,
     profiles: Vec<(String, Json)>,
     recovery: Vec<(String, Json)>,
-    shards: Vec<(String, Json)>,
     telemetry: Vec<(String, Json)>,
 }
 
@@ -664,7 +652,6 @@ impl Report {
             timelines: Vec::new(),
             profiles: Vec::new(),
             recovery: Vec::new(),
-            shards: Vec::new(),
             telemetry: Vec::new(),
         }
     }
@@ -825,33 +812,6 @@ impl Report {
         ));
     }
 
-    /// Records a named [`ShardSplit`] — intra- vs cross-shard counters of a
-    /// recorded traffic profile under one node→shard placement, in total
-    /// and per traffic class (the `shards` section, schema version 4).
-    /// Counters only: derived ratios are for readers to compute, so the
-    /// regression gate compares exact integers.
-    pub fn shards(&mut self, name: &str, split: &ShardSplit) {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("shards".into(), split.shards.into()),
-            ("intra_messages".into(), split.intra_messages.into()),
-            ("cross_messages".into(), split.cross_messages.into()),
-            ("intra_bits".into(), split.intra_bits.into()),
-            ("cross_bits".into(), split.cross_bits.into()),
-        ];
-        for c in &split.per_class {
-            fields.push((
-                c.class.to_string(),
-                Json::Obj(vec![
-                    ("intra_messages".into(), c.intra_messages.into()),
-                    ("cross_messages".into(), c.cross_messages.into()),
-                    ("intra_bits".into(), c.intra_bits.into()),
-                    ("cross_bits".into(), c.cross_bits.into()),
-                ]),
-            ));
-        }
-        self.shards.push((name.to_string(), Json::Obj(fields)));
-    }
-
     /// Records a named [`RunTelemetry`] as execution-health counters (the
     /// `telemetry` section, schema version 5). Logical counters only — per
     /// the telemetry contract they are visit-order-invariant, so the
@@ -924,7 +884,6 @@ impl Report {
             ("timelines".into(), Json::Obj(self.timelines.clone())),
             ("profiles".into(), Json::Obj(self.profiles.clone())),
             ("recovery".into(), Json::Obj(self.recovery.clone())),
-            ("shards".into(), Json::Obj(self.shards.clone())),
             ("telemetry".into(), Json::Obj(self.telemetry.clone())),
         ])
     }
@@ -1024,7 +983,6 @@ mod tests {
             edge_bits: vec![20, 10],
         });
         r.profile("run", &tp);
-        r.shards("run", &tp.shard_split(2, &[true, false]));
         let mut tl = RecoveryTimeline::new();
         tl.record_damage(3);
         tl.record_recovery(10);
@@ -1054,6 +1012,14 @@ mod tests {
         let parsed = parse(&text).expect("parses");
         assert_eq!(parsed, json);
         validate(&parsed).expect("schema-valid");
+        let Json::Obj(pairs) = &parsed else {
+            unreachable!()
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys, TOP_LEVEL_KEYS,
+            "finish writes exactly the schema's keys"
+        );
         // Spot-check recorded structure survived the round trip.
         assert_eq!(
             parsed.get("experiment"),
@@ -1079,17 +1045,6 @@ mod tests {
         assert_eq!(rec.get("spans"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("open"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("ttr_max"), Some(&Json::Num(7.0)));
-        let sh = parsed
-            .get("shards")
-            .and_then(|s| s.get("run"))
-            .expect("shards section survives the round trip");
-        assert_eq!(sh.get("shards"), Some(&Json::Num(2.0)));
-        assert_eq!(sh.get("cross_messages"), Some(&Json::Num(2.0)));
-        assert_eq!(sh.get("intra_messages"), Some(&Json::Num(1.0)));
-        let class = sh
-            .get("walk/token")
-            .expect("per-class split survives the round trip");
-        assert_eq!(class.get("cross_bits"), Some(&Json::Num(20.0)));
         let tel = parsed
             .get("telemetry")
             .and_then(|t| t.get("run"))
@@ -1121,27 +1076,12 @@ mod tests {
             Json::Obj(doc)
         };
         // (section, a malformed `run` entry of that section)
-        let cases: [(&str, Json); 5] = [
+        let cases: [(&str, Json); 3] = [
             (
                 "profiles",
                 Json::Obj(vec![("walk/token".into(), "lots".into())]),
             ),
             ("recovery", Json::Obj(vec![("spans".into(), 1u64.into())])),
-            ("shards", Json::Obj(vec![("shards".into(), 4u64.into())])),
-            (
-                "shards",
-                Json::Obj(vec![
-                    ("shards".into(), 2u64.into()),
-                    ("intra_messages".into(), 1u64.into()),
-                    ("cross_messages".into(), 2u64.into()),
-                    ("intra_bits".into(), 10u64.into()),
-                    ("cross_bits".into(), 20u64.into()),
-                    (
-                        "walk/token".into(),
-                        Json::Obj(vec![("cross_messages".into(), "lots".into())]),
-                    ),
-                ]),
-            ),
             (
                 "telemetry",
                 Json::Obj(vec![("rounds".into(), 10u64.into())]),
@@ -1168,6 +1108,21 @@ mod tests {
             other[0].1 = Json::Num(version as f64);
             assert!(validate(&Json::Obj(other)).is_err(), "version {version}");
         }
+        // A section the current version does not define is rejected, even
+        // well-formed: a stale v5 `shards` section cannot ride along in a
+        // current-version file.
+        let mut stale = pairs.clone();
+        stale.push((
+            "shards".into(),
+            Json::Obj(vec![(
+                "run".into(),
+                Json::Obj(vec![("shards".into(), 2u64.into())]),
+            )]),
+        ));
+        assert!(
+            validate(&Json::Obj(stale)).is_err(),
+            "an extra shards section is rejected"
+        );
     }
 
     #[test]

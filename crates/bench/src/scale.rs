@@ -3,9 +3,9 @@
 //!
 //! A `SPARSE_AWARE` mix of mail-driven random token forwarding (class
 //! `scale/token`) and timer-driven beacon bursts (class `scale/beacon`).
-//! Only a fraction of nodes is active in any round, so a node→shard
-//! placement decides how much of the traffic would cross shard
-//! boundaries ([`amt_core::congest::TrafficProfile::shard_split`]).
+//! Only a fraction of nodes is active in any round, so the workload
+//! exercises the active-set round engine, whose cost tracks activity
+//! rather than `n`.
 
 use amt_core::congest::{Ctx, Protocol, TrafficClass};
 use amt_core::prelude::*;
@@ -93,10 +93,10 @@ pub fn scale_fleet(n: usize) -> Vec<ScaleNode> {
 }
 
 /// The dumbbell generator lays its two expander halves out contiguously
-/// (ids `0..k` and `k..2k`), which a contiguous placement splits for free.
-/// Interleaving the ids (`v < k → 2v`, else `2(v−k)+1`) makes contiguous
-/// sharding the worst case while a spectral placement can still recover
-/// the halves — the shape the scaling tier's acceptance assert is about.
+/// (ids `0..k` and `k..2k`). Interleaving the ids (`v < k → 2v`, else
+/// `2(v−k)+1`) spreads both halves over the whole id range, so id order
+/// says nothing about the sparse bridge cut and the active set of either
+/// half is scattered across the engine's node arrays.
 pub fn interleaved_dumbbell(k: usize, d: usize, bridges: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = generators::dumbbell_expanders(k, d, bridges, &mut rng).expect("valid dumbbell");

@@ -67,7 +67,6 @@ pub mod profile;
 pub mod telemetry;
 pub mod trace;
 
-pub use amt_graphs::partitioning::Placement;
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EdgeOutage, RestartEvent};
 pub use error::CongestError;
 pub use faults::{CrashEvent, FaultEvent, FaultKind, FaultPlan};
@@ -76,8 +75,7 @@ pub use metrics::Metrics;
 pub use observe::{Observe, Observed, ObservedRuns};
 pub use primitives::reliable::{reliable_broadcast, Reliable, ReliableLink};
 pub use profile::{
-    class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, ShardClassSplit, ShardSplit,
-    TrafficClass, TrafficProfile,
+    class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, TrafficClass, TrafficProfile,
 };
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use telemetry::{

@@ -256,59 +256,6 @@ impl TrafficProfile {
         total
     }
 
-    /// Attributes the recorded traffic to a node→shard placement after the
-    /// fact: every delivery crossed shards iff its edge's flag in
-    /// `cross_edge` is set (use
-    /// [`Placement::cross_edge_flags`](amt_graphs::partitioning::Placement::cross_edge_flags)).
-    ///
-    /// The profile itself is placement-independent — runs are byte-identical
-    /// under every placement — so one recorded profile can be split against
-    /// any number of candidate placements without re-running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cross_edge` does not cover exactly this profile's edge
-    /// space.
-    pub fn shard_split(&self, shards: usize, cross_edge: &[bool]) -> ShardSplit {
-        assert_eq!(
-            cross_edge.len(),
-            self.edge_count,
-            "cross-edge flags must cover the profiled edge space"
-        );
-        let mut split = ShardSplit {
-            shards,
-            intra_messages: 0,
-            cross_messages: 0,
-            intra_bits: 0,
-            cross_bits: 0,
-            per_class: Vec::with_capacity(self.per_class.len()),
-        };
-        for s in &self.per_class {
-            let mut c = ShardClassSplit {
-                class: s.class,
-                intra_messages: 0,
-                cross_messages: 0,
-                intra_bits: 0,
-                cross_bits: 0,
-            };
-            for (e, &cross) in cross_edge.iter().enumerate() {
-                if cross {
-                    c.cross_messages += s.edge_messages[e];
-                    c.cross_bits += s.edge_bits[e];
-                } else {
-                    c.intra_messages += s.edge_messages[e];
-                    c.intra_bits += s.edge_bits[e];
-                }
-            }
-            split.intra_messages += c.intra_messages;
-            split.cross_messages += c.cross_messages;
-            split.intra_bits += c.intra_bits;
-            split.cross_bits += c.cross_bits;
-            split.per_class.push(c);
-        }
-        split
-    }
-
     /// Ranks the `top_k` hottest edges (by messages, ties to the lower edge
     /// id) with per-class breakdowns and computes per-class totals/shares.
     pub fn analyze(&self, top_k: usize) -> CongestionProfile {
@@ -391,66 +338,6 @@ impl TrafficProfile {
             out.push_str("|\n");
         }
         out
-    }
-}
-
-/// One class's intra- vs cross-shard deliveries inside a [`ShardSplit`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardClassSplit {
-    /// The class tag.
-    pub class: TrafficClass,
-    /// Messages delivered over edges internal to one shard.
-    pub intra_messages: u64,
-    /// Messages delivered over edges whose endpoints live in different
-    /// shards (traffic a sharded executor would move between workers).
-    pub cross_messages: u64,
-    /// Bits delivered over intra-shard edges.
-    pub intra_bits: u64,
-    /// Bits delivered over cross-shard edges.
-    pub cross_bits: u64,
-}
-
-/// A [`TrafficProfile`] re-attributed to a node→shard placement: how much
-/// of the recorded traffic stayed inside a shard vs crossed shards, per
-/// traffic class and in total. Built by [`TrafficProfile::shard_split`];
-/// `intra + cross` always equals the profiled run's [`Metrics`] totals.
-///
-/// [`Metrics`]: crate::Metrics
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSplit {
-    /// Shard count of the placement the split was computed against.
-    pub shards: usize,
-    /// Per-class intra/cross breakdown, in the profile's class order.
-    pub per_class: Vec<ShardClassSplit>,
-    /// Messages over intra-shard edges, all classes.
-    pub intra_messages: u64,
-    /// Messages over cross-shard edges, all classes.
-    pub cross_messages: u64,
-    /// Bits over intra-shard edges, all classes.
-    pub intra_bits: u64,
-    /// Bits over cross-shard edges, all classes.
-    pub cross_bits: u64,
-}
-
-impl ShardSplit {
-    /// Fraction of all messages that crossed shards (0 when no traffic).
-    pub fn cross_message_share(&self) -> f64 {
-        let total = self.intra_messages + self.cross_messages;
-        if total == 0 {
-            0.0
-        } else {
-            self.cross_messages as f64 / total as f64
-        }
-    }
-
-    /// Fraction of all bits that crossed shards (0 when no traffic).
-    pub fn cross_bit_share(&self) -> f64 {
-        let total = self.intra_bits + self.cross_bits;
-        if total == 0 {
-            0.0
-        } else {
-            self.cross_bits as f64 / total as f64
-        }
     }
 }
 
@@ -577,44 +464,6 @@ mod tests {
             "absorbed rounds are shifted by the offset"
         );
         assert_eq!(a.stats(class::REL_ACK).unwrap().timeline[0].round, 6);
-    }
-
-    #[test]
-    fn shard_split_attributes_traffic_by_cross_edge_flags() {
-        let mut p = TrafficProfile::new(3);
-        p.record(class::WALK_TOKEN, 0, 0, 10);
-        p.record(class::WALK_TOKEN, 0, 1, 10);
-        p.record(class::WALK_TOKEN, 2, 1, 10);
-        p.record(class::REL_ACK, 1, 2, 17);
-        // Edge 1 crosses shards; edges 0 and 2 stay internal.
-        let split = p.shard_split(2, &[false, true, false]);
-        assert_eq!(split.shards, 2);
-        assert_eq!(split.cross_messages, 2);
-        assert_eq!(split.intra_messages, 2);
-        assert_eq!(split.cross_bits, 20);
-        assert_eq!(split.intra_bits, 27);
-        assert_eq!(
-            split.intra_messages + split.cross_messages,
-            p.total_messages()
-        );
-        assert_eq!(split.intra_bits + split.cross_bits, p.total_bits());
-        let walk = &split.per_class[0];
-        assert_eq!(walk.class, class::WALK_TOKEN);
-        assert_eq!((walk.intra_messages, walk.cross_messages), (1, 2));
-        let ack = &split.per_class[1];
-        assert_eq!(ack.class, class::REL_ACK);
-        assert_eq!((ack.intra_messages, ack.cross_messages), (1, 0));
-        assert_eq!((ack.intra_bits, ack.cross_bits), (17, 0));
-        assert!((split.cross_message_share() - 0.5).abs() < 1e-12);
-        assert!((split.cross_bit_share() - 20.0 / 47.0).abs() < 1e-12);
-        // An all-intra placement (single shard) has zero cross share.
-        let single = p.shard_split(1, &[false, false, false]);
-        assert_eq!(single.cross_messages, 0);
-        assert_eq!(single.cross_message_share(), 0.0);
-        // Empty profile: shares are defined as 0, not NaN.
-        let empty = TrafficProfile::new(3).shard_split(2, &[true, true, false]);
-        assert_eq!(empty.cross_message_share(), 0.0);
-        assert_eq!(empty.cross_bit_share(), 0.0);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //!   spectral toolkit (second eigenvalue of the lazy-walk matrix by power
 //!   iteration).
 //! * [`partitioning`] — the Fiedler-vector sweep cut (the constructive side
-//!   of Cheeger's inequality), used to locate sparse cuts, and the k-way
-//!   spectral [`partitioning::Placement`], which minimizes cross-shard
-//!   edges for the simulator's after-the-fact traffic attribution.
+//!   of Cheeger's inequality), used to locate sparse cuts.
 //! * [`io`] — plain-text edge-list reading/writing (SNAP-style).
 //!
 //! All randomized constructions take an explicit [`rand::Rng`] so that every
