@@ -440,8 +440,8 @@ fn scale_run(
         .with_observe(Observe {
             profile: Some(ProfileConfig::default()),
             // Aggregates and high-water marks only: the tier gates the
-            // logical counters, not the per-round series.
-            telemetry: Some(TelemetryConfig::default().without_history()),
+            // logical counters, not the per-round series (trace off).
+            telemetry: Some(TelemetryConfig::default()),
             trace: None,
         });
     let t0 = Instant::now();

@@ -239,8 +239,8 @@ fn main() {
         "epoch", "rounds", "msg p50", "msg p95", "msg max", "bit p50", "bit p95", "bit max",
     ]);
     for (i, trace) in walk_traces.iter().enumerate() {
-        let msgs = trace.messages_per_round_distribution();
-        let bits = trace.bits_per_round_distribution();
+        let msgs = Distribution::of(trace.samples.iter().map(|s| s.messages));
+        let bits = Distribution::of(trace.samples.iter().map(|s| s.bits));
         report.row(&[
             i.to_string(),
             trace.samples.len().to_string(),

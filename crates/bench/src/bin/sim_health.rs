@@ -1,14 +1,15 @@
-//! Execution-health analysis of the scaling-tier workload (E18): run work
+//! Execution-health analysis of the scaling-tier workload (E18b): run work
 //! totals and gauge distributions, driven by the `amt_congest::telemetry`
-//! layer.
+//! layer and the round trace.
 //!
-//! For every scaling-tier instance the run executes with telemetry history
-//! on and prints the nodes stepped and messages staged over the run, the
-//! gauge high-water marks, and the wake-queue / staged-send / active-set
-//! depth distributions. The run also streams NDJSON round records
-//! ([`TelemetryConfig::stream_to`]) and checks the line count.
+//! For every scaling-tier instance the run executes with telemetry and the
+//! trace on and prints the nodes stepped and messages staged over the run,
+//! the gauge high-water marks, and the wake-queue / staged-send / active-set
+//! depth distributions over the trace's per-round records. The run also
+//! streams NDJSON round records ([`TelemetryConfig::stream_to`]) and checks
+//! that each line parses to the record of the matching traced round.
 //!
-//! Protocol observables must be byte-identical to a telemetry-off run —
+//! Protocol observables must be byte-identical to an unobserved run —
 //! asserted here against a plain reference run, not just trusted.
 //!
 //! The counters of every instance are written as a schema-v6
@@ -25,7 +26,8 @@ use amt_bench::report::{parse, Json};
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::Report;
 use amt_core::congest::{
-    Distribution, Metrics, Observe, RunConfig, RunTelemetry, Simulator, TelemetryConfig,
+    Distribution, Metrics, Observe, Observed, RoundSample, RunConfig, Simulator, TelemetryConfig,
+    TraceConfig,
 };
 use amt_core::prelude::*;
 
@@ -37,7 +39,7 @@ fn report_dir() -> String {
 
 /// One run of the scaling workload, with the given observation layers:
 /// metrics, per-node digests, and what the layers recorded.
-fn run(g: &Graph, observe: Observe) -> (Metrics, Vec<u64>, Option<RunTelemetry>) {
+fn run(g: &Graph, observe: Observe) -> (Metrics, Vec<u64>, Observed) {
     let mut sim = Simulator::new(g, scale_fleet(g.len()), SEED)
         .expect("fleet size matches")
         .with_observe(observe);
@@ -45,14 +47,13 @@ fn run(g: &Graph, observe: Observe) -> (Metrics, Vec<u64>, Option<RunTelemetry>)
         .run(&RunConfig::all_done())
         .expect("scaling workload terminates");
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
-    (m, digests, sim.take_observed().telemetry)
+    (m, digests, sim.take_observed())
 }
 
-fn fmt_dist(d: Option<Distribution>) -> String {
-    match d {
-        Some(d) => format!("p50 {} / p95 {} / max {}", d.p50, d.p95, d.max),
-        None => "(no history)".to_string(),
-    }
+/// Order statistics of one field over the traced rounds.
+fn fmt_dist(samples: &[RoundSample], field: impl Fn(&RoundSample) -> u64) -> String {
+    let d = Distribution::of(samples.iter().map(field));
+    format!("p50 {} / p95 {} / max {}", d.p50, d.p95, d.max)
 }
 
 /// The main sweep: health analysis over the scaling tier.
@@ -76,20 +77,22 @@ fn analyze(smoke: bool) {
         let cfg = TelemetryConfig::default()
             .with_run_id(*name)
             .stream_to(stream_path.clone());
-        let (m, digests, t) = run(
+        let (m, digests, observed) = run(
             g,
             Observe {
                 telemetry: Some(cfg),
+                trace: Some(TraceConfig::default()),
                 ..Observe::default()
             },
         );
-        let t = t.expect("telemetry on");
-        // The telemetry layer's whole contract: enabling it moves no
+        let t = observed.telemetry.expect("telemetry on");
+        let samples = observed.trace.expect("trace on").samples;
+        // The observation layers' whole contract: enabling them moves no
         // observable bit.
         assert_eq!(
             (&m, &digests),
             (&ref_metrics, &ref_digests),
-            "{name}: telemetry-on observables drifted from the plain run"
+            "{name}: observed run drifted from the plain run"
         );
         report.telemetry(name, &t);
 
@@ -102,18 +105,25 @@ fn analyze(smoke: bool) {
         ]);
         println!(
             "  wake queue   {}\n  staged sends {}\n  active nodes {}",
-            fmt_dist(t.wake_queue_distribution()),
-            fmt_dist(t.staged_distribution()),
-            fmt_dist(t.active_distribution())
+            fmt_dist(&samples, |s| s.wake_queue),
+            fmt_dist(&samples, |s| s.staged_sends),
+            fmt_dist(&samples, |s| s.active_nodes)
         );
-        let lines = std::fs::read_to_string(&stream_path)
-            .map(|s| s.lines().count())
-            .unwrap_or(0);
+        let stream = std::fs::read_to_string(&stream_path).unwrap_or_default();
+        let lines = stream.lines().count();
         assert_eq!(
             lines as u64,
             t.rounds + 1,
             "NDJSON stream must carry one record per executed round"
         );
+        for (line, sample) in stream.lines().zip(&samples) {
+            let record = parse(line).expect("NDJSON line must be valid JSON");
+            assert_eq!(
+                record.get("round"),
+                Some(&Json::Num(sample.round as f64)),
+                "NDJSON line out of step with the trace"
+            );
+        }
         println!(
             "  streamed {lines} NDJSON records to {}\n",
             stream_path.display()
@@ -168,12 +178,19 @@ fn force_failure() {
         other => panic!("dump frames must be an array, got {other:?}"),
     };
     assert_eq!(frames.len(), FLIGHT, "ring keeps exactly the last K rounds");
-    let frame_round = |f: &Json| match f.get("sample").and_then(|s| s.get("round")) {
-        Some(Json::Num(r)) => *r as u64,
-        other => panic!("frame round must be numeric, got {other:?}"),
+    // Each frame is one flat round record: deltas and gauges side by side.
+    assert!(
+        frames
+            .iter()
+            .all(|f| f.get("messages").is_some() && f.get("arena_bytes").is_some()),
+        "every frame must carry a delta (messages) and a gauge (arena_bytes)"
+    );
+    let num = |f: &Json, k: &str| match f.get(k) {
+        Some(Json::Num(v)) => *v as u64,
+        other => panic!("frame {k} must be numeric, got {other:?}"),
     };
-    let first = frame_round(&frames[0]);
-    let last = frame_round(frames.last().expect("non-empty"));
+    let first = num(&frames[0], "round");
+    let last = num(frames.last().expect("non-empty"), "round");
     assert_eq!(
         (first, last),
         (CAP - (FLIGHT as u64 - 1), CAP),
@@ -183,16 +200,11 @@ fn force_failure() {
     println!("post-mortem {}: reason `{reason}`", path.display());
     amt_bench::header(&["frame", "round", "active", "staged"]);
     for (i, f) in frames.iter().enumerate() {
-        let health = f.get("health").expect("frame health");
-        let num = |k: &str| match health.get(k) {
-            Some(Json::Num(v)) => *v as u64,
-            other => panic!("health.{k} must be numeric, got {other:?}"),
-        };
         amt_bench::row(&[
             i.to_string(),
-            frame_round(f).to_string(),
-            num("active_nodes").to_string(),
-            num("staged_sends").to_string(),
+            num(f, "round").to_string(),
+            num(f, "active_nodes").to_string(),
+            num(f, "staged_sends").to_string(),
         ]);
     }
     println!("flight-recorder dump parsed back clean: last {FLIGHT} of {CAP} rounds retained");

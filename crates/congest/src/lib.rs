@@ -25,8 +25,9 @@
 //!   crash-*restart* with state loss ([`Protocol::on_restart`]) — the
 //!   sustained-damage counterpart to the fault layer's one-shot failures.
 //!   Protocols observe link state through [`Ctx::link_up`].
-//! * [`trace`] — opt-in round-level observability ([`RunTrace`]): per-round
-//!   timeline samples, protocol-emitted span events ([`Ctx::trace_event`]),
+//! * [`trace`] — opt-in round-level observability ([`RunTrace`]): the
+//!   per-round history of [`RoundSample`] records (deliveries, faults and
+//!   engine gauges), protocol-emitted span events ([`Ctx::trace_event`]),
 //!   striding per-edge load snapshots, and the wall-clock [`PhaseTimings`]
 //!   type shared by the protocol crates. Disabled by default with zero
 //!   overhead; enabling it never changes `Metrics` or protocol outputs.
@@ -36,12 +37,12 @@
 //!   and `(class, edge)`, with hot-edge analysis ([`CongestionProfile`]).
 //!   Same zero-cost-when-off contract as [`trace`]; per-class totals sum
 //!   exactly to the run's [`Metrics`] and per-edge loads.
-//! * [`telemetry`] — opt-in runtime-execution health ([`RunTelemetry`]):
-//!   engine gauges (active-set occupancy, inbox / staged-send / wake-queue
-//!   depth, arena byte high-water marks), run work totals, a
-//!   fixed-capacity flight recorder holding the last K rounds (dumped to
-//!   `flightrec_<id>.json` when a run errors), and an optional NDJSON
-//!   live-stream sink. Every counter is visit-order-invariant. Same
+//! * [`telemetry`] — opt-in runtime-execution health ([`RunTelemetry`]),
+//!   folded from the same round records: gauge high-water marks (nodes
+//!   stepped, inbox / staged-send / wake-queue depth, arena bytes), run
+//!   work totals, a fixed-capacity flight recorder holding the last K
+//!   rounds (dumped to `flightrec_<id>.json` when a run errors), and an
+//!   optional NDJSON live-stream sink with one line per round. Every counter is visit-order-invariant. Same
 //!   zero-cost-when-off contract as [`trace`].
 //!
 //! Determinism: every node owns a private RNG stream derived from
@@ -79,8 +80,7 @@ pub use profile::{
 };
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use telemetry::{
-    dump_flight, render_flight_dump, FlightFrame, FlightRecorder, GaugeHighWater, RoundHealth,
-    RunTelemetry, TelemetryConfig,
+    dump_flight, render_flight_dump, FlightRecorder, GaugeHighWater, RunTelemetry, TelemetryConfig,
 };
 pub use trace::{
     Distribution, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceConfig, TraceEvent,

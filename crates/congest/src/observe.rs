@@ -14,7 +14,7 @@
 //! another layer's record.
 
 use crate::profile::{ProfileConfig, TrafficClass, TrafficProfile};
-use crate::telemetry::{RoundHealth, RunTelemetry, TelemetryConfig, TelemetryState};
+use crate::telemetry::{RunTelemetry, TelemetryConfig, TelemetryState};
 use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
 use crate::Metrics;
 
@@ -22,11 +22,13 @@ use crate::Metrics;
 /// `None` leaves a layer off (the default for all three).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Observe {
-    /// Round timeline, protocol span events, and edge-load snapshots.
+    /// Round timeline (one record per round: deliveries, faults and engine
+    /// gauges), protocol span events, and edge-load snapshots.
     pub trace: Option<TraceConfig>,
     /// Per-traffic-class delivery attribution.
     pub profile: Option<ProfileConfig>,
-    /// Engine gauges, run work totals, and the flight recorder.
+    /// Gauge high-water marks, run work totals, the flight recorder, and
+    /// the NDJSON stream.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -77,13 +79,11 @@ pub(crate) struct Recorder {
     trace: Option<RunTrace>,
     profile: Option<TrafficProfile>,
     telemetry: Option<TelemetryState>,
-    /// The round being recorded, and the metrics at its start: deliveries
-    /// are stamped with the round, round samples are deltas against the
-    /// start.
-    round: u64,
+    /// The record of the round being recorded, and the metrics at its
+    /// start: deliveries are stamped with its round, its gauges are filled
+    /// at the step, and its deltas against the start when it closes.
+    sample: RoundSample,
     start: Metrics,
-    /// This round's gauges, held from the step until the round closes.
-    health: Option<RoundHealth>,
 }
 
 impl Recorder {
@@ -96,9 +96,8 @@ impl Recorder {
             }),
             profile: observe.profile.map(|_| TrafficProfile::new(edges)),
             telemetry: observe.telemetry.clone().map(TelemetryState::new),
-            round: 0,
+            sample: RoundSample::default(),
             start: Metrics::default(),
-            health: None,
         }
     }
 
@@ -107,14 +106,18 @@ impl Recorder {
         self.trace.is_some()
     }
 
-    /// Whether engine gauges are recorded.
+    /// Whether engine gauges are recorded: the round record is kept by
+    /// the trace, by telemetry, or by both.
     pub(crate) fn records_gauges(&self) -> bool {
-        self.telemetry.is_some()
+        self.trace.is_some() || self.telemetry.is_some()
     }
 
     /// Opens `round`, before any of its crashes or deliveries are counted.
     pub(crate) fn begin_round(&mut self, round: u64, metrics: Metrics) {
-        self.round = round;
+        self.sample = RoundSample {
+            round,
+            ..RoundSample::default()
+        };
         self.start = metrics;
     }
 
@@ -125,9 +128,10 @@ impl Recorder {
         }
     }
 
-    /// Holds the round's engine gauges until [`Recorder::end_round`].
-    pub(crate) fn gauges(&mut self, health: RoundHealth) {
-        self.health = Some(health);
+    /// The round's record, for the engine to fill its gauge fields at the
+    /// step's sampling point (only when [`Recorder::records_gauges`]).
+    pub(crate) fn gauges(&mut self) -> &mut RoundSample {
+        &mut self.sample
     }
 
     /// Attributes one delivery of `bits` bits over `edge` to `class` — at
@@ -136,13 +140,14 @@ impl Recorder {
     #[inline]
     pub(crate) fn delivered(&mut self, class: TrafficClass, edge: usize, bits: u64) {
         if let Some(p) = self.profile.as_mut() {
-            p.record(class, self.round, edge, bits);
+            p.record(class, self.sample.round, edge, bits);
         }
     }
 
-    /// Closes the round: one [`RoundSample`] feeds both the trace timeline
-    /// and the telemetry flight recorder. `nodes_down` is only evaluated
-    /// when one of them is on.
+    /// Closes the round: fills the record's deltas, `nodes_down` and
+    /// `active_nodes` (nodes stepped) and hands the same record to the
+    /// trace and to telemetry. `nodes_down` is only evaluated when one of
+    /// them is on.
     pub(crate) fn end_round(
         &mut self,
         metrics: Metrics,
@@ -150,12 +155,11 @@ impl Recorder {
         active_nodes: u64,
         edge_load: &[u64],
     ) {
-        if self.trace.is_none() && self.telemetry.is_none() {
+        if !self.records_gauges() {
             return;
         }
-        let (round, s) = (self.round, &self.start);
+        let s = &self.start;
         let sample = RoundSample {
-            round,
             messages: metrics.messages - s.messages,
             bits: metrics.bits - s.bits,
             dropped: metrics.dropped - s.dropped,
@@ -167,11 +171,13 @@ impl Recorder {
             restarts: metrics.restarts - s.restarts,
             nodes_down: nodes_down(&metrics),
             active_nodes,
+            ..self.sample
         };
+        let round = sample.round;
         if let Some(t) = self.trace.as_mut() {
             t.samples.push(sample);
             let stride = t.edge_load_stride;
-            if stride > 0 && round % stride == 0 {
+            if stride > 0 && round.is_multiple_of(stride) {
                 t.snapshots.push(EdgeLoadSnapshot {
                     round,
                     load: edge_load.to_vec(),
@@ -179,8 +185,7 @@ impl Recorder {
             }
         }
         if let Some(ts) = self.telemetry.as_mut() {
-            let health = self.health.take().expect("gauges recorded this round");
-            ts.record_round(sample, health);
+            ts.record_round(sample);
         }
     }
 
@@ -193,9 +198,10 @@ impl Recorder {
         // Strided snapshots always include the final round: without this, a
         // stride that does not divide the stopping round would leave the
         // series ending mid-run.
-        if t.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(self.round) {
+        let round = self.sample.round;
+        if t.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(round) {
             t.snapshots.push(EdgeLoadSnapshot {
-                round: self.round,
+                round,
                 load: edge_load.to_vec(),
             });
         }

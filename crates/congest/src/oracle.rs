@@ -4,10 +4,12 @@
 //! engine and on the active-set engine, in both node-visit orders, and
 //! asserts that every observable is byte-identical: the run's result and
 //! [`Metrics`], the per-node outputs, per-edge loads, the fault and churn
-//! logs, the crashed set, the traffic profile and the round timeline. Only
-//! the `active_nodes` trace gauge — the node-rounds each engine stepped —
-//! may differ, and on a workload with idle rounds the active-set engine
-//! must step strictly fewer. Under `debug_assertions` the full-sweep runs
+//! logs, the crashed set, the traffic profile and the round timeline,
+//! gauges included. Only the two executor gauges may differ
+//! ([`RunTrace::without_executor_gauges`]): `active_nodes`, the node-rounds
+//! each engine stepped, and `wake_queue`, which the full sweep does not
+//! keep. On a workload with idle rounds the active-set engine must step
+//! strictly fewer node-rounds. Under `debug_assertions` the full-sweep runs
 //! also check every skippable step for side effects (see
 //! [`Protocol::SPARSE_AWARE`]).
 //!
@@ -38,7 +40,7 @@ pub struct EngineObservation<T> {
     pub churn_events: Vec<ChurnEvent>,
     /// The traffic profile.
     pub profile: Option<TrafficProfile>,
-    /// The round timeline with every `active_nodes` gauge zeroed (`None`
+    /// The round timeline without its executor gauges (`None`
     /// for reverse-visit runs, whose span events are in descending node
     /// order within a round by contract).
     pub trace: Option<RunTrace>,
@@ -67,11 +69,8 @@ fn observe<P: Protocol, T>(
         sim.run(&cfg)
     };
     let observed = sim.take_observed();
-    let mut trace = observed.trace.expect("tracing is on");
+    let trace = observed.trace.expect("tracing is on");
     let stepped = trace.samples.iter().map(|s| s.active_nodes).sum();
-    for s in &mut trace.samples {
-        s.active_nodes = 0;
-    }
     EngineObservation {
         result,
         outputs: sim.nodes().iter().map(output).collect(),
@@ -80,7 +79,7 @@ fn observe<P: Protocol, T>(
         crashed: sim.crashed_nodes(),
         churn_events: sim.churn_events().to_vec(),
         profile: observed.profile,
-        trace: (!reverse).then_some(trace),
+        trace: (!reverse).then(|| trace.without_executor_gauges()),
         stepped,
     }
 }

@@ -24,8 +24,9 @@
 //!   steps nodes that received mail, hold a due [`Ctx::wake_in`] timer, or
 //!   are rejoining after a churn outage) and the retained full-sweep
 //!   reference ([`RunConfig::full_sweep`]) produce byte-identical results
-//!   for [`Protocol::SPARSE_AWARE`] protocols; the only observable that
-//!   names the strategy is the `active_nodes` trace gauge.
+//!   for [`Protocol::SPARSE_AWARE`] protocols; the only observables that
+//!   name the strategy are the `active_nodes` and `wake_queue` gauges of
+//!   the round record ([`crate::RunTrace::without_executor_gauges`]).
 //!
 //! Together these make protocol outputs, [`Metrics`], the fault-event log,
 //! and the churn-event log byte-identical for any visit order and either
@@ -50,7 +51,6 @@ use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, 
 use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
 use crate::observe::{Observe, Observed, Recorder};
 use crate::profile::{class, TrafficClass};
-use crate::telemetry::RoundHealth;
 use crate::trace::TraceEvent;
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
 use amt_graphs::{Graph, NodeId};
@@ -94,8 +94,8 @@ pub trait Protocol {
     /// The executor choice never changes observable results:
     /// [`RunConfig::full_sweep`] forces the classic every-node sweep, and
     /// the two are byte-identical for contract-abiding protocols. Only
-    /// the `active_nodes` field of [`crate::trace::RoundSample`] reveals
-    /// the strategy.
+    /// the `active_nodes` and `wake_queue` gauges of
+    /// [`crate::trace::RoundSample`] reveal the strategy.
     const SPARSE_AWARE: bool = false;
 
     /// Called once before the first communication round; may send messages.
@@ -159,8 +159,8 @@ pub struct RunConfig {
     /// [`Ctx::wake_in`] timer, or are rejoining after a churn outage. The
     /// two engines are byte-identical on every observable (the retained
     /// full sweep is the equivalence reference in
-    /// `tests/engine_equivalence.rs`); only the `active_nodes` trace gauge
-    /// differs.
+    /// `tests/engine_equivalence.rs`); only the `active_nodes` and
+    /// `wake_queue` gauges of the round record differ.
     pub full_sweep: bool,
 }
 
@@ -649,7 +649,7 @@ struct StepOut<M> {
     done: Vec<(u32, bool)>,
     wakes: Vec<(u32, u64)>,
     /// Number of protocol callbacks that actually ran this round — the
-    /// `active_nodes` trace gauge.
+    /// round record's `active_nodes` gauge.
     stepped: u64,
     /// Span events the steps emitted, in node order; `Some` iff tracing
     /// is on.
@@ -1210,24 +1210,21 @@ where
         // mail and the staged sends have not been drained by the merge yet,
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
-        // visit orders and engines.
+        // visit orders, and across engines except `wake_queue`.
         if rec.records_gauges() {
-            rec.gauges(RoundHealth {
-                round,
-                active_nodes: active_list.len() as u64,
-                inbox_queued: cur.slab.len() as u64,
-                staged_sends: out.slab.len() as u64,
-                // The checked full sweep's timers are not a queue it serves.
-                wake_queue: if wk.sparse {
-                    timers.values().map(|v| v.len() as u64).sum()
-                } else {
-                    0
-                },
-                arena_bytes: (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
-                    + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
-                    + held.len() * std::mem::size_of::<Held<P::Message>>())
-                    as u64,
-            });
+            let g = rec.gauges();
+            g.inbox_queued = cur.slab.len() as u64;
+            g.staged_sends = out.slab.len() as u64;
+            // The checked full sweep's timers are not a queue it serves.
+            g.wake_queue = if wk.sparse {
+                timers.values().map(|v| v.len() as u64).sum()
+            } else {
+                0
+            };
+            g.arena_bytes = (cur.slab.len() * std::mem::size_of::<(usize, P::Message)>()
+                + out.slab.len() * std::mem::size_of::<(u32, TrafficClass, P::Message)>()
+                + held.len() * std::mem::size_of::<Held<P::Message>>())
+                as u64;
         }
         // Ordered merge with per-message fault sampling: ascending
         // (sender, port), whatever order staged the sends.
@@ -2280,12 +2277,6 @@ mod tests {
             let trace = sim.take_observed().trace.unwrap();
             (m, got, trace)
         };
-        let strip_active = |mut t: RunTrace| {
-            for s in &mut t.samples {
-                s.active_nodes = 0;
-            }
-            t
-        };
         let sparse = run(false);
         let full = run(true);
         // Node 1 heard every beacon: rounds 3, 6, 9, 12.
@@ -2293,9 +2284,9 @@ mod tests {
         assert_eq!(sparse.0, full.0, "metrics diverged across strategies");
         assert_eq!(sparse.1, full.1, "inboxes diverged across strategies");
         assert_eq!(
-            strip_active(sparse.2.clone()),
-            strip_active(full.2.clone()),
-            "traces diverged beyond the active_nodes gauge"
+            sparse.2.clone().without_executor_gauges(),
+            full.2.clone().without_executor_gauges(),
+            "traces diverged beyond the executor gauges"
         );
         let stepped = |t: &RunTrace| t.samples.iter().map(|s| s.active_nodes).sum::<u64>();
         assert!(
@@ -2496,10 +2487,13 @@ mod tests {
             t.messages_staged, m_watched.messages,
             "staged sends must sum to the run's messages"
         );
-        assert_eq!(t.history.len() as u64, m_watched.rounds + 1);
-        assert!(!t.recent.is_empty(), "flight recorder retains rounds");
         assert_eq!(
-            t.recent.frames().last().map(|f| f.health.round),
+            t.recent.len() as u64,
+            (m_watched.rounds + 1).min(t.recent.capacity() as u64),
+            "flight recorder retains one frame per round"
+        );
+        assert_eq!(
+            t.recent.frames().last().map(|f| f.round),
             Some(m_watched.rounds),
             "flight recorder ends at the final round"
         );

@@ -1,11 +1,13 @@
-//! Opt-in runtime-execution telemetry: engine gauges, run work totals, a
-//! fixed-capacity flight recorder, and live NDJSON streaming.
+//! Opt-in runtime-execution telemetry: gauge high-water marks, run work
+//! totals, a fixed-capacity flight recorder, and live NDJSON streaming.
 //!
-//! [`crate::trace`] and [`crate::profile`] observe *what the protocol did*
-//! (deliveries, faults, traffic classes); this module observes *how the
-//! runtime executed it*: how many nodes it stepped, how deep the inbox slab
-//! and wake queue got, how many bytes the arenas peaked at, and what the
-//! last rounds looked like when a long run dies.
+//! The engine records each round once, as a [`RoundSample`]: its
+//! deliveries and faults plus its gauges (nodes stepped, inbox and staged
+//! depths, wake-queue depth, arena bytes). The trace keeps every record
+//! ([`crate::RunTrace::samples`]); this module folds the same records into
+//! aggregates — how many nodes the run stepped, how deep the queues got,
+//! how many bytes the arenas peaked at — and keeps the last rounds, for
+//! when a long run dies.
 //!
 //! # Contract
 //!
@@ -23,7 +25,7 @@
 //! * **Telemetry never fails a run.** Stream and dump I/O errors are
 //!   swallowed; a full flight recorder evicts its oldest frame.
 
-use crate::trace::{Distribution, RoundSample};
+use crate::trace::RoundSample;
 use crate::{ChurnEvent, FaultEvent};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -35,17 +37,10 @@ pub struct TelemetryConfig {
     /// Rounds retained by the flight recorder ring buffer (oldest frames
     /// are evicted beyond this). Default 64.
     pub flight_capacity: usize,
-    /// Keep the full per-round [`RoundHealth`] history on
-    /// [`RunTelemetry::history`] (default `true`). Disable for soak runs
-    /// where only the high-water marks and the flight recorder matter.
-    pub history: bool,
-    /// Stream one NDJSON round snapshot per [`TelemetryConfig::stream_stride`]
-    /// rounds (plus the final round) to this path, so long runs are
-    /// watchable in flight. `None` (the default) streams nothing.
+    /// Stream every round's [`RoundSample`] as one NDJSON line to this
+    /// path, so long runs are watchable in flight. `None` (the default)
+    /// streams nothing.
     pub stream_to: Option<PathBuf>,
-    /// Stride between streamed rounds (`1` = every round). Zero is
-    /// normalized to 1.
-    pub stream_stride: u64,
     /// Identifier used to name flight-recorder dumps
     /// (`flightrec_<run_id>.json`).
     pub run_id: String,
@@ -55,9 +50,7 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             flight_capacity: 64,
-            history: true,
             stream_to: None,
-            stream_stride: 1,
             run_id: "run".to_string(),
         }
     }
@@ -70,22 +63,9 @@ impl TelemetryConfig {
         self
     }
 
-    /// Drops the full per-round history, keeping only aggregates and the
-    /// flight recorder.
-    pub fn without_history(mut self) -> Self {
-        self.history = false;
-        self
-    }
-
-    /// Streams strided NDJSON round snapshots to `path`.
+    /// Streams NDJSON round records to `path`.
     pub fn stream_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.stream_to = Some(path.into());
-        self
-    }
-
-    /// Sets the stride between streamed rounds.
-    pub fn with_stream_stride(mut self, stride: u64) -> Self {
-        self.stream_stride = stride.max(1);
         self
     }
 
@@ -96,29 +76,10 @@ impl TelemetryConfig {
     }
 }
 
-/// Engine gauges for one executed round.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RoundHealth {
-    /// The round number.
-    pub round: u64,
-    /// Nodes the executor visited this round (active-set occupancy; `n`
-    /// under the full-sweep reference engine).
-    pub active_nodes: u64,
-    /// Messages sitting in this round's inbox slab when stepping began.
-    pub inbox_queued: u64,
-    /// Messages staged for delivery by this round's steps.
-    pub staged_sends: u64,
-    /// Pending [`crate::Ctx::wake_in`] timers across all future rounds.
-    pub wake_queue: u64,
-    /// Bytes logically held by the message arenas this round (element
-    /// counts × element sizes; allocator-independent).
-    pub arena_bytes: u64,
-}
-
 /// High-water marks of the per-round gauges over a whole run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GaugeHighWater {
-    /// Peak active-set occupancy.
+    /// Peak nodes stepped in one round.
     pub active_nodes: u64,
     /// Peak inbox-slab depth (messages).
     pub inbox_queued: u64,
@@ -131,27 +92,16 @@ pub struct GaugeHighWater {
 }
 
 impl GaugeHighWater {
-    fn absorb(&mut self, h: &RoundHealth) {
-        self.active_nodes = self.active_nodes.max(h.active_nodes);
-        self.inbox_queued = self.inbox_queued.max(h.inbox_queued);
-        self.staged_sends = self.staged_sends.max(h.staged_sends);
-        self.wake_queue = self.wake_queue.max(h.wake_queue);
-        self.arena_bytes = self.arena_bytes.max(h.arena_bytes);
+    fn absorb(&mut self, s: &RoundSample) {
+        self.active_nodes = self.active_nodes.max(s.active_nodes);
+        self.inbox_queued = self.inbox_queued.max(s.inbox_queued);
+        self.staged_sends = self.staged_sends.max(s.staged_sends);
+        self.wake_queue = self.wake_queue.max(s.wake_queue);
+        self.arena_bytes = self.arena_bytes.max(s.arena_bytes);
     }
 }
 
-/// One flight-recorder frame: the round's protocol-level sample plus its
-/// runtime health.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FlightFrame {
-    /// Protocol-level deliveries and faults of the round (the same shape
-    /// [`crate::RunTrace`] records).
-    pub sample: RoundSample,
-    /// Runtime gauges of the round.
-    pub health: RoundHealth,
-}
-
-/// Fixed-capacity ring buffer of the last K executed rounds.
+/// Fixed-capacity ring buffer of the last K executed rounds' records.
 ///
 /// Cheap enough to leave on: pushing beyond capacity evicts the oldest
 /// frame, so memory is bounded by the configured capacity whatever the run
@@ -159,7 +109,7 @@ pub struct FlightFrame {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlightRecorder {
     capacity: usize,
-    frames: VecDeque<FlightFrame>,
+    frames: VecDeque<RoundSample>,
 }
 
 impl FlightRecorder {
@@ -173,7 +123,7 @@ impl FlightRecorder {
     }
 
     /// Appends a frame, evicting the oldest beyond capacity.
-    pub fn push(&mut self, frame: FlightFrame) {
+    pub fn push(&mut self, frame: RoundSample) {
         if self.frames.len() == self.capacity {
             self.frames.pop_front();
         }
@@ -181,7 +131,7 @@ impl FlightRecorder {
     }
 
     /// Retained frames, oldest first.
-    pub fn frames(&self) -> impl Iterator<Item = &FlightFrame> {
+    pub fn frames(&self) -> impl Iterator<Item = &RoundSample> {
         self.frames.iter()
     }
 
@@ -202,7 +152,7 @@ impl FlightRecorder {
 
     /// Round of the oldest retained frame (`None` when empty).
     pub fn oldest_round(&self) -> Option<u64> {
-        self.frames.front().map(|f| f.health.round)
+        self.frames.front().map(|f| f.round)
     }
 }
 
@@ -212,7 +162,9 @@ impl Default for FlightRecorder {
     }
 }
 
-/// Everything one telemetry-enabled run recorded.
+/// Everything one telemetry-enabled run recorded. The per-round history is
+/// the trace's ([`crate::RunTrace::samples`]); telemetry keeps aggregates
+/// and the last K rounds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunTelemetry {
     /// Rounds recorded.
@@ -223,28 +175,8 @@ pub struct RunTelemetry {
     pub nodes_stepped: u64,
     /// Messages staged for delivery over the run.
     pub messages_staged: u64,
-    /// Full per-round history ([`TelemetryConfig::history`]; empty when
-    /// disabled).
-    pub history: Vec<RoundHealth>,
     /// The last K rounds ([`TelemetryConfig::flight_capacity`]).
     pub recent: FlightRecorder,
-}
-
-impl RunTelemetry {
-    /// Distribution of wake-queue depth over the recorded history.
-    pub fn wake_queue_distribution(&self) -> Option<Distribution> {
-        Distribution::try_of(self.history.iter().map(|h| h.wake_queue))
-    }
-
-    /// Distribution of staged-send depth over the recorded history.
-    pub fn staged_distribution(&self) -> Option<Distribution> {
-        Distribution::try_of(self.history.iter().map(|h| h.staged_sends))
-    }
-
-    /// Distribution of active-set occupancy over the recorded history.
-    pub fn active_distribution(&self) -> Option<Distribution> {
-        Distribution::try_of(self.history.iter().map(|h| h.active_nodes))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,14 +184,11 @@ impl RunTelemetry {
 // ---------------------------------------------------------------------------
 
 /// Live recording state owned by the round engine while telemetry is on.
-/// Folds each round into aggregates, the ring, the optional history, and
-/// the optional NDJSON stream; [`TelemetryState::finish`] yields the
-/// [`RunTelemetry`].
+/// Folds each round into aggregates, the ring, and the optional NDJSON
+/// stream; [`TelemetryState::finish`] yields the [`RunTelemetry`].
 pub(crate) struct TelemetryState {
-    cfg: TelemetryConfig,
     out: RunTelemetry,
     stream: Option<std::io::BufWriter<std::fs::File>>,
-    last_streamed: Option<u64>,
 }
 
 impl TelemetryState {
@@ -275,55 +204,29 @@ impl TelemetryState {
             recent: FlightRecorder::new(cfg.flight_capacity),
             ..RunTelemetry::default()
         };
-        TelemetryState {
-            cfg,
-            out,
-            stream,
-            last_streamed: None,
-        }
+        TelemetryState { out, stream }
     }
 
-    pub(crate) fn record_round(&mut self, sample: RoundSample, health: RoundHealth) {
-        self.out.rounds = health.round;
-        self.out.hwm.absorb(&health);
-        // The sample's `active_nodes` is the number of callbacks that ran.
+    pub(crate) fn record_round(&mut self, sample: RoundSample) {
+        self.out.rounds = sample.round;
+        self.out.hwm.absorb(&sample);
         self.out.nodes_stepped += sample.active_nodes;
-        self.out.messages_staged += health.staged_sends;
-        let stride = self.cfg.stream_stride.max(1);
-        if health.round.is_multiple_of(stride) {
-            self.stream_frame(&sample, &health);
+        self.out.messages_staged += sample.staged_sends;
+        if let Some(w) = self.stream.as_mut() {
+            let mut line = record_object(&sample);
+            line.push('\n');
+            // A failed write disables the stream rather than failing the run.
+            if w.write_all(line.as_bytes()).is_err() {
+                self.stream = None;
+            }
         }
-        if self.cfg.history {
-            self.out.history.push(health.clone());
-        }
-        self.out.recent.push(FlightFrame { sample, health });
+        self.out.recent.push(sample);
     }
 
-    fn stream_frame(&mut self, sample: &RoundSample, health: &RoundHealth) {
-        let Some(w) = self.stream.as_mut() else {
-            return;
-        };
-        let line = ndjson_line(sample, health);
-        // A failed write disables the stream rather than failing the run.
-        if w.write_all(line.as_bytes()).is_err() {
-            self.stream = None;
-            return;
-        }
-        self.last_streamed = Some(health.round);
-    }
-
-    /// Flushes the stream (emitting the final round if the stride skipped
-    /// it) and yields the recorded telemetry.
+    /// Flushes the stream and yields the recorded telemetry.
     pub(crate) fn finish(mut self) -> RunTelemetry {
-        if self.stream.is_some() {
-            if let Some(last) = self.out.recent.frames.back().cloned() {
-                if self.last_streamed != Some(last.health.round) {
-                    self.stream_frame(&last.sample, &last.health);
-                }
-            }
-            if let Some(w) = self.stream.as_mut() {
-                let _ = w.flush();
-            }
+        if let Some(w) = self.stream.as_mut() {
+            let _ = w.flush();
         }
         self.out
     }
@@ -362,20 +265,9 @@ fn push_kv(out: &mut String, first: &mut bool, key: &str, value: impl std::fmt::
     out.push_str(&value.to_string());
 }
 
-fn health_object(h: &RoundHealth) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    push_kv(&mut out, &mut first, "round", h.round);
-    push_kv(&mut out, &mut first, "active_nodes", h.active_nodes);
-    push_kv(&mut out, &mut first, "inbox_queued", h.inbox_queued);
-    push_kv(&mut out, &mut first, "staged_sends", h.staged_sends);
-    push_kv(&mut out, &mut first, "wake_queue", h.wake_queue);
-    push_kv(&mut out, &mut first, "arena_bytes", h.arena_bytes);
-    out.push('}');
-    out
-}
-
-fn sample_object(s: &RoundSample) -> String {
+/// One round's record as a flat JSON object: an NDJSON stream line (plus
+/// `\n`) and a flight-dump frame.
+fn record_object(s: &RoundSample) -> String {
     let mut out = String::from("{");
     let mut first = true;
     push_kv(&mut out, &mut first, "round", s.round);
@@ -390,24 +282,11 @@ fn sample_object(s: &RoundSample) -> String {
     push_kv(&mut out, &mut first, "restarts", s.restarts);
     push_kv(&mut out, &mut first, "nodes_down", s.nodes_down);
     push_kv(&mut out, &mut first, "active_nodes", s.active_nodes);
+    push_kv(&mut out, &mut first, "inbox_queued", s.inbox_queued);
+    push_kv(&mut out, &mut first, "staged_sends", s.staged_sends);
+    push_kv(&mut out, &mut first, "wake_queue", s.wake_queue);
+    push_kv(&mut out, &mut first, "arena_bytes", s.arena_bytes);
     out.push('}');
-    out
-}
-
-/// One NDJSON stream line for a round (newline-terminated).
-fn ndjson_line(sample: &RoundSample, health: &RoundHealth) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    push_kv(&mut out, &mut first, "round", health.round);
-    push_kv(&mut out, &mut first, "messages", sample.messages);
-    push_kv(&mut out, &mut first, "bits", sample.bits);
-    push_kv(&mut out, &mut first, "active_nodes", health.active_nodes);
-    push_kv(&mut out, &mut first, "inbox_queued", health.inbox_queued);
-    push_kv(&mut out, &mut first, "staged_sends", health.staged_sends);
-    push_kv(&mut out, &mut first, "wake_queue", health.wake_queue);
-    push_kv(&mut out, &mut first, "arena_bytes", health.arena_bytes);
-    push_kv(&mut out, &mut first, "nodes_down", sample.nodes_down);
-    out.push_str("}\n");
     out
 }
 
@@ -446,11 +325,7 @@ pub fn render_flight_dump(
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"sample\":");
-        out.push_str(&sample_object(&f.sample));
-        out.push_str(",\"health\":");
-        out.push_str(&health_object(&f.health));
-        out.push('}');
+        out.push_str(&record_object(f));
     }
     out.push_str("],\"fault_events\":[");
     let mut wrote = false;
@@ -515,14 +390,16 @@ pub fn dump_flight(
 mod tests {
     use super::*;
 
-    fn health(round: u64) -> RoundHealth {
-        RoundHealth {
+    fn sample(round: u64) -> RoundSample {
+        RoundSample {
             round,
+            messages: round,
             active_nodes: 10 + round,
             inbox_queued: 5,
             staged_sends: 7,
             wake_queue: 3,
             arena_bytes: 120,
+            ..RoundSample::default()
         }
     }
 
@@ -530,18 +407,12 @@ mod tests {
     fn flight_recorder_evicts_oldest() {
         let mut rec = FlightRecorder::new(3);
         for round in 0..5u64 {
-            rec.push(FlightFrame {
-                sample: RoundSample {
-                    round,
-                    ..RoundSample::default()
-                },
-                health: health(round),
-            });
+            rec.push(sample(round));
         }
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.capacity(), 3);
         assert_eq!(rec.oldest_round(), Some(2));
-        let rounds: Vec<u64> = rec.frames().map(|f| f.health.round).collect();
+        let rounds: Vec<u64> = rec.frames().map(|f| f.round).collect();
         assert_eq!(rounds, vec![2, 3, 4]);
     }
 
@@ -549,66 +420,25 @@ mod tests {
     fn telemetry_state_accumulates_totals_and_hwm() {
         let mut st = TelemetryState::new(TelemetryConfig::default().with_flight_capacity(2));
         for round in 0..4u64 {
-            let mut h = health(round);
-            h.wake_queue = round; // rising gauge
-            st.record_round(
-                RoundSample {
-                    round,
-                    messages: 2,
-                    active_nodes: 4,
-                    ..RoundSample::default()
-                },
-                h,
-            );
+            let mut s = sample(round);
+            s.wake_queue = round; // rising gauge
+            st.record_round(s);
         }
         let t = st.finish();
         assert_eq!(t.rounds, 3);
         assert_eq!(t.hwm.wake_queue, 3);
         assert_eq!(t.hwm.active_nodes, 13);
-        assert_eq!(t.nodes_stepped, 16);
+        assert_eq!(t.nodes_stepped, 10 + 11 + 12 + 13);
         assert_eq!(t.messages_staged, 28);
-        assert_eq!(t.history.len(), 4);
         assert_eq!(t.recent.len(), 2, "ring keeps only the last K rounds");
         assert_eq!(t.recent.oldest_round(), Some(2));
-        // Distributions read the history.
-        assert_eq!(t.wake_queue_distribution().expect("history on").max, 3);
-    }
-
-    #[test]
-    fn without_history_keeps_aggregates_only() {
-        let mut st = TelemetryState::new(
-            TelemetryConfig::default()
-                .without_history()
-                .with_flight_capacity(8),
-        );
-        for round in 0..3u64 {
-            st.record_round(
-                RoundSample {
-                    round,
-                    ..RoundSample::default()
-                },
-                health(round),
-            );
-        }
-        let t = st.finish();
-        assert!(t.history.is_empty());
-        assert_eq!(t.recent.len(), 3);
-        assert_eq!(t.wake_queue_distribution(), None);
-        assert_eq!(t.hwm.staged_sends, 7);
     }
 
     #[test]
     fn flight_dump_renders_frames_and_filters_events() {
         let mut st = TelemetryState::new(TelemetryConfig::default().with_flight_capacity(2));
         for round in 0..5u64 {
-            st.record_round(
-                RoundSample {
-                    round,
-                    messages: round,
-                    ..RoundSample::default()
-                },
-                health(round),
-            );
+            st.record_round(sample(round));
         }
         let t = st.finish();
         let faults = vec![
@@ -633,24 +463,22 @@ mod tests {
         // Only the in-window fault survives.
         assert!(!doc.contains("Dropped"));
         assert!(doc.contains("Corrupted"));
-        // Both retained rounds are present with sample and health objects.
-        assert!(doc.contains("\"sample\":{\"round\":3"));
-        assert!(doc.contains("\"health\":{\"round\":4"));
+        // Both retained rounds are present as flat records.
+        let frames = format!(
+            "[{},{}]",
+            record_object(&sample(3)),
+            record_object(&sample(4))
+        );
+        assert!(doc.contains(&format!("\"frames\":{frames}")));
     }
 
     #[test]
-    fn ndjson_line_is_one_object_per_round() {
-        let line = ndjson_line(
-            &RoundSample {
-                round: 7,
-                messages: 9,
-                ..RoundSample::default()
-            },
-            &health(7),
-        );
-        assert!(line.ends_with("}\n"));
-        assert_eq!(line.matches('\n').count(), 1);
-        assert!(line.contains("\"round\":7"));
-        assert!(line.contains("\"wake_queue\":3"));
+    fn record_object_is_one_flat_object_with_deltas_and_gauges() {
+        let obj = record_object(&sample(7));
+        assert!(obj.starts_with("{\"round\":7,\"messages\":7,"));
+        assert!(obj.ends_with(",\"arena_bytes\":120}"));
+        assert!(!obj.contains('\n'));
+        assert_eq!(obj.matches('{').count(), 1, "no nested objects");
+        assert!(obj.contains("\"wake_queue\":3"));
     }
 }

@@ -1,9 +1,9 @@
 //! Round-level run tracing and wall-clock phase timing.
 //!
 //! The simulator's [`crate::Metrics`] are end-of-run scalars; this module
-//! records *how the run got there*. A [`RunTrace`] holds one
-//! [`RoundSample`] per executed round (messages, bits, per-round fault
-//! counts), the protocol-emitted [`TraceEvent`] stream
+//! records *how the run got there*. A [`RunTrace`] is the run's per-round
+//! history: one [`RoundSample`] per executed round (deliveries, per-round
+//! fault counts, engine gauges), the protocol-emitted [`TraceEvent`] stream
 //! ([`crate::Ctx::trace_event`]), optional cumulative per-edge load
 //! snapshots at a configurable stride, and the final per-edge load vector.
 //!
@@ -41,7 +41,9 @@ impl TraceConfig {
     }
 }
 
-/// Aggregate deliveries and faults of one executed round.
+/// The record of one executed round: its deliveries and faults (deltas)
+/// and the engine's gauges. The trace keeps one per round; telemetry folds
+/// the same value into its high-water marks, flight recorder and stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundSample {
     /// The round number (0 is the `init` round).
@@ -67,18 +69,27 @@ pub struct RoundSample {
     /// Churn rejoins completed at the start of this round.
     pub restarts: u64,
     /// **Gauge**, not a delta: nodes unavailable during this round — fault
-    /// crash-stops plus churn outages. This is the per-round availability
-    /// timeline ISSUE 6 asks for; [`RunTrace::availability`] reads it.
+    /// crash-stops plus churn outages. [`RunTrace::availability`] reads it.
     pub nodes_down: u64,
-    /// **Gauge**, not a delta: nodes the executor actually stepped this
-    /// round. Under the full-sweep reference engine this is every
-    /// non-skipped node; under the active-set engine it is only the woken
-    /// ones (mail, due [`crate::Ctx::wake_in`] timers, churn rejoins), so
-    /// the ratio to `n` is the round's sparsity. An executor-strategy
-    /// observability gauge: like `nodes_down` it never feeds
-    /// [`RunTrace::reconstruct_metrics`], and cross-engine equivalence
-    /// tests compare traces with this field zeroed.
+    /// **Gauge**: protocol callbacks that ran this round. Under the
+    /// full-sweep reference engine this is every live node; under the
+    /// active-set engine it is only the woken ones (mail, due
+    /// [`crate::Ctx::wake_in`] timers, churn rejoins), so the ratio to `n`
+    /// is the round's sparsity. Crashed and churn-offline nodes are never
+    /// stepped; they are counted in `nodes_down`. Executor-dependent (see
+    /// [`RunTrace::without_executor_gauges`]).
     pub active_nodes: u64,
+    /// **Gauge**: messages in this round's inbox slab when stepping began.
+    pub inbox_queued: u64,
+    /// **Gauge**: messages staged for delivery by this round's steps.
+    pub staged_sends: u64,
+    /// **Gauge**: pending [`crate::Ctx::wake_in`] timers across all future
+    /// rounds; 0 under the full sweep, which serves no timer queue.
+    /// Executor-dependent (see [`RunTrace::without_executor_gauges`]).
+    pub wake_queue: u64,
+    /// **Gauge**: bytes logically held by the message arenas this round
+    /// (element counts × element sizes; allocator-independent).
+    pub arena_bytes: u64,
 }
 
 /// One protocol-emitted span/phase marker (see [`crate::Ctx::trace_event`]).
@@ -172,15 +183,15 @@ impl RunTrace {
         self.events.iter().filter(move |e| e.label == label)
     }
 
-    /// Distribution of messages delivered per round (p50/p95/max over the
-    /// recorded samples; all zero for an empty trace).
-    pub fn messages_per_round_distribution(&self) -> Distribution {
-        Distribution::of(self.samples.iter().map(|s| s.messages))
-    }
-
-    /// Distribution of bits delivered per round.
-    pub fn bits_per_round_distribution(&self) -> Distribution {
-        Distribution::of(self.samples.iter().map(|s| s.bits))
+    /// The trace with the two executor-dependent gauges, `active_nodes`
+    /// and `wake_queue`, zeroed: what the active-set engine and the full
+    /// sweep must record identically.
+    pub fn without_executor_gauges(mut self) -> Self {
+        for s in &mut self.samples {
+            s.active_nodes = 0;
+            s.wake_queue = 0;
+        }
+        self
     }
 }
 
@@ -401,6 +412,7 @@ mod tests {
                     restarts: 0,
                     nodes_down: 1,
                     active_nodes: 4,
+                    ..RoundSample::default()
                 },
                 RoundSample {
                     round: 1,
@@ -415,6 +427,7 @@ mod tests {
                     restarts: 1,
                     nodes_down: 2,
                     active_nodes: 3,
+                    ..RoundSample::default()
                 },
                 RoundSample {
                     round: 2,
@@ -429,6 +442,7 @@ mod tests {
                     restarts: 0,
                     nodes_down: 1,
                     active_nodes: 0,
+                    ..RoundSample::default()
                 },
             ],
             events: Vec::new(),
@@ -545,33 +559,28 @@ mod tests {
     }
 
     #[test]
-    fn trace_distributions_read_the_samples() {
-        let mk = |round, messages, bits| RoundSample {
-            round,
-            messages,
-            bits,
+    fn without_executor_gauges_zeroes_only_active_nodes_and_wake_queue() {
+        let s = RoundSample {
+            round: 3,
+            messages: 6,
+            active_nodes: 5,
+            inbox_queued: 4,
+            staged_sends: 6,
+            wake_queue: 2,
+            arena_bytes: 96,
             ..RoundSample::default()
         };
         let trace = RunTrace {
-            samples: vec![mk(0, 6, 60), mk(1, 2, 10), mk(2, 4, 20)],
+            samples: vec![s],
             ..RunTrace::default()
         };
-        // messages sorted [2, 4, 6]: p50 = 2nd = 4, p95 = ⌈2.85⌉ = 3rd = 6.
         assert_eq!(
-            trace.messages_per_round_distribution(),
-            Distribution {
-                p50: 4,
-                p95: 6,
-                max: 6
-            }
-        );
-        assert_eq!(
-            trace.bits_per_round_distribution(),
-            Distribution {
-                p50: 20,
-                p95: 60,
-                max: 60
-            }
+            trace.without_executor_gauges().samples,
+            vec![RoundSample {
+                active_nodes: 0,
+                wake_queue: 0,
+                ..s
+            }]
         );
     }
 

@@ -2,7 +2,8 @@
 //! **byte-identical** to the retained full-sweep reference stepper —
 //! `Metrics`, fault/churn event logs, crashed sets, protocol outputs,
 //! per-edge loads, traffic profiles, and round timelines (modulo the
-//! `active_nodes` executor gauge) — across clean, faulty, and churned runs,
+//! `active_nodes` and `wake_queue` executor gauges) — across clean, faulty,
+//! and churned runs,
 //! in either node-visit order. The workload mixes the two sparse wake
 //! sources: mail-driven random token forwarding and `Ctx::wake_in` beacon
 //! timers.
@@ -96,8 +97,9 @@ fn fleet(n: usize) -> Vec<HybridNode> {
 }
 
 /// Everything observable about one run. `PartialEq` on `RunTrace` includes
-/// the `active_nodes` gauge, which is the one field allowed to differ
-/// between engine strategies, so observations zero it before comparing.
+/// the two executor gauges, the fields allowed to differ between engine
+/// strategies, so observations zero them before comparing
+/// (`RunTrace::without_executor_gauges`).
 #[derive(PartialEq, Debug)]
 struct Observation {
     metrics: Metrics,
@@ -166,11 +168,8 @@ fn observe_full(
     }
     .unwrap();
     let observed = sim.take_observed();
-    let mut trace = observed.trace.unwrap();
+    let trace = observed.trace.unwrap();
     let active_total = trace.samples.iter().map(|s| s.active_nodes).sum();
-    for s in &mut trace.samples {
-        s.active_nodes = 0;
-    }
     (
         Observation {
             metrics,
@@ -183,7 +182,7 @@ fn observe_full(
             // Reverse visits keep per-round events in reverse node order by
             // long-standing contract, so the timeline is only part of the
             // cross-engine comparison for forward runs.
-            trace: if reverse { None } else { Some(trace) },
+            trace: (!reverse).then(|| trace.without_executor_gauges()),
             active_total,
         },
         observed.telemetry,

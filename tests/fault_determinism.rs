@@ -5,9 +5,7 @@
 //! fault/churn-event logs, crashed sets, and recovery timelines on a
 //! repeat run and across node-visit-order reversal — for a raw simulator
 //! workload, both self-healing protocols (walks and Borůvka MST), and the
-//! churned bit-fix router. (The test names predate the single-threaded
-//! engine; where they say "threads", a repeat run replaced the thread
-//! axis.)
+//! churned bit-fix router.
 
 use amt_core::congest::{
     Ctx, Metrics, Observe, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
@@ -148,7 +146,7 @@ fn profiled_chatter_run(
 }
 
 #[test]
-fn faulty_sim_runs_are_identical_across_threads_and_visit_order() {
+fn faulty_sim_runs_are_identical_on_repeat_and_reversed_visit() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let plan = FaultPlan::none()
@@ -232,7 +230,7 @@ fn telemetry_chatter_run(
 /// plain faulty run in either visit order — and the layer's counters are
 /// visit-order-invariant too.
 #[test]
-fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
+fn faulty_telemetry_runs_are_identical_under_visit_order_reversal() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let plan = FaultPlan::none()
@@ -252,9 +250,9 @@ fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
             "reverse {reverse}: telemetry perturbed the faulty run"
         );
         assert_eq!(
-            tel.history.len() as u64,
-            tel.rounds + 1,
-            "one health record per executed round"
+            tel.recent.len() as u64,
+            (tel.rounds + 1).min(tel.recent.capacity() as u64),
+            "one record per executed round"
         );
         match &expected {
             None => expected = Some(logical(&tel)),
@@ -272,7 +270,7 @@ fn faulty_telemetry_runs_are_identical_across_threads_and_visit_order() {
 /// profile is byte-identical on a repeat run and under node-visit-order
 /// reversal, and enabling profiling does not perturb the faulty run.
 #[test]
-fn faulty_profile_sums_exactly_and_survives_threads_and_visit_order() {
+fn faulty_profile_sums_exactly_and_is_identical_on_repeat_and_reversed_visit() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let plan = FaultPlan::none()
@@ -311,7 +309,7 @@ fn faulty_profile_sums_exactly_and_survives_threads_and_visit_order() {
 }
 
 #[test]
-fn healing_walks_are_identical_across_thread_counts() {
+fn healing_walks_are_identical_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(62);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let specs = degree_proportional_specs(&g, 2, 16);
@@ -335,7 +333,7 @@ fn healing_walks_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn healing_boruvka_is_identical_across_thread_counts() {
+fn healing_boruvka_is_identical_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(63);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 500, &mut rng);
@@ -367,7 +365,7 @@ fn healing_boruvka_is_identical_across_thread_counts() {
 /// across all ARQ phases sums exactly to the outcome's accumulated metrics
 /// and is byte-identical on a repeat run.
 #[test]
-fn healing_boruvka_profile_sums_exactly_across_thread_counts() {
+fn healing_boruvka_profile_sums_exactly_and_is_identical_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(63);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 500, &mut rng);
@@ -451,7 +449,7 @@ fn churned_chatter_run(
 /// node-visit-order reversal — metrics, both event logs, and every node's
 /// RNG-sensitive checksum included.
 #[test]
-fn churned_sim_runs_are_identical_across_threads_and_visit_order() {
+fn churned_sim_runs_are_identical_on_repeat_and_reversed_visit() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let plan = FaultPlan::none()
@@ -490,7 +488,7 @@ fn churned_sim_runs_are_identical_across_threads_and_visit_order() {
 /// struct (endpoints, metrics with churn counters, epochs, healing work,
 /// and the recovery timeline) — on a repeat run.
 #[test]
-fn churned_healing_walks_are_identical_across_thread_counts() {
+fn churned_healing_walks_are_identical_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(62);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let specs = degree_proportional_specs(&g, 2, 16);
@@ -510,7 +508,7 @@ fn churned_healing_walks_are_identical_across_thread_counts() {
 /// The churned healing Borůvka replays byte-identically — tree, cut-edge
 /// bookkeeping, metrics, and the recovery timeline — on a repeat run.
 #[test]
-fn churned_healing_boruvka_is_identical_across_thread_counts() {
+fn churned_healing_boruvka_is_identical_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(63);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 500, &mut rng);
@@ -529,7 +527,7 @@ fn churned_healing_boruvka_is_identical_across_thread_counts() {
 /// reroute counter, epoch count, metrics, and the recovery timeline — on a
 /// repeat run.
 #[test]
-fn churned_bitfix_routing_is_identical_across_thread_counts() {
+fn churned_bitfix_routing_is_identical_on_a_repeat_run() {
     let g = generators::hypercube(6);
     let reqs: Vec<(NodeId, NodeId)> = (0..64u32)
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % 64)))

@@ -1,7 +1,6 @@
 //! Span observability: healing Borůvka phase transitions and healing-walk
 //! epoch re-issues must surface as `trace_event` spans in `RunTrace`, and
-//! a repeat run must record byte-identical spans. (The test names predate
-//! the single-threaded engine; the repeat run replaced the thread axis.)
+//! a repeat run must record byte-identical spans.
 
 use amt_core::congest::{FaultPlan, ProfileConfig, TraceConfig};
 use amt_core::graphs::{generators, NodeId, WeightedGraph};
@@ -17,7 +16,7 @@ use rand::SeedableRng;
 /// restart adds extra phases, and a repeat run records the identical trace
 /// stream.
 #[test]
-fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
+fn mst_phase_spans_cover_every_healing_phase_identically_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(43);
     let g = generators::random_regular(48, 6, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 500, &mut rng);
@@ -54,7 +53,7 @@ fn mst_phase_spans_cover_every_healing_phase_identically_across_threads() {
 /// themselves with `"walk_epoch_reissue"` spans in their epoch's trace,
 /// one per re-issued walk, identically on a repeat run.
 #[test]
-fn walk_epoch_reissue_spans_name_the_restarted_walks_across_threads() {
+fn walk_epoch_reissue_spans_name_the_restarted_walks_identically_on_a_repeat_run() {
     let g = generators::hypercube(5);
     let specs = degree_proportional_specs(&g, 1, 15);
     // Crash two token carriers mid-flight so some walks need re-issue.
