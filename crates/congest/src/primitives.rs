@@ -424,7 +424,7 @@ impl DownNode {
         if self.fresh {
             self.fresh = false;
             let v = self.value.expect("fresh implies value");
-            for port in self.child_ports.clone() {
+            for &port in &self.child_ports {
                 ctx.send(port, v);
             }
         }
@@ -521,7 +521,7 @@ impl Protocol for PipeDownNode {
 impl PipeDownNode {
     fn step(&mut self, ctx: &mut Ctx<'_, u64>) {
         if let Some(v) = self.queue.pop_front() {
-            for port in self.child_ports.clone() {
+            for &port in &self.child_ports {
                 ctx.send(port, v);
             }
         }

@@ -12,8 +12,7 @@ use amt_congest::{
     bits_for_value, class, Ctx, Metrics, Observe, Observed, ObservedRuns, PhaseTimings,
     ProfileConfig, Protocol, RunConfig, Simulator, TrafficClass, TrafficProfile,
 };
-use amt_graphs::{EdgeId, WeightedGraph};
-use std::collections::HashSet;
+use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 use std::time::Instant;
 
 /// Outcome of the CONGEST Boruvka baseline.
@@ -45,6 +44,14 @@ struct MinFlood {
     class: TrafficClass,
 }
 
+impl MinFlood {
+    fn send_value(&self, ctx: &mut Ctx<'_, u64>) {
+        for &p in &self.active_ports {
+            ctx.send_classed(p, self.value, self.class);
+        }
+    }
+}
+
 impl Protocol for MinFlood {
     type Message = u64;
 
@@ -57,9 +64,7 @@ impl Protocol for MinFlood {
     fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
         if self.fresh {
             self.fresh = false;
-            for p in self.active_ports.clone() {
-                ctx.send_classed(p, self.value, self.class);
-            }
+            self.send_value(ctx);
         }
     }
 
@@ -72,53 +77,83 @@ impl Protocol for MinFlood {
             }
         }
         if improved {
-            for p in self.active_ports.clone() {
-                ctx.send_classed(p, self.value, self.class);
-            }
+            self.send_value(ctx);
         }
     }
 }
 
-/// Floods per-node initial `u64` values to minima over the subgraph whose
-/// edges are in `active`, returning the converged values, metrics, and
-/// what the `observe` layers recorded. Messages are attributed to `class`.
-pub(crate) fn min_flood(
-    wg: &WeightedGraph,
-    active: &HashSet<EdgeId>,
-    init: &[u64],
-    seed: u64,
-    class: TrafficClass,
-    observe: &Observe,
-) -> Result<(Vec<u64>, Metrics, Observed)> {
-    let g = wg.graph();
-    let nodes = g
-        .nodes()
-        .map(|v| MinFlood {
-            active_ports: g
-                .neighbors(v)
-                .enumerate()
-                .filter(|(_, (_, e))| active.contains(e))
-                .map(|(p, _)| p)
-                .collect(),
-            value: init[v.index()],
-            fresh: true,
-            class,
+/// One [`Simulator`] running every [`MinFlood`] of a run: each flood
+/// re-arms the same fleet in place instead of building a fleet and a CSR
+/// anew. [`MinFlood`] draws no randomness, so the node streams the
+/// simulator was seeded with once are never read.
+pub(crate) struct Flooder<'g> {
+    graph: &'g Graph,
+    sim: Simulator<'g, MinFlood>,
+}
+
+impl<'g> Flooder<'g> {
+    /// A flooder over `graph`, its simulator seeded with `seed`, whose
+    /// floods record what `observe` asks for.
+    pub(crate) fn new(graph: &'g Graph, seed: u64, observe: Observe) -> Result<Self> {
+        let nodes = graph
+            .nodes()
+            .map(|_| MinFlood {
+                active_ports: Vec::new(),
+                value: u64::MAX,
+                fresh: false,
+                class: class::MST_FLOOD,
+            })
+            .collect();
+        Ok(Flooder {
+            graph,
+            sim: Simulator::new(graph, nodes, seed)?.with_observe(observe),
         })
-        .collect();
-    let mut sim = Simulator::new(g, nodes, seed)?.with_observe(observe.clone());
-    // Candidate values carry (weight, edge id); allow the wider encoding —
-    // still O(log n) bits for polynomially bounded weights.
-    let cfg = RunConfig {
-        budget_factor: 24,
-        ..RunConfig::default()
-    };
-    let metrics = sim.run(&cfg)?;
-    let observed = sim.take_observed();
-    Ok((
-        sim.nodes().iter().map(|p| p.value).collect(),
-        metrics,
-        observed,
-    ))
+    }
+
+    /// Arms the next flood: node `v` starts from `init(v)`, floods over the
+    /// edges `forest` marks (indexed by [`EdgeId`]) and attributes its
+    /// messages to `class`.
+    fn arm(&mut self, forest: &[bool], mut init: impl FnMut(NodeId) -> u64, class: TrafficClass) {
+        let g = self.graph;
+        for (node, v) in self.sim.nodes_mut().iter_mut().zip(g.nodes()) {
+            node.active_ports.clear();
+            node.active_ports.extend(
+                g.neighbors(v)
+                    .enumerate()
+                    .filter(|&(_, (_, e))| forest[e.index()])
+                    .map(|(p, _)| p),
+            );
+            node.value = init(v);
+            node.fresh = true;
+            node.class = class;
+        }
+    }
+
+    /// Floods per-node initial values `init(v)` to minima over the subgraph
+    /// of the edges `forest` marks, returning the flood's metrics and what
+    /// the observation layers recorded; [`Self::values`] then holds the
+    /// converged values. Messages are attributed to `class`.
+    pub(crate) fn flood(
+        &mut self,
+        forest: &[bool],
+        init: impl FnMut(NodeId) -> u64,
+        class: TrafficClass,
+    ) -> Result<(Metrics, Observed)> {
+        self.arm(forest, init, class);
+        // Candidate values carry (weight, edge id); allow the wider
+        // encoding — still O(log n) bits for polynomially bounded weights.
+        let cfg = RunConfig {
+            budget_factor: 24,
+            ..RunConfig::default()
+        };
+        let metrics = self.sim.run(&cfg)?;
+        Ok((metrics, self.sim.take_observed()))
+    }
+
+    /// Each node's value after the last flood, in node order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sim.nodes().iter().map(|p| p.value)
+    }
 }
 
 /// Encodes a `(canonical weight, edge)` candidate as one orderable `u64`.
@@ -173,19 +208,25 @@ pub fn run_instrumented(
         );
     }
     let mut comp: Vec<u64> = (0..n as u64).collect();
-    let mut forest: HashSet<EdgeId> = HashSet::new();
+    let mut fragments = n;
+    let mut forest = vec![false; wg.edge_count()];
     let mut tree_edges: Vec<EdgeId> = Vec::new();
+    let mut chosen: Vec<EdgeId> = Vec::new();
     let mut metrics = Metrics::default();
     let mut iterations = 0u32;
     let mut wall = PhaseTimings::new();
-    let observe = Observe {
-        profile,
-        ..Observe::default()
-    };
+    let mut flooder = Flooder::new(
+        g,
+        seed,
+        Observe {
+            profile,
+            ..Observe::default()
+        },
+    )?;
     let mut runs = ObservedRuns::default();
     let cap = 2 * (n.max(2) as f64).log2().ceil() as u32 + 10;
 
-    while comp.iter().collect::<HashSet<_>>().len() > 1 {
+    while fragments > 1 {
         if iterations >= cap {
             return Err(MstError::TooManyIterations { cap });
         }
@@ -196,21 +237,14 @@ pub fn run_instrumented(
 
         // Each node's candidate: its minimum outgoing edge.
         let t0 = Instant::now();
-        let init: Vec<u64> = g
-            .nodes()
-            .map(|v| {
+        let at = metrics.rounds;
+        let (m1, p1) = flooder.flood(
+            &forest,
+            |v| {
                 wg.min_incident_edge(v, |w| comp[w.index()] != comp[v.index()])
                     .map_or(u64::MAX, |(e, _)| encode(wg, e))
-            })
-            .collect();
-        let at = metrics.rounds;
-        let (vals, m1, p1) = min_flood(
-            wg,
-            &forest,
-            &init,
-            seed ^ u64::from(iterations),
+            },
             class::MST_FLOOD,
-            &observe,
         )?;
         metrics = metrics.then(m1);
         runs.absorb(p1, at);
@@ -219,21 +253,24 @@ pub fn run_instrumented(
         // Merge along every fragment's minimum outgoing edge.
         let t0 = Instant::now();
         let mut uf = UnionFind::new(n);
-        for &e in &forest {
+        for &e in &tree_edges {
             let (u, v) = g.endpoints(e);
             uf.union(u.index(), v.index());
         }
-        let mut chosen: HashSet<EdgeId> = HashSet::new();
-        for v in g.nodes() {
-            if vals[v.index()] != u64::MAX {
-                chosen.insert(decode_edge(wg, vals[v.index()]));
-            }
-        }
+        chosen.clear();
+        chosen.extend(
+            flooder
+                .values()
+                .filter(|&val| val != u64::MAX)
+                .map(|val| decode_edge(wg, val)),
+        );
+        chosen.sort_unstable();
+        chosen.dedup();
         let mut merged = false;
         for &e in &chosen {
             let (u, v) = g.endpoints(e);
             if uf.union(u.index(), v.index()) {
-                forest.insert(e);
+                forest[e.index()] = true;
                 tree_edges.push(e);
                 merged = true;
             }
@@ -243,19 +280,18 @@ pub fn run_instrumented(
 
         // Flood new fragment labels (min node id) over the grown forest.
         let t0 = Instant::now();
-        let label_init: Vec<u64> = (0..n as u64).collect();
         let at = metrics.rounds;
-        let (labels, m2, p2) = min_flood(
-            wg,
-            &forest,
-            &label_init,
-            seed ^ 0xF00D ^ u64::from(iterations),
-            class::MST_LABEL,
-            &observe,
-        )?;
+        let (m2, p2) = flooder.flood(&forest, |v| v.index() as u64, class::MST_LABEL)?;
         metrics = metrics.then(m2);
         runs.absorb(p2, at);
-        comp = labels;
+        comp.clear();
+        comp.extend(flooder.values());
+        // A fragment's label is its minimum node id: one root per fragment.
+        fragments = comp
+            .iter()
+            .enumerate()
+            .filter(|&(v, &c)| c == v as u64)
+            .count();
         wall.record("label_flood", t0.elapsed());
     }
 
@@ -277,7 +313,8 @@ pub fn run_instrumented(
 mod tests {
     use super::*;
     use crate::reference;
-    use amt_graphs::{generators, Graph};
+    use amt_congest::oracle::assert_engines_agree;
+    use amt_graphs::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -313,6 +350,117 @@ mod tests {
             rp.rounds,
             re.rounds
         );
+    }
+
+    /// The MST minus every third of its edges: a forest of multi-node
+    /// fragments, so a flood over it has nodes that sit rounds out.
+    fn partial_forest(wg: &WeightedGraph) -> Vec<bool> {
+        let mut forest = vec![false; wg.edge_count()];
+        for (i, e) in reference::kruskal(wg).unwrap().into_iter().enumerate() {
+            forest[e.index()] = i % 3 != 0;
+        }
+        forest
+    }
+
+    /// Each node's fragment label (minimum node id), computed centrally.
+    fn central_labels(g: &Graph, forest: &[bool]) -> Vec<u64> {
+        let mut uf = UnionFind::new(g.len());
+        for (e, u, v) in g.edges() {
+            if forest[e.index()] {
+                uf.union(u.index(), v.index());
+            }
+        }
+        let mut min = vec![u64::MAX; g.len()];
+        for v in 0..g.len() {
+            let r = uf.find(v);
+            min[r] = min[r].min(v as u64);
+        }
+        (0..g.len()).map(|v| min[uf.find(v)]).collect()
+    }
+
+    /// Puts one flood over `forest` through the engine-equivalence oracle,
+    /// on a fresh flooder and on one re-armed after a label flood over
+    /// `tree`, and checks the converged values against `want`.
+    fn assert_flood_agrees(
+        g: &Graph,
+        forest: &[bool],
+        tree: &[bool],
+        init: &dyn Fn(NodeId) -> u64,
+        class: TrafficClass,
+        want: &[u64],
+    ) {
+        let cfg = RunConfig {
+            budget_factor: 24,
+            ..RunConfig::default()
+        };
+        let observe = |rearmed: bool| {
+            assert_engines_agree(
+                || {
+                    let mut flooder = Flooder::new(g, 0, Observe::default()).unwrap();
+                    if rearmed {
+                        flooder
+                            .flood(tree, |v| v.index() as u64, class::MST_LABEL)
+                            .unwrap();
+                    }
+                    flooder.arm(forest, init, class);
+                    flooder.sim
+                },
+                &cfg,
+                |p| p.value,
+            )
+        };
+        let fresh = observe(false);
+        assert_eq!(fresh.outputs, want, "{class} flood values");
+        assert_eq!(observe(true), fresh, "{class} flood, re-armed");
+    }
+
+    /// A candidate flood and a label flood over a partial MST forest,
+    /// checked against the centrally computed fragment minima.
+    fn assert_floods_agree(wg: &WeightedGraph) {
+        let g = wg.graph();
+        let forest = partial_forest(wg);
+        let mut tree = vec![false; wg.edge_count()];
+        for e in reference::kruskal(wg).unwrap() {
+            tree[e.index()] = true;
+        }
+        let comp = central_labels(g, &forest);
+        let candidate = |v: NodeId| {
+            wg.min_incident_edge(v, |w| comp[w.index()] != comp[v.index()])
+                .map_or(u64::MAX, |(e, _)| encode(wg, e))
+        };
+        let mut best = vec![u64::MAX; g.len()];
+        for v in g.nodes() {
+            let c = comp[v.index()] as usize;
+            best[c] = best[c].min(candidate(v));
+        }
+        let fragment_min: Vec<u64> = comp.iter().map(|&c| best[c as usize]).collect();
+        let label = |v: NodeId| v.index() as u64;
+        assert_flood_agrees(
+            g,
+            &forest,
+            &tree,
+            &candidate,
+            class::MST_FLOOD,
+            &fragment_min,
+        );
+        assert_flood_agrees(g, &forest, &tree, &label, class::MST_LABEL, &comp);
+    }
+
+    #[test]
+    fn min_floods_agree_across_engines_on_a_random_graph() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = generators::connected_erdos_renyi(48, 0.12, 50, &mut rng).unwrap();
+        let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
+        assert_floods_agree(&wg);
+    }
+
+    #[test]
+    fn min_floods_agree_across_engines_on_a_path() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let edges: Vec<_> = (0..63).map(|i| (i, i + 1)).collect();
+        let path = Graph::from_edges(64, &edges).unwrap();
+        let wg = WeightedGraph::with_random_weights(path, 1000, &mut rng);
+        assert_floods_agree(&wg);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! (measured). Since at most `√n` fragments remain, each of the `O(log n)`
 //! phase-2 iterations costs `O(D + √n)` measured rounds.
 
+use crate::congest_boruvka::{decode_edge, encode, Flooder};
 use crate::{reference::UnionFind, MstError, Result};
 use amt_congest::{primitives, Metrics, PhaseTimings};
 use amt_graphs::{EdgeId, NodeId, WeightedGraph};
@@ -48,8 +49,9 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
     let n = g.len();
     let sqrt_n = (n as f64).sqrt().ceil() as usize;
     let mut comp: Vec<u64> = (0..n as u64).collect();
-    let mut size: HashMap<u64, usize> = (0..n as u64).map(|c| (c, 1)).collect();
-    let mut forest: HashSet<EdgeId> = HashSet::new();
+    // Fragment sizes indexed by label (a fragment's minimum node id).
+    let mut size = vec![1usize; n];
+    let mut forest = vec![false; wg.edge_count()];
     let mut tree_edges: Vec<EdgeId> = Vec::new();
     let mut phase1 = Metrics::default();
     let cap = 4 * (n.max(2) as f64).log2().ceil() as u32 + 10;
@@ -57,8 +59,14 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
     // ---- Phase 1: controlled Boruvka until all fragments reach √n. ----
     let mut wall = PhaseTimings::new();
     let mark = Instant::now();
+    let mut flooder = Flooder::new(g, seed, amt_congest::Observe::default())?;
+    // More than one fragment, and one of them below √n.
+    let growing = |size: &[usize]| {
+        let live = size.iter().filter(|&&s| s > 0);
+        live.clone().any(|&s| s < sqrt_n) && live.count() > 1
+    };
     let mut iters = 0u32;
-    while size.values().any(|&s| s < sqrt_n) && size.len() > 1 {
+    while growing(&size) {
         if iters >= cap {
             return Err(MstError::TooManyIterations { cap });
         }
@@ -67,56 +75,44 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
 
         // Small fragments propose their minimum outgoing edges; the
         // agreement flood is the same machinery as the plain baseline.
-        let init: Vec<u64> = g
-            .nodes()
-            .map(|v| {
+        let (m, _) = flooder.flood(
+            &forest,
+            |v| {
                 let c = comp[v.index()];
-                if size[&c] >= sqrt_n {
+                if size[c as usize] >= sqrt_n {
                     return u64::MAX;
                 }
                 wg.min_incident_edge(v, |w| comp[w.index()] != c)
-                    .map_or(u64::MAX, |(e, _)| crate::congest_boruvka::encode(wg, e))
-            })
-            .collect();
-        let (vals, m, _) = crate::congest_boruvka::min_flood(
-            wg,
-            &forest,
-            &init,
-            seed ^ u64::from(iters),
+                    .map_or(u64::MAX, |(e, _)| encode(wg, e))
+            },
             amt_congest::class::MST_FLOOD,
-            &amt_congest::Observe::default(),
         )?;
         phase1 = phase1.then(m);
 
         let mut uf = UnionFind::new(n);
-        for &e in &forest {
+        for &e in &tree_edges {
             let (u, v) = g.endpoints(e);
             uf.union(u.index(), v.index());
         }
-        for v in g.nodes() {
-            if vals[v.index()] != u64::MAX {
-                let e = crate::congest_boruvka::decode_edge(wg, vals[v.index()]);
+        for val in flooder.values() {
+            if val != u64::MAX {
+                let e = decode_edge(wg, val);
                 let (a, b) = g.endpoints(e);
                 if uf.union(a.index(), b.index()) {
-                    forest.insert(e);
+                    forest[e.index()] = true;
                     tree_edges.push(e);
                 }
             }
         }
         // Relabel fragments (flood of min node id over the grown forest).
-        let (labels, m2, _) = crate::congest_boruvka::min_flood(
-            wg,
-            &forest,
-            &(0..n as u64).collect::<Vec<_>>(),
-            seed ^ 0xBEEF ^ u64::from(iters),
-            amt_congest::class::MST_LABEL,
-            &amt_congest::Observe::default(),
-        )?;
+        let (m2, _) =
+            flooder.flood(&forest, |v| v.index() as u64, amt_congest::class::MST_LABEL)?;
         phase1 = phase1.then(m2);
-        comp = labels;
-        size.clear();
+        comp.clear();
+        comp.extend(flooder.values());
+        size.fill(0);
         for &c in &comp {
-            *size.entry(c).or_insert(0) += 1;
+            size[c as usize] += 1;
         }
     }
 
@@ -161,7 +157,7 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
 
         // The root merges centrally (it knows the collected edges).
         let mut uf = UnionFind::new(n);
-        for &e in &forest {
+        for &e in &tree_edges {
             let (u, v) = g.endpoints(e);
             uf.union(u.index(), v.index());
         }
@@ -171,7 +167,6 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
         for e in order {
             let (u, v) = g.endpoints(e);
             if uf.union(u.index(), v.index()) {
-                forest.insert(e);
                 tree_edges.push(e);
                 selected.push(u64::from(e.0));
             }
@@ -185,7 +180,7 @@ pub fn run(wg: &WeightedGraph, seed: u64) -> Result<GkpOutcome> {
         // Relabel fragments centrally (nodes learn their fragment from the
         // broadcast edges; the rounds were charged by the downcast).
         let mut uf2 = UnionFind::new(n);
-        for &e in &forest {
+        for &e in &tree_edges {
             let (u, v) = g.endpoints(e);
             uf2.union(u.index(), v.index());
         }

@@ -16,10 +16,10 @@
 //! almost-mixing-time MST sidesteps it by being Las Vegas — its output is
 //! canonical by construction and checked centrally in tests.)
 
+use crate::congest_boruvka::Flooder;
 use crate::Result;
 use amt_congest::{primitives, Metrics};
 use amt_graphs::{EdgeId, Graph};
-use std::collections::HashSet;
 
 /// Outcome of the distributed verification.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,23 +60,25 @@ pub fn verify_spanning_tree_distributed(
     seed: u64,
 ) -> Result<VerificationOutcome> {
     let n = g.len();
-    let claimed_set: HashSet<EdgeId> = claimed.iter().copied().collect();
+    // Claimed edges as a mask indexed by edge id (ids outside the graph
+    // claim nothing).
+    let mut claimed_mask = vec![false; g.edge_count()];
+    for e in claimed {
+        if let Some(slot) = claimed_mask.get_mut(e.index()) {
+            *slot = true;
+        }
+    }
     let mut metrics = Metrics::default();
 
     // (a) Component labels of the claimed forest: min-id flood restricted
-    // to claimed edges. Reuses the fragment machinery of the Boruvka
-    // baseline (weights are irrelevant for the flood, so weight-1 shim).
-    let shim =
-        amt_graphs::WeightedGraph::new(g.clone(), vec![1; g.edge_count()]).expect("lengths match");
-    let init: Vec<u64> = (0..n as u64).collect();
-    let (labels, m1, _) = crate::congest_boruvka::min_flood(
-        &shim,
-        &claimed_set,
-        &init,
-        seed,
+    // to claimed edges, with the fragment flooder of the Boruvka baseline.
+    let mut flooder = Flooder::new(g, seed, amt_congest::Observe::default())?;
+    let (m1, _) = flooder.flood(
+        &claimed_mask,
+        |v| v.index() as u64,
         amt_congest::class::MST_LABEL,
-        &amt_congest::Observe::default(),
     )?;
+    let labels: Vec<u64> = flooder.values().collect();
     metrics = metrics.then(m1);
 
     // (b) Global aggregates over a BFS tree: claimed-edge count (each node
@@ -93,7 +95,7 @@ pub fn verify_spanning_tree_distributed(
         .nodes()
         .map(|v| {
             g.neighbors(v)
-                .filter(|(_, e)| claimed_set.contains(e))
+                .filter(|(_, e)| claimed_mask[e.index()])
                 .count() as u64
         })
         .collect();
