@@ -10,8 +10,8 @@
 //!   `profiles.<bench>.<class>` per-class totals, all
 //!   `recovery.<bench>` reconvergence statistics (span counts,
 //!   time-to-reconverge percentiles), and all `telemetry.<bench>`
-//!   execution-health counters (work totals and gauge high-water marks;
-//!   logical values only, by the telemetry contract) must be identical:
+//!   execution-health counters (work totals and gauge high-water marks
+//!   folded from the run's trace; logical values only) must be identical:
 //!   the simulator is deterministic, so *any* drift is a behavior change;
 //! * **wall-clock** — `phase_timings.wall.<bench>` may regress by at most
 //!   the tolerance (default 25%), **and** a regression only counts when

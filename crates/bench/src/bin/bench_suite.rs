@@ -30,9 +30,10 @@
 //!   instance runs twice, and the repeat must reproduce the first run's
 //!   observables exactly (hard assert); the repeat's wall-clock is
 //!   recorded as `<instance>_repeat`. Every run in the tier executes with
-//!   [`TelemetryConfig`] attached: its logical execution-health counters
-//!   (work totals and gauge high-water marks) enter the gated `telemetry`
-//!   report section. `AMT_BENCH_SCALE_ONLY=1` runs just this tier.
+//!   the trace on: its logical execution-health counters (work totals and
+//!   gauge high-water marks, folded from the trace's per-round records)
+//!   enter the gated `telemetry` report section. `AMT_BENCH_SCALE_ONLY=1`
+//!   runs just this tier.
 //!
 //! Output: `experiments_out/BENCH_<git-describe>.json` (override the stem
 //! with a CLI argument, e.g. `bench_suite BENCH_baseline`) carrying rounds,
@@ -44,8 +45,8 @@
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, Observe, PhaseTimings, ProfileConfig, RunConfig, RunTelemetry, Simulator,
-    TelemetryConfig, TrafficProfile,
+    Metrics, Observe, PhaseTimings, ProfileConfig, RunConfig, RunTrace, Simulator, TraceConfig,
+    TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
@@ -425,24 +426,23 @@ fn finish(bench: Bench) {
     report.finish();
 }
 
-/// One scaling run with profiling and telemetry on.
+/// One scaling run with profiling and the trace on.
 fn scale_run(
     g: &Graph,
 ) -> (
     Metrics,
     Vec<u64>,
     TrafficProfile,
-    RunTelemetry,
+    RunTrace,
     std::time::Duration,
 ) {
     let mut sim = Simulator::new(g, scale_fleet(g.len()), 77)
         .expect("fleet size matches")
         .with_observe(Observe {
             profile: Some(ProfileConfig::default()),
-            // Aggregates and high-water marks only: the tier gates the
-            // logical counters, not the per-round series (trace off).
-            telemetry: Some(TelemetryConfig::default()),
-            trace: None,
+            // The tier gates the trace's folds (work totals and high-water
+            // marks), not its per-round series.
+            trace: Some(TraceConfig::default()),
         });
     let t0 = Instant::now();
     let metrics = sim
@@ -452,25 +452,25 @@ fn scale_run(
     let digests = sim.nodes().iter().map(|p| p.digest).collect();
     let observed = sim.take_observed();
     let profile = observed.profile.expect("profiling on");
-    let telemetry = observed.telemetry.expect("telemetry on");
-    (metrics, digests, profile, telemetry, wall)
+    let trace = observed.trace.expect("trace on");
+    (metrics, digests, profile, trace, wall)
 }
 
 /// The scaling tier: three pinned 2048-node instances, each run twice
 /// (the repeat must reproduce the first run exactly). The first run's
-/// metrics, profile and telemetry enter the gated report sections; the
+/// metrics, profile and trace folds enter the gated report sections; the
 /// repeat's wall-clock is recorded as `<instance>_repeat`.
 fn scaling_tier(bench: &mut Bench) {
     let mut walls: Vec<(&'static str, std::time::Duration)> = Vec::new();
     for (name, g) in &scaling_instances() {
-        let (metrics, digests, profile, telemetry, wall) = scale_run(g);
+        let (metrics, digests, profile, trace, wall) = scale_run(g);
         bench.record(name, &metrics, Some(&profile), wall);
-        bench.report.telemetry(name, &telemetry);
+        bench.report.telemetry(name, &trace);
 
         let (m, d, p, t, w) = scale_run(g);
         assert_eq!(
             (&m, &d, &p, &t),
-            (&metrics, &digests, &profile, &telemetry),
+            (&metrics, &digests, &profile, &trace),
             "{name}: a repeat run drifted"
         );
         let label: &'static str = Box::leak(format!("{name}_repeat").into_boxed_str());

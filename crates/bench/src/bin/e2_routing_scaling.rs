@@ -92,6 +92,7 @@ fn main() {
         "\nlog-log slopes of exact_rounds/τ between consecutive n: {:?}",
         slopes.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
     );
+    println!("(τ is the centralized spectral estimate, not a distributed measurement.)");
     println!("(paper: subpolynomial in n once normalized by τ_mix. At simulation");
     println!(" scale the discrete partition-depth increments — the paper's");
     println!(" k = log_β(m/log m) growing by one — appear as the large slopes; at");

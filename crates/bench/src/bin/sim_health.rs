@@ -1,13 +1,11 @@
 //! Execution-health analysis of the scaling-tier workload (E18b): run work
-//! totals and gauge distributions, driven by the `amt_congest::telemetry`
-//! layer and the round trace.
+//! totals and gauge distributions, folded from the round trace.
 //!
-//! For every scaling-tier instance the run executes with telemetry and the
-//! trace on and prints the nodes stepped and messages staged over the run,
-//! the gauge high-water marks, and the wake-queue / staged-send / active-set
-//! depth distributions over the trace's per-round records. The run also
-//! streams NDJSON round records ([`TelemetryConfig::stream_to`]) and checks
-//! that each line parses to the record of the matching traced round.
+//! For every scaling-tier instance the run executes with the trace on and
+//! prints the nodes stepped and messages staged over the run (the sums of
+//! the `active_nodes` and `staged_sends` gauges), the gauge high-water
+//! marks (`RunTrace::high_water`), and the wake-queue / staged-send /
+//! active-set depth distributions over the trace's per-round records.
 //!
 //! Protocol observables must be byte-identical to an unobserved run —
 //! asserted here against a plain reference run, not just trusted.
@@ -18,24 +16,22 @@
 //!
 //! Flags: `--smoke` shrinks the sweep to the dumbbell instance (CI).
 //! `--force-failure` instead drives the workload into a [`CongestError`]
-//! under a tight round cap, then parses the auto-written
-//! `flightrec_*.json` post-mortem back and checks the retained
-//! final-K-round window.
+//! under a tight round cap, dumps the aborted run's trace tail with
+//! [`dump_flight`] to `flightrec_sim_health_forced.json`, parses it back
+//! and checks that the window ends at the final executed round.
+//!
+//! [`CongestError`]: amt_core::congest::CongestError
 
 use amt_bench::report::{parse, Json};
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::Report;
 use amt_core::congest::{
-    Distribution, Metrics, Observe, Observed, RoundSample, RunConfig, Simulator, TelemetryConfig,
-    TraceConfig,
+    dump_flight, Distribution, Metrics, Observe, Observed, RoundSample, RunConfig, Simulator,
+    TraceConfig, FLIGHT_ROUNDS,
 };
 use amt_core::prelude::*;
 
 const SEED: u64 = 77;
-
-fn report_dir() -> String {
-    std::env::var("AMT_REPORT_DIR").unwrap_or_else(|_| "experiments_out".into())
-}
 
 /// One run of the scaling workload, with the given observation layers:
 /// metrics, per-node digests, and what the layers recorded.
@@ -73,20 +69,14 @@ fn analyze(smoke: bool) {
         let (ref_metrics, ref_digests, _) = run(g, Observe::default());
         report.metrics(name, &ref_metrics);
 
-        let stream_path = std::path::PathBuf::from(report_dir()).join(format!("{name}.ndjson"));
-        let cfg = TelemetryConfig::default()
-            .with_run_id(*name)
-            .stream_to(stream_path.clone());
         let (m, digests, observed) = run(
             g,
             Observe {
-                telemetry: Some(cfg),
                 trace: Some(TraceConfig::default()),
                 ..Observe::default()
             },
         );
-        let t = observed.telemetry.expect("telemetry on");
-        let samples = observed.trace.expect("trace on").samples;
+        let trace = observed.trace.expect("trace on");
         // The observation layers' whole contract: enabling them moves no
         // observable bit.
         assert_eq!(
@@ -94,61 +84,40 @@ fn analyze(smoke: bool) {
             (&ref_metrics, &ref_digests),
             "{name}: observed run drifted from the plain run"
         );
-        report.telemetry(name, &t);
+        report.telemetry(name, &trace);
 
+        let samples = &trace.samples;
+        let total = |f: fn(&RoundSample) -> u64| samples.iter().map(f).sum::<u64>();
         amt_bench::header(&["rounds", "nodes_stepped", "msgs_staged", "arena_bytes_hwm"]);
         amt_bench::row(&[
-            t.rounds.to_string(),
-            t.nodes_stepped.to_string(),
-            t.messages_staged.to_string(),
-            t.hwm.arena_bytes.to_string(),
+            trace.reconstruct_metrics().rounds.to_string(),
+            total(|s| s.active_nodes).to_string(),
+            total(|s| s.staged_sends).to_string(),
+            trace.high_water().arena_bytes.to_string(),
         ]);
         println!(
-            "  wake queue   {}\n  staged sends {}\n  active nodes {}",
-            fmt_dist(&samples, |s| s.wake_queue),
-            fmt_dist(&samples, |s| s.staged_sends),
-            fmt_dist(&samples, |s| s.active_nodes)
-        );
-        let stream = std::fs::read_to_string(&stream_path).unwrap_or_default();
-        let lines = stream.lines().count();
-        assert_eq!(
-            lines as u64,
-            t.rounds + 1,
-            "NDJSON stream must carry one record per executed round"
-        );
-        for (line, sample) in stream.lines().zip(&samples) {
-            let record = parse(line).expect("NDJSON line must be valid JSON");
-            assert_eq!(
-                record.get("round"),
-                Some(&Json::Num(sample.round as f64)),
-                "NDJSON line out of step with the trace"
-            );
-        }
-        println!(
-            "  streamed {lines} NDJSON records to {}\n",
-            stream_path.display()
+            "  wake queue   {}\n  staged sends {}\n  active nodes {}\n",
+            fmt_dist(samples, |s| s.wake_queue),
+            fmt_dist(samples, |s| s.staged_sends),
+            fmt_dist(samples, |s| s.active_nodes)
         );
     }
     report.finish();
-    println!("telemetry-on observables matched the plain reference on every instance");
+    println!("traced observables matched the plain reference on every instance");
 }
 
 /// Drives the workload into `RoundLimitExceeded` under a tight round cap,
-/// then parses the auto-written flight-recorder dump back and checks the
-/// retained window covers the final rounds.
+/// dumps the aborted run's trace tail and parses it back: the window must
+/// hold every executed round (the run is shorter than [`FLIGHT_ROUNDS`])
+/// and end at the final one.
 fn force_failure() {
     const CAP: u64 = 12;
-    const FLIGHT: usize = 8;
     let g = amt_bench::expander(512, 6, 1);
     let run_id = "sim_health_forced";
     let mut sim = Simulator::new(&g, scale_fleet(g.len()), SEED)
         .expect("fleet size matches")
         .with_observe(Observe {
-            telemetry: Some(
-                TelemetryConfig::default()
-                    .with_run_id(run_id)
-                    .with_flight_capacity(FLIGHT),
-            ),
+            trace: Some(TraceConfig::default()),
             ..Observe::default()
         });
     let err = sim
@@ -158,13 +127,24 @@ fn force_failure() {
         })
         .expect_err("the beacon schedule cannot finish in 12 rounds");
     println!("run failed as intended: {err}");
-    let t = sim
+    let trace = sim
         .take_observed()
-        .telemetry
-        .expect("telemetry survives the abort");
-    assert_eq!(t.rounds, CAP, "every capped round must be recorded");
+        .trace
+        .expect("the trace survives the abort");
+    assert_eq!(
+        trace.reconstruct_metrics().rounds,
+        CAP,
+        "every capped round must be recorded"
+    );
+    let path = dump_flight(
+        &trace,
+        run_id,
+        &err.to_string(),
+        sim.fault_events(),
+        sim.churn_events(),
+    )
+    .unwrap_or_else(|e| panic!("flight dump could not be written: {e}"));
 
-    let path = std::path::PathBuf::from(report_dir()).join(format!("flightrec_{run_id}.json"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("flight dump missing at {}: {e}", path.display()));
     let doc = parse(&text).expect("flight dump must be valid JSON");
@@ -177,7 +157,8 @@ fn force_failure() {
         Some(Json::Arr(frames)) => frames,
         other => panic!("dump frames must be an array, got {other:?}"),
     };
-    assert_eq!(frames.len(), FLIGHT, "ring keeps exactly the last K rounds");
+    let window = (CAP as usize + 1).min(FLIGHT_ROUNDS);
+    assert_eq!(frames.len(), window, "the dump keeps the trace's tail");
     // Each frame is one flat round record: deltas and gauges side by side.
     assert!(
         frames
@@ -193,7 +174,7 @@ fn force_failure() {
     let last = num(frames.last().expect("non-empty"), "round");
     assert_eq!(
         (first, last),
-        (CAP - (FLIGHT as u64 - 1), CAP),
+        (CAP + 1 - window as u64, CAP),
         "retained window must end at the final executed round"
     );
 
@@ -207,7 +188,10 @@ fn force_failure() {
             num(f, "staged_sends").to_string(),
         ]);
     }
-    println!("flight-recorder dump parsed back clean: last {FLIGHT} of {CAP} rounds retained");
+    println!(
+        "flight dump parsed back clean: {window} of {} executed rounds retained",
+        CAP + 1
+    );
 }
 
 fn main() {

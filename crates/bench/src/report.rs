@@ -15,9 +15,7 @@
 //! validator can check *files on disk* — what CI consumes — rather than
 //! in-memory values that never saw the encoder.
 
-use amt_congest::{
-    Metrics, PhaseTimings, RecoveryTimeline, RunTelemetry, RunTrace, TrafficProfile,
-};
+use amt_congest::{Metrics, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TrafficProfile};
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -29,7 +27,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// `phase_timings` and `timelines`, plus per-run traffic-class totals
 /// (`profiles`, [`Report::profile`]), recovery-SLO summaries of a
 /// [`RecoveryTimeline`] (`recovery`, [`Report::recovery`]) and the
-/// execution-health counters of a [`RunTelemetry`] (`telemetry`,
+/// execution-health counters folded from a [`RunTrace`] (`telemetry`,
 /// [`Report::telemetry`]). A timeline that recorded snapshots carries a
 /// `final_snapshot_round` that must equal its `rounds`. No other top-level
 /// key is allowed.
@@ -812,22 +810,26 @@ impl Report {
         ));
     }
 
-    /// Records a named [`RunTelemetry`] as execution-health counters (the
-    /// `telemetry` section, schema version 5). Logical counters only — per
-    /// the telemetry contract they are visit-order-invariant, so the
-    /// regression gate compares exact integers.
-    pub fn telemetry(&mut self, name: &str, t: &RunTelemetry) {
+    /// Records the execution-health counters of a named run's trace (the
+    /// `telemetry` section, schema version 5): the last round, the work
+    /// totals (the sums of `active_nodes` and `staged_sends`) and the gauge
+    /// high-water marks ([`RunTrace::high_water`]). Logical counters only —
+    /// the gauges are visit-order-invariant, so the regression gate
+    /// compares exact integers.
+    pub fn telemetry(&mut self, name: &str, trace: &RunTrace) {
+        let total = |f: fn(&RoundSample) -> u64| trace.samples.iter().map(f).sum::<u64>();
+        let hwm = trace.high_water();
         self.telemetry.push((
             name.to_string(),
             Json::Obj(vec![
-                ("rounds".into(), t.rounds.into()),
-                ("nodes_stepped".into(), t.nodes_stepped.into()),
-                ("messages_staged".into(), t.messages_staged.into()),
-                ("active_nodes_hwm".into(), t.hwm.active_nodes.into()),
-                ("inbox_queued_hwm".into(), t.hwm.inbox_queued.into()),
-                ("staged_sends_hwm".into(), t.hwm.staged_sends.into()),
-                ("wake_queue_hwm".into(), t.hwm.wake_queue.into()),
-                ("arena_bytes_hwm".into(), t.hwm.arena_bytes.into()),
+                ("rounds".into(), trace.reconstruct_metrics().rounds.into()),
+                ("nodes_stepped".into(), total(|s| s.active_nodes).into()),
+                ("messages_staged".into(), total(|s| s.staged_sends).into()),
+                ("active_nodes_hwm".into(), hwm.active_nodes.into()),
+                ("inbox_queued_hwm".into(), hwm.inbox_queued.into()),
+                ("staged_sends_hwm".into(), hwm.staged_sends.into()),
+                ("wake_queue_hwm".into(), hwm.wake_queue.into()),
+                ("arena_bytes_hwm".into(), hwm.arena_bytes.into()),
             ]),
         ));
     }
@@ -988,20 +990,20 @@ mod tests {
         tl.record_recovery(10);
         tl.record_damage(20);
         r.recovery("run", &tl);
-        let telemetry = RunTelemetry {
-            rounds: 10,
-            hwm: amt_congest::GaugeHighWater {
-                active_nodes: 64,
-                inbox_queued: 32,
-                staged_sends: 48,
-                wake_queue: 4,
-                arena_bytes: 4096,
-            },
-            nodes_stepped: 64,
-            messages_staged: 40,
-            ..RunTelemetry::default()
+        let gauges = |round, active_nodes, staged_sends, arena_bytes| amt_congest::RoundSample {
+            round,
+            active_nodes,
+            inbox_queued: 32,
+            staged_sends,
+            wake_queue: 4,
+            arena_bytes,
+            ..Default::default()
         };
-        r.telemetry("run", &telemetry);
+        let gauge_trace = RunTrace {
+            samples: vec![gauges(9, 40, 25, 4096), gauges(10, 24, 15, 100)],
+            ..RunTrace::default()
+        };
+        r.telemetry("run", &gauge_trace);
         r
     }
 
@@ -1049,7 +1051,9 @@ mod tests {
             .get("telemetry")
             .and_then(|t| t.get("run"))
             .expect("telemetry section survives the round trip");
+        assert_eq!(tel.get("rounds"), Some(&Json::Num(10.0)));
         assert_eq!(tel.get("nodes_stepped"), Some(&Json::Num(64.0)));
+        assert_eq!(tel.get("active_nodes_hwm"), Some(&Json::Num(40.0)));
         assert_eq!(tel.get("messages_staged"), Some(&Json::Num(40.0)));
         assert_eq!(tel.get("arena_bytes_hwm"), Some(&Json::Num(4096.0)));
         let snap = parsed

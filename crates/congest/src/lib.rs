@@ -25,25 +25,22 @@
 //!   crash-*restart* with state loss ([`Protocol::on_restart`]) — the
 //!   sustained-damage counterpart to the fault layer's one-shot failures.
 //!   Protocols observe link state through [`Ctx::link_up`].
-//! * [`trace`] — opt-in round-level observability ([`RunTrace`]): the
-//!   per-round history of [`RoundSample`] records (deliveries, faults and
-//!   engine gauges), protocol-emitted span events ([`Ctx::trace_event`]),
-//!   striding per-edge load snapshots, and the wall-clock [`PhaseTimings`]
-//!   type shared by the protocol crates. Disabled by default with zero
-//!   overhead; enabling it never changes `Metrics` or protocol outputs.
+//! * [`trace`] — opt-in round-level observability ([`RunTrace`]), the one
+//!   record of a run's rounds: the per-round history of [`RoundSample`]
+//!   records (deliveries, faults and engine gauges: nodes stepped, inbox /
+//!   staged-send / wake-queue depth, arena bytes), protocol-emitted span
+//!   events ([`Ctx::trace_event`]), striding per-edge load snapshots, and
+//!   the wall-clock [`PhaseTimings`] type shared by the protocol crates.
+//!   Run-wide gauge high-water marks ([`RunTrace::high_water`]) and the
+//!   post-mortem dump of the last [`FLIGHT_ROUNDS`] rounds ([`dump_flight`])
+//!   are folds over that history. Disabled by default with zero overhead;
+//!   enabling it never changes `Metrics` or protocol outputs.
 //! * [`profile`] — opt-in traffic-class attribution ([`TrafficProfile`]):
 //!   every delivery is tagged with a [`TrafficClass`] (protocol default or
 //!   per-send via [`Ctx::send_classed`]) and aggregated per `(class, round)`
 //!   and `(class, edge)`, with hot-edge analysis ([`CongestionProfile`]).
 //!   Same zero-cost-when-off contract as [`trace`]; per-class totals sum
 //!   exactly to the run's [`Metrics`] and per-edge loads.
-//! * [`telemetry`] — opt-in runtime-execution health ([`RunTelemetry`]),
-//!   folded from the same round records: gauge high-water marks (nodes
-//!   stepped, inbox / staged-send / wake-queue depth, arena bytes), run
-//!   work totals, a fixed-capacity flight recorder holding the last K
-//!   rounds (dumped to `flightrec_<id>.json` when a run errors), and an
-//!   optional NDJSON live-stream sink with one line per round. Every counter is visit-order-invariant. Same
-//!   zero-cost-when-off contract as [`trace`].
 //!
 //! Determinism: every node owns a private RNG stream derived from
 //! `(run seed, node id)` and handed to protocols through [`Ctx::rng`], and
@@ -65,7 +62,6 @@ pub mod observe;
 pub mod oracle;
 pub mod primitives;
 pub mod profile;
-pub mod telemetry;
 pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EdgeOutage, RestartEvent};
@@ -79,11 +75,9 @@ pub use profile::{
     class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, TrafficClass, TrafficProfile,
 };
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
-pub use telemetry::{
-    dump_flight, render_flight_dump, FlightRecorder, GaugeHighWater, RunTelemetry, TelemetryConfig,
-};
 pub use trace::{
-    Distribution, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceConfig, TraceEvent,
+    dump_flight, Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample,
+    RunTrace, TraceConfig, TraceEvent, FLIGHT_ROUNDS,
 };
 
 /// Result alias for simulator operations.

@@ -1,12 +1,14 @@
 //! One observation pipeline for the round engine.
 //!
-//! A run is observed by up to three layers — the round timeline
-//! ([`crate::trace`]), traffic-class attribution ([`crate::profile`]) and
-//! execution health ([`crate::telemetry`]). They are requested together
-//! with one [`Observe`] value ([`crate::Simulator::with_observe`]), fed by
-//! one recorder inside the engine, and handed back together as one
-//! [`Observed`] ([`crate::Simulator::take_observed`]). Drivers that chain
-//! several simulator runs fold them with [`ObservedRuns`].
+//! A run is observed by up to two layers — the round timeline
+//! ([`crate::trace`]) and traffic-class attribution ([`crate::profile`]).
+//! The trace is the one record of the run's rounds: gauge high-water
+//! marks, work totals and the post-mortem dump are folds over it. The
+//! layers are requested together with one [`Observe`] value
+//! ([`crate::Simulator::with_observe`]), fed by one recorder inside the
+//! engine, and handed back together as one [`Observed`]
+//! ([`crate::Simulator::take_observed`]). Drivers that chain several
+//! simulator runs fold them with [`ObservedRuns`].
 //!
 //! Every layer shares one contract: off (the default) costs a branch per
 //! hook and leaves the execution path byte-identical; on, it never changes
@@ -14,12 +16,11 @@
 //! another layer's record.
 
 use crate::profile::{ProfileConfig, TrafficClass, TrafficProfile};
-use crate::telemetry::{RunTelemetry, TelemetryConfig, TelemetryState};
 use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
 use crate::Metrics;
 
 /// Which observation layers record the runs of a [`crate::Simulator`];
-/// `None` leaves a layer off (the default for all three).
+/// `None` leaves a layer off (the default for both).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Observe {
     /// Round timeline (one record per round: deliveries, faults and engine
@@ -27,9 +28,6 @@ pub struct Observe {
     pub trace: Option<TraceConfig>,
     /// Per-traffic-class delivery attribution.
     pub profile: Option<ProfileConfig>,
-    /// Gauge high-water marks, run work totals, the flight recorder, and
-    /// the NDJSON stream.
-    pub telemetry: Option<TelemetryConfig>,
 }
 
 /// What the observation layers recorded over one run; a layer that was off
@@ -41,15 +39,12 @@ pub struct Observed {
     pub trace: Option<RunTrace>,
     /// The traffic-class profile.
     pub profile: Option<TrafficProfile>,
-    /// The execution-health record.
-    pub telemetry: Option<RunTelemetry>,
 }
 
 /// Observations folded across the runs of a multi-run driver (per-phase or
 /// per-epoch simulators): every run's trace in run order, and one profile
 /// whose timeline shifts each run by the rounds elapsed before it, so its
-/// totals match the driver's accumulated [`Metrics`]. Telemetry is per run
-/// and not folded.
+/// totals match the driver's accumulated [`Metrics`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObservedRuns {
     /// One trace per traced run, in run order.
@@ -78,7 +73,6 @@ impl ObservedRuns {
 pub(crate) struct Recorder {
     trace: Option<RunTrace>,
     profile: Option<TrafficProfile>,
-    telemetry: Option<TelemetryState>,
     /// The record of the round being recorded, and the metrics at its
     /// start: deliveries are stamped with its round, its gauges are filled
     /// at the step, and its deltas against the start when it closes.
@@ -95,21 +89,15 @@ impl Recorder {
                 ..RunTrace::default()
             }),
             profile: observe.profile.map(|_| TrafficProfile::new(edges)),
-            telemetry: observe.telemetry.clone().map(TelemetryState::new),
             sample: RoundSample::default(),
             start: Metrics::default(),
         }
     }
 
-    /// Whether protocol span events are recorded.
-    pub(crate) fn records_events(&self) -> bool {
+    /// Whether the trace is on: span events, engine gauges and the round
+    /// record are kept only then.
+    pub(crate) fn traces(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Whether engine gauges are recorded: the round record is kept by
-    /// the trace, by telemetry, or by both.
-    pub(crate) fn records_gauges(&self) -> bool {
-        self.trace.is_some() || self.telemetry.is_some()
     }
 
     /// Opens `round`, before any of its crashes or deliveries are counted.
@@ -129,7 +117,7 @@ impl Recorder {
     }
 
     /// The round's record, for the engine to fill its gauge fields at the
-    /// step's sampling point (only when [`Recorder::records_gauges`]).
+    /// step's sampling point (only when [`Recorder::traces`]).
     pub(crate) fn gauges(&mut self) -> &mut RoundSample {
         &mut self.sample
     }
@@ -145,9 +133,8 @@ impl Recorder {
     }
 
     /// Closes the round: fills the record's deltas, `nodes_down` and
-    /// `active_nodes` (nodes stepped) and hands the same record to the
-    /// trace and to telemetry. `nodes_down` is only evaluated when one of
-    /// them is on.
+    /// `active_nodes` (nodes stepped) and appends it to the trace.
+    /// `nodes_down` is only evaluated when the trace is on.
     pub(crate) fn end_round(
         &mut self,
         metrics: Metrics,
@@ -155,9 +142,9 @@ impl Recorder {
         active_nodes: u64,
         edge_load: &[u64],
     ) {
-        if !self.records_gauges() {
+        let Some(t) = self.trace.as_mut() else {
             return;
-        }
+        };
         let s = &self.start;
         let sample = RoundSample {
             messages: metrics.messages - s.messages,
@@ -174,18 +161,13 @@ impl Recorder {
             ..self.sample
         };
         let round = sample.round;
-        if let Some(t) = self.trace.as_mut() {
-            t.samples.push(sample);
-            let stride = t.edge_load_stride;
-            if stride > 0 && round.is_multiple_of(stride) {
-                t.snapshots.push(EdgeLoadSnapshot {
-                    round,
-                    load: edge_load.to_vec(),
-                });
-            }
-        }
-        if let Some(ts) = self.telemetry.as_mut() {
-            ts.record_round(sample);
+        t.samples.push(sample);
+        let stride = t.edge_load_stride;
+        if stride > 0 && round.is_multiple_of(stride) {
+            t.snapshots.push(EdgeLoadSnapshot {
+                round,
+                load: edge_load.to_vec(),
+            });
         }
     }
 
@@ -207,13 +189,12 @@ impl Recorder {
         }
     }
 
-    /// Everything recorded, including after an aborted run: the flight
-    /// recorder's last rounds are the post-mortem.
+    /// Everything recorded, including after an aborted run: the trace's
+    /// last rounds are the post-mortem ([`crate::trace::dump_flight`]).
     pub(crate) fn finish(self) -> Observed {
         Observed {
             trace: self.trace,
             profile: self.profile,
-            telemetry: self.telemetry.map(TelemetryState::finish),
         }
     }
 }

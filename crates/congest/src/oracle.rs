@@ -60,7 +60,6 @@ fn observe<P: Protocol, T>(
     let mut sim = sim.with_observe(Observe {
         trace: Some(TraceConfig::default().with_edge_load_stride(3)),
         profile: Some(ProfileConfig::default()),
-        telemetry: None,
     });
     let cfg = cfg.with_full_sweep(full_sweep);
     let result = if reverse {

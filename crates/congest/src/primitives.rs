@@ -47,6 +47,16 @@ impl Protocol for Flood {
     }
 }
 
+/// One [`Flood`] per node, with `value` at `source`.
+fn flood_fleet(g: &Graph, source: NodeId, value: u64) -> Vec<Flood> {
+    g.nodes()
+        .map(|v| Flood {
+            value: (v == source).then_some(value),
+            fresh: v == source,
+        })
+        .collect()
+}
+
 /// Floods `value` from `source` to all nodes.
 ///
 /// Returns the per-node learned values (all equal to `value` on a connected
@@ -58,14 +68,7 @@ pub fn broadcast(
     value: u64,
     seed: u64,
 ) -> Result<(Vec<Option<u64>>, Metrics)> {
-    let nodes = g
-        .nodes()
-        .map(|v| Flood {
-            value: (v == source).then_some(value),
-            fresh: v == source,
-        })
-        .collect();
-    let mut sim = Simulator::new(g, nodes, seed)?;
+    let mut sim = Simulator::new(g, flood_fleet(g, source, value), seed)?;
     let metrics = sim.run(&RunConfig::default())?;
     Ok((sim.nodes().iter().map(|p| p.value).collect(), metrics))
 }
@@ -167,10 +170,9 @@ impl Protocol for BfsNode {
     }
 }
 
-/// Builds a BFS tree from `root` distributedly (≈ eccentricity + 1 rounds).
-pub fn build_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Result<(DistBfsTree, Metrics)> {
-    let nodes = g
-        .nodes()
+/// One [`BfsNode`] per node, rooted at `root`.
+fn bfs_fleet(g: &Graph, root: NodeId) -> Vec<BfsNode> {
+    g.nodes()
         .map(|v| BfsNode {
             is_root: v == root,
             depth: None,
@@ -178,8 +180,12 @@ pub fn build_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Result<(DistBfsTree
             child_ports: Vec::new(),
             fresh: false,
         })
-        .collect();
-    let mut sim = Simulator::new(g, nodes, seed)?;
+        .collect()
+}
+
+/// Builds a BFS tree from `root` distributedly (≈ eccentricity + 1 rounds).
+pub fn build_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Result<(DistBfsTree, Metrics)> {
+    let mut sim = Simulator::new(g, bfs_fleet(g, root), seed)?;
     let metrics = sim.run(&RunConfig::default())?;
     let parent: Vec<Option<NodeId>> = sim
         .nodes()
@@ -1045,6 +1051,40 @@ mod tests {
                 assert!(port_back, "parent {p:?} must list {v:?} as child");
             }
         }
+    }
+
+    /// Puts a flood and a BFS-tree construction from node 0 through the
+    /// engine-equivalence oracle and checks their outputs against the
+    /// centralized BFS distances.
+    fn assert_flood_and_bfs_agree(g: &Graph) {
+        let cfg = RunConfig::default();
+        let flood = crate::oracle::assert_engines_agree(
+            || Simulator::new(g, flood_fleet(g, NodeId(0), 99), 1).unwrap(),
+            &cfg,
+            |p| p.value,
+        );
+        assert!(flood.outputs.iter().all(|&v| v == Some(99)));
+        let bfs = crate::oracle::assert_engines_agree(
+            || Simulator::new(g, bfs_fleet(g, NodeId(0)), 2).unwrap(),
+            &cfg,
+            |p| (p.depth, p.parent_port, p.child_ports.clone()),
+        );
+        let dist = amt_graphs::traversal::bfs_distances(g, NodeId(0));
+        let depths: Vec<u32> = bfs.outputs.iter().map(|o| o.0.unwrap()).collect();
+        assert_eq!(depths, dist);
+    }
+
+    #[test]
+    fn flood_and_bfs_agree_across_engines_on_a_random_graph() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let g = generators::connected_erdos_renyi(48, 0.1, 50, &mut rng).unwrap();
+        assert_flood_and_bfs_agree(&g);
+    }
+
+    #[test]
+    fn flood_and_bfs_agree_across_engines_on_a_path() {
+        assert_flood_and_bfs_agree(&path(40));
     }
 
     #[test]

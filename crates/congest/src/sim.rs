@@ -1109,7 +1109,7 @@ where
     let check = cfg!(debug_assertions) && P::SPARSE_AWARE && !wk.sparse;
     // The stepper records exactly the observations the recorder wants (and
     // the span events the contract check must see).
-    out.events = (rec.records_events() || check).then(Vec::new);
+    out.events = (rec.traces() || check).then(Vec::new);
     let mut metrics = Metrics::default();
     let mut result: Result<Metrics> = Err(CongestError::RoundLimitExceeded {
         max_rounds: cfg.max_rounds,
@@ -1211,7 +1211,7 @@ where
         // so every depth below is the round's true occupancy. All logical
         // (element counts, not allocator capacities) — identical across
         // visit orders, and across engines except `wake_queue`.
-        if rec.records_gauges() {
+        if rec.traces() {
             let g = rec.gauges();
             g.inbox_queued = cur.slab.len() as u64;
             g.staged_sends = out.slab.len() as u64;
@@ -1433,17 +1433,13 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         })
     }
 
-    /// Sets which observation layers — trace, profile, telemetry — record
-    /// every subsequent [`Self::run`] (see [`crate::observe`]).
+    /// Sets which observation layers — trace, profile — record every
+    /// subsequent [`Self::run`] (see [`crate::observe`]).
     ///
     /// Recording never changes observable behavior: `Metrics`, protocol
     /// state, RNG streams, and the fault and churn logs are byte-identical
     /// with any subset of the layers on, and each layer's record is the
-    /// same whichever others are on, on every execution path. When a run
-    /// with telemetry ends in an error the flight recorder is dumped to
-    /// `experiments_out/flightrec_<run_id>.json` (see
-    /// [`crate::telemetry::dump_flight`]); call
-    /// [`Self::dump_flight_recorder`] for degraded-but-successful outcomes.
+    /// same whichever others are on, on every execution path.
     pub fn with_observe(mut self, observe: Observe) -> Self {
         self.observe = observe;
         self
@@ -1451,31 +1447,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Takes what the observation layers recorded in the most recent
     /// [`Self::run`]. A run aborted by an error keeps what was recorded up
-    /// to the abort.
+    /// to the abort: its trace's tail is the post-mortem
+    /// ([`crate::trace::dump_flight`]).
     pub fn take_observed(&mut self) -> Observed {
         std::mem::take(&mut self.observed)
-    }
-
-    /// Dumps the most recent run's flight recorder (last K rounds plus the
-    /// in-window fault/churn events) to
-    /// `<AMT_REPORT_DIR|experiments_out>/flightrec_<run_id>.json`, returning
-    /// the path. For *degraded* outcomes the simulator cannot judge —
-    /// errored runs dump automatically. `None` if telemetry was off (or the
-    /// dump could not be written; a failed dump never raises).
-    pub fn dump_flight_recorder(&self, reason: &str) -> Option<std::path::PathBuf> {
-        let telemetry = self.observed.telemetry.as_ref()?;
-        let run_id = self
-            .observe
-            .telemetry
-            .as_ref()
-            .map_or("run", |tc| tc.run_id.as_str());
-        crate::telemetry::dump_flight(
-            telemetry,
-            run_id,
-            reason,
-            &self.fault_events,
-            &self.churn_events,
-        )
     }
 
     /// Attaches a [`FaultPlan`] to apply on every subsequent [`Self::run`].
@@ -1577,15 +1552,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let result = self.run_planned(cfg, fault_plan.as_ref(), churn_plan.as_ref(), reverse_visit);
         self.fault_plan = fault_plan;
         self.churn_plan = churn_plan;
-        // A telemetry-enabled run that dies takes its post-mortem with it:
-        // the flight recorder's final K rounds, dumped where the report
-        // artifacts go. Dump failures are swallowed — the run's own error
-        // is the story.
-        if let Err(e) = &result {
-            if self.observed.telemetry.is_some() {
-                self.dump_flight_recorder(&format!("{e}"));
-            }
-        }
         result
     }
 
@@ -1735,7 +1701,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObservedRuns, ProfileConfig, RunTrace, TelemetryConfig, TraceConfig};
+    use crate::{ObservedRuns, ProfileConfig, RunTrace, TraceConfig};
     use amt_graphs::EdgeId;
     use rand::RngExt;
 
@@ -2448,56 +2414,62 @@ mod tests {
         assert_eq!(a.max_edge_congestion, m_profiled.max_edge_congestion);
     }
 
-    /// Telemetry honours the same contract as tracing and profiling: off by
-    /// default, and enabling it perturbs no observable — while its own
-    /// logical counters reconcile exactly with the run it watched.
+    /// The trace's engine gauges honour the observers' contract: turning
+    /// the trace on perturbs no observable in either visit order, the
+    /// per-round records (gauges included) are the same in both orders, and
+    /// the gauges reconcile with the run they watched.
     #[test]
-    fn telemetry_is_observably_free() {
+    fn traced_gauges_are_observably_free_and_visit_order_invariant() {
         let g = amt_graphs::generators::hypercube(5);
         let cfg = RunConfig::default();
-        let mut plain = Simulator::new(&g, walker_fleet(32), 77).unwrap();
-        let m_plain = plain.run(&cfg).unwrap();
-        assert!(
-            plain.take_observed().telemetry.is_none(),
-            "telemetry is off by default"
-        );
-
-        let mut watched = Simulator::new(&g, walker_fleet(32), 77)
-            .unwrap()
-            .with_observe(Observe {
-                telemetry: Some(TelemetryConfig::default()),
-                ..Observe::default()
-            });
-        let m_watched = watched.run(&cfg).unwrap();
-        assert_eq!(m_plain, m_watched, "telemetry changed metrics");
-        let s_plain: Vec<u64> = plain.nodes().iter().map(|p| p.trace).collect();
-        let s_watched: Vec<u64> = watched.nodes().iter().map(|p| p.trace).collect();
-        assert_eq!(s_plain, s_watched, "telemetry changed protocol state");
-        assert_eq!(plain.edge_load(), watched.edge_load());
-
-        let t = watched
-            .take_observed()
-            .telemetry
-            .expect("telemetry was enabled");
-        assert_eq!(t.rounds, m_watched.rounds);
-        // Every round stepped at least the nodes that did work, and the
-        // staging total reconciles with the message total.
-        assert!(t.nodes_stepped > 0);
-        assert_eq!(
-            t.messages_staged, m_watched.messages,
-            "staged sends must sum to the run's messages"
-        );
-        assert_eq!(
-            t.recent.len() as u64,
-            (m_watched.rounds + 1).min(t.recent.capacity() as u64),
-            "flight recorder retains one frame per round"
-        );
-        assert_eq!(
-            t.recent.frames().last().map(|f| f.round),
-            Some(m_watched.rounds),
-            "flight recorder ends at the final round"
-        );
-        assert!(t.hwm.active_nodes >= 1);
+        let run = |reverse: bool, traced: bool| {
+            let mut sim = Simulator::new(&g, walker_fleet(32), 77).unwrap();
+            if traced {
+                sim = sim.with_observe(Observe {
+                    trace: Some(TraceConfig::default()),
+                    ..Observe::default()
+                });
+            }
+            let m = if reverse {
+                sim.run_reverse_visit(&cfg)
+            } else {
+                sim.run(&cfg)
+            }
+            .unwrap();
+            let state: Vec<u64> = sim.nodes().iter().map(|p| p.trace).collect();
+            (
+                m,
+                state,
+                sim.edge_load().to_vec(),
+                sim.take_observed().trace,
+            )
+        };
+        let (m_plain, s_plain, load_plain, none) = run(false, false);
+        assert!(none.is_none(), "tracing is off by default");
+        let mut expected = None;
+        for reverse in [false, true] {
+            let (m, state, load, trace) = run(reverse, true);
+            assert_eq!(
+                (&m, &state, &load),
+                (&m_plain, &s_plain, &load_plain),
+                "reverse {reverse}: tracing perturbed the run"
+            );
+            let samples = trace.expect("tracing was enabled").samples;
+            assert_eq!(samples.len() as u64, m.rounds + 1);
+            // Every round stepped at least the nodes that did work, and the
+            // staging total reconciles with the message total.
+            assert!(samples.iter().any(|s| s.active_nodes > 0));
+            assert_eq!(
+                samples.iter().map(|s| s.staged_sends).sum::<u64>(),
+                m.messages,
+                "staged sends must sum to the run's messages"
+            );
+            let first = expected.get_or_insert_with(|| samples.clone());
+            assert_eq!(
+                &samples, first,
+                "reverse {reverse}: per-round records diverged"
+            );
+        }
     }
 
     /// [`ObservedRuns`] keeps every run's trace in order and folds the
@@ -2509,7 +2481,6 @@ mod tests {
         let observe = Observe {
             trace: Some(TraceConfig::default()),
             profile: Some(ProfileConfig::default()),
-            telemetry: None,
         };
         let run = || {
             let mut sim = Simulator::new(&g, walker_fleet(16), 5)

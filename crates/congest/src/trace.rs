@@ -7,6 +7,14 @@
 //! ([`crate::Ctx::trace_event`]), optional cumulative per-edge load
 //! snapshots at a configurable stride, and the final per-edge load vector.
 //!
+//! The trace is the one record of a run's rounds. Everything else said
+//! about them is a fold over [`RunTrace::samples`]: the run's `Metrics`
+//! ([`RunTrace::reconstruct_metrics`]), the gauges' high-water marks
+//! ([`RunTrace::high_water`]), the work totals (the sums of `active_nodes`
+//! and `staged_sends`), and the post-mortem dump of the last
+//! [`FLIGHT_ROUNDS`] rounds ([`dump_flight`]), written on request — an
+//! aborted run keeps its trace up to the abort.
+//!
 //! # Contract
 //!
 //! * **Disabled by default, zero overhead.** Tracing is off unless
@@ -20,8 +28,9 @@
 //!   `Metrics` exactly — see [`RunTrace::reconstruct_metrics`], which tests
 //!   use to cross-check the simulator's own accounting.
 
-use crate::Metrics;
+use crate::{ChurnEvent, FaultEvent, Metrics};
 use amt_graphs::NodeId;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// What a [`RunTrace`] should record ([`crate::Observe::trace`]).
@@ -42,8 +51,8 @@ impl TraceConfig {
 }
 
 /// The record of one executed round: its deliveries and faults (deltas)
-/// and the engine's gauges. The trace keeps one per round; telemetry folds
-/// the same value into its high-water marks, flight recorder and stream.
+/// and the engine's gauges. The trace keeps one per round; high-water
+/// marks, work totals and the post-mortem dump are folds over them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundSample {
     /// The round number (0 is the `init` round).
@@ -89,6 +98,22 @@ pub struct RoundSample {
     pub wake_queue: u64,
     /// **Gauge**: bytes logically held by the message arenas this round
     /// (element counts × element sizes; allocator-independent).
+    pub arena_bytes: u64,
+}
+
+/// High-water marks of the per-round gauges over a whole run
+/// ([`RunTrace::high_water`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GaugeHighWater {
+    /// Peak nodes stepped in one round.
+    pub active_nodes: u64,
+    /// Peak inbox-slab depth (messages).
+    pub inbox_queued: u64,
+    /// Peak staged-send depth (messages).
+    pub staged_sends: u64,
+    /// Peak wake-queue depth (pending timers).
+    pub wake_queue: u64,
+    /// Peak logical arena bytes.
     pub arena_bytes: u64,
 }
 
@@ -162,6 +187,20 @@ impl RunTrace {
         m
     }
 
+    /// The run-wide maximum of every engine gauge: the field-wise max over
+    /// [`RunTrace::samples`] (all zero for an empty trace).
+    pub fn high_water(&self) -> GaugeHighWater {
+        let mut h = GaugeHighWater::default();
+        for s in &self.samples {
+            h.active_nodes = h.active_nodes.max(s.active_nodes);
+            h.inbox_queued = h.inbox_queued.max(s.inbox_queued);
+            h.staged_sends = h.staged_sends.max(s.staged_sends);
+            h.wake_queue = h.wake_queue.max(s.wake_queue);
+            h.arena_bytes = h.arena_bytes.max(s.arena_bytes);
+        }
+        h
+    }
+
     /// Per-round availability: for each recorded round, the fraction of `n`
     /// nodes that were up (1.0 when nothing was down). Empty for an empty
     /// trace or `n == 0`.
@@ -193,6 +232,168 @@ impl RunTrace {
         }
         self
     }
+}
+
+// ---------------------------------------------------------------------------
+// Post-mortem dump: the trace's tail as JSON (hand-rolled: this crate has no
+// serde and must not depend on amt-bench, which depends on it)
+// ---------------------------------------------------------------------------
+
+/// Rounds a post-mortem dump keeps: the last `FLIGHT_ROUNDS` samples of
+/// the trace ([`dump_flight`]).
+pub const FLIGHT_ROUNDS: usize = 64;
+
+fn json_escape(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn push_kv(out: &mut String, first: &mut bool, key: &str, value: impl std::fmt::Display) {
+    if !*first {
+        out.push(',');
+    }
+    *first = false;
+    json_escape(out, key);
+    out.push(':');
+    out.push_str(&value.to_string());
+}
+
+/// One round's record as a flat JSON object: a post-mortem dump frame.
+fn record_object(s: &RoundSample) -> String {
+    let mut out = String::from("{");
+    let mut first = true;
+    push_kv(&mut out, &mut first, "round", s.round);
+    push_kv(&mut out, &mut first, "messages", s.messages);
+    push_kv(&mut out, &mut first, "bits", s.bits);
+    push_kv(&mut out, &mut first, "dropped", s.dropped);
+    push_kv(&mut out, &mut first, "corrupted", s.corrupted);
+    push_kv(&mut out, &mut first, "delayed", s.delayed);
+    push_kv(&mut out, &mut first, "lost_to_crash", s.lost_to_crash);
+    push_kv(&mut out, &mut first, "crashed", s.crashed);
+    push_kv(&mut out, &mut first, "lost_to_churn", s.lost_to_churn);
+    push_kv(&mut out, &mut first, "restarts", s.restarts);
+    push_kv(&mut out, &mut first, "nodes_down", s.nodes_down);
+    push_kv(&mut out, &mut first, "active_nodes", s.active_nodes);
+    push_kv(&mut out, &mut first, "inbox_queued", s.inbox_queued);
+    push_kv(&mut out, &mut first, "staged_sends", s.staged_sends);
+    push_kv(&mut out, &mut first, "wake_queue", s.wake_queue);
+    push_kv(&mut out, &mut first, "arena_bytes", s.arena_bytes);
+    out.push('}');
+    out
+}
+
+/// Renders a post-mortem dump document: run identity, the last
+/// [`FLIGHT_ROUNDS`] samples of `trace` (oldest first), and the fault/churn
+/// events that fall inside that round window. Standard JSON, parseable by
+/// any JSON parser (CI checks it with the report parser).
+fn render_flight_dump(
+    trace: &RunTrace,
+    run_id: &str,
+    reason: &str,
+    fault_events: &[FaultEvent],
+    churn_events: &[ChurnEvent],
+) -> String {
+    let frames = &trace.samples[trace.samples.len().saturating_sub(FLIGHT_ROUNDS)..];
+    let oldest = frames.first().map_or(0, |f| f.round);
+    let mut out = String::from("{");
+    json_escape(&mut out, "run_id");
+    out.push(':');
+    json_escape(&mut out, run_id);
+    out.push(',');
+    json_escape(&mut out, "reason");
+    out.push(':');
+    json_escape(&mut out, reason);
+    let mut first = false;
+    push_kv(
+        &mut out,
+        &mut first,
+        "rounds",
+        trace.reconstruct_metrics().rounds,
+    );
+    push_kv(&mut out, &mut first, "capacity", FLIGHT_ROUNDS);
+    push_kv(&mut out, &mut first, "retained", frames.len());
+    push_kv(&mut out, &mut first, "oldest_round", oldest);
+    out.push_str(",\"frames\":[");
+    for (i, f) in frames.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&record_object(f));
+    }
+    out.push_str("],\"fault_events\":[");
+    let mut wrote = false;
+    for e in fault_events.iter().filter(|e| e.round >= oldest) {
+        if wrote {
+            out.push(',');
+        }
+        wrote = true;
+        let mut first = true;
+        out.push('{');
+        push_kv(&mut out, &mut first, "round", e.round);
+        push_kv(&mut out, &mut first, "node", e.node.0);
+        push_kv(&mut out, &mut first, "port", e.port);
+        out.push(',');
+        json_escape(&mut out, "kind");
+        out.push(':');
+        json_escape(&mut out, &format!("{:?}", e.kind));
+        out.push('}');
+    }
+    out.push_str("],\"churn_events\":[");
+    let mut wrote = false;
+    for e in churn_events.iter().filter(|e| e.round >= oldest) {
+        if wrote {
+            out.push(',');
+        }
+        wrote = true;
+        let mut first = true;
+        out.push('{');
+        push_kv(&mut out, &mut first, "round", e.round);
+        out.push(',');
+        json_escape(&mut out, "kind");
+        out.push(':');
+        json_escape(&mut out, &format!("{:?}", e.kind));
+        out.push('}');
+    }
+    out.push_str("]}\n");
+    out
+}
+
+/// Writes the post-mortem of a run — the last [`FLIGHT_ROUNDS`] samples of
+/// its `trace` plus the in-window fault and churn events — to
+/// `<AMT_REPORT_DIR|experiments_out>/flightrec_<run_id>.json` and returns
+/// the path. An aborted run keeps its trace up to the abort
+/// ([`crate::Simulator::take_observed`]), so this is the dump of a run that
+/// died as well as of a degraded one.
+///
+/// # Errors
+///
+/// The I/O error of creating the directory or writing the file.
+pub fn dump_flight(
+    trace: &RunTrace,
+    run_id: &str,
+    reason: &str,
+    fault_events: &[FaultEvent],
+    churn_events: &[ChurnEvent],
+) -> std::io::Result<PathBuf> {
+    let dir = std::env::var("AMT_REPORT_DIR").unwrap_or_else(|_| "experiments_out".into());
+    std::fs::create_dir_all(&dir)?;
+    let path = Path::new(&dir).join(format!("flightrec_{run_id}.json"));
+    let doc = render_flight_dump(trace, run_id, reason, fault_events, churn_events);
+    std::fs::write(&path, doc)?;
+    Ok(path)
 }
 
 /// Order statistics of a per-round series — the round-level detail the
@@ -582,6 +783,105 @@ mod tests {
                 ..s
             }]
         );
+    }
+
+    fn gauge_sample(round: u64) -> RoundSample {
+        RoundSample {
+            round,
+            messages: round,
+            active_nodes: 10 + round,
+            inbox_queued: 5,
+            staged_sends: 7,
+            wake_queue: 3,
+            arena_bytes: 120,
+            ..RoundSample::default()
+        }
+    }
+
+    #[test]
+    fn high_water_is_the_field_wise_max() {
+        let mut samples: Vec<RoundSample> = (0..4).map(gauge_sample).collect();
+        samples[1].wake_queue = 9;
+        samples[2].arena_bytes = 400;
+        let trace = RunTrace {
+            samples,
+            ..RunTrace::default()
+        };
+        assert_eq!(
+            trace.high_water(),
+            GaugeHighWater {
+                active_nodes: 13,
+                inbox_queued: 5,
+                staged_sends: 7,
+                wake_queue: 9,
+                arena_bytes: 400,
+            }
+        );
+        assert_eq!(RunTrace::default().high_water(), GaugeHighWater::default());
+    }
+
+    #[test]
+    fn flight_dump_keeps_the_trace_tail_and_filters_events() {
+        let rounds = FLIGHT_ROUNDS as u64 + 6;
+        let trace = RunTrace {
+            samples: (0..rounds).map(gauge_sample).collect(),
+            ..RunTrace::default()
+        };
+        let oldest = rounds - FLIGHT_ROUNDS as u64;
+        let fault = |round, kind| FaultEvent {
+            round,
+            node: NodeId(1),
+            port: 0,
+            kind,
+        };
+        let faults = vec![
+            // Before the window: filtered out.
+            fault(oldest - 1, crate::FaultKind::Dropped),
+            fault(oldest, crate::FaultKind::Corrupted { delivered: true }),
+        ];
+        let churn = vec![
+            ChurnEvent {
+                round: 2,
+                kind: crate::ChurnKind::NodeDown { node: NodeId(3) },
+            },
+            ChurnEvent {
+                round: rounds - 1,
+                kind: crate::ChurnKind::NodeRejoin { node: NodeId(3) },
+            },
+        ];
+        let doc = render_flight_dump(&trace, "unit", "CongestError: test", &faults, &churn);
+        assert!(doc.starts_with("{\"run_id\":\"unit\",\"reason\":\"CongestError: test\","));
+        assert!(doc.contains(&format!("\"rounds\":{}", rounds - 1)));
+        assert!(doc.contains(&format!("\"capacity\":{FLIGHT_ROUNDS}")));
+        assert!(doc.contains(&format!("\"retained\":{FLIGHT_ROUNDS}")));
+        assert!(doc.contains(&format!("\"oldest_round\":{oldest}")));
+        // Only the in-window events survive.
+        assert!(!doc.contains("Dropped") && doc.contains("Corrupted"));
+        assert!(!doc.contains("NodeDown") && doc.contains("NodeRejoin"));
+        // The frames are the trace's last FLIGHT_ROUNDS samples, oldest first.
+        let frames: Vec<String> = (oldest..rounds)
+            .map(|r| record_object(&gauge_sample(r)))
+            .collect();
+        assert!(doc.contains(&format!("\"frames\":[{}]", frames.join(","))));
+
+        // A run shorter than the window keeps every round.
+        let short = RunTrace {
+            samples: (0..3).map(gauge_sample).collect(),
+            ..RunTrace::default()
+        };
+        let doc = render_flight_dump(&short, "unit", "short", &faults, &[]);
+        assert!(doc.contains("\"retained\":3,\"oldest_round\":0,"));
+        assert!(doc.contains("Dropped"), "every event is in the window");
+    }
+
+    #[test]
+    fn record_object_is_one_flat_object_with_deltas_and_gauges() {
+        let obj = record_object(&gauge_sample(7));
+        assert!(obj.starts_with("{\"round\":7,\"messages\":7,"));
+        assert!(obj.ends_with(",\"arena_bytes\":120}"));
+        assert!(!obj.contains('\n'));
+        assert_eq!(obj.matches('{').count(), 1, "no nested objects");
+        assert!(obj.contains("\"wake_queue\":3"));
     }
 
     #[test]

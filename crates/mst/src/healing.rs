@@ -489,11 +489,7 @@ pub fn run_healing_churned_instrumented(
     let mut crash_rounds: HashMap<u32, u64> = HashMap::new();
     let mut elapsed = 0u64;
     let mut labels_stale = false;
-    let observe = Observe {
-        trace,
-        profile,
-        telemetry: None,
-    };
+    let observe = Observe { trace, profile };
     let mut runs = ObservedRuns::default();
     let mut phase = 0u64;
     let mut timeline = RecoveryTimeline::new();

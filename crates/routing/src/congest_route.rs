@@ -487,11 +487,7 @@ pub fn route_bitfix_churned_instrumented(
     let mut pending: Vec<u32> = (0..requests.len() as u32).collect();
     let mut metrics = Metrics::default();
     let mut timeline = RecoveryTimeline::new();
-    let observe = Observe {
-        trace,
-        profile,
-        telemetry: None,
-    };
+    let observe = Observe { trace, profile };
     let mut runs = ObservedRuns::default();
     let mut rerouted = 0u64;
     let mut elapsed = 0u64;

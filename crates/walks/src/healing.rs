@@ -598,11 +598,7 @@ pub fn run_walks_healing_churned_instrumented(
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
     let mut timeline = RecoveryTimeline::new();
-    let observe = Observe {
-        trace,
-        profile,
-        telemetry: None,
-    };
+    let observe = Observe { trace, profile };
     let mut runs = ObservedRuns::default();
     let mut crashed: Vec<bool> = vec![false; g.len()];
     // Walks still owed an endpoint, re-issued each epoch from the start.

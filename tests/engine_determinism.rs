@@ -6,8 +6,8 @@
 //! where the loss pattern itself is part of the contract.
 
 use amt_core::congest::{
-    class, Ctx, Metrics, Observe, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
-    StopCondition, TelemetryConfig,
+    class, Ctx, Metrics, Observe, ProfileConfig, Protocol, RunConfig, Simulator, StopCondition,
+    TraceConfig,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
@@ -431,13 +431,13 @@ fn profiled_runs_sum_exactly_and_are_identical_under_visit_order_reversal() {
     assert_eq!(lr, loads, "reversed visit: edge loads diverged");
 }
 
-/// Execution-health telemetry on the routing workload: enabling it never
-/// moves an observable bit — metrics and node state are byte-identical to
-/// the telemetry-off run in either visit order — and the layer's own
-/// counters (rounds, work totals, gauge high-water marks) are
-/// visit-order-invariant.
+/// The trace's engine gauges on the routing workload: turning the trace on
+/// never moves an observable bit — metrics and node state are
+/// byte-identical to the untraced run in either visit order — and the
+/// per-round records, gauges included, are the same in both orders (span
+/// events are not: reverse visits emit them in reverse node order).
 #[test]
-fn telemetry_runs_are_identical_under_visit_order_reversal() {
+fn traced_runs_are_identical_under_visit_order_reversal() {
     let dim = 5;
     let n = 1usize << dim;
     let g = generators::hypercube(dim as u32);
@@ -455,11 +455,11 @@ fn telemetry_runs_are_identical_under_visit_order_reversal() {
             })
             .collect::<Vec<_>>()
     };
-    let run = |reverse: bool, telemetry: bool| {
+    let run = |reverse: bool, traced: bool| {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
-        if telemetry {
+        if traced {
             sim = sim.with_observe(Observe {
-                telemetry: Some(TelemetryConfig::default()),
+                trace: Some(TraceConfig::default()),
                 ..Observe::default()
             });
         }
@@ -477,33 +477,32 @@ fn telemetry_runs_are_identical_under_visit_order_reversal() {
             .iter()
             .map(|p| (p.delivered, p.checksum))
             .collect();
-        (m, state, sim.take_observed().telemetry)
+        (m, state, sim.take_observed().trace)
     };
-    let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
     let (m_plain, s_plain, none) = run(false, false);
-    assert!(none.is_none(), "telemetry off must record nothing");
+    assert!(none.is_none(), "trace off must record nothing");
     let mut expected = None;
     for reverse in [false, true] {
-        let (mt, st, tel) = run(reverse, true);
+        let (mt, st, trace) = run(reverse, true);
         assert_eq!(
             (&mt, &st),
             (&m_plain, &s_plain),
-            "reverse {reverse}: telemetry perturbed the run"
+            "reverse {reverse}: tracing perturbed the run"
         );
-        let tel = tel.expect("telemetry was enabled");
-        assert_eq!(tel.messages_staged, mt.messages, "staging sums to messages");
+        let samples = trace.expect("trace was enabled").samples;
         assert_eq!(
-            tel.recent.len() as u64,
-            (tel.rounds + 1).min(tel.recent.capacity() as u64),
+            samples.iter().map(|s| s.staged_sends).sum::<u64>(),
+            mt.messages,
+            "staging sums to messages"
+        );
+        assert_eq!(
+            samples.len() as u64,
+            mt.rounds + 1,
             "one record per executed round"
         );
         match &expected {
-            None => expected = Some(logical(&tel)),
-            Some(e) => assert_eq!(
-                &logical(&tel),
-                e,
-                "reverse {reverse}: telemetry counters diverged"
-            ),
+            None => expected = Some(samples),
+            Some(e) => assert_eq!(&samples, e, "reverse {reverse}: per-round records diverged"),
         }
     }
 }

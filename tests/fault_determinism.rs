@@ -8,8 +8,8 @@
 //! churned bit-fix router.
 
 use amt_core::congest::{
-    Ctx, Metrics, Observe, ProfileConfig, Protocol, RunConfig, RunTelemetry, Simulator,
-    StopCondition, TelemetryConfig, TrafficProfile,
+    Ctx, Metrics, Observe, ProfileConfig, Protocol, RoundSample, RunConfig, Simulator,
+    StopCondition, TraceConfig, TrafficProfile,
 };
 use amt_core::mst::healing::run_healing_churned;
 use amt_core::mst::{run_healing, run_healing_instrumented};
@@ -176,16 +176,16 @@ fn faulty_sim_runs_are_identical_on_repeat_and_reversed_visit() {
     );
 }
 
-/// `chatter_run` with execution-health telemetry attached; additionally
-/// returns the recorded telemetry.
+/// `chatter_run` with the trace attached; additionally returns the
+/// recorded per-round records.
 #[allow(clippy::type_complexity)]
-fn telemetry_chatter_run(
+fn traced_chatter_run(
     g: &Graph,
     plan: &FaultPlan,
     reverse: bool,
 ) -> (
     (Metrics, Vec<FaultEvent>, Vec<NodeId>, Vec<u64>),
-    RunTelemetry,
+    Vec<RoundSample>,
 ) {
     let nodes = (0..g.len())
         .map(|_| Chatter {
@@ -197,7 +197,7 @@ fn telemetry_chatter_run(
         .unwrap()
         .with_fault_plan(plan.clone())
         .with_observe(Observe {
-            telemetry: Some(TelemetryConfig::default()),
+            trace: Some(TraceConfig::default()),
             ..Observe::default()
         });
     let cfg = RunConfig {
@@ -210,10 +210,11 @@ fn telemetry_chatter_run(
         sim.run(&cfg).unwrap()
     };
     let checksums = sim.nodes().iter().map(|c| c.checksum).collect();
-    let telemetry = sim
+    let samples = sim
         .take_observed()
-        .telemetry
-        .expect("telemetry was enabled");
+        .trace
+        .expect("trace was enabled")
+        .samples;
     (
         (
             metrics,
@@ -221,16 +222,16 @@ fn telemetry_chatter_run(
             sim.crashed_nodes(),
             checksums,
         ),
-        telemetry,
+        samples,
     )
 }
 
-/// Telemetry on the faulty path: enabling it never moves a fault verdict,
-/// a metric, or a checksum — the telemetry-on run is byte-identical to the
-/// plain faulty run in either visit order — and the layer's counters are
-/// visit-order-invariant too.
+/// The trace on the faulty path: turning it on never moves a fault
+/// verdict, a metric, or a checksum — the traced run is byte-identical to
+/// the plain faulty run in either visit order — and the per-round records,
+/// gauges included, are visit-order-invariant too.
 #[test]
-fn faulty_telemetry_runs_are_identical_under_visit_order_reversal() {
+fn faulty_traced_runs_are_identical_under_visit_order_reversal() {
     let mut rng = StdRng::seed_from_u64(61);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let plan = FaultPlan::none()
@@ -241,26 +242,21 @@ fn faulty_telemetry_runs_are_identical_under_visit_order_reversal() {
         .with_crash(NodeId(5), 4);
     let baseline = chatter_run(&g, &plan, false);
     assert!(baseline.0.message_faults() > 0, "the plan must fire");
-    let logical = |t: &RunTelemetry| (t.rounds, t.hwm, t.nodes_stepped, t.messages_staged);
     let mut expected = None;
     for reverse in [false, true] {
-        let (got, tel) = telemetry_chatter_run(&g, &plan, reverse);
+        let (got, samples) = traced_chatter_run(&g, &plan, reverse);
         assert_eq!(
             got, baseline,
-            "reverse {reverse}: telemetry perturbed the faulty run"
+            "reverse {reverse}: tracing perturbed the faulty run"
         );
         assert_eq!(
-            tel.recent.len() as u64,
-            (tel.rounds + 1).min(tel.recent.capacity() as u64),
+            samples.len() as u64,
+            got.0.rounds + 1,
             "one record per executed round"
         );
         match &expected {
-            None => expected = Some(logical(&tel)),
-            Some(e) => assert_eq!(
-                &logical(&tel),
-                e,
-                "reverse {reverse}: telemetry counters diverged"
-            ),
+            None => expected = Some(samples),
+            Some(e) => assert_eq!(&samples, e, "reverse {reverse}: per-round records diverged"),
         }
     }
 }
