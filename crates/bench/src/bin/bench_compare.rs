@@ -1,27 +1,23 @@
 //! Regression gate over two `bench_suite` reports.
 //!
-//! Usage: `bench_compare <baseline.json> <candidate.json> [--skip-wall]
-//! [--wall-tolerance PCT] [--wall-floor-ms MS]`
+//! Usage: `bench_compare <baseline.json> <candidate.json> [--skip-wall]`
 //!
 //! Compares every bench the baseline recorded:
 //!
-//! * **exact** — all `metrics.<bench>` counters (rounds, messages, bits,
-//!   max edge congestion, fault counters), all
-//!   `profiles.<bench>.<class>` per-class totals, all
-//!   `recovery.<bench>` reconvergence statistics (span counts,
-//!   time-to-reconverge percentiles), and all `telemetry.<bench>`
-//!   execution-health counters (work totals and gauge high-water marks
-//!   folded from the run's trace; logical values only) must be identical:
-//!   the simulator is deterministic, so *any* drift is a behavior change;
+//! * **exact** — every value of the report's gated sections (the
+//!   [`SECTIONS`] marked `gated`: `metrics.<bench>` counters,
+//!   `profiles.<bench>.<class>` per-class totals, `recovery.<bench>`
+//!   reconvergence statistics and `traces.<bench>` trace folds, logical
+//!   values only) must be identical: the simulator is deterministic, so
+//!   *any* drift is a behavior change;
 //! * **wall-clock** — `phase_timings.wall.<bench>` may regress by at most
-//!   the tolerance (default 25%), **and** a regression only counts when
-//!   the absolute slowdown reaches the floor (default 5 ms): relative
-//!   tolerances are meaningless on sub-millisecond tiers, where scheduler
-//!   noise alone exceeds 25%;
+//!   25%, **and** a regression only counts when the absolute slowdown
+//!   reaches 5 ms: relative tolerances are meaningless on sub-millisecond
+//!   tiers, where scheduler noise alone exceeds 25%;
 //! * **throughput** — `phase_timings.throughput.<bench>` (messages/sec)
-//!   may drop by at most the same tolerance, gated only for benches whose
-//!   baseline wall-clock is at least the floor (throughput measured over
-//!   a sub-floor wall is noise).
+//!   may drop by at most the same 25%, gated only for benches whose
+//!   baseline wall-clock is at least 5 ms (throughput measured over a
+//!   shorter wall is noise).
 //!
 //! `--skip-wall` disables both timing-derived checks for cross-machine
 //! comparisons (CI compares a committed baseline produced on different
@@ -32,8 +28,16 @@
 //! present in the candidate are reported informationally and do not fail
 //! the gate (the next baseline refresh picks them up).
 
-use amt_bench::report::{parse, validate, Json};
+use amt_bench::report::{parse, validate, Json, PHASE_TIMINGS, SECTIONS};
 use std::process::ExitCode;
+
+/// Relative tolerance, percent, for wall-clock and throughput.
+const WALL_TOLERANCE_PCT: f64 = 25.0;
+
+/// Absolute wall floor in nanoseconds: wall regressions smaller than this
+/// are ignored, and throughput is only gated for benches whose baseline
+/// wall reaches it.
+const WALL_FLOOR_NS: f64 = 5e6;
 
 /// Flattens `section.<name>.<key>` (and one level deeper for profiles)
 /// into `(path, value)` pairs.
@@ -72,37 +76,16 @@ fn load(path: &str) -> Result<Json, String> {
     Ok(doc)
 }
 
-/// Gate options, parsed from the CLI (defaults in [`Default`]).
-struct Opts {
-    skip_wall: bool,
-    /// Relative tolerance, percent, for wall-clock and throughput.
-    tolerance: f64,
-    /// Absolute wall floor in nanoseconds: wall regressions smaller than
-    /// this are ignored, and throughput is only gated for benches whose
-    /// baseline wall reaches it.
-    wall_floor_ns: f64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            skip_wall: false,
-            tolerance: 25.0,
-            wall_floor_ns: 5e6,
-        }
-    }
-}
-
 /// Runs the whole gate, returning failure messages (empty = pass) and
-/// informational notes.
-fn gate(baseline: &Json, candidate: &Json, opts: &Opts) -> (Vec<String>, Vec<String>) {
+/// informational notes. `skip_wall` leaves out the timing checks.
+fn gate(baseline: &Json, candidate: &Json, skip_wall: bool) -> (Vec<String>, Vec<String>) {
     let mut failures = Vec::new();
     let mut notes = Vec::new();
 
     // Deterministic counters: exact equality, baseline drives the key set.
-    for section in ["metrics", "profiles", "recovery", "telemetry"] {
-        let base = scalars(baseline, section);
-        let cand = scalars(candidate, section);
+    for section in SECTIONS.iter().filter(|s| s.gated) {
+        let base = scalars(baseline, section.name);
+        let cand = scalars(candidate, section.name);
         for (path, want) in &base {
             match lookup(&cand, path) {
                 Some(got) if got == *want => {}
@@ -119,33 +102,33 @@ fn gate(baseline: &Json, candidate: &Json, opts: &Opts) -> (Vec<String>, Vec<Str
         }
     }
 
-    if opts.skip_wall {
+    if skip_wall {
         notes.push("wall-clock and throughput checks skipped (--skip-wall)".into());
         return (failures, notes);
     }
 
-    let base = scalars(baseline, "phase_timings");
-    let cand = scalars(candidate, "phase_timings");
+    let timings = SECTIONS[PHASE_TIMINGS].name;
+    let base = scalars(baseline, timings);
+    let cand = scalars(candidate, timings);
+    let wall = format!("{timings}.wall.");
+    let throughput = format!("{timings}.throughput.");
 
     // Wall-clock: per-bench nanoseconds under phase_timings.wall. A
     // regression must exceed BOTH the relative tolerance and the absolute
     // floor — 25% of a 2 ms tier is scheduler noise, not a signal.
-    for (path, want) in base
-        .iter()
-        .filter(|(p, _)| p.starts_with("phase_timings.wall."))
-    {
+    for (path, want) in base.iter().filter(|(p, _)| p.starts_with(&wall)) {
         let Some(got) = lookup(&cand, path) else {
             failures.push(format!("DRIFT {path}: missing from candidate"));
             continue;
         };
-        let limit = want * (1.0 + opts.tolerance / 100.0);
-        if got > limit && got - want >= opts.wall_floor_ns {
+        let limit = want * (1.0 + WALL_TOLERANCE_PCT / 100.0);
+        if got > limit && got - want >= WALL_FLOOR_NS {
             failures.push(format!(
-                "SLOWER {path}: {:.1}ms -> {:.1}ms (> {}% regression and > {:.0}ms floor)",
+                "SLOWER {path}: {:.1}ms -> {:.1}ms (> {WALL_TOLERANCE_PCT}% regression and > \
+                 {:.0}ms floor)",
                 want / 1e6,
                 got / 1e6,
-                opts.tolerance,
-                opts.wall_floor_ns / 1e6
+                WALL_FLOOR_NS / 1e6
             ));
         }
     }
@@ -153,24 +136,21 @@ fn gate(baseline: &Json, candidate: &Json, opts: &Opts) -> (Vec<String>, Vec<Str
     // Throughput: per-bench messages/sec under phase_timings.throughput,
     // gated as a lower bound — but only where the baseline wall is long
     // enough (>= floor) for the rate to be a measurement rather than noise.
-    for (path, want) in base
-        .iter()
-        .filter(|(p, _)| p.starts_with("phase_timings.throughput."))
-    {
-        let bench = &path["phase_timings.throughput.".len()..];
-        let base_wall = lookup(&base, &format!("phase_timings.wall.{bench}")).unwrap_or(0.0);
-        if base_wall < opts.wall_floor_ns {
+    for (path, want) in base.iter().filter(|(p, _)| p.starts_with(&throughput)) {
+        let bench = &path[throughput.len()..];
+        let base_wall = lookup(&base, &format!("{wall}{bench}")).unwrap_or(0.0);
+        if base_wall < WALL_FLOOR_NS {
             continue;
         }
         let Some(got) = lookup(&cand, path) else {
             failures.push(format!("DRIFT {path}: missing from candidate"));
             continue;
         };
-        let limit = want * (1.0 - opts.tolerance / 100.0);
+        let limit = want * (1.0 - WALL_TOLERANCE_PCT / 100.0);
         if got < limit {
             failures.push(format!(
-                "SLOWER {path}: {:.0} msg/s -> {:.0} msg/s (> {}% throughput drop)",
-                want, got, opts.tolerance
+                "SLOWER {path}: {want:.0} msg/s -> {got:.0} msg/s (> {WALL_TOLERANCE_PCT}% \
+                 throughput drop)"
             ));
         }
     }
@@ -180,34 +160,10 @@ fn gate(baseline: &Json, candidate: &Json, opts: &Opts) -> (Vec<String>, Vec<Str
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut opts = Opts::default();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--skip-wall" => opts.skip_wall = true,
-            "--wall-tolerance" => match iter.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => opts.tolerance = t,
-                _ => {
-                    eprintln!("--wall-tolerance needs a non-negative percentage");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--wall-floor-ms" => match iter.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => opts.wall_floor_ns = t * 1e6,
-                _ => {
-                    eprintln!("--wall-floor-ms needs a non-negative duration in ms");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => files.push(a.clone()),
-        }
-    }
+    let skip_wall = args.iter().any(|a| a == "--skip-wall");
+    let files: Vec<&String> = args.iter().filter(|a| *a != "--skip-wall").collect();
     let [baseline_path, candidate_path] = files.as_slice() else {
-        eprintln!(
-            "usage: bench_compare <baseline.json> <candidate.json> [--skip-wall] \
-             [--wall-tolerance PCT] [--wall-floor-ms MS]"
-        );
+        eprintln!("usage: bench_compare <baseline.json> <candidate.json> [--skip-wall]");
         return ExitCode::FAILURE;
     };
     let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
@@ -222,7 +178,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let (failures, notes) = gate(&baseline, &candidate, &opts);
+    let (failures, notes) = gate(&baseline, &candidate, skip_wall);
     for n in &notes {
         println!("{n}");
     }
@@ -260,17 +216,27 @@ mod tests {
         .expect("valid synthetic json")
     }
 
-    fn failures(base: &Json, cand: &Json, opts: &Opts) -> Vec<String> {
-        gate(base, cand, opts).0
+    fn failures(base: &Json, cand: &Json, skip_wall: bool) -> Vec<String> {
+        gate(base, cand, skip_wall).0
+    }
+
+    #[test]
+    fn the_gated_sections_are_the_reports_counters() {
+        let gated: Vec<&str> = SECTIONS
+            .iter()
+            .filter(|s| s.gated)
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(gated, ["metrics", "profiles", "recovery", "traces"]);
     }
 
     #[test]
     fn metric_drift_is_exact() {
         let base = report(10.0, 1e9, 1e6);
         let ok = report(10.0, 1e9, 1e6);
-        assert!(failures(&base, &ok, &Opts::default()).is_empty());
+        assert!(failures(&base, &ok, false).is_empty());
         let drift = report(11.0, 1e9, 1e6);
-        let f = failures(&base, &drift, &Opts::default());
+        let f = failures(&base, &drift, false);
         assert_eq!(f.len(), 1);
         assert!(f[0].contains("metrics.bench_a.rounds"), "{f:?}");
     }
@@ -291,9 +257,9 @@ mod tests {
             .expect("valid synthetic json")
         };
         let base = profile_report(10);
-        assert!(failures(&base, &profile_report(10), &Opts::default()).is_empty());
+        assert!(failures(&base, &profile_report(10), false).is_empty());
         // The per-class counters sit one level below the bench entry.
-        let f = failures(&base, &profile_report(11), &Opts::default());
+        let f = failures(&base, &profile_report(11), false);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(
             f[0].contains("profiles.bench_a.walk/token.messages"),
@@ -302,13 +268,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counter_drift_is_exact() {
-        let tel_report = |wake_hwm: u64| {
+    fn trace_counter_drift_is_exact() {
+        let trace_report = |wake_hwm: u64| {
             parse(&format!(
                 r#"{{
-                    "telemetry": {{
+                    "traces": {{
                         "bench_a": {{
                             "rounds": 40,
+                            "samples": 41,
+                            "messages": 9000,
                             "nodes_stepped": 5000,
                             "messages_staged": 9000,
                             "active_nodes_hwm": 256,
@@ -322,11 +290,11 @@ mod tests {
             ))
             .expect("valid synthetic json")
         };
-        let base = tel_report(12);
-        assert!(failures(&base, &tel_report(12), &Opts::default()).is_empty());
-        let f = failures(&base, &tel_report(13), &Opts::default());
+        let base = trace_report(12);
+        assert!(failures(&base, &trace_report(12), false).is_empty());
+        let f = failures(&base, &trace_report(13), false);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("telemetry.bench_a.wake_queue_hwm"), "{f:?}");
+        assert!(f[0].contains("traces.bench_a.wake_queue_hwm"), "{f:?}");
     }
 
     #[test]
@@ -335,7 +303,7 @@ mod tests {
         // the 5 ms floor, so the old purely-relative gate's flake is gone.
         let base = report(10.0, 1e6, 1e6);
         let cand = report(10.0, 4e6, 1e6);
-        assert!(failures(&base, &cand, &Opts::default()).is_empty());
+        assert!(failures(&base, &cand, false).is_empty());
     }
 
     #[test]
@@ -343,25 +311,12 @@ mod tests {
         // 100 ms -> 200 ms: over tolerance AND over the absolute floor.
         let base = report(10.0, 1e8, 1e6);
         let cand = report(10.0, 2e8, 1e6);
-        let f = failures(&base, &cand, &Opts::default());
+        let f = failures(&base, &cand, false);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].contains("SLOWER phase_timings.wall.bench_a"), "{f:?}");
         // Just inside tolerance passes whatever the absolute delta.
         let cand = report(10.0, 1.2e8, 1e6);
-        assert!(failures(&base, &cand, &Opts::default()).is_empty());
-    }
-
-    #[test]
-    fn floor_is_configurable() {
-        let base = report(10.0, 1e6, 1e6);
-        let cand = report(10.0, 4e6, 1e6);
-        let strict = Opts {
-            wall_floor_ns: 1e6,
-            ..Opts::default()
-        };
-        let f = failures(&base, &cand, &strict);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].contains("SLOWER phase_timings.wall"), "{f:?}");
+        assert!(failures(&base, &cand, false).is_empty());
     }
 
     #[test]
@@ -369,7 +324,7 @@ mod tests {
         // Long bench (1 s wall): halved throughput fails the lower bound.
         let base = report(10.0, 1e9, 1_000_000.0);
         let cand = report(10.0, 1e9, 500_000.0);
-        let f = failures(&base, &cand, &Opts::default());
+        let f = failures(&base, &cand, false);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(
             f[0].contains("SLOWER phase_timings.throughput.bench_a"),
@@ -377,36 +332,32 @@ mod tests {
         );
         // Within tolerance passes.
         let cand = report(10.0, 1e9, 800_000.0);
-        assert!(failures(&base, &cand, &Opts::default()).is_empty());
+        assert!(failures(&base, &cand, false).is_empty());
         // Sub-floor wall (1 ms): the rate is noise, never gated.
         let base = report(10.0, 1e6, 1_000_000.0);
         let cand = report(10.0, 1e6, 1_000.0);
-        assert!(failures(&base, &cand, &Opts::default()).is_empty());
+        assert!(failures(&base, &cand, false).is_empty());
     }
 
     #[test]
     fn skip_wall_skips_both_timing_gates() {
         let base = report(10.0, 1e9, 1_000_000.0);
         let cand = report(10.0, 9e9, 1_000.0);
-        let opts = Opts {
-            skip_wall: true,
-            ..Opts::default()
-        };
-        assert!(failures(&base, &cand, &opts).is_empty());
+        assert!(failures(&base, &cand, true).is_empty());
         // Determinism drift still fails even with --skip-wall.
         let drifted = report(11.0, 1e9, 1_000_000.0);
-        assert_eq!(failures(&base, &drifted, &opts).len(), 1);
+        assert_eq!(failures(&base, &drifted, true).len(), 1);
     }
 
     #[test]
     fn missing_benches_fail_and_new_benches_are_notes() {
         let base = report(10.0, 1e9, 1e6);
         let empty = parse(r#"{ "metrics": {} }"#).unwrap();
-        let f = failures(&base, &empty, &Opts::default());
+        let f = failures(&base, &empty, false);
         // rounds + wall + throughput all missing.
         assert_eq!(f.len(), 3, "{f:?}");
         // New candidate-only benches are informational, not failures.
-        let (f, notes) = gate(&empty, &base, &Opts::default());
+        let (f, notes) = gate(&empty, &base, false);
         assert!(f.is_empty(), "{f:?}");
         assert!(notes.iter().any(|n| n.contains("new in the candidate")));
     }

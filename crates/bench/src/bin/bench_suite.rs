@@ -1,5 +1,5 @@
 //! Canonical bench suite: pinned configurations of the flagship runs,
-//! written as a single schema-v6 report for the regression gate.
+//! written as a single report for the regression gate.
 //!
 //! Runs, with fully pinned seeds (so every counter is deterministic):
 //!
@@ -30,16 +30,15 @@
 //!   instance runs twice, and the repeat must reproduce the first run's
 //!   observables exactly (hard assert); the repeat's wall-clock is
 //!   recorded as `<instance>_repeat`. Every run in the tier executes with
-//!   the trace on: its logical execution-health counters (work totals and
-//!   gauge high-water marks, folded from the trace's per-round records)
-//!   enter the gated `telemetry` report section. `AMT_BENCH_SCALE_ONLY=1`
-//!   runs just this tier.
+//!   the trace on: its fold (rounds, deliveries, work totals and gauge
+//!   high-water marks, all logical counters) enters the gated `traces`
+//!   report section. `AMT_BENCH_SCALE_ONLY=1` runs just this tier.
 //!
 //! Output: `experiments_out/BENCH_<git-describe>.json` (override the stem
 //! with a CLI argument, e.g. `bench_suite BENCH_baseline`) carrying rounds,
 //! messages, max edge congestion, wall-clock, messages/sec throughput,
-//! per-class totals, recovery statistics, and telemetry counters for
-//! every bench. `bench_compare` diffs two such files and exits nonzero
+//! per-class totals, recovery statistics, and trace folds for every
+//! bench. `bench_compare` diffs two such files and exits nonzero
 //! on drift.
 
 use amt_bench::scale::{scale_fleet, scaling_instances};
@@ -420,8 +419,8 @@ fn finish(bench: Bench) {
     report.phase_timings("throughput", &throughput);
     println!("\n(all counters are deterministic: compare two suite reports with");
     println!(" `bench_compare <baseline> <candidate>` — exact on rounds/messages/");
-    println!(" congestion/per-class totals, recovery statistics, and telemetry");
-    println!(" gauges, 25% tolerance with a 5 ms floor on wall-clock, and a");
+    println!(" congestion/per-class totals, recovery statistics, and trace");
+    println!(" folds, 25% tolerance with a 5 ms floor on wall-clock, and a");
     println!(" lower bound on messages/sec for the long tiers)");
     report.finish();
 }
@@ -465,7 +464,7 @@ fn scaling_tier(bench: &mut Bench) {
     for (name, g) in &scaling_instances() {
         let (metrics, digests, profile, trace, wall) = scale_run(g);
         bench.record(name, &metrics, Some(&profile), wall);
-        bench.report.telemetry(name, &trace);
+        bench.report.trace(name, &trace);
 
         let (m, d, p, t, w) = scale_run(g);
         assert_eq!(

@@ -89,7 +89,8 @@ fn main() {
         "uniform share",
     ]);
     let mut pairs: Vec<_> = by_pair.iter().collect();
-    pairs.sort_by_key(|(_, v)| std::cmp::Reverse(v.len()));
+    // Ties broken by (part, label): the map's iteration order is random.
+    pairs.sort_by_key(|&(&pair, v)| (std::cmp::Reverse(v.len()), pair));
     for (&(part, j), portals) in pairs.into_iter().take(6) {
         let mut freq: HashMap<u32, usize> = HashMap::new();
         for &t in portals {

@@ -11,8 +11,8 @@
 //! profiling attaches to the CONGEST-executed protocols.
 //!
 //! Everything printed is also recorded into
-//! `experiments_out/profile_run.json` (report schema v2, `profiles`
-//! section).
+//! `experiments_out/profile_run.json`: the per-class totals in its
+//! `profiles` section and each walk epoch's trace in `traces`.
 
 use amt_bench::{expander, Report};
 use amt_core::congest::{class, Distribution, ProfileConfig, TraceConfig, TrafficProfile};
@@ -251,7 +251,7 @@ fn main() {
             bits.p95.to_string(),
             bits.max.to_string(),
         ]);
-        report.timeline(&format!("walk_epoch_{i}"), trace);
+        report.trace(&format!("walk_epoch_{i}"), trace);
     }
     report.metrics("healing_walks", &walks.metrics);
     report.profile("healing_walks", &walk_profile);

@@ -1,11 +1,10 @@
 //! Validates experiment report JSON files against the report schema.
 //!
 //! Usage: `validate_report [FILE...]` — with no arguments, validates every
-//! `*.json` under `experiments_out/` (or `AMT_REPORT_DIR`), except
-//! `flightrec_*.json` post-mortem dumps of a run's trace tail
-//! (`amt_congest::dump_flight`), which have their own shape (still checked
-//! to parse as JSON). Exits non-zero on the first unparsable or
-//! schema-invalid file; CI runs this over the artifacts it uploads.
+//! `*.json` under `experiments_out/` (or `AMT_REPORT_DIR`). Every one is a
+//! report of the current schema, the `flightrec_*.json` post-mortems
+//! included. Exits non-zero on the first unparsable or schema-invalid file;
+//! CI runs this over the artifacts it uploads.
 
 use amt_bench::report::{parse, validate};
 use std::path::PathBuf;
@@ -51,16 +50,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // Flight dumps are post-mortems, not reports: they must be
-        // well-formed JSON but follow their own schema.
-        let is_flightrec = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("flightrec_"));
-        if is_flightrec {
-            println!("{}: ok (flight dump, parse only)", path.display());
-            continue;
-        }
         if let Err(e) = validate(&doc) {
             eprintln!("{}: schema violation: {e}", path.display());
             return ExitCode::FAILURE;

@@ -2,8 +2,9 @@
 //!
 //! Every experiment in DESIGN.md §5 is a binary under `src/bin/` named
 //! after its experiment id (`e1_mst_scaling`, …, `f1_hierarchy_figure`).
-//! Each prints a self-contained table to stdout; EXPERIMENTS.md records the
-//! paper-claim vs measured discussion.
+//! Each prints a self-contained table to stdout through a [`Report`], which
+//! also writes it as a schema-versioned JSON report; EXPERIMENTS.md records
+//! the paper-claim vs measured discussion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,20 +17,6 @@ pub use report::Report;
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Prints a markdown-style table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Prints a markdown-style header plus separator.
-pub fn header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!(
-        "|{}|",
-        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-}
 
 /// Standard expander family used across experiments: a random `d`-regular
 /// graph on `n` nodes, deterministic in `seed`.

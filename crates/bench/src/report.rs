@@ -1,13 +1,18 @@
 //! Machine-readable run reports (`experiments_out/<id>.json`).
 //!
-//! Every experiment binary routes its stdout tables through a [`Report`]:
-//! the table printing is byte-identical to the old free-function output,
+//! Every experiment binary routes its stdout tables through a [`Report`],
 //! and on [`Report::finish`] everything the run printed — plus recorded
-//! config, [`Metrics`], [`PhaseTimings`], and optional [`RunTrace`]
-//! timeline summaries — is serialized as schema-versioned JSON under
-//! `experiments_out/` (override with `AMT_REPORT_DIR`). CI runs one binary,
-//! validates its output with the `validate_report` binary, and uploads the
-//! directory as an artifact.
+//! config, [`Metrics`], [`PhaseTimings`], traffic profiles, recovery
+//! statistics and [`RunTrace`] folds — is serialized as schema-versioned
+//! JSON under `experiments_out/` (override with `AMT_REPORT_DIR`). This is
+//! the only code that writes a run to disk: the simulator crate does no I/O,
+//! and a run's post-mortem is an ordinary report too (`sim_health
+//! --force-failure`). CI regenerates the reports, validates them with the
+//! `validate_report` binary, and uploads the directory as an artifact.
+//!
+//! A report is a header (`HEADER_KEYS`) followed by the keyed sections of
+//! [`SECTIONS`], the one list of them: the writer, [`validate`] and the
+//! `bench_compare` regression gate all read it.
 //!
 //! The crate has no serde (vendored deps only), so this module carries its
 //! own minimal JSON value type with an encoder, a recursive-descent parser,
@@ -22,22 +27,14 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Schema version written to every report file, and the only one
 /// [`validate`] accepts. Bump when a required key is added, removed, or
 /// changes shape.
-///
-/// Every section is required: `config`, `tables`, `metrics`,
-/// `phase_timings` and `timelines`, plus per-run traffic-class totals
-/// (`profiles`, [`Report::profile`]), recovery-SLO summaries of a
-/// [`RecoveryTimeline`] (`recovery`, [`Report::recovery`]) and the
-/// execution-health counters folded from a [`RunTrace`] (`telemetry`,
-/// [`Report::telemetry`]). A timeline that recorded snapshots carries a
-/// `final_snapshot_round` that must equal its `rounds`. No other top-level
-/// key is allowed.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
-/// Every top-level key of a report, in the order [`Report::finish`] writes
-/// them. [`validate`] rejects a document carrying any other key, so a
-/// section a schema bump removed cannot linger in a file that claims the
-/// new version.
-const TOP_LEVEL_KEYS: [&str; 13] = [
+/// The keys a report opens with, in the order [`Report::finish`] writes
+/// them: run identity, the `config` scalars and the printed `tables`. The
+/// keyed [`SECTIONS`] follow; [`validate`] rejects any other top-level key,
+/// so a section a schema bump removed cannot linger in a file that claims
+/// the new version.
+const HEADER_KEYS: [&str; 7] = [
     "schema_version",
     "experiment",
     "git_describe",
@@ -45,13 +42,90 @@ const TOP_LEVEL_KEYS: [&str; 13] = [
     "wall_seconds",
     "config",
     "tables",
-    "metrics",
-    "phase_timings",
-    "timelines",
-    "profiles",
-    "recovery",
-    "telemetry",
 ];
+
+/// One keyed section of a report: an object mapping run names to entries,
+/// each an object of numbers.
+#[derive(Debug)]
+pub struct Section {
+    /// The section's top-level key.
+    pub name: &'static str,
+    /// Keys every entry must carry as non-negative numbers.
+    pub required: &'static [&'static str],
+    /// Entries hold objects of numbers one level down (per traffic class)
+    /// instead of numbers.
+    pub nested: bool,
+    /// Deterministic counters, which `bench_compare` gates exactly; the
+    /// others are wall-clock measurements.
+    pub gated: bool,
+}
+
+/// Every keyed section of a report, in the order [`Report::finish`] writes
+/// them, each required (possibly empty). A `traces` entry that recorded
+/// edge-load snapshots also carries a `final_snapshot_round`, which must
+/// equal its `rounds`.
+pub const SECTIONS: [Section; 5] = [
+    // Simulator counters per run ([`Report::metrics`]).
+    Section {
+        name: "metrics",
+        required: &[],
+        nested: false,
+        gated: true,
+    },
+    // Wall-clock nanoseconds per phase label ([`Report::phase_timings`]).
+    Section {
+        name: "phase_timings",
+        required: &[],
+        nested: false,
+        gated: false,
+    },
+    // Per-traffic-class message and bit totals ([`Report::profile`]).
+    Section {
+        name: "profiles",
+        required: &[],
+        nested: true,
+        gated: true,
+    },
+    // Recovery-SLO summaries of a [`RecoveryTimeline`] ([`Report::recovery`]).
+    Section {
+        name: "recovery",
+        required: &["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"],
+        nested: false,
+        gated: true,
+    },
+    // Folds of a [`RunTrace`] ([`Report::trace`]).
+    Section {
+        name: "traces",
+        required: &[
+            "rounds",
+            "samples",
+            "events",
+            "snapshots",
+            "edge_load_stride",
+            "messages",
+            "bits",
+            "peak_messages_per_round",
+            "nodes_stepped",
+            "messages_staged",
+            "active_nodes_hwm",
+            "inbox_queued_hwm",
+            "staged_sends_hwm",
+            "wake_queue_hwm",
+            "arena_bytes_hwm",
+        ],
+        nested: false,
+        gated: true,
+    },
+];
+
+// Positions in [`SECTIONS`], and so in `Report::sections`.
+const METRICS: usize = 0;
+/// Position in [`SECTIONS`] of the wall-clock section, the one
+/// `bench_compare` gates with a tolerance instead of exactly.
+pub const PHASE_TIMINGS: usize = 1;
+const PROFILES: usize = 2;
+const RECOVERY: usize = 3;
+const TRACES: usize = 4;
 
 /// A JSON value (object keys keep insertion order for stable diffs).
 #[derive(Clone, Debug, PartialEq)]
@@ -403,6 +477,14 @@ impl Parser<'_> {
 // Schema validation
 // ---------------------------------------------------------------------------
 
+/// Every top-level key of a report, in write order: [`HEADER_KEYS`], then
+/// the [`SECTIONS`].
+fn top_level_keys() -> impl Iterator<Item = &'static str> {
+    HEADER_KEYS
+        .into_iter()
+        .chain(SECTIONS.iter().map(|s| s.name))
+}
+
 /// Structurally validates a parsed report against the schema. Only
 /// [`SCHEMA_VERSION`] is accepted, every section is required, and no other
 /// top-level key is allowed.
@@ -416,7 +498,7 @@ pub fn validate(root: &Json) -> Result<(), String> {
     };
     if let Some((key, _)) = pairs
         .iter()
-        .find(|(k, _)| !TOP_LEVEL_KEYS.contains(&k.as_str()))
+        .find(|(k, _)| !top_level_keys().any(|t| t == k))
     {
         return Err(format!("unknown top-level key {key}"));
     }
@@ -485,119 +567,59 @@ pub fn validate(root: &Json) -> Result<(), String> {
             }
         }
     }
-    for section in ["metrics", "phase_timings", "timelines"] {
-        let Some(Json::Obj(entries)) = root.get(section) else {
-            return Err(format!("{section} must be an object"));
+    for section in &SECTIONS {
+        let name = section.name;
+        let Some(Json::Obj(entries)) = root.get(name) else {
+            return Err(format!("{name} must be an object"));
         };
-        for (name, entry) in entries {
+        for (run, entry) in entries {
             let Json::Obj(fields) = entry else {
-                return Err(format!("{section}.{name} must be an object"));
+                return Err(format!("{name}.{run} must be an object"));
             };
+            for key in section.required {
+                match entry.get(key) {
+                    Some(Json::Num(v)) if *v >= 0.0 => {}
+                    _ => return Err(format!("{name}.{run}.{key} must be a non-negative number")),
+                }
+            }
             for (k, v) in fields {
-                if !matches!(v, Json::Num(_)) {
-                    return Err(format!("{section}.{name}.{k} must be a number"));
+                match (section.nested, v) {
+                    (false, Json::Num(_)) => {}
+                    (true, Json::Obj(inner)) => {
+                        if let Some((ik, _)) =
+                            inner.iter().find(|(_, x)| !matches!(x, Json::Num(_)))
+                        {
+                            return Err(format!("{name}.{run}.{k}.{ik} must be a number"));
+                        }
+                    }
+                    (false, _) => return Err(format!("{name}.{run}.{k} must be a number")),
+                    (true, _) => return Err(format!("{name}.{run}.{k} must be an object")),
                 }
             }
         }
     }
-    // Final-round-snapshot guarantee: a timeline that recorded strided
-    // snapshots must say which round closed the series, and it must be
-    // the run's final round.
-    if let Some(Json::Obj(timelines)) = root.get("timelines") {
-        for (name, entry) in timelines {
-            let snapshots = match entry.get("snapshots") {
-                Some(Json::Num(v)) => *v,
-                _ => 0.0,
-            };
-            if snapshots > 0.0 {
-                match (entry.get("final_snapshot_round"), entry.get("rounds")) {
-                    (Some(Json::Num(last)), Some(Json::Num(rounds))) if last == rounds => {}
-                    (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
-                        return Err(format!(
-                            "timelines.{name}: final snapshot at round {last} but the run \
-                             ended at round {rounds}"
-                        ))
-                    }
-                    _ => {
-                        return Err(format!(
-                            "timelines.{name}: snapshots recorded but no \
-                             final_snapshot_round"
-                        ))
-                    }
-                }
+    // Final-round-snapshot guarantee: a trace that recorded strided
+    // snapshots must say which round closed the series, and it must be the
+    // run's final round.
+    let traces = SECTIONS[TRACES].name;
+    if let Some(Json::Obj(entries)) = root.get(traces) {
+        for (run, entry) in entries {
+            if entry.get("snapshots") == Some(&Json::Num(0.0)) {
+                continue;
             }
-        }
-    }
-    let Some(Json::Obj(telemetry)) = root.get("telemetry") else {
-        return Err("telemetry must be an object".to_string());
-    };
-    for (name, entry) in telemetry {
-        let Json::Obj(fields) = entry else {
-            return Err(format!("telemetry.{name} must be an object"));
-        };
-        for key in [
-            "rounds",
-            "nodes_stepped",
-            "messages_staged",
-            "active_nodes_hwm",
-            "inbox_queued_hwm",
-            "staged_sends_hwm",
-            "wake_queue_hwm",
-            "arena_bytes_hwm",
-        ] {
-            match entry.get(key) {
-                Some(Json::Num(v)) if *v >= 0.0 => {}
-                _ => {
+            match (entry.get("final_snapshot_round"), entry.get("rounds")) {
+                (Some(last), Some(rounds)) if last == rounds => {}
+                (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
                     return Err(format!(
-                        "telemetry.{name}.{key} must be a non-negative number"
+                        "{traces}.{run}: final snapshot at round {last} but the run ended at \
+                         round {rounds}"
                     ))
                 }
-            }
-        }
-        for (k, v) in fields {
-            if !matches!(v, Json::Num(_)) {
-                return Err(format!("telemetry.{name}.{k} must be a number"));
-            }
-        }
-    }
-    let Some(Json::Obj(profiles)) = root.get("profiles") else {
-        return Err("profiles must be an object".to_string());
-    };
-    for (name, entry) in profiles {
-        let Json::Obj(classes) = entry else {
-            return Err(format!("profiles.{name} must be an object"));
-        };
-        for (class, totals) in classes {
-            let Json::Obj(fields) = totals else {
-                return Err(format!("profiles.{name}.{class} must be an object"));
-            };
-            for (k, v) in fields {
-                if !matches!(v, Json::Num(_)) {
-                    return Err(format!("profiles.{name}.{class}.{k} must be a number"));
-                }
-            }
-        }
-    }
-    let Some(Json::Obj(recovery)) = root.get("recovery") else {
-        return Err("recovery must be an object".to_string());
-    };
-    for (name, entry) in recovery {
-        let Json::Obj(fields) = entry else {
-            return Err(format!("recovery.{name} must be an object"));
-        };
-        for key in ["spans", "open", "ttr_p50", "ttr_p95", "ttr_max"] {
-            match entry.get(key) {
-                Some(Json::Num(v)) if *v >= 0.0 => {}
                 _ => {
                     return Err(format!(
-                        "recovery.{name}.{key} must be a non-negative number"
+                        "{traces}.{run}: snapshots recorded but no final_snapshot_round"
                     ))
                 }
-            }
-        }
-        for (k, v) in fields {
-            if !matches!(v, Json::Num(_)) {
-                return Err(format!("recovery.{name}.{k} must be a number"));
             }
         }
     }
@@ -617,22 +639,14 @@ struct Table {
 
 /// Records an experiment run while mirroring its tables to stdout, then
 /// writes the schema-versioned JSON report.
-///
-/// Table output through [`Report::header`] / [`Report::row`] is
-/// byte-identical to the old `amt_bench::header` / `amt_bench::row` free
-/// functions, so switching a binary over never changes its stdout.
 pub struct Report {
     experiment: String,
     started: Instant,
     next_title: Option<String>,
     tables: Vec<Table>,
     config: Vec<(String, Json)>,
-    metrics: Vec<(String, Json)>,
-    phase_timings: Vec<(String, Json)>,
-    timelines: Vec<(String, Json)>,
-    profiles: Vec<(String, Json)>,
-    recovery: Vec<(String, Json)>,
-    telemetry: Vec<(String, Json)>,
+    /// The entries of each of [`SECTIONS`], in its order.
+    sections: [Vec<(String, Json)>; SECTIONS.len()],
 }
 
 impl Report {
@@ -645,12 +659,7 @@ impl Report {
             next_title: None,
             tables: Vec::new(),
             config: Vec::new(),
-            metrics: Vec::new(),
-            phase_timings: Vec::new(),
-            timelines: Vec::new(),
-            profiles: Vec::new(),
-            recovery: Vec::new(),
-            telemetry: Vec::new(),
+            sections: Default::default(),
         }
     }
 
@@ -665,8 +674,8 @@ impl Report {
         self.config.push((key.to_string(), value.into()));
     }
 
-    /// Prints a markdown-style header plus separator (exactly like the
-    /// `header` free function) and opens a new table in the report.
+    /// Prints a markdown-style header plus separator and opens a new table
+    /// in the report.
     pub fn header(&mut self, cells: &[&str]) {
         println!("| {} |", cells.join(" | "));
         println!(
@@ -684,8 +693,8 @@ impl Report {
         });
     }
 
-    /// Prints a markdown-style row (exactly like the `row` free function)
-    /// and records it into the table opened by the last [`Report::header`].
+    /// Prints a markdown-style row and records it into the table opened by
+    /// the last [`Report::header`].
     ///
     /// # Panics
     ///
@@ -708,7 +717,7 @@ impl Report {
 
     /// Records a named [`Metrics`] (all counters, field by field).
     pub fn metrics(&mut self, name: &str, m: &Metrics) {
-        self.metrics.push((
+        self.sections[METRICS].push((
             name.to_string(),
             Json::Obj(vec![
                 ("rounds".into(), m.rounds.into()),
@@ -733,7 +742,7 @@ impl Report {
     /// Records named wall-clock phase timings (one key per phase label,
     /// value in nanoseconds).
     pub fn phase_timings(&mut self, name: &str, t: &PhaseTimings) {
-        self.phase_timings.push((
+        self.sections[PHASE_TIMINGS].push((
             name.to_string(),
             Json::Obj(
                 t.entries()
@@ -744,36 +753,9 @@ impl Report {
         ));
     }
 
-    /// Records a named [`RunTrace`] timeline summary (scalar aggregates of
-    /// the per-round samples and event/snapshot stream sizes).
-    pub fn timeline(&mut self, name: &str, trace: &RunTrace) {
-        let m = trace.reconstruct_metrics();
-        let mut fields: Vec<(String, Json)> = vec![
-            ("rounds".into(), m.rounds.into()),
-            ("samples".into(), trace.samples.len().into()),
-            ("events".into(), trace.events.len().into()),
-            ("snapshots".into(), trace.snapshots.len().into()),
-            ("edge_load_stride".into(), trace.edge_load_stride.into()),
-            ("messages".into(), m.messages.into()),
-            ("bits".into(), m.bits.into()),
-            (
-                "peak_messages_per_round".into(),
-                m.peak_messages_per_round.into(),
-            ),
-        ];
-        // Schema 5 pins the final-round-snapshot guarantee: when the run
-        // recorded any snapshots, the last one must be at the final round,
-        // and the validator checks `final_snapshot_round == rounds`.
-        if let Some(last) = trace.snapshots.last() {
-            fields.push(("final_snapshot_round".into(), last.round.into()));
-        }
-        self.timelines.push((name.to_string(), Json::Obj(fields)));
-    }
-
-    /// Records a named [`TrafficProfile`] as per-class message/bit totals
-    /// (the `profiles` section, schema version 2).
+    /// Records a named [`TrafficProfile`] as per-class message/bit totals.
     pub fn profile(&mut self, name: &str, p: &TrafficProfile) {
-        self.profiles.push((
+        self.sections[PROFILES].push((
             name.to_string(),
             Json::Obj(
                 p.per_class
@@ -794,11 +776,10 @@ impl Report {
 
     /// Records a named [`RecoveryTimeline`] as recovery-SLO scalars: closed
     /// span count, spans still open at run end, and the nearest-rank
-    /// time-to-reconverge percentiles (the `recovery` section, schema
-    /// version 3).
+    /// time-to-reconverge percentiles.
     pub fn recovery(&mut self, name: &str, t: &RecoveryTimeline) {
         let ttr = t.time_to_reconverge();
-        self.recovery.push((
+        self.sections[RECOVERY].push((
             name.to_string(),
             Json::Obj(vec![
                 ("spans".into(), t.spans().len().into()),
@@ -810,35 +791,50 @@ impl Report {
         ));
     }
 
-    /// Records the execution-health counters of a named run's trace (the
-    /// `telemetry` section, schema version 5): the last round, the work
-    /// totals (the sums of `active_nodes` and `staged_sends`) and the gauge
-    /// high-water marks ([`RunTrace::high_water`]). Logical counters only —
-    /// the gauges are visit-order-invariant, so the regression gate
-    /// compares exact integers.
-    pub fn telemetry(&mut self, name: &str, trace: &RunTrace) {
+    /// Records a named run's [`RunTrace`], folded once: its length
+    /// (rounds, samples, events, snapshots and their stride), its delivery
+    /// totals ([`RunTrace::reconstruct_metrics`]), its work totals (the sums
+    /// of `active_nodes` and `staged_sends`) and the gauge high-water marks
+    /// ([`RunTrace::high_water`]), plus the round of the last edge-load
+    /// snapshot when it recorded any. Logical counters only — the gauges
+    /// are visit-order-invariant, so the regression gate compares exact
+    /// integers.
+    pub fn trace(&mut self, name: &str, trace: &RunTrace) {
+        let m = trace.reconstruct_metrics();
         let total = |f: fn(&RoundSample) -> u64| trace.samples.iter().map(f).sum::<u64>();
         let hwm = trace.high_water();
-        self.telemetry.push((
-            name.to_string(),
-            Json::Obj(vec![
-                ("rounds".into(), trace.reconstruct_metrics().rounds.into()),
-                ("nodes_stepped".into(), total(|s| s.active_nodes).into()),
-                ("messages_staged".into(), total(|s| s.staged_sends).into()),
-                ("active_nodes_hwm".into(), hwm.active_nodes.into()),
-                ("inbox_queued_hwm".into(), hwm.inbox_queued.into()),
-                ("staged_sends_hwm".into(), hwm.staged_sends.into()),
-                ("wake_queue_hwm".into(), hwm.wake_queue.into()),
-                ("arena_bytes_hwm".into(), hwm.arena_bytes.into()),
-            ]),
-        ));
+        let mut fields: Vec<(String, Json)> = vec![
+            ("rounds".into(), m.rounds.into()),
+            ("samples".into(), trace.samples.len().into()),
+            ("events".into(), trace.events.len().into()),
+            ("snapshots".into(), trace.snapshots.len().into()),
+            ("edge_load_stride".into(), trace.edge_load_stride.into()),
+            ("messages".into(), m.messages.into()),
+            ("bits".into(), m.bits.into()),
+            (
+                "peak_messages_per_round".into(),
+                m.peak_messages_per_round.into(),
+            ),
+            ("nodes_stepped".into(), total(|s| s.active_nodes).into()),
+            ("messages_staged".into(), total(|s| s.staged_sends).into()),
+            ("active_nodes_hwm".into(), hwm.active_nodes.into()),
+            ("inbox_queued_hwm".into(), hwm.inbox_queued.into()),
+            ("staged_sends_hwm".into(), hwm.staged_sends.into()),
+            ("wake_queue_hwm".into(), hwm.wake_queue.into()),
+            ("arena_bytes_hwm".into(), hwm.arena_bytes.into()),
+        ];
+        if let Some(last) = trace.snapshots.last() {
+            fields.push(("final_snapshot_round".into(), last.round.into()));
+        }
+        self.sections[TRACES].push((name.to_string(), Json::Obj(fields)));
     }
 
-    fn to_json(&self) -> Json {
+    /// The report as the JSON document [`Report::finish`] writes.
+    pub fn to_json(&self) -> Json {
         let created = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
-        Json::Obj(vec![
+        let mut doc: Vec<(String, Json)> = vec![
             ("schema_version".into(), SCHEMA_VERSION.into()),
             ("experiment".into(), self.experiment.clone().into()),
             ("git_describe".into(), git_describe().into()),
@@ -878,16 +874,11 @@ impl Report {
                         .collect(),
                 ),
             ),
-            ("metrics".into(), Json::Obj(self.metrics.clone())),
-            (
-                "phase_timings".into(),
-                Json::Obj(self.phase_timings.clone()),
-            ),
-            ("timelines".into(), Json::Obj(self.timelines.clone())),
-            ("profiles".into(), Json::Obj(self.profiles.clone())),
-            ("recovery".into(), Json::Obj(self.recovery.clone())),
-            ("telemetry".into(), Json::Obj(self.telemetry.clone())),
-        ])
+        ];
+        for (section, entries) in SECTIONS.iter().zip(&self.sections) {
+            doc.push((section.name.into(), Json::Obj(entries.clone())));
+        }
+        Json::Obj(doc)
     }
 
     /// Writes `experiments_out/<experiment>.json` (directory overridable
@@ -955,7 +946,7 @@ mod tests {
         let mut t = PhaseTimings::new();
         t.record_nanos("prep", 1234);
         r.phase_timings("router", &t);
-        r.timeline("run", &RunTrace::default());
+        r.trace("empty", &RunTrace::default());
         let mut traced = RunTrace {
             edge_load_stride: 2,
             ..RunTrace::default()
@@ -974,7 +965,7 @@ mod tests {
             round: 3,
             load: vec![2, 3],
         });
-        r.timeline("snapshotted", &traced);
+        r.trace("snapshotted", &traced);
         let mut tp = TrafficProfile::empty(2);
         tp.per_class.push(amt_congest::ClassStats {
             class: amt_congest::class::WALK_TOKEN,
@@ -1003,8 +994,25 @@ mod tests {
             samples: vec![gauges(9, 40, 25, 4096), gauges(10, 24, 15, 100)],
             ..RunTrace::default()
         };
-        r.telemetry("run", &gauge_trace);
+        r.trace("run", &gauge_trace);
         r
+    }
+
+    /// `doc` with `section.run.key` set to `value` (a `None` value removes
+    /// the key).
+    fn with_field(doc: &Json, section: &str, run: &str, key: &str, value: Option<Json>) -> Json {
+        let Json::Obj(mut pairs) = doc.clone() else {
+            unreachable!()
+        };
+        let (_, Json::Obj(entries)) = pairs.iter_mut().find(|(k, _)| k == section).unwrap() else {
+            unreachable!()
+        };
+        let (_, Json::Obj(fields)) = entries.iter_mut().find(|(k, _)| k == run).unwrap() else {
+            unreachable!()
+        };
+        fields.retain(|(k, _)| k != key);
+        fields.extend(value.map(|v| (key.to_string(), v)));
+        Json::Obj(pairs)
     }
 
     #[test]
@@ -1019,7 +1027,8 @@ mod tests {
         };
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            keys, TOP_LEVEL_KEYS,
+            keys,
+            top_level_keys().collect::<Vec<_>>(),
             "finish writes exactly the schema's keys"
         );
         // Spot-check recorded structure survived the round trip.
@@ -1047,20 +1056,33 @@ mod tests {
         assert_eq!(rec.get("spans"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("open"), Some(&Json::Num(1.0)));
         assert_eq!(rec.get("ttr_max"), Some(&Json::Num(7.0)));
-        let tel = parsed
-            .get("telemetry")
+        let run = parsed
+            .get("traces")
             .and_then(|t| t.get("run"))
-            .expect("telemetry section survives the round trip");
-        assert_eq!(tel.get("rounds"), Some(&Json::Num(10.0)));
-        assert_eq!(tel.get("nodes_stepped"), Some(&Json::Num(64.0)));
-        assert_eq!(tel.get("active_nodes_hwm"), Some(&Json::Num(40.0)));
-        assert_eq!(tel.get("messages_staged"), Some(&Json::Num(40.0)));
-        assert_eq!(tel.get("arena_bytes_hwm"), Some(&Json::Num(4096.0)));
+            .expect("traces section survives the round trip");
+        // One fold: every key of the section's table, once each.
+        let Json::Obj(fields) = run else {
+            unreachable!()
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, SECTIONS[TRACES].required);
+        for (key, want) in [
+            ("rounds", 10.0),
+            ("samples", 2.0),
+            ("snapshots", 0.0),
+            ("nodes_stepped", 64.0),
+            ("messages_staged", 40.0),
+            ("active_nodes_hwm", 40.0),
+            ("arena_bytes_hwm", 4096.0),
+        ] {
+            assert_eq!(run.get(key), Some(&Json::Num(want)), "{key}");
+        }
         let snap = parsed
-            .get("timelines")
+            .get("traces")
             .and_then(|t| t.get("snapshotted"))
-            .expect("snapshotted timeline survives the round trip");
+            .expect("snapshotted trace survives the round trip");
         assert_eq!(snap.get("edge_load_stride"), Some(&Json::Num(2.0)));
+        assert_eq!(snap.get("messages"), Some(&Json::Num(5.0)));
         assert_eq!(snap.get("final_snapshot_round"), Some(&Json::Num(3.0)));
     }
 
@@ -1086,10 +1108,7 @@ mod tests {
                 Json::Obj(vec![("walk/token".into(), "lots".into())]),
             ),
             ("recovery", Json::Obj(vec![("spans".into(), 1u64.into())])),
-            (
-                "telemetry",
-                Json::Obj(vec![("rounds".into(), 10u64.into())]),
-            ),
+            ("traces", Json::Obj(vec![("rounds".into(), 10u64.into())])),
         ];
         for (section, bad) in cases {
             let missing: Vec<_> = pairs
@@ -1106,6 +1125,13 @@ mod tests {
                 "a malformed {section} entry is caught"
             );
         }
+        // Every required trace key is checked on its own.
+        for key in SECTIONS[TRACES].required {
+            assert!(
+                validate(&with_field(&good, "traces", "run", key, None)).is_err(),
+                "traces.run.{key} is required"
+            );
+        }
         // Older and future versions are rejected alike.
         for version in [1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1] {
             let mut other = pairs.clone();
@@ -1113,61 +1139,69 @@ mod tests {
             assert!(validate(&Json::Obj(other)).is_err(), "version {version}");
         }
         // A section the current version does not define is rejected, even
-        // well-formed: a stale v5 `shards` section cannot ride along in a
+        // well-formed: a stale `telemetry` section cannot ride along in a
         // current-version file.
         let mut stale = pairs.clone();
         stale.push((
-            "shards".into(),
+            "telemetry".into(),
             Json::Obj(vec![(
                 "run".into(),
-                Json::Obj(vec![("shards".into(), 2u64.into())]),
+                Json::Obj(vec![("rounds".into(), 10u64.into())]),
             )]),
         ));
         assert!(
             validate(&Json::Obj(stale)).is_err(),
-            "an extra shards section is rejected"
+            "an extra telemetry section is rejected"
         );
+    }
+
+    #[test]
+    fn a_v6_document_is_rejected() {
+        // The v6 layout: `timelines` and `telemetry` where v7 has `traces`.
+        let good = sample_report().to_json();
+        let Json::Obj(pairs) = &good else {
+            unreachable!()
+        };
+        let mut v6 = Vec::new();
+        for (k, v) in pairs {
+            match k.as_str() {
+                "schema_version" => v6.push((k.clone(), Json::Num(6.0))),
+                "traces" => {
+                    v6.push(("timelines".into(), v.clone()));
+                    v6.push(("telemetry".into(), v.clone()));
+                }
+                _ => v6.push((k.clone(), v.clone())),
+            }
+        }
+        let err = validate(&Json::Obj(v6.clone())).expect_err("v6 is rejected");
+        assert!(err.contains("unknown top-level key timelines"), "{err}");
+        // Stamping it v7 does not make the old sections valid either.
+        v6[0].1 = Json::Num(7.0);
+        assert!(validate(&Json::Obj(v6)).is_err());
     }
 
     #[test]
     fn validator_enforces_final_snapshot_round() {
         let good = sample_report().to_json();
-        let Json::Obj(pairs) = &good else {
-            unreachable!()
-        };
-
-        // A snapshotted timeline whose last snapshot is not the final round
+        let round = |r: u64| Some(Json::from(r));
+        // A snapshotted trace whose last snapshot is not the final round
         // violates the final-round-snapshot guarantee and is rejected...
-        let mut torn = pairs.clone();
-        for (k, v) in &mut torn {
-            if k == "timelines" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![
-                        ("rounds".into(), 10u64.into()),
-                        ("snapshots".into(), 2u64.into()),
-                        ("final_snapshot_round".into(), 8u64.into()),
-                    ]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(torn)).is_err());
-
+        let torn = with_field(
+            &good,
+            "traces",
+            "snapshotted",
+            "final_snapshot_round",
+            round(2),
+        );
+        assert!(validate(&torn).is_err());
         // ...as is one that recorded snapshots but never said where the
         // series ended.
-        let mut silent = pairs.clone();
-        for (k, v) in &mut silent {
-            if k == "timelines" {
-                *v = Json::Obj(vec![(
-                    "run".into(),
-                    Json::Obj(vec![
-                        ("rounds".into(), 10u64.into()),
-                        ("snapshots".into(), 2u64.into()),
-                    ]),
-                )]);
-            }
-        }
-        assert!(validate(&Json::Obj(silent)).is_err());
+        let silent = with_field(&good, "traces", "snapshotted", "final_snapshot_round", None);
+        assert!(validate(&silent).is_err());
+        // A trace without snapshots needs no final round.
+        let none = with_field(&good, "traces", "snapshotted", "snapshots", round(0));
+        let none = with_field(&none, "traces", "snapshotted", "final_snapshot_round", None);
+        validate(&none).expect("no snapshots, no final round");
     }
 
     #[test]

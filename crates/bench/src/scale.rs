@@ -141,6 +141,23 @@ mod tests {
     }
 
     #[test]
+    fn scale_nodes_agree_across_engines() {
+        // A small expander and a small id-interleaved dumbbell.
+        for g in [
+            crate::expander(128, 4, 9),
+            interleaved_dumbbell(64, 4, 2, 5),
+        ] {
+            let build = || amt_core::congest::Simulator::new(&g, scale_fleet(g.len()), 77).unwrap();
+            let reference = amt_core::congest::oracle::assert_engines_agree(
+                build,
+                &amt_core::congest::RunConfig::all_done(),
+                |p| p.digest,
+            );
+            assert!(reference.result.expect("terminates").messages > 0);
+        }
+    }
+
+    #[test]
     fn fleet_terminates_deterministically() {
         let g = crate::expander(128, 4, 9);
         let mut sim = amt_core::congest::Simulator::new(&g, scale_fleet(g.len()), 77)

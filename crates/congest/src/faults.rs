@@ -226,12 +226,20 @@ pub(crate) enum Fate {
 }
 
 /// SplitMix64 finalizer: the bijective avalanche at the heart of the fault
-/// PRF (and of the per-node protocol stream seeds in [`crate::sim`], and of
-/// the churn PRF in [`crate::churn`]).
+/// PRF (and of [`keyed_splitmix`], and of the churn PRF in
+/// [`crate::churn`]).
 pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One SplitMix64 step keyed by `(seed, key)`: the finalizer of
+/// `seed ^ key · 0x9E37_79B9_7F4A_7C15`. It derives the per-node protocol
+/// stream seeds from `(run seed, node id)` and the healing protocols'
+/// backoff jitter from `(seed, restart count)`.
+pub fn keyed_splitmix(seed: u64, key: u64) -> u64 {
+    splitmix(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Domain tags keeping the per-purpose draws of one message independent.

@@ -31,10 +31,13 @@
 //!   staged-send / wake-queue depth, arena bytes), protocol-emitted span
 //!   events ([`Ctx::trace_event`]), striding per-edge load snapshots, and
 //!   the wall-clock [`PhaseTimings`] type shared by the protocol crates.
-//!   Run-wide gauge high-water marks ([`RunTrace::high_water`]) and the
-//!   post-mortem dump of the last [`FLIGHT_ROUNDS`] rounds ([`dump_flight`])
-//!   are folds over that history. Disabled by default with zero overhead;
-//!   enabling it never changes `Metrics` or protocol outputs.
+//!   Run-wide gauge high-water marks ([`RunTrace::high_water`]) and work
+//!   totals are folds over that history, and an aborted run keeps its trace
+//!   up to the abort as its post-mortem. Disabled by default with zero
+//!   overhead; enabling it never changes `Metrics` or protocol outputs.
+//!
+//! The crate does no file or environment I/O: runs are serialized by the
+//! report layer of `amt-bench`.
 //! * [`profile`] — opt-in traffic-class attribution ([`TrafficProfile`]):
 //!   every delivery is tagged with a [`TrafficClass`] (protocol default or
 //!   per-send via [`Ctx::send_classed`]) and aggregated per `(class, round)`
@@ -66,7 +69,7 @@ pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EdgeOutage, RestartEvent};
 pub use error::CongestError;
-pub use faults::{CrashEvent, FaultEvent, FaultKind, FaultPlan};
+pub use faults::{keyed_splitmix, CrashEvent, FaultEvent, FaultKind, FaultPlan};
 pub use message::{bits_for_count, bits_for_value, CongestMessage};
 pub use metrics::Metrics;
 pub use observe::{Observe, Observed, ObservedRuns};
@@ -76,8 +79,8 @@ pub use profile::{
 };
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use trace::{
-    dump_flight, Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample,
-    RunTrace, TraceConfig, TraceEvent, FLIGHT_ROUNDS,
+    Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace,
+    TraceConfig, TraceEvent,
 };
 
 /// Result alias for simulator operations.

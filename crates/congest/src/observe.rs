@@ -3,7 +3,8 @@
 //! A run is observed by up to two layers — the round timeline
 //! ([`crate::trace`]) and traffic-class attribution ([`crate::profile`]).
 //! The trace is the one record of the run's rounds: gauge high-water
-//! marks, work totals and the post-mortem dump are folds over it. The
+//! marks, work totals and the post-mortem are folds over it, and the report
+//! layer (`amt-bench`) is what writes it to disk. The
 //! layers are requested together with one [`Observe`] value
 //! ([`crate::Simulator::with_observe`]), fed by one recorder inside the
 //! engine, and handed back together as one [`Observed`]
@@ -190,7 +191,7 @@ impl Recorder {
     }
 
     /// Everything recorded, including after an aborted run: the trace's
-    /// last rounds are the post-mortem ([`crate::trace::dump_flight`]).
+    /// last rounds are the post-mortem.
     pub(crate) fn finish(self) -> Observed {
         Observed {
             trace: self.trace,

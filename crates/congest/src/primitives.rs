@@ -598,8 +598,9 @@ pub mod reliable {
     const PAYLOAD_BITS: u32 = 34;
 
     /// XOR-fold of all nibbles of `x` (4-bit checksum): flipping any single
-    /// bit of `x` flips exactly one bit of the fold.
-    fn fold4(mut x: u64) -> u64 {
+    /// bit of `x` flips exactly one bit of the fold. The frame checksum of
+    /// this module and of the healing walk protocol.
+    pub fn fold4(mut x: u64) -> u64 {
         x ^= x >> 32;
         x ^= x >> 16;
         x ^= x >> 8;

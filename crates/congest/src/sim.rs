@@ -48,7 +48,9 @@
 //! traffic + activity, not to `n`.
 
 use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, NoChurn};
-use crate::faults::{Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults};
+use crate::faults::{
+    keyed_splitmix, Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults,
+};
 use crate::observe::{Observe, Observed, Recorder};
 use crate::profile::{class, TrafficClass};
 use crate::trace::TraceEvent;
@@ -190,15 +192,6 @@ impl RunConfig {
         self.full_sweep = full_sweep;
         self
     }
-}
-
-/// SplitMix64-style finalizer deriving one node's stream seed from the run
-/// seed. Protocol randomness is a function of `(seed, node)` only.
-fn node_stream_seed(run_seed: u64, node: u64) -> u64 {
-    let mut z = run_seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-round, per-node context handed to [`Protocol`] callbacks.
@@ -1418,8 +1411,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             graph,
             nodes,
             csr: Csr::build(graph),
+            // Protocol randomness is a function of `(seed, node)` only.
             rngs: (0..n)
-                .map(|v| StdRng::seed_from_u64(node_stream_seed(seed, v as u64)))
+                .map(|v| StdRng::seed_from_u64(keyed_splitmix(seed, v as u64)))
                 .collect(),
             edge_load: vec![0; graph.edge_count()],
             scratch: Scratch::default(),
@@ -1447,8 +1441,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Takes what the observation layers recorded in the most recent
     /// [`Self::run`]. A run aborted by an error keeps what was recorded up
-    /// to the abort: its trace's tail is the post-mortem
-    /// ([`crate::trace::dump_flight`]).
+    /// to the abort: its trace's tail is the post-mortem.
     pub fn take_observed(&mut self) -> Observed {
         std::mem::take(&mut self.observed)
     }
@@ -2563,8 +2556,8 @@ mod tests {
     /// Per-node streams must differ between nodes and between seeds.
     #[test]
     fn node_streams_are_distinct() {
-        let mut seeds: Vec<u64> = (0..64).map(|v| node_stream_seed(7, v)).collect();
-        seeds.push(node_stream_seed(8, 0));
+        let mut seeds: Vec<u64> = (0..64).map(|v| keyed_splitmix(7, v)).collect();
+        seeds.push(keyed_splitmix(8, 0));
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 65, "stream seeds must not collide");

@@ -46,9 +46,10 @@ use crate::congest_boruvka::{decode_edge, encode};
 use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
-    bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind, FaultPlan, Metrics,
-    Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink,
-    RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    bits_for_value, class, keyed_splitmix, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind,
+    FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable,
+    ReliableLink, RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass,
+    TrafficProfile,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 use std::collections::{HashMap, HashSet};
@@ -56,15 +57,6 @@ use std::collections::{HashMap, HashSet};
 /// Consecutive phase-level ARQ give-ups on the same live link before the
 /// run surfaces [`CongestError::RetryExhausted`].
 const MAX_LINK_RETRIES: u32 = 3;
-
-/// Deterministic backoff jitter for phase restarts — a splitmix64 step
-/// keyed by `(seed, streak)`.
-fn backoff_jitter(seed: u64, streak: u32) -> u64 {
-    let mut z = seed ^ u64::from(streak).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// "No outgoing candidate" sentinel — the largest value the 34-bit ARQ
 /// payload field can carry, so it loses every `min`.
@@ -621,7 +613,7 @@ pub fn run_healing_churned_instrumented(
             base_timeout
         } else {
             (base_timeout << restart_streak.min(4))
-                + backoff_jitter(jitter_seed, restart_streak) % base_timeout
+                + keyed_splitmix(jitter_seed, u64::from(restart_streak)) % base_timeout
         };
 
         if labels_stale {

@@ -562,10 +562,71 @@ pub fn route_bitfix_churned_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amt_congest::oracle::{assert_engines_agree, EngineObservation};
     use amt_graphs::generators;
 
     fn shift_permutation(n: u32, k: u32) -> Vec<(NodeId, NodeId)> {
         (0..n).map(|i| (NodeId(i), NodeId((i + k) % n))).collect()
+    }
+
+    /// Per-node output of a router: delivered packets, parked packets,
+    /// detours taken.
+    type RouterOutput = (Vec<Packet>, Vec<Packet>, u64);
+
+    /// The bit-fix router fleet on the hypercube `g` through the
+    /// engine-equivalence oracle: both engines, both visit orders, with
+    /// `churn` attached when given. Returns the full sweep's observation.
+    fn routers_agree(
+        g: &Graph,
+        requests: &[(NodeId, NodeId)],
+        churn: Option<ChurnPlan>,
+    ) -> EngineObservation<RouterOutput> {
+        let build = || {
+            let mut sources: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.len()];
+            for (i, &(s, t)) in requests.iter().enumerate() {
+                sources[s.index()].push((i as u32, t.0));
+            }
+            let ports = hypercube_ports(g).unwrap();
+            let nodes = route_nodes(g, ports, &mut sources, g.len().trailing_zeros());
+            let sim = Simulator::new(g, nodes, 5).unwrap();
+            match &churn {
+                Some(plan) => sim.with_churn_plan(plan.clone()),
+                None => sim,
+            }
+        };
+        assert_engines_agree(build, &RunConfig::all_done(), |p| {
+            (p.arrived.clone(), p.stuck.clone(), p.rerouted)
+        })
+    }
+
+    #[test]
+    fn bitfix_routers_agree_across_engines() {
+        // Three packets from each of eight sources on the 64-node cube:
+        // port queues form, yet most nodes idle most rounds.
+        let g = generators::hypercube(6);
+        let requests: Vec<_> = (0..24u32)
+            .map(|i| (NodeId(i / 3 * 8), NodeId((i * 37 + 5) % 64)))
+            .collect();
+        let reference = routers_agree(&g, &requests, None);
+        assert!(reference.result.is_ok());
+        let delivered: usize = reference.outputs.iter().map(|(a, _, _)| a.len()).sum();
+        assert_eq!(delivered, requests.len());
+    }
+
+    #[test]
+    fn churned_bitfix_routers_agree_across_engines() {
+        // Flapping links force detours, blocked heads re-arm their timers,
+        // and a restart drops custody mid-run.
+        let g = generators::hypercube(5);
+        let requests: Vec<_> = shift_permutation(32, 11).into_iter().step_by(3).collect();
+        let churn = ChurnPlan::none()
+            .seeded(17)
+            .with_flaps(0.15, 3)
+            .with_restart(NodeId(12), 3, 5);
+        let reference = routers_agree(&g, &requests, Some(churn));
+        assert_eq!(reference.result.unwrap().restarts, 1);
+        let rerouted: u64 = reference.outputs.iter().map(|&(_, _, r)| r).sum();
+        assert!(rerouted > 0, "the flaps must force a detour");
     }
 
     #[test]

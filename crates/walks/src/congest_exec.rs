@@ -165,32 +165,7 @@ pub fn run_walks_in_congest(
     specs: &[WalkSpec],
     seed: u64,
 ) -> Result<CongestWalkRun, CongestError> {
-    let delta = g.max_degree();
-    let mut initial: Vec<VecDeque<Token>> = vec![VecDeque::new(); g.len()];
-    for (i, spec) in specs.iter().enumerate() {
-        if spec.steps == 0 {
-            continue;
-        }
-        initial[spec.start.index()].push_back(Token {
-            walk: i as u32,
-            left: spec.steps,
-        });
-    }
-    let nodes: Vec<WalkProtocol> = g
-        .nodes()
-        .map(|v| WalkProtocol {
-            node: WalkNode {
-                ready: std::mem::take(&mut initial[v.index()]),
-                port_queue: vec![VecDeque::new(); g.degree(v)],
-                finished: Vec::new(),
-                degree: g.degree(v),
-                delta,
-                kind,
-            },
-            stayed: Vec::new(),
-        })
-        .collect();
-    let mut sim = Simulator::new(g, nodes, seed)?;
+    let mut sim = Simulator::new(g, walk_fleet(g, kind, specs), seed)?;
     let cfg = RunConfig {
         stop: StopCondition::AllDone,
         ..RunConfig::default()
@@ -209,6 +184,35 @@ pub fn run_walks_in_congest(
         }
     }
     Ok(CongestWalkRun { endpoints, metrics })
+}
+
+/// One walk executor per node, each holding the tokens of the walks that
+/// start there.
+fn walk_fleet(g: &Graph, kind: WalkKind, specs: &[WalkSpec]) -> Vec<WalkProtocol> {
+    let delta = g.max_degree();
+    let mut initial: Vec<VecDeque<Token>> = vec![VecDeque::new(); g.len()];
+    for (i, spec) in specs.iter().enumerate() {
+        if spec.steps == 0 {
+            continue;
+        }
+        initial[spec.start.index()].push_back(Token {
+            walk: i as u32,
+            left: spec.steps,
+        });
+    }
+    g.nodes()
+        .map(|v| WalkProtocol {
+            node: WalkNode {
+                ready: std::mem::take(&mut initial[v.index()]),
+                port_queue: vec![VecDeque::new(); g.degree(v)],
+                finished: Vec::new(),
+                degree: g.degree(v),
+                delta,
+                kind,
+            },
+            stayed: Vec::new(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -261,6 +265,55 @@ mod tests {
                 "node {v}: {c} endpoints vs ≈{expect}"
             );
         }
+    }
+
+    /// The walk tokens through the engine-equivalence oracle: both engines,
+    /// both visit orders. Returns each node's finished `(walk, left)`.
+    fn walks_agree(g: &Graph, kind: WalkKind, specs: &[WalkSpec]) -> Vec<Vec<(u32, u32)>> {
+        let build = || Simulator::new(g, walk_fleet(g, kind, specs), 21).unwrap();
+        let reference = amt_congest::oracle::assert_engines_agree(
+            build,
+            &RunConfig::all_done(),
+            |p: &WalkProtocol| {
+                p.node
+                    .finished
+                    .iter()
+                    .map(|t| (t.walk, t.left))
+                    .collect::<Vec<_>>()
+            },
+        );
+        assert!(reference.result.is_ok());
+        reference.outputs
+    }
+
+    #[test]
+    fn walk_tokens_agree_across_engines() {
+        // Lazy walks from four starts on a 64-node expander: tokens that
+        // stay re-arm a timer, movers wake their next node by mail.
+        let g = generators::random_regular(64, 4, &mut StdRng::seed_from_u64(4)).unwrap();
+        let specs: Vec<WalkSpec> = (0..6)
+            .map(|i| WalkSpec {
+                start: NodeId(16 * (i % 4)),
+                steps: 12 + 4 * i,
+            })
+            .collect();
+        let finished = walks_agree(&g, WalkKind::Lazy, &specs);
+        assert_eq!(finished.iter().map(Vec::len).sum::<usize>(), specs.len());
+    }
+
+    #[test]
+    fn delta_regular_walk_tokens_agree_across_engines() {
+        // Uneven degrees: low-degree nodes of the lollipop stay more often.
+        let g = generators::lollipop(8, 10).unwrap();
+        let specs: Vec<WalkSpec> = [0u32, 5, 12, 17]
+            .iter()
+            .map(|&v| WalkSpec {
+                start: NodeId(v),
+                steps: 15,
+            })
+            .collect();
+        let finished = walks_agree(&g, WalkKind::DeltaRegular, &specs);
+        assert_eq!(finished.iter().map(Vec::len).sum::<usize>(), specs.len());
     }
 
     #[test]

@@ -43,10 +43,11 @@
 //! silently dropping them.
 
 use crate::{WalkKind, WalkSpec};
+use amt_congest::primitives::reliable::fold4;
 use amt_congest::{
-    class, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind, FaultPlan, Metrics,
-    Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace,
-    Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    class, keyed_splitmix, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind,
+    FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline,
+    RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -66,14 +67,6 @@ enum HealMsg {
     Token { walk: u32, left: u32 },
     /// Custody acknowledgement of exactly that token.
     Ack { walk: u32, left: u32 },
-}
-
-fn fold4(mut x: u64) -> u64 {
-    x ^= x >> 32;
-    x ^= x >> 16;
-    x ^= x >> 8;
-    x ^= x >> 4;
-    x & 0xF
 }
 
 impl CongestMessage for HealMsg {
@@ -461,16 +454,6 @@ pub struct HealedWalkRun {
     pub timeline: RecoveryTimeline,
 }
 
-/// Deterministic backoff jitter for re-issue epochs — a splitmix64 step
-/// keyed by `(seed, epoch)` (the congest crate's PRF helpers are
-/// crate-private, so the three-line finalizer is restated here).
-fn backoff_jitter(seed: u64, epoch: u32) -> u64 {
-    let mut z = seed ^ u64::from(epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Executes `specs` over the fault-injected simulator with custody-transfer
 /// retransmission and epoch re-issue; see the module docs for the healing
 /// mechanisms.
@@ -621,7 +604,8 @@ pub fn run_walks_healing_churned_instrumented(
         let epoch_timeout = if epoch == 0 {
             timeout
         } else {
-            (timeout << epoch.min(4)) + backoff_jitter(jitter_seed, epoch) % timeout.max(1)
+            (timeout << epoch.min(4))
+                + keyed_splitmix(jitter_seed, u64::from(epoch)) % timeout.max(1)
         };
 
         let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];

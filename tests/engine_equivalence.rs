@@ -3,15 +3,15 @@
 //! `Metrics`, fault/churn event logs, crashed sets, protocol outputs,
 //! per-edge loads, traffic profiles, and round timelines (modulo the
 //! `active_nodes` and `wake_queue` executor gauges) — across clean, faulty,
-//! and churned runs,
-//! in either node-visit order. The workload mixes the two sparse wake
-//! sources: mail-driven random token forwarding and `Ctx::wake_in` beacon
-//! timers.
+//! and churned runs, in either node-visit order. The three scenario tests
+//! run through the engine-equivalence oracle
+//! (`amt_congest::oracle::assert_engines_agree`). The workload mixes the
+//! two sparse wake sources: mail-driven random token forwarding and
+//! `Ctx::wake_in` beacon timers.
 
-use amt_core::congest::trace::{RunTrace, TraceConfig};
+use amt_core::congest::oracle::{assert_engines_agree, EngineObservation};
 use amt_core::congest::{
-    ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, Metrics, Observe, ProfileConfig, Protocol,
-    RunConfig, Simulator, TrafficProfile,
+    ChurnPlan, Ctx, FaultPlan, Metrics, Observe, Protocol, RunConfig, Simulator, TraceConfig,
 };
 use amt_core::graphs::{generators, EdgeId, GraphBuilder, NodeId};
 use rand::RngExt;
@@ -96,176 +96,63 @@ fn fleet(n: usize) -> Vec<HybridNode> {
         .collect()
 }
 
-/// Everything observable about one run. `PartialEq` on `RunTrace` includes
-/// the two executor gauges, the fields allowed to differ between engine
-/// strategies, so observations zero them before comparing
-/// (`RunTrace::without_executor_gauges`).
-#[derive(PartialEq, Debug)]
-struct Observation {
-    metrics: Metrics,
-    digests: Vec<u64>,
-    edge_load: Vec<u64>,
-    fault_events: Vec<FaultEvent>,
-    crashed: Vec<NodeId>,
-    churn_events: Vec<ChurnEvent>,
-    profile: TrafficProfile,
-    trace: Option<RunTrace>,
-    active_total: u64,
-}
-
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Scenario {
     Clean,
     Faulty,
     Churned,
 }
 
-fn observe(scenario: Scenario, reverse: bool, full_sweep: bool) -> Observation {
+/// Runs the hybrid workload on the 64-node hypercube under `scenario`'s
+/// plans through the engine-equivalence oracle: every (visit order, engine)
+/// cell must reproduce the forward full sweep, and the active-set engine
+/// must step strictly fewer node-rounds. Returns the reference observation.
+fn engines_agree(scenario: Scenario) -> EngineObservation<u64> {
     let g = generators::hypercube(6);
-    let mut sim = Simulator::new(&g, fleet(g.len()), 2024)
-        .unwrap()
-        .with_observe(Observe {
-            trace: Some(TraceConfig::default().with_edge_load_stride(2)),
-            profile: Some(ProfileConfig::default()),
-        });
-    match scenario {
-        Scenario::Clean => {}
-        Scenario::Faulty => {
-            sim = sim.with_fault_plan(
+    let build = || {
+        let sim = Simulator::new(&g, fleet(g.len()), 2024).unwrap();
+        match scenario {
+            Scenario::Clean => sim,
+            Scenario::Faulty => sim.with_fault_plan(
                 FaultPlan::none()
                     .seeded(13)
                     .with_drops(0.04)
                     .with_corruption(0.04)
                     .with_delays(0.08, 3)
                     .with_crash(NodeId(5), 7),
-            );
-        }
-        Scenario::Churned => {
-            sim = sim.with_churn_plan(
+            ),
+            Scenario::Churned => sim.with_churn_plan(
                 ChurnPlan::none()
                     .seeded(29)
                     .with_flaps(0.05, 4)
                     .with_periodic_outage(EdgeId(2), 3, 2, 9)
                     .with_restart(NodeId(9), 4, 3),
-            );
+            ),
         }
-    }
-    let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
-    let metrics = if reverse {
-        sim.run_reverse_visit(&cfg)
-    } else {
-        sim.run(&cfg)
-    }
-    .unwrap();
-    let observed = sim.take_observed();
-    let trace = observed.trace.unwrap();
-    let active_total = trace.samples.iter().map(|s| s.active_nodes).sum();
-    Observation {
-        metrics,
-        digests: sim.nodes().iter().map(|p| p.digest).collect(),
-        edge_load: sim.edge_load().to_vec(),
-        fault_events: sim.fault_events().to_vec(),
-        crashed: sim.crashed_nodes(),
-        churn_events: sim.churn_events().to_vec(),
-        profile: observed.profile.unwrap(),
-        // Reverse visits keep per-round events in reverse node order by
-        // long-standing contract, so the timeline is only part of the
-        // cross-engine comparison for forward runs.
-        trace: (!reverse).then(|| trace.without_executor_gauges()),
-        active_total,
-    }
-}
-
-fn check_scenario(scenario: Scenario) {
-    let reference = observe(scenario, false, true);
-    assert!(reference.metrics.messages > 0, "workload must send traffic");
-    match scenario {
-        Scenario::Clean => {}
-        Scenario::Faulty => {
-            assert!(!reference.fault_events.is_empty(), "faults must fire");
-            assert_eq!(reference.crashed, vec![NodeId(5)]);
-        }
-        Scenario::Churned => {
-            assert!(!reference.churn_events.is_empty(), "churn must fire");
-            assert_eq!(reference.metrics.restarts, 1);
-        }
-    }
-    // The full sweep steps every live node every round; on this workload
-    // the active-set engine must step strictly fewer node-rounds.
-    let sparse = observe(scenario, false, false);
-    assert!(
-        sparse.active_total < reference.active_total,
-        "active-set engine stepped {} node-rounds vs full sweep's {}",
-        sparse.active_total,
-        reference.active_total
-    );
-    // Every (visit order, engine strategy) cell reproduces the reference.
-    for reverse in [false, true] {
-        for full_sweep in [false, true] {
-            let got = observe(scenario, reverse, full_sweep);
-            let label = format!("reverse = {reverse}, full sweep = {full_sweep}");
-            assert_matches_reference(&got, &reference, reverse, &label);
-            // The active set itself is part of the determinism contract:
-            // each strategy steps the same node-rounds in either order.
-            let want = if full_sweep { &reference } else { &sparse };
-            assert_eq!(
-                got.active_total, want.active_total,
-                "active set diverged at {label}"
-            );
-        }
-    }
-}
-
-/// `Observation` comparison modulo the timeline on reverse runs (reverse
-/// visits keep per-round events in reverse node order by contract).
-fn assert_matches_reference(
-    got: &Observation,
-    reference: &Observation,
-    reverse: bool,
-    label: &str,
-) {
-    assert_eq!(
-        (
-            &got.metrics,
-            &got.digests,
-            &got.edge_load,
-            &got.fault_events,
-            &got.crashed,
-            &got.churn_events,
-            &got.profile,
-            &got.trace,
-        ),
-        (
-            &reference.metrics,
-            &reference.digests,
-            &reference.edge_load,
-            &reference.fault_events,
-            &reference.crashed,
-            &reference.churn_events,
-            &reference.profile,
-            &if reverse {
-                None
-            } else {
-                reference.trace.clone()
-            },
-        ),
-        "diverged from the full-sweep reference at {label}"
-    );
+    };
+    let reference = assert_engines_agree(build, &RunConfig::all_done(), |p| p.digest);
+    let metrics = reference.result.as_ref().expect("the workload completes");
+    assert!(metrics.messages > 0, "workload must send traffic");
+    reference
 }
 
 #[test]
 fn clean_runs_match_full_sweep_reference() {
-    check_scenario(Scenario::Clean);
+    engines_agree(Scenario::Clean);
 }
 
 #[test]
 fn faulty_runs_match_full_sweep_reference() {
-    check_scenario(Scenario::Faulty);
+    let reference = engines_agree(Scenario::Faulty);
+    assert!(!reference.fault_events.is_empty(), "faults must fire");
+    assert_eq!(reference.crashed, vec![NodeId(5)]);
 }
 
 #[test]
 fn churned_runs_match_full_sweep_reference() {
-    check_scenario(Scenario::Churned);
+    let reference = engines_agree(Scenario::Churned);
+    assert!(!reference.churn_events.is_empty(), "churn must fire");
+    assert_eq!(reference.result.unwrap().restarts, 1);
 }
 
 /// A single-node graph (with a self-loop, so tokens have somewhere to go)
