@@ -51,8 +51,14 @@ fn main() {
         let wall = started.elapsed();
         let mut mst_wall = PhaseTimings::new();
         mst_wall.record("mst", wall);
+        mst_wall.merge(&amt.wall);
         report.phase_timings(&format!("amt_mst_n{n}"), &mst_wall);
-        mst_walls.push(format!("n = {n}: {:.2} s", wall.as_secs_f64()));
+        mst_walls.push(format!(
+            "n = {n}: {:.2} s (plan {:.2} s, price {:.2} s)",
+            wall.as_secs_f64(),
+            amt.wall.nanos("plan") as f64 * 1e-9,
+            amt.wall.nanos("price") as f64 * 1e-9,
+        ));
         let ok_amt = reference::verify_mst(&wg, &amt.tree_edges);
         let gk = gkp::run(&wg, 3).expect("connected");
         let bo = congest_boruvka::run(&wg, 3).expect("connected");
@@ -86,7 +92,8 @@ fn main() {
         slopes.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
     );
     println!(
-        "host wall of System::mst (exact pricing; not a table column): {}",
+        "host wall of System::mst (exact pricing; the Borůvka loop plans, then one\n\
+         pass prices its ledger on all cores; not a table column): {}",
         mst_walls.join(", ")
     );
     println!("(τ is the centralized spectral estimate, not a distributed measurement.)");

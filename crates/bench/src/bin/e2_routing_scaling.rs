@@ -1,8 +1,8 @@
 //! E2 — Theorem 1.2: permutation routing in
 //! `τ_mix · 2^O(√(log n log log n))` rounds.
 //!
-//! Sweeps `n` on expanders and routes a fixed permutation; reports measured
-//! rounds (both emulation pricings), the share of exact-pricing batches
+//! Sweeps `n` on expanders and routes a fixed permutation once; reports
+//! measured rounds (its plan priced under both emulation modes), the share of exact-pricing batches
 //! priced in closed form (single crossings), the baselines, and the
 //! per-node-load sweep of the footnote-3 phase splitting.
 
@@ -50,15 +50,13 @@ fn main() {
             .build()
             .expect("expander");
         let reqs = permutation(n);
-        let factored = sys.route(&reqs, 2).expect("routable");
-        let exact_router = HierarchicalRouter::with_config(
-            sys.hierarchy(),
-            RouterConfig {
-                emulation: EmulationMode::Exact,
-                ..RouterConfig::for_n(n)
-            },
-        );
-        let exact = exact_router.route(&reqs, 2).expect("routable");
+        // One route, priced under both modes: no routing decision reads a
+        // price, so the plan is the same for either.
+        let plan = HierarchicalRouter::new(sys.hierarchy())
+            .plan(&reqs, 2)
+            .expect("routable");
+        let factored = plan.price(EmulationMode::Factored);
+        let exact = plan.price(EmulationMode::Exact);
         report.phase_timings(&format!("exact_n{n}"), &exact.wall);
         let sp = baseline::shortest_path_route(&g, &reqs);
         let mut rng = StdRng::seed_from_u64(3);

@@ -14,7 +14,7 @@
 //! * the verdict for a message does not depend on how many *other* messages
 //!   were sampled before it, so the executor may visit senders in any order
 //!   without changing a single fault decision; see the determinism contract
-//!   in [`crate::sim`].
+//!   in the [crate-level docs](crate).
 //!
 //! Fault semantics (applied between staging and delivery, per message):
 //!

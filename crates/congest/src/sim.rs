@@ -360,7 +360,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
         self.rng
     }
 
-    /// Emits a span/phase marker into the run's [`RunTrace`].
+    /// Emits a span/phase marker into the run's [`RunTrace`](crate::RunTrace).
     ///
     /// A no-op (one branch) unless tracing was requested with
     /// [`Simulator::with_observe`]; emitting events must therefore never be

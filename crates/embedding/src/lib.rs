@@ -22,7 +22,9 @@
 //! crossings recursively expands into level-`(p−1)` traffic and ultimately
 //! into base-graph traffic, each batch scheduled by a race over the stored
 //! paths that reproduces the store-and-forward router of `amt-walks`
-//! ([`Hierarchy::emulate_batch`]).
+//! ([`Hierarchy::emulate_batch`]). Routing records the path sets it needs
+//! priced in a ledger of [`LedgerEntry`]s, and [`Hierarchy::price_ledger`]
+//! prices a ledger in one pass over several threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +32,7 @@
 mod config;
 mod error;
 mod hierarchy;
+mod ledger;
 mod overlay;
 mod portals;
 mod race;
@@ -41,6 +44,7 @@ pub mod level0;
 pub use config::HierarchyConfig;
 pub use error::EmbedError;
 pub use hierarchy::{EmulationMode, EmulationScratch, Hierarchy, PricingCounts};
+pub use ledger::{LedgerEntry, Price};
 pub use overlay::{dir_key, key_edge, key_is_forward, DirPath, Overlay};
 pub use portals::{PortalEntry, PortalTable};
 pub use stats::{BuildStats, LevelStats};

@@ -1,7 +1,7 @@
 //! Minimum-cut approximation via tree packing with the MST black box.
 //!
 //! §4 of the paper states that plugging the almost-mixing-time MST routine
-//! into the framework of Ghaffari–Haeupler [31] yields a `(1+ε)`-approximate
+//! into the framework of Ghaffari–Haeupler \[31\] yields a `(1+ε)`-approximate
 //! min cut in `τ_mix · 2^O(√(log n log log n))` rounds, deferring details to
 //! the (unpublished) full version. Per DESIGN.md substitution 1, we
 //! implement the classical **greedy spanning-tree packing** (Karger/Thorup):

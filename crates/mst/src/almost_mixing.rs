@@ -16,17 +16,25 @@
 //!    of Lemma 4.1, one routing instance per wave level, and the new
 //!    fragment ids are downcast.
 //!
+//! No step reads a routing price, so the loop only *plans* its instances
+//! ([`HierarchicalRouter::plan`]) and keeps one ledger of path sets for the
+//! whole run; after the loop, one pass prices it on all available cores
+//! ([`Hierarchy::price_ledger`]) and adds each iteration's prices to that
+//! iteration.
+//!
 //! The three Lemma 4.1 invariants (tree depth `O(log² n)`, virtual degree
 //! `≤ d_G(v)·O(log n)`, known parents) are tracked in [`IterationStats`]
 //! and asserted by the test-suite and by experiment E12.
 
 use crate::{MstError, Result};
-use amt_embedding::Hierarchy;
+use amt_congest::PhaseTimings;
+use amt_embedding::{Hierarchy, LedgerEntry};
 use amt_graphs::{EdgeId, EdgeWeight, NodeId, WeightedGraph};
 use amt_routing::{EmulationMode, HierarchicalRouter, RouterConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Per-iteration measurements (the Lemma 4.1 invariant witnesses).
 #[derive(Clone, Debug, Default)]
@@ -69,6 +77,10 @@ pub struct AmtMstOutcome {
     pub routing_instances: u32,
     /// Per-iteration measurements.
     pub per_iteration: Vec<IterationStats>,
+    /// Host wall-clock time of the Borůvka loop (`"plan"`) and of the
+    /// pricing pass after it (`"price"`); excluded from equality like all
+    /// [`PhaseTimings`].
+    pub wall: PhaseTimings,
 }
 
 /// A pending balancing token of Lemma 4.1.
@@ -144,8 +156,13 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
         let mut tree_edges: Vec<EdgeId> = Vec::with_capacity(n - 1);
         let mut rounds = 0u64;
         let mut per_iteration = Vec::new();
+        // The path sets of every instance, iteration by iteration;
+        // `ledger_ends[i]` is where iteration `i`'s entries end.
+        let mut ledger: Vec<LedgerEntry> = Vec::new();
+        let mut ledger_ends: Vec<usize> = Vec::new();
         let mut iterations = 0u32;
 
+        let planning = Instant::now();
         loop {
             let components_before = count_distinct(&comp);
             if components_before <= 1 {
@@ -187,11 +204,11 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             it.upcast_steps = max_d;
             for s in (1..=max_d).rev() {
                 let reqs = level_edges(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
             }
             for s in 1..=max_d {
                 let reqs = level_edges_down(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
             }
 
             // (4) Head/tail coins and star merges.
@@ -229,8 +246,8 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 &mut parent,
                 &mut children,
                 &depth,
-                max_d,
                 &mut rng,
+                &mut ledger,
             )?;
 
             // Relabel merged components and recompute depths.
@@ -240,7 +257,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             let new_max_d = depth.iter().copied().max().unwrap_or(0);
             for s in 1..=new_max_d {
                 let reqs = level_edges_down(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
             }
 
             it.components_after = count_distinct(&comp);
@@ -255,7 +272,22 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 .fold(0.0, f64::max);
             rounds += it.routing_rounds;
             per_iteration.push(it);
+            ledger_ends.push(ledger.len());
         }
+        let mut wall = PhaseTimings::new();
+        wall.record("plan", planning.elapsed());
+
+        let pricing = Instant::now();
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let prices = h.price_ledger(&ledger, self.router.config().emulation, workers);
+        let mut start = 0;
+        for (it, end) in per_iteration.iter_mut().zip(ledger_ends) {
+            let priced: u64 = prices[start..end].iter().map(|p| p.rounds).sum();
+            it.routing_rounds += priced;
+            rounds += priced;
+            start = end;
+        }
+        wall.record("price", pricing.elapsed());
 
         tree_edges.sort_unstable();
         tree_edges.dedup();
@@ -267,33 +299,44 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             iterations,
             routing_instances: self.instances.get(),
             per_iteration,
+            wall,
         })
     }
 
-    /// One routing instance for a batch of `(from, to)` node pairs.
-    fn route_pairs(&self, reqs: &[(u32, u32)], rng: &mut StdRng) -> Result<u64> {
+    /// One routing instance for a batch of `(from, to)` node pairs: plans
+    /// it, moves its path sets into `ledger`, and returns its preparation
+    /// rounds (the only rounds known before pricing).
+    fn route_pairs(
+        &self,
+        reqs: &[(u32, u32)],
+        rng: &mut StdRng,
+        ledger: &mut Vec<LedgerEntry>,
+    ) -> Result<u64> {
         if reqs.is_empty() {
             return Ok(0);
         }
         self.instances.set(self.instances.get() + 1);
         let pairs: Vec<(NodeId, NodeId)> =
             reqs.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
-        let out = self.router.route(&pairs, rng.random())?;
-        Ok(out.total_base_rounds)
+        let plan = self.router.plan(&pairs, rng.random())?;
+        let prep_rounds = plan.unpriced().prep_rounds;
+        ledger.extend(plan.into_ledger());
+        Ok(prep_rounds)
     }
 
     /// The balancing token wave of Lemma 4.1 (see module docs). Returns the
-    /// measured routing rounds. `depth` is the tree depth *before* the
-    /// merges (the wave runs on the old head trees; freshly attached tail
-    /// subtrees hold no tokens).
+    /// preparation rounds of its instances and moves their path sets into
+    /// `ledger`. `depth` is the tree depth *before* the merges (the wave
+    /// runs on the old head trees; freshly attached tail subtrees hold no
+    /// tokens).
     fn balance_wave(
         &self,
         token_sites: &[u32],
         parent: &mut [Option<u32>],
         children: &mut [Vec<u32>],
         depth: &[u32],
-        max_d: u32,
         rng: &mut StdRng,
+        ledger: &mut Vec<LedgerEntry>,
     ) -> Result<u64> {
         let mut tokens: Vec<Token> = token_sites
             .iter()
@@ -304,6 +347,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             })
             .collect();
         let mut rounds = 0u64;
+        let max_d = depth.iter().copied().max().unwrap_or(0);
         for s in (1..=max_d).rev() {
             // Tokens sitting at depth s move to their parents.
             let moving: Vec<usize> = tokens
@@ -324,7 +368,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                     (tokens[i].pos, p)
                 })
                 .collect();
-            rounds += self.route_pairs(&reqs, rng)?;
+            rounds += self.route_pairs(&reqs, rng, ledger)?;
 
             // Group arrivals by destination; stationary tokens already at a
             // destination join the merge group there.

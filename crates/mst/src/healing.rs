@@ -425,7 +425,7 @@ pub fn run_healing_instrumented(
 /// Same as [`run_healing`], plus [`CongestError::Partitioned`] when
 /// permanent cuts (with any crashes) disconnect the survivors, and
 /// [`CongestError::RetryExhausted`] when one live link's ARQ gives up in
-/// [`MAX_LINK_RETRIES`] phases straight.
+/// `MAX_LINK_RETRIES` (3) phases straight.
 pub fn run_healing_churned(
     wg: &WeightedGraph,
     seed: u64,

@@ -13,7 +13,7 @@
 //! * [`gkp`] — a simplified Garay–Kutten–Peleg two-phase `Õ(D + √n)`
 //!   baseline: controlled fragment growth, then pipelined upcasts over a
 //!   global BFS tree.
-//! * [`reference`] — centralized Kruskal/Prim and an MST verifier; every
+//! * [`reference`](mod@reference) — centralized Kruskal/Prim and an MST verifier; every
 //!   distributed variant is checked against them.
 
 #![forbid(unsafe_code)]

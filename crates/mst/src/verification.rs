@@ -1,5 +1,5 @@
 //! Distributed spanning-tree verification (the problem family of Das Sarma
-//! et al. [17], whose lower bounds motivate the paper).
+//! et al. \[17\], whose lower bounds motivate the paper).
 //!
 //! Given a claimed tree edge set (each node knows which of its incident
 //! edges are claimed), the protocol checks distributedly that the claim is
@@ -12,7 +12,7 @@
 //! 2. every node ends up knowing the verdict.
 //!
 //! Rounds are measured through the CONGEST simulator. (Verifying
-//! *minimality* distributedly is the Ω(D+√n)-hard problem of [17]; the
+//! *minimality* distributedly is the Ω(D+√n)-hard problem of \[17\]; the
 //! almost-mixing-time MST sidesteps it by being Las Vegas — its output is
 //! canonical by construction and checked centrally in tests.)
 

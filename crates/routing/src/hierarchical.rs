@@ -2,7 +2,7 @@
 
 use crate::{Result, RouteError, RoutingOutcome};
 use amt_congest::PhaseTimings;
-use amt_embedding::{dir_key, EmulationMode, EmulationScratch, Hierarchy, VirtualId};
+use amt_embedding::{dir_key, EmulationMode, Hierarchy, LedgerEntry, VirtualId};
 use amt_graphs::NodeId;
 use amt_walks::{parallel, KeySlab, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
@@ -22,7 +22,7 @@ pub struct RouterConfig {
     /// Run the preparation walk (the paper always does; disabling is useful
     /// for ablation experiments).
     pub prepare: bool,
-    /// Emulation pricing model.
+    /// Emulation pricing model of [`HierarchicalRouter::route`].
     pub emulation: EmulationMode,
 }
 
@@ -46,15 +46,60 @@ struct Pkt {
     goal: u32,
 }
 
-/// Rounds accumulated during one phase's recursion.
+/// Counters accumulated during one phase's recursion.
 #[derive(Default)]
 struct Accum {
-    hop_rounds: Vec<u64>,
-    bottom_rounds: u64,
     portal_misses: u64,
     hop_crossings: u64,
     bottom_crossings: u64,
-    wall: PhaseTimings,
+}
+
+/// A routed instance whose emulation is not yet priced
+/// ([`HierarchicalRouter::plan`]): every unpriced field of its
+/// [`RoutingOutcome`], and the ledger of path sets to price. An entry at the
+/// hierarchy's bottom depth is a bottom delivery; any other entry at depth
+/// `d` is a hop across level-`d` edges.
+pub struct RoutePlan<'h, 'g> {
+    h: &'h Hierarchy<'g>,
+    unpriced: RoutingOutcome,
+    ledger: Vec<LedgerEntry>,
+}
+
+impl RoutePlan<'_, '_> {
+    /// The instance's outcome with every emulation price zero: phases,
+    /// preparation rounds, deliveries, misses, crossings and the `"prep"`
+    /// wall.
+    pub fn unpriced(&self) -> &RoutingOutcome {
+        &self.unpriced
+    }
+
+    /// The ledger, moved out for a caller that prices many plans at once
+    /// ([`Hierarchy::price_ledger`]).
+    pub fn into_ledger(self) -> Vec<LedgerEntry> {
+        self.ledger
+    }
+
+    /// Prices the ledger under `mode` on the calling thread and returns the
+    /// full outcome: the hop, bottom and total rounds, the batch counts, and
+    /// the `"hops"` and `"bottom"` walls (time spent pricing each kind of
+    /// entry).
+    pub fn price(&self, mode: EmulationMode) -> RoutingOutcome {
+        let mut out = self.unpriced.clone();
+        let prices = self.h.price_ledger(&self.ledger, mode, 1);
+        for (entry, price) in self.ledger.iter().zip(prices) {
+            if entry.level == self.h.depth() {
+                out.bottom_rounds += price.rounds;
+                out.wall.record_nanos("bottom", price.nanos);
+            } else {
+                out.hop_rounds_per_depth[entry.level as usize] += price.rounds;
+                out.wall.record_nanos("hops", price.nanos);
+            }
+            out.total_base_rounds += price.rounds;
+            out.solo_batches += price.counts.solo_batches;
+            out.scheduled_batches += price.counts.scheduled_batches;
+        }
+        out
+    }
 }
 
 /// The paper's permutation router (Theorem 1.2), operating on a built
@@ -106,8 +151,27 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         self.h
     }
 
+    /// The router's configuration.
+    pub fn config(&self) -> &RouterConfig {
+        &self.cfg
+    }
+
     /// Routes one packet per `(source, destination)` request, in parallel,
-    /// and returns the measured outcome.
+    /// and returns the measured outcome, priced under the configured
+    /// [`RouterConfig::emulation`]: [`HierarchicalRouter::plan`] followed by
+    /// [`RoutePlan::price`].
+    ///
+    /// # Errors
+    ///
+    /// Those of [`HierarchicalRouter::plan`].
+    pub fn route(&self, requests: &[(NodeId, NodeId)], seed: u64) -> Result<RoutingOutcome> {
+        Ok(self.plan(requests, seed)?.price(self.cfg.emulation))
+    }
+
+    /// Routes one packet per `(source, destination)` request, in parallel,
+    /// and records what its emulation costs in a ledger instead of pricing
+    /// it. No routing decision reads a price, so the plan of a seed is the
+    /// same under every emulation mode.
     ///
     /// # Errors
     ///
@@ -115,7 +179,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
     /// * [`RouteError::LoadTooHigh`] if satisfying the load promise would
     ///   need more than `max_phases` phases;
     /// * [`RouteError::Undelivered`] if any packet could not be delivered.
-    pub fn route(&self, requests: &[(NodeId, NodeId)], seed: u64) -> Result<RoutingOutcome> {
+    pub fn plan(&self, requests: &[(NodeId, NodeId)], seed: u64) -> Result<RoutePlan<'h, 'g>> {
         let g = self.h.base();
         let n = g.len();
         for &(s, t) in requests {
@@ -140,8 +204,8 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         // `phases` accumulates through `absorb`, so the outcome reports the
         // number of phases actually routed (empty phases are skipped), not
         // the planned split computed above.
-        let mut outcome = RoutingOutcome::default();
-        let mut scratch = EmulationScratch::new();
+        let mut unpriced = RoutingOutcome::default();
+        let mut ledger = Vec::new();
         for phase in 0..phases {
             let batch: Vec<(NodeId, NodeId)> = requests
                 .iter()
@@ -152,15 +216,19 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             if batch.is_empty() {
                 continue;
             }
-            let phase_out = self.route_one_phase(&batch, &mut rng, &mut scratch);
-            outcome.absorb(&phase_out);
+            let phase_out = self.plan_one_phase(&batch, &mut rng, &mut ledger);
+            unpriced.absorb(&phase_out);
         }
-        if outcome.undelivered > 0 {
+        if unpriced.undelivered > 0 {
             return Err(RouteError::Undelivered {
-                count: outcome.undelivered,
+                count: unpriced.undelivered,
             });
         }
-        Ok(outcome)
+        Ok(RoutePlan {
+            h: self.h,
+            unpriced,
+            ledger,
+        })
     }
 
     /// Number of phases needed so that per phase each node's expected
@@ -181,11 +249,13 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         phases.min(u64::from(u32::MAX)) as u32
     }
 
-    fn route_one_phase(
+    /// Routes one phase, appending its path sets to `ledger`; the returned
+    /// outcome is unpriced.
+    fn plan_one_phase(
         &self,
         batch: &[(NodeId, NodeId)],
         rng: &mut StdRng,
-        scratch: &mut EmulationScratch,
+        ledger: &mut Vec<LedgerEntry>,
     ) -> RoutingOutcome {
         let g = self.h.base();
         let vmap = self.h.vmap();
@@ -236,12 +306,8 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                 goal,
             })
             .collect();
-        let mut acc = Accum {
-            hop_rounds: vec![0; self.h.depth() as usize],
-            ..Default::default()
-        };
-        let finals = self.recurse(0, pkts, &mut acc, scratch);
-        let pricing = scratch.take_counts();
+        let mut acc = Accum::default();
+        let finals = self.recurse(0, pkts, &mut acc, ledger);
         debug_assert_eq!(finals.len(), batch.len());
         let mut final_pos = vec![u32::MAX; batch.len()];
         for (id, pos) in finals {
@@ -252,26 +318,27 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             .zip(&goals)
             .filter(|&(&p, &g0)| p == g0)
             .count();
-        let mut wall = acc.wall;
+        let mut wall = PhaseTimings::new();
         wall.record("prep", prep_elapsed);
         RoutingOutcome {
             phases: 1,
-            total_base_rounds: prep_rounds + acc.hop_rounds.iter().sum::<u64>() + acc.bottom_rounds,
+            total_base_rounds: prep_rounds,
             prep_rounds,
-            hop_rounds_per_depth: acc.hop_rounds,
-            bottom_rounds: acc.bottom_rounds,
+            hop_rounds_per_depth: vec![0; self.h.depth() as usize],
+            bottom_rounds: 0,
             delivered,
             undelivered: batch.len() - delivered,
             portal_misses: acc.portal_misses,
             hop_crossings: acc.hop_crossings,
             bottom_crossings: acc.bottom_crossings,
-            solo_batches: pricing.solo_batches,
-            scheduled_batches: pricing.scheduled_batches,
+            solo_batches: 0,
+            scheduled_batches: 0,
             wall,
         }
     }
 
-    /// Routes packets whose `cur` and `goal` share a depth-`d` part.
+    /// Routes packets whose `cur` and `goal` share a depth-`d` part,
+    /// appending every non-empty path set it crosses to `ledger`.
     /// Returns `(id, final position)` for every packet given; a packet whose
     /// final position differs from its goal could not be delivered.
     fn recurse(
@@ -279,7 +346,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         d: u32,
         msgs: Vec<Pkt>,
         acc: &mut Accum,
-        scratch: &mut EmulationScratch,
+        ledger: &mut Vec<LedgerEntry>,
     ) -> Vec<(u32, u32)> {
         let mut results: Vec<(u32, u32)> = Vec::with_capacity(msgs.len());
         let mut live: Vec<Pkt> = Vec::with_capacity(msgs.len());
@@ -308,9 +375,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                 }
             }
             acc.bottom_crossings += paths.len() as u64;
-            let t0 = Instant::now();
-            acc.bottom_rounds += self.h.emulate_paths(d, &paths, self.cfg.emulation, scratch);
-            acc.wall.record("bottom", t0.elapsed());
+            record(ledger, d, paths);
             return results;
         }
 
@@ -357,7 +422,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         // Leg 1: intra-part packets go all the way; cross-part packets go to
         // their portals. All children recurse together (they are disjoint,
         // so their traffic batches in parallel).
-        let leg1_results = self.recurse(child, leg1, acc, scratch);
+        let leg1_results = self.recurse(child, leg1, acc, ledger);
 
         // Hop: cross one level-`d` edge per pending packet that reached its
         // portal, plus any BFS fallback journeys, all batched.
@@ -382,15 +447,19 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             }
         }
         acc.hop_crossings += hop_paths.keys().len() as u64;
-        let t0 = Instant::now();
-        acc.hop_rounds[d as usize] +=
-            self.h
-                .emulate_paths(d, &hop_paths, self.cfg.emulation, scratch);
-        acc.wall.record("hops", t0.elapsed());
+        record(ledger, d, hop_paths);
 
         // Leg 2: from the landing nodes to the final goals.
-        results.extend(self.recurse(child, leg2, acc, scratch));
+        results.extend(self.recurse(child, leg2, acc, ledger));
         results
+    }
+}
+
+/// Moves a depth-`d` path set into the ledger; an empty set costs nothing
+/// and is left out.
+fn record(ledger: &mut Vec<LedgerEntry>, d: u32, paths: KeySlab) {
+    if !paths.is_empty() {
+        ledger.push(LedgerEntry { level: d, paths });
     }
 }
 

@@ -4,7 +4,7 @@
 //! When the base graph is the complete graph (the congested-clique model
 //! the paper's Theorem 1.3 emulates), any routing instance with per-node
 //! load `≤ c·n` can be delivered in `O(c)` rounds by relaying through
-//! balanced intermediates — Lenzen's routing theorem [50] makes this
+//! balanced intermediates — Lenzen's routing theorem \[50\] makes this
 //! deterministic; here we implement the classical randomized/round-robin
 //! variant and measure its schedule. Skewed instances show the point: a
 //! single hot pair costs `k` rounds directly but `≈ 2k/n` via relays.

@@ -16,7 +16,9 @@
 //!    graphs.
 //!
 //! All round costs are *measured* through the hierarchy's recursive
-//! emulation. [`baseline`] provides a centralized shortest-path router (the
+//! emulation. [`HierarchicalRouter::plan`] routes without pricing and
+//! returns the path sets to price as a [`RoutePlan`];
+//! [`HierarchicalRouter::route`] prices that plan at once. [`baseline`] provides a centralized shortest-path router (the
 //! congestion+dilation reference) and a naive random-walk router;
 //! [`clique`] provides all-to-all emulation in the spirit of Theorem 1.3.
 
@@ -39,7 +41,7 @@ pub use congest_route::{
     STALL_LIMIT,
 };
 pub use error::RouteError;
-pub use hierarchical::{HierarchicalRouter, RouterConfig};
+pub use hierarchical::{HierarchicalRouter, RoutePlan, RouterConfig};
 pub use outcome::RoutingOutcome;
 
 /// Result alias for routing operations.
