@@ -53,11 +53,15 @@ fn main() {
         mst_wall.record("mst", wall);
         mst_wall.merge(&amt.wall);
         report.phase_timings(&format!("amt_mst_n{n}"), &mst_wall);
+        let secs = |label| amt.wall.nanos(label) as f64 * 1e-9;
         mst_walls.push(format!(
-            "n = {n}: {:.2} s (plan {:.2} s, price {:.2} s)",
+            "n = {n}: {:.3} s (plan {:.3} s of which prep {:.3} s, price {:.3} s; \
+             priced {:.3} s over all workers)",
             wall.as_secs_f64(),
-            amt.wall.nanos("plan") as f64 * 1e-9,
-            amt.wall.nanos("price") as f64 * 1e-9,
+            secs("plan"),
+            secs("prep"),
+            secs("price"),
+            secs("priced"),
         ));
         let ok_amt = reference::verify_mst(&wg, &amt.tree_edges);
         let gk = gkp::run(&wg, 3).expect("connected");
@@ -92,9 +96,10 @@ fn main() {
         slopes.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
     );
     println!(
-        "host wall of System::mst (exact pricing; the Borůvka loop plans, then one\n\
-         pass prices its ledger on all cores; not a table column): {}",
-        mst_walls.join(", ")
+        "host wall of System::mst (exact pricing; the Borůvka loop plans and streams\n\
+         its ledger to pricing workers on the other cores, then helps price what is\n\
+         left; not a table column):\n  {}",
+        mst_walls.join("\n  ")
     );
     println!("(τ is the centralized spectral estimate, not a distributed measurement.)");
     println!("(paper: per routing instance the cost is τ·2^O(√(log n log log n)) —");

@@ -23,8 +23,11 @@
 //! into base-graph traffic, each batch scheduled by a race over the stored
 //! paths that reproduces the store-and-forward router of `amt-walks`
 //! ([`Hierarchy::emulate_batch`]). Routing records the path sets it needs
-//! priced in a ledger of [`LedgerEntry`]s, and [`Hierarchy::price_ledger`]
-//! prices a ledger in one pass over several threads.
+//! priced in a ledger of [`LedgerEntry`]s. [`Hierarchy::price_stream`]
+//! prices entries on several threads while a producer is still pushing
+//! them through a [`LedgerFeed`] (the MST's Borůvka loop), and
+//! [`Hierarchy::price_ledger`] prices a recorded ledger through the same
+//! workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +47,7 @@ pub mod level0;
 pub use config::HierarchyConfig;
 pub use error::EmbedError;
 pub use hierarchy::{EmulationMode, EmulationScratch, Hierarchy, PricingCounts};
-pub use ledger::{LedgerEntry, Price};
+pub use ledger::{LedgerEntry, LedgerFeed, Price};
 pub use overlay::{dir_key, key_edge, key_is_forward, DirPath, Overlay};
 pub use portals::{PortalEntry, PortalTable};
 pub use stats::{BuildStats, LevelStats};

@@ -17,9 +17,10 @@
 //!    fragment ids are downcast.
 //!
 //! No step reads a routing price, so the loop only *plans* its instances
-//! ([`HierarchicalRouter::plan`]) and keeps one ledger of path sets for the
-//! whole run; after the loop, one pass prices it on all available cores
-//! ([`Hierarchy::price_ledger`]) and adds each iteration's prices to that
+//! ([`HierarchicalRouter::plan`]) and streams each instance's path sets to
+//! pricing workers on the other available cores while it goes on planning
+//! ([`Hierarchy::price_stream`]); when the loop ends, the calling thread
+//! helps price what is left, and each iteration's prices are added to that
 //! iteration.
 //!
 //! The three Lemma 4.1 invariants (tree depth `O(log² n)`, virtual degree
@@ -28,7 +29,7 @@
 
 use crate::{MstError, Result};
 use amt_congest::PhaseTimings;
-use amt_embedding::{Hierarchy, LedgerEntry};
+use amt_embedding::{Hierarchy, LedgerEntry, LedgerFeed};
 use amt_graphs::{EdgeId, EdgeWeight, NodeId, WeightedGraph};
 use amt_routing::{EmulationMode, HierarchicalRouter, RouterConfig};
 use rand::rngs::StdRng;
@@ -37,7 +38,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Per-iteration measurements (the Lemma 4.1 invariant witnesses).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IterationStats {
     /// Components before this iteration.
     pub components_before: usize,
@@ -60,7 +61,7 @@ pub struct IterationStats {
 }
 
 /// Outcome of [`AlmostMixingMst::run`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AmtMstOutcome {
     /// The MST edges (sorted by id); equal to Kruskal's canonical MST.
     pub tree_edges: Vec<EdgeId>,
@@ -77,9 +78,11 @@ pub struct AmtMstOutcome {
     pub routing_instances: u32,
     /// Per-iteration measurements.
     pub per_iteration: Vec<IterationStats>,
-    /// Host wall-clock time of the Borůvka loop (`"plan"`) and of the
-    /// pricing pass after it (`"price"`); excluded from equality like all
-    /// [`PhaseTimings`].
+    /// Host wall-clock time, excluded from equality like all
+    /// [`PhaseTimings`]: the Borůvka loop (`"plan"`), the pricing still left
+    /// when it ends (`"price"`), the sum of the instances' preparation
+    /// walks (`"prep"`, inside `"plan"`), and the time every worker spent
+    /// pricing, summed over workers (`"priced"`).
     pub wall: PhaseTimings,
 }
 
@@ -95,7 +98,17 @@ struct Token {
 pub struct AlmostMixingMst<'h, 'g> {
     router: HierarchicalRouter<'h, 'g>,
     iteration_cap: u32,
-    instances: std::cell::Cell<u32>,
+}
+
+/// The routing instances the loop has issued so far: how many, the sum of
+/// their preparation walls, and their path sets, fed to the pricing
+/// workers; `iteration_ends[i]` is the number of entries fed by the end of
+/// iteration `i`.
+struct Issued<'f, 'q> {
+    feed: &'f mut LedgerFeed<'q, LedgerEntry>,
+    instances: u32,
+    prep_nanos: u64,
+    iteration_ends: Vec<usize>,
 }
 
 impl<'h, 'g> AlmostMixingMst<'h, 'g> {
@@ -119,7 +132,6 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
         AlmostMixingMst {
             router: HierarchicalRouter::with_config(hierarchy, rc),
             iteration_cap: 20 + 10 * (n.max(2) as f64).log2().ceil() as u32,
-            instances: std::cell::Cell::new(0),
         }
     }
 
@@ -142,9 +154,54 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 reason: "weighted graph does not match the hierarchy's base graph".into(),
             }));
         }
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let planning = Instant::now();
+        let ((mut out, iteration_ends, prep_nanos, planned), prices) = h.price_stream(
+            self.router.config().emulation,
+            workers,
+            |feed| -> Result<_> {
+                let mut issued = Issued {
+                    feed,
+                    instances: 0,
+                    prep_nanos: 0,
+                    iteration_ends: Vec::new(),
+                };
+                let out = self.plan(wg, seed, &mut issued)?;
+                Ok((
+                    out,
+                    issued.iteration_ends,
+                    issued.prep_nanos,
+                    Instant::now(),
+                ))
+            },
+        )?;
+        out.wall.record("plan", planned - planning);
+        out.wall.record("price", planned.elapsed());
+        out.wall.record_nanos("prep", prep_nanos);
+        out.wall
+            .record_nanos("priced", prices.iter().map(|p| p.nanos).sum());
+        let mut start = 0;
+        for (it, end) in out.per_iteration.iter_mut().zip(iteration_ends) {
+            let priced: u64 = prices[start..end].iter().map(|p| p.rounds).sum();
+            it.routing_rounds += priced;
+            out.rounds += priced;
+            start = end;
+        }
+        Ok(out)
+    }
+
+    /// The Borůvka loop on the connected graph `wg`: plans every routing
+    /// instance into `issued` and returns the outcome with every emulation
+    /// price still missing from its rounds, and no walls.
+    fn plan(
+        &self,
+        wg: &WeightedGraph,
+        seed: u64,
+        issued: &mut Issued<'_, '_>,
+    ) -> Result<AmtMstOutcome> {
+        let g = wg.graph();
         let n = g.len();
         let mut rng = StdRng::seed_from_u64(seed);
-        self.instances.set(0);
 
         // Virtual-tree state (Lemma 4.1): parent pointers, children lists,
         // depths, and fragment labels.
@@ -156,13 +213,8 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
         let mut tree_edges: Vec<EdgeId> = Vec::with_capacity(n - 1);
         let mut rounds = 0u64;
         let mut per_iteration = Vec::new();
-        // The path sets of every instance, iteration by iteration;
-        // `ledger_ends[i]` is where iteration `i`'s entries end.
-        let mut ledger: Vec<LedgerEntry> = Vec::new();
-        let mut ledger_ends: Vec<usize> = Vec::new();
         let mut iterations = 0u32;
 
-        let planning = Instant::now();
         loop {
             let components_before = count_distinct(&comp);
             if components_before <= 1 {
@@ -174,7 +226,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 });
             }
             iterations += 1;
-            let iter_instances_before = self.instances.get();
+            let iter_instances_before = issued.instances;
             let mut it = IterationStats {
                 components_before,
                 ..Default::default()
@@ -204,11 +256,11 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             it.upcast_steps = max_d;
             for s in (1..=max_d).rev() {
                 let reqs = level_edges(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, issued)?;
             }
             for s in 1..=max_d {
                 let reqs = level_edges_down(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, issued)?;
             }
 
             // (4) Head/tail coins and star merges.
@@ -247,7 +299,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 &mut children,
                 &depth,
                 &mut rng,
-                &mut ledger,
+                issued,
             )?;
 
             // Relabel merged components and recompute depths.
@@ -257,11 +309,11 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             let new_max_d = depth.iter().copied().max().unwrap_or(0);
             for s in 1..=new_max_d {
                 let reqs = level_edges_down(&parent, &depth, s);
-                it.routing_rounds += self.route_pairs(&reqs, &mut rng, &mut ledger)?;
+                it.routing_rounds += self.route_pairs(&reqs, &mut rng, issued)?;
             }
 
             it.components_after = count_distinct(&comp);
-            it.routing_instances = self.instances.get() - iter_instances_before;
+            it.routing_instances = issued.instances - iter_instances_before;
             it.max_tree_depth = new_max_d;
             it.max_degree_ratio = g
                 .nodes()
@@ -272,22 +324,8 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                 .fold(0.0, f64::max);
             rounds += it.routing_rounds;
             per_iteration.push(it);
-            ledger_ends.push(ledger.len());
+            issued.iteration_ends.push(issued.feed.pushed());
         }
-        let mut wall = PhaseTimings::new();
-        wall.record("plan", planning.elapsed());
-
-        let pricing = Instant::now();
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let prices = h.price_ledger(&ledger, self.router.config().emulation, workers);
-        let mut start = 0;
-        for (it, end) in per_iteration.iter_mut().zip(ledger_ends) {
-            let priced: u64 = prices[start..end].iter().map(|p| p.rounds).sum();
-            it.routing_rounds += priced;
-            rounds += priced;
-            start = end;
-        }
-        wall.record("price", pricing.elapsed());
 
         tree_edges.sort_unstable();
         tree_edges.dedup();
@@ -297,36 +335,37 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
             rounds,
             hierarchy_build_rounds: self.router.hierarchy().stats.total_base_rounds,
             iterations,
-            routing_instances: self.instances.get(),
+            routing_instances: issued.instances,
             per_iteration,
-            wall,
+            wall: PhaseTimings::new(),
         })
     }
 
     /// One routing instance for a batch of `(from, to)` node pairs: plans
-    /// it, moves its path sets into `ledger`, and returns its preparation
-    /// rounds (the only rounds known before pricing).
+    /// it, feeds its path sets to the pricing workers, and returns its
+    /// preparation rounds (the only rounds known before pricing).
     fn route_pairs(
         &self,
         reqs: &[(u32, u32)],
         rng: &mut StdRng,
-        ledger: &mut Vec<LedgerEntry>,
+        issued: &mut Issued<'_, '_>,
     ) -> Result<u64> {
         if reqs.is_empty() {
             return Ok(0);
         }
-        self.instances.set(self.instances.get() + 1);
+        issued.instances += 1;
         let pairs: Vec<(NodeId, NodeId)> =
             reqs.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
         let plan = self.router.plan(&pairs, rng.random())?;
         let prep_rounds = plan.unpriced().prep_rounds;
-        ledger.extend(plan.into_ledger());
+        issued.prep_nanos += plan.unpriced().wall.nanos("prep");
+        issued.feed.extend(plan.into_ledger());
         Ok(prep_rounds)
     }
 
     /// The balancing token wave of Lemma 4.1 (see module docs). Returns the
-    /// preparation rounds of its instances and moves their path sets into
-    /// `ledger`. `depth` is the tree depth *before* the merges (the wave
+    /// preparation rounds of its instances and feeds their path sets to the
+    /// pricing workers. `depth` is the tree depth *before* the merges (the wave
     /// runs on the old head trees; freshly attached tail subtrees hold no
     /// tokens).
     fn balance_wave(
@@ -336,7 +375,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
         children: &mut [Vec<u32>],
         depth: &[u32],
         rng: &mut StdRng,
-        ledger: &mut Vec<LedgerEntry>,
+        issued: &mut Issued<'_, '_>,
     ) -> Result<u64> {
         let mut tokens: Vec<Token> = token_sites
             .iter()
@@ -368,7 +407,7 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
                     (tokens[i].pos, p)
                 })
                 .collect();
-            rounds += self.route_pairs(&reqs, rng, ledger)?;
+            rounds += self.route_pairs(&reqs, rng, issued)?;
 
             // Group arrivals by destination; stationary tokens already at a
             // destination join the merge group there.

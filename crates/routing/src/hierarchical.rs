@@ -73,8 +73,8 @@ impl RoutePlan<'_, '_> {
         &self.unpriced
     }
 
-    /// The ledger, moved out for a caller that prices many plans at once
-    /// ([`Hierarchy::price_ledger`]).
+    /// The ledger, moved out for a caller that prices many plans together
+    /// ([`Hierarchy::price_stream`], [`Hierarchy::price_ledger`]).
     pub fn into_ledger(self) -> Vec<LedgerEntry> {
         self.ledger
     }
