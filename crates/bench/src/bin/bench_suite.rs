@@ -8,6 +8,10 @@
 //! * **e2 routing** — the `i → 5i+3 mod n` permutation: hierarchical
 //!   routing on the n = 256 expander, plus the CONGEST-executed Valiant
 //!   bit-fix router on the dim-8 hypercube;
+//! * **e2 endpoint walks** — the router's preparation walk alone: one
+//!   `τ_mix`-step lazy walk from each node of that n = 256 network through
+//!   the endpoint-only walk call, repeated until the repeats last 200 ms
+//!   (asserted identical); the wall is their median;
 //! * **paper MST** — Theorem 1.1's `System::mst` on E1's n = 256 network
 //!   (the same hierarchy), run three times: the repeats must be identical,
 //!   the median wall is the tier's wall, and its plan/prep/price split is
@@ -57,10 +61,10 @@ use amt_core::routing::{route_bitfix_churned_instrumented, route_bitfix_instrume
 use amt_core::walks::healing::{
     run_walks_healing_churned_instrumented, run_walks_healing_instrumented,
 };
-use amt_core::walks::WalkSpec;
+use amt_core::walks::{run_walk_ends, WalkSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The e16 crash schedule: node 0 (the minimum-id fragment leader) first,
 /// then high-id nodes, staggered so crashes land mid-run.
@@ -201,6 +205,36 @@ fn main() {
             ..Metrics::default()
         };
         bench.record("e2_route_hierarchy_n256", &metrics, None, wall);
+    }
+
+    // e2 endpoint walks: the router's preparation walk in isolation, one
+    // τ_mix-step lazy walk from every node of the same network through the
+    // endpoint-only engine call. One call takes well under a millisecond,
+    // so the call repeats (same seed, asserted identical) until the
+    // repeats last 200 ms, and the wall is their median.
+    {
+        let starts: Vec<NodeId> = g.nodes().collect();
+        let tau = sys.hierarchy().cfg().tau_mix;
+        let walk = || {
+            let mut rng = StdRng::seed_from_u64(7);
+            let t0 = Instant::now();
+            let ends = run_walk_ends(&g, WalkKind::Lazy, &starts, tau, &mut rng);
+            (t0.elapsed(), ends)
+        };
+        let (first_wall, ends) = walk();
+        let mut walls = vec![first_wall];
+        while walls.iter().sum::<Duration>() < Duration::from_millis(200) {
+            let (wall, again) = walk();
+            assert_eq!(again, ends, "e2_walk_ends_n256: a repeat run drifted");
+            walls.push(wall);
+        }
+        walls.sort();
+        let metrics = Metrics {
+            rounds: ends.rounds,
+            messages: ends.traversals,
+            ..Metrics::default()
+        };
+        bench.record("e2_walk_ends_n256", &metrics, None, walls[walls.len() / 2]);
     }
 
     // Paper MST: System::mst with exact pricing, as E1 runs it at n = 256.

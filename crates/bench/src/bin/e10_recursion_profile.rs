@@ -10,7 +10,7 @@ use amt_bench::{expander, Report};
 use amt_core::embedding::VirtualId;
 use amt_core::prelude::*;
 use amt_core::routing::{EmulationMode, HierarchicalRouter, RouterConfig};
-use amt_core::walks::parallel::{run_parallel_walks, WalkSpec};
+use amt_core::walks::parallel::run_walk_ends;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -54,21 +54,19 @@ fn main() {
     // Replicate the preparation step to see where packets sit, then count
     // A_i→A_j demand vs available edges.
     let mut rng = StdRng::seed_from_u64(9);
-    let specs: Vec<WalkSpec> = reqs
-        .iter()
-        .map(|&(s, _)| WalkSpec {
-            start: s,
-            steps: h.cfg().tau_mix,
-        })
-        .collect();
-    let run = run_parallel_walks(g_ref(&sys), WalkKind::Lazy, &specs, &mut rng);
+    let sources: Vec<NodeId> = reqs.iter().map(|&(s, _)| s).collect();
+    let walked = run_walk_ends(
+        h.base(),
+        WalkKind::Lazy,
+        &sources,
+        h.cfg().tau_mix,
+        &mut rng,
+    );
     let vmap = h.vmap();
-    let starts: Vec<u32> = run
-        .trajectories()
-        .map(|t| {
-            let node = t.end();
-            vmap.vid(node, rng.random_range(0..vmap.slot_count(node))).0
-        })
+    let starts: Vec<u32> = walked
+        .ends
+        .iter()
+        .map(|&node| vmap.vid(node, rng.random_range(0..vmap.slot_count(node))).0)
         .collect();
     let goals: Vec<u32> = reqs
         .iter()
@@ -113,8 +111,4 @@ fn main() {
     println!(" ratio must stay bounded below by a constant, so the hop completes");
     println!(" in O(log n) rounds of G₀)");
     report.finish();
-}
-
-fn g_ref<'a>(sys: &'a System<'_>) -> &'a Graph {
-    sys.hierarchy().base()
 }

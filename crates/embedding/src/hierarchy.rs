@@ -475,17 +475,11 @@ impl<'g> Hierarchy<'g> {
         // One batched discovery run: portal_walks · β walks per node on G_p.
         let walk_len = cfg.level_walk_len(vnodes, p).max(2);
         let wpv = cfg.portal_walks * beta as usize;
-        let mut specs = Vec::with_capacity(vnodes * wpv);
-        for vid in 0..vnodes as u32 {
-            for _ in 0..wpv {
-                specs.push(WalkSpec {
-                    start: NodeId(vid),
-                    steps: walk_len,
-                });
-            }
-        }
-        let run = parallel::run_parallel_walks(gp, WalkKind::DeltaRegular, &specs, rng);
-        let gp_rounds = 2 * run.stats.rounds;
+        let starts: Vec<NodeId> = (0..vnodes as u32)
+            .flat_map(|vid| std::iter::repeat_n(NodeId(vid), wpv))
+            .collect();
+        let walked = parallel::run_walk_ends(gp, WalkKind::DeltaRegular, &starts, walk_len, rng);
+        let gp_rounds = 2 * walked.rounds;
 
         let mut table = PortalTable::new(p, beta, vnodes);
         let mut fallbacks = 0u64;
@@ -506,7 +500,7 @@ impl<'g> Hierarchy<'g> {
                 // First successful walk endpoint with a boundary edge to j.
                 let mut portal: Option<u32> = None;
                 for w in 0..wpv {
-                    let end = run.trajectory(vid as usize * wpv + w).end().0;
+                    let end = walked.ends[vid as usize * wpv + w].0;
                     if mask[end as usize] & (1u64 << j) != 0 && part_of(end, p) == my_part {
                         portal = Some(end);
                         break;

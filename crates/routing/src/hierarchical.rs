@@ -4,7 +4,7 @@ use crate::{Result, RouteError, RoutingOutcome};
 use amt_congest::PhaseTimings;
 use amt_embedding::{dir_key, EmulationMode, Hierarchy, LedgerEntry, VirtualId};
 use amt_graphs::NodeId;
-use amt_walks::{parallel, KeySlab, WalkKind, WalkSpec};
+use amt_walks::{parallel, KeySlab, WalkKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -271,22 +271,15 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         // then lands on a random virtual slot of wherever it stopped.
         let prep_started = Instant::now();
         let (starts, prep_rounds): (Vec<u32>, u64) = if self.cfg.prepare {
-            let specs: Vec<WalkSpec> = batch
+            let sources: Vec<NodeId> = batch.iter().map(|&(s, _)| s).collect();
+            let walked =
+                parallel::run_walk_ends(g, WalkKind::Lazy, &sources, self.h.cfg().tau_mix, rng);
+            let starts = walked
+                .ends
                 .iter()
-                .map(|&(s, _)| WalkSpec {
-                    start: s,
-                    steps: self.h.cfg().tau_mix,
-                })
+                .map(|&node| vmap.vid(node, rng.random_range(0..vmap.slot_count(node))).0)
                 .collect();
-            let run = parallel::run_parallel_walks(g, WalkKind::Lazy, &specs, rng);
-            let starts = run
-                .trajectories()
-                .map(|t| {
-                    let node = t.end();
-                    vmap.vid(node, rng.random_range(0..vmap.slot_count(node))).0
-                })
-                .collect();
-            (starts, run.stats.rounds)
+            (starts, walked.rounds)
         } else {
             let starts = batch
                 .iter()

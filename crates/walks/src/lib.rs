@@ -13,7 +13,8 @@
 //!   token per direction per round. [`parallel`] implements this
 //!   token-level and reports *measured* round costs, per-step edge loads and
 //!   per-node token loads, plus the recorded trajectories needed to run the
-//!   walks backwards (as the constructions of §3.1 require).
+//!   walks backwards (as the constructions of §3.1 require); callers that
+//!   only need where walks end use its endpoint-only entry point.
 //! * [`schedule`] — a store-and-forward path router: given tokens with fixed
 //!   paths over an arbitrary directed-capacity key space, computes the FIFO
 //!   makespan under capacity `c` per key per round. This single primitive
@@ -38,6 +39,8 @@ pub use healing::{
     run_walks_healing_instrumented, HealedWalkRun, MAX_EPOCHS,
 };
 pub use kind::WalkKind;
-pub use parallel::{run_correlated_walks, run_parallel_walks};
-pub use parallel::{ParallelWalkRun, Trajectory, WalkArena, WalkSpec, WalkStats, STAY_KEY};
+pub use parallel::{run_correlated_walks, run_parallel_walks, run_walk_ends};
+pub use parallel::{
+    ParallelWalkRun, Trajectory, WalkArena, WalkEnds, WalkSpec, WalkStats, STAY_KEY,
+};
 pub use schedule::{route_paths, KeyPaths, KeySlab, PathRouteStats, PathScheduler};

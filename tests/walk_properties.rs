@@ -1,17 +1,16 @@
 //! Property-based tests for the walk engine and path scheduler.
 
-use amt_core::graphs::{generators, GraphBuilder, NodeId};
+use amt_core::graphs::{generators, Graph, GraphBuilder, NodeId};
 use amt_core::walks::parallel::{
-    degree_proportional_specs, run_correlated_walks, run_parallel_walks,
+    degree_proportional_specs, run_correlated_walks, run_parallel_walks, run_walk_ends,
 };
 use amt_core::walks::{route_paths, PathScheduler, WalkKind, WalkSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngExt, SeedableRng};
 
 fn arb_connected() -> impl Strategy<Value = amt_core::graphs::Graph> {
     (4usize..20, any::<u64>()).prop_map(|(n, seed)| {
-        use rand::RngExt;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut b = GraphBuilder::new(n);
         for v in 1..n {
@@ -26,6 +25,71 @@ fn arb_connected() -> impl Strategy<Value = amt_core::graphs::Graph> {
         }
         b.build()
     })
+}
+
+/// One graph of the endpoint oracle's four families: random 4-regular,
+/// ring, star, preferential attachment.
+fn oracle_graph(family: u8, n: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    match family {
+        0 => generators::random_regular(2 * (n / 2), 4, &mut rng).unwrap(),
+        1 => generators::ring(n),
+        2 => {
+            let edges: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
+            Graph::from_edges(n, &edges).unwrap()
+        }
+        _ => generators::preferential_attachment(n, 2, &mut rng).unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn walk_ends_equal_the_trajectory_engine(
+        family in 0u8..4,
+        n in 6usize..64,
+        lazy in any::<bool>(),
+        k in 0usize..301,
+        steps in 0u32..41,
+        seed in any::<u64>(),
+    ) {
+        // The endpoint call against the full engine as its slow oracle: on
+        // equal-length specs the two make the same draws, so the ends, the
+        // measured rounds and traversals, and the RNG state afterwards
+        // must be byte-identical.
+        let input = (family, n, lazy, k, steps, seed);
+        let g = oracle_graph(family, n, seed);
+        let kind = if lazy { WalkKind::Lazy } else { WalkKind::DeltaRegular };
+        let mut pick = StdRng::seed_from_u64(!seed);
+        let starts: Vec<NodeId> =
+            (0..k).map(|_| NodeId(pick.random_range(0..g.len() as u32))).collect();
+        let specs: Vec<WalkSpec> =
+            starts.iter().map(|&start| WalkSpec { start, steps }).collect();
+        let mut slow_rng = StdRng::seed_from_u64(seed);
+        let mut fast_rng = StdRng::seed_from_u64(seed);
+        let run = run_parallel_walks(&g, kind, &specs, &mut slow_rng);
+        let fast = run_walk_ends(&g, kind, &starts, steps, &mut fast_rng);
+        let ends: Vec<NodeId> = run.trajectories().map(|t| t.end()).collect();
+        prop_assert_eq!(
+            &fast.ends,
+            &ends,
+            "ends differ; input (family, n, lazy, k, steps, seed) = {:?}",
+            input
+        );
+        prop_assert_eq!(
+            (fast.rounds, fast.traversals),
+            (run.stats.rounds, run.stats.traversals),
+            "rounds or traversals differ; input (family, n, lazy, k, steps, seed) = {:?}",
+            input
+        );
+        prop_assert_eq!(
+            fast_rng.next_u64(),
+            slow_rng.next_u64(),
+            "RNG state differs afterwards; input (family, n, lazy, k, steps, seed) = {:?}",
+            input
+        );
+    }
 }
 
 proptest! {
