@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the hot substrates: k-wise hashing,
-//! parallel-walk scheduling, path routing, exact emulation pricing, level-0
-//! construction, one routing instance, and an end-to-end MST at fixed size.
+//! parallel-walk scheduling, path routing, exact emulation pricing of
+//! one-key and multi-key path sets, level-0 construction, one routing
+//! instance, and an end-to-end MST at fixed size.
 
 use amt_bench::{expander, tau_estimate};
-use amt_core::embedding::{dir_key, EmulationScratch};
+use amt_core::embedding::{dir_key, EmulationScratch, VirtualId};
 use amt_core::kwise::PartitionHash;
 use amt_core::prelude::*;
 use amt_core::walks::parallel::{degree_proportional_specs, run_parallel_walks};
@@ -49,7 +50,8 @@ fn bench_path_router(c: &mut Criterion) {
     });
 
     // Exact recursive pricing: single crossings of 32 level-1 edges (one
-    // hop batch) expanded through level 0 down to base-graph schedules.
+    // hop batch, which the path scheduler schedules in closed form)
+    // expanded through level 0 down to base-graph schedules.
     let g = expander(32, 6, 1);
     let mut cfg = HierarchyConfig::auto(&g, tau_estimate(&g), 1);
     cfg.beta = 4;
@@ -63,8 +65,28 @@ fn bench_path_router(c: &mut Criterion) {
         .map(|(e, _, _)| vec![dir_key(e, true)])
         .collect();
     let mut scratch = EmulationScratch::new();
-    c.bench_function("schedule/emulate_paths_exact_n32_2level", |b| {
+    c.bench_function("schedule/emulate_paths_exact_n32_2level_one_key", |b| {
         b.iter(|| h.emulate_paths(1, black_box(&hops), EmulationMode::Exact, &mut scratch))
+    });
+
+    // Its multi-key twin on the same hierarchy: level-1 shortest paths of
+    // 2–3 keys, one from each of 32 sources, which take the scheduler's
+    // FIFO queues.
+    let vnodes = h.overlay(1).graph().len() as u32;
+    let journeys: Vec<Vec<u64>> = (0..vnodes)
+        .filter_map(|a| {
+            (1..vnodes).find_map(|s| {
+                let b = VirtualId((a + s) % vnodes);
+                h.bfs_overlay_path(1, VirtualId(a), b)
+                    .filter(|path| (2..=3).contains(&path.len()))
+            })
+        })
+        .take(32)
+        .map(|path| path.iter().map(|&(e, fwd)| dir_key(e, fwd)).collect())
+        .collect();
+    assert_eq!(journeys.len(), 32, "too few 2–3 key paths");
+    c.bench_function("schedule/emulate_paths_exact_n32_2level_multi_key", |b| {
+        b.iter(|| h.emulate_paths(1, black_box(&journeys), EmulationMode::Exact, &mut scratch))
     });
 }
 

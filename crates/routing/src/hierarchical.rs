@@ -2,12 +2,11 @@
 
 use crate::{Result, RouteError, RoutingOutcome};
 use amt_congest::PhaseTimings;
-use amt_embedding::{dir_key, EmulationMode, Hierarchy, LedgerEntry, VirtualId};
+use amt_embedding::{dir_key, EmulationMode, Hierarchy, LedgerEntry, PortalEntry, VirtualId};
 use amt_graphs::NodeId;
 use amt_walks::{parallel, KeySlab, WalkKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Knobs of the hierarchical router.
@@ -68,7 +67,7 @@ pub struct RoutePlan<'h, 'g> {
 impl RoutePlan<'_, '_> {
     /// The instance's outcome with every emulation price zero: phases,
     /// preparation rounds, deliveries, misses, crossings and the `"prep"`
-    /// wall.
+    /// and `"route"` walls.
     pub fn unpriced(&self) -> &RoutingOutcome {
         &self.unpriced
     }
@@ -300,7 +299,9 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             })
             .collect();
         let mut acc = Accum::default();
+        let route_started = Instant::now();
         let finals = self.recurse(0, pkts, &mut acc, ledger);
+        let route_elapsed = route_started.elapsed();
         debug_assert_eq!(finals.len(), batch.len());
         let mut final_pos = vec![u32::MAX; batch.len()];
         for (id, pos) in finals {
@@ -313,6 +314,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
             .count();
         let mut wall = PhaseTimings::new();
         wall.record("prep", prep_elapsed);
+        wall.record("route", route_elapsed);
         RoutingOutcome {
             phases: 1,
             total_base_rounds: prep_rounds,
@@ -333,7 +335,8 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
     /// Routes packets whose `cur` and `goal` share a depth-`d` part,
     /// appending every non-empty path set it crosses to `ledger`.
     /// Returns `(id, final position)` for every packet given; a packet whose
-    /// final position differs from its goal could not be delivered.
+    /// final position differs from its goal could not be delivered. Packet
+    /// ids are distinct and below the phase's batch size.
     fn recurse(
         &self,
         d: u32,
@@ -374,8 +377,11 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
 
         let child = d + 1;
         let mut leg1: Vec<Pkt> = Vec::new();
-        // Packets awaiting a portal hop: id → (portal entry, final goal).
-        let mut pend: HashMap<u32, (amt_embedding::PortalEntry, u32)> = HashMap::new();
+        // Packets awaiting a portal hop, indexed by id: (portal entry, final
+        // goal). Ids are dense within a phase, so the table is sized by the
+        // largest live id.
+        let ids = live.iter().map(|p| p.id as usize + 1).max().unwrap_or(0);
+        let mut pend: Vec<Option<(PortalEntry, u32)>> = vec![None; ids];
         let mut fallback_paths = KeySlab::new();
         for p in live {
             let src_part = self.h.part_of(VirtualId(p.cur), child);
@@ -392,7 +398,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                         cur: p.cur,
                         goal: entry.portal.0,
                     });
-                    pend.insert(p.id, (entry, p.goal));
+                    pend[p.id as usize] = Some((entry, p.goal));
                 }
                 None => {
                     // No portal: deliver the whole journey by a BFS path on
@@ -422,7 +428,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
         let mut hop_paths = fallback_paths;
         let mut leg2: Vec<Pkt> = Vec::new();
         for (id, pos) in leg1_results {
-            match pend.remove(&id) {
+            match pend[id as usize].take() {
                 None => results.push((id, pos)),
                 Some((entry, goal)) => {
                     if pos == entry.portal.0 {
@@ -499,6 +505,7 @@ mod tests {
         // Wall-clock stage timers were populated (prep ran, bottom parts
         // delivered); checked via `entries` since timing equality is vacuous.
         assert!(out.wall.nanos("prep") > 0);
+        assert!(out.wall.nanos("route") > 0);
         assert!(out.wall.nanos("bottom") > 0);
     }
 

@@ -20,7 +20,9 @@ fn key(n: usize, from: u32, to: u32) -> u64 {
 }
 
 /// Delivers every request over its direct clique edge; rounds equal the
-/// maximum number of messages sharing one ordered pair.
+/// maximum number of messages sharing one ordered pair. Every path crosses
+/// at most one key, so the path scheduler computes this schedule in closed
+/// form, with no queues ([`amt_walks::schedule`]).
 pub fn clique_direct(n: usize, requests: &[(NodeId, NodeId)]) -> PathRouteStats {
     let paths: Vec<Vec<u64>> = requests
         .iter()

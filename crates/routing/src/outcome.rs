@@ -37,8 +37,10 @@ pub struct RoutingOutcome {
     /// Emulation batches of two or more crossings, scheduled by the batch
     /// race of [`amt_embedding`] (the name predates the race).
     pub scheduled_batches: u64,
-    /// Host wall-clock time per routing stage (`"prep"`, `"hops"`,
-    /// `"bottom"` entries); excluded from equality like all
+    /// Host wall-clock time per routing stage: the preparation walk
+    /// (`"prep"`), the routing recursion that plans every hop and bottom
+    /// delivery (`"route"`), and the pricing of hops (`"hops"`) and bottom
+    /// deliveries (`"bottom"`). Excluded from equality like all
     /// [`PhaseTimings`], so determinism comparisons stay exact.
     pub wall: PhaseTimings,
 }

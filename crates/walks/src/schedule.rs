@@ -19,6 +19,14 @@
 //! across calls (DESIGN.md §2d): keys are remapped to dense ids, per-key
 //! FIFO queues are intrusive lists over token ids, and the schedule is one
 //! [`KeySlab`] with one entry per round.
+//!
+//! A path set in which no path crosses more than one key (the router's hop
+//! and bottom deliveries, direct clique routing) needs no queues: no token
+//! ever joins a second queue, so a key crossed by `m` tokens is crossed
+//! `min(c, m − (r − 1)·c)` times in round `r` at capacity `c`, and the
+//! makespan is `⌈max m / c⌉`. The scheduler detects that shape while it
+//! collects the keys and then sorts them once and writes this schedule
+//! directly; stats and schedule are the same as the queues would give.
 
 use amt_congest::PhaseTimings;
 use std::time::Instant;
@@ -276,14 +284,18 @@ impl PathScheduler {
         // key values themselves. The keys are collected in a buffer that is
         // sorted and deduplicated whenever it doubles, so it holds
         // O(distinct keys), not one entry per occurrence: full-round path
-        // sets cross each key many times.
+        // sets cross each key many times. While every path so far has at
+        // most one key the buffer is not compacted: it then holds every
+        // occurrence, which is what the closed form counts.
         distinct.clear();
-        let (mut traversals, mut settled) = (0usize, 0usize);
+        let (mut traversals, mut settled, mut single) = (0usize, 0usize, true);
         for i in 0..tokens {
             let before = distinct.len();
             distinct.extend(paths.path(i));
-            traversals += distinct.len() - before;
-            if distinct.len() >= 2 * settled + 1024 {
+            let len = distinct.len() - before;
+            traversals += len;
+            single &= len <= 1;
+            if !single && distinct.len() >= 2 * settled + 1024 {
                 distinct.sort_unstable();
                 distinct.dedup();
                 settled = distinct.len();
@@ -293,6 +305,17 @@ impl PathScheduler {
             tokens.max(traversals) < NONE as usize,
             "path system exceeds u32::MAX tokens or key occurrences"
         );
+        schedule.clear();
+        if single {
+            let (rounds, max_key_congestion) =
+                single_crossings::<RECORD>(distinct, load, active, next_active, schedule, capacity);
+            return PathRouteStats {
+                rounds,
+                traversals: traversals as u64,
+                max_key_congestion,
+                wall: PhaseTimings::new(),
+            };
+        }
         distinct.sort_unstable();
         distinct.dedup();
         load.clear();
@@ -331,7 +354,6 @@ impl PathScheduler {
         }
         active.sort_unstable();
 
-        schedule.clear();
         if RECORD {
             schedule.keys.reserve_exact(traversals);
         }
@@ -387,6 +409,59 @@ impl PathScheduler {
     pub fn schedule(&self) -> &KeySlab {
         &self.schedule
     }
+}
+
+/// The FIFO schedule of a path set whose paths cross at most one key each,
+/// in closed form; `keys` holds every key occurrence, in any order.
+/// Returns the makespan and the largest key congestion, and writes the
+/// schedule if `RECORD`.
+///
+/// Each round serves the keys with tokens left in ascending order, `c`
+/// tokens of each (fewer in a key's last round), exactly as the queues
+/// would: a crossing delivers its token, so no key gains a token after
+/// round 1.
+fn single_crossings<const RECORD: bool>(
+    keys: &mut Vec<u64>,
+    load: &mut Vec<u64>,
+    live: &mut Vec<u32>,
+    next_live: &mut Vec<u32>,
+    schedule: &mut KeySlab,
+    capacity: u32,
+) -> (u64, u64) {
+    // `keys[d]` becomes the `d`-th distinct key and `load[d]` the number of
+    // tokens crossing it.
+    keys.sort_unstable();
+    let occurrences = keys.len();
+    load.clear();
+    load.extend(keys.chunk_by(|a, b| a == b).map(|run| run.len() as u64));
+    keys.dedup();
+    let distinct = keys.len();
+    let max_key_congestion = load.iter().copied().max().unwrap_or(0);
+    let cap = u64::from(capacity);
+    let rounds = max_key_congestion.div_ceil(cap);
+    if RECORD {
+        schedule.keys.reserve_exact(occurrences);
+        live.clear();
+        live.extend(0..distinct as u32);
+        while !live.is_empty() {
+            next_live.clear();
+            for &d in live.iter() {
+                let d = d as usize;
+                let take = load[d].min(cap);
+                load[d] -= take;
+                schedule
+                    .keys
+                    .extend(std::iter::repeat_n(keys[d], take as usize));
+                if load[d] > 0 {
+                    next_live.push(d as u32);
+                }
+            }
+            std::mem::swap(live, next_live);
+            schedule.ends.push(schedule.keys.len());
+        }
+        debug_assert_eq!(schedule.len() as u64, rounds);
+    }
+    (rounds, max_key_congestion)
 }
 
 /// Appends `tok` to `key`'s queue, listing `key` in `active` if its queue

@@ -32,6 +32,24 @@ fn rounds_of(sched: &amt_core::walks::KeySlab) -> Vec<Vec<u64>> {
     sched.iter().map(<[u64]>::to_vec).collect()
 }
 
+/// Path sets of at most one key per path, which the scheduler schedules in
+/// closed form: a few keys, each near 0 or near `u64::MAX`, repeated many
+/// times, with empty paths interleaved.
+fn single_key_set() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    let key = (any::<bool>(), 0u64..4).prop_map(|(huge, k)| if huge { u64::MAX - k } else { k });
+    collection::vec(collection::vec(key, 0..2), 0..60)
+}
+
+/// `route` (stats and schedule) and `measure` (stats, no schedule) of
+/// `paths` on `sched` equal the reference scheduler's.
+fn matches_reference(sched: &mut PathScheduler, paths: &[Vec<u64>], cap: u32, ctx: &str) {
+    let (want, want_sched) = reference::route_paths_schedule(paths, cap);
+    assert_eq!(sched.route(paths, cap), want, "{ctx}");
+    assert_eq!(rounds_of(sched.schedule()), want_sched, "{ctx}");
+    assert_eq!(sched.measure(paths, cap), want, "{ctx}");
+    assert!(sched.schedule().is_empty(), "{ctx}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -56,6 +74,65 @@ proptest! {
         // The same stats with no schedule recorded.
         prop_assert_eq!(reused.measure(&paths, cap), want, "{}", ctx);
         prop_assert!(reused.schedule().is_empty(), "{}", ctx);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The closed form of one-key path sets, on a fresh scheduler and on
+    // one whose arenas hold another set's state; and the same set with one
+    // 2-key path inserted, which must take the queues.
+    #[test]
+    fn single_key_sets_match_the_reference(
+        paths in single_key_set(),
+        other in path_set(),
+        cap in 1u32..5,
+        (at, a, b) in (any::<usize>(), 0u64..4, 0u64..4),
+    ) {
+        let ctx = format!("cap {cap}, paths {paths:?}, other {other:?}");
+        matches_reference(&mut PathScheduler::new(), &paths, cap, &ctx);
+        let mut reused = PathScheduler::new();
+        reused.route(&other, cap);
+        matches_reference(&mut reused, &paths, cap, &ctx);
+        let mut mixed = paths.clone();
+        mixed.insert(at % (paths.len() + 1), vec![a, u64::MAX - b]);
+        let ctx = format!("cap {cap}, mixed {mixed:?}");
+        matches_reference(&mut reused, &mixed, cap, &ctx);
+    }
+}
+
+/// A one-key set with more occurrences than the remap's first compaction
+/// threshold (1 024), over twenty keys near 0 and near `u64::MAX` with
+/// empty paths interleaved; then the same set with one 2-key path at its
+/// end, so the buffer that held every occurrence is compacted there and
+/// the set takes the queues.
+#[test]
+fn large_single_key_set_matches_the_reference() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut paths: Vec<Vec<u64>> = (0..3000)
+        .map(|_| {
+            if rng.random_bool(0.2) {
+                return Vec::new();
+            }
+            let k = rng.random_range(0..10u64);
+            let key = if rng.random_bool(0.5) {
+                k
+            } else {
+                u64::MAX - k
+            };
+            vec![key]
+        })
+        .collect();
+    let occurrences = paths.iter().flatten().count();
+    assert!(occurrences > 1024, "{occurrences} occurrences");
+    let mut sched = PathScheduler::new();
+    for cap in 1u32..5 {
+        matches_reference(&mut sched, &paths, cap, &format!("cap {cap}"));
+    }
+    paths.push(vec![3, u64::MAX]);
+    for cap in 1u32..5 {
+        matches_reference(&mut sched, &paths, cap, &format!("mixed, cap {cap}"));
     }
 }
 
