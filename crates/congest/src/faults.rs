@@ -35,7 +35,7 @@
 
 use amt_graphs::NodeId;
 
-use crate::{CongestError, Metrics, Result};
+use crate::{ChurnPlan, CongestError, Metrics, Result};
 
 /// One scheduled crash-stop failure: `node` stops participating at the
 /// start of `round` (it executes no step in that round or later).
@@ -242,6 +242,26 @@ pub fn keyed_splitmix(seed: u64, key: u64) -> u64 {
     splitmix(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// The healing drivers' ARQ timeout after `k` consecutive restarts (phase
+/// restarts of the healing MST, re-issue epochs of the healing walks):
+/// `base` at `k = 0`, else `base` doubled `min(k, 4)` times plus a jitter
+/// below `base` drawn by [`keyed_splitmix`] from `k` and the plan seeds.
+/// Sustained flapping is thus ridden out instead of retried into, and the
+/// replay stays exact. A trivial churn plan's seed drops out of the jitter
+/// key, so such a run is byte-identical to the churn-free one whatever its
+/// seed.
+pub fn backoff_timeout(base: u64, k: u32, plan: &FaultPlan, churn: &ChurnPlan) -> u64 {
+    if k == 0 {
+        return base;
+    }
+    let jitter_seed = if churn.is_trivial() {
+        plan.seed
+    } else {
+        plan.seed ^ churn.seed
+    };
+    (base << k.min(4)) + keyed_splitmix(jitter_seed, u64::from(k)) % base.max(1)
+}
+
 /// Domain tags keeping the per-purpose draws of one message independent.
 mod draw {
     pub(super) const DROP: u64 = 0;
@@ -421,6 +441,30 @@ mod tests {
         assert!(!FaultPlan::none().with_corruption(0.1).is_trivial());
         assert!(!FaultPlan::none().with_delays(0.1, 3).is_trivial());
         assert!(!FaultPlan::none().with_crash(NodeId(0), 5).is_trivial());
+    }
+
+    #[test]
+    fn backoff_doubles_at_most_four_times_and_jitters_below_base() {
+        let plan = FaultPlan::none().seeded(7);
+        let base = 6;
+        let quiet = ChurnPlan::none().seeded(99);
+        let flapping = ChurnPlan::none().seeded(99).with_flaps(0.1, 4);
+        for churn in [&quiet, &flapping] {
+            assert_eq!(backoff_timeout(base, 0, &plan, churn), base);
+        }
+        for k in 1..12u32 {
+            let calm = backoff_timeout(base, k, &plan, &ChurnPlan::none());
+            let doubled = base << k.min(4);
+            assert!((doubled..doubled + base).contains(&calm), "k = {k}: {calm}");
+            assert_eq!(calm, doubled + keyed_splitmix(7, u64::from(k)) % base);
+            // A trivial churn plan's seed drops out of the jitter key; a
+            // live plan's seed enters it.
+            assert_eq!(backoff_timeout(base, k, &plan, &quiet), calm);
+            assert_eq!(
+                backoff_timeout(base, k, &plan, &flapping),
+                doubled + keyed_splitmix(7 ^ 99, u64::from(k)) % base
+            );
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EdgeOutage, RestartEvent};
 pub use error::CongestError;
-pub use faults::{keyed_splitmix, CrashEvent, FaultEvent, FaultKind, FaultPlan};
+pub use faults::{backoff_timeout, keyed_splitmix, CrashEvent, FaultEvent, FaultKind, FaultPlan};
 pub use message::{bits_for_count, bits_for_value, CongestMessage};
 pub use metrics::Metrics;
 pub use observe::{Observe, Observed, ObservedRuns};

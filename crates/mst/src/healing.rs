@@ -46,13 +46,12 @@ use crate::congest_boruvka::{decode_edge, encode};
 use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
-    bits_for_value, class, keyed_splitmix, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind,
+    backoff_timeout, bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind,
     FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable,
     ReliableLink, RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass,
     TrafficProfile,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
-use std::collections::{HashMap, HashSet};
 
 /// Consecutive phase-level ARQ give-ups on the same live link before the
 /// run surfaces [`CongestError::RetryExhausted`].
@@ -83,12 +82,13 @@ const FLOOD_CONFIG: RunConfig = RunConfig {
 
 impl ReliableMinFlood {
     /// One flood node per node of `g`: node `v` starts from `init[v]` and
-    /// floods over its `active` forest edges to live peers; `dead` nodes
+    /// floods over its forest edges (`active`, indexed by `EdgeId`) to live
+    /// peers; `dead` nodes
     /// neither spread nor receive. ARQ base timeout `timeout`, data frames
     /// attributed to `class`, `"mst_phase"` spans numbered `phase`.
     fn fleet(
         g: &Graph,
-        active: &HashSet<EdgeId>,
+        active: &[bool],
         dead: &[bool],
         init: &[u64],
         timeout: u64,
@@ -101,7 +101,7 @@ impl ReliableMinFlood {
                 active_ports: g
                     .neighbors(v)
                     .enumerate()
-                    .filter(|(_, (w, e))| active.contains(e) && !dead[w.index()])
+                    .filter(|(_, (w, e))| active[e.index()] && !dead[w.index()])
                     .map(|(p, _)| p)
                     .collect(),
                 value: init[v.index()],
@@ -172,185 +172,6 @@ struct PhaseDamage {
     /// Live nodes that were offline (churn outage) at any point this phase
     /// — their contribution may be missing, so the flood is suspect.
     outaged: Vec<NodeId>,
-}
-
-/// One reliable flooding phase over `active` forest edges, excluding dead
-/// nodes; returns converged values, metrics, and the damage the phase
-/// observed ([`PhaseDamage`]). Data frames are attributed to `class`;
-/// `phase` is the global phase number for `"mst_phase"` spans. Damage
-/// events (crashes, outages, cuts) open spans in `timeline` on the global
-/// clock. The `observe` layers' records fold into `runs` at
-/// `rounds_so_far`.
-#[allow(clippy::too_many_arguments)]
-fn reliable_min_flood(
-    wg: &WeightedGraph,
-    active: &HashSet<EdgeId>,
-    dead: &[bool],
-    init: &[u64],
-    seed: u64,
-    plan: &FaultPlan,
-    churn: &ChurnPlan,
-    timeout: u64,
-    elapsed: u64,
-    crash_rounds: &mut HashMap<u32, u64>,
-    timeline: &mut RecoveryTimeline,
-    class: TrafficClass,
-    phase: u64,
-    observe: &Observe,
-    runs: &mut ObservedRuns,
-    rounds_so_far: u64,
-) -> Result<(Vec<u64>, Metrics, PhaseDamage)> {
-    let g = wg.graph();
-    let nodes = ReliableMinFlood::fleet(g, active, dead, init, timeout, class, phase);
-    // This phase sees the tail of the global fault schedule: already-dead
-    // nodes stay crashed from round 0, pending crashes fire once the
-    // computation's global clock (elapsed + local round) reaches them. The
-    // churn plan needs no such surgery — its schedules are expressed on the
-    // global clock and shifted wholesale via `at_offset`.
-    let mut phase_plan = plan.clone();
-    phase_plan.seed = plan.seed ^ elapsed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for c in &mut phase_plan.crashes {
-        c.round = if dead[c.node.index()] {
-            0
-        } else {
-            c.round.saturating_sub(elapsed)
-        };
-    }
-    let mut sim = Simulator::new(g, nodes, seed)?
-        .with_fault_plan(phase_plan)
-        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed))
-        .with_observe(observe.clone());
-    let metrics = sim.run(&FLOOD_CONFIG)?;
-    runs.absorb(sim.take_observed(), rounds_so_far);
-    for e in sim.fault_events() {
-        if matches!(e.kind, FaultKind::Crashed) {
-            crash_rounds.entry(e.node.0).or_insert(elapsed + e.round);
-            // Re-applied crashes of already-dead nodes are no new damage.
-            if !dead[e.node.index()] {
-                timeline.record_damage(elapsed + e.round);
-            }
-        }
-    }
-    for ev in sim.churn_events() {
-        // Outages touching only already-dead nodes are immaterial — the
-        // healed tree no longer depends on them, so they open no span.
-        let counts = match ev.kind {
-            ChurnKind::EdgeDown { edge } => {
-                let (u, v) = g.endpoints(edge);
-                !dead[u.index()] && !dead[v.index()]
-            }
-            ChurnKind::NodeDown { node } => !dead[node.index()],
-            _ => false,
-        };
-        if counts {
-            timeline.record_damage(elapsed + ev.round);
-        }
-    }
-    let new_crashes: Vec<NodeId> = sim
-        .crashed_nodes()
-        .into_iter()
-        .filter(|v| !dead[v.index()])
-        .collect();
-    let dead_now = |v: NodeId| dead[v.index()] || new_crashes.contains(&v);
-    let giveups = sim
-        .nodes()
-        .iter()
-        .enumerate()
-        .flat_map(|(v, p)| {
-            let v = NodeId::from(v);
-            p.link
-                .failures()
-                .into_iter()
-                .filter(move |&(port, _)| {
-                    let (peer, _) = g.neighbors(v).nth(port).expect("port within degree");
-                    !dead_now(peer)
-                })
-                .map(move |(port, attempts)| (v, port, attempts))
-        })
-        .collect();
-    // Live nodes offline at any point this phase: the executor counts them
-    // as done while they are down, so the flood may have terminated without
-    // their contribution — the caller must treat the values as suspect.
-    let mut outaged: Vec<NodeId> = sim
-        .churn_events()
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            ChurnKind::NodeDown { node } if !dead_now(node) => Some(node),
-            _ => None,
-        })
-        .collect();
-    outaged.sort_unstable();
-    outaged.dedup();
-    Ok((
-        sim.nodes().iter().map(|p| p.value).collect(),
-        metrics,
-        PhaseDamage {
-            new_crashes,
-            giveups,
-            outaged,
-        },
-    ))
-}
-
-/// Removes forest/tree edges the churn plan has permanently cut; returns
-/// whether anything was pruned (labels must re-flood before Borůvka
-/// resumes). Surviving adoptions stay MST edges of the reduced graph: each
-/// was its fragment's minimum outgoing edge over a superset of the final
-/// edge set.
-fn prune_cut_forest(
-    forest: &mut HashSet<EdgeId>,
-    tree_edges: &mut Vec<EdgeId>,
-    cut_tree_edges: &mut Vec<EdgeId>,
-    is_cut: impl Fn(EdgeId) -> bool,
-) -> bool {
-    let newly_cut: Vec<EdgeId> = forest.iter().copied().filter(|&e| is_cut(e)).collect();
-    if newly_cut.is_empty() {
-        return false;
-    }
-    for e in &newly_cut {
-        forest.remove(e);
-    }
-    tree_edges.retain(|e| forest.contains(e));
-    cut_tree_edges.extend(newly_cut);
-    true
-}
-
-/// Accounts this phase's ARQ give-ups toward live peers over non-cut edges
-/// into `streaks`. Returns `Ok(true)` when the phase's flood values are
-/// suspect and the phase must restart; errors with
-/// [`CongestError::RetryExhausted`] once one link has given up
-/// [`MAX_LINK_RETRIES`] phases straight — sustained damage the retry
-/// budget cannot outwait.
-fn check_giveups(
-    g: &Graph,
-    giveups: &[(NodeId, usize, u32)],
-    is_cut: impl Fn(EdgeId) -> bool,
-    streaks: &mut HashMap<(u32, usize), u32>,
-    elapsed: u64,
-    seed: u64,
-) -> Result<bool> {
-    let mut restart = false;
-    for &(v, port, attempts) in giveups {
-        let (_, e) = g.neighbors(v).nth(port).expect("port within degree");
-        if is_cut(e) {
-            // An expected give-up: the edge is gone for good, and the
-            // cut-forest prune reroutes around it.
-            continue;
-        }
-        restart = true;
-        let s = streaks.entry((v.0, port)).or_insert(0);
-        *s += 1;
-        if *s >= MAX_LINK_RETRIES {
-            return Err(MstError::Congest(CongestError::RetryExhausted {
-                node: v,
-                port,
-                attempts,
-                round: elapsed,
-                seed,
-            }));
-        }
-    }
-    Ok(restart)
 }
 
 /// Outcome of the self-healing Borůvka run.
@@ -436,6 +257,354 @@ pub fn run_healing_churned(
     Ok(out)
 }
 
+/// The state of one healing run, carried from phase to phase by
+/// [`Healing::flood`]. `metrics.rounds` is the run's global clock: every
+/// phase plan, churn offset, damage span and error round is read off it.
+struct Healing<'a> {
+    wg: &'a WeightedGraph,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    observe: Observe,
+    runs: ObservedRuns,
+    metrics: Metrics,
+    timeline: RecoveryTimeline,
+    /// Global phase number, emitted in `"mst_phase"` spans.
+    phase: u64,
+    /// Fragment label per node (minimum node id of its fragment).
+    comp: Vec<u64>,
+    /// Whether `comp` must be re-flooded before Borůvka resumes.
+    labels_stale: bool,
+    dead: Vec<bool>,
+    /// First round each node was seen crashed, named by `NodeCrashed`.
+    crash_round: Vec<Option<u64>>,
+    /// Forest edge mask, indexed by `EdgeId`.
+    forest: Vec<bool>,
+    cut_tree_edges: Vec<EdgeId>,
+    /// Round (on the churn plan's global clock) from which each edge is
+    /// permanently cut.
+    cut_round: Vec<Option<u64>>,
+    base_timeout: u64,
+    /// Consecutive phase restarts without a completed iteration; the
+    /// exponent of the ARQ timeout's backoff.
+    restart_streak: u32,
+    phase_restarts: u32,
+    /// Phase-level ARQ give-up streak per directed link, `[node][port]`.
+    giveup_streak: Vec<Vec<u32>>,
+    /// Consecutive suspect phases per node in churn outage; a node offline
+    /// [`MAX_LINK_RETRIES`] phases straight is pruned as dead — an
+    /// effectively-permanent outage the restart budget must not chase.
+    outage_streak: Vec<u32>,
+}
+
+impl Healing<'_> {
+    fn is_cut(&self, e: EdgeId) -> bool {
+        self.cut_round[e.index()].is_some_and(|r| r <= self.metrics.rounds)
+    }
+
+    /// One reliable flooding phase over the forest from `init`, then the
+    /// damage triage. Returns the converged values, or `None` when damage
+    /// made them suspect and the phase restarts (labels go stale). The
+    /// triage runs in a fixed order and acts on the first damage found:
+    /// new crashes are pruned, outaged nodes lose patience, cut tree edges
+    /// are pruned, live-link give-ups are counted.
+    fn flood(&mut self, init: &[u64], seed: u64, class: TrafficClass) -> Result<Option<Vec<u64>>> {
+        let (values, damage) = self.run_phase(init, seed, class)?;
+        if !damage.new_crashes.is_empty() {
+            // A fragment member — possibly the minimum-id leader — died
+            // mid-phase; the partial minima are untrustworthy.
+            self.prune(&damage.new_crashes)?;
+        } else if !damage.outaged.is_empty() {
+            // A live node was offline mid-flood: the executor counts it as
+            // done while down, so its value may be missing.
+            self.handle_outages(&damage.outaged)?;
+        } else if !self.prune_cut_forest() && !self.check_giveups(&damage.giveups)? {
+            return Ok(Some(values));
+        }
+        self.restart();
+        Ok(None)
+    }
+
+    fn restart(&mut self) {
+        self.restart_streak += 1;
+        self.phase_restarts += 1;
+        self.labels_stale = true;
+    }
+
+    /// Runs one flooding phase on the simulator and folds its metrics,
+    /// observations and damage spans into the run; `class` attributes the
+    /// data frames.
+    fn run_phase(
+        &mut self,
+        init: &[u64],
+        seed: u64,
+        class: TrafficClass,
+    ) -> Result<(Vec<u64>, PhaseDamage)> {
+        let g = self.wg.graph();
+        let elapsed = self.metrics.rounds;
+        let dead = &self.dead;
+        self.phase += 1;
+        let timeout = backoff_timeout(
+            self.base_timeout,
+            self.restart_streak,
+            &self.plan,
+            &self.churn,
+        );
+        let nodes =
+            ReliableMinFlood::fleet(g, &self.forest, dead, init, timeout, class, self.phase);
+        // This phase sees the tail of the global fault schedule: already-dead
+        // nodes stay crashed from round 0, pending crashes fire once the
+        // computation's global clock (elapsed + local round) reaches them. The
+        // churn plan needs no such surgery — its schedules are expressed on the
+        // global clock and shifted wholesale via `at_offset`.
+        let mut phase_plan = self.plan.clone();
+        phase_plan.seed = self.plan.seed ^ elapsed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for c in &mut phase_plan.crashes {
+            c.round = if dead[c.node.index()] {
+                0
+            } else {
+                c.round.saturating_sub(elapsed)
+            };
+        }
+        let churn = self
+            .churn
+            .clone()
+            .at_offset(self.churn.round_offset + elapsed);
+        let mut sim = Simulator::new(g, nodes, seed)?
+            .with_fault_plan(phase_plan)
+            .with_churn_plan(churn)
+            .with_observe(self.observe.clone());
+        let metrics = sim.run(&FLOOD_CONFIG)?;
+        self.runs.absorb(sim.take_observed(), elapsed);
+        self.metrics = self.metrics.then(metrics);
+        for e in sim.fault_events() {
+            if matches!(e.kind, FaultKind::Crashed) {
+                self.crash_round[e.node.index()].get_or_insert(elapsed + e.round);
+                // Re-applied crashes of already-dead nodes are no new damage.
+                if !dead[e.node.index()] {
+                    self.timeline.record_damage(elapsed + e.round);
+                }
+            }
+        }
+        for ev in sim.churn_events() {
+            // Outages touching only already-dead nodes are immaterial — the
+            // healed tree no longer depends on them, so they open no span.
+            let counts = match ev.kind {
+                ChurnKind::EdgeDown { edge } => {
+                    let (u, v) = g.endpoints(edge);
+                    !dead[u.index()] && !dead[v.index()]
+                }
+                ChurnKind::NodeDown { node } => !dead[node.index()],
+                _ => false,
+            };
+            if counts {
+                self.timeline.record_damage(elapsed + ev.round);
+            }
+        }
+        let new_crashes: Vec<NodeId> = sim
+            .crashed_nodes()
+            .into_iter()
+            .filter(|v| !dead[v.index()])
+            .collect();
+        let dead_now = |v: NodeId| dead[v.index()] || new_crashes.contains(&v);
+        let giveups = sim
+            .nodes()
+            .iter()
+            .enumerate()
+            .flat_map(|(v, p)| {
+                let v = NodeId::from(v);
+                p.link
+                    .failures()
+                    .into_iter()
+                    .filter(move |&(port, _)| !dead_now(g.neighbor_at(v, port).0))
+                    .map(move |(port, attempts)| (v, port, attempts))
+            })
+            .collect();
+        // Live nodes offline at any point this phase: the executor counts them
+        // as done while they are down, so the flood may have terminated without
+        // their contribution — the caller must treat the values as suspect.
+        let mut outaged: Vec<NodeId> = sim
+            .churn_events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                ChurnKind::NodeDown { node } if !dead_now(node) => Some(node),
+                _ => None,
+            })
+            .collect();
+        outaged.sort_unstable();
+        outaged.dedup();
+        let values = sim.nodes().iter().map(|p| p.value).collect();
+        let damage = PhaseDamage {
+            new_crashes,
+            giveups,
+            outaged,
+        };
+        Ok((values, damage))
+    }
+
+    /// Marks `crashed` dead and drops their forest edges; errors with
+    /// [`CongestError::NodeCrashed`], naming the last of them, if the
+    /// survivors are disconnected.
+    fn prune(&mut self, crashed: &[NodeId]) -> Result<()> {
+        let g = self.wg.graph();
+        for v in crashed {
+            self.dead[v.index()] = true;
+        }
+        for (e, in_forest) in self.forest.iter_mut().enumerate() {
+            let (u, v) = g.endpoints(EdgeId(e as u32));
+            *in_forest &= !self.dead[u.index()] && !self.dead[v.index()];
+        }
+        // The survivors must stay connected for an MST to exist.
+        if self.components(false) > 1 {
+            let &culprit = crashed.last().expect("disconnection implies a new crash");
+            return Err(MstError::Congest(CongestError::NodeCrashed {
+                node: culprit,
+                round: self.crash_round[culprit.index()].unwrap_or(0),
+                seed: self.plan.seed,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Bumps each outaged node's patience streak; nodes offline
+    /// [`MAX_LINK_RETRIES`] suspect phases straight are pruned as dead.
+    fn handle_outages(&mut self, outaged: &[NodeId]) -> Result<()> {
+        let expired: Vec<NodeId> = outaged
+            .iter()
+            .copied()
+            .filter(|v| {
+                let s = &mut self.outage_streak[v.index()];
+                *s += 1;
+                *s >= MAX_LINK_RETRIES
+            })
+            .collect();
+        if expired.is_empty() {
+            return Ok(());
+        }
+        self.prune(&expired)
+    }
+
+    /// Removes forest edges the churn plan has permanently cut; returns
+    /// whether anything was pruned. Surviving adoptions stay MST edges of
+    /// the reduced graph: each was its fragment's minimum outgoing edge
+    /// over a superset of the final edge set.
+    fn prune_cut_forest(&mut self) -> bool {
+        let before = self.cut_tree_edges.len();
+        for e in (0..self.forest.len()).map(|e| EdgeId(e as u32)) {
+            if self.forest[e.index()] && self.is_cut(e) {
+                self.forest[e.index()] = false;
+                self.cut_tree_edges.push(e);
+            }
+        }
+        self.cut_tree_edges.len() > before
+    }
+
+    /// Accounts this phase's ARQ give-ups toward live peers over non-cut
+    /// edges. Returns whether the flood values are suspect; errors with
+    /// [`CongestError::RetryExhausted`] once one link has given up
+    /// [`MAX_LINK_RETRIES`] phases straight — sustained damage the retry
+    /// budget cannot outwait.
+    fn check_giveups(&mut self, giveups: &[(NodeId, usize, u32)]) -> Result<bool> {
+        let g = self.wg.graph();
+        let mut suspect = false;
+        for &(v, port, attempts) in giveups {
+            // A give-up over a cut edge is expected: the edge is gone for
+            // good, and the cut-forest prune reroutes around it.
+            if self.is_cut(g.neighbor_at(v, port).1) {
+                continue;
+            }
+            suspect = true;
+            let s = &mut self.giveup_streak[v.index()][port];
+            *s += 1;
+            if *s >= MAX_LINK_RETRIES {
+                return Err(MstError::Congest(CongestError::RetryExhausted {
+                    node: v,
+                    port,
+                    attempts,
+                    round: self.metrics.rounds,
+                    seed: self.plan.seed,
+                }));
+            }
+        }
+        Ok(suspect)
+    }
+
+    /// Components of the live nodes over every edge or, `with_cuts`, over
+    /// the edges not permanently cut by now (transient outages count as
+    /// connectivity — they come back).
+    fn components(&self, with_cuts: bool) -> usize {
+        let g = self.wg.graph();
+        let mut seen = self.dead.clone();
+        let mut comps = 0;
+        for s in g.nodes() {
+            if seen[s.index()] {
+                continue;
+            }
+            comps += 1;
+            seen[s.index()] = true;
+            let mut stack = vec![s];
+            while let Some(v) = stack.pop() {
+                for (w, e) in g.neighbors(v) {
+                    if seen[w.index()] || (with_cuts && self.is_cut(e)) {
+                        continue;
+                    }
+                    seen[w.index()] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        comps
+    }
+
+    /// Per-node candidate: minimum edge out of the fragment, toward a live
+    /// node, over an edge not permanently cut by now (transiently down
+    /// edges stay candidates — they come back).
+    fn candidates(&self) -> Vec<u64> {
+        let (g, dead, comp) = (self.wg.graph(), &self.dead, &self.comp);
+        g.nodes()
+            .map(|v| {
+                if dead[v.index()] {
+                    return NO_CANDIDATE;
+                }
+                g.neighbors(v)
+                    .filter(|&(w, e)| {
+                        w != v
+                            && !dead[w.index()]
+                            && comp[w.index()] != comp[v.index()]
+                            && !self.is_cut(e)
+                    })
+                    .map(|(_, e)| encode(self.wg, e))
+                    .min()
+                    .unwrap_or(NO_CANDIDATE)
+            })
+            .collect()
+    }
+
+    /// Merges along every fragment's minimum outgoing edge `vals[v]`
+    /// (central bookkeeping, as in the baseline harness); returns whether
+    /// any two fragments merged.
+    fn merge(&mut self, vals: &[u64]) -> bool {
+        let g = self.wg.graph();
+        let mut uf = UnionFind::new(g.len());
+        for (e, _, _) in g.edges().filter(|(e, _, _)| self.forest[e.index()]) {
+            let (u, v) = g.endpoints(e);
+            uf.union(u.index(), v.index());
+        }
+        let mut merged = false;
+        for (v, &val) in vals.iter().enumerate() {
+            if self.dead[v] || val == NO_CANDIDATE {
+                continue;
+            }
+            let e = decode_edge(self.wg, val);
+            let (a, b) = g.endpoints(e);
+            if uf.union(a.index(), b.index()) {
+                self.forest[e.index()] = true;
+                merged = true;
+            }
+        }
+        merged
+    }
+}
+
 /// The full healing driver: faults, churn, and opt-in observability in one
 /// signature ([`run_healing_instrumented`] is this with a trivial churn
 /// plan).
@@ -470,240 +639,62 @@ pub fn run_healing_churned_instrumented(
             "candidate encoding must fit the 34-bit ARQ payload"
         );
     }
-
-    let mut comp: Vec<u64> = (0..n as u64).collect();
-    let mut forest: HashSet<EdgeId> = HashSet::new();
-    let mut tree_edges: Vec<EdgeId> = Vec::new();
-    let mut metrics = Metrics::default();
-    let mut iterations = 0u32;
-    let mut phase_restarts = 0u32;
-    let mut dead = vec![false; n];
-    let mut crash_rounds: HashMap<u32, u64> = HashMap::new();
-    let mut elapsed = 0u64;
-    let mut labels_stale = false;
-    let observe = Observe { trace, profile };
-    let mut runs = ObservedRuns::default();
-    let mut phase = 0u64;
-    let mut timeline = RecoveryTimeline::new();
-    let mut cut_tree_edges: Vec<EdgeId> = Vec::new();
-    // Consecutive phase restarts without a completed iteration; drives the
-    // capped-backoff ARQ timeout below.
-    let mut restart_streak = 0u32;
-    // Phase-level ARQ give-up streak per directed link `(node, port)`.
-    let mut giveup_streaks: HashMap<(u32, usize), u32> = HashMap::new();
-    // Consecutive suspect phases per node in churn outage; a node offline
-    // [`MAX_LINK_RETRIES`] phases straight is pruned as dead — an
-    // effectively-permanent outage the restart budget must not chase.
-    let mut outage_streaks: HashMap<u32, u32> = HashMap::new();
-    let base_timeout = 4 + 2 * plan.max_delay;
-    // Jitter key: a *trivial* churn plan must leave the run byte-identical
-    // to the churn-free path whatever its seed, so its seed drops out.
-    let jitter_seed = if churn.is_trivial() {
-        plan.seed
-    } else {
-        plan.seed ^ churn.seed
-    };
-    // Rounds (on the churn plan's global clock) from which each edge is
-    // permanently cut, precomputed once.
-    let cut_round: Vec<Option<u64>> = (0..g.edge_count())
-        .map(|e| churn.edge_cut_round(EdgeId(e as u32)))
-        .collect();
-    let is_cut = |e: EdgeId, at: u64| cut_round[e.index()].is_some_and(|r| r <= at);
     // Restarts re-run phases, so budget them on top of the usual cap.
     let cap = 2 * (n.max(2) as f64).log2().ceil() as u32
         + 10
         + 2 * plan.crashes.len() as u32
         + 2 * (churn.outages.len() + churn.restarts.len()) as u32;
-
-    // Components of the live nodes over edges not permanently cut by `at`
-    // (transient outages count as connectivity — they come back).
-    let survivor_components = |dead: &[bool], at: u64| -> usize {
-        let mut seen = vec![false; n];
-        let mut comps = 0usize;
-        for s in 0..n {
-            if dead[s] || seen[s] {
-                continue;
-            }
-            comps += 1;
-            seen[s] = true;
-            let mut stack = vec![NodeId::from(s)];
-            while let Some(v) = stack.pop() {
-                for (w, e) in g.neighbors(v) {
-                    if !dead[w.index()] && !seen[w.index()] && !is_cut(e, at) {
-                        seen[w.index()] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-        }
-        comps
+    let label_init: Vec<u64> = (0..n as u64).collect();
+    let mut run = Healing {
+        wg,
+        base_timeout: 4 + 2 * plan.max_delay,
+        cut_round: g.edges().map(|(e, _, _)| churn.edge_cut_round(e)).collect(),
+        plan,
+        churn,
+        observe: Observe { trace, profile },
+        runs: ObservedRuns::default(),
+        metrics: Metrics::default(),
+        timeline: RecoveryTimeline::new(),
+        phase: 0,
+        comp: label_init.clone(),
+        labels_stale: false,
+        dead: vec![false; n],
+        crash_round: vec![None; n],
+        forest: vec![false; g.edge_count()],
+        cut_tree_edges: Vec::new(),
+        restart_streak: 0,
+        phase_restarts: 0,
+        giveup_streak: g.nodes().map(|v| vec![0; g.degree(v)]).collect(),
+        outage_streak: vec![0; n],
     };
-
-    // Prunes the state after newly detected crashes; errors out if the
-    // survivors are disconnected.
-    let prune = |new_crashes: &[NodeId],
-                 dead: &mut Vec<bool>,
-                 forest: &mut HashSet<EdgeId>,
-                 tree_edges: &mut Vec<EdgeId>,
-                 crash_rounds: &HashMap<u32, u64>|
-     -> Result<()> {
-        for v in new_crashes {
-            dead[v.index()] = true;
-        }
-        forest.retain(|&e| {
-            let (u, v) = g.endpoints(e);
-            !dead[u.index()] && !dead[v.index()]
-        });
-        tree_edges.retain(|e| forest.contains(e));
-        // The survivors must stay connected for an MST to exist.
-        if let Some(first_live) = (0..n).find(|&v| !dead[v]) {
-            let mut seen = vec![false; n];
-            let mut stack = vec![NodeId::from(first_live)];
-            seen[first_live] = true;
-            while let Some(v) = stack.pop() {
-                for (w, _) in g.neighbors(v) {
-                    if !dead[w.index()] && !seen[w.index()] {
-                        seen[w.index()] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            if (0..n).any(|v| !dead[v] && !seen[v]) {
-                let &culprit = new_crashes
-                    .last()
-                    .expect("disconnection implies a new crash");
-                return Err(MstError::Congest(CongestError::NodeCrashed {
-                    node: culprit,
-                    round: crash_rounds.get(&culprit.0).copied().unwrap_or(0),
-                    seed: plan.seed,
-                }));
-            }
-        }
-        Ok(())
-    };
-
-    // Bumps each outaged node's patience streak; nodes offline
-    // `MAX_LINK_RETRIES` suspect phases straight are pruned as dead.
-    let handle_outages = |outaged: &[NodeId],
-                          streaks: &mut HashMap<u32, u32>,
-                          dead: &mut Vec<bool>,
-                          forest: &mut HashSet<EdgeId>,
-                          tree_edges: &mut Vec<EdgeId>,
-                          crash_rounds: &HashMap<u32, u64>|
-     -> Result<()> {
-        let mut expired: Vec<NodeId> = Vec::new();
-        for &v in outaged {
-            let s = streaks.entry(v.0).or_insert(0);
-            *s += 1;
-            if *s >= MAX_LINK_RETRIES {
-                expired.push(v);
-            }
-        }
-        if !expired.is_empty() {
-            prune(&expired, dead, forest, tree_edges, crash_rounds)?;
-        }
-        Ok(())
-    };
+    let mut iterations = 0u32;
 
     loop {
-        // Capped exponential backoff with deterministic jitter on the ARQ
-        // timeout: consecutive phase restarts wait longer for acks, so
-        // sustained flapping is ridden out instead of retried into.
-        let phase_timeout = if restart_streak == 0 {
-            base_timeout
-        } else {
-            (base_timeout << restart_streak.min(4))
-                + keyed_splitmix(jitter_seed, u64::from(restart_streak)) % base_timeout
-        };
-
-        if labels_stale {
+        if run.labels_stale {
             // Phase restart: re-establish fragment labels on the pruned
             // forest before resuming Borůvka.
-            let label_init: Vec<u64> = (0..n as u64).collect();
-            phase += 1;
-            let (labels, m, damage) = reliable_min_flood(
-                wg,
-                &forest,
-                &dead,
-                &label_init,
-                seed ^ 0xBEEF ^ elapsed,
-                &plan,
-                &churn,
-                phase_timeout,
-                elapsed,
-                &mut crash_rounds,
-                &mut timeline,
-                class::MST_LABEL,
-                phase,
-                &observe,
-                &mut runs,
-                metrics.rounds,
-            )?;
-            elapsed += m.rounds;
-            metrics = metrics.then(m);
-            if !damage.new_crashes.is_empty() {
-                prune(
-                    &damage.new_crashes,
-                    &mut dead,
-                    &mut forest,
-                    &mut tree_edges,
-                    &crash_rounds,
-                )?;
-                restart_streak += 1;
-                phase_restarts += 1;
+            let seed = seed ^ 0xBEEF ^ run.metrics.rounds;
+            let Some(labels) = run.flood(&label_init, seed, class::MST_LABEL)? else {
                 continue;
-            }
-            if !damage.outaged.is_empty() {
-                // A live node was offline mid-flood: the executor counts it
-                // as done while down, so its value may be missing. Restart.
-                handle_outages(
-                    &damage.outaged,
-                    &mut outage_streaks,
-                    &mut dead,
-                    &mut forest,
-                    &mut tree_edges,
-                    &crash_rounds,
-                )?;
-                restart_streak += 1;
-                phase_restarts += 1;
-                continue;
-            }
-            if prune_cut_forest(&mut forest, &mut tree_edges, &mut cut_tree_edges, |e| {
-                is_cut(e, elapsed)
-            }) {
-                restart_streak += 1;
-                phase_restarts += 1;
-                continue;
-            }
-            if check_giveups(
-                g,
-                &damage.giveups,
-                |e| is_cut(e, elapsed),
-                &mut giveup_streaks,
-                elapsed,
-                plan.seed,
-            )? {
-                restart_streak += 1;
-                phase_restarts += 1;
-                continue;
-            }
-            comp = labels;
-            labels_stale = false;
+            };
+            run.comp = labels;
+            run.labels_stale = false;
         }
 
         // Permanent cuts may have disconnected the survivors: terminate
         // with the component count instead of retrying toward an
         // unreachable fragment until the iteration cap.
-        let comps = survivor_components(&dead, elapsed);
+        let comps = run.components(true);
         if comps > 1 {
             return Err(MstError::Congest(CongestError::Partitioned {
                 components: comps,
-                round: elapsed,
+                round: run.metrics.rounds,
             }));
         }
 
-        let live_fragments: HashSet<u64> = (0..n).filter(|&v| !dead[v]).map(|v| comp[v]).collect();
-        if live_fragments.len() <= 1 {
+        let mut live_labels = (0..n).filter(|&v| !run.dead[v]).map(|v| run.comp[v]);
+        let first = live_labels.next();
+        if live_labels.all(|c| Some(c) == first) {
             break;
         }
         if iterations >= cap {
@@ -712,232 +703,60 @@ pub fn run_healing_churned_instrumented(
         iterations += 1;
 
         // Fragment-id exchange with live neighbors (1 round).
-        metrics.rounds += 1;
-        elapsed += 1;
+        run.metrics.rounds += 1;
 
-        // Per-node candidate: minimum edge out of the fragment, toward a
-        // live node, over an edge not permanently cut by now (transiently
-        // down edges stay candidates — they come back).
-        let init: Vec<u64> = g
-            .nodes()
-            .map(|v| {
-                if dead[v.index()] {
-                    return NO_CANDIDATE;
-                }
-                g.neighbors(v)
-                    .filter(|&(w, e)| {
-                        w != v
-                            && !dead[w.index()]
-                            && comp[w.index()] != comp[v.index()]
-                            && !is_cut(e, elapsed)
-                    })
-                    .map(|(_, e)| encode(wg, e))
-                    .min()
-                    .unwrap_or(NO_CANDIDATE)
-            })
-            .collect();
-        phase += 1;
-        let (vals, m1, damage) = reliable_min_flood(
-            wg,
-            &forest,
-            &dead,
-            &init,
-            seed ^ u64::from(iterations),
-            &plan,
-            &churn,
-            phase_timeout,
-            elapsed,
-            &mut crash_rounds,
-            &mut timeline,
-            class::MST_FLOOD,
-            phase,
-            &observe,
-            &mut runs,
-            metrics.rounds,
-        )?;
-        elapsed += m1.rounds;
-        metrics = metrics.then(m1);
-        if !damage.new_crashes.is_empty() {
-            // A fragment member — possibly the minimum-id leader — died
-            // mid-phase; the partial minima are untrustworthy. Restart.
-            prune(
-                &damage.new_crashes,
-                &mut dead,
-                &mut forest,
-                &mut tree_edges,
-                &crash_rounds,
-            )?;
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
+        let init = run.candidates();
+        let Some(vals) = run.flood(&init, seed ^ u64::from(iterations), class::MST_FLOOD)? else {
             continue;
-        }
-        if !damage.outaged.is_empty() {
-            handle_outages(
-                &damage.outaged,
-                &mut outage_streaks,
-                &mut dead,
-                &mut forest,
-                &mut tree_edges,
-                &crash_rounds,
-            )?;
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-        if prune_cut_forest(&mut forest, &mut tree_edges, &mut cut_tree_edges, |e| {
-            is_cut(e, elapsed)
-        }) {
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-        if check_giveups(
-            g,
-            &damage.giveups,
-            |e| is_cut(e, elapsed),
-            &mut giveup_streaks,
-            elapsed,
-            plan.seed,
-        )? {
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-
-        // Merge along every fragment's minimum outgoing edge (central
-        // bookkeeping, as in the baseline harness).
-        let mut uf = UnionFind::new(n);
-        for &e in &forest {
-            let (u, v) = g.endpoints(e);
-            uf.union(u.index(), v.index());
-        }
-        let mut merged = false;
-        for v in 0..n {
-            if dead[v] || vals[v] == NO_CANDIDATE {
-                continue;
-            }
-            let e = decode_edge(wg, vals[v]);
-            let (a, b) = g.endpoints(e);
-            if uf.union(a.index(), b.index()) {
-                forest.insert(e);
-                tree_edges.push(e);
-                merged = true;
-            }
-        }
+        };
+        let merged = run.merge(&vals);
         debug_assert!(
-            merged || !churn.is_trivial(),
+            merged || !run.churn.is_trivial(),
             "a fault-free phase must merge at least one fragment"
         );
         if !merged {
             // Every candidate went stale (e.g. cut mid-flood); re-label
             // and retry rather than looping on an empty merge.
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
+            run.restart();
             continue;
         }
 
         // Flood the new fragment labels (minimum surviving node id).
-        let label_init: Vec<u64> = (0..n as u64).collect();
-        phase += 1;
-        let (labels, m2, damage) = reliable_min_flood(
-            wg,
-            &forest,
-            &dead,
-            &label_init,
-            seed ^ 0xF00D ^ u64::from(iterations),
-            &plan,
-            &churn,
-            phase_timeout,
-            elapsed,
-            &mut crash_rounds,
-            &mut timeline,
-            class::MST_LABEL,
-            phase,
-            &observe,
-            &mut runs,
-            metrics.rounds,
-        )?;
-        elapsed += m2.rounds;
-        metrics = metrics.then(m2);
-        if !damage.new_crashes.is_empty() {
-            prune(
-                &damage.new_crashes,
-                &mut dead,
-                &mut forest,
-                &mut tree_edges,
-                &crash_rounds,
-            )?;
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
+        let seed = seed ^ 0xF00D ^ u64::from(iterations);
+        let Some(labels) = run.flood(&label_init, seed, class::MST_LABEL)? else {
             continue;
-        }
-        if !damage.outaged.is_empty() {
-            handle_outages(
-                &damage.outaged,
-                &mut outage_streaks,
-                &mut dead,
-                &mut forest,
-                &mut tree_edges,
-                &crash_rounds,
-            )?;
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-        if prune_cut_forest(&mut forest, &mut tree_edges, &mut cut_tree_edges, |e| {
-            is_cut(e, elapsed)
-        }) {
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-        if check_giveups(
-            g,
-            &damage.giveups,
-            |e| is_cut(e, elapsed),
-            &mut giveup_streaks,
-            elapsed,
-            plan.seed,
-        )? {
-            restart_streak += 1;
-            phase_restarts += 1;
-            labels_stale = true;
-            continue;
-        }
-        comp = labels;
+        };
+        run.comp = labels;
         // One Borůvka iteration completed on trustworthy floods: the tree
         // state is re-converged, closing every open damage span.
-        restart_streak = 0;
-        giveup_streaks.clear();
-        outage_streaks.clear();
-        timeline.record_recovery(elapsed);
+        run.restart_streak = 0;
+        run.giveup_streak.iter_mut().for_each(|s| s.fill(0));
+        run.outage_streak.fill(0);
+        run.timeline.record_recovery(run.metrics.rounds);
     }
 
-    metrics.crashed = dead.iter().filter(|&&d| d).count() as u64;
-    tree_edges.sort_unstable();
-    cut_tree_edges.sort_unstable();
+    let mut metrics = run.metrics;
+    metrics.crashed = run.dead.iter().filter(|&&d| d).count() as u64;
+    let tree_edges: Vec<EdgeId> = g
+        .edges()
+        .map(|(e, _, _)| e)
+        .filter(|e| run.forest[e.index()])
+        .collect();
+    run.cut_tree_edges.sort_unstable();
     Ok((
         HealedMstOutcome {
             total_weight: wg.total_weight(&tree_edges),
             tree_edges,
             rounds: metrics.rounds,
             iterations,
-            phase_restarts,
-            crashed_nodes: (0..n).filter(|&v| dead[v]).map(NodeId::from).collect(),
-            cut_tree_edges,
+            phase_restarts: run.phase_restarts,
+            crashed_nodes: (0..n).filter(|&v| run.dead[v]).map(NodeId::from).collect(),
+            cut_tree_edges: run.cut_tree_edges,
             metrics,
-            timeline,
+            timeline: run.timeline,
         },
-        runs.traces,
-        runs.profile,
+        run.runs.traces,
+        run.runs.profile,
     ))
 }
 
@@ -949,6 +768,7 @@ mod tests {
     use amt_graphs::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     /// Runs one whole-graph flooding phase of distinct values on the
     /// active-set engine against the full-sweep reference (both visit
@@ -958,7 +778,7 @@ mod tests {
         plan: &FaultPlan,
         churn: &ChurnPlan,
     ) -> amt_congest::Result<Metrics> {
-        let active: HashSet<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
+        let active = vec![true; g.edge_count()];
         let dead = vec![false; g.len()];
         let init: Vec<u64> = (0..g.len() as u64).map(|v| (v * 7919) % 1000).collect();
         let timeout = 4 + 2 * plan.max_delay;

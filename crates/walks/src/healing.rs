@@ -45,7 +45,7 @@
 use crate::{WalkKind, WalkSpec};
 use amt_congest::primitives::reliable::fold4;
 use amt_congest::{
-    class, keyed_splitmix, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind,
+    backoff_timeout, class, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind,
     FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline,
     RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
@@ -562,13 +562,6 @@ pub fn run_walks_healing_churned_instrumented(
     let delta = g.max_degree();
     let timeout = 4 + 2 * plan.max_delay;
     let max_attempts = 8;
-    // Jitter key: a *trivial* churn plan must leave the run byte-identical
-    // to the churn-free path whatever its seed, so its seed drops out.
-    let jitter_seed = if churn.is_trivial() {
-        plan.seed
-    } else {
-        plan.seed ^ churn.seed
-    };
 
     let mut endpoints: Vec<Option<NodeId>> = vec![None; specs.len()];
     for (i, spec) in specs.iter().enumerate() {
@@ -597,16 +590,11 @@ pub fn run_walks_healing_churned_instrumented(
         }
         let epoch = epochs;
         epochs += 1;
-        // Capped exponential backoff with deterministic jitter: later
-        // re-issue epochs wait longer for custody acks before presuming a
-        // peer dead, so walks ride out sustained flapping instead of
-        // burning their attempt budget into a link that is about to return.
-        let epoch_timeout = if epoch == 0 {
-            timeout
-        } else {
-            (timeout << epoch.min(4))
-                + keyed_splitmix(jitter_seed, u64::from(epoch)) % timeout.max(1)
-        };
+        // Later re-issue epochs wait longer for custody acks before
+        // presuming a peer dead, so walks ride out sustained flapping
+        // instead of burning their attempt budget into a link that is about
+        // to return.
+        let epoch_timeout = backoff_timeout(timeout, epoch, &plan, &churn);
 
         let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];
         for &i in &pending {
