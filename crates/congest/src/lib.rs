@@ -44,6 +44,9 @@
 //!   and `(class, edge)`, with hot-edge analysis ([`CongestionProfile`]).
 //!   Same zero-cost-when-off contract as [`trace`]; per-class totals sum
 //!   exactly to the run's [`Metrics`] and per-edge loads.
+//! * [`stage`] — [`StageRunner`], the one global round clock of drivers
+//!   that chain simulator runs (per-phase or per-epoch): it re-anchors the
+//!   churn plan, folds observations and metrics, and dates damage.
 //!
 //! Determinism: every node owns a private RNG stream derived from
 //! `(run seed, node id)` and handed to protocols through [`Ctx::rng`], and
@@ -65,6 +68,7 @@ pub mod observe;
 pub mod oracle;
 pub mod primitives;
 pub mod profile;
+pub mod stage;
 pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnPlan, EdgeOutage, RestartEvent};
@@ -78,6 +82,7 @@ pub use profile::{
     class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, TrafficClass, TrafficProfile,
 };
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
+pub use stage::StageRunner;
 pub use trace::{
     Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace,
     TraceConfig, TraceEvent,

@@ -1694,7 +1694,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObservedRuns, ProfileConfig, RunTrace, TraceConfig};
+    use crate::{ProfileConfig, RunTrace, TraceConfig};
     use amt_graphs::EdgeId;
     use rand::RngExt;
 
@@ -2463,40 +2463,6 @@ mod tests {
                 "reverse {reverse}: per-round records diverged"
             );
         }
-    }
-
-    /// [`ObservedRuns`] keeps every run's trace in order and folds the
-    /// profiles at the given round offsets; a run absorbed at offset 0
-    /// into an empty fold keeps its own profile.
-    #[test]
-    fn observed_runs_keep_traces_and_shift_profiles() {
-        let g = amt_graphs::generators::hypercube(4);
-        let observe = Observe {
-            trace: Some(TraceConfig::default()),
-            profile: Some(ProfileConfig::default()),
-        };
-        let run = || {
-            let mut sim = Simulator::new(&g, walker_fleet(16), 5)
-                .unwrap()
-                .with_observe(observe.clone());
-            let m = sim.run(&RunConfig::default()).unwrap();
-            (m, sim.take_observed())
-        };
-        let (m, first) = run();
-        let mut runs = ObservedRuns::default();
-        runs.absorb(first.clone(), 0);
-        assert_eq!(runs.profile, first.profile);
-        let (_, second) = run();
-        runs.absorb(second.clone(), m.rounds + 1);
-        assert_eq!(
-            runs.traces,
-            vec![first.trace.unwrap(), second.trace.unwrap()]
-        );
-        let profile = runs.profile.unwrap();
-        assert_eq!(profile.total_messages(), 2 * m.messages);
-        let timeline = &profile.per_class[0].timeline;
-        assert!(timeline.windows(2).all(|w| w[0].round < w[1].round));
-        assert_eq!(timeline.last().map(|s| s.round), Some(2 * m.rounds));
     }
 
     /// Enabling tracing must not change a single observable bit, and the

@@ -380,21 +380,7 @@ impl<'g> Hierarchy<'g> {
         // Freed before the paths are copied, as in `level0::build`.
         drop(run);
         let overlay = Overlay::new(p, builder.build(), edge_paths, fallback_edges);
-        let graph = overlay.graph();
-        let (avg_path_len, max_path_len) = overlay.path_length_stats();
-        let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
-        let st = LevelStats {
-            level: p,
-            edges: graph.edge_count(),
-            fallback_edges,
-            avg_path_len,
-            max_path_len,
-            walk_rounds_lower: lower_rounds,
-            full_round_base_cost: 0,
-            build_base_rounds: lower_rounds * prev_full_round,
-            min_degree: degrees.iter().copied().min().unwrap_or(0),
-            max_degree: degrees.iter().copied().max().unwrap_or(0),
-        };
+        let st = LevelStats::measure(&overlay, lower_rounds, lower_rounds * prev_full_round);
         Ok((overlay, st))
     }
 
@@ -425,21 +411,8 @@ impl<'g> Hierarchy<'g> {
             }
         }
         let overlay = Overlay::new(levels, builder.build(), edge_paths, 0);
-        let graph = overlay.graph();
-        let (avg_path_len, max_path_len) = overlay.path_length_stats();
-        let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
-        let st = LevelStats {
-            level: levels,
-            edges: graph.edge_count(),
-            fallback_edges: 0,
-            avg_path_len,
-            max_path_len,
-            walk_rounds_lower: 0,
-            full_round_base_cost: 0,
-            build_base_rounds: 0, // set to the full-round cost by the caller
-            min_degree: degrees.iter().copied().min().unwrap_or(0),
-            max_degree: degrees.iter().copied().max().unwrap_or(0),
-        };
+        // The caller sets `build_base_rounds` to the full-round cost.
+        let st = LevelStats::measure(&overlay, 0, 0);
         Ok((overlay, st))
     }
 

@@ -75,21 +75,7 @@ pub fn build<R: Rng>(
     drop(run);
 
     let overlay = Overlay::new(0, builder.build(), edge_paths, 0);
-    let graph = overlay.graph();
-    let (avg_path_len, max_path_len) = overlay.path_length_stats();
-    let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
-    let stats = LevelStats {
-        level: 0,
-        edges: graph.edge_count(),
-        fallback_edges: 0,
-        avg_path_len,
-        max_path_len,
-        walk_rounds_lower: base_rounds,
-        full_round_base_cost: 0, // filled by the hierarchy builder
-        build_base_rounds: base_rounds,
-        min_degree: degrees.iter().copied().min().unwrap_or(0),
-        max_degree: degrees.iter().copied().max().unwrap_or(0),
-    };
+    let stats = LevelStats::measure(&overlay, base_rounds, base_rounds);
     (overlay, stats)
 }
 

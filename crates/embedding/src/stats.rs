@@ -1,5 +1,6 @@
 //! Measured construction statistics.
 
+use crate::overlay::Overlay;
 use amt_congest::PhaseTimings;
 
 /// Per-level construction measurements.
@@ -29,6 +30,32 @@ pub struct LevelStats {
     pub min_degree: usize,
     /// Maximum overlay degree.
     pub max_degree: usize,
+}
+
+impl LevelStats {
+    /// The stats of a freshly built `overlay`, with its construction cost;
+    /// the hierarchy builder fills in `full_round_base_cost`.
+    pub(crate) fn measure(
+        overlay: &Overlay,
+        walk_rounds_lower: u64,
+        build_base_rounds: u64,
+    ) -> Self {
+        let graph = overlay.graph();
+        let (avg_path_len, max_path_len) = overlay.path_length_stats();
+        let degrees = || graph.nodes().map(|v| graph.degree(v));
+        LevelStats {
+            level: overlay.level(),
+            edges: graph.edge_count(),
+            fallback_edges: overlay.fallback_edges(),
+            avg_path_len,
+            max_path_len,
+            walk_rounds_lower,
+            full_round_base_cost: 0,
+            build_base_rounds,
+            min_degree: degrees().min().unwrap_or(0),
+            max_degree: degrees().max().unwrap_or(0),
+        }
+    }
 }
 
 /// Aggregate construction measurements of a [`crate::Hierarchy`].

@@ -41,15 +41,19 @@
 //! * damage and re-convergence are recorded in a [`RecoveryTimeline`]: a
 //!   span opens at every crash, outage, or cut and closes at the end of the
 //!   next completed Borůvka iteration.
+//!
+//! Every flooding phase is one stage of a [`StageRunner`], whose clock is
+//! the run's global round clock; the one-round fragment-id exchange is
+//! charged to it too, and damage that touches only dead nodes opens no
+//! span.
 
 use crate::congest_boruvka::{decode_edge, encode};
 use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
     backoff_timeout, bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind,
-    FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable,
-    ReliableLink, RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass,
-    TrafficProfile,
+    FaultPlan, Metrics, Observe, ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink,
+    RunConfig, RunTrace, StageRunner, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 
@@ -258,16 +262,12 @@ pub fn run_healing_churned(
 }
 
 /// The state of one healing run, carried from phase to phase by
-/// [`Healing::flood`]. `metrics.rounds` is the run's global clock: every
+/// [`Healing::flood`]. The runner's clock is the run's global clock: every
 /// phase plan, churn offset, damage span and error round is read off it.
 struct Healing<'a> {
     wg: &'a WeightedGraph,
     plan: FaultPlan,
-    churn: ChurnPlan,
-    observe: Observe,
-    runs: ObservedRuns,
-    metrics: Metrics,
-    timeline: RecoveryTimeline,
+    runner: StageRunner,
     /// Global phase number, emitted in `"mst_phase"` spans.
     phase: u64,
     /// Fragment label per node (minimum node id of its fragment).
@@ -298,7 +298,7 @@ struct Healing<'a> {
 
 impl Healing<'_> {
     fn is_cut(&self, e: EdgeId) -> bool {
-        self.cut_round[e.index()].is_some_and(|r| r <= self.metrics.rounds)
+        self.cut_round[e.index()].is_some_and(|r| r <= self.runner.clock())
     }
 
     /// One reliable flooding phase over the forest from `init`, then the
@@ -340,66 +340,51 @@ impl Healing<'_> {
         class: TrafficClass,
     ) -> Result<(Vec<u64>, PhaseDamage)> {
         let g = self.wg.graph();
-        let elapsed = self.metrics.rounds;
-        let dead = &self.dead;
+        let clock = self.runner.clock();
         self.phase += 1;
         let timeout = backoff_timeout(
             self.base_timeout,
             self.restart_streak,
             &self.plan,
-            &self.churn,
+            self.runner.churn(),
         );
+        let dead = &self.dead;
         let nodes =
             ReliableMinFlood::fleet(g, &self.forest, dead, init, timeout, class, self.phase);
         // This phase sees the tail of the global fault schedule: already-dead
         // nodes stay crashed from round 0, pending crashes fire once the
-        // computation's global clock (elapsed + local round) reaches them. The
-        // churn plan needs no such surgery — its schedules are expressed on the
-        // global clock and shifted wholesale via `at_offset`.
+        // global clock (clock + local round) reaches them. The runner
+        // re-anchors the churn plan, whose schedules are global-clock rounds.
         let mut phase_plan = self.plan.clone();
-        phase_plan.seed = self.plan.seed ^ elapsed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        phase_plan.seed = self.plan.seed ^ clock.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         for c in &mut phase_plan.crashes {
             c.round = if dead[c.node.index()] {
                 0
             } else {
-                c.round.saturating_sub(elapsed)
+                c.round.saturating_sub(clock)
             };
         }
-        let churn = self
-            .churn
-            .clone()
-            .at_offset(self.churn.round_offset + elapsed);
-        let mut sim = Simulator::new(g, nodes, seed)?
-            .with_fault_plan(phase_plan)
-            .with_churn_plan(churn)
-            .with_observe(self.observe.clone());
-        let metrics = sim.run(&FLOOD_CONFIG)?;
-        self.runs.absorb(sim.take_observed(), elapsed);
-        self.metrics = self.metrics.then(metrics);
+        let (sim, start) = self.runner.run(g, nodes, seed, phase_plan, &FLOOD_CONFIG)?;
         for e in sim.fault_events() {
             if matches!(e.kind, FaultKind::Crashed) {
-                self.crash_round[e.node.index()].get_or_insert(elapsed + e.round);
+                self.crash_round[e.node.index()].get_or_insert(start + e.round);
                 // Re-applied crashes of already-dead nodes are no new damage.
                 if !dead[e.node.index()] {
-                    self.timeline.record_damage(elapsed + e.round);
+                    self.runner.damage(start, e.round);
                 }
             }
         }
-        for ev in sim.churn_events() {
-            // Outages touching only already-dead nodes are immaterial — the
-            // healed tree no longer depends on them, so they open no span.
-            let counts = match ev.kind {
+        // Outages touching only already-dead nodes are immaterial — the
+        // healed tree no longer depends on them, so they open no span.
+        self.runner
+            .churn_damage(start, sim.churn_events(), |kind| match kind {
                 ChurnKind::EdgeDown { edge } => {
                     let (u, v) = g.endpoints(edge);
                     !dead[u.index()] && !dead[v.index()]
                 }
                 ChurnKind::NodeDown { node } => !dead[node.index()],
                 _ => false,
-            };
-            if counts {
-                self.timeline.record_damage(elapsed + ev.round);
-            }
-        }
+            });
         let new_crashes: Vec<NodeId> = sim
             .crashed_nodes()
             .into_iter()
@@ -520,7 +505,7 @@ impl Healing<'_> {
                     node: v,
                     port,
                     attempts,
-                    round: self.metrics.rounds,
+                    round: self.runner.clock(),
                     seed: self.plan.seed,
                 }));
             }
@@ -650,11 +635,7 @@ pub fn run_healing_churned_instrumented(
         base_timeout: 4 + 2 * plan.max_delay,
         cut_round: g.edges().map(|(e, _, _)| churn.edge_cut_round(e)).collect(),
         plan,
-        churn,
-        observe: Observe { trace, profile },
-        runs: ObservedRuns::default(),
-        metrics: Metrics::default(),
-        timeline: RecoveryTimeline::new(),
+        runner: StageRunner::new(churn, Observe { trace, profile }),
         phase: 0,
         comp: label_init.clone(),
         labels_stale: false,
@@ -673,7 +654,7 @@ pub fn run_healing_churned_instrumented(
         if run.labels_stale {
             // Phase restart: re-establish fragment labels on the pruned
             // forest before resuming Borůvka.
-            let seed = seed ^ 0xBEEF ^ run.metrics.rounds;
+            let seed = seed ^ 0xBEEF ^ run.runner.clock();
             let Some(labels) = run.flood(&label_init, seed, class::MST_LABEL)? else {
                 continue;
             };
@@ -688,7 +669,7 @@ pub fn run_healing_churned_instrumented(
         if comps > 1 {
             return Err(MstError::Congest(CongestError::Partitioned {
                 components: comps,
-                round: run.metrics.rounds,
+                round: run.runner.clock(),
             }));
         }
 
@@ -703,7 +684,7 @@ pub fn run_healing_churned_instrumented(
         iterations += 1;
 
         // Fragment-id exchange with live neighbors (1 round).
-        run.metrics.rounds += 1;
+        run.runner.metrics.rounds += 1;
 
         let init = run.candidates();
         let Some(vals) = run.flood(&init, seed ^ u64::from(iterations), class::MST_FLOOD)? else {
@@ -711,7 +692,7 @@ pub fn run_healing_churned_instrumented(
         };
         let merged = run.merge(&vals);
         debug_assert!(
-            merged || !run.churn.is_trivial(),
+            merged || !run.runner.churn().is_trivial(),
             "a fault-free phase must merge at least one fragment"
         );
         if !merged {
@@ -732,10 +713,10 @@ pub fn run_healing_churned_instrumented(
         run.restart_streak = 0;
         run.giveup_streak.iter_mut().for_each(|s| s.fill(0));
         run.outage_streak.fill(0);
-        run.timeline.record_recovery(run.metrics.rounds);
+        run.runner.recovered();
     }
 
-    let mut metrics = run.metrics;
+    let mut metrics = run.runner.metrics;
     metrics.crashed = run.dead.iter().filter(|&&d| d).count() as u64;
     let tree_edges: Vec<EdgeId> = g
         .edges()
@@ -753,10 +734,10 @@ pub fn run_healing_churned_instrumented(
             crashed_nodes: (0..n).filter(|&v| run.dead[v]).map(NodeId::from).collect(),
             cut_tree_edges: run.cut_tree_edges,
             metrics,
-            timeline: run.timeline,
+            timeline: run.runner.timeline,
         },
-        run.runs.traces,
-        run.runs.profile,
+        run.runner.runs.traces,
+        run.runner.runs.profile,
     ))
 }
 
@@ -765,6 +746,7 @@ mod tests {
     use super::*;
     use crate::{congest_boruvka, reference};
     use amt_congest::oracle::assert_engines_agree;
+    use amt_congest::Simulator;
     use amt_graphs::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -34,13 +34,15 @@
 //! global churn clock, up to [`MAX_ROUTE_EPOCHS`] times, and finally
 //! reports the survivors as an explicit **degraded** outcome
 //! ([`ChurnedRouteOutcome::undelivered`]) — routable packets are all
-//! delivered, unroutable ones are named, and nothing livelocks.
+//! delivered, unroutable ones are named, and nothing livelocks. Each epoch
+//! is one stage of a [`StageRunner`], which keeps that global clock. The
+//! churn-free [`route_bitfix_instrumented`] is this driver with
+//! [`ChurnPlan::none`]: nothing stalls, so its one epoch delivers all.
 
 use crate::{Result, RouteError};
 use amt_congest::{
-    bits_for_count, class, ChurnKind, ChurnPlan, Ctx, Metrics, Observe, ObservedRuns,
-    ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, Simulator, StopCondition,
-    TraceConfig, TrafficClass, TrafficProfile,
+    bits_for_count, class, ChurnPlan, Ctx, FaultPlan, Metrics, Observe, ProfileConfig, Protocol,
+    RecoveryTimeline, RunConfig, RunTrace, StageRunner, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -77,12 +79,12 @@ impl amt_congest::CongestMessage for Packet {
     }
 }
 
-/// Per-node bit-fix router state.
-struct RouteNode {
+/// Per-node bit-fix router state; `'p` borrows the run's port table.
+struct RouteNode<'p> {
     /// This node's id (hypercube coordinates).
     id: u32,
     /// Port carrying dimension `k` (neighbor `id ^ (1 << k)`).
-    port_for_dim: Vec<usize>,
+    port_for_dim: &'p [usize],
     /// Outgoing FIFO queue per port.
     port_queue: Vec<VecDeque<Packet>>,
     /// Packets delivered here.
@@ -102,7 +104,7 @@ struct RouteNode {
     rerouted: u64,
 }
 
-impl RouteNode {
+impl RouteNode<'_> {
     /// Advances `p` from this node: flips phases at the intermediate,
     /// absorbs arrivals, and queues the packet on the port fixing its
     /// lowest differing dimension.
@@ -122,7 +124,7 @@ impl RouteNode {
     }
 }
 
-impl Protocol for RouteNode {
+impl Protocol for RouteNode<'_> {
     type Message = Packet;
 
     const TRAFFIC_CLASS: TrafficClass = class::ROUTE_PAYLOAD;
@@ -177,7 +179,7 @@ impl Protocol for RouteNode {
     }
 }
 
-impl RouteNode {
+impl RouteNode<'_> {
     /// Turns pending source requests into packets with a random Valiant
     /// midpoint. Called from `init` and, for nodes offline at round 0,
     /// from their first executed round.
@@ -266,12 +268,12 @@ pub struct CongestRouteOutcome {
 }
 
 /// Builds the per-node router fleet, draining `sources` into the nodes.
-fn route_nodes(
+fn route_nodes<'p>(
     g: &Graph,
-    ports: Vec<Vec<usize>>,
+    ports: &'p [Vec<usize>],
     sources: &mut [Vec<(u32, u32)>],
     dims: u32,
-) -> Vec<RouteNode> {
+) -> Vec<RouteNode<'p>> {
     g.nodes()
         .zip(ports)
         .map(|(v, port_for_dim)| RouteNode {
@@ -339,7 +341,8 @@ pub fn route_bitfix(
 /// [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
 /// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
 /// exactly to the outcome's metrics. The outcome is byte-identical whether
-/// or not profiling is on.
+/// or not profiling is on. This is [`route_bitfix_churned_instrumented`]
+/// with a trivial churn plan, whose first epoch delivers every request.
 ///
 /// `_threads` is ignored: the simulator runs on one thread. The parameter
 /// stays until the repository benchmark, which calls this function with a
@@ -355,50 +358,15 @@ pub fn route_bitfix_instrumented(
     _threads: usize,
     profile: Option<ProfileConfig>,
 ) -> Result<(CongestRouteOutcome, Option<TrafficProfile>)> {
-    let n = g.len();
-    let ports = hypercube_ports(g)?;
-    let dims = n.trailing_zeros();
-    for &(s, t) in requests {
-        if s.index() >= n || t.index() >= n {
-            return Err(RouteError::BadRequest {
-                node: s.index().max(t.index()),
-                n,
-            });
-        }
+    let (out, _, profile) =
+        route_bitfix_churned_instrumented(g, requests, seed, ChurnPlan::none(), 1, None, profile)?;
+    let count = out.undelivered.len();
+    if count > 0 {
+        return Err(RouteError::Undelivered { count });
     }
-    let mut sources: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (i, &(s, t)) in requests.iter().enumerate() {
-        sources[s.index()].push((i as u32, t.0));
-    }
-    let nodes = route_nodes(g, ports, &mut sources, dims);
-    let mut sim = Simulator::new(g, nodes, seed)?.with_observe(Observe {
-        profile,
-        ..Observe::default()
-    });
-    let cfg = RunConfig {
-        stop: StopCondition::AllDone,
-        ..RunConfig::default()
-    };
-    let metrics = sim.run(&cfg)?;
-    let prof = sim.take_observed().profile;
-    let mut endpoints = vec![NodeId(0); requests.len()];
-    let mut delivered = 0usize;
-    for (v, node) in sim.nodes().iter().enumerate() {
-        for p in &node.arrived {
-            assert_eq!(
-                p.dest as usize, v,
-                "bit-fix must deliver to the destination"
-            );
-            endpoints[p.id as usize] = NodeId::from(v);
-            delivered += 1;
-        }
-    }
-    if delivered != requests.len() {
-        return Err(RouteError::Undelivered {
-            count: requests.len() - delivered,
-        });
-    }
-    Ok((CongestRouteOutcome { endpoints, metrics }, prof))
+    let endpoints = out.endpoints.into_iter().flatten().collect();
+    let metrics = out.metrics;
+    Ok((CongestRouteOutcome { endpoints, metrics }, profile))
 }
 
 /// Outcome of a churned bit-fix routing run.
@@ -472,7 +440,7 @@ pub fn route_bitfix_churned_instrumented(
     profile: Option<ProfileConfig>,
 ) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
     let n = g.len();
-    let base_ports = hypercube_ports(g)?;
+    let ports = hypercube_ports(g)?;
     let dims = n.trailing_zeros();
     churn.validate(n, g.edge_count())?;
     for &(s, t) in requests {
@@ -485,12 +453,8 @@ pub fn route_bitfix_churned_instrumented(
     }
     let mut endpoints: Vec<Option<NodeId>> = vec![None; requests.len()];
     let mut pending: Vec<u32> = (0..requests.len() as u32).collect();
-    let mut metrics = Metrics::default();
-    let mut timeline = RecoveryTimeline::new();
-    let observe = Observe { trace, profile };
-    let mut runs = ObservedRuns::default();
+    let mut runner = StageRunner::new(churn, Observe { trace, profile });
     let mut rerouted = 0u64;
-    let mut elapsed = 0u64;
     let mut epochs = 0u32;
 
     while !pending.is_empty() && epochs < MAX_ROUTE_EPOCHS {
@@ -501,32 +465,11 @@ pub fn route_bitfix_churned_instrumented(
             let (s, t) = requests[i as usize];
             sources[s.index()].push((i, t.0));
         }
-        let nodes = route_nodes(g, base_ports.clone(), &mut sources, dims);
-        // Fresh midpoint draws per epoch; the churn plan stays on its
-        // global clock across epochs via the offset.
-        let mut sim = Simulator::new(
-            g,
-            nodes,
-            seed ^ u64::from(epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )?
-        .with_churn_plan(churn.clone().at_offset(churn.round_offset + elapsed))
-        .with_observe(observe.clone());
-        let cfg = RunConfig {
-            stop: StopCondition::AllDone,
-            ..RunConfig::default()
-        };
-        let m = sim.run(&cfg)?;
-        runs.absorb(sim.take_observed(), elapsed);
-        for ev in sim.churn_events() {
-            if matches!(
-                ev.kind,
-                ChurnKind::EdgeDown { .. } | ChurnKind::NodeDown { .. }
-            ) {
-                timeline.record_damage(elapsed + ev.round);
-            }
-        }
-        elapsed += m.rounds;
-        metrics = metrics.then(m);
+        let nodes = route_nodes(g, &ports, &mut sources, dims);
+        // Fresh midpoint draws per epoch.
+        let seed = seed ^ u64::from(epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (sim, start) = runner.run(g, nodes, seed, FaultPlan::none(), &RunConfig::all_done())?;
+        runner.churn_damage(start, sim.churn_events(), |_| true);
         for (v, node) in sim.nodes().iter().enumerate() {
             rerouted += node.rerouted;
             for p in &node.arrived {
@@ -541,7 +484,7 @@ pub fn route_bitfix_churned_instrumented(
         if pending.is_empty() {
             // Every request delivered: the workload has re-converged,
             // closing all open damage spans.
-            timeline.record_recovery(elapsed);
+            runner.recovered();
         }
     }
 
@@ -551,11 +494,11 @@ pub fn route_bitfix_churned_instrumented(
             undelivered: pending,
             epochs,
             rerouted,
-            metrics,
-            timeline,
+            metrics: runner.metrics,
+            timeline: runner.timeline,
         },
-        runs.traces,
-        runs.profile,
+        runner.runs.traces,
+        runner.runs.profile,
     ))
 }
 
@@ -563,6 +506,7 @@ pub fn route_bitfix_churned_instrumented(
 mod tests {
     use super::*;
     use amt_congest::oracle::{assert_engines_agree, EngineObservation};
+    use amt_congest::Simulator;
     use amt_graphs::generators;
 
     fn shift_permutation(n: u32, k: u32) -> Vec<(NodeId, NodeId)> {
@@ -581,13 +525,13 @@ mod tests {
         requests: &[(NodeId, NodeId)],
         churn: Option<ChurnPlan>,
     ) -> EngineObservation<RouterOutput> {
+        let ports = hypercube_ports(g).unwrap();
         let build = || {
             let mut sources: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.len()];
             for (i, &(s, t)) in requests.iter().enumerate() {
                 sources[s.index()].push((i as u32, t.0));
             }
-            let ports = hypercube_ports(g).unwrap();
-            let nodes = route_nodes(g, ports, &mut sources, g.len().trailing_zeros());
+            let nodes = route_nodes(g, &ports, &mut sources, g.len().trailing_zeros());
             let sim = Simulator::new(g, nodes, 5).unwrap();
             match &churn {
                 Some(plan) => sim.with_churn_plan(plan.clone()),

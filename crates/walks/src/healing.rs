@@ -29,9 +29,11 @@
 //! counts, so a permanently cut port is eventually marked suspect and
 //! rerouted around), and a crash-*restarted* node loses its volatile token
 //! state but keeps its dedup/finish records, modeling stable storage. The
-//! driver threads one global churn clock across epochs via
-//! [`ChurnPlan::at_offset`] and reports a [`RecoveryTimeline`] of
-//! damage-to-redelivery spans.
+//! epochs are the stages of one [`StageRunner`], so churn, observations
+//! and the [`RecoveryTimeline`] of damage-to-redelivery spans share one
+//! global round clock; fault crashes count as damage only in epoch 0. A
+//! walk whose start crashed is never re-issued, nor counted in
+//! [`HealedWalkRun::reissued`].
 //!
 //! The degradation is correct-but-slower: every walk whose start survives
 //! finishes (re-routed walks take a perturbed kernel past suspect ports,
@@ -45,9 +47,9 @@
 use crate::{WalkKind, WalkSpec};
 use amt_congest::primitives::reliable::fold4;
 use amt_congest::{
-    backoff_timeout, class, ChurnKind, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind,
-    FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline,
-    RunConfig, RunTrace, Simulator, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    backoff_timeout, class, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind, FaultPlan,
+    Metrics, Observe, ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, StageRunner,
+    StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -55,6 +57,10 @@ use std::collections::{HashMap, VecDeque};
 
 /// Epoch budget for re-issuing walks lost to crashes.
 pub const MAX_EPOCHS: u32 = 5;
+
+/// Transmissions of one token over one port without a custody ack before
+/// the port's peer is presumed crashed.
+const MAX_ATTEMPTS: u32 = 8;
 
 /// Wire format of the healing walk protocol.
 ///
@@ -139,7 +145,6 @@ struct HealNode {
     delta: usize,
     kind: WalkKind,
     timeout: u64,
-    max_attempts: u32,
     /// Which re-issue epoch this node is executing (0 = first attempt).
     epoch: u32,
     /// The round this node last asked to be woken in (`0` = never), so an
@@ -156,37 +161,6 @@ const EPOCH_CONFIG: RunConfig = RunConfig {
 };
 
 impl HealNode {
-    /// A node of `degree` ports holding the `ready` tokens at the start of
-    /// re-issue epoch `epoch`.
-    fn new(
-        degree: usize,
-        ready: VecDeque<(u32, u32)>,
-        delta: usize,
-        kind: WalkKind,
-        timeout: u64,
-        max_attempts: u32,
-        epoch: u32,
-    ) -> Self {
-        HealNode {
-            ready,
-            stayed: Vec::new(),
-            port_queue: vec![VecDeque::new(); degree],
-            inflight: (0..degree).map(|_| None).collect(),
-            ack_queue: vec![VecDeque::new(); degree],
-            suspect: vec![false; degree],
-            seen: HashMap::new(),
-            finished: Vec::new(),
-            rerouted: 0,
-            degree,
-            delta,
-            kind,
-            timeout,
-            max_attempts,
-            epoch,
-            armed: 0,
-        }
-    }
-
     /// Samples one transition per ready token; movers join a live port's
     /// FIFO queue, stays (and tokens with no live exit) burn one step. A
     /// port is live when its peer is not suspect *and* its link is up this
@@ -238,7 +212,7 @@ impl HealNode {
                 if f.next_retry > round {
                     continue;
                 }
-                if f.attempts >= self.max_attempts {
+                if f.attempts >= MAX_ATTEMPTS {
                     // Missing acks: presume the peer crashed, take custody
                     // back, and let the token re-sample among live ports.
                     let f = self.inflight[port].take().expect("checked above");
@@ -422,6 +396,45 @@ impl Protocol for HealProtocol {
 }
 
 impl HealProtocol {
+    /// One instance per node of `g` for re-issue epoch `epoch`, each walk
+    /// `(id, spec)` of `walks` held ready at its start node.
+    fn fleet<'s>(
+        g: &Graph,
+        walks: impl Iterator<Item = (u32, &'s WalkSpec)>,
+        kind: WalkKind,
+        timeout: u64,
+        epoch: u32,
+    ) -> Vec<Self> {
+        let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];
+        for (i, spec) in walks {
+            initial[spec.start.index()].push_back((i, spec.steps));
+        }
+        let delta = g.max_degree();
+        g.nodes()
+            .map(|v| {
+                let degree = g.degree(v);
+                let node = HealNode {
+                    ready: std::mem::take(&mut initial[v.index()]),
+                    stayed: Vec::new(),
+                    port_queue: vec![VecDeque::new(); degree],
+                    inflight: (0..degree).map(|_| None).collect(),
+                    ack_queue: vec![VecDeque::new(); degree],
+                    suspect: vec![false; degree],
+                    seen: HashMap::new(),
+                    finished: Vec::new(),
+                    rerouted: 0,
+                    degree,
+                    delta,
+                    kind,
+                    timeout,
+                    epoch,
+                    armed: 0,
+                };
+                HealProtocol { node }
+            })
+            .collect()
+    }
+
     fn tick(&mut self, ctx: &mut Ctx<'_, HealMsg>) {
         let node = &mut self.node;
         node.ready.extend(node.stayed.drain(..));
@@ -559,62 +572,34 @@ pub fn run_walks_healing_churned_instrumented(
     assert!(specs.len() < 1 << 16, "wire format carries 16-bit walk ids");
     plan.validate(g.len())?;
     churn.validate(g.len(), g.edge_count())?;
-    let delta = g.max_degree();
     let timeout = 4 + 2 * plan.max_delay;
-    let max_attempts = 8;
 
-    let mut endpoints: Vec<Option<NodeId>> = vec![None; specs.len()];
-    for (i, spec) in specs.iter().enumerate() {
-        if spec.steps == 0 {
-            endpoints[i] = Some(spec.start);
-        }
-    }
-    let mut metrics = Metrics::default();
+    let mut endpoints: Vec<Option<NodeId>> = specs
+        .iter()
+        .map(|s| (s.steps == 0).then_some(s.start))
+        .collect();
     let mut reissued = 0u64;
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
-    let mut timeline = RecoveryTimeline::new();
-    let observe = Observe { trace, profile };
-    let mut runs = ObservedRuns::default();
+    let mut runner = StageRunner::new(churn, Observe { trace, profile });
     let mut crashed: Vec<bool> = vec![false; g.len()];
-    // Walks still owed an endpoint, re-issued each epoch from the start.
+    // Walks still owed an endpoint whose start is alive, re-issued each
+    // epoch from the start.
     let mut pending: Vec<u32> = (0..specs.len() as u32)
         .filter(|&i| specs[i as usize].steps > 0)
         .collect();
 
     while !pending.is_empty() && epochs < MAX_EPOCHS {
-        // Re-issues only target starts that are still alive.
-        pending.retain(|&i| !crashed[specs[i as usize].start.index()]);
-        if pending.is_empty() {
-            break;
-        }
         let epoch = epochs;
         epochs += 1;
         // Later re-issue epochs wait longer for custody acks before
         // presuming a peer dead, so walks ride out sustained flapping
         // instead of burning their attempt budget into a link that is about
         // to return.
-        let epoch_timeout = backoff_timeout(timeout, epoch, &plan, &churn);
+        let epoch_timeout = backoff_timeout(timeout, epoch, &plan, runner.churn());
 
-        let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];
-        for &i in &pending {
-            let spec = &specs[i as usize];
-            initial[spec.start.index()].push_back((i, spec.steps));
-        }
-        let nodes: Vec<HealProtocol> = g
-            .nodes()
-            .map(|v| HealProtocol {
-                node: HealNode::new(
-                    g.degree(v),
-                    std::mem::take(&mut initial[v.index()]),
-                    delta,
-                    kind,
-                    epoch_timeout,
-                    max_attempts,
-                    epoch,
-                ),
-            })
-            .collect();
+        let walks = pending.iter().map(|&i| (i, &specs[i as usize]));
+        let nodes = HealProtocol::fleet(g, walks, kind, epoch_timeout, epoch);
         // Epoch 0 runs the plan as scheduled; crash-stop is permanent, so
         // later epochs start with every already-fired crash in force at
         // round 0 and draw fresh message faults from a shifted seed.
@@ -629,36 +614,19 @@ pub fn run_walks_healing_churned_instrumented(
             }
             p
         };
-        // One churn clock spans all epochs: shift the plan by the rounds
-        // already consumed (plus any offset the caller threaded in), the
-        // exact mechanism multi-phase drivers use for faults via seed
-        // shifting.
-        let round_offset = metrics.rounds;
-        let epoch_churn = churn.clone().at_offset(churn.round_offset + round_offset);
-        let mut sim = Simulator::new(g, nodes, seed ^ u64::from(epoch))?
-            .with_fault_plan(epoch_plan)
-            .with_churn_plan(epoch_churn)
-            .with_observe(observe.clone());
-        metrics = metrics.then(sim.run(&EPOCH_CONFIG)?);
-        runs.absorb(sim.take_observed(), round_offset);
+        let (sim, start) =
+            runner.run(g, nodes, seed ^ u64::from(epoch), epoch_plan, &EPOCH_CONFIG)?;
         for v in sim.crashed_nodes() {
             crashed[v.index()] = true;
         }
-        // Damage events open recovery spans on the accumulated clock. Fault
+        // Damage events open recovery spans on the global clock. Fault
         // crashes only count in epoch 0: later epochs re-apply the already
         // fired ones at their round 0, which is no new damage.
-        for ev in sim.churn_events() {
-            if matches!(
-                ev.kind,
-                ChurnKind::EdgeDown { .. } | ChurnKind::NodeDown { .. }
-            ) {
-                timeline.record_damage(round_offset + ev.round);
-            }
-        }
+        runner.churn_damage(start, sim.churn_events(), |_| true);
         if epoch == 0 {
             for ev in sim.fault_events() {
                 if matches!(ev.kind, FaultKind::Crashed) {
-                    timeline.record_damage(round_offset + ev.round);
+                    runner.damage(start, ev.round);
                 }
             }
         }
@@ -670,17 +638,16 @@ pub fn run_walks_healing_churned_instrumented(
                 endpoints[walk as usize] = Some(NodeId::from(v));
             }
         }
-        pending.retain(|&i| endpoints[i as usize].is_none());
+        // Walks whose start crashed are never re-issued.
+        pending.retain(|&i| {
+            endpoints[i as usize].is_none() && !crashed[specs[i as usize].start.index()]
+        });
         // The batch is re-delivered once no walk with a live start is
         // missing; that closes every open recovery span at this epoch's
-        // accumulated end round.
-        if pending
-            .iter()
-            .all(|&i| crashed[specs[i as usize].start.index()])
-        {
-            timeline.record_recovery(metrics.rounds);
-        }
-        if !pending.is_empty() && epochs < MAX_EPOCHS {
+        // end on the global clock.
+        if pending.is_empty() {
+            runner.recovered();
+        } else if epochs < MAX_EPOCHS {
             reissued += pending.len() as u64;
         }
     }
@@ -688,19 +655,19 @@ pub fn run_walks_healing_churned_instrumented(
     // Walks whose start is alive but that sustained damage kept losing for
     // MAX_EPOCHS straight are an explicit give-up, not a silent `None`
     // (`port` is 0 by convention: the give-up is walk-level, not per-link).
-    pending.retain(|&i| !crashed[specs[i as usize].start.index()]);
     if let Some(&lost) = pending.first() {
         return Err(CongestError::RetryExhausted {
             node: specs[lost as usize].start,
             port: 0,
             attempts: epochs,
-            round: metrics.rounds,
+            round: runner.clock(),
             seed: plan.seed,
         });
     }
 
     // Later epochs re-apply the already-fired crashes at round 0 to keep
     // crash-stop permanent; count each node once, not once per epoch.
+    let mut metrics = runner.metrics;
     metrics.crashed = crashed.iter().filter(|&&c| c).count() as u64;
 
     Ok((
@@ -710,10 +677,10 @@ pub fn run_walks_healing_churned_instrumented(
             epochs,
             reissued,
             rerouted,
-            timeline,
+            timeline: runner.timeline,
         },
-        runs.traces,
-        runs.profile,
+        runner.runs.traces,
+        runner.runs.profile,
     ))
 }
 
@@ -722,6 +689,7 @@ mod tests {
     use super::*;
     use crate::parallel::degree_proportional_specs;
     use amt_congest::oracle::{assert_engines_agree, EngineObservation};
+    use amt_congest::Simulator;
     use amt_graphs::{generators, EdgeId};
 
     /// What a node reports after an epoch: finished walks and re-routes.
@@ -739,24 +707,8 @@ mod tests {
     ) -> EngineObservation<(Vec<u32>, u64)> {
         let timeout = 4 + 2 * plan.max_delay;
         let build = || {
-            let mut initial: Vec<VecDeque<(u32, u32)>> = vec![VecDeque::new(); g.len()];
-            for (i, spec) in specs.iter().enumerate() {
-                initial[spec.start.index()].push_back((i as u32, spec.steps));
-            }
-            let nodes = g
-                .nodes()
-                .map(|v| HealProtocol {
-                    node: HealNode::new(
-                        g.degree(v),
-                        std::mem::take(&mut initial[v.index()]),
-                        g.max_degree(),
-                        WalkKind::Lazy,
-                        timeout,
-                        8,
-                        0,
-                    ),
-                })
-                .collect();
+            let walks = specs.iter().enumerate().map(|(i, s)| (i as u32, s));
+            let nodes = HealProtocol::fleet(g, walks, WalkKind::Lazy, timeout, 0);
             Simulator::new(g, nodes, 41)
                 .unwrap()
                 .with_fault_plan(plan.clone())
@@ -806,15 +758,8 @@ mod tests {
     fn cube_engines_agree(setup: impl Fn(&mut HealNode)) -> EngineObservation<(Vec<u32>, u64)> {
         let g = generators::hypercube(3);
         let build = || {
-            let nodes = (0..g.len())
-                .map(|v| {
-                    let mut node = HealNode::new(3, VecDeque::new(), 3, WalkKind::Lazy, 4, 8, 0);
-                    if v == 0 {
-                        setup(&mut node);
-                    }
-                    HealProtocol { node }
-                })
-                .collect();
+            let mut nodes = HealProtocol::fleet(&g, std::iter::empty(), WalkKind::Lazy, 4, 0);
+            setup(&mut nodes[0].node);
             Simulator::new(&g, nodes, 5).unwrap()
         };
         assert_engines_agree(build, &EPOCH_CONFIG, node_output)

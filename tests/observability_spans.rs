@@ -83,10 +83,8 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_identically_on_a_repeat_run
         .events
         .iter()
         .any(|e| e.label == "walk_epoch_reissue"));
-    // Later epochs announce each token they actually restart. The
-    // `reissued` counter is an upper bound: walks counted as owed but whose
-    // start then turns out crashed are pruned before re-issue, so they get
-    // no span.
+    // Later epochs announce each token they restart, and `reissued` counts
+    // exactly those: walks whose start crashed are never re-issued.
     let reissue_spans: u64 = traces[1..]
         .iter()
         .map(|t| {
@@ -100,11 +98,7 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_identically_on_a_repeat_run
         reissue_spans > 0,
         "re-issued walks must be visible as spans"
     );
-    assert!(
-        reissue_spans <= out.reissued,
-        "spans ({reissue_spans}) cannot exceed the reissue count ({})",
-        out.reissued
-    );
+    assert_eq!(reissue_spans, out.reissued, "one span per re-issued walk");
     // Every span names a real walk that was still owed an endpoint when its
     // epoch started (its endpoint was not recorded by an earlier epoch).
     for t in &traces[1..] {
