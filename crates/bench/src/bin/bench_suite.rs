@@ -34,7 +34,10 @@
 //!   nontrivial [`ChurnPlan`] (link flaps plus a crash-restart): churned
 //!   healing walks, churned healing Borůvka, and the churned bit-fix
 //!   router. Each records a `recovery` section (damage spans and
-//!   time-to-reconverge percentiles) alongside the usual counters;
+//!   time-to-reconverge percentiles) alongside the usual counters. The
+//!   e16 and e17 tiers also time the round engine's phases
+//!   ([`Observe::phases`]): the last run's split enters `phase_timings`
+//!   as `engine_<tier>` and is printed in a table of its own;
 //! * **scaling tier** — a sparse two-class token workload on three pinned
 //!   2048-node instances (random 6-regular expander, id-interleaved
 //!   dumbbell of two expander halves, heavy-tailed Chung–Lu). Every
@@ -55,15 +58,13 @@
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, Observe, PhaseTimings, ProfileConfig, RunConfig, RunTrace, Simulator, TraceConfig,
-    TrafficProfile,
+    Metrics, Observe, ObservedRuns, PhaseTimings, ProfileConfig, RunConfig, RunTrace, Simulator,
+    TraceConfig, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
-use amt_core::routing::{route_bitfix_churned_instrumented, route_bitfix_instrumented};
-use amt_core::walks::healing::{
-    run_walks_healing_churned_instrumented, run_walks_healing_instrumented,
-};
+use amt_core::routing::{route_bitfix_instrumented, route_bitfix_observed};
+use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::{run_walk_ends, WalkSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,10 +161,22 @@ fn plan_for(drop: f64, crashes: usize, n: usize, seed: u64) -> FaultPlan {
     plan
 }
 
+/// The observers of the e16 and e17 tiers: the traffic profile and the
+/// round engine's phase timers.
+fn healing_observe() -> Observe {
+    Observe {
+        profile: Some(ProfileConfig::default()),
+        phases: true,
+        ..Observe::default()
+    }
+}
+
 struct Bench {
     report: Report,
     wall: PhaseTimings,
     throughput: PhaseTimings,
+    /// Round-engine phase timers of the e16 and e17 tiers, by tier.
+    engine: Vec<(&'static str, PhaseTimings)>,
 }
 
 impl Bench {
@@ -202,6 +215,22 @@ impl Bench {
             msgs_per_sec.to_string(),
         ]);
     }
+
+    /// Records one healing tier: [`Bench::record`] with the runs' profile,
+    /// plus the round engine's phase timers of its last run.
+    fn record_healing(
+        &mut self,
+        name: &'static str,
+        metrics: &Metrics,
+        runs: ObservedRuns,
+        wall: Duration,
+    ) {
+        self.record(name, metrics, runs.profile.as_ref(), wall);
+        let phases = runs.phases.expect("phase timers on");
+        self.report
+            .phase_timings(&format!("engine_{name}"), &phases);
+        self.engine.push((name, phases));
+    }
 }
 
 fn main() {
@@ -212,6 +241,7 @@ fn main() {
         report: Report::new(&stem),
         wall: PhaseTimings::new(),
         throughput: PhaseTimings::new(),
+        engine: Vec::new(),
     };
     let profile_cfg = Some(ProfileConfig::default());
     let scale_only = std::env::var("AMT_BENCH_SCALE_ONLY").is_ok_and(|v| v == "1");
@@ -390,21 +420,21 @@ fn main() {
         let n = g.len();
         let specs = walk_specs(256, n);
         let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
-        let ((out, profile), wall) = repeat_median("e16_faulty_walk", || {
+        let ((out, runs), wall) = repeat_median("e16_faulty_walk", || {
             let t0 = Instant::now();
-            let (out, _, profile) = run_walks_healing_instrumented(
+            let run = run_walks_healing_observed(
                 &g,
                 WalkKind::Lazy,
                 &specs,
                 11,
                 plan.clone(),
-                None,
-                profile_cfg,
+                ChurnPlan::none(),
+                healing_observe(),
             )
             .expect("valid plan");
-            (t0.elapsed(), (out, profile))
+            (t0.elapsed(), run)
         });
-        bench.record("e16_faulty_walk", &out.metrics, profile.as_ref(), wall);
+        bench.record_healing("e16_faulty_walk", &out.metrics, runs, wall);
     }
 
     // e17 churn tier: the pinned flap + crash-restart schedule. Every
@@ -421,23 +451,21 @@ fn main() {
             .seeded(21)
             .with_flaps(0.05, 4)
             .with_restart(NodeId(7), 6, 5);
-        let ((out, profile), wall) = repeat_median("e17_churned_walk", || {
+        let ((out, runs), wall) = repeat_median("e17_churned_walk", || {
             let t0 = Instant::now();
-            let (out, _, profile) = run_walks_healing_churned_instrumented(
+            let run = run_walks_healing_observed(
                 &g,
                 WalkKind::Lazy,
                 &specs,
                 21,
                 plan.clone(),
                 churn.clone(),
-                1,
-                None,
-                profile_cfg,
+                healing_observe(),
             )
             .expect("valid plans");
-            (t0.elapsed(), (out, profile))
+            (t0.elapsed(), run)
         });
-        bench.record("e17_churned_walk", &out.metrics, profile.as_ref(), wall);
+        bench.record_healing("e17_churned_walk", &out.metrics, runs, wall);
         bench.report.recovery("e17_churned_walk", &out.timeline);
     }
 
@@ -451,21 +479,19 @@ fn main() {
             .seeded(33)
             .with_flaps(0.05, 4)
             .with_restart(NodeId(5), 3, 5);
-        let ((out, profile), wall) = repeat_median("e17_churned_mst", || {
+        let ((out, runs), wall) = repeat_median("e17_churned_mst", || {
             let t0 = Instant::now();
-            let (out, _, profile) = amt_core::mst::healing::run_healing_churned_instrumented(
+            let run = amt_core::mst::healing::run_healing_observed(
                 &wg,
                 17,
                 plan.clone(),
                 churn.clone(),
-                1,
-                None,
-                profile_cfg,
+                healing_observe(),
             )
             .expect("survivors stay connected");
-            (t0.elapsed(), (out, profile))
+            (t0.elapsed(), run)
         });
-        bench.record("e17_churned_mst", &out.metrics, profile.as_ref(), wall);
+        bench.record_healing("e17_churned_mst", &out.metrics, runs, wall);
         bench.report.recovery("e17_churned_mst", &out.timeline);
     }
 
@@ -480,25 +506,17 @@ fn main() {
             .seeded(17)
             .with_flaps(0.05, 3)
             .with_restart(NodeId(6), 1, 4);
-        let ((out, profile), wall) = repeat_median("e17_churned_route", || {
+        let ((out, runs), wall) = repeat_median("e17_churned_route", || {
             let t0 = Instant::now();
-            let (out, _, profile) = route_bitfix_churned_instrumented(
-                &g,
-                &reqs,
-                12,
-                churn.clone(),
-                1,
-                None,
-                profile_cfg,
-            )
-            .expect("hypercube");
-            (t0.elapsed(), (out, profile))
+            let run = route_bitfix_observed(&g, &reqs, 12, churn.clone(), healing_observe())
+                .expect("hypercube");
+            (t0.elapsed(), run)
         });
         assert!(
             out.undelivered.is_empty(),
             "e17: flaps alone never isolate a destination for good"
         );
-        bench.record("e17_churned_route", &out.metrics, profile.as_ref(), wall);
+        bench.record_healing("e17_churned_route", &out.metrics, runs, wall);
         bench.report.recovery("e17_churned_route", &out.timeline);
     }
 
@@ -520,6 +538,19 @@ fn main() {
         "\n(plan: the Borůvka loop, prep included; price: the pricing left when\n\
          the loop ends; priced: pricing time summed over all workers)"
     );
+
+    println!("\n## Round-engine phases of the healing tiers (last run, ms)\n");
+    bench.report.section("round-engine phases");
+    bench.report.header(&[
+        "bench", "topology", "activate", "step", "merge", "group", "total",
+    ]);
+    let ms = |ns: u64| format!("{:.2}", ns as f64 * 1e-6);
+    for (name, t) in std::mem::take(&mut bench.engine) {
+        let mut row = vec![name.to_string()];
+        row.extend(t.entries().iter().map(|&(_, ns)| ms(ns)));
+        row.push(ms(t.total_nanos()));
+        bench.report.row(&row);
+    }
     finish(bench);
 }
 
@@ -528,6 +559,7 @@ fn finish(bench: Bench) {
         mut report,
         wall,
         throughput,
+        ..
     } = bench;
     report.phase_timings("wall", &wall);
     report.phase_timings("throughput", &throughput);
@@ -549,6 +581,7 @@ fn scale_run(g: &Graph) -> (Duration, (Metrics, Vec<u64>, TrafficProfile, RunTra
             // The tier gates the trace's folds (work totals and high-water
             // marks), not its per-round series.
             trace: Some(TraceConfig::default()),
+            ..Observe::default()
         });
     let t0 = Instant::now();
     let metrics = sim

@@ -12,6 +12,12 @@
 //! implicit leader of its MST fragment (labels are minimum ids) — so the
 //! "fragment-leader loss degrades to a phase restart, not a hang" path is
 //! exercised in every crashing cell.
+//!
+//! In the sweep few tokens sit at a node when it crashes, and custody
+//! reroutes every token in transit, so no walk is re-issued there. A
+//! second table launches four walks from every node of the expander, so that
+//! mid-walk crashes strike carriers, and checks that every crashing row
+//! re-issues the walks it lost from their surviving starts.
 
 use amt_bench::{expander, Report};
 use amt_core::congest::PhaseTimings;
@@ -161,8 +167,74 @@ fn main() {
     println!("Crashing node 0 mid-run forces fragment-leader loss; the restart");
     println!("counter shows it degrades to re-flooding, never a hang.");
 
+    carrier_table(&mut report);
+
     repeat_table(&mut report);
     report.finish();
+}
+
+/// Epoch re-issue: four 24-step walks from every node of the expander, so a
+/// mid-walk crash finds tokens resident at its node. Custody cannot save
+/// those; the driver re-issues each such walk whose start survived from
+/// that start in a new epoch. The crashes avoid node 0 and land at
+/// staggered rounds while the walks are in flight.
+fn carrier_table(report: &mut Report) {
+    let g = expander(1024, 8, 16);
+    let n = g.len();
+    println!(
+        "\n## Carrier crashes: epoch re-issue (expander n = {n}, d = 8, four walks per node)\n"
+    );
+    report.header(&[
+        "drop",
+        "crashes",
+        "walk rounds",
+        "epochs",
+        "reissued/rerouted",
+        "walks ok",
+    ]);
+    let specs: Vec<WalkSpec> = g
+        .nodes()
+        .flat_map(|start| [WalkSpec { start, steps: 24 }; 4])
+        .collect();
+    for &drop in &[0.0, 0.05] {
+        for &crashes in &[1usize, 2, 4] {
+            let mut plan = FaultPlan::none()
+                .seeded(0xE16 ^ crashes as u64)
+                .with_drops(drop);
+            for c in 0..crashes {
+                plan = plan.with_crash(NodeId((n / 2 + 37 * c) as u32), 4 + 3 * c as u64);
+            }
+            let walks = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone()).unwrap();
+            report.metrics(
+                &format!("carrier drop={drop:.2} crashes={crashes} walks"),
+                &walks.metrics,
+            );
+            let crashed: HashSet<u32> = plan.crashes.iter().map(|c| c.node.0).collect();
+            let walks_ok = specs
+                .iter()
+                .zip(&walks.endpoints)
+                .all(|(s, e)| crashed.contains(&s.start.0) || e.is_some());
+            report.row(&[
+                format!("{drop:.2}"),
+                crashes.to_string(),
+                walks.metrics.rounds.to_string(),
+                walks.epochs.to_string(),
+                format!("{}/{}", walks.reissued, walks.rerouted),
+                if walks_ok { "yes".into() } else { "NO".into() },
+            ]);
+            assert!(
+                walks_ok,
+                "carrier crashes: a surviving walk failed to finish"
+            );
+            assert!(
+                walks.reissued > 0 && walks.epochs > 1,
+                "carrier crashes: {crashes} crash(es) re-issued no walk"
+            );
+        }
+    }
+    println!("\nEvery row re-issues: the crashed carriers held tokens of walks");
+    println!("whose starts survived, and each such walk restarts from its start");
+    println!("in a later epoch and finishes.");
 }
 
 /// Wall-clock and repeat runs on the faulty path (the E1 table's

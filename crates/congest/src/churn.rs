@@ -302,6 +302,7 @@ impl ChurnPlan {
         ChurnSchedule {
             seed: self.seed,
             flap_prob: self.flap_prob,
+            flap_threshold: flap_threshold(self.flap_prob),
             flap_len: self.flap_len,
             offset: self.round_offset,
             per_edge,
@@ -315,18 +316,45 @@ impl ChurnPlan {
 /// `message_draw`, with its own odd multipliers so the two streams never
 /// collide even under equal seeds.
 fn flap_draw(seed: u64, window: u64, edge: u64) -> u64 {
-    let mut z = splitmix(seed ^ 0xD6E8_FEB8_6659_FD93);
-    z = splitmix(z ^ window.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    splitmix(z ^ edge.wrapping_mul(0x9E6C_63D0_876A_339B))
+    flap_word(flap_prefix(seed, window), edge)
 }
 
-/// The normalized, read-only schedule one run consults. All methods are
-/// pure functions of `(schedule, round, id)`; the stepper and the merge
-/// share it by reference.
+/// The first two links of [`flap_draw`]'s chain, shared by every edge of
+/// one flap window.
+fn flap_prefix(seed: u64, window: u64) -> u64 {
+    let z = splitmix(seed ^ 0xD6E8_FEB8_6659_FD93);
+    splitmix(z ^ window.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+}
+
+/// The last link of [`flap_draw`]'s chain: `edge`'s word in the window
+/// whose [`flap_prefix`] is `prefix`.
+fn flap_word(prefix: u64, edge: u64) -> u64 {
+    splitmix(prefix ^ edge.wrapping_mul(0x9E6C_63D0_876A_339B))
+}
+
+/// `⌈p · 2^53⌉`, the integer form of the flap probability `p ∈ [0, 1]`: a
+/// word `w` flaps its edge down exactly when `(w >> 11) < threshold`.
+///
+/// That is `unit(w) < p` without the float. `unit(w)` is the 53-bit
+/// integer `x = w >> 11` scaled by `2^-53`, and both `x as f64` and the
+/// scaling by a power of two are exact, so `unit(w) < p` holds exactly
+/// when `x < p · 2^53` — itself exact in `f64` — and, `x` being an
+/// integer, exactly when `x < ⌈p · 2^53⌉`.
+pub(crate) fn flap_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The normalized, read-only schedule of one run. [`ChurnState`] diffs it
+/// once per round into the dense view every reader uses; its per-id
+/// verdicts [`Self::edge_down`], [`Self::node_down`] and
+/// [`Self::rejoining`] evaluate the schedule from scratch and stay as the
+/// oracle that view is checked against.
 #[derive(Debug)]
 pub(crate) struct ChurnSchedule {
     seed: u64,
     flap_prob: f64,
+    /// [`flap_threshold`] of `flap_prob`.
+    flap_threshold: u64,
     flap_len: u64,
     offset: u64,
     /// `(first_down, down_for, period)` entries per edge id, sorted.
@@ -336,14 +364,24 @@ pub(crate) struct ChurnSchedule {
 }
 
 impl ChurnSchedule {
-    /// Whether `edge` is down in local round `round`.
+    /// Whether `edge` is down in local round `round` (the oracle: the flap
+    /// draw and its float comparison, then the explicit schedule).
     pub(crate) fn edge_down(&self, round: u64, edge: usize) -> bool {
         let g = round + self.offset;
-        if self.flap_len > 0
-            && unit(flap_draw(self.seed, g / self.flap_len, edge as u64)) < self.flap_prob
-        {
-            return true;
-        }
+        (self.flap_len > 0
+            && unit(flap_draw(self.seed, g / self.flap_len, edge as u64)) < self.flap_prob)
+            || self.scheduled_down(g, edge)
+    }
+
+    /// Whether `edge` flaps down in the window whose [`flap_prefix`] is
+    /// `prefix` (one splitmix and an integer comparison).
+    #[inline]
+    fn flapped(&self, prefix: u64, edge: usize) -> bool {
+        flap_word(prefix, edge as u64) >> 11 < self.flap_threshold
+    }
+
+    /// Whether an explicit outage of `edge` covers the global round `g`.
+    fn scheduled_down(&self, g: u64, edge: usize) -> bool {
         self.per_edge[edge]
             .iter()
             .any(|&(first, down_for, period)| {
@@ -361,7 +399,11 @@ impl ChurnSchedule {
 
     /// Whether `v` is offline in local round `round`.
     pub(crate) fn node_down(&self, round: u64, v: usize) -> bool {
-        let g = round + self.offset;
+        self.offline(round + self.offset, v)
+    }
+
+    /// Whether `v` is offline in the global round `g`.
+    fn offline(&self, g: u64, v: usize) -> bool {
         self.node_outages[v].iter().any(|&(d, u)| d <= g && g < u)
     }
 
@@ -371,25 +413,6 @@ impl ChurnSchedule {
     pub(crate) fn rejoining(&self, round: u64, v: usize) -> bool {
         let g = round + self.offset;
         g > 0 && self.node_outages[v].iter().any(|&(_, u)| u == g)
-    }
-
-    /// Edge ids whose up/down state can ever change (all edges when
-    /// flapping is on, else just the explicitly scheduled ones).
-    fn tracked_edges(&self) -> Vec<u32> {
-        if self.flap_len > 0 {
-            (0..self.per_edge.len() as u32).collect()
-        } else {
-            (0..self.per_edge.len() as u32)
-                .filter(|&e| !self.per_edge[e as usize].is_empty())
-                .collect()
-        }
-    }
-
-    /// Node ids with at least one scheduled outage.
-    fn tracked_nodes(&self) -> Vec<u32> {
-        (0..self.node_outages.len() as u32)
-            .filter(|&v| !self.node_outages[v as usize].is_empty())
-            .collect()
     }
 
     /// `(local_round, node)` pairs at which a node *enters* an outage —
@@ -477,24 +500,25 @@ pub struct ChurnEvent {
 /// How the executor consults topology churn, round by round and message by
 /// message. The churn-free path uses the inert [`NoChurn`] implementation,
 /// which monomorphizes every hook call away; the churned path uses
-/// [`ChurnState`]. Verdict methods take `&self`: pure functions of the
-/// plan's timeline, never of sampling order.
+/// [`ChurnState`]. Every verdict is read from the round most recently
+/// begun: a pure function of the plan's timeline, never of sampling order.
 pub(crate) trait ChurnHook {
-    /// Emits up/down transition events for this round and accounts node
-    /// rejoins in `metrics.restarts`.
+    /// Moves the topology to `round`, emits its up/down transition events
+    /// and accounts node rejoins in `metrics.restarts`.
     fn begin_round(&mut self, round: u64, metrics: &mut Metrics);
 
-    /// Whether `v` is offline in `round`.
-    fn node_down(&self, round: u64, v: usize) -> bool;
+    /// The round's topology for the stepper and [`crate::Ctx::link_up`];
+    /// `None` when it never changes.
+    fn view(&self) -> Option<&ChurnState<'_>>;
 
-    /// Whether `edge` is down in `round`.
-    fn edge_down(&self, round: u64, edge: usize) -> bool;
+    /// Whether a message over `edge` to `dst` is lost this round: the edge
+    /// is down or `dst` is offline.
+    fn link_down(&self, edge: usize, dst: usize) -> bool;
 
     /// Accounts one message lost to churn and logs the event.
     fn record_loss(&mut self, round: u64, src: usize, port: usize, metrics: &mut Metrics);
 
-    /// Nodes offline in the round most recently begun (for the
-    /// availability timeline).
+    /// Nodes offline this round (for the availability timeline).
     fn down_count(&self) -> u64;
 }
 
@@ -506,11 +530,11 @@ pub(crate) struct NoChurn;
 impl ChurnHook for NoChurn {
     fn begin_round(&mut self, _round: u64, _metrics: &mut Metrics) {}
 
-    fn node_down(&self, _round: u64, _v: usize) -> bool {
-        false
+    fn view(&self) -> Option<&ChurnState<'_>> {
+        None
     }
 
-    fn edge_down(&self, _round: u64, _edge: usize) -> bool {
+    fn link_down(&self, _edge: usize, _dst: usize) -> bool {
         false
     }
 
@@ -523,37 +547,58 @@ impl ChurnHook for NoChurn {
     }
 }
 
+/// [`ChurnState`]'s node map: an online node.
+const UP: u8 = 0;
+/// [`ChurnState`]'s node map: an offline node.
+const DOWN: u8 = 1;
+/// [`ChurnState`]'s node map: a node online this round and offline in the
+/// last one.
+const REJOINING: u8 = 2;
+
 /// Runtime churn state borrowed by one `Simulator::run` invocation: the
-/// normalized schedule, the previous round's up/down view (for transition
-/// events), and the event log. The verdicts themselves are stateless
-/// schedule lookups.
+/// normalized schedule, the topology of the round most recently begun as
+/// dense maps by edge and node id, and the event log.
+///
+/// [`ChurnHook::begin_round`] diffs the schedule into the maps once per
+/// round, logging each change; every verdict inside the round (the merge,
+/// the stepper's skips and rejoins, [`crate::Ctx::link_up`],
+/// [`ChurnHook::down_count`]) is then a map read. Debug builds check every
+/// read against the [`ChurnSchedule`] oracle.
 pub(crate) struct ChurnState<'p> {
     sched: &'p ChurnSchedule,
-    /// Edges that can ever change state, in id order.
-    tracked_edges: Vec<u32>,
-    /// Positions in `tracked_edges` of the edges with explicit schedules —
-    /// the only ones that can change state inside a flap window.
+    /// Edge ids with explicit schedules, ascending: the only edges whose
+    /// state can change inside a flap window.
     scheduled: Vec<u32>,
-    /// Nodes with scheduled outages, in id order.
+    /// Node ids with scheduled outages, ascending.
     tracked_nodes: Vec<u32>,
-    edge_was_down: Vec<bool>,
-    node_was_down: Vec<bool>,
+    /// The round most recently begun.
+    round: u64,
+    /// The [`flap_prefix`] of that round's flap window.
+    window: u64,
+    /// Whether each edge is down, by edge id.
+    edge_down: Vec<bool>,
+    /// Each node's [`UP`] / [`DOWN`] / [`REJOINING`] state, by node id.
+    node: Vec<u8>,
+    /// Nodes [`DOWN`].
+    down: u64,
     pub(crate) events: Vec<ChurnEvent>,
 }
 
 impl<'p> ChurnState<'p> {
     pub(crate) fn new(sched: &'p ChurnSchedule) -> Self {
-        let tracked_edges = sched.tracked_edges();
-        let tracked_nodes = sched.tracked_nodes();
-        let scheduled = (0..tracked_edges.len() as u32)
-            .filter(|&i| !sched.per_edge[tracked_edges[i as usize] as usize].is_empty())
-            .collect();
+        let per_edge = &sched.per_edge;
         ChurnState {
-            scheduled,
-            edge_was_down: vec![false; tracked_edges.len()],
-            node_was_down: vec![false; tracked_nodes.len()],
-            tracked_edges,
-            tracked_nodes,
+            scheduled: (0..per_edge.len() as u32)
+                .filter(|&e| !per_edge[e as usize].is_empty())
+                .collect(),
+            tracked_nodes: (0..sched.node_outages.len() as u32)
+                .filter(|&v| !sched.node_outages[v as usize].is_empty())
+                .collect(),
+            round: 0,
+            window: 0,
+            edge_down: vec![false; per_edge.len()],
+            node: vec![UP; sched.node_outages.len()],
+            down: 0,
             sched,
             events: Vec::new(),
         }
@@ -561,16 +606,53 @@ impl<'p> ChurnState<'p> {
 }
 
 impl ChurnState<'_> {
-    /// Re-evaluates the `i`-th tracked edge in `round`, logging a
-    /// transition if its state changed.
-    fn diff_edge(&mut self, round: u64, i: usize) {
-        let e = self.tracked_edges[i];
-        let down = self.sched.edge_down(round, e as usize);
-        if down != self.edge_was_down[i] {
-            self.edge_was_down[i] = down;
-            let edge = EdgeId(e);
+    /// Whether `edge` is down this round.
+    #[inline]
+    pub(crate) fn edge_down(&self, edge: usize) -> bool {
+        let down = self.edge_down[edge];
+        debug_assert_eq!(
+            down,
+            self.sched.edge_down(self.round, edge),
+            "edge {edge} in round {}",
+            self.round
+        );
+        down
+    }
+
+    /// Whether `v` is offline this round.
+    #[inline]
+    pub(crate) fn node_down(&self, v: usize) -> bool {
+        let down = self.node[v] == DOWN;
+        debug_assert_eq!(
+            down,
+            self.sched.node_down(self.round, v),
+            "node {v} in round {}",
+            self.round
+        );
+        down
+    }
+
+    /// Whether `v` rejoins this round, so that the executor runs
+    /// [`crate::Protocol::on_restart`]. Never in local round 0, which is
+    /// `init`'s (the schedule's `rejoining` may say otherwise there).
+    #[inline]
+    pub(crate) fn rejoining(&self, v: usize) -> bool {
+        let rejoins = self.node[v] == REJOINING;
+        debug_assert!(
+            self.round == 0 || rejoins == self.sched.rejoining(self.round, v),
+            "rejoin of node {v} in round {}",
+            self.round
+        );
+        rejoins
+    }
+
+    /// Sets `edge`'s state this round, logging a transition if it changed.
+    fn set_edge(&mut self, edge: usize, down: bool) {
+        if down != self.edge_down[edge] {
+            self.edge_down[edge] = down;
+            let edge = EdgeId(edge as u32);
             self.events.push(ChurnEvent {
-                round,
+                round: self.round,
                 kind: if down {
                     ChurnKind::EdgeDown { edge }
                 } else {
@@ -588,46 +670,67 @@ impl ChurnHook for ChurnState<'_> {
     ///
     /// A flap verdict is constant within a flap window, so an edge without
     /// an explicit schedule can only change state in local round 0 or at a
-    /// global window boundary; every other round re-evaluates just the
-    /// explicitly scheduled edges (in the same ascending order).
+    /// global window boundary. There the window's PRF prefix is drawn once
+    /// and each edge costs one splitmix against the integer threshold (plus
+    /// its schedule scan if it has one); every other round re-evaluates
+    /// just the explicitly scheduled edges, in the same ascending order.
     fn begin_round(&mut self, round: u64, metrics: &mut Metrics) {
-        let flap_len = self.sched.flap_len;
-        if flap_len == 0 || round == 0 || (round + self.sched.offset).is_multiple_of(flap_len) {
-            for i in 0..self.tracked_edges.len() {
-                self.diff_edge(round, i);
+        let sched = self.sched;
+        let (g, flap_len) = (round + sched.offset, sched.flap_len);
+        self.round = round;
+        if flap_len > 0 && (round == 0 || g.is_multiple_of(flap_len)) {
+            self.window = flap_prefix(sched.seed, g / flap_len);
+            let mut k = 0;
+            for e in 0..self.edge_down.len() {
+                let mut down = sched.flapped(self.window, e);
+                if self.scheduled.get(k) == Some(&(e as u32)) {
+                    k += 1;
+                    down = down || sched.scheduled_down(g, e);
+                }
+                self.set_edge(e, down);
             }
         } else {
             for k in 0..self.scheduled.len() {
-                self.diff_edge(round, self.scheduled[k] as usize);
+                let e = self.scheduled[k] as usize;
+                let down =
+                    (flap_len > 0 && sched.flapped(self.window, e)) || sched.scheduled_down(g, e);
+                self.set_edge(e, down);
             }
         }
-        for (i, &v) in self.tracked_nodes.iter().enumerate() {
-            let down = self.sched.node_down(round, v as usize);
-            if down != self.node_was_down[i] {
-                self.node_was_down[i] = down;
-                let node = NodeId(v);
-                if down {
+        for k in 0..self.tracked_nodes.len() {
+            let node = NodeId(self.tracked_nodes[k]);
+            let v = node.index();
+            let was = self.node[v];
+            if sched.offline(g, v) {
+                if was != DOWN {
+                    self.node[v] = DOWN;
+                    self.down += 1;
                     self.events.push(ChurnEvent {
                         round,
                         kind: ChurnKind::NodeDown { node },
                     });
-                } else {
-                    metrics.restarts += 1;
-                    self.events.push(ChurnEvent {
-                        round,
-                        kind: ChurnKind::NodeRejoin { node },
-                    });
                 }
+            } else if was == DOWN {
+                self.node[v] = REJOINING;
+                self.down -= 1;
+                metrics.restarts += 1;
+                self.events.push(ChurnEvent {
+                    round,
+                    kind: ChurnKind::NodeRejoin { node },
+                });
+            } else {
+                self.node[v] = UP;
             }
         }
     }
 
-    fn node_down(&self, round: u64, v: usize) -> bool {
-        self.sched.node_down(round, v)
+    fn view(&self) -> Option<&ChurnState<'_>> {
+        Some(self)
     }
 
-    fn edge_down(&self, round: u64, edge: usize) -> bool {
-        self.sched.edge_down(round, edge)
+    #[inline]
+    fn link_down(&self, edge: usize, dst: usize) -> bool {
+        self.edge_down(edge) || self.node_down(dst)
     }
 
     fn record_loss(&mut self, round: u64, src: usize, port: usize, metrics: &mut Metrics) {
@@ -642,7 +745,15 @@ impl ChurnHook for ChurnState<'_> {
     }
 
     fn down_count(&self) -> u64 {
-        self.node_was_down.iter().filter(|&&down| down).count() as u64
+        debug_assert_eq!(
+            self.down,
+            (0..self.node.len())
+                .filter(|&v| self.sched.node_down(self.round, v))
+                .count() as u64,
+            "nodes down in round {}",
+            self.round
+        );
+        self.down
     }
 }
 
@@ -864,14 +975,14 @@ mod tests {
         assert!(shifted.rejoining(3, 1));
     }
 
-    /// The window-boundary diff in [`ChurnState::begin_round`] against a
-    /// brute-force reference that re-evaluates every edge and every node in
-    /// every round: identical event logs, restart counts and
-    /// [`ChurnHook::down_count`]s, for flap windows that do and do not
-    /// divide the clock offset, with and without explicit schedules.
+    /// The window-boundary diff in [`ChurnState::begin_round`] and the
+    /// dense view it keeps, against the brute-force every-edge, every-node,
+    /// every-round reference of [`crate::oracle::assert_churn_view_agrees`],
+    /// for flap windows that do and do not divide the clock offset, with and
+    /// without explicit schedules. `tests/churn_view.rs` runs the same
+    /// oracle on randomized plans.
     #[test]
     fn churn_diffs_match_the_every_edge_every_round_reference() {
-        let (n, m) = (12usize, 30usize);
         let mixed = |flap_len: u64, offset: u64| {
             ChurnPlan::none()
                 .seeded(flap_len * 31 + offset)
@@ -895,53 +1006,9 @@ mod tests {
             ChurnPlan::none().seeded(3).with_flaps(0.5, 3).at_offset(1),
         ];
         for plan in &plans {
-            let s = plan.normalize(n, m);
-            let mut st = ChurnState::new(&s);
-            let mut got = Metrics::default();
-            let mut want_events = Vec::new();
-            let mut want = Metrics::default();
-            let mut edge_was = vec![false; m];
-            let mut node_was = vec![false; n];
-            for r in 0..80 {
-                st.begin_round(r, &mut got);
-                for (e, was) in edge_was.iter_mut().enumerate() {
-                    let down = s.edge_down(r, e);
-                    if down != *was {
-                        *was = down;
-                        let edge = EdgeId(e as u32);
-                        want_events.push(ChurnEvent {
-                            round: r,
-                            kind: if down {
-                                ChurnKind::EdgeDown { edge }
-                            } else {
-                                ChurnKind::EdgeUp { edge }
-                            },
-                        });
-                    }
-                }
-                for (v, was) in node_was.iter_mut().enumerate() {
-                    let down = s.node_down(r, v);
-                    if down != *was {
-                        *was = down;
-                        let node = NodeId(v as u32);
-                        want_events.push(ChurnEvent {
-                            round: r,
-                            kind: if down {
-                                ChurnKind::NodeDown { node }
-                            } else {
-                                want.restarts += 1;
-                                ChurnKind::NodeRejoin { node }
-                            },
-                        });
-                    }
-                }
-                let down_now = (0..n).filter(|&v| s.node_down(r, v)).count() as u64;
-                assert_eq!(st.down_count(), down_now, "down count, round {r}, {plan:?}");
-            }
-            assert_eq!(st.events, want_events, "event log of {plan:?}");
-            assert_eq!(got, want, "metrics of {plan:?}");
+            let events = crate::oracle::assert_churn_view_agrees(plan, 12, 30, 80);
             assert!(
-                want_events
+                events
                     .iter()
                     .any(|e| matches!(e.kind, ChurnKind::EdgeUp { .. })),
                 "edges must come back in {plan:?}"

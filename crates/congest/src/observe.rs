@@ -1,7 +1,8 @@
 //! One observation pipeline for the round engine.
 //!
-//! A run is observed by up to two layers — the round timeline
-//! ([`crate::trace`]) and traffic-class attribution ([`crate::profile`]).
+//! A run is observed by up to three layers — the round timeline
+//! ([`crate::trace`]), traffic-class attribution ([`crate::profile`]) and
+//! host time per round-engine phase ([`Observe::phases`]).
 //! The trace is the one record of the run's rounds: gauge high-water
 //! marks, work totals and the post-mortem are folds over it, and the report
 //! layer (`amt-bench`) is what writes it to disk. The
@@ -14,14 +15,18 @@
 //! Every layer shares one contract: off (the default) costs a branch per
 //! hook and leaves the execution path byte-identical; on, it never changes
 //! `Metrics`, protocol state, RNG streams, the fault and churn logs, or
-//! another layer's record.
+//! another layer's record. The phase timers are host wall-clock, so like
+//! every [`PhaseTimings`] they take no part in any equality.
 
 use crate::profile::{ProfileConfig, TrafficClass, TrafficProfile};
-use crate::trace::{EdgeLoadSnapshot, RoundSample, RunTrace, TraceConfig, TraceEvent};
+use crate::trace::{
+    EdgeLoadSnapshot, PhaseTimings, RoundSample, RunTrace, TraceConfig, TraceEvent,
+};
 use crate::Metrics;
+use std::time::Instant;
 
 /// Which observation layers record the runs of a [`crate::Simulator`];
-/// `None` leaves a layer off (the default for both).
+/// `None` (or `false`) leaves a layer off, the default for all three.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Observe {
     /// Round timeline (one record per round: deliveries, faults and engine
@@ -29,7 +34,27 @@ pub struct Observe {
     pub trace: Option<TraceConfig>,
     /// Per-traffic-class delivery attribution.
     pub profile: Option<ProfileConfig>,
+    /// Host time per round-engine phase, summed over the run's rounds:
+    /// `topology` (start-of-round crashes and the churn diff), `activate`
+    /// (the active set), `step` (the protocol steps), `merge` (the ordered
+    /// merge with its fault and churn verdicts, the release of held
+    /// messages, and the round's record) and `group` (the next inbox).
+    pub phases: bool,
 }
+
+/// The phases of one round of the round engine, in round order (see
+/// [`Observe::phases`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Phase {
+    Topology,
+    Activate,
+    Step,
+    Merge,
+    Group,
+}
+
+/// The label of each [`Phase`] in [`Observed::phases`], in round order.
+const PHASE_LABELS: [&str; 5] = ["topology", "activate", "step", "merge", "group"];
 
 /// What the observation layers recorded over one run; a layer that was off
 /// is `None`. A run aborted by an error keeps what was recorded up to the
@@ -40,18 +65,24 @@ pub struct Observed {
     pub trace: Option<RunTrace>,
     /// The traffic-class profile.
     pub profile: Option<TrafficProfile>,
+    /// Host nanoseconds per round-engine phase, every label of
+    /// [`Observe::phases`] present, in round order.
+    pub phases: Option<PhaseTimings>,
 }
 
 /// Observations folded across the runs of a multi-run driver (per-phase or
-/// per-epoch simulators): every run's trace in run order, and one profile
+/// per-epoch simulators): every run's trace in run order, one profile
 /// whose timeline shifts each run by the rounds elapsed before it, so its
-/// totals match the driver's accumulated [`Metrics`].
+/// totals match the driver's accumulated [`Metrics`], and the phase timers
+/// summed over the runs.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObservedRuns {
     /// One trace per traced run, in run order.
     pub traces: Vec<RunTrace>,
     /// The cumulative profile (`None` if no run was profiled).
     pub profile: Option<TrafficProfile>,
+    /// The summed phase timers (`None` if no run timed its phases).
+    pub phases: Option<PhaseTimings>,
 }
 
 impl ObservedRuns {
@@ -64,16 +95,22 @@ impl ObservedRuns {
                 .get_or_insert_with(|| TrafficProfile::empty(p.edge_count()))
                 .absorb(&p, round_offset);
         }
+        if let Some(t) = run.phases {
+            self.phases.get_or_insert_with(PhaseTimings::new).merge(&t);
+        }
     }
 }
 
 /// The recording state of one run, fed by the round engine at fixed points
-/// of every round: [`Recorder::begin_round`], the step's events and gauges,
-/// each delivery, [`Recorder::end_round`], and [`Recorder::stopped`] on a
-/// clean stop.
+/// of every round: [`Recorder::begin_round`], the end of each [`Phase`],
+/// the step's events and gauges, each delivery, [`Recorder::end_round`],
+/// and [`Recorder::stopped`] on a clean stop.
 pub(crate) struct Recorder {
     trace: Option<RunTrace>,
     profile: Option<TrafficProfile>,
+    /// The phase timers: the end of the last lap, and nanoseconds per
+    /// [`Phase`].
+    phases: Option<(Instant, [u64; 5])>,
     /// The record of the round being recorded, and the metrics at its
     /// start: deliveries are stamped with its round, its gauges are filled
     /// at the step, and its deltas against the start when it closes.
@@ -90,6 +127,7 @@ impl Recorder {
                 ..RunTrace::default()
             }),
             profile: observe.profile.map(|_| TrafficProfile::new(edges)),
+            phases: observe.phases.then(|| (Instant::now(), [0; 5])),
             sample: RoundSample::default(),
             start: Metrics::default(),
         }
@@ -101,13 +139,27 @@ impl Recorder {
         self.trace.is_some()
     }
 
-    /// Opens `round`, before any of its crashes or deliveries are counted.
+    /// Opens `round`, before any of its crashes or deliveries are counted,
+    /// and starts its first phase's lap.
     pub(crate) fn begin_round(&mut self, round: u64, metrics: Metrics) {
         self.sample = RoundSample {
             round,
             ..RoundSample::default()
         };
         self.start = metrics;
+        if let Some((mark, _)) = self.phases.as_mut() {
+            *mark = Instant::now();
+        }
+    }
+
+    /// Ends `phase`: charges it the host time since the last lap.
+    #[inline]
+    pub(crate) fn lap(&mut self, phase: Phase) {
+        if let Some((mark, nanos)) = self.phases.as_mut() {
+            let now = Instant::now();
+            nanos[phase as usize] += now.duration_since(*mark).as_nanos() as u64;
+            *mark = now;
+        }
     }
 
     /// Takes the span events the round's step emitted.
@@ -196,6 +248,13 @@ impl Recorder {
         Observed {
             trace: self.trace,
             profile: self.profile,
+            phases: self.phases.map(|(_, nanos)| {
+                let mut t = PhaseTimings::new();
+                for (label, ns) in PHASE_LABELS.into_iter().zip(nanos) {
+                    t.record_nanos(label, ns);
+                }
+                t
+            }),
         }
     }
 }

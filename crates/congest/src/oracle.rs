@@ -15,12 +15,17 @@
 //!
 //! The crates that implement sparse-aware protocols call this from their
 //! own tests, on simulators they build themselves.
+//!
+//! [`assert_churn_view_agrees`] is the oracle of the churned engine's
+//! topology view: the per-round churn diff and every verdict read from it,
+//! against the churn schedule evaluated from scratch.
 
+use crate::churn::{ChurnHook, ChurnKind, ChurnState};
 use crate::{
-    ChurnEvent, CongestError, FaultEvent, Metrics, Observe, ProfileConfig, Protocol, RunConfig,
-    RunTrace, Simulator, TraceConfig, TrafficProfile,
+    ChurnEvent, ChurnPlan, CongestError, FaultEvent, Metrics, Observe, ProfileConfig, Protocol,
+    RunConfig, RunTrace, Simulator, TraceConfig, TrafficProfile,
 };
-use amt_graphs::NodeId;
+use amt_graphs::{EdgeId, NodeId};
 use std::fmt::Debug;
 
 /// Everything observable about one run.
@@ -60,6 +65,7 @@ fn observe<P: Protocol, T>(
     let mut sim = sim.with_observe(Observe {
         trace: Some(TraceConfig::default().with_edge_load_stride(3)),
         profile: Some(ProfileConfig::default()),
+        ..Observe::default()
     });
     let cfg = cfg.with_full_sweep(full_sweep);
     let result = if reverse {
@@ -142,4 +148,95 @@ where
         );
     }
     reference
+}
+
+/// Runs the churn diff of `plan` over a graph of `n` nodes and `m` edges
+/// for local rounds `0..rounds` and asserts, every round, that the view the
+/// engine reads agrees with the schedule evaluated from scratch, for every
+/// edge and node: edge and node states, rejoin flags (never in round 0,
+/// which is `init`'s), lost links and the down count. Its event log and
+/// restart count must equal those of a brute-force diff of every edge and
+/// every node in every round. Returns the event log.
+///
+/// # Panics
+///
+/// At the first disagreement, naming the round, the id and the plan; or
+/// when `plan` does not validate against `n` and `m`.
+pub fn assert_churn_view_agrees(
+    plan: &ChurnPlan,
+    n: usize,
+    m: usize,
+    rounds: u64,
+) -> Vec<ChurnEvent> {
+    plan.validate(n, m).expect("a valid plan");
+    let s = plan.normalize(n, m);
+    let mut st = ChurnState::new(&s);
+    let mut got = Metrics::default();
+    let mut want = Metrics::default();
+    let mut want_events = Vec::new();
+    let mut edge_was = vec![false; m];
+    let mut node_was = vec![false; n];
+    for r in 0..rounds {
+        st.begin_round(r, &mut got);
+        for (e, was) in edge_was.iter_mut().enumerate() {
+            let down = s.edge_down(r, e);
+            assert_eq!(st.edge_down(e), down, "edge {e}, round {r}, {plan:?}");
+            if down != *was {
+                *was = down;
+                let edge = EdgeId(e as u32);
+                want_events.push(ChurnEvent {
+                    round: r,
+                    kind: if down {
+                        ChurnKind::EdgeDown { edge }
+                    } else {
+                        ChurnKind::EdgeUp { edge }
+                    },
+                });
+            }
+        }
+        for (v, was) in node_was.iter_mut().enumerate() {
+            let down = s.node_down(r, v);
+            assert_eq!(st.node_down(v), down, "node {v}, round {r}, {plan:?}");
+            let rejoins = r > 0 && s.rejoining(r, v);
+            assert_eq!(
+                st.rejoining(v),
+                rejoins,
+                "rejoin of {v}, round {r}, {plan:?}"
+            );
+            if down != *was {
+                *was = down;
+                let node = NodeId(v as u32);
+                want_events.push(ChurnEvent {
+                    round: r,
+                    kind: if down {
+                        ChurnKind::NodeDown { node }
+                    } else {
+                        want.restarts += 1;
+                        ChurnKind::NodeRejoin { node }
+                    },
+                });
+            }
+        }
+        for e in 0..m {
+            let v = e % n;
+            assert_eq!(
+                st.link_down(e, v),
+                s.edge_down(r, e) || s.node_down(r, v),
+                "link over edge {e} to node {v}, round {r}, {plan:?}"
+            );
+        }
+        let down_now = (0..n).filter(|&v| s.node_down(r, v)).count() as u64;
+        assert_eq!(st.down_count(), down_now, "down count, round {r}, {plan:?}");
+    }
+    assert_eq!(st.events, want_events, "event log of {plan:?}");
+    assert_eq!(got, want, "metrics of {plan:?}");
+    st.events
+}
+
+/// The integer threshold of the churn view's flap test for probability
+/// `p ∈ [0, 1]`: the view takes an edge down in a window exactly when its
+/// flap word `w` has `(w >> 11) < flap_threshold(p)`, where the schedule
+/// compares `(w >> 11) · 2^-53 < p` in floating point.
+pub fn flap_threshold(p: f64) -> u64 {
+    crate::churn::flap_threshold(p)
 }

@@ -51,7 +51,7 @@ use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, 
 use crate::faults::{
     keyed_splitmix, Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults,
 };
-use crate::observe::{Observe, Observed, Recorder};
+use crate::observe::{Observe, Observed, Phase, Recorder};
 use crate::profile::{class, TrafficClass};
 use crate::trace::TraceEvent;
 use crate::{bits_for_count, CongestError, CongestMessage, Metrics, Result};
@@ -221,10 +221,10 @@ pub struct Ctx<'a, M> {
     /// Event sink when tracing is enabled (`None` costs one branch per
     /// [`Ctx::trace_event`] call and nothing else).
     trace: Option<&'a mut Vec<TraceEvent>>,
-    /// Churn schedule when a non-trivial [`crate::ChurnPlan`] is attached
-    /// (`None` on the static-topology paths, where [`Ctx::link_up`] is
-    /// constantly `true`).
-    churn: Option<&'a ChurnSchedule>,
+    /// The round's topology when a non-trivial [`crate::ChurnPlan`] is
+    /// attached (`None` on the static-topology paths, where
+    /// [`Ctx::link_up`] is constantly `true`).
+    churn: Option<&'a ChurnState<'a>>,
 }
 
 impl<M: CongestMessage> Ctx<'_, M> {
@@ -261,7 +261,7 @@ impl<M: CongestMessage> Ctx<'_, M> {
     pub fn link_up(&self, port: usize) -> bool {
         self.churn.is_none_or(|ch| {
             let (peer, edge) = self.neighbors[port];
-            !ch.edge_down(self.round, edge as usize) && !ch.node_down(self.round, peer as usize)
+            !ch.edge_down(edge as usize) && !ch.node_down(peer as usize)
         })
     }
 
@@ -820,7 +820,6 @@ struct Stepper<'a, P: Protocol> {
     /// Round at which each node crash-stops (`u64::MAX` = never); empty on
     /// the clean path.
     crash_round: &'a [u64],
-    churn: Option<&'a ChurnSchedule>,
     budget_bits: usize,
     /// The round being stepped.
     round: u64,
@@ -833,9 +832,9 @@ impl<P: Protocol> Stepper<'_, P> {
     /// Whether `v` sits the round out: crash-stopped, or offline under churn
     /// (like a crash, but temporary). Its inbox is discarded either way.
     #[inline]
-    fn skips(&self, v: usize) -> bool {
+    fn skips(&self, v: usize, churn: Option<&ChurnState<'_>>) -> bool {
         self.crash_round.get(v).is_some_and(|&r| r <= self.round)
-            || self.churn.is_some_and(|ch| ch.node_down(self.round, v))
+            || churn.is_some_and(|ch| ch.node_down(v))
     }
 
     /// Steps node `v`: runs `init`, `on_restart` or `round` on `group`,
@@ -851,6 +850,7 @@ impl<P: Protocol> Stepper<'_, P> {
         group: &[(usize, P::Message)],
         out: &mut StepOut<P::Message>,
         skippable: bool,
+        churn: Option<&ChurnState<'_>>,
     ) -> Option<CongestError> {
         let before = skippable.then(|| SkipCheck::of(&self.nodes[v], &self.rngs[v], out));
         let degree = self.csr.degree(v);
@@ -869,12 +869,12 @@ impl<P: Protocol> Stepper<'_, P> {
                 violation: &mut violation,
                 wake: &mut wake,
                 trace: out.events.as_mut(),
-                churn: self.churn,
+                churn,
             };
             let node = &mut self.nodes[v];
             if self.round == 0 {
                 node.init(&mut ctx);
-            } else if self.churn.is_some_and(|ch| ch.rejoining(self.round, v)) {
+            } else if churn.is_some_and(|ch| ch.rejoining(v)) {
                 node.on_restart(&mut ctx);
             } else {
                 node.round(&mut ctx, group);
@@ -912,6 +912,7 @@ impl<P: Protocol> Stepper<'_, P> {
     /// `woken`, when given, is the set the active-set engine would have
     /// stepped this round; every other stepped node is checked to be a
     /// no-op (the debug-build [`Protocol::SPARSE_AWARE`] contract check).
+    /// `churn` is the round's topology ([`ChurnHook::view`]).
     fn step(
         &mut self,
         round: u64,
@@ -919,6 +920,7 @@ impl<P: Protocol> Stepper<'_, P> {
         woken: Option<&ActiveSet>,
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
+        churn: Option<&ChurnState<'_>>,
     ) -> Option<CongestError> {
         self.round = round;
         let skippable = |v: u32| woken.is_some_and(|w| !w.contains(v));
@@ -934,10 +936,10 @@ impl<P: Protocol> Stepper<'_, P> {
                     group = inbox.group(ri);
                     ri += 1;
                 }
-                if self.skips(v) {
+                if self.skips(v, churn) {
                     continue;
                 }
-                if let Some(err) = self.step_node(v, group, out, skippable(vu)) {
+                if let Some(err) = self.step_node(v, group, out, skippable(vu), churn) {
                     // The rest of the sweep is skipped.
                     return Some(err);
                 }
@@ -964,10 +966,10 @@ impl<P: Protocol> Stepper<'_, P> {
                     ri -= 1;
                     group = inbox.group(ri);
                 }
-                if self.skips(v) {
+                if self.skips(v, churn) {
                     continue;
                 }
-                if let Some(err) = self.step_node(v, group, out, skippable(vu)) {
+                if let Some(err) = self.step_node(v, group, out, skippable(vu), churn) {
                     violation = Some(err);
                 }
             }
@@ -1059,6 +1061,11 @@ struct Wakeups {
 /// O(n): the active set is mail receivers (this round's arena groups), due
 /// [`Ctx::wake_in`] timers, and churn rejoins; round 0 steps everyone.
 ///
+/// The churn hook diffs each round's topology once, at the start of the
+/// round; the stepper, [`Ctx::link_up`] and the merge read that view.
+/// With [`Observe::phases`] on, the recorder times the round's phases
+/// (`topology`, `activate`, `step`, `merge`, `group`).
+///
 /// `messages`/`bits` count *deliveries*, so dropped/lost traffic never
 /// inflates the totals (documented on [`Metrics`]).
 #[allow(clippy::too_many_arguments)]
@@ -1122,6 +1129,7 @@ where
         rec.begin_round(round, metrics);
         hook.begin_round(round, &mut metrics);
         churn.begin_round(round, &mut metrics);
+        rec.lap(Phase::Topology);
         // Nodes leaving the computation this round count as done: fault
         // crash-stops permanently, churn outages until the rejoin step
         // re-reports the node's own `is_done`.
@@ -1173,10 +1181,11 @@ where
             }
             active.finish();
         }
+        rec.lap(Phase::Activate);
         let active_list: &[u32] = if wk.sparse { &active.list } else { all_nodes };
         out.clear();
         let woken = check.then_some(&*active);
-        if let Some(err) = stepper.step(round, active_list, woken, cur, out) {
+        if let Some(err) = stepper.step(round, active_list, woken, cur, out, churn.view()) {
             result = Err(err);
             break 'rounds;
         }
@@ -1219,6 +1228,7 @@ where
                 + held.len() * std::mem::size_of::<Held<P::Message>>())
                 as u64;
         }
+        rec.lap(Phase::Step);
         // Ordered merge with per-message fault sampling: ascending
         // (sender, port), whatever order staged the sends.
         let mut slab = std::mem::take(&mut out.slab);
@@ -1241,7 +1251,7 @@ where
                         // records the cause, so this is not a drop fault.
                         continue;
                     }
-                    if churn.edge_down(round, to.edge) || churn.node_down(round, to.dst) {
+                    if churn.link_down(to.edge, to.dst) {
                         // The link was down (or the destination offline) in
                         // the round the message was staged: lost to churn.
                         // Verdicts use the staging round, matching what the
@@ -1298,7 +1308,7 @@ where
             } else if hook.is_crashed(h.to.dst) {
                 metrics.lost_to_crash += 1;
                 hook.record(round, h.src, h.src_port, FaultKind::LostToCrash);
-            } else if churn.edge_down(round, h.to.edge) || churn.node_down(round, h.to.dst) {
+            } else if churn.link_down(h.to.edge, h.to.dst) {
                 // The delay outlived the link (or the destination's
                 // uptime): the release round's topology decides.
                 churn.record_loss(round, h.src, h.src_port, &mut metrics);
@@ -1315,10 +1325,12 @@ where
         // churn hook's view of this round.
         let nodes_down = |m: &Metrics| m.crashed + churn.down_count();
         rec.end_round(metrics, nodes_down, out.stepped, edge_load);
+        rec.lap(Phase::Merge);
         // Group this round's deliveries into next round's inbox arena and
         // swap it in (the consumed arena becomes the next grouping target).
         group_pending(pend, cnt, cursor, perm, next);
         std::mem::swap(cur, next);
+        rec.lap(Phase::Group);
         metrics.rounds = round;
         let in_flight = delivered > 0 || !held.is_empty();
         let stop = match cfg.stop {
@@ -1669,7 +1681,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             staged,
             csr,
             crash_round,
-            churn: sched,
             budget_bits,
             round: 0,
             reverse: reverse_visit,

@@ -148,6 +148,7 @@ mod tests {
         let observe = Observe {
             trace: Some(TraceConfig::default()),
             profile: Some(ProfileConfig::default()),
+            ..Observe::default()
         };
         let cfg = RunConfig::all_done();
         let beacons = |left| (0..2).map(|_| Beacon { left, up: vec![] }).collect();

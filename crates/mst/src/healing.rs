@@ -52,8 +52,9 @@ use crate::reference::UnionFind;
 use crate::{MstError, Result};
 use amt_congest::{
     backoff_timeout, bits_for_value, class, ChurnKind, ChurnPlan, CongestError, Ctx, FaultKind,
-    FaultPlan, Metrics, Observe, ProfileConfig, Protocol, RecoveryTimeline, Reliable, ReliableLink,
-    RunConfig, RunTrace, StageRunner, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    FaultPlan, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, Reliable,
+    ReliableLink, RunConfig, RunTrace, StageRunner, StopCondition, TraceConfig, TrafficClass,
+    TrafficProfile,
 };
 use amt_graphs::{EdgeId, Graph, NodeId, WeightedGraph};
 
@@ -592,7 +593,8 @@ impl Healing<'_> {
 
 /// The full healing driver: faults, churn, and opt-in observability in one
 /// signature ([`run_healing_instrumented`] is this with a trivial churn
-/// plan).
+/// plan). It is [`run_healing_observed`] with the trace and profile
+/// layers.
 ///
 /// `_threads` is ignored: the simulator runs on one thread. The parameter
 /// stays until the repository benchmark, which calls this function with a
@@ -610,6 +612,28 @@ pub fn run_healing_churned_instrumented(
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (out, runs) = run_healing_observed(wg, seed, plan, churn, observe)?;
+    Ok((out, runs.traces, runs.profile))
+}
+
+/// The healing driver with every flooding phase observed by the `observe`
+/// layers, folded across phases into one [`ObservedRuns`].
+///
+/// # Errors
+///
+/// Same as [`run_healing_churned`].
+pub fn run_healing_observed(
+    wg: &WeightedGraph,
+    seed: u64,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    observe: Observe,
+) -> Result<(HealedMstOutcome, ObservedRuns)> {
     let g = wg.graph();
     g.require_connected()?;
     let n = g.len();
@@ -635,7 +659,7 @@ pub fn run_healing_churned_instrumented(
         base_timeout: 4 + 2 * plan.max_delay,
         cut_round: g.edges().map(|(e, _, _)| churn.edge_cut_round(e)).collect(),
         plan,
-        runner: StageRunner::new(churn, Observe { trace, profile }),
+        runner: StageRunner::new(churn, observe),
         phase: 0,
         comp: label_init.clone(),
         labels_stale: false,
@@ -736,8 +760,7 @@ pub fn run_healing_churned_instrumented(
             metrics,
             timeline: run.runner.timeline,
         },
-        run.runner.runs.traces,
-        run.runner.runs.profile,
+        run.runner.runs,
     ))
 }
 

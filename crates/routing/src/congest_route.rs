@@ -41,8 +41,9 @@
 
 use crate::{Result, RouteError};
 use amt_congest::{
-    bits_for_count, class, ChurnPlan, Ctx, FaultPlan, Metrics, Observe, ProfileConfig, Protocol,
-    RecoveryTimeline, RunConfig, RunTrace, StageRunner, TraceConfig, TrafficClass, TrafficProfile,
+    bits_for_count, class, ChurnPlan, Ctx, FaultPlan, Metrics, Observe, ObservedRuns,
+    ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, StageRunner, TraceConfig,
+    TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -421,7 +422,7 @@ pub fn route_bitfix_churned(
 
 /// [`route_bitfix_churned`] with opt-in tracing (one [`RunTrace`] per
 /// epoch) and traffic profiling accumulated across epochs. Neither changes
-/// the outcome.
+/// the outcome. It is [`route_bitfix_observed`] with those two layers.
 ///
 /// `_threads` is ignored: the simulator runs on one thread. The parameter
 /// stays until the repository benchmark, which calls this function with a
@@ -439,6 +440,28 @@ pub fn route_bitfix_churned_instrumented(
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (out, runs) = route_bitfix_observed(g, requests, seed, churn, observe)?;
+    Ok((out, runs.traces, runs.profile))
+}
+
+/// [`route_bitfix_churned`] with every epoch observed by the `observe`
+/// layers, folded across epochs into one [`ObservedRuns`].
+///
+/// # Errors
+///
+/// As [`route_bitfix_churned`].
+pub fn route_bitfix_observed(
+    g: &Graph,
+    requests: &[(NodeId, NodeId)],
+    seed: u64,
+    churn: ChurnPlan,
+    observe: Observe,
+) -> Result<(ChurnedRouteOutcome, ObservedRuns)> {
     let n = g.len();
     let ports = hypercube_ports(g)?;
     let dims = n.trailing_zeros();
@@ -453,7 +476,7 @@ pub fn route_bitfix_churned_instrumented(
     }
     let mut endpoints: Vec<Option<NodeId>> = vec![None; requests.len()];
     let mut pending: Vec<u32> = (0..requests.len() as u32).collect();
-    let mut runner = StageRunner::new(churn, Observe { trace, profile });
+    let mut runner = StageRunner::new(churn, observe);
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
 
@@ -497,8 +520,7 @@ pub fn route_bitfix_churned_instrumented(
             metrics: runner.metrics,
             timeline: runner.timeline,
         },
-        runner.runs.traces,
-        runner.runs.profile,
+        runner.runs,
     ))
 }
 

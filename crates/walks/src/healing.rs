@@ -48,8 +48,8 @@ use crate::{WalkKind, WalkSpec};
 use amt_congest::primitives::reliable::fold4;
 use amt_congest::{
     backoff_timeout, class, ChurnPlan, CongestError, CongestMessage, Ctx, FaultKind, FaultPlan,
-    Metrics, Observe, ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace, StageRunner,
-    StopCondition, TraceConfig, TrafficClass, TrafficProfile,
+    Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RecoveryTimeline, RunConfig, RunTrace,
+    StageRunner, StopCondition, TraceConfig, TrafficClass, TrafficProfile,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -546,7 +546,8 @@ pub fn run_walks_healing_churned(
 
 /// The full healing driver: faults, churn, and opt-in observability in one
 /// signature ([`run_walks_healing_instrumented`] is this with a trivial
-/// churn plan).
+/// churn plan). It is [`run_walks_healing_observed`] with the trace and
+/// profile layers.
 ///
 /// `_threads` is ignored: the simulator runs on one thread. The parameter
 /// stays until the repository benchmark, which calls this function with a
@@ -569,6 +570,30 @@ pub fn run_walks_healing_churned_instrumented(
     trace: Option<TraceConfig>,
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (run, runs) = run_walks_healing_observed(g, kind, specs, seed, plan, churn, observe)?;
+    Ok((run, runs.traces, runs.profile))
+}
+
+/// The healing driver with every epoch observed by the `observe` layers,
+/// folded across epochs into one [`ObservedRuns`].
+///
+/// # Errors
+///
+/// As [`run_walks_healing_churned_instrumented`].
+pub fn run_walks_healing_observed(
+    g: &Graph,
+    kind: WalkKind,
+    specs: &[WalkSpec],
+    seed: u64,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    observe: Observe,
+) -> Result<(HealedWalkRun, ObservedRuns), CongestError> {
     assert!(specs.len() < 1 << 16, "wire format carries 16-bit walk ids");
     plan.validate(g.len())?;
     churn.validate(g.len(), g.edge_count())?;
@@ -581,7 +606,7 @@ pub fn run_walks_healing_churned_instrumented(
     let mut reissued = 0u64;
     let mut rerouted = 0u64;
     let mut epochs = 0u32;
-    let mut runner = StageRunner::new(churn, Observe { trace, profile });
+    let mut runner = StageRunner::new(churn, observe);
     let mut crashed: Vec<bool> = vec![false; g.len()];
     // Walks still owed an endpoint whose start is alive, re-issued each
     // epoch from the start.
@@ -679,8 +704,7 @@ pub fn run_walks_healing_churned_instrumented(
             rerouted,
             timeline: runner.timeline,
         },
-        runner.runs.traces,
-        runner.runs.profile,
+        runner.runs,
     ))
 }
 

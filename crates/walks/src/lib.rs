@@ -36,7 +36,7 @@ pub mod times;
 pub use congest_exec::{run_walks_in_congest, CongestWalkRun};
 pub use healing::{
     run_walks_healing, run_walks_healing_churned, run_walks_healing_churned_instrumented,
-    run_walks_healing_instrumented, HealedWalkRun, MAX_EPOCHS,
+    run_walks_healing_instrumented, run_walks_healing_observed, HealedWalkRun, MAX_EPOCHS,
 };
 pub use kind::WalkKind;
 pub use parallel::{run_correlated_walks, run_parallel_walks, run_walk_ends};

@@ -1,8 +1,9 @@
 //! The observation pipeline's contract on one fault-plus-churn workload:
-//! every subset of {trace, profile} leaves the run's `Metrics`, node
-//! outputs, fault log and churn log exactly as an unobserved run's, each
-//! layer records the same thing whichever other layer is on, and the
-//! trace's gauge fold is the field-wise max of its per-round records.
+//! every subset of {trace, profile, phase timers} leaves the run's
+//! `Metrics`, node outputs, fault log and churn log exactly as an
+//! unobserved run's, each layer records the same thing whichever other
+//! layer is on, and the trace's gauge fold is the field-wise max of its
+//! per-round records.
 
 use amt_core::congest::{
     class, ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, GaugeHighWater, Metrics, Observe,
@@ -129,18 +130,28 @@ fn every_observer_subset_is_observably_free_and_layer_independent() {
 
     let mut trace_ref = None;
     let mut profile_ref = None;
-    for mask in 0..4u8 {
+    for mask in 0..8u8 {
         let observe = Observe {
             trace: (mask & 1 != 0).then(|| TraceConfig::default().with_edge_load_stride(4)),
             profile: (mask & 2 != 0).then(ProfileConfig::default),
+            phases: mask & 4 != 0,
         };
         let (observables, observed) = run(&g, observe);
         assert_eq!(
             observables, plain,
-            "layers {mask:02b}: observation changed the run"
+            "layers {mask:03b}: observation changed the run"
         );
         assert_eq!(observed.trace.is_some(), mask & 1 != 0);
         assert_eq!(observed.profile.is_some(), mask & 2 != 0);
+        assert_eq!(observed.phases.is_some(), mask & 4 != 0);
+        if let Some(t) = &observed.phases {
+            let labels: Vec<&str> = t.entries().iter().map(|&(l, _)| l).collect();
+            assert_eq!(labels, ["topology", "activate", "step", "merge", "group"]);
+            assert!(
+                t.total_nanos() > 0,
+                "layers {mask:03b}: the phases took time"
+            );
+        }
         if let Some(t) = observed.trace {
             assert_eq!(t.reconstruct_metrics(), plain.0);
             assert!(!t.events.is_empty());
@@ -154,16 +165,16 @@ fn every_observer_subset_is_observably_free_and_layer_independent() {
                     wake_queue: max(|s| s.wake_queue),
                     arena_bytes: max(|s| s.arena_bytes),
                 },
-                "layers {mask:02b}: high-water marks"
+                "layers {mask:03b}: high-water marks"
             );
             let first = trace_ref.get_or_insert_with(|| t.clone());
-            assert_eq!(&t, first, "layers {mask:02b}: trace");
+            assert_eq!(&t, first, "layers {mask:03b}: trace");
         }
         if let Some(p) = observed.profile {
             assert_eq!(p.total_messages(), plain.0.messages);
             assert_eq!(p.per_class.len(), 2);
             let first = profile_ref.get_or_insert_with(|| p.clone());
-            assert_eq!(&p, first, "layers {mask:02b}: profile");
+            assert_eq!(&p, first, "layers {mask:03b}: profile");
         }
     }
 }
