@@ -36,8 +36,9 @@
 //!   router. Each records a `recovery` section (damage spans and
 //!   time-to-reconverge percentiles) alongside the usual counters. The
 //!   e16 and e17 tiers also time the round engine's phases
-//!   ([`Observe::phases`]): the last run's split enters `phase_timings`
-//!   as `engine_<tier>` and is printed in a table of its own;
+//!   ([`Observe::phases`]): the per-phase median over the tier's repeats
+//!   enters `phase_timings` as `engine_<tier>` (ungated) and is printed in
+//!   a table of its own;
 //! * **scaling tier** — a sparse two-class token workload on three pinned
 //!   2048-node instances (random 6-regular expander, id-interleaved
 //!   dumbbell of two expander halves, heavy-tailed Chung–Lu). Every
@@ -56,14 +57,14 @@
 //! on drift.
 
 use amt_bench::scale::{scale_fleet, scaling_instances};
-use amt_bench::{expander, report::git_describe, scaled_levels, Report};
+use amt_bench::{e16_fault_plan, expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
     Metrics, Observe, ObservedRuns, PhaseTimings, ProfileConfig, RunConfig, RunTrace, Simulator,
     TraceConfig, TrafficProfile,
 };
-use amt_core::mst::congest_boruvka;
+use amt_core::mst::{congest_boruvka, run_healing_observed};
 use amt_core::prelude::*;
-use amt_core::routing::{route_bitfix_instrumented, route_bitfix_observed};
+use amt_core::routing::route_bitfix_observed;
 use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::{run_walk_ends, WalkSpec};
 use rand::rngs::StdRng;
@@ -115,10 +116,16 @@ fn walk_specs(count: usize, n: usize) -> Vec<WalkSpec> {
 fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: Option<ProfileConfig>) {
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
+    let observe = Observe {
+        profile,
+        ..Observe::default()
+    };
     let ((metrics, profile), wall) = repeat_median(name, || {
         let t0 = Instant::now();
-        let (out, p) = congest_boruvka::run_instrumented(&wg, 3, 1, profile).expect("connected");
+        let (out, runs) =
+            congest_boruvka::run_observed(&wg, 3, observe.clone()).expect("connected");
         let wall = t0.elapsed();
+        let p = runs.profile;
         // `CongestMstOutcome` has no `Metrics`; reconstruct the comparable
         // counters from the run and, when profiled, its exact profile.
         let metrics = Metrics {
@@ -138,37 +145,19 @@ fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: Option
 fn bitfix_tier(bench: &mut Bench, name: &'static str, dim: u32, profile: Option<ProfileConfig>) {
     let g = generators::hypercube(dim);
     let reqs = canonical_permutation(1 << dim);
+    let observe = Observe {
+        profile,
+        ..Observe::default()
+    };
     let ((metrics, profile), wall) = repeat_median(name, || {
         let t0 = Instant::now();
-        let (out, p) = route_bitfix_instrumented(&g, &reqs, 12, 1, profile).expect("hypercube");
-        (t0.elapsed(), (out.metrics, p))
+        let (out, runs) = route_bitfix_observed(&g, &reqs, 12, ChurnPlan::none(), observe.clone())
+            .expect("hypercube");
+        let wall = t0.elapsed();
+        assert!(!out.degraded(), "{name}: every packet must arrive");
+        (wall, (out.metrics, runs.profile))
     });
     bench.record(name, &metrics, profile.as_ref(), wall);
-}
-
-/// The e16 crash schedule: node 0 (the minimum-id fragment leader) first,
-/// then high-id nodes, staggered so crashes land mid-run.
-fn plan_for(drop: f64, crashes: usize, n: usize, seed: u64) -> FaultPlan {
-    let mut plan = FaultPlan::none().seeded(seed).with_drops(drop);
-    for c in 0..crashes {
-        let node = if c == 0 {
-            NodeId(0)
-        } else {
-            NodeId((n - c) as u32)
-        };
-        plan = plan.with_crash(node, 5 + 7 * c as u64);
-    }
-    plan
-}
-
-/// The observers of the e16 and e17 tiers: the traffic profile and the
-/// round engine's phase timers.
-fn healing_observe() -> Observe {
-    Observe {
-        profile: Some(ProfileConfig::default()),
-        phases: true,
-        ..Observe::default()
-    }
 }
 
 struct Bench {
@@ -216,21 +205,46 @@ impl Bench {
         ]);
     }
 
-    /// Records one healing tier: [`Bench::record`] with the runs' profile,
-    /// plus the round engine's phase timers of its last run.
-    fn record_healing(
+    /// Runs a healing tier through [`repeat_median`] with the traffic
+    /// profile and the round engine's phase timers on, and records it:
+    /// [`Bench::record`] with the runs' profile, plus the per-phase median
+    /// of the timers over the repeats. Returns the last run's outcome.
+    fn healing_tier<T: PartialEq + std::fmt::Debug>(
         &mut self,
         name: &'static str,
-        metrics: &Metrics,
-        runs: ObservedRuns,
-        wall: Duration,
-    ) {
-        self.record(name, metrics, runs.profile.as_ref(), wall);
-        let phases = runs.phases.expect("phase timers on");
+        mut run: impl FnMut(Observe) -> (T, ObservedRuns),
+        metrics: impl Fn(&T) -> &Metrics,
+    ) -> T {
+        let mut samples = Vec::new();
+        let ((out, runs), wall) = repeat_median(name, || {
+            let t0 = Instant::now();
+            let (out, runs) = run(Observe {
+                profile: Some(ProfileConfig::default()),
+                phases: true,
+                ..Observe::default()
+            });
+            let wall = t0.elapsed();
+            samples.push(runs.phases.clone().expect("phase timers on"));
+            (wall, (out, runs))
+        });
+        self.record(name, metrics(&out), runs.profile.as_ref(), wall);
+        let phases = median_phases(&samples);
         self.report
             .phase_timings(&format!("engine_{name}"), &phases);
         self.engine.push((name, phases));
+        out
     }
+}
+
+/// The per-label median of `samples`, which time the same labels.
+fn median_phases(samples: &[PhaseTimings]) -> PhaseTimings {
+    let mut median = PhaseTimings::new();
+    for &(label, _) in samples[0].entries() {
+        let mut ns: Vec<u64> = samples.iter().map(|t| t.nanos(label)).collect();
+        ns.sort_unstable();
+        median.record_nanos(label, ns[ns.len() / 2]);
+    }
+    median
 }
 
 fn main() {
@@ -419,22 +433,23 @@ fn main() {
         let g = expander(1024, 8, 16);
         let n = g.len();
         let specs = walk_specs(256, n);
-        let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
-        let ((out, runs), wall) = repeat_median("e16_faulty_walk", || {
-            let t0 = Instant::now();
-            let run = run_walks_healing_observed(
-                &g,
-                WalkKind::Lazy,
-                &specs,
-                11,
-                plan.clone(),
-                ChurnPlan::none(),
-                healing_observe(),
-            )
-            .expect("valid plan");
-            (t0.elapsed(), run)
-        });
-        bench.record_healing("e16_faulty_walk", &out.metrics, runs, wall);
+        let plan = e16_fault_plan(0.05, 2, n, 11 ^ (2u64) << 8);
+        bench.healing_tier(
+            "e16_faulty_walk",
+            |observe| {
+                run_walks_healing_observed(
+                    &g,
+                    WalkKind::Lazy,
+                    &specs,
+                    11,
+                    plan.clone(),
+                    ChurnPlan::none(),
+                    observe,
+                )
+                .expect("valid plan")
+            },
+            |out| &out.metrics,
+        );
     }
 
     // e17 churn tier: the pinned flap + crash-restart schedule. Every
@@ -451,21 +466,22 @@ fn main() {
             .seeded(21)
             .with_flaps(0.05, 4)
             .with_restart(NodeId(7), 6, 5);
-        let ((out, runs), wall) = repeat_median("e17_churned_walk", || {
-            let t0 = Instant::now();
-            let run = run_walks_healing_observed(
-                &g,
-                WalkKind::Lazy,
-                &specs,
-                21,
-                plan.clone(),
-                churn.clone(),
-                healing_observe(),
-            )
-            .expect("valid plans");
-            (t0.elapsed(), run)
-        });
-        bench.record_healing("e17_churned_walk", &out.metrics, runs, wall);
+        let out = bench.healing_tier(
+            "e17_churned_walk",
+            |observe| {
+                run_walks_healing_observed(
+                    &g,
+                    WalkKind::Lazy,
+                    &specs,
+                    21,
+                    plan.clone(),
+                    churn.clone(),
+                    observe,
+                )
+                .expect("valid plans")
+            },
+            |out| &out.metrics,
+        );
         bench.report.recovery("e17_churned_walk", &out.timeline);
     }
 
@@ -479,19 +495,14 @@ fn main() {
             .seeded(33)
             .with_flaps(0.05, 4)
             .with_restart(NodeId(5), 3, 5);
-        let ((out, runs), wall) = repeat_median("e17_churned_mst", || {
-            let t0 = Instant::now();
-            let run = amt_core::mst::healing::run_healing_observed(
-                &wg,
-                17,
-                plan.clone(),
-                churn.clone(),
-                healing_observe(),
-            )
-            .expect("survivors stay connected");
-            (t0.elapsed(), run)
-        });
-        bench.record_healing("e17_churned_mst", &out.metrics, runs, wall);
+        let out = bench.healing_tier(
+            "e17_churned_mst",
+            |observe| {
+                run_healing_observed(&wg, 17, plan.clone(), churn.clone(), observe)
+                    .expect("survivors stay connected")
+            },
+            |out| &out.metrics,
+        );
         bench.report.recovery("e17_churned_mst", &out.timeline);
     }
 
@@ -506,17 +517,17 @@ fn main() {
             .seeded(17)
             .with_flaps(0.05, 3)
             .with_restart(NodeId(6), 1, 4);
-        let ((out, runs), wall) = repeat_median("e17_churned_route", || {
-            let t0 = Instant::now();
-            let run = route_bitfix_observed(&g, &reqs, 12, churn.clone(), healing_observe())
-                .expect("hypercube");
-            (t0.elapsed(), run)
-        });
+        let out = bench.healing_tier(
+            "e17_churned_route",
+            |observe| {
+                route_bitfix_observed(&g, &reqs, 12, churn.clone(), observe).expect("hypercube")
+            },
+            |out| &out.metrics,
+        );
         assert!(
-            out.undelivered.is_empty(),
+            !out.degraded(),
             "e17: flaps alone never isolate a destination for good"
         );
-        bench.record_healing("e17_churned_route", &out.metrics, runs, wall);
         bench.report.recovery("e17_churned_route", &out.timeline);
     }
 
@@ -539,7 +550,7 @@ fn main() {
          the loop ends; priced: pricing time summed over all workers)"
     );
 
-    println!("\n## Round-engine phases of the healing tiers (last run, ms)\n");
+    println!("\n## Round-engine phases of the healing tiers (median over the repeats, ms)\n");
     bench.report.section("round-engine phases");
     bench.report.header(&[
         "bench", "topology", "activate", "step", "merge", "group", "total",
@@ -551,6 +562,7 @@ fn main() {
         row.push(ms(t.total_nanos()));
         bench.report.row(&row);
     }
+    println!("\n(each phase is its median over the tier's repeats; total is their sum)");
     finish(bench);
 }
 

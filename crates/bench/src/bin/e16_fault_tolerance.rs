@@ -19,7 +19,7 @@
 //! mid-walk crashes strike carriers, and checks that every crashing row
 //! re-issues the walks it lost from their surviving starts.
 
-use amt_bench::{expander, Report};
+use amt_bench::{e16_fault_plan, expander, Report};
 use amt_core::congest::PhaseTimings;
 use amt_core::mst::{healing as mst_healing, reference, MstError};
 use amt_core::prelude::*;
@@ -27,42 +27,6 @@ use amt_core::walks::{run_walks_healing, WalkKind, WalkSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-
-/// Crash schedule: node 0 (the minimum-id fragment leader) first, then
-/// high-id nodes, staggered a few rounds apart so crashes land mid-phase.
-fn plan_for(drop: f64, crashes: usize, n: usize, seed: u64) -> FaultPlan {
-    let mut plan = FaultPlan::none().seeded(seed).with_drops(drop);
-    for c in 0..crashes {
-        let node = if c == 0 {
-            NodeId(0)
-        } else {
-            NodeId((n - c) as u32)
-        };
-        plan = plan.with_crash(node, 5 + 7 * c as u64);
-    }
-    plan
-}
-
-/// Kruskal over the surviving induced subgraph in canonical order.
-fn survivor_mst_weight(wg: &WeightedGraph, dead: &[NodeId]) -> u64 {
-    let g = wg.graph();
-    let gone: HashSet<NodeId> = dead.iter().copied().collect();
-    let mut edges: Vec<EdgeId> = g
-        .edges()
-        .filter(|(_, u, v)| !gone.contains(u) && !gone.contains(v))
-        .map(|(e, _, _)| e)
-        .collect();
-    edges.sort_by_key(|&e| (wg.weight(e), e.0));
-    let mut uf = reference::UnionFind::new(g.len());
-    let mut total = 0;
-    for e in edges {
-        let (u, v) = g.endpoints(e);
-        if uf.union(u.index(), v.index()) {
-            total += wg.weight(e);
-        }
-    }
-    total
-}
 
 fn run_case(report: &mut Report, name: &str, g: &Graph, walk_steps: u32, seed: u64) {
     println!("\n## {name} (n = {}, m = {})\n", g.len(), g.edge_count());
@@ -88,8 +52,16 @@ fn run_case(report: &mut Report, name: &str, g: &Graph, walk_steps: u32, seed: u
         .collect();
     for &drop in &[0.0, 0.01, 0.05] {
         for &crashes in &[0usize, 1, 2] {
-            let plan = plan_for(drop, crashes, n, seed ^ (crashes as u64) << 8);
-            let walks = run_walks_healing(g, WalkKind::Lazy, &specs, seed, plan.clone()).unwrap();
+            let plan = e16_fault_plan(drop, crashes, n, seed ^ (crashes as u64) << 8);
+            let walks = run_walks_healing(
+                g,
+                WalkKind::Lazy,
+                &specs,
+                seed,
+                plan.clone(),
+                ChurnPlan::none(),
+            )
+            .unwrap();
             report.metrics(
                 &format!("{name} drop={drop:.2} crashes={crashes} walks"),
                 &walks.metrics,
@@ -103,9 +75,10 @@ fn run_case(report: &mut Report, name: &str, g: &Graph, walk_steps: u32, seed: u
                 && live_specs.count() > 0;
 
             let (mst_cell, restarts, faults, mst_ok) =
-                match mst_healing::run_healing(&wg, seed ^ 0xE16, plan) {
+                match mst_healing::run_healing(&wg, seed ^ 0xE16, plan, ChurnPlan::none()) {
                     Ok(out) => {
-                        let want = survivor_mst_weight(&wg, &out.crashed_nodes);
+                        let want =
+                            wg.total_weight(&reference::survivor_mst(&wg, &out.crashed_nodes, &[]));
                         (
                             out.rounds.to_string(),
                             out.phase_restarts.to_string(),
@@ -204,7 +177,15 @@ fn carrier_table(report: &mut Report) {
             for c in 0..crashes {
                 plan = plan.with_crash(NodeId((n / 2 + 37 * c) as u32), 4 + 3 * c as u64);
             }
-            let walks = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone()).unwrap();
+            let walks = run_walks_healing(
+                &g,
+                WalkKind::Lazy,
+                &specs,
+                5,
+                plan.clone(),
+                ChurnPlan::none(),
+            )
+            .unwrap();
             report.metrics(
                 &format!("carrier drop={drop:.2} crashes={crashes} walks"),
                 &walks.metrics,
@@ -261,7 +242,7 @@ fn repeat_table(report: &mut Report) {
             steps: 24,
         })
         .collect();
-    let plan = plan_for(0.05, 2, n, 11 ^ (2u64) << 8);
+    let plan = e16_fault_plan(0.05, 2, n, 11 ^ (2u64) << 8);
 
     // Walls of each run and its repeat; compared at the end with the
     // tolerance-based `PhaseTimings::close_to` (its `Eq` is vacuous).
@@ -280,20 +261,32 @@ fn repeat_table(report: &mut Report) {
         assert!(identical, "{label}: repeat run diverged");
     };
 
+    let walk = || {
+        run_walks_healing(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            11,
+            plan.clone(),
+            ChurnPlan::none(),
+        )
+        .unwrap()
+    };
     let t0 = std::time::Instant::now();
-    let walks = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan.clone()).unwrap();
+    let walks = walk();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    let again = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan.clone()).unwrap();
+    let again = walk();
     let ms2 = t1.elapsed().as_secs_f64() * 1e3;
     let identical = walks.endpoints == again.endpoints && walks.metrics == again.metrics;
     row("healing walks", ms, ms2, walks.metrics.rounds, identical);
 
+    let heal = || mst_healing::run_healing(&wg, 11 ^ 0xE16, plan.clone(), ChurnPlan::none());
     let t0 = std::time::Instant::now();
-    let mst = mst_healing::run_healing(&wg, 11 ^ 0xE16, plan.clone()).unwrap();
+    let mst = heal().unwrap();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    let again = mst_healing::run_healing(&wg, 11 ^ 0xE16, plan).unwrap();
+    let again = heal().unwrap();
     let ms2 = t1.elapsed().as_secs_f64() * 1e3;
     let identical = mst.tree_edges == again.tree_edges && mst.metrics == again.metrics;
     row("healing boruvka", ms, ms2, mst.rounds, identical);

@@ -29,34 +29,10 @@ use amt_bench::{expander, Report};
 use amt_core::congest::CongestError;
 use amt_core::mst::{healing as mst_healing, reference, MstError};
 use amt_core::prelude::*;
-use amt_core::routing::{route_bitfix_churned, MAX_ROUTE_EPOCHS};
-use amt_core::walks::{run_walks_healing_churned, WalkSpec};
+use amt_core::routing::{route_bitfix, MAX_ROUTE_EPOCHS};
+use amt_core::walks::{run_walks_healing, WalkSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
-
-/// Kruskal over the surviving induced subgraph minus permanently cut
-/// edges, in canonical order — the reference the healed tree must match.
-fn survivor_mst_weight(wg: &WeightedGraph, dead: &[NodeId], cut: &[EdgeId]) -> u64 {
-    let g = wg.graph();
-    let gone: HashSet<NodeId> = dead.iter().copied().collect();
-    let cut: HashSet<EdgeId> = cut.iter().copied().collect();
-    let mut edges: Vec<EdgeId> = g
-        .edges()
-        .filter(|(e, u, v)| !gone.contains(u) && !gone.contains(v) && !cut.contains(e))
-        .map(|(e, _, _)| e)
-        .collect();
-    edges.sort_by_key(|&e| (wg.weight(e), e.0));
-    let mut uf = reference::UnionFind::new(g.len());
-    let mut total = 0;
-    for e in edges {
-        let (u, v) = g.endpoints(e);
-        if uf.union(u.index(), v.index()) {
-            total += wg.weight(e);
-        }
-    }
-    total
-}
 
 /// One row of the recovery-SLO summary: name, damage spans, and the
 /// time-to-reconverge percentiles off the cell's [`RecoveryTimeline`].
@@ -101,24 +77,18 @@ fn churn_sweep(report: &mut Report, n: usize, walks: usize, flaps: &[f64], resta
             }
             let plan = FaultPlan::none().seeded(31).with_drops(0.01);
 
-            let walk_out = run_walks_healing_churned(
-                &g,
-                WalkKind::Lazy,
-                &specs,
-                21,
-                plan.clone(),
-                churn.clone(),
-            )
-            .expect("valid plans");
+            let walk_out =
+                run_walks_healing(&g, WalkKind::Lazy, &specs, 21, plan.clone(), churn.clone())
+                    .expect("valid plans");
             let walks_ok = walk_out.endpoints.iter().all(Option::is_some);
             let name = format!("walks flap={flap:.2} restarts={restarts}");
             report.metrics(&name, &walk_out.metrics);
             slo_row(report, &name, &walk_out.timeline, walks_ok);
             assert!(walks_ok, "{name}: a walk failed to finish under churn");
 
-            let mst_out = mst_healing::run_healing_churned(&wg, 5, plan, churn)
-                .expect("survivors stay connected");
-            let want = survivor_mst_weight(&wg, &mst_out.crashed_nodes, &[]);
+            let mst_out =
+                mst_healing::run_healing(&wg, 5, plan, churn).expect("survivors stay connected");
+            let want = wg.total_weight(&reference::survivor_mst(&wg, &mst_out.crashed_nodes, &[]));
             let mst_ok = mst_out.total_weight == want;
             let name = format!("mst flap={flap:.2} restarts={restarts}");
             report.metrics(&name, &mst_out.metrics);
@@ -153,7 +123,7 @@ fn route_cells(report: &mut Report, dim: u32, flaps: &[f64]) {
             .seeded(0x17 ^ (flap * 1000.0) as u64)
             .with_flaps(flap, 3)
             .with_restart(NodeId(6), 1, 4);
-        let out = route_bitfix_churned(&g, &reqs, 12, churn).expect("hypercube");
+        let out = route_bitfix(&g, &reqs, 12, churn).expect("hypercube");
         let ok = out.undelivered.is_empty() && !out.degraded();
         let name = format!("route flap={flap:.2}");
         report.metrics(&name, &out.metrics);
@@ -178,9 +148,9 @@ fn cut_cells(report: &mut Report, n: usize) {
         let mut rng = StdRng::seed_from_u64(17);
         let wg = WeightedGraph::with_random_weights(g, 4000, &mut rng);
         let churn = ChurnPlan::none().seeded(7).with_edge_cut(EdgeId(0), 4);
-        let out = mst_healing::run_healing_churned(&wg, 5, FaultPlan::none(), churn)
+        let out = mst_healing::run_healing(&wg, 5, FaultPlan::none(), churn)
             .expect("one cut edge never disconnects an expander");
-        let want = survivor_mst_weight(&wg, &[], &[EdgeId(0)]);
+        let want = wg.total_weight(&reference::survivor_mst(&wg, &[], &[EdgeId(0)]));
         let ok = out.total_weight == want;
         report.metrics("mst cut-edge", &out.metrics);
         slo_row(report, "mst cut-edge", &out.timeline, ok);
@@ -212,7 +182,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             .seeded(4)
             .with_edge_cut(EdgeId(3), 2)
             .with_edge_cut(EdgeId(4), 2);
-        let err = mst_healing::run_healing_churned(&wg, 1, FaultPlan::none(), churn)
+        let err = mst_healing::run_healing(&wg, 1, FaultPlan::none(), churn)
             .expect_err("cutting every bridge must partition");
         let ok = matches!(
             err,
@@ -243,7 +213,7 @@ fn cut_cells(report: &mut Report, n: usize) {
             }
         }
         let reqs: Vec<(NodeId, NodeId)> = (1..8).map(|i| (NodeId(i), NodeId(i % 2))).collect();
-        let out = route_bitfix_churned(&g, &reqs, 9, churn).expect("valid plan");
+        let out = route_bitfix(&g, &reqs, 9, churn).expect("valid plan");
         let ok = out.degraded()
             && out.epochs == MAX_ROUTE_EPOCHS
             && reqs
@@ -293,18 +263,16 @@ fn repeat_table(report: &mut Report, n: usize, walks: usize) {
         assert!(identical, "{label}: repeat run diverged");
     };
 
-    let walk = || {
-        run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 21, plan.clone(), churn.clone())
-            .unwrap()
-    };
+    let walk =
+        || run_walks_healing(&g, WalkKind::Lazy, &specs, 21, plan.clone(), churn.clone()).unwrap();
     let w = walk();
     row("churned walks", w.metrics.rounds, walk() == w);
 
-    let mst = || mst_healing::run_healing_churned(&wg, 5, plan.clone(), churn.clone()).unwrap();
+    let mst = || mst_healing::run_healing(&wg, 5, plan.clone(), churn.clone()).unwrap();
     let m = mst();
     row("churned boruvka", m.metrics.rounds, mst() == m);
 
-    let route = || route_bitfix_churned(&rg, &reqs, 12, churn.clone()).unwrap();
+    let route = || route_bitfix(&rg, &reqs, 12, churn.clone()).unwrap();
     let r = route();
     row("churned bit-fix", r.metrics.rounds, route() == r);
 

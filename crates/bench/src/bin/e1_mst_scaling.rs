@@ -6,7 +6,7 @@
 //! tree is verified against Kruskal.
 
 use amt_bench::{expander, loglog_slope, paper_growth, scaled_levels, tau_estimate, Report};
-use amt_core::congest::{Distribution, PhaseTimings, ProfileConfig};
+use amt_core::congest::{Distribution, Observe, PhaseTimings, ProfileConfig};
 use amt_core::mst::{congest_boruvka, gkp};
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -202,9 +202,12 @@ fn round_distribution_table(report: &mut Report) {
     let g = expander(256, 6, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
-    let (_, profile) = congest_boruvka::run_instrumented(&wg, 3, 1, Some(ProfileConfig::default()))
-        .expect("connected");
-    let profile = profile.expect("profiling on");
+    let observe = Observe {
+        profile: Some(ProfileConfig::default()),
+        ..Observe::default()
+    };
+    let (_, runs) = congest_boruvka::run_observed(&wg, 3, observe).expect("connected");
+    let profile = runs.profile.expect("profiling on");
     report.section("round distributions");
     report.header(&[
         "class", "msg p50", "msg p95", "msg max", "bit p50", "bit p95", "bit max",

@@ -15,11 +15,11 @@
 //! `profiles` section and each walk epoch's trace in `traces`.
 
 use amt_bench::{expander, Report};
-use amt_core::congest::{class, Distribution, ProfileConfig, TraceConfig, TrafficProfile};
-use amt_core::mst::{congest_boruvka, run_healing_instrumented};
+use amt_core::congest::{class, Distribution, Observe, ProfileConfig, TraceConfig, TrafficProfile};
+use amt_core::mst::{congest_boruvka, run_healing_observed};
 use amt_core::prelude::*;
-use amt_core::routing::route_bitfix_instrumented;
-use amt_core::walks::healing::run_walks_healing_instrumented;
+use amt_core::routing::route_bitfix_observed;
+use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::parallel::degree_proportional_specs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +103,10 @@ fn distribution_rows(report: &mut Report, run: &str, p: &TrafficProfile) {
 
 fn main() {
     let mut report = Report::new("profile_run");
-    let profile_cfg = Some(ProfileConfig::default());
+    let profiled = Observe {
+        profile: Some(ProfileConfig::default()),
+        ..Observe::default()
+    };
     println!("# Traffic-class congestion profiles (top-10 hot edges, reliability tax)\n");
 
     // ---- MST: clean vs healing Borůvka on the canonical expander ----
@@ -114,17 +117,18 @@ fn main() {
     report.config("mst_n", n);
     report.config("mst_family", "random 6-regular expander, seed 1");
 
-    let (clean, clean_profile) =
-        congest_boruvka::run_instrumented(&wg, 3, 4, profile_cfg).expect("connected");
-    let clean_profile = clean_profile.expect("profiling on");
+    let (clean, clean_runs) =
+        congest_boruvka::run_observed(&wg, 3, profiled.clone()).expect("connected");
+    let clean_profile = clean_runs.profile.expect("profiling on");
 
     let plan = FaultPlan::none()
         .seeded(7)
         .with_drops(0.05)
         .with_crash(NodeId(0), 10);
-    let (healing, _, healing_profile) =
-        run_healing_instrumented(&wg, 3, plan, None, profile_cfg).expect("connected survivors");
-    let healing_profile = healing_profile.expect("profiling on");
+    let (healing, healing_runs) =
+        run_healing_observed(&wg, 3, plan, ChurnPlan::none(), profiled.clone())
+            .expect("connected survivors");
+    let healing_profile = healing_runs.profile.expect("profiling on");
     assert_eq!(healing_profile.total_messages(), healing.metrics.messages);
     assert_eq!(healing_profile.total_bits(), healing.metrics.bits);
 
@@ -179,9 +183,14 @@ fn main() {
     let reqs: Vec<(NodeId, NodeId)> = (0..hn as u32)
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % hn as u32)))
         .collect();
-    let (route, route_profile) =
-        route_bitfix_instrumented(&hg, &reqs, 12, 1, profile_cfg).expect("hypercube");
-    let route_profile = route_profile.expect("profiling on");
+    let (route, route_runs) =
+        route_bitfix_observed(&hg, &reqs, 12, ChurnPlan::none(), profiled.clone())
+            .expect("hypercube");
+    assert!(
+        !route.degraded(),
+        "bit-fix without churn delivers every request"
+    );
+    let route_profile = route_runs.profile.expect("profiling on");
     assert_eq!(route_profile.total_messages(), route.metrics.messages);
     report.config("route_n", hn);
     report.config("route_family", format!("hypercube dim {dim}"));
@@ -210,17 +219,20 @@ fn main() {
         .seeded(4)
         .with_drops(0.03)
         .with_crash(NodeId(9), 5);
-    let (walks, walk_traces, walk_profile) = run_walks_healing_instrumented(
+    let (walks, walk_runs) = run_walks_healing_observed(
         &wg_graph,
         WalkKind::Lazy,
         &specs,
         6,
         plan,
-        Some(TraceConfig::default()),
-        profile_cfg,
+        ChurnPlan::none(),
+        Observe {
+            trace: Some(TraceConfig::default()),
+            ..profiled
+        },
     )
     .expect("valid plan");
-    let walk_profile = walk_profile.expect("profiling on");
+    let walk_profile = walk_runs.profile.expect("profiling on");
     assert_eq!(walk_profile.total_messages(), walks.metrics.messages);
 
     println!("\n## Healing walks: class totals and per-epoch round distributions\n");
@@ -238,7 +250,7 @@ fn main() {
     report.header(&[
         "epoch", "rounds", "msg p50", "msg p95", "msg max", "bit p50", "bit p95", "bit max",
     ]);
-    for (i, trace) in walk_traces.iter().enumerate() {
+    for (i, trace) in walk_runs.traces.iter().enumerate() {
         let msgs = Distribution::of(trace.samples.iter().map(|s| s.messages));
         let bits = Distribution::of(trace.samples.iter().map(|s| s.bits));
         report.row(&[

@@ -58,6 +58,23 @@ pub fn scaled_levels(vnodes: usize, beta: u32) -> u32 {
         .clamp(1.0, 4.0) as u32
 }
 
+/// The E16 fault plan: drops at rate `drop` and `crashes` crash-stops,
+/// node 0 (the minimum id, so the implicit leader of its MST fragment)
+/// first, then high-id nodes, staggered seven rounds apart from round 5 so
+/// crashes land mid-phase.
+pub fn e16_fault_plan(drop: f64, crashes: usize, n: usize, seed: u64) -> FaultPlan {
+    let mut plan = FaultPlan::none().seeded(seed).with_drops(drop);
+    for c in 0..crashes {
+        let node = if c == 0 {
+            NodeId(0)
+        } else {
+            NodeId((n - c) as u32)
+        };
+        plan = plan.with_crash(node, 5 + 7 * c as u64);
+    }
+    plan
+}
+
 /// The `2^√(log n · log log n)` reference curve of the paper's bounds.
 pub fn paper_growth(n: usize) -> f64 {
     let ln = (n.max(4) as f64).log2();

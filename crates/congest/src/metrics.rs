@@ -80,15 +80,6 @@ impl Metrics {
     pub fn message_faults(&self) -> u64 {
         self.dropped + self.corrupted + self.delayed
     }
-
-    /// Average messages per round (0 when no rounds elapsed).
-    pub fn avg_messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.rounds as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,16 +140,5 @@ mod tests {
             }
         );
         assert_eq!(c.message_faults(), 14);
-    }
-
-    #[test]
-    fn averages_handle_zero_rounds() {
-        assert_eq!(Metrics::default().avg_messages_per_round(), 0.0);
-        let m = Metrics {
-            rounds: 4,
-            messages: 10,
-            ..Default::default()
-        };
-        assert!((m.avg_messages_per_round() - 2.5).abs() < 1e-12);
     }
 }

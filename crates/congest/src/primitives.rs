@@ -477,27 +477,6 @@ pub fn aggregate_to_all(
     Ok((agg, m1.then(m2)))
 }
 
-/// Counts the nodes of the graph distributedly (leader election + BFS +
-/// sum aggregation) — the standard way nodes learn `n` when it is not
-/// given, priced honestly.
-pub fn count_nodes(g: &Graph, seed: u64) -> Result<(u64, Metrics)> {
-    let (leader, m1) = elect_leader(g, seed)?;
-    let (tree, m2) = build_bfs_tree(g, leader, seed ^ 0xC0)?;
-    let ones = vec![1u64; g.len()];
-    let (n, m3) = aggregate_to_all(g, &tree, &ones, u64::wrapping_add, seed ^ 0xC1)?;
-    Ok((n, m1.then(m2).then(m3)))
-}
-
-/// Informs every node of the maximum degree Δ (needed before running
-/// 2Δ-regular walks when Δ is not globally known).
-pub fn discover_max_degree(g: &Graph, seed: u64) -> Result<(u64, Metrics)> {
-    let (leader, m1) = elect_leader(g, seed)?;
-    let (tree, m2) = build_bfs_tree(g, leader, seed ^ 0xD0)?;
-    let degrees: Vec<u64> = g.nodes().map(|v| g.degree(v) as u64).collect();
-    let (delta, m3) = aggregate_to_all(g, &tree, &degrees, u64::max, seed ^ 0xD1)?;
-    Ok((delta, m1.then(m2).then(m3)))
-}
-
 // ---------------------------------------------------------------------------
 // Pipelined downcast over a tree
 // ---------------------------------------------------------------------------
@@ -918,11 +897,6 @@ pub mod reliable {
                 .filter_map(|(p, st)| st.failed_after.map(|a| (p, a)))
                 .collect()
         }
-
-        /// `true` when `port` has exhausted its retransmission budget.
-        pub fn port_failed(&self, port: usize) -> bool {
-            self.ports[port].failed_after.is_some()
-        }
     }
 
     /// Flooding broadcast over [`ReliableLink`]s: completes on any connected
@@ -1136,16 +1110,6 @@ mod tests {
         let (min, m) = aggregate_to_all(&g, &tree, &values, u64::min, 9).unwrap();
         assert_eq!(min, 85);
         assert!(m.rounds as u32 >= 2 * tree.height());
-    }
-
-    #[test]
-    fn count_nodes_and_max_degree_discovery() {
-        let g = generators::lollipop(6, 5).unwrap();
-        let (n, m) = count_nodes(&g, 3).unwrap();
-        assert_eq!(n, 11);
-        assert!(m.rounds > 0);
-        let (delta, _) = discover_max_degree(&g, 4).unwrap();
-        assert_eq!(delta as usize, g.max_degree());
     }
 
     #[test]

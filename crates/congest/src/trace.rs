@@ -214,14 +214,6 @@ impl RunTrace {
             .collect()
     }
 
-    /// Events carrying `label`, in emission order.
-    pub fn events_labeled<'a>(
-        &'a self,
-        label: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.label == label)
-    }
-
     /// The trace with the two executor-dependent gauges, `active_nodes`
     /// and `wake_queue`, zeroed: what the active-set engine and the full
     /// sweep must record identically.

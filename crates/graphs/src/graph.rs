@@ -233,11 +233,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes the built graph will have.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -267,15 +262,6 @@ impl GraphBuilder {
         let id = EdgeId::from(self.edges.len());
         self.edges.push((u as u32, v as u32));
         Ok(id)
-    }
-
-    /// Returns `true` if an edge `{u, v}` already exists (linear scan; meant
-    /// for generators that must avoid parallel edges on small degree counts).
-    pub fn contains_edge(&self, u: usize, v: usize) -> bool {
-        let (u, v) = (u as u32, v as u32);
-        self.edges
-            .iter()
-            .any(|&(a, b)| (a, b) == (u, v) || (a, b) == (v, u))
     }
 
     /// Finalizes the CSR representation.

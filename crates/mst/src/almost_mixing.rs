@@ -116,19 +116,10 @@ impl<'h, 'g> AlmostMixingMst<'h, 'g> {
     /// exact recursive store-and-forward expansion (tight measured rounds).
     pub fn new(hierarchy: &'h Hierarchy<'g>) -> Self {
         let n = hierarchy.base().len();
-        Self::with_router_config(
-            hierarchy,
-            RouterConfig {
-                emulation: EmulationMode::Exact,
-                ..RouterConfig::for_n(n)
-            },
-        )
-    }
-
-    /// Creates the algorithm with an explicit router configuration (e.g.
-    /// the conservative [`EmulationMode::Factored`] pricing).
-    pub fn with_router_config(hierarchy: &'h Hierarchy<'g>, rc: RouterConfig) -> Self {
-        let n = hierarchy.base().len();
+        let rc = RouterConfig {
+            emulation: EmulationMode::Exact,
+            ..RouterConfig::for_n(n)
+        };
         AlmostMixingMst {
             router: HierarchicalRouter::with_config(hierarchy, rc),
             iteration_cap: 20 + 10 * (n.max(2) as f64).log2().ceil() as u32,

@@ -6,6 +6,9 @@
 //! merges, and floods the new fragment label the same way. Worst case
 //! `O(n log n)` rounds (e.g. on paths); the experiments contrast this with
 //! the almost-mixing-time algorithm on expanders.
+//!
+//! [`run`] is the plain entry point and [`run_observed`] the same run with
+//! the observation layers of an [`Observe`] on.
 
 use crate::{reference::UnionFind, MstError, Result};
 use amt_congest::{
@@ -174,29 +177,24 @@ pub(crate) fn decode_edge(wg: &WeightedGraph, v: u64) -> EdgeId {
 /// [`MstError::Graph`] on disconnected input, [`MstError::Congest`] on
 /// simulator violations, [`MstError::TooManyIterations`] as a bug guard.
 pub fn run(wg: &WeightedGraph, seed: u64) -> Result<CongestMstOutcome> {
-    let (out, _) = run_instrumented(wg, seed, 1, None)?;
+    let (out, _) = run_observed(wg, seed, Observe::default())?;
     Ok(out)
 }
 
-/// [`run`] with opt-in traffic profiling: when `profile` is set, the
-/// returned [`TrafficProfile`] accumulates every flood's traffic across
-/// iterations (candidate floods under [`class::MST_FLOOD`], label floods
-/// under [`class::MST_LABEL`]), with totals summing exactly to the
-/// outcome's message count. Profiling never changes the outcome.
-///
-/// `_threads` is ignored: the simulator runs on one thread. The parameter
-/// stays until the repository benchmark, which calls this function with a
-/// thread count, drops it.
+/// [`run`] with every flood observed by the `observe` layers, folded
+/// across iterations into one [`ObservedRuns`]. The profile puts candidate
+/// floods under [`class::MST_FLOOD`] and label floods under
+/// [`class::MST_LABEL`], with totals summing exactly to the outcome's
+/// message count. No layer changes the outcome.
 ///
 /// # Errors
 ///
 /// As [`run`].
-pub fn run_instrumented(
+pub fn run_observed(
     wg: &WeightedGraph,
     seed: u64,
-    _threads: usize,
-    profile: Option<ProfileConfig>,
-) -> Result<(CongestMstOutcome, Option<TrafficProfile>)> {
+    observe: Observe,
+) -> Result<(CongestMstOutcome, ObservedRuns)> {
     let g = wg.graph();
     g.require_connected()?;
     let n = g.len();
@@ -215,14 +213,7 @@ pub fn run_instrumented(
     let mut metrics = Metrics::default();
     let mut iterations = 0u32;
     let mut wall = PhaseTimings::new();
-    let mut flooder = Flooder::new(
-        g,
-        seed,
-        Observe {
-            profile,
-            ..Observe::default()
-        },
-    )?;
+    let mut flooder = Flooder::new(g, seed, observe)?;
     let mut runs = ObservedRuns::default();
     let cap = 2 * (n.max(2) as f64).log2().ceil() as u32 + 10;
 
@@ -305,8 +296,27 @@ pub fn run_instrumented(
             messages: metrics.messages,
             wall,
         },
-        runs.profile,
+        runs,
     ))
+}
+
+/// [`run_observed`] with the profile layer, as a tuple. `_threads` is
+/// ignored.
+///
+/// Kept for the repository benchmark's pinned call; use [`run_observed`].
+#[doc(hidden)]
+pub fn run_instrumented(
+    wg: &WeightedGraph,
+    seed: u64,
+    _threads: usize,
+    profile: Option<ProfileConfig>,
+) -> Result<(CongestMstOutcome, Option<TrafficProfile>)> {
+    let observe = Observe {
+        profile,
+        ..Observe::default()
+    };
+    let (out, runs) = run_observed(wg, seed, observe)?;
+    Ok((out, runs.profile))
 }
 
 #[cfg(test)]

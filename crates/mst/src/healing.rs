@@ -22,8 +22,8 @@
 //! [`CongestError::NodeCrashed`] naming the responsible node, round, and
 //! fault seed — an impossible instance, not a hang.
 //!
-//! Under *topology churn* ([`run_healing_churned`]) the same machinery
-//! rides a [`ChurnPlan`] and hardens further:
+//! Under *topology churn* (the [`ChurnPlan`] of [`run_healing`]) the same
+//! machinery hardens further:
 //!
 //! * transient edge flaps and node restarts cost ARQ retransmissions;
 //!   phase restarts back off exponentially (capped, with deterministic
@@ -45,7 +45,9 @@
 //! Every flooding phase is one stage of a [`StageRunner`], whose clock is
 //! the run's global round clock; the one-round fragment-id exchange is
 //! charged to it too, and damage that touches only dead nodes opens no
-//! span.
+//! span. [`run_healing`] is the plain entry point and
+//! [`run_healing_observed`] the same run with the observation layers of an
+//! [`Observe`] on.
 
 use crate::congest_boruvka::{decode_edge, encode};
 use crate::reference::UnionFind;
@@ -206,59 +208,29 @@ pub struct HealedMstOutcome {
     pub timeline: RecoveryTimeline,
 }
 
-/// Runs fault-tolerant Borůvka over `wg` under `plan`.
+/// Runs fault-tolerant Borůvka over `wg` under the faults of `plan` and the
+/// topology churn of `churn`, with cut-aware candidate selection, pruning
+/// of cut tree edges, capped-backoff phase restarts, and a
+/// [`RecoveryTimeline`] in the outcome (see the module docs). The churn
+/// plan's global clock spans all phases; [`ChurnPlan::none`] runs under
+/// faults alone.
 ///
 /// # Errors
 ///
 /// [`MstError::Graph`] on disconnected input, [`MstError::Congest`] on
 /// simulator violations or invalid plans — including
 /// [`CongestError::NodeCrashed`] when the crashes disconnect the surviving
-/// subgraph — and [`MstError::TooManyIterations`] as a bug guard.
-pub fn run_healing(wg: &WeightedGraph, seed: u64, plan: FaultPlan) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_instrumented(wg, seed, plan, None, None)?;
-    Ok(out)
-}
-
-/// [`run_healing`] with opt-in observability: when `trace` is set,
-/// returns one [`RunTrace`] per flooding phase (phase starts appear as
-/// `"mst_phase"` span events carrying the global phase number); when
-/// `profile` is set, returns a [`TrafficProfile`] accumulated across all
-/// phases — candidate floods under [`class::MST_FLOOD`], label floods under
-/// [`class::MST_LABEL`], plus the ARQ sublayer's [`class::REL_ACK`] /
-/// [`class::REL_RETRANSMIT`] overhead. Neither changes the outcome.
-///
-/// # Errors
-///
-/// Same as [`run_healing`].
-pub fn run_healing_instrumented(
-    wg: &WeightedGraph,
-    seed: u64,
-    plan: FaultPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
-    run_healing_churned_instrumented(wg, seed, plan, ChurnPlan::none(), 1, trace, profile)
-}
-
-/// [`run_healing`] under topology churn: fault-tolerant Borůvka
-/// executed against `churn`, with cut-aware candidate selection, pruning of
-/// cut tree edges, capped-backoff phase restarts, and a
-/// [`RecoveryTimeline`] in the outcome (see the module docs). The churn
-/// plan's global clock spans all phases.
-///
-/// # Errors
-///
-/// Same as [`run_healing`], plus [`CongestError::Partitioned`] when
-/// permanent cuts (with any crashes) disconnect the survivors, and
-/// [`CongestError::RetryExhausted`] when one live link's ARQ gives up in
-/// `MAX_LINK_RETRIES` (3) phases straight.
-pub fn run_healing_churned(
+/// subgraph, [`CongestError::Partitioned`] when permanent cuts (with any
+/// crashes) disconnect the survivors, and [`CongestError::RetryExhausted`]
+/// when one live link's ARQ gives up in `MAX_LINK_RETRIES` (3) phases
+/// straight — and [`MstError::TooManyIterations`] as a bug guard.
+pub fn run_healing(
     wg: &WeightedGraph,
     seed: u64,
     plan: FaultPlan,
     churn: ChurnPlan,
 ) -> Result<HealedMstOutcome> {
-    let (out, _, _) = run_healing_churned_instrumented(wg, seed, plan, churn, 1, None, None)?;
+    let (out, _) = run_healing_observed(wg, seed, plan, churn, Observe::default())?;
     Ok(out)
 }
 
@@ -591,42 +563,17 @@ impl Healing<'_> {
     }
 }
 
-/// The full healing driver: faults, churn, and opt-in observability in one
-/// signature ([`run_healing_instrumented`] is this with a trivial churn
-/// plan). It is [`run_healing_observed`] with the trace and profile
-/// layers.
-///
-/// `_threads` is ignored: the simulator runs on one thread. The parameter
-/// stays until the repository benchmark, which calls this function with a
-/// thread count, drops it.
-///
-/// # Errors
-///
-/// Same as [`run_healing_churned`].
-pub fn run_healing_churned_instrumented(
-    wg: &WeightedGraph,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-    _threads: usize,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
-    let observe = Observe {
-        trace,
-        profile,
-        ..Observe::default()
-    };
-    let (out, runs) = run_healing_observed(wg, seed, plan, churn, observe)?;
-    Ok((out, runs.traces, runs.profile))
-}
-
-/// The healing driver with every flooding phase observed by the `observe`
-/// layers, folded across phases into one [`ObservedRuns`].
+/// [`run_healing`] with every flooding phase observed by the `observe`
+/// layers, folded across phases into one [`ObservedRuns`]. Each phase's
+/// trace shows its start as `"mst_phase"` span events carrying the global
+/// phase number; the profile puts candidate floods under
+/// [`class::MST_FLOOD`], label floods under [`class::MST_LABEL`] and the
+/// ARQ sublayer's overhead under [`class::REL_ACK`] /
+/// [`class::REL_RETRANSMIT`]. No layer changes the outcome.
 ///
 /// # Errors
 ///
-/// Same as [`run_healing_churned`].
+/// Same as [`run_healing`].
 pub fn run_healing_observed(
     wg: &WeightedGraph,
     seed: u64,
@@ -764,6 +711,30 @@ pub fn run_healing_observed(
     ))
 }
 
+/// [`run_healing_observed`] with the trace and profile layers, as a tuple.
+/// `_threads` is ignored.
+///
+/// Kept for the repository benchmark's pinned call; use
+/// [`run_healing_observed`].
+#[doc(hidden)]
+pub fn run_healing_churned_instrumented(
+    wg: &WeightedGraph,
+    seed: u64,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    _threads: usize,
+    trace: Option<TraceConfig>,
+    profile: Option<ProfileConfig>,
+) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (out, runs) = run_healing_observed(wg, seed, plan, churn, observe)?;
+    Ok((out, runs.traces, runs.profile))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,7 +744,6 @@ mod tests {
     use amt_graphs::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashSet;
 
     /// Runs one whole-graph flooding phase of distinct values on the
     /// active-set engine against the full-sweep reference (both visit
@@ -828,41 +798,12 @@ mod tests {
         assert_eq!(m.restarts, 1);
     }
 
-    /// Kruskal restricted to the surviving induced subgraph minus
-    /// permanently cut edges, by canonical (weight, edge-id) order — the
-    /// unique MST the healed run must find.
-    fn kruskal_excluding(wg: &WeightedGraph, dead: &[NodeId], cut: &[EdgeId]) -> Vec<EdgeId> {
-        let g = wg.graph();
-        let gone: HashSet<NodeId> = dead.iter().copied().collect();
-        let cut: HashSet<EdgeId> = cut.iter().copied().collect();
-        let mut edges: Vec<EdgeId> = g
-            .edges()
-            .filter(|(e, u, v)| !gone.contains(u) && !gone.contains(v) && !cut.contains(e))
-            .map(|(e, _, _)| e)
-            .collect();
-        edges.sort_unstable_by_key(|&e| encode(wg, e));
-        let mut uf = UnionFind::new(g.len());
-        let mut tree = Vec::new();
-        for e in edges {
-            let (u, v) = g.endpoints(e);
-            if uf.union(u.index(), v.index()) {
-                tree.push(e);
-            }
-        }
-        tree.sort_unstable();
-        tree
-    }
-
-    fn kruskal_on_survivors(wg: &WeightedGraph, dead: &[NodeId]) -> Vec<EdgeId> {
-        kruskal_excluding(wg, dead, &[])
-    }
-
     #[test]
     fn fault_free_healing_matches_the_baseline() {
         let mut rng = StdRng::seed_from_u64(41);
         let g = generators::connected_erdos_renyi(40, 0.15, 50, &mut rng).unwrap();
         let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
-        let healed = run_healing(&wg, 7, FaultPlan::none()).unwrap();
+        let healed = run_healing(&wg, 7, FaultPlan::none(), ChurnPlan::none()).unwrap();
         let baseline = congest_boruvka::run(&wg, 7).unwrap();
         assert_eq!(healed.tree_edges, baseline.tree_edges);
         assert_eq!(healed.phase_restarts, 0);
@@ -880,7 +821,7 @@ mod tests {
             .seeded(13)
             .with_drops(0.05)
             .with_corruption(0.02);
-        let healed = run_healing(&wg, 3, plan).unwrap();
+        let healed = run_healing(&wg, 3, plan, ChurnPlan::none()).unwrap();
         assert!(healed.metrics.dropped > 0);
         assert_eq!(healed.tree_edges, reference::kruskal(&wg).unwrap());
         // Reliability costs rounds, never correctness.
@@ -896,12 +837,12 @@ mod tests {
         // Node 0 is the minimum id — the implicit leader of its fragment
         // (labels are min ids). Crash it mid-computation.
         let plan = FaultPlan::none().seeded(5).with_crash(NodeId(0), 10);
-        let healed = run_healing(&wg, 9, plan).unwrap();
+        let healed = run_healing(&wg, 9, plan, ChurnPlan::none()).unwrap();
         assert_eq!(healed.crashed_nodes, vec![NodeId(0)]);
         assert!(healed.phase_restarts >= 1, "a mid-phase crash must restart");
         assert_eq!(
             healed.tree_edges,
-            kruskal_on_survivors(&wg, &healed.crashed_nodes),
+            reference::survivor_mst(&wg, &healed.crashed_nodes, &[]),
             "result must be the exact MST of the survivors"
         );
     }
@@ -915,8 +856,8 @@ mod tests {
             .seeded(77)
             .with_drops(0.1)
             .with_crash(NodeId(3), 8);
-        let a = run_healing(&wg, 2, plan.clone()).unwrap();
-        let b = run_healing(&wg, 2, plan).unwrap();
+        let a = run_healing(&wg, 2, plan.clone(), ChurnPlan::none()).unwrap();
+        let b = run_healing(&wg, 2, plan, ChurnPlan::none()).unwrap();
         assert_eq!(a.tree_edges, b.tree_edges);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.phase_restarts, b.phase_restarts);
@@ -943,7 +884,7 @@ mod tests {
         .unwrap();
         let wg = WeightedGraph::with_random_weights(g, 100, &mut StdRng::seed_from_u64(45));
         let plan = FaultPlan::none().seeded(1).with_crash(NodeId(4), 2);
-        let err = run_healing(&wg, 1, plan).unwrap_err();
+        let err = run_healing(&wg, 1, plan, ChurnPlan::none()).unwrap_err();
         match err {
             MstError::Congest(CongestError::NodeCrashed { node, seed, .. }) => {
                 assert_eq!(node, NodeId(4));
@@ -964,7 +905,7 @@ mod tests {
         let g = generators::random_regular(16, 4, &mut rng).unwrap();
         let wg = WeightedGraph::with_random_weights(g, 100, &mut rng);
         let plan = FaultPlan::none().seeded(2).with_drops(1.0);
-        let err = run_healing(&wg, 1, plan).unwrap_err();
+        let err = run_healing(&wg, 1, plan, ChurnPlan::none()).unwrap_err();
         match err {
             MstError::Congest(CongestError::RetryExhausted { node, attempts, .. }) => {
                 assert!(node.index() < 16);
@@ -980,7 +921,7 @@ mod tests {
         let g = generators::random_regular(32, 4, &mut rng).unwrap();
         let wg = WeightedGraph::with_random_weights(g, 300, &mut rng);
         let churn = ChurnPlan::none().seeded(23).with_flaps(0.1, 4);
-        let healed = run_healing_churned(&wg, 3, FaultPlan::none(), churn).unwrap();
+        let healed = run_healing(&wg, 3, FaultPlan::none(), churn).unwrap();
         assert!(
             healed.metrics.lost_to_churn > 0,
             "flaps this dense must cost at least one frame"
@@ -999,12 +940,12 @@ mod tests {
             .seeded(9)
             .with_restart(NodeId(5), 3, 5)
             .with_edge_cut(EdgeId(0), 0);
-        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn).unwrap();
+        let healed = run_healing(&wg, 2, FaultPlan::none(), churn).unwrap();
         assert_eq!(healed.metrics.restarts, 1, "node 5 rejoins exactly once");
         assert!(healed.crashed_nodes.is_empty(), "a restart is not a crash");
         assert_eq!(
             healed.tree_edges,
-            kruskal_excluding(&wg, &[], &[EdgeId(0)]),
+            reference::survivor_mst(&wg, &[], &[EdgeId(0)]),
             "tree must be the exact MST of the graph minus the cut edge"
         );
         assert!(!healed.timeline.spans().is_empty());
@@ -1021,7 +962,7 @@ mod tests {
         // it near the end of the clean run guarantees the
         // adopted-then-pruned path runs (the churned run is byte-identical
         // to the clean one until the cut fires).
-        let clean = run_healing(&wg, 2, FaultPlan::none()).unwrap();
+        let clean = run_healing(&wg, 2, FaultPlan::none(), ChurnPlan::none()).unwrap();
         let min_edge = (0..wg.graph().edge_count() as u32)
             .map(EdgeId)
             .min_by_key(|&e| encode(&wg, e))
@@ -1030,7 +971,7 @@ mod tests {
         let churn = ChurnPlan::none()
             .seeded(11)
             .with_edge_cut(min_edge, clean.rounds.saturating_sub(2));
-        let healed = run_healing_churned(&wg, 2, FaultPlan::none(), churn).unwrap();
+        let healed = run_healing(&wg, 2, FaultPlan::none(), churn).unwrap();
         assert_eq!(
             healed.cut_tree_edges,
             vec![min_edge],
@@ -1039,7 +980,7 @@ mod tests {
         assert!(healed.phase_restarts >= 1);
         assert_eq!(
             healed.tree_edges,
-            kruskal_excluding(&wg, &[], &[min_edge]),
+            reference::survivor_mst(&wg, &[], &[min_edge]),
             "after the prune the run must re-heal to the reduced graph's MST"
         );
     }
@@ -1070,7 +1011,7 @@ mod tests {
             .seeded(4)
             .with_edge_cut(EdgeId(3), 2)
             .with_edge_cut(EdgeId(4), 2);
-        let err = run_healing_churned(&wg, 1, FaultPlan::none(), churn).unwrap_err();
+        let err = run_healing(&wg, 1, FaultPlan::none(), churn).unwrap_err();
         match err {
             MstError::Congest(CongestError::Partitioned { components, .. }) => {
                 assert_eq!(components, 3);
@@ -1090,12 +1031,12 @@ mod tests {
         let churn = ChurnPlan::none()
             .seeded(3)
             .with_restart(NodeId(3), 2, 1_000_000);
-        let healed = run_healing_churned(&wg, 5, FaultPlan::none(), churn).unwrap();
+        let healed = run_healing(&wg, 5, FaultPlan::none(), churn).unwrap();
         assert_eq!(healed.crashed_nodes, vec![NodeId(3)]);
         assert!(healed.phase_restarts >= MAX_LINK_RETRIES);
         assert_eq!(
             healed.tree_edges,
-            kruskal_on_survivors(&wg, &[NodeId(3)]),
+            reference::survivor_mst(&wg, &[NodeId(3)], &[]),
             "result must be the exact MST of the survivors"
         );
         assert_eq!(healed.timeline.open_count(), 0);
@@ -1111,8 +1052,8 @@ mod tests {
             .seeded(5)
             .with_flaps(0.08, 5)
             .with_restart(NodeId(4), 10, 6);
-        let a = run_healing_churned(&wg, 2, plan.clone(), churn.clone()).unwrap();
-        let b = run_healing_churned(&wg, 2, plan, churn).unwrap();
+        let a = run_healing(&wg, 2, plan.clone(), churn.clone()).unwrap();
+        let b = run_healing(&wg, 2, plan, churn).unwrap();
         assert_eq!(a.tree_edges, b.tree_edges);
         assert_eq!(a.cut_tree_edges, b.cut_tree_edges);
         assert_eq!(a.metrics, b.metrics);
@@ -1129,15 +1070,15 @@ mod tests {
             .seeded(7)
             .with_drops(0.05)
             .with_crash(NodeId(6), 12);
-        let plain = run_healing(&wg, 2, plan.clone()).unwrap();
-        let churned = run_healing_churned(&wg, 2, plan, ChurnPlan::none().seeded(99)).unwrap();
+        let plain = run_healing(&wg, 2, plan.clone(), ChurnPlan::none()).unwrap();
+        let churned = run_healing(&wg, 2, plan, ChurnPlan::none().seeded(99)).unwrap();
         assert_eq!(plain.tree_edges, churned.tree_edges);
         assert_eq!(plain.metrics, churned.metrics);
         assert_eq!(plain.phase_restarts, churned.phase_restarts);
         assert_eq!(plain.timeline, churned.timeline);
         assert!(churned.cut_tree_edges.is_empty());
         // Fault-free and churn-free means damage-free.
-        let calm = run_healing_churned(&wg, 2, FaultPlan::none(), ChurnPlan::none()).unwrap();
+        let calm = run_healing(&wg, 2, FaultPlan::none(), ChurnPlan::none()).unwrap();
         assert!(calm.timeline.spans().is_empty());
         assert_eq!(calm.timeline.open_count(), 0);
     }

@@ -30,10 +30,7 @@ pub mod verification;
 
 pub use almost_mixing::{AlmostMixingMst, AmtMstOutcome, IterationStats};
 pub use error::MstError;
-pub use healing::{
-    run_healing, run_healing_churned, run_healing_churned_instrumented, run_healing_instrumented,
-    run_healing_observed, HealedMstOutcome,
-};
+pub use healing::{run_healing, run_healing_observed, HealedMstOutcome};
 
 /// Result alias for MST operations.
 pub type Result<T> = std::result::Result<T, MstError>;

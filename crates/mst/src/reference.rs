@@ -82,6 +82,38 @@ pub fn kruskal(wg: &WeightedGraph) -> Option<Vec<EdgeId>> {
     Some(tree)
 }
 
+/// Kruskal over what survives crashes and cuts: the nodes outside `dead`
+/// and the edges between them outside `cut`, under the canonical weight
+/// order. Returns the minimum spanning forest (sorted by edge id); when the
+/// survivors stay connected it is the unique tree a healed run must find.
+pub fn survivor_mst(wg: &WeightedGraph, dead: &[NodeId], cut: &[EdgeId]) -> Vec<EdgeId> {
+    let g = wg.graph();
+    let mut gone = vec![false; g.len()];
+    for v in dead {
+        gone[v.index()] = true;
+    }
+    let mut severed = vec![false; g.edge_count()];
+    for e in cut {
+        severed[e.index()] = true;
+    }
+    let mut order: Vec<EdgeId> = g
+        .edges()
+        .filter(|(e, u, v)| !gone[u.index()] && !gone[v.index()] && !severed[e.index()])
+        .map(|(e, _, _)| e)
+        .collect();
+    order.sort_unstable_by_key(|&e| wg.canonical_weight(e));
+    let mut uf = UnionFind::new(g.len());
+    let mut forest: Vec<EdgeId> = order
+        .into_iter()
+        .filter(|&e| {
+            let (u, v) = g.endpoints(e);
+            uf.union(u.index(), v.index())
+        })
+        .collect();
+    forest.sort_unstable();
+    forest
+}
+
 /// Prim's algorithm (binary heap) under the canonical weight order; returns
 /// the same edge set as [`kruskal`] on connected graphs.
 pub fn prim(wg: &WeightedGraph) -> Option<Vec<EdgeId>> {
@@ -173,6 +205,22 @@ mod tests {
         let t = kruskal(&wg).unwrap();
         assert_eq!(t, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
         assert_eq!(wg.total_weight(&t), 6);
+    }
+
+    #[test]
+    fn survivor_mst_drops_dead_nodes_and_cut_edges() {
+        let wg = diamond();
+        assert_eq!(survivor_mst(&wg, &[], &[]), kruskal(&wg).unwrap());
+        // Without node 3 and the cut edge 1-2, node 2 hangs off 0-2.
+        assert_eq!(
+            survivor_mst(&wg, &[NodeId(3)], &[EdgeId(1)]),
+            vec![EdgeId(0), EdgeId(4)]
+        );
+        // Cutting both edges of node 1 leaves it a forest of its own.
+        assert_eq!(
+            survivor_mst(&wg, &[], &[EdgeId(0), EdgeId(1)]),
+            vec![EdgeId(2), EdgeId(3)]
+        );
     }
 
     #[test]

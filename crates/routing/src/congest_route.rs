@@ -23,7 +23,7 @@
 //! [`class::ROUTE_PAYLOAD`]. The profiler can then separate the
 //! redistribution tax from the payload delivery exactly.
 //!
-//! Under *topology churn* ([`route_bitfix_churned`]) the same protocol
+//! Under *topology churn* (the [`ChurnPlan`] of [`route_bitfix`]) the protocol
 //! degrades gracefully instead of wedging: a hop blocked by a down link is
 //! **rerouted** through any other differing-dimension port that is up (any
 //! differing-dimension hop is strict bit-fix progress, so detours never
@@ -35,9 +35,11 @@
 //! reports the survivors as an explicit **degraded** outcome
 //! ([`ChurnedRouteOutcome::undelivered`]) — routable packets are all
 //! delivered, unroutable ones are named, and nothing livelocks. Each epoch
-//! is one stage of a [`StageRunner`], which keeps that global clock. The
-//! churn-free [`route_bitfix_instrumented`] is this driver with
-//! [`ChurnPlan::none`]: nothing stalls, so its one epoch delivers all.
+//! is one stage of a [`StageRunner`], which keeps that global clock. With
+//! [`ChurnPlan::none`] nothing stalls, so the one epoch delivers all.
+//!
+//! [`route_bitfix`] is the plain entry point and [`route_bitfix_observed`]
+//! the same run with the observation layers of an [`Observe`] on.
 
 use crate::{Result, RouteError};
 use amt_congest::{
@@ -258,7 +260,8 @@ impl RouteNode<'_> {
     }
 }
 
-/// Outcome of a CONGEST bit-fix routing execution.
+/// A churn-free bit-fix routing run in which every request arrived, as
+/// [`route_bitfix_instrumented`] returns it.
 #[derive(Clone, Debug)]
 pub struct CongestRouteOutcome {
     /// Node at which each request's packet arrived — always its requested
@@ -320,56 +323,6 @@ fn hypercube_ports(g: &Graph) -> Result<Vec<Vec<usize>>> {
     Ok(ports)
 }
 
-/// Routes `requests` over the hypercube `g` by Valiant two-phase bit-fixing
-/// in the CONGEST simulator.
-///
-/// # Errors
-///
-/// [`RouteError::NotHypercube`] when `g` is not a hypercube,
-/// [`RouteError::BadRequest`] on out-of-range endpoints, and
-/// [`RouteError::Congest`] on simulator violations.
-pub fn route_bitfix(
-    g: &Graph,
-    requests: &[(NodeId, NodeId)],
-    seed: u64,
-) -> Result<CongestRouteOutcome> {
-    let (out, _) = route_bitfix_instrumented(g, requests, seed, 1, None)?;
-    Ok(out)
-}
-
-/// [`route_bitfix`] with opt-in traffic profiling. When `profile` is set,
-/// the returned [`TrafficProfile`] splits the run into
-/// [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
-/// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
-/// exactly to the outcome's metrics. The outcome is byte-identical whether
-/// or not profiling is on. This is [`route_bitfix_churned_instrumented`]
-/// with a trivial churn plan, whose first epoch delivers every request.
-///
-/// `_threads` is ignored: the simulator runs on one thread. The parameter
-/// stays until the repository benchmark, which calls this function with a
-/// thread count, drops it.
-///
-/// # Errors
-///
-/// As [`route_bitfix`].
-pub fn route_bitfix_instrumented(
-    g: &Graph,
-    requests: &[(NodeId, NodeId)],
-    seed: u64,
-    _threads: usize,
-    profile: Option<ProfileConfig>,
-) -> Result<(CongestRouteOutcome, Option<TrafficProfile>)> {
-    let (out, _, profile) =
-        route_bitfix_churned_instrumented(g, requests, seed, ChurnPlan::none(), 1, None, profile)?;
-    let count = out.undelivered.len();
-    if count > 0 {
-        return Err(RouteError::Undelivered { count });
-    }
-    let endpoints = out.endpoints.into_iter().flatten().collect();
-    let metrics = out.metrics;
-    Ok((CongestRouteOutcome { endpoints, metrics }, profile))
-}
-
 /// Outcome of a churned bit-fix routing run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChurnedRouteOutcome {
@@ -399,62 +352,42 @@ impl ChurnedRouteOutcome {
     }
 }
 
-/// [`route_bitfix`] under topology churn: blocked hops reroute through
-/// live dimensions, stalled packets park after [`STALL_LIMIT`] rounds, and
-/// undelivered requests are re-injected in fresh epochs (same global churn
-/// clock) up to [`MAX_ROUTE_EPOCHS`] times. Requests that still cannot be
-/// delivered are reported in [`ChurnedRouteOutcome::undelivered`] rather
-/// than looping forever — graceful degradation, not an error.
+/// Routes `requests` over the hypercube `g` by Valiant two-phase bit-fixing
+/// in the CONGEST simulator, under the topology churn `churn`: blocked hops
+/// reroute through live dimensions, stalled packets park after
+/// [`STALL_LIMIT`] rounds, and undelivered requests are re-injected in
+/// fresh epochs (same global churn clock) up to [`MAX_ROUTE_EPOCHS`] times.
+/// Requests that still cannot be delivered are reported in
+/// [`ChurnedRouteOutcome::undelivered`] rather than looping forever —
+/// graceful degradation, not an error. With [`ChurnPlan::none`] the first
+/// epoch delivers every request.
 ///
 /// # Errors
 ///
-/// As [`route_bitfix`], plus churn plan validation failures. Undelivered
-/// requests are **not** an error.
-pub fn route_bitfix_churned(
+/// [`RouteError::NotHypercube`] when `g` is not a hypercube,
+/// [`RouteError::BadRequest`] on out-of-range endpoints, and
+/// [`RouteError::Congest`] on simulator violations and churn plan
+/// validation failures. Undelivered requests are **not** an error.
+pub fn route_bitfix(
     g: &Graph,
     requests: &[(NodeId, NodeId)],
     seed: u64,
     churn: ChurnPlan,
 ) -> Result<ChurnedRouteOutcome> {
-    let (out, _, _) = route_bitfix_churned_instrumented(g, requests, seed, churn, 1, None, None)?;
+    let (out, _) = route_bitfix_observed(g, requests, seed, churn, Observe::default())?;
     Ok(out)
 }
 
-/// [`route_bitfix_churned`] with opt-in tracing (one [`RunTrace`] per
-/// epoch) and traffic profiling accumulated across epochs. Neither changes
-/// the outcome. It is [`route_bitfix_observed`] with those two layers.
-///
-/// `_threads` is ignored: the simulator runs on one thread. The parameter
-/// stays until the repository benchmark, which calls this function with a
-/// thread count, drops it.
-///
-/// # Errors
-///
-/// As [`route_bitfix_churned`].
-pub fn route_bitfix_churned_instrumented(
-    g: &Graph,
-    requests: &[(NodeId, NodeId)],
-    seed: u64,
-    churn: ChurnPlan,
-    _threads: usize,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
-    let observe = Observe {
-        trace,
-        profile,
-        ..Observe::default()
-    };
-    let (out, runs) = route_bitfix_observed(g, requests, seed, churn, observe)?;
-    Ok((out, runs.traces, runs.profile))
-}
-
-/// [`route_bitfix_churned`] with every epoch observed by the `observe`
-/// layers, folded across epochs into one [`ObservedRuns`].
+/// [`route_bitfix`] with every epoch observed by the `observe` layers,
+/// folded across epochs into one [`ObservedRuns`]. When the profile layer
+/// is on, its [`TrafficProfile`] splits the run into
+/// [`class::ROUTE_PORTAL`] (phase-1 detour hops) and
+/// [`class::ROUTE_PAYLOAD`] (phase-2 delivery hops), with totals summing
+/// exactly to the outcome's metrics. No layer changes the outcome.
 ///
 /// # Errors
 ///
-/// As [`route_bitfix_churned`].
+/// As [`route_bitfix`].
 pub fn route_bitfix_observed(
     g: &Graph,
     requests: &[(NodeId, NodeId)],
@@ -522,6 +455,56 @@ pub fn route_bitfix_observed(
         },
         runner.runs,
     ))
+}
+
+/// The churn-free [`route_bitfix_observed`] with the profile layer, as a
+/// strict [`CongestRouteOutcome`]: an undelivered request is a
+/// [`RouteError::Undelivered`] error (without churn the first epoch
+/// delivers every request). `_threads` is ignored.
+///
+/// Kept for the repository benchmark's pinned call; use [`route_bitfix`]
+/// or [`route_bitfix_observed`].
+#[doc(hidden)]
+pub fn route_bitfix_instrumented(
+    g: &Graph,
+    requests: &[(NodeId, NodeId)],
+    seed: u64,
+    _threads: usize,
+    profile: Option<ProfileConfig>,
+) -> Result<(CongestRouteOutcome, Option<TrafficProfile>)> {
+    let (out, _, profile) =
+        route_bitfix_churned_instrumented(g, requests, seed, ChurnPlan::none(), 1, None, profile)?;
+    let count = out.undelivered.len();
+    if count > 0 {
+        return Err(RouteError::Undelivered { count });
+    }
+    let endpoints = out.endpoints.into_iter().flatten().collect();
+    let metrics = out.metrics;
+    Ok((CongestRouteOutcome { endpoints, metrics }, profile))
+}
+
+/// [`route_bitfix_observed`] with the trace (one [`RunTrace`] per epoch)
+/// and profile layers, as a tuple. `_threads` is ignored.
+///
+/// Kept for the repository benchmark's pinned call; use
+/// [`route_bitfix_observed`].
+#[doc(hidden)]
+pub fn route_bitfix_churned_instrumented(
+    g: &Graph,
+    requests: &[(NodeId, NodeId)],
+    seed: u64,
+    churn: ChurnPlan,
+    _threads: usize,
+    trace: Option<TraceConfig>,
+    profile: Option<ProfileConfig>,
+) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (out, runs) = route_bitfix_observed(g, requests, seed, churn, observe)?;
+    Ok((out, runs.traces, runs.profile))
 }
 
 #[cfg(test)]
@@ -599,9 +582,10 @@ mod tests {
     fn every_packet_reaches_its_destination() {
         let g = generators::hypercube(5);
         let reqs = shift_permutation(32, 7);
-        let out = route_bitfix(&g, &reqs, 3).unwrap();
+        let out = route_bitfix(&g, &reqs, 3, ChurnPlan::none()).unwrap();
+        assert!(!out.degraded());
         for (i, &(_, t)) in reqs.iter().enumerate() {
-            assert_eq!(out.endpoints[i], t);
+            assert_eq!(out.endpoints[i], Some(t));
         }
         assert!(out.metrics.rounds >= 5, "cross-cube packets take ≥ d hops");
     }
@@ -610,30 +594,31 @@ mod tests {
     fn profile_splits_portal_from_payload_and_sums_exactly() {
         let g = generators::hypercube(4);
         let reqs = shift_permutation(16, 5);
-        let (out, prof) =
-            route_bitfix_instrumented(&g, &reqs, 9, 0, Some(ProfileConfig::default())).unwrap();
-        let prof = prof.unwrap();
+        let observe = Observe {
+            profile: Some(ProfileConfig::default()),
+            ..Observe::default()
+        };
+        let (out, runs) = route_bitfix_observed(&g, &reqs, 9, ChurnPlan::none(), observe).unwrap();
+        let prof = runs.profile.unwrap();
         assert_eq!(prof.total_messages(), out.metrics.messages);
         assert_eq!(prof.total_bits(), out.metrics.bits);
         assert!(prof.stats(class::ROUTE_PORTAL).is_some());
         assert!(prof.stats(class::ROUTE_PAYLOAD).is_some());
         // Profiling must not change the run.
-        let plain = route_bitfix(&g, &reqs, 9).unwrap();
-        assert_eq!(plain.metrics, out.metrics);
-        assert_eq!(plain.endpoints, out.endpoints);
+        assert_eq!(route_bitfix(&g, &reqs, 9, ChurnPlan::none()).unwrap(), out);
     }
 
     #[test]
     fn rejects_non_hypercubes_and_bad_requests() {
         let ring = generators::ring(8);
         assert!(matches!(
-            route_bitfix(&ring, &[], 0),
+            route_bitfix(&ring, &[], 0, ChurnPlan::none()),
             Err(RouteError::NotHypercube { n: 8 })
         ));
         let g = generators::hypercube(3);
         let bad = vec![(NodeId(0), NodeId(64))];
         assert!(matches!(
-            route_bitfix(&g, &bad, 0),
+            route_bitfix(&g, &bad, 0, ChurnPlan::none()),
             Err(RouteError::BadRequest { .. })
         ));
     }
@@ -645,23 +630,21 @@ mod tests {
         // way it must come home.
         let g = generators::hypercube(3);
         let reqs = vec![(NodeId(5), NodeId(5)); 4];
-        let out = route_bitfix(&g, &reqs, 2).unwrap();
-        assert!(out.endpoints.iter().all(|&e| e == NodeId(5)));
+        let out = route_bitfix(&g, &reqs, 2, ChurnPlan::none()).unwrap();
+        assert!(out.endpoints.iter().all(|&e| e == Some(NodeId(5))));
     }
 
     #[test]
     fn trivial_churn_routes_identically_to_the_clean_path() {
         let g = generators::hypercube(5);
         let reqs = shift_permutation(32, 7);
-        let clean = route_bitfix(&g, &reqs, 3).unwrap();
-        let churned = route_bitfix_churned(&g, &reqs, 3, ChurnPlan::none().seeded(42)).unwrap();
+        let clean = route_bitfix(&g, &reqs, 3, ChurnPlan::none()).unwrap();
+        let churned = route_bitfix(&g, &reqs, 3, ChurnPlan::none().seeded(42)).unwrap();
         assert_eq!(churned.epochs, 1);
         assert_eq!(churned.rerouted, 0);
         assert!(!churned.degraded());
         assert_eq!(churned.metrics, clean.metrics);
-        for (i, &e) in clean.endpoints.iter().enumerate() {
-            assert_eq!(churned.endpoints[i], Some(e));
-        }
+        assert_eq!(churned.endpoints, clean.endpoints);
     }
 
     #[test]
@@ -669,7 +652,7 @@ mod tests {
         let g = generators::hypercube(5);
         let reqs = shift_permutation(32, 11);
         let churn = ChurnPlan::none().seeded(17).with_flaps(0.15, 3);
-        let out = route_bitfix_churned(&g, &reqs, 5, churn).unwrap();
+        let out = route_bitfix(&g, &reqs, 5, churn).unwrap();
         assert!(!out.degraded(), "flaps must not cost deliveries");
         assert!(
             out.rerouted > 0,
@@ -687,7 +670,7 @@ mod tests {
         // Node 6 crashes at round 1 and returns at round 5: its queued and
         // in-flight packets are lost mid-epoch and must be re-issued.
         let churn = ChurnPlan::none().seeded(8).with_restart(NodeId(6), 1, 4);
-        let out = route_bitfix_churned(&g, &reqs, 7, churn).unwrap();
+        let out = route_bitfix(&g, &reqs, 7, churn).unwrap();
         assert!(
             !out.degraded(),
             "a transient restart must not cost deliveries"
@@ -714,7 +697,7 @@ mod tests {
             }
         }
         let reqs: Vec<(NodeId, NodeId)> = (1..8).map(|i| (NodeId(i), NodeId(i % 2))).collect();
-        let out = route_bitfix_churned(&g, &reqs, 4, churn).unwrap();
+        let out = route_bitfix(&g, &reqs, 4, churn).unwrap();
         assert!(out.degraded());
         assert_eq!(out.epochs, MAX_ROUTE_EPOCHS);
         for (i, &(_, t)) in reqs.iter().enumerate() {
@@ -739,8 +722,8 @@ mod tests {
             .seeded(31)
             .with_flaps(0.1, 4)
             .with_restart(NodeId(12), 3, 5);
-        let a = route_bitfix_churned(&g, &reqs, 6, churn.clone()).unwrap();
-        let b = route_bitfix_churned(&g, &reqs, 6, churn).unwrap();
+        let a = route_bitfix(&g, &reqs, 6, churn.clone()).unwrap();
+        let b = route_bitfix(&g, &reqs, 6, churn).unwrap();
         assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.undelivered, b.undelivered);
         assert_eq!(a.epochs, b.epochs);

@@ -22,8 +22,8 @@
 //!   timeout, so sustained damage is met with patience instead of
 //!   retransmit storms.
 //!
-//! Under *topology churn* ([`run_walks_healing_churned`]) the same
-//! machinery rides a [`ChurnPlan`]: tokens sample their next hop among
+//! Under *topology churn* (the [`ChurnPlan`] of [`run_walks_healing`]) the
+//! same machinery applies: tokens sample their next hop among
 //! ports whose link is up this round ([`amt_congest::Ctx::link_up`]),
 //! retransmissions into a known-down link are deferred (the attempt still
 //! counts, so a permanently cut port is eventually marked suspect and
@@ -43,6 +43,10 @@
 //! with live starts undelivered (sustained churn outpacing the retry
 //! budget), the driver surfaces [`CongestError::RetryExhausted`] instead of
 //! silently dropping them.
+//!
+//! [`run_walks_healing`] is the plain entry point and
+//! [`run_walks_healing_observed`] the same run with the observation layers
+//! of an [`Observe`] on.
 
 use crate::{WalkKind, WalkSpec};
 use amt_congest::primitives::reliable::fold4;
@@ -467,124 +471,41 @@ pub struct HealedWalkRun {
     pub timeline: RecoveryTimeline,
 }
 
-/// Executes `specs` over the fault-injected simulator with custody-transfer
-/// retransmission and epoch re-issue; see the module docs for the healing
-/// mechanisms.
+/// Executes `specs` over the fault-injected simulator under the faults of
+/// `plan` and the topology churn of `churn`, with custody-transfer
+/// retransmission, link-aware rerouting, restart state loss, epoch
+/// re-issue and a [`RecoveryTimeline`] in the outcome; see the module docs
+/// for the healing mechanisms. The churn plan's global clock spans all
+/// epochs — an edge scheduled down in rounds `[a, b)` is down in those
+/// *accumulated* rounds wherever the epoch boundaries fall.
 ///
 /// # Errors
 ///
-/// Propagates simulator violations and fault-plan validation errors.
+/// Propagates simulator violations and plan validation errors;
+/// [`CongestError::RetryExhausted`] when [`MAX_EPOCHS`] re-issues leave
+/// walks with live starts undelivered.
 pub fn run_walks_healing(
     g: &Graph,
     kind: WalkKind,
     specs: &[WalkSpec],
     seed: u64,
     plan: FaultPlan,
+    churn: ChurnPlan,
 ) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) = run_walks_healing_instrumented(g, kind, specs, seed, plan, None, None)?;
+    let (run, _) =
+        run_walks_healing_observed(g, kind, specs, seed, plan, churn, Observe::default())?;
     Ok(run)
 }
 
-/// [`run_walks_healing`] with opt-in observability: when `trace`
-/// is set, returns one [`RunTrace`] per executed epoch (epoch re-issues
-/// appear as `"walk_epoch_reissue"` events); when `profile` is set, returns
-/// a single [`TrafficProfile`] accumulated across epochs whose per-class
-/// totals sum exactly to the run's [`Metrics`]. Both are `None`-cost when
-/// off and never change results — the simulator's observability contract.
+/// [`run_walks_healing`] with every epoch observed by the `observe` layers,
+/// folded across epochs into one [`ObservedRuns`]. Each epoch's trace
+/// shows its re-issues as `"walk_epoch_reissue"` events; the profile's
+/// per-class totals sum exactly to the run's [`Metrics`]. No layer changes
+/// the outcome.
 ///
 /// # Errors
 ///
-/// Propagates simulator violations and fault-plan validation errors.
-#[allow(clippy::type_complexity)]
-pub fn run_walks_healing_instrumented(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    plan: FaultPlan,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
-    run_walks_healing_churned_instrumented(
-        g,
-        kind,
-        specs,
-        seed,
-        plan,
-        ChurnPlan::none(),
-        1,
-        trace,
-        profile,
-    )
-}
-
-/// [`run_walks_healing`] under topology churn: the same
-/// custody-transfer / epoch-re-issue machinery executed against `churn`,
-/// with link-aware rerouting, restart state loss, and a
-/// [`RecoveryTimeline`] in the outcome (see the module docs). The churn
-/// plan's global clock spans all epochs — an edge scheduled down in rounds
-/// `[a, b)` is down in those *accumulated* rounds wherever the epoch
-/// boundaries fall.
-///
-/// # Errors
-///
-/// Propagates simulator violations and plan validation errors;
-/// [`CongestError::RetryExhausted`] when [`MAX_EPOCHS`] re-issues leave
-/// walks with live starts undelivered.
-pub fn run_walks_healing_churned(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-) -> Result<HealedWalkRun, CongestError> {
-    let (run, _, _) =
-        run_walks_healing_churned_instrumented(g, kind, specs, seed, plan, churn, 1, None, None)?;
-    Ok(run)
-}
-
-/// The full healing driver: faults, churn, and opt-in observability in one
-/// signature ([`run_walks_healing_instrumented`] is this with a trivial
-/// churn plan). It is [`run_walks_healing_observed`] with the trace and
-/// profile layers.
-///
-/// `_threads` is ignored: the simulator runs on one thread. The parameter
-/// stays until the repository benchmark, which calls this function with a
-/// thread count, drops it.
-///
-/// # Errors
-///
-/// Propagates simulator violations and plan validation errors;
-/// [`CongestError::RetryExhausted`] when [`MAX_EPOCHS`] re-issues leave
-/// walks with live starts undelivered.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_walks_healing_churned_instrumented(
-    g: &Graph,
-    kind: WalkKind,
-    specs: &[WalkSpec],
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-    _threads: usize,
-    trace: Option<TraceConfig>,
-    profile: Option<ProfileConfig>,
-) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
-    let observe = Observe {
-        trace,
-        profile,
-        ..Observe::default()
-    };
-    let (run, runs) = run_walks_healing_observed(g, kind, specs, seed, plan, churn, observe)?;
-    Ok((run, runs.traces, runs.profile))
-}
-
-/// The healing driver with every epoch observed by the `observe` layers,
-/// folded across epochs into one [`ObservedRuns`].
-///
-/// # Errors
-///
-/// As [`run_walks_healing_churned_instrumented`].
+/// As [`run_walks_healing`].
 pub fn run_walks_healing_observed(
     g: &Graph,
     kind: WalkKind,
@@ -706,6 +627,33 @@ pub fn run_walks_healing_observed(
         },
         runner.runs,
     ))
+}
+
+/// [`run_walks_healing_observed`] with the trace (one [`RunTrace`] per
+/// epoch) and profile layers, as a tuple. `_threads` is ignored.
+///
+/// Kept for the repository benchmark's pinned call; use
+/// [`run_walks_healing_observed`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub fn run_walks_healing_churned_instrumented(
+    g: &Graph,
+    kind: WalkKind,
+    specs: &[WalkSpec],
+    seed: u64,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    _threads: usize,
+    trace: Option<TraceConfig>,
+    profile: Option<ProfileConfig>,
+) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
+    let observe = Observe {
+        trace,
+        profile,
+        ..Observe::default()
+    };
+    let (run, runs) = run_walks_healing_observed(g, kind, specs, seed, plan, churn, observe)?;
+    Ok((run, runs.traces, runs.profile))
 }
 
 #[cfg(test)]
@@ -860,7 +808,15 @@ mod tests {
     fn fault_free_healing_matches_plain_walk_semantics() {
         let g = generators::hypercube(4);
         let specs = degree_proportional_specs(&g, 2, 8);
-        let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 3, FaultPlan::none()).unwrap();
+        let run = run_walks_healing(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            3,
+            FaultPlan::none(),
+            ChurnPlan::none(),
+        )
+        .unwrap();
         assert_eq!(run.epochs, 1);
         assert_eq!(run.reissued, 0);
         assert_eq!(run.rerouted, 0);
@@ -876,7 +832,8 @@ mod tests {
             .seeded(9)
             .with_drops(0.1)
             .with_corruption(0.05);
-        let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 4, plan).unwrap();
+        let run =
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 4, plan, ChurnPlan::none()).unwrap();
         assert!(run.metrics.dropped > 0);
         assert!(
             run.endpoints.iter().all(Option::is_some),
@@ -893,7 +850,8 @@ mod tests {
             .seeded(2)
             .with_crash(NodeId(5), 4)
             .with_crash(NodeId(20), 6);
-        let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan).unwrap();
+        let run =
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 11, plan, ChurnPlan::none()).unwrap();
         assert_eq!(run.metrics.crashed, 2);
         // Every walk whose start survives must finish somewhere.
         for (i, spec) in specs.iter().enumerate() {
@@ -915,8 +873,16 @@ mod tests {
             .seeded(31)
             .with_drops(0.15)
             .with_crash(NodeId(3), 3);
-        let a = run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan.clone()).unwrap();
-        let b = run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan).unwrap();
+        let a = run_walks_healing(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            8,
+            plan.clone(),
+            ChurnPlan::none(),
+        )
+        .unwrap();
+        let b = run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan, ChurnPlan::none()).unwrap();
         assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(
@@ -931,8 +897,7 @@ mod tests {
         let specs = degree_proportional_specs(&g, 1, 10);
         let churn = ChurnPlan::none().seeded(23).with_flaps(0.15, 5);
         let run =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 7, FaultPlan::none(), churn)
-                .unwrap();
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 7, FaultPlan::none(), churn).unwrap();
         assert!(run.metrics.lost_to_churn > 0, "flaps must bite");
         assert!(
             run.endpoints.iter().all(Option::is_some),
@@ -948,8 +913,7 @@ mod tests {
             .with_restart(NodeId(3), 4, 6)
             .with_restart(NodeId(9), 8, 4);
         let run =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, FaultPlan::none(), churn)
-                .unwrap();
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 5, FaultPlan::none(), churn).unwrap();
         assert_eq!(run.metrics.crashed, 0, "restarts are not crash-stops");
         assert!(run.metrics.restarts >= 2, "both outages must complete");
         assert!(
@@ -972,9 +936,8 @@ mod tests {
             .with_flaps(0.1, 4)
             .with_restart(NodeId(6), 5, 5);
         let a =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 8, plan.clone(), churn.clone())
-                .unwrap();
-        let b = run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 8, plan, churn).unwrap();
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan.clone(), churn.clone()).unwrap();
+        let b = run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan, churn).unwrap();
         assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.timeline, b.timeline);
@@ -989,8 +952,16 @@ mod tests {
         let g = generators::hypercube(4);
         let specs = degree_proportional_specs(&g, 1, 10);
         let plan = FaultPlan::none().seeded(31).with_drops(0.1);
-        let plain = run_walks_healing(&g, WalkKind::Lazy, &specs, 8, plan.clone()).unwrap();
-        let churned = run_walks_healing_churned(
+        let plain = run_walks_healing(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            8,
+            plan.clone(),
+            ChurnPlan::none(),
+        )
+        .unwrap();
+        let churned = run_walks_healing(
             &g,
             WalkKind::Lazy,
             &specs,
@@ -1016,8 +987,7 @@ mod tests {
         }];
         let churn = ChurnPlan::none().with_restart(NodeId(0), 0, 1_000_000);
         let err =
-            run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 3, FaultPlan::none(), churn)
-                .unwrap_err();
+            run_walks_healing(&g, WalkKind::Lazy, &specs, 3, FaultPlan::none(), churn).unwrap_err();
         match err {
             CongestError::RetryExhausted { node, attempts, .. } => {
                 assert_eq!(node, NodeId(0));
@@ -1034,7 +1004,15 @@ mod tests {
             start: NodeId(3),
             steps: 0,
         }];
-        let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 1, FaultPlan::none()).unwrap();
+        let run = run_walks_healing(
+            &g,
+            WalkKind::Lazy,
+            &specs,
+            1,
+            FaultPlan::none(),
+            ChurnPlan::none(),
+        )
+        .unwrap();
         assert_eq!(run.endpoints[0], Some(NodeId(3)));
         assert_eq!(run.epochs, 0, "nothing to execute");
     }

@@ -221,21 +221,6 @@ impl<'a> Trajectory<'a> {
             .filter(|&&k| k != STAY_KEY)
             .map(|&k| u64::from(k))
     }
-
-    /// The sequence of `(edge, from, to)` traversals, skipping stay-steps.
-    pub fn edge_path(&self) -> Vec<(EdgeId, NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for (s, k) in self.keys.iter().enumerate() {
-            if *k != STAY_KEY {
-                out.push((
-                    EdgeId(k >> 1),
-                    NodeId(self.nodes[s]),
-                    NodeId(self.nodes[s + 1]),
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// Measured statistics of a parallel-walk execution.

@@ -4,7 +4,7 @@
 //! The oracle below is the straightforward version written against the
 //! public API: a `HashSet` forest, a fresh fleet and a fresh `Simulator`
 //! per flood, on the full-sweep reference engine. It must reproduce
-//! `congest_boruvka::run_instrumented` with profiling on exactly: tree,
+//! `congest_boruvka::run_observed` with profiling on exactly: tree,
 //! rounds, messages, iterations and the traffic profile.
 
 use amt_core::congest::{
@@ -170,15 +170,19 @@ fn oracle(wg: &WeightedGraph, seed: u64) -> Outcome {
 }
 
 fn production(wg: &WeightedGraph, seed: u64) -> Outcome {
-    let (out, profile) =
-        congest_boruvka::run_instrumented(wg, seed, 1, Some(ProfileConfig::default()))
-            .expect("connected");
+    let observe = Observe {
+        profile: Some(ProfileConfig::default()),
+        ..Observe::default()
+    };
+    let (out, runs) = congest_boruvka::run_observed(wg, seed, observe).expect("connected");
     Outcome {
         tree: out.tree_edges,
         rounds: out.rounds,
         messages: out.messages,
         iterations: out.iterations,
-        profile: profile.unwrap_or_else(|| TrafficProfile::empty(wg.graph().edge_count())),
+        profile: runs
+            .profile
+            .unwrap_or_else(|| TrafficProfile::empty(wg.graph().edge_count())),
     }
 }
 

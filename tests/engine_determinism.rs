@@ -579,8 +579,14 @@ fn profiled_boruvka_accumulates_exactly_on_a_repeat_run() {
     let mut rng = StdRng::seed_from_u64(78);
     let g = generators::connected_erdos_renyi(48, 0.12, 50, &mut rng).unwrap();
     let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
-    let run =
-        || congest_boruvka::run_instrumented(&wg, 4, 1, Some(ProfileConfig::default())).unwrap();
+    let run = || {
+        let observe = Observe {
+            profile: Some(ProfileConfig::default()),
+            ..Observe::default()
+        };
+        let (out, runs) = congest_boruvka::run_observed(&wg, 4, observe).unwrap();
+        (out, runs.profile)
+    };
     let (out, profile) = run();
     let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.messages);

@@ -6,19 +6,38 @@
 //! repeat run and across node-visit-order reversal — for a raw simulator
 //! workload, both self-healing protocols (walks and Borůvka MST), and the
 //! churned bit-fix router.
+//!
+//! The churned repeat-run tests also check the five thin wrappers the
+//! repository benchmark pins (the `_instrumented` functions, which take an
+//! ignored thread count): each must return exactly what its `_observed`
+//! counterpart returns with the trace and profile layers on.
 
 use amt_core::congest::{
     Ctx, Metrics, Observe, ProfileConfig, Protocol, RoundSample, RunConfig, Simulator,
     StopCondition, TraceConfig, TrafficProfile,
 };
-use amt_core::mst::healing::run_healing_churned;
-use amt_core::mst::{run_healing, run_healing_instrumented};
+use amt_core::mst::healing::run_healing_churned_instrumented;
+use amt_core::mst::{congest_boruvka, run_healing, run_healing_observed};
 use amt_core::prelude::*;
-use amt_core::routing::route_bitfix_churned;
+use amt_core::routing::{
+    route_bitfix, route_bitfix_churned_instrumented, route_bitfix_instrumented,
+    route_bitfix_observed,
+};
+use amt_core::walks::healing::run_walks_healing_churned_instrumented;
 use amt_core::walks::parallel::degree_proportional_specs;
-use amt_core::walks::{run_walks_healing, run_walks_healing_churned};
+use amt_core::walks::{run_walks_healing, run_walks_healing_observed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The trace and profile layers: what the benchmark's pinned wrappers
+/// turn on.
+fn traced_and_profiled() -> Observe {
+    Observe {
+        trace: Some(TraceConfig::default()),
+        profile: Some(ProfileConfig::default()),
+        ..Observe::default()
+    }
+}
 
 /// A chatty fixed-horizon workload: every node floods a running checksum
 /// for a set number of rounds, folding whatever arrives (corrupted bits
@@ -314,10 +333,18 @@ fn healing_walks_are_identical_on_a_repeat_run() {
         .with_drops(0.05)
         .with_corruption(0.02)
         .with_crash(NodeId(7), 9);
-    let baseline = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone()).unwrap();
+    let baseline = run_walks_healing(
+        &g,
+        WalkKind::Lazy,
+        &specs,
+        5,
+        plan.clone(),
+        ChurnPlan::none(),
+    )
+    .unwrap();
     assert!(baseline.metrics.message_faults() > 0);
     assert_eq!(baseline.metrics.crashed, 1);
-    let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan).unwrap();
+    let run = run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan, ChurnPlan::none()).unwrap();
     assert_eq!(run.endpoints, baseline.endpoints, "endpoints diverged");
     assert_eq!(
         run.metrics, baseline.metrics,
@@ -338,10 +365,10 @@ fn healing_boruvka_is_identical_on_a_repeat_run() {
         .with_drops(0.05)
         .with_corruption(0.02)
         .with_crash(NodeId(11), 12);
-    let baseline = run_healing(&wg, 3, plan.clone()).unwrap();
+    let baseline = run_healing(&wg, 3, plan.clone(), ChurnPlan::none()).unwrap();
     assert!(baseline.metrics.message_faults() > 0);
     assert_eq!(baseline.crashed_nodes, vec![NodeId(11)]);
-    let run = run_healing(&wg, 3, plan).unwrap();
+    let run = run_healing(&wg, 3, plan, ChurnPlan::none()).unwrap();
     assert_eq!(run.tree_edges, baseline.tree_edges, "tree diverged");
     assert_eq!(run.total_weight, baseline.total_weight);
     assert_eq!(run.rounds, baseline.rounds, "rounds diverged");
@@ -371,20 +398,25 @@ fn healing_boruvka_profile_sums_exactly_and_is_identical_on_a_repeat_run() {
         .with_corruption(0.02)
         .with_crash(NodeId(11), 12);
     let run = || {
-        run_healing_instrumented(&wg, 3, plan.clone(), None, Some(ProfileConfig::default()))
-            .unwrap()
+        let observe = Observe {
+            profile: Some(ProfileConfig::default()),
+            ..Observe::default()
+        };
+        let (out, runs) =
+            run_healing_observed(&wg, 3, plan.clone(), ChurnPlan::none(), observe).unwrap();
+        (out, runs.profile)
     };
-    let (out, _, profile) = run();
+    let (out, profile) = run();
     let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.total_messages(), out.metrics.messages);
     assert_eq!(profile.total_bits(), out.metrics.bits);
 
     // Profiling must not perturb the healing run itself.
-    let plain = run_healing(&wg, 3, plan.clone()).unwrap();
+    let plain = run_healing(&wg, 3, plan.clone(), ChurnPlan::none()).unwrap();
     assert_eq!(plain.tree_edges, out.tree_edges);
     assert_eq!(plain.metrics, out.metrics);
 
-    let (again, _, profile_again) = run();
+    let (again, profile_again) = run();
     assert_eq!(again.tree_edges, out.tree_edges);
     assert_eq!(again.metrics, out.metrics, "a repeat moved the metrics");
     assert_eq!(
@@ -494,11 +526,38 @@ fn churned_healing_walks_are_identical_on_a_repeat_run() {
         .with_flaps(0.05, 4)
         .with_restart(NodeId(7), 5, 4);
     let baseline =
-        run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, plan.clone(), churn.clone())
-            .unwrap();
+        run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone(), churn.clone()).unwrap();
     assert!(baseline.metrics.lost_to_churn > 0 || baseline.metrics.restarts > 0);
-    let run = run_walks_healing_churned(&g, WalkKind::Lazy, &specs, 5, plan, churn).unwrap();
+    let run =
+        run_walks_healing(&g, WalkKind::Lazy, &specs, 5, plan.clone(), churn.clone()).unwrap();
     assert_eq!(run, baseline, "a repeat of the churned walks diverged");
+
+    let (observed, runs) = run_walks_healing_observed(
+        &g,
+        WalkKind::Lazy,
+        &specs,
+        5,
+        plan.clone(),
+        churn.clone(),
+        traced_and_profiled(),
+    )
+    .unwrap();
+    assert_eq!(observed, baseline, "observation moved the churned walks");
+    assert!(!runs.traces.is_empty());
+    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let shim = run_walks_healing_churned_instrumented(
+        &g,
+        WalkKind::Lazy,
+        &specs,
+        5,
+        plan,
+        churn,
+        2,
+        trace,
+        profile,
+    )
+    .unwrap();
+    assert_eq!(shim, (observed, runs.traces, runs.profile));
 }
 
 /// The churned healing Borůvka replays byte-identically — tree, cut-edge
@@ -513,10 +572,29 @@ fn churned_healing_boruvka_is_identical_on_a_repeat_run() {
         .seeded(59)
         .with_flaps(0.05, 4)
         .with_restart(NodeId(11), 4, 5);
-    let baseline = run_healing_churned(&wg, 3, plan.clone(), churn.clone()).unwrap();
+    let baseline = run_healing(&wg, 3, plan.clone(), churn.clone()).unwrap();
     assert!(baseline.metrics.lost_to_churn > 0 || baseline.metrics.restarts > 0);
-    let run = run_healing_churned(&wg, 3, plan, churn).unwrap();
+    let run = run_healing(&wg, 3, plan.clone(), churn.clone()).unwrap();
     assert_eq!(run, baseline, "a repeat of the churned boruvka diverged");
+
+    let (observed, runs) =
+        run_healing_observed(&wg, 3, plan.clone(), churn.clone(), traced_and_profiled()).unwrap();
+    assert_eq!(observed, baseline, "observation moved the churned boruvka");
+    assert!(!runs.traces.is_empty());
+    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let shim = run_healing_churned_instrumented(&wg, 3, plan, churn, 2, trace, profile).unwrap();
+    assert_eq!(shim, (observed, runs.traces, runs.profile));
+
+    // The clean Borůvka shim on the same network: the profile layer only.
+    let (clean, clean_runs) = congest_boruvka::run_observed(&wg, 3, traced_and_profiled()).unwrap();
+    let (shim, shim_profile) = congest_boruvka::run_instrumented(&wg, 3, 2, profile).unwrap();
+    assert_eq!(shim.tree_edges, clean.tree_edges);
+    assert_eq!(
+        (shim.rounds, shim.messages, shim.iterations),
+        (clean.rounds, clean.messages, clean.iterations)
+    );
+    assert!(shim_profile.is_some());
+    assert_eq!(shim_profile, clean_runs.profile);
 }
 
 /// The churned bit-fix router replays byte-identically — endpoints,
@@ -532,8 +610,28 @@ fn churned_bitfix_routing_is_identical_on_a_repeat_run() {
         .seeded(67)
         .with_flaps(0.08, 3)
         .with_restart(NodeId(6), 1, 4);
-    let baseline = route_bitfix_churned(&g, &reqs, 12, churn.clone()).unwrap();
+    let baseline = route_bitfix(&g, &reqs, 12, churn.clone()).unwrap();
     assert!(baseline.rerouted > 0 || baseline.metrics.lost_to_churn > 0);
-    let run = route_bitfix_churned(&g, &reqs, 12, churn).unwrap();
+    let run = route_bitfix(&g, &reqs, 12, churn.clone()).unwrap();
     assert_eq!(run, baseline, "a repeat of the churned routing diverged");
+
+    let (observed, runs) =
+        route_bitfix_observed(&g, &reqs, 12, churn.clone(), traced_and_profiled()).unwrap();
+    assert_eq!(observed, baseline, "observation moved the churned routing");
+    assert!(!runs.traces.is_empty());
+    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let shim = route_bitfix_churned_instrumented(&g, &reqs, 12, churn, 2, trace, profile).unwrap();
+    assert_eq!(shim, (observed, runs.traces, runs.profile));
+
+    // The churn-free shim converts a fully delivered run into the strict
+    // outcome: every endpoint present, the same metrics and profile.
+    let (clean, clean_runs) =
+        route_bitfix_observed(&g, &reqs, 12, ChurnPlan::none(), traced_and_profiled()).unwrap();
+    assert!(!clean.degraded());
+    let (strict, strict_profile) = route_bitfix_instrumented(&g, &reqs, 12, 2, profile).unwrap();
+    let delivered: Vec<NodeId> = clean.endpoints.iter().flatten().copied().collect();
+    assert_eq!(strict.endpoints, delivered);
+    assert_eq!(strict.endpoints.len(), reqs.len());
+    assert_eq!(strict.metrics, clean.metrics);
+    assert_eq!(strict_profile, clean_runs.profile);
 }

@@ -2,10 +2,10 @@
 //! epoch re-issues must surface as `trace_event` spans in `RunTrace`, and
 //! a repeat run must record byte-identical spans.
 
-use amt_core::congest::{FaultPlan, ProfileConfig, TraceConfig};
+use amt_core::congest::{ChurnPlan, FaultPlan, Observe, ProfileConfig, TraceConfig};
 use amt_core::graphs::{generators, NodeId, WeightedGraph};
-use amt_core::mst::run_healing_instrumented;
-use amt_core::walks::healing::run_walks_healing_instrumented;
+use amt_core::mst::run_healing_observed;
+use amt_core::walks::healing::run_walks_healing_observed;
 use amt_core::walks::parallel::degree_proportional_specs;
 use amt_core::walks::WalkKind;
 use rand::rngs::StdRng;
@@ -24,9 +24,15 @@ fn mst_phase_spans_cover_every_healing_phase_identically_on_a_repeat_run() {
     // Crashing it mid-run forces at least one phase restart.
     let plan = FaultPlan::none().seeded(5).with_crash(NodeId(0), 10);
     let run = || {
-        run_healing_instrumented(&wg, 9, plan.clone(), Some(TraceConfig::default()), None).unwrap()
+        let observe = Observe {
+            trace: Some(TraceConfig::default()),
+            ..Observe::default()
+        };
+        let (out, runs) =
+            run_healing_observed(&wg, 9, plan.clone(), ChurnPlan::none(), observe).unwrap();
+        (out, runs.traces)
     };
-    let (out, traces, _) = run();
+    let (out, traces) = run();
     assert!(out.phase_restarts >= 1, "the crash must restart a phase");
     assert!(!traces.is_empty(), "each phase must contribute a trace");
 
@@ -43,7 +49,7 @@ fn mst_phase_spans_cover_every_healing_phase_identically_on_a_repeat_run() {
     let expected: Vec<u64> = (1..=traces.len() as u64).collect();
     assert_eq!(phase_of_trace, expected, "phase numbers increase by one");
 
-    let (again, traces_again, _) = run();
+    let (again, traces_again) = run();
     assert_eq!(again.tree_edges, out.tree_edges);
     assert_eq!(again.metrics, out.metrics);
     assert_eq!(traces_again, traces, "span streams must replay identically");
@@ -62,16 +68,22 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_identically_on_a_repeat_run
         .with_crash(NodeId(5), 4)
         .with_crash(NodeId(20), 6);
     let run = || {
-        run_walks_healing_instrumented(
+        let observe = Observe {
+            trace: Some(TraceConfig::default()),
+            profile: Some(ProfileConfig::default()),
+            ..Observe::default()
+        };
+        let (out, runs) = run_walks_healing_observed(
             &g,
             WalkKind::Lazy,
             &specs,
             11,
             plan.clone(),
-            Some(TraceConfig::default()),
-            Some(ProfileConfig::default()),
+            ChurnPlan::none(),
+            observe,
         )
-        .unwrap()
+        .unwrap();
+        (out, runs.traces, runs.profile)
     };
     let (out, traces, profile) = run();
     assert_eq!(traces.len(), out.epochs as usize, "one trace per epoch");
