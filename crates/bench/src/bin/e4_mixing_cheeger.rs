@@ -4,7 +4,7 @@
 use amt_bench::Report;
 use amt_core::graphs::expansion;
 use amt_core::prelude::*;
-use amt_core::walks::mixing::{cheeger_bound, mixing_time_exact, mixing_time_spectral};
+use amt_core::walks::mixing::{mixing_time_exact, mixing_time_spectral};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +36,7 @@ fn main() {
     for (name, g) in &cases {
         let h = expansion::edge_expansion_exact(g).expect("n ≤ 24");
         let exact = mixing_time_exact(g, WalkKind::DeltaRegular, 200_000).expect("connected");
-        let bound = cheeger_bound(g, h);
+        let bound = expansion::cheeger_mixing_bound(g, h);
         assert!(
             f64::from(exact) <= bound,
             "{name}: Lemma 2.3 violated ({exact} > {bound:.0})"

@@ -42,12 +42,6 @@ pub fn experiment_config(g: &Graph, beta: u32, levels: u32, seed: u64) -> Hierar
     cfg
 }
 
-/// β/depth choice per virtual-node count used by the scaling experiments
-/// (keeps bottom parts near `Θ(log n)` as the paper prescribes).
-pub fn scaled_beta_levels(n_virtual: usize) -> (u32, u32) {
-    amt_core::kwise::paper_parameters(n_virtual)
-}
-
 /// Depth policy used by the scaling experiments: keeps expected bottom
 /// parts near 16 virtual nodes (`Θ(log n)` at these sizes), growing with
 /// the virtual-node count exactly as the paper's `k = log_β(m / log m)`.

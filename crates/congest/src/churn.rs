@@ -35,7 +35,7 @@
 
 use amt_graphs::{EdgeId, NodeId};
 
-use crate::faults::{splitmix, unit};
+use crate::faults::{splitmix, unit, Transitions};
 use crate::{CongestError, Metrics, Result};
 
 /// One explicit edge-outage schedule.
@@ -268,10 +268,9 @@ impl ChurnPlan {
         Ok(())
     }
 
-    /// Precomputes the per-run schedule tables (the churn analogue of
-    /// [`crate::FaultPlan`]'s `crash_rounds` normalization): per-edge
-    /// explicit outage lists and per-node merged offline intervals, computed
-    /// once and read by the stepper and the merge.
+    /// Precomputes the per-run schedule tables: per-edge explicit outage
+    /// lists and per-node merged offline intervals, computed once and
+    /// diffed each round by [`ChurnState`].
     pub(crate) fn normalize(&self, n: usize, m: usize) -> ChurnSchedule {
         let mut per_edge: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); m];
         for o in &self.outages {
@@ -414,44 +413,6 @@ impl ChurnSchedule {
         let g = round + self.offset;
         g > 0 && self.node_outages[v].iter().any(|&(_, u)| u == g)
     }
-
-    /// `(local_round, node)` pairs at which a node *enters* an outage —
-    /// i.e. the first local round `r` with [`Self::node_down`]`(r, v)` true
-    /// for that interval. Used by the active-set engine to retire offline
-    /// nodes from its liveness counter without polling every node each
-    /// round. Outages already in progress at local round 0 report round 0;
-    /// intervals entirely before local time (or empty) are dropped.
-    pub(crate) fn down_events(&self) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        for (v, outages) in self.node_outages.iter().enumerate() {
-            for &(d, u) in outages {
-                if u <= self.offset || d >= u {
-                    continue;
-                }
-                out.push((d.saturating_sub(self.offset), v as u32));
-            }
-        }
-        out
-    }
-
-    /// `(local_round, node)` pairs at which [`Self::rejoining`] fires —
-    /// exactly the rounds where the executor runs
-    /// [`crate::Protocol::on_restart`]. Used by the active-set engine to
-    /// wake rejoining nodes. Mirrors `rejoining` precisely: an interval
-    /// whose `up` lands at or before local round 0 never fires (round 0 is
-    /// `init`'s, in both engines).
-    pub(crate) fn rejoin_events(&self) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        for (v, outages) in self.node_outages.iter().enumerate() {
-            for &(_, u) in outages {
-                if u <= self.offset {
-                    continue;
-                }
-                out.push((u - self.offset, v as u32));
-            }
-        }
-        out
-    }
 }
 
 /// What one churn transition or loss did.
@@ -503,9 +464,11 @@ pub struct ChurnEvent {
 /// [`ChurnState`]. Every verdict is read from the round most recently
 /// begun: a pure function of the plan's timeline, never of sampling order.
 pub(crate) trait ChurnHook {
-    /// Moves the topology to `round`, emits its up/down transition events
-    /// and accounts node rejoins in `metrics.restarts`.
-    fn begin_round(&mut self, round: u64, metrics: &mut Metrics);
+    /// Moves the topology to `round`, emits its up/down transition events,
+    /// accounts node rejoins in `metrics.restarts` and reports the round's
+    /// node transitions in `moved`: nodes going offline in `left`, nodes
+    /// rejoining in `rejoined` (never in local round 0, which is `init`'s).
+    fn begin_round(&mut self, round: u64, metrics: &mut Metrics, moved: &mut Transitions);
 
     /// The round's topology for the stepper and [`crate::Ctx::link_up`];
     /// `None` when it never changes.
@@ -528,7 +491,7 @@ pub(crate) trait ChurnHook {
 pub(crate) struct NoChurn;
 
 impl ChurnHook for NoChurn {
-    fn begin_round(&mut self, _round: u64, _metrics: &mut Metrics) {}
+    fn begin_round(&mut self, _round: u64, _metrics: &mut Metrics, _moved: &mut Transitions) {}
 
     fn view(&self) -> Option<&ChurnState<'_>> {
         None
@@ -560,8 +523,9 @@ const REJOINING: u8 = 2;
 /// dense maps by edge and node id, and the event log.
 ///
 /// [`ChurnHook::begin_round`] diffs the schedule into the maps once per
-/// round, logging each change; every verdict inside the round (the merge,
-/// the stepper's skips and rejoins, [`crate::Ctx::link_up`],
+/// round, logging each change and reporting the nodes that go offline or
+/// rejoin to the engine ([`Transitions`]); every verdict inside the round
+/// (the merge, the stepper's skips and rejoins, [`crate::Ctx::link_up`],
 /// [`ChurnHook::down_count`]) is then a map read. Debug builds check every
 /// read against the [`ChurnSchedule`] oracle.
 pub(crate) struct ChurnState<'p> {
@@ -674,7 +638,7 @@ impl ChurnHook for ChurnState<'_> {
     /// and each edge costs one splitmix against the integer threshold (plus
     /// its schedule scan if it has one); every other round re-evaluates
     /// just the explicitly scheduled edges, in the same ascending order.
-    fn begin_round(&mut self, round: u64, metrics: &mut Metrics) {
+    fn begin_round(&mut self, round: u64, metrics: &mut Metrics, moved: &mut Transitions) {
         let sched = self.sched;
         let (g, flap_len) = (round + sched.offset, sched.flap_len);
         self.round = round;
@@ -705,6 +669,7 @@ impl ChurnHook for ChurnState<'_> {
                 if was != DOWN {
                     self.node[v] = DOWN;
                     self.down += 1;
+                    moved.left.push(node.0);
                     self.events.push(ChurnEvent {
                         round,
                         kind: ChurnKind::NodeDown { node },
@@ -714,6 +679,7 @@ impl ChurnHook for ChurnState<'_> {
                 self.node[v] = REJOINING;
                 self.down -= 1;
                 metrics.restarts += 1;
+                moved.rejoined.push(node.0);
                 self.events.push(ChurnEvent {
                     round,
                     kind: ChurnKind::NodeRejoin { node },
@@ -860,32 +826,51 @@ mod tests {
         let mut m = Metrics::default();
         let down_counts: Vec<u64> = (0..12)
             .map(|r| {
-                st.begin_round(r, &mut m);
+                st.begin_round(r, &mut m, &mut Transitions::default());
                 st.down_count()
             })
             .collect();
         assert_eq!(down_counts, [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0]);
     }
 
+    /// `(local round, node)` pairs.
+    type Moves = Vec<(u64, u32)>;
+
+    /// The transitions [`ChurnState::begin_round`] reports over local
+    /// rounds `0..rounds`: nodes going offline, nodes rejoining.
+    fn transitions(s: &ChurnSchedule, rounds: u64) -> (Moves, Moves) {
+        let mut st = ChurnState::new(s);
+        let mut m = Metrics::default();
+        let (mut left, mut rejoined) = (Vec::new(), Vec::new());
+        for r in 0..rounds {
+            let mut moved = Transitions::default();
+            st.begin_round(r, &mut m, &mut moved);
+            left.extend(moved.left.iter().map(|&v| (r, v)));
+            rejoined.extend(moved.rejoined.iter().map(|&v| (r, v)));
+        }
+        (left, rejoined)
+    }
+
     #[test]
-    fn down_and_rejoin_events_mirror_the_predicates() {
+    fn reported_transitions_mirror_the_predicates() {
         let plan = ChurnPlan::none()
             .with_restart(NodeId(2), 4, 3)
             .with_restart(NodeId(2), 6, 4) // merged with the above to [4, 10)
             .with_restart(NodeId(0), 1, 2);
         let s = plan.normalize(4, 2);
-        assert_eq!(s.down_events(), vec![(1, 0), (4, 2)]);
-        assert_eq!(s.rejoin_events(), vec![(3, 0), (10, 2)]);
-        // The events are exactly the predicates' firing rounds.
+        let (left, rejoined) = transitions(&s, 16);
+        assert_eq!(left, vec![(1, 0), (4, 2)]);
+        assert_eq!(rejoined, vec![(3, 0), (10, 2)]);
+        // The transitions are exactly the predicates' firing rounds.
         for v in 0..4usize {
             for r in 0..16u64 {
                 assert_eq!(
-                    s.rejoin_events().contains(&(r, v as u32)),
+                    rejoined.contains(&(r, v as u32)),
                     s.rejoining(r, v),
                     "rejoin mismatch at round {r}, node {v}"
                 );
                 assert_eq!(
-                    s.down_events().contains(&(r, v as u32)),
+                    left.contains(&(r, v as u32)),
                     s.node_down(r, v) && (r == 0 || !s.node_down(r - 1, v)),
                     "down-entry mismatch at round {r}, node {v}"
                 );
@@ -894,39 +879,35 @@ mod tests {
     }
 
     #[test]
-    fn down_and_rejoin_events_respect_the_offset() {
+    fn reported_transitions_respect_the_offset() {
         // [10, 12) seen from offset 9: down in local rounds 1–2, rejoin 3.
         let s = ChurnPlan::none()
             .with_restart(NodeId(1), 10, 2)
             .at_offset(9)
             .normalize(2, 1);
-        assert_eq!(s.down_events(), vec![(1, 1)]);
-        assert_eq!(s.rejoin_events(), vec![(3, 1)]);
+        assert_eq!(transitions(&s, 8), (vec![(1, 1)], vec![(3, 1)]));
         // An outage already in progress at local round 0 enters at round 0.
         let s = ChurnPlan::none()
             .with_restart(NodeId(0), 2, 10)
             .at_offset(5)
             .normalize(2, 1);
         assert!(s.node_down(0, 0));
-        assert_eq!(s.down_events(), vec![(0, 0)]);
-        assert_eq!(s.rejoin_events(), vec![(7, 0)]);
-        // An outage entirely before local time never fires either event.
+        assert_eq!(transitions(&s, 12), (vec![(0, 0)], vec![(7, 0)]));
+        // An outage entirely before local time reports nothing.
         let s = ChurnPlan::none()
             .with_restart(NodeId(0), 2, 3)
             .at_offset(20)
             .normalize(2, 1);
-        assert!(s.down_events().is_empty());
-        assert!(s.rejoin_events().is_empty());
+        assert_eq!(transitions(&s, 12), (vec![], vec![]));
         // An outage whose rejoin lands exactly at local round 0: the raw
         // predicate fires, but round 0 dispatches `init` in every engine
-        // (shadowing `on_restart`), so the event list omits it by design.
+        // (shadowing `on_restart`), so no rejoin is reported.
         let s = ChurnPlan::none()
             .with_restart(NodeId(0), 2, 3)
             .at_offset(5)
             .normalize(2, 1);
         assert!(s.rejoining(0, 0));
-        assert!(s.down_events().is_empty());
-        assert!(s.rejoin_events().is_empty());
+        assert_eq!(transitions(&s, 12), (vec![], vec![]));
     }
 
     #[test]
@@ -1025,7 +1006,7 @@ mod tests {
         let mut st = ChurnState::new(&sched);
         let mut m = Metrics::default();
         for r in 0..7 {
-            st.begin_round(r, &mut m);
+            st.begin_round(r, &mut m, &mut Transitions::default());
         }
         assert_eq!(
             st.events,

@@ -164,19 +164,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// The earliest scheduled crash round per node (`u64::MAX` = never).
-    ///
-    /// A pure function of the plan, read by the stepper so that "is `v`
-    /// crashed in round `r`?" needs no mutable state.
-    pub(crate) fn crash_rounds(&self, n: usize) -> Vec<u64> {
-        let mut rounds = vec![u64::MAX; n];
-        for c in &self.crashes {
-            let slot = &mut rounds[c.node.index()];
-            *slot = (*slot).min(c.round);
-        }
-        rounds
-    }
 }
 
 /// What a single injected fault did.
@@ -292,6 +279,26 @@ pub(crate) fn unit(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The node transitions the damage hooks report as they begin a round
+/// ([`FaultHook::begin_round`], [`crate::churn::ChurnHook::begin_round`]),
+/// into a buffer the round engine owns and clears every round. They are the
+/// engine's only source of node liveness events: `left` retires nodes from
+/// its AllDone counter, `rejoined` wakes them on the active-set engine.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Transitions {
+    /// Nodes that crash-stopped or went offline this round.
+    pub(crate) left: Vec<u32>,
+    /// Nodes that rejoin this round after an outage.
+    pub(crate) rejoined: Vec<u32>,
+}
+
+impl Transitions {
+    pub(crate) fn clear(&mut self) {
+        self.left.clear();
+        self.rejoined.clear();
+    }
+}
+
 /// How the executor consults fault injection, round by round and message by
 /// message. The clean path uses the inert [`NoFaults`] implementation, which
 /// monomorphizes every hook call away; the faulty path uses [`FaultState`].
@@ -299,8 +306,9 @@ pub(crate) fn unit(word: u64) -> f64 {
 /// The sampling methods take `&self`: a verdict is a pure function of the
 /// message's identity, never of sampling order.
 pub(crate) trait FaultHook {
-    /// Applies start-of-round effects (crash-stops) to `metrics`.
-    fn begin_round(&mut self, round: u64, metrics: &mut Metrics);
+    /// Applies start-of-round effects (crash-stops) to `metrics` and
+    /// reports the nodes that crash-stop this round in `moved.left`.
+    fn begin_round(&mut self, round: u64, metrics: &mut Metrics, moved: &mut Transitions);
 
     /// Whether `v` has crash-stopped at or before the current round.
     fn is_crashed(&self, v: usize) -> bool;
@@ -322,7 +330,7 @@ pub(crate) trait FaultHook {
 pub(crate) struct NoFaults;
 
 impl FaultHook for NoFaults {
-    fn begin_round(&mut self, _round: u64, _metrics: &mut Metrics) {}
+    fn begin_round(&mut self, _round: u64, _metrics: &mut Metrics, _moved: &mut Transitions) {}
 
     fn is_crashed(&self, _v: usize) -> bool {
         false
@@ -345,7 +353,9 @@ impl FaultHook for NoFaults {
 ///
 /// Holds only what sampling cannot derive: the borrowed plan, which nodes
 /// have crashed so far, and the event log. The message verdicts themselves
-/// are stateless PRF evaluations.
+/// are stateless PRF evaluations. The crashed map is the engine's one record
+/// of crash-stops: the stepper and the merge ask [`FaultHook::is_crashed`],
+/// and the AllDone counter reads the [`Transitions`] each round reports.
 pub(crate) struct FaultState<'p> {
     plan: &'p FaultPlan,
     pub(crate) crashed: Vec<bool>,
@@ -364,13 +374,15 @@ impl<'p> FaultState<'p> {
 }
 
 impl FaultHook for FaultState<'_> {
-    /// Marks nodes whose crash round has arrived; updates `metrics.crashed`.
-    fn begin_round(&mut self, round: u64, metrics: &mut Metrics) {
+    /// Marks nodes whose crash round has arrived (a node scheduled twice
+    /// crashes at its earliest entry); updates `metrics.crashed`.
+    fn begin_round(&mut self, round: u64, metrics: &mut Metrics, moved: &mut Transitions) {
         for i in 0..self.plan.crashes.len() {
             let c = self.plan.crashes[i];
             if c.round == round && !self.crashed[c.node.index()] {
                 self.crashed[c.node.index()] = true;
                 metrics.crashed += 1;
+                moved.left.push(c.node.0);
                 self.events.push(FaultEvent {
                     round,
                     node: c.node,
@@ -603,20 +615,35 @@ mod tests {
             .with_crash(NodeId(2), 3);
         let mut fs = FaultState::new(&plan, 4).unwrap();
         let mut m = Metrics::default();
+        let mut moved = Transitions::default();
         for r in 0..6 {
-            fs.begin_round(r, &mut m);
+            fs.begin_round(r, &mut m, &mut moved);
         }
         assert_eq!(m.crashed, 1, "duplicate schedule entries fire once");
+        assert_eq!(moved.left, vec![2]);
         assert!(fs.is_crashed(2));
         assert!(!fs.is_crashed(0));
     }
 
+    /// A node scheduled twice is reported once, at its earliest entry,
+    /// whatever the plan's order; nothing ever rejoins.
     #[test]
-    fn crash_rounds_take_the_earliest_schedule_entry() {
+    fn crashes_are_reported_once_at_the_earliest_schedule_entry() {
         let plan = FaultPlan::none()
             .with_crash(NodeId(1), 9)
             .with_crash(NodeId(1), 4)
             .with_crash(NodeId(3), 0);
-        assert_eq!(plan.crash_rounds(4), vec![u64::MAX, 4, u64::MAX, 0]);
+        let mut fs = FaultState::new(&plan, 4).unwrap();
+        let mut m = Metrics::default();
+        let mut reported = Vec::new();
+        for r in 0..12 {
+            let mut moved = Transitions::default();
+            fs.begin_round(r, &mut m, &mut moved);
+            assert!(moved.rejoined.is_empty());
+            reported.extend(moved.left.iter().map(|&v| (r, v)));
+            assert_eq!(fs.is_crashed(1), r >= 4, "node 1 in round {r}");
+        }
+        assert_eq!(reported, vec![(0, 3), (4, 1)]);
+        assert_eq!(m.crashed, 2);
     }
 }

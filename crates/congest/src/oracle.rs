@@ -21,6 +21,7 @@
 //! against the churn schedule evaluated from scratch.
 
 use crate::churn::{ChurnHook, ChurnKind, ChurnState};
+use crate::faults::Transitions;
 use crate::{
     ChurnEvent, ChurnPlan, CongestError, FaultEvent, Metrics, Observe, ProfileConfig, Protocol,
     RunConfig, RunTrace, Simulator, TraceConfig, TrafficProfile,
@@ -154,9 +155,11 @@ where
 /// for local rounds `0..rounds` and asserts, every round, that the view the
 /// engine reads agrees with the schedule evaluated from scratch, for every
 /// edge and node: edge and node states, rejoin flags (never in round 0,
-/// which is `init`'s), lost links and the down count. Its event log and
-/// restart count must equal those of a brute-force diff of every edge and
-/// every node in every round. Returns the event log.
+/// which is `init`'s), lost links, the down count, and the node transitions
+/// the round reports to the engine (nodes going offline, nodes rejoining,
+/// each ascending by id). Its event log and restart count must equal those
+/// of a brute-force diff of every edge and every node in every round.
+/// Returns the event log.
 ///
 /// # Panics
 ///
@@ -177,7 +180,9 @@ pub fn assert_churn_view_agrees(
     let mut edge_was = vec![false; m];
     let mut node_was = vec![false; n];
     for r in 0..rounds {
-        st.begin_round(r, &mut got);
+        let mut moved = Transitions::default();
+        st.begin_round(r, &mut got, &mut moved);
+        let mut want_moved = Transitions::default();
         for (e, was) in edge_was.iter_mut().enumerate() {
             let down = s.edge_down(r, e);
             assert_eq!(st.edge_down(e), down, "edge {e}, round {r}, {plan:?}");
@@ -203,6 +208,12 @@ pub fn assert_churn_view_agrees(
                 rejoins,
                 "rejoin of {v}, round {r}, {plan:?}"
             );
+            if down && !*was {
+                want_moved.left.push(v as u32);
+            }
+            if rejoins {
+                want_moved.rejoined.push(v as u32);
+            }
             if down != *was {
                 *was = down;
                 let node = NodeId(v as u32);
@@ -227,6 +238,7 @@ pub fn assert_churn_view_agrees(
         }
         let down_now = (0..n).filter(|&v| s.node_down(r, v)).count() as u64;
         assert_eq!(st.down_count(), down_now, "down count, round {r}, {plan:?}");
+        assert_eq!(moved, want_moved, "node transitions, round {r}, {plan:?}");
     }
     assert_eq!(st.events, want_events, "event log of {plan:?}");
     assert_eq!(got, want, "metrics of {plan:?}");

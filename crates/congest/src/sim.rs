@@ -47,9 +47,10 @@
 //! exactly the ordered merge's, and per-round cost is proportional to
 //! traffic + activity, not to `n`.
 
-use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnSchedule, ChurnState, NoChurn};
+use crate::churn::{ChurnEvent, ChurnHook, ChurnPlan, ChurnState, NoChurn};
 use crate::faults::{
     keyed_splitmix, Fate, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultState, NoFaults,
+    Transitions,
 };
 use crate::observe::{Observe, Observed, Phase, Recorder};
 use crate::profile::{class, TrafficClass};
@@ -753,6 +754,9 @@ struct Scratch<M> {
     /// Last reported `is_done` per node (plus forced done for crashed and
     /// churn-offline nodes), backing the AllDone counter.
     done: Vec<bool>,
+    /// The node transitions the damage hooks report each round (cleared
+    /// at the start of every round).
+    moved: Transitions,
 }
 
 impl<M> Default for Scratch<M> {
@@ -771,6 +775,7 @@ impl<M> Default for Scratch<M> {
             active: ActiveSet::default(),
             all_nodes: Vec::new(),
             done: Vec::new(),
+            moved: Transitions::default(),
         }
     }
 }
@@ -810,16 +815,14 @@ impl<M> Scratch<M> {
 /// (two-pointer merge against the arena's ascending receiver list), runs
 /// `init`/`round`/`on_restart`, and appends staged sends, done flags and
 /// wake requests to a [`StepOut`] in ascending node order, together with
-/// the span events when tracing is on. Everything else about a round lives
-/// in [`round_engine`].
+/// the span events when tracing is on. Which nodes sit a round out it reads
+/// from the damage hooks' state for that round ([`skips`]). Everything else
+/// about a round lives in [`round_engine`].
 struct Stepper<'a, P: Protocol> {
     nodes: &'a mut [P],
     rngs: &'a mut [StdRng],
     staged: Vec<Option<(TrafficClass, P::Message)>>,
     csr: &'a Csr,
-    /// Round at which each node crash-stops (`u64::MAX` = never); empty on
-    /// the clean path.
-    crash_round: &'a [u64],
     budget_bits: usize,
     /// The round being stepped.
     round: u64,
@@ -828,15 +831,15 @@ struct Stepper<'a, P: Protocol> {
     reverse: bool,
 }
 
-impl<P: Protocol> Stepper<'_, P> {
-    /// Whether `v` sits the round out: crash-stopped, or offline under churn
-    /// (like a crash, but temporary). Its inbox is discarded either way.
-    #[inline]
-    fn skips(&self, v: usize, churn: Option<&ChurnState<'_>>) -> bool {
-        self.crash_round.get(v).is_some_and(|&r| r <= self.round)
-            || churn.is_some_and(|ch| ch.node_down(v))
-    }
+/// Whether `v` sits the round out: crash-stopped ([`FaultHook::is_crashed`],
+/// a constant `false` on the clean path), or offline under churn (like a
+/// crash, but temporary). Its inbox is discarded either way.
+#[inline]
+fn skips<H: FaultHook>(hook: &H, v: usize, churn: Option<&ChurnState<'_>>) -> bool {
+    hook.is_crashed(v) || churn.is_some_and(|ch| ch.node_down(v))
+}
 
+impl<P: Protocol> Stepper<'_, P> {
     /// Steps node `v`: runs `init`, `on_restart` or `round` on `group`,
     /// then appends the node's staged sends, done flag and wake request to
     /// `out`. Returns the node's CONGEST violation, if any.
@@ -912,14 +915,17 @@ impl<P: Protocol> Stepper<'_, P> {
     /// `woken`, when given, is the set the active-set engine would have
     /// stepped this round; every other stepped node is checked to be a
     /// no-op (the debug-build [`Protocol::SPARSE_AWARE`] contract check).
-    /// `churn` is the round's topology ([`ChurnHook::view`]).
-    fn step(
+    /// `hook` holds the round's crash-stops and `churn` its topology
+    /// ([`ChurnHook::view`]).
+    #[allow(clippy::too_many_arguments)]
+    fn step<H: FaultHook>(
         &mut self,
         round: u64,
         active: &[u32],
         woken: Option<&ActiveSet>,
         inbox: &InboxArena<P::Message>,
         out: &mut StepOut<P::Message>,
+        hook: &H,
         churn: Option<&ChurnState<'_>>,
     ) -> Option<CongestError> {
         self.round = round;
@@ -936,7 +942,7 @@ impl<P: Protocol> Stepper<'_, P> {
                     group = inbox.group(ri);
                     ri += 1;
                 }
-                if self.skips(v, churn) {
+                if skips(hook, v, churn) {
                     continue;
                 }
                 if let Some(err) = self.step_node(v, group, out, skippable(vu), churn) {
@@ -966,7 +972,7 @@ impl<P: Protocol> Stepper<'_, P> {
                     ri -= 1;
                     group = inbox.group(ri);
                 }
-                if self.skips(v, churn) {
+                if skips(hook, v, churn) {
                     continue;
                 }
                 if let Some(err) = self.step_node(v, group, out, skippable(vu), churn) {
@@ -1027,24 +1033,6 @@ impl SkipCheck {
     }
 }
 
-/// Precomputed per-run event streams shared by both engines, each sorted
-/// ascending by `(round, node)`:
-///
-/// * `crash_events` / `down_events` drive the AllDone counter's forced-done
-///   bookkeeping (a crashed or churn-offline node counts as done while
-///   down) on the sparse *and* full-sweep paths;
-/// * `rejoin_events` wake restarting nodes on the sparse path (the full
-///   sweep steps them anyway, and its debug-build contract check counts
-///   them as woken).
-struct Wakeups {
-    /// Whether the active-set engine is in effect
-    /// ([`Protocol::SPARSE_AWARE`] and not [`RunConfig::full_sweep`]).
-    sparse: bool,
-    crash_events: Vec<(u64, u32)>,
-    down_events: Vec<(u64, u32)>,
-    rejoin_events: Vec<(u64, u32)>,
-}
-
 /// The one round-loop engine behind every execution path.
 ///
 /// Per round: start-of-round fault effects (crashes), active-set
@@ -1061,8 +1049,12 @@ struct Wakeups {
 /// O(n): the active set is mail receivers (this round's arena groups), due
 /// [`Ctx::wake_in`] timers, and churn rejoins; round 0 steps everyone.
 ///
-/// The churn hook diffs each round's topology once, at the start of the
-/// round; the stepper, [`Ctx::link_up`] and the merge read that view.
+/// The damage hooks move their state to each round once, at its start,
+/// and report its node transitions ([`Transitions`]): nodes that crash-stop
+/// or go offline count as done for the AllDone counter on both engines,
+/// and rejoining nodes are woken on the sparse path (the full sweep steps
+/// them anyway, and its debug-build contract check counts them as woken).
+/// The stepper, [`Ctx::link_up`] and the merge read the same state.
 /// With [`Observe::phases`] on, the recorder times the round's phases
 /// (`topology`, `activate`, `step`, `merge`, `group`).
 ///
@@ -1076,7 +1068,6 @@ fn round_engine<P, H, C>(
     stepper: &mut Stepper<'_, P>,
     hook: &mut H,
     churn: &mut C,
-    wk: &Wakeups,
     rec: &mut Recorder,
 ) -> Result<Metrics>
 where
@@ -1100,13 +1091,16 @@ where
         active,
         all_nodes,
         done,
+        moved,
         ..
     } = scratch;
+    // Whether the active-set engine is in effect.
+    let sparse = P::SPARSE_AWARE && !cfg.full_sweep;
     // Debug builds check the SPARSE_AWARE contract on the full sweep: the
     // engine keeps the timers and wake set the active-set engine would, and
     // every node stepped outside that set must be a no-op (see
     // [`SkipCheck`]).
-    let check = cfg!(debug_assertions) && P::SPARSE_AWARE && !wk.sparse;
+    let check = cfg!(debug_assertions) && P::SPARSE_AWARE && !sparse;
     // The stepper records exactly the observations the recorder wants (and
     // the span events the contract check must see).
     out.events = (rec.traces() || check).then(Vec::new);
@@ -1121,35 +1115,26 @@ where
     let mut live_not_done = n;
     // Sparse wake timers: absolute round -> nodes that asked to step then.
     let mut timers: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    let (mut crash_i, mut down_i, mut rejoin_i) = (0usize, 0usize, 0usize);
 
     'rounds: for round in 0..=cfg.max_rounds {
         // Open the round before its crashes are applied, so its sample
         // records them.
         rec.begin_round(round, metrics);
-        hook.begin_round(round, &mut metrics);
-        churn.begin_round(round, &mut metrics);
+        moved.clear();
+        hook.begin_round(round, &mut metrics, moved);
+        churn.begin_round(round, &mut metrics, moved);
         rec.lap(Phase::Topology);
         // Nodes leaving the computation this round count as done: fault
         // crash-stops permanently, churn outages until the rejoin step
         // re-reports the node's own `is_done`.
-        while crash_i < wk.crash_events.len() && wk.crash_events[crash_i].0 <= round {
-            let v = wk.crash_events[crash_i].1 as usize;
-            crash_i += 1;
+        for &v in &moved.left {
+            let v = v as usize;
             if !done[v] {
                 done[v] = true;
                 live_not_done -= 1;
             }
         }
-        while down_i < wk.down_events.len() && wk.down_events[down_i].0 <= round {
-            let v = wk.down_events[down_i].1 as usize;
-            down_i += 1;
-            if !done[v] {
-                done[v] = true;
-                live_not_done -= 1;
-            }
-        }
-        if wk.sparse || check {
+        if sparse || check {
             active.begin();
             if round == 0 {
                 // Everyone inits.
@@ -1172,20 +1157,17 @@ where
                 }
                 // ...and churn rejoins (their `on_restart` must run even
                 // with an empty inbox).
-                while rejoin_i < wk.rejoin_events.len() && wk.rejoin_events[rejoin_i].0 <= round {
-                    if wk.rejoin_events[rejoin_i].0 == round {
-                        active.insert(wk.rejoin_events[rejoin_i].1);
-                    }
-                    rejoin_i += 1;
+                for &v in &moved.rejoined {
+                    active.insert(v);
                 }
             }
             active.finish();
         }
         rec.lap(Phase::Activate);
-        let active_list: &[u32] = if wk.sparse { &active.list } else { all_nodes };
+        let active_list: &[u32] = if sparse { &active.list } else { all_nodes };
         out.clear();
         let woken = check.then_some(&*active);
-        if let Some(err) = stepper.step(round, active_list, woken, cur, out, churn.view()) {
+        if let Some(err) = stepper.step(round, active_list, woken, cur, out, hook, churn.view()) {
             result = Err(err);
             break 'rounds;
         }
@@ -1200,7 +1182,7 @@ where
                 }
             }
         }
-        if wk.sparse || check {
+        if sparse || check {
             for &(v, r) in out.wakes.iter() {
                 timers.entry(r).or_default().push(v);
             }
@@ -1218,7 +1200,7 @@ where
             g.inbox_queued = cur.slab.len() as u64;
             g.staged_sends = out.slab.len() as u64;
             // The checked full sweep's timers are not a queue it serves.
-            g.wake_queue = if wk.sparse {
+            g.wake_queue = if sparse {
                 timers.values().map(|v| v.len() as u64).sum()
             } else {
                 0
@@ -1582,43 +1564,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             None => None,
         };
         match (faulty, &sched) {
-            (None, None) => {
-                self.dispatch(cfg, &mut NoFaults, &mut NoChurn, None, &[], reverse_visit)
-            }
+            (None, None) => self.dispatch(cfg, &mut NoFaults, &mut NoChurn, reverse_visit),
             (Some(plan), None) => {
                 let mut fs = FaultState::new(plan, n)?;
-                let crash_round = plan.crash_rounds(n);
-                let result = self.dispatch(
-                    cfg,
-                    &mut fs,
-                    &mut NoChurn,
-                    None,
-                    &crash_round,
-                    reverse_visit,
-                );
+                let result = self.dispatch(cfg, &mut fs, &mut NoChurn, reverse_visit);
                 self.fault_events = std::mem::take(&mut fs.events);
                 self.crashed = std::mem::take(&mut fs.crashed);
                 result
             }
             (None, Some(sched)) => {
                 let mut cs = ChurnState::new(sched);
-                let result =
-                    self.dispatch(cfg, &mut NoFaults, &mut cs, Some(sched), &[], reverse_visit);
+                let result = self.dispatch(cfg, &mut NoFaults, &mut cs, reverse_visit);
                 self.churn_events = std::mem::take(&mut cs.events);
                 result
             }
             (Some(plan), Some(sched)) => {
                 let mut fs = FaultState::new(plan, n)?;
-                let crash_round = plan.crash_rounds(n);
                 let mut cs = ChurnState::new(sched);
-                let result = self.dispatch(
-                    cfg,
-                    &mut fs,
-                    &mut cs,
-                    Some(sched),
-                    &crash_round,
-                    reverse_visit,
-                );
+                let result = self.dispatch(cfg, &mut fs, &mut cs, reverse_visit);
                 self.fault_events = std::mem::take(&mut fs.events);
                 self.crashed = std::mem::take(&mut fs.crashed);
                 self.churn_events = std::mem::take(&mut cs.events);
@@ -1627,38 +1590,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Picks the engine strategy (active-set vs full sweep), precomputes
-    /// the run's [`Wakeups`] event streams, and runs the engine over a
-    /// [`Stepper`] borrowing this simulator's nodes and RNG streams.
+    /// Runs the engine with the given damage hooks over a [`Stepper`]
+    /// borrowing this simulator's nodes and RNG streams.
     fn dispatch<H: FaultHook, C: ChurnHook>(
         &mut self,
         cfg: &RunConfig,
         hook: &mut H,
         churn: &mut C,
-        sched: Option<&ChurnSchedule>,
-        crash_round: &[u64],
         reverse_visit: bool,
     ) -> Result<Metrics> {
-        let sparse = P::SPARSE_AWARE && !cfg.full_sweep;
-        let mut crash_events: Vec<(u64, u32)> = crash_round
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r != u64::MAX)
-            .map(|(v, &r)| (r, v as u32))
-            .collect();
-        crash_events.sort_unstable();
-        let (mut down_events, mut rejoin_events) = match sched {
-            Some(s) => (s.down_events(), s.rejoin_events()),
-            None => (Vec::new(), Vec::new()),
-        };
-        down_events.sort_unstable();
-        rejoin_events.sort_unstable();
-        let wk = Wakeups {
-            sparse,
-            crash_events,
-            down_events,
-            rejoin_events,
-        };
         let budget_bits = cfg.budget_factor * bits_for_count(self.graph.len().max(2));
         self.edge_load.clear();
         self.edge_load.resize(self.graph.edge_count(), 0);
@@ -1680,22 +1620,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             rngs,
             staged,
             csr,
-            crash_round,
             budget_bits,
             round: 0,
             reverse: reverse_visit,
         };
         let mut rec = Recorder::new(observe, edge_load.len());
-        let result = round_engine(
-            cfg,
-            edge_load,
-            scratch,
-            &mut stepper,
-            hook,
-            churn,
-            &wk,
-            &mut rec,
-        );
+        let result = round_engine(cfg, edge_load, scratch, &mut stepper, hook, churn, &mut rec);
         *observed = rec.finish();
         scratch.staged = stepper.staged;
         result
@@ -2325,10 +2255,7 @@ mod tests {
         assert!(plan.is_trivial());
         let mut forced = Simulator::new(&g, walker_fleet(32), 9).unwrap();
         let mut fs = FaultState::new(&plan, g.len()).unwrap();
-        let crash_round = plan.crash_rounds(g.len());
-        let m_forced = forced
-            .dispatch(&cfg, &mut fs, &mut NoChurn, None, &crash_round, false)
-            .unwrap();
+        let m_forced = forced.dispatch(&cfg, &mut fs, &mut NoChurn, false).unwrap();
 
         assert_eq!(m_clean, m_forced, "metrics diverged");
         let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();
@@ -2367,7 +2294,7 @@ mod tests {
         let sched = plan.normalize(g.len(), g.edge_count());
         let mut cs = ChurnState::new(&sched);
         let m_forced = forced
-            .dispatch(&cfg, &mut NoFaults, &mut cs, Some(&sched), &[], false)
+            .dispatch(&cfg, &mut NoFaults, &mut cs, false)
             .unwrap();
         assert_eq!(m_clean, m_forced, "metrics diverged");
         let t_clean: Vec<u64> = clean.nodes().iter().map(|p| p.trace).collect();

@@ -1,5 +1,6 @@
-//! Mixing-time computation: exact (Definition 2.1), spectral estimate, and
-//! the Cheeger bound of Lemma 2.3.
+//! Mixing-time computation: exact (Definition 2.1) and spectral estimate.
+//! The Cheeger bound of Lemma 2.3 is
+//! [`amt_graphs::expansion::cheeger_mixing_bound`].
 
 use crate::WalkKind;
 use amt_graphs::{expansion, Graph};
@@ -13,6 +14,22 @@ use amt_graphs::{expansion, Graph};
 /// `None` if the bound `max_t` is hit first (e.g. disconnected graphs never
 /// mix).
 pub fn mixing_time_exact(g: &Graph, kind: WalkKind, max_t: u32) -> Option<u32> {
+    let nf = g.len() as f64;
+    first_mixed_round(g, kind, max_t, |row, pi| {
+        row.iter().zip(pi).all(|(p, s)| (p - s).abs() <= s / nf)
+    })
+}
+
+/// The minimum `t ≤ max_t` at which `mixed(P_v^t, π)` holds for every
+/// source `v`, by dense distribution evolution of one row per source;
+/// `None` if `max_t` is hit first. The loop behind [`mixing_time_exact`]
+/// and [`crate::times::tv_mixing_time`], which differ only in `mixed`.
+pub(crate) fn first_mixed_round(
+    g: &Graph,
+    kind: WalkKind,
+    max_t: u32,
+    mixed: impl Fn(&[f64], &[f64]) -> bool,
+) -> Option<u32> {
     let n = g.len();
     if n == 0 {
         return None;
@@ -22,7 +39,6 @@ pub fn mixing_time_exact(g: &Graph, kind: WalkKind, max_t: u32) -> Option<u32> {
     }
     let delta = g.max_degree();
     let pi: Vec<f64> = g.nodes().map(|v| kind.stationary(g, v)).collect();
-    let tol: Vec<f64> = pi.iter().map(|p| p / n as f64).collect();
     // One distribution row per source node.
     let mut rows: Vec<Vec<f64>> = (0..n)
         .map(|v| {
@@ -32,14 +48,7 @@ pub fn mixing_time_exact(g: &Graph, kind: WalkKind, max_t: u32) -> Option<u32> {
         })
         .collect();
     let mut scratch = vec![0.0; n];
-    let within = |rows: &[Vec<f64>]| {
-        rows.iter().all(|row| {
-            row.iter()
-                .zip(&pi)
-                .zip(&tol)
-                .all(|((p, s), t)| (p - s).abs() <= *t)
-        })
-    };
+    let within = |rows: &[Vec<f64>]| rows.iter().all(|row| mixed(row, &pi));
     if within(&rows) {
         return Some(0);
     }
@@ -137,12 +146,6 @@ pub fn mixing_time_spectral(g: &Graph, kind: WalkKind, power_iters: usize) -> Op
     Some(t.max(1.0) as u32)
 }
 
-/// The Lemma 2.3 Cheeger bound on the 2Δ-regular mixing time:
-/// `τ̄_mix ≤ 8·Δ²/h(G)² · ln n`, given the edge expansion `h(G)`.
-pub fn cheeger_bound(g: &Graph, edge_expansion: f64) -> f64 {
-    expansion::cheeger_mixing_bound(g, edge_expansion)
-}
-
 /// Total-variation distance between two distributions.
 pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
@@ -233,7 +236,7 @@ mod tests {
             generators::ring(12),
         ] {
             let h = amt_graphs::expansion::edge_expansion_exact(&g).unwrap();
-            let bound = cheeger_bound(&g, h);
+            let bound = amt_graphs::expansion::cheeger_mixing_bound(&g, h);
             let exact = mixing_time_exact(&g, WalkKind::DeltaRegular, 50_000).unwrap();
             assert!(
                 (exact as f64) <= bound,

@@ -78,41 +78,9 @@ pub fn empirical_cover_time<R: Rng>(
 /// Always at most the Definition 2.1 mixing time, which demands per-entry
 /// *relative* accuracy `π(u)/n`.
 pub fn tv_mixing_time(g: &Graph, kind: WalkKind, eps: f64, max_t: u32) -> Option<u32> {
-    let n = g.len();
-    if n == 0 {
-        return None;
-    }
-    if n == 1 {
-        return Some(0);
-    }
-    let delta = g.max_degree();
-    let pi: Vec<f64> = g.nodes().map(|v| kind.stationary(g, v)).collect();
-    let mut rows: Vec<Vec<f64>> = (0..n)
-        .map(|v| {
-            let mut x = vec![0.0; n];
-            x[v] = 1.0;
-            x
-        })
-        .collect();
-    let mut scratch = vec![0.0; n];
-    let within = |rows: &[Vec<f64>]| {
-        rows.iter()
-            .all(|row| mixing::total_variation(row, &pi) <= eps)
-    };
-    if within(&rows) {
-        return Some(0);
-    }
-    for t in 1..=max_t {
-        for row in rows.iter_mut() {
-            scratch.iter_mut().for_each(|v| *v = 0.0);
-            kind.evolve(g, delta, row, &mut scratch);
-            std::mem::swap(row, &mut scratch);
-        }
-        if within(&rows) {
-            return Some(t);
-        }
-    }
-    None
+    mixing::first_mixed_round(g, kind, max_t, |row, pi| {
+        mixing::total_variation(row, pi) <= eps
+    })
 }
 
 #[cfg(test)]
