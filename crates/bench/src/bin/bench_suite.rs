@@ -280,17 +280,33 @@ fn main() {
         boruvka_tier(&mut bench, name, expander(n, 6, 1), profile_cfg);
     }
 
-    // e2 routing, hierarchical: the canonical permutation on E1's n = 256
-    // network, which the paper MST tier below reuses.
+    // e2 build: E2's n = 256 hierarchy build (§3.1, once per network),
+    // repeated; its build rounds are gated exactly. The routing and paper
+    // MST tiers below reuse the network and its system.
     let n = 256usize;
     let g = expander(n, 6, 1);
     let levels = scaled_levels(g.volume(), 4);
-    let sys = System::builder(&g)
-        .seed(1)
-        .beta(4)
-        .levels(levels)
-        .build()
-        .expect("expander");
+    let build = || {
+        System::builder(&g)
+            .seed(1)
+            .beta(4)
+            .levels(levels)
+            .build()
+            .expect("expander")
+    };
+    let (build_rounds, wall) = repeat_median("e2_build_n256", || {
+        let t0 = Instant::now();
+        let sys = build();
+        (t0.elapsed(), sys.build_rounds())
+    });
+    let metrics = Metrics {
+        rounds: build_rounds,
+        ..Metrics::default()
+    };
+    bench.record("e2_build_n256", &metrics, None, wall);
+    let sys = build();
+
+    // e2 routing, hierarchical: the canonical permutation on that network.
     {
         let reqs = canonical_permutation(n);
         let (out, wall) = repeat_median("e2_route_hierarchy_n256", || {

@@ -70,7 +70,7 @@ pub fn build<R: Rng>(
     // walks to inform the in-edge endpoints.
     let base_rounds = run.stats.rounds + run.reverse_rounds() + run.replay_rounds(&kept_walks);
     // Freed before `Overlay::new` copies the paths, so the kept copy can
-    // take the walk arena's place instead of landing above it (DESIGN.md
+    // take the walk log's place instead of landing above it (DESIGN.md
     // §2d, memory shape).
     drop(run);
 

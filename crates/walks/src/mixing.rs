@@ -65,48 +65,6 @@ pub(crate) fn first_mixed_round(
     None
 }
 
-/// Exact "mixing time from one source": minimum `t` with
-/// `|P_v^t(u) − π(u)| ≤ π(u)/n` for all `u`. Lower-bounds
-/// [`mixing_time_exact`]; `O((n + m)·τ)`.
-pub fn mixing_time_from_source(
-    g: &Graph,
-    kind: WalkKind,
-    source: amt_graphs::NodeId,
-    max_t: u32,
-) -> Option<u32> {
-    let n = g.len();
-    if n == 0 {
-        return None;
-    }
-    if n == 1 {
-        return Some(0);
-    }
-    let delta = g.max_degree();
-    let pi: Vec<f64> = g.nodes().map(|v| kind.stationary(g, v)).collect();
-    let tol: Vec<f64> = pi.iter().map(|p| p / n as f64).collect();
-    let mut x = vec![0.0; n];
-    x[source.index()] = 1.0;
-    let mut scratch = vec![0.0; n];
-    let within = |x: &[f64]| {
-        x.iter()
-            .zip(&pi)
-            .zip(&tol)
-            .all(|((p, s), t)| (p - s).abs() <= *t)
-    };
-    if within(&x) {
-        return Some(0);
-    }
-    for t in 1..=max_t {
-        scratch.iter_mut().for_each(|v| *v = 0.0);
-        kind.evolve(g, delta, &x, &mut scratch);
-        std::mem::swap(&mut x, &mut scratch);
-        if within(&x) {
-            return Some(t);
-        }
-    }
-    None
-}
-
 /// Spectral upper estimate of the mixing time of Definition 2.1:
 /// `t ≥ ln(2mn·√(Δ/δ)/δ) / (−ln λ₂)`, from the standard reversible-chain
 /// bound `|P_v^t(u) − π(u)| ≤ √(π(u)/π(v))·λ₂^t`.
@@ -154,7 +112,7 @@ pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amt_graphs::{generators, NodeId};
+    use amt_graphs::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -182,22 +140,6 @@ mod tests {
     fn disconnected_graph_never_mixes() {
         let g = amt_graphs::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(mixing_time_exact(&g, WalkKind::Lazy, 500), None);
-    }
-
-    #[test]
-    fn from_source_lower_bounds_exact() {
-        let g = generators::lollipop(6, 5).unwrap();
-        let exact = mixing_time_exact(&g, WalkKind::Lazy, 5000).unwrap();
-        for v in [0usize, 5, 10] {
-            let s = mixing_time_from_source(&g, WalkKind::Lazy, NodeId::from(v), 5000).unwrap();
-            assert!(s <= exact, "source {v}: {s} > exact {exact}");
-        }
-        let worst = g
-            .nodes()
-            .map(|v| mixing_time_from_source(&g, WalkKind::Lazy, v, 5000).unwrap())
-            .max()
-            .unwrap();
-        assert_eq!(worst, exact);
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! on it each round). Per step it
 //!
 //! 1. **groups** the active tokens by current node with a counting sort
-//!    over their flat position storage (a prefix-sum pass computes the
+//!    over the dense position vector (a prefix-sum pass computes the
 //!    group offsets — no per-token `Vec` pushes),
 //! 2. **draws** the destinations of each node's group as one batch (draws
 //!    depend only on the node, so the batch is one RNG run per node),
 //! 3. **admits** the movers against directed-edge capacity — the flat
 //!    `loads`/`touched` counting pass whose maximum is the phase cost,
 //!    `max(1, …)` even when nothing moves — and commits every move into
-//!    the arena, and
+//!    the position vector and the step's log row, and
 //! 4. **recomputes** per-node token occupancy at the step boundary, *after*
 //!    all moves have committed.
 //!
@@ -40,32 +40,41 @@
 //!
 //! # Two entry points, one draw loop
 //!
-//! [`run_parallel_walks`] records every trajectory, the per-node peaks and
+//! [`run_parallel_walks`] records every walk's keys, the per-node peaks and
 //! the per-step costs. [`run_walk_ends`] is for callers that read only
 //! where equal-length walks end and what they cost (the router's
-//! preparation walk, portal discovery): it steps one current-position
-//! vector and records nothing else. Both run the same counting-sort
-//! grouping, the same admission pass and the same draw loop — only the
-//! commit of a drawn move differs — so for equal-length specs their ends,
-//! rounds, traversals and the RNG state afterwards are byte-identical
-//! (`tests/walk_properties.rs` checks the endpoint call against the full
-//! engine on random graphs, kinds, start sets and lengths).
-//! [`run_correlated_walks`] shares the grouping and the admission pass and
-//! draws its own round-robin deal.
+//! preparation walk, portal discovery): it records nothing but the ends.
+//! Both step one dense current-position vector through the same
+//! counting-sort grouping, the same admission pass and the same draw loop
+//! — only the commit of a drawn move differs — so for equal-length specs
+//! their ends, rounds, traversals and the RNG state afterwards are
+//! byte-identical (`tests/walk_properties.rs` checks the endpoint call
+//! against the full engine on random graphs, kinds, start sets and
+//! lengths). [`run_correlated_walks`] shares the grouping, the positions,
+//! the log and the admission pass and draws its own round-robin deal.
 //!
 //! # Arena layout
 //!
-//! Trajectories live in two flat arenas keyed by `(walk, step)`:
-//! `nodes` with stride `steps + 1` (positions after each step, including
-//! the start) and `keys` with stride `steps` holding *directed edge keys*
-//! `edge·2 + dir` (`dir = 0` iff the traversal leaves the edge's first
-//! endpoint), with [`STAY_KEY`] marking stay-steps. Walks shorter than the
-//! longest spec are padded with their final position (and `STAY_KEY`), so
-//! `position(walk, b)` is total: the node where the walk sits at boundary
-//! `b`. [`Trajectory`] is a zero-copy view into the arenas, and the
-//! Lemma 2.5 reverse/replay accounting ([`ParallelWalkRun::replay_rounds`],
-//! [`ParallelWalkRun::reverse_rounds`]) is a view over the forward log —
-//! the same flat `loads`/`touched` counting pass, no per-step hash maps.
+//! A run keeps one step-major key log: row `s` holds every walk's
+//! *directed edge key* at step `s`, `edge·2 + dir` (`dir = 0` iff the
+//! traversal leaves the edge's first endpoint), or [`STAY_KEY`] for a walk
+//! that stayed put or has already finished. Rows are opened one per step,
+//! all `STAY_KEY`, and a committed move writes its walk's entry in the
+//! current row, which stays cache-resident while the step draws. Positions
+//! are not logged: the engine steps the dense position vector, the
+//! grouping reads it, and it ends as the walks' ends. A walk-major log
+//! (positions and keys with a stride of about `steps` per walk) writes
+//! scattered cache lines every step: on the level-0 spec shape (n = 256,
+//! 24 576 lazy walks of 77 steps) it took 31–38 ns per walk-step against
+//! 17–26 ns for this layout (DESIGN.md §2b).
+//!
+//! [`Trajectory`] is a view over the log: the start, the end and the
+//! walk's strided column of keys; [`Trajectory::positions`] re-derives the
+//! visited nodes from the start and the keys. The Lemma 2.5 reverse/replay
+//! accounting ([`ParallelWalkRun::replay_rounds`],
+//! [`ParallelWalkRun::reverse_rounds`]) is a view over the forward log,
+//! one row per step, through the same flat `loads`/`touched` counting
+//! pass.
 
 use crate::WalkKind;
 use amt_congest::PhaseTimings;
@@ -83,24 +92,26 @@ pub struct WalkSpec {
     pub steps: u32,
 }
 
-/// Sentinel in the directed-edge-key arena: the walk stayed put that step.
+/// Sentinel in the key log: the walk stayed put that step, or had finished.
 pub const STAY_KEY: u32 = u32::MAX;
 
-/// Flat trajectory storage of a parallel-walk run.
+/// The step-major key log of a parallel-walk run.
 ///
-/// Positions and traversals for all walks live in two contiguous arenas
-/// (see the module docs for the layout); [`WalkArena::traj`] hands out
-/// zero-copy [`Trajectory`] views. Equality is byte-equality of the
-/// recorded walks, which the determinism suites pin across engines and
-/// repeat runs.
+/// Row `s` holds every walk's directed key at step `s` (see the module
+/// docs for the layout); the starts and ends are kept per walk, and there
+/// is no position log. [`WalkArena::traj`] hands out [`Trajectory`] views
+/// over the log. Equality is byte-equality of the recorded walks, which
+/// the determinism suites pin across repeat runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalkArena {
-    /// Positions, stride `steps + 1` per walk; finished walks are padded
-    /// with their final position.
-    nodes: Vec<u32>,
-    /// Directed edge key per step (`edge·2 + dir`), stride `steps`;
-    /// [`STAY_KEY`] for stay-steps and padding.
+    /// Directed edge key per `(step, walk)` (`edge·2 + dir`), one row of
+    /// `walk_count()` keys per step; [`STAY_KEY`] for stay-steps and for
+    /// walks that have finished.
     keys: Vec<u32>,
+    /// Start node per walk, in spec order.
+    starts: Vec<u32>,
+    /// End node per walk, in spec order.
+    ends: Vec<u32>,
     /// Global synchronous step count (the longest spec).
     steps: u32,
     /// Declared steps per walk, in spec order.
@@ -110,22 +121,6 @@ pub struct WalkArena {
 }
 
 impl WalkArena {
-    fn with_specs(g: &Graph, specs: &[WalkSpec]) -> Self {
-        let steps = specs.iter().map(|s| s.steps).max().unwrap_or(0);
-        let ns = steps as usize + 1;
-        let mut nodes = vec![0u32; specs.len() * ns];
-        for (i, s) in specs.iter().enumerate() {
-            nodes[i * ns] = s.start.0;
-        }
-        WalkArena {
-            nodes,
-            keys: vec![STAY_KEY; specs.len() * steps as usize],
-            steps,
-            walk_steps: specs.iter().map(|s| s.steps).collect(),
-            directed_keys: 2 * g.edge_count(),
-        }
-    }
-
     /// Number of recorded walks.
     pub fn walk_count(&self) -> usize {
         self.walk_steps.len()
@@ -136,70 +131,82 @@ impl WalkArena {
         self.steps
     }
 
-    /// The node where `walk` sits at step boundary `b ∈ 0..=steps()`
-    /// (finished walks report their final position — the padding makes
-    /// this total, so synchronous occupancy recounts need no per-walk
-    /// length checks).
-    pub fn position(&self, walk: usize, b: usize) -> u32 {
-        self.nodes[walk * (self.steps as usize + 1) + b]
+    /// Every walk's directed key at step `s`, in spec order.
+    fn row(&self, s: usize) -> &[u32] {
+        let w = self.walk_count();
+        &self.keys[s * w..(s + 1) * w]
     }
 
-    /// The directed edge key `walk` traversed at step `s`, or [`STAY_KEY`].
+    /// The directed edge key `walk` traversed at step `s`, or [`STAY_KEY`]
+    /// (also for every step after the walk's declared length).
     pub fn edge_key(&self, walk: usize, s: usize) -> u32 {
-        self.keys[walk * self.steps as usize + s]
+        self.row(s)[walk]
     }
 
-    /// Zero-copy view of one walk, trimmed to its declared length.
+    /// View of one walk, trimmed to its declared length.
     pub fn traj(&self, walk: usize) -> Trajectory<'_> {
-        let ws = self.walk_steps[walk] as usize;
-        let ns = self.steps as usize + 1;
-        let es = self.steps as usize;
         Trajectory {
-            nodes: &self.nodes[walk * ns..walk * ns + ws + 1],
-            keys: &self.keys[walk * es..walk * es + ws],
+            start: NodeId(self.starts[walk]),
+            end: NodeId(self.ends[walk]),
+            // With no steps the log is empty, and so is every column.
+            log: &self.keys[walk.min(self.keys.len())..],
+            stride: self.walk_count(),
+            steps: self.walk_steps[walk] as usize,
         }
     }
 }
 
-/// A zero-copy view of one recorded walk inside a [`WalkArena`].
+/// A view of one recorded walk inside a [`WalkArena`]: its start, its end
+/// and its column of the step-major key log.
 ///
-/// `nodes` has `steps + 1` entries (positions after each step, including
-/// the start). Traversals are exposed per step as [`Trajectory::edge`]
-/// (`None` = the walk stayed put) or as directed keys compatible with the
-/// embedding crate's `dir_key` convention. Trajectories are what the
+/// Traversals are exposed per step as [`Trajectory::edge`] (`None` = the
+/// walk stayed put) or as directed keys compatible with the embedding
+/// crate's `dir_key` convention; [`Trajectory::positions`] re-derives the
+/// visited nodes from the start and the keys. Trajectories are what the
 /// paper's constructions "run backwards": the reverse traversal visits the
 /// same edges in reverse order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub struct Trajectory<'a> {
-    /// Node positions, length `steps + 1`.
-    pub nodes: &'a [u32],
-    keys: &'a [u32],
+    start: NodeId,
+    end: NodeId,
+    /// The arena's log from this walk's step-0 key on; its key at step `s`
+    /// is `log[s · stride]`.
+    log: &'a [u32],
+    stride: usize,
+    steps: usize,
 }
 
 impl<'a> Trajectory<'a> {
     /// The walk's starting node.
     pub fn start(&self) -> NodeId {
-        NodeId(self.nodes[0])
+        self.start
     }
 
     /// The walk's final node.
     pub fn end(&self) -> NodeId {
-        NodeId(
-            *self
-                .nodes
-                .last()
-                .expect("trajectory has at least the start"),
-        )
+        self.end
     }
 
     /// Number of steps this walk declared.
     pub fn steps(&self) -> usize {
-        self.keys.len()
+        self.steps
+    }
+
+    /// The raw key per step ([`STAY_KEY`] = stayed), length [`steps`].
+    ///
+    /// [`steps`]: Trajectory::steps
+    fn keys(&self) -> impl Iterator<Item = u32> + 'a {
+        self.log
+            .iter()
+            .step_by(self.stride.max(1))
+            .take(self.steps)
+            .copied()
     }
 
     /// The edge traversed at step `s`, or `None` if the walk stayed put.
     pub fn edge(&self, s: usize) -> Option<EdgeId> {
-        let k = self.keys[s];
+        assert!(s < self.steps, "step {s} beyond the walk's {}", self.steps);
+        let k = self.log[s * self.stride];
         (k != STAY_KEY).then_some(EdgeId(k >> 1))
     }
 
@@ -207,19 +214,40 @@ impl<'a> Trajectory<'a> {
     ///
     /// [`steps`]: Trajectory::steps
     pub fn edges(&self) -> impl Iterator<Item = Option<EdgeId>> + 'a {
-        self.keys
-            .iter()
-            .map(|&k| (k != STAY_KEY).then_some(EdgeId(k >> 1)))
+        self.keys()
+            .map(|k| (k != STAY_KEY).then_some(EdgeId(k >> 1)))
     }
 
     /// The walk as directed edge keys `(edge << 1) | dir`, skipping
     /// stay-steps, where `dir = 0` iff the traversal leaves the edge's
     /// first endpoint — bit-compatible with `amt_embedding::dir_key`.
     pub fn dir_keys(&self) -> impl Iterator<Item = u64> + 'a {
-        self.keys
-            .iter()
-            .filter(|&&k| k != STAY_KEY)
-            .map(|&k| u64::from(k))
+        self.keys().filter(|&k| k != STAY_KEY).map(u64::from)
+    }
+
+    /// The node the walk sits at after each step, its start first
+    /// (`steps() + 1` entries), re-derived from the start and the keys of
+    /// `g`, the graph the walk ran on: a key with `dir = 0` arrives at its
+    /// edge's second endpoint, one with `dir = 1` at the first.
+    pub fn positions(&self, g: &'a Graph) -> impl Iterator<Item = NodeId> + 'a {
+        let mut at = self.start;
+        std::iter::once(at).chain(self.keys().map(move |k| {
+            if k != STAY_KEY {
+                let (a, b) = g.endpoints(EdgeId(k >> 1));
+                at = if k & 1 == 0 { b } else { a };
+            }
+            at
+        }))
+    }
+}
+
+impl std::fmt::Debug for Trajectory<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trajectory")
+            .field("start", &self.start)
+            .field("end", &self.end)
+            .field("keys", &self.keys().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -256,7 +284,7 @@ impl WalkStats {
 /// costs.
 #[derive(Clone, Debug)]
 pub struct ParallelWalkRun {
-    /// Flat trajectory storage, one walk per input spec, in order.
+    /// The step-major key log, one walk per input spec, in order.
     pub arena: WalkArena,
     /// Measured scheduling statistics.
     pub stats: WalkStats,
@@ -296,15 +324,16 @@ impl ParallelWalkRun {
     /// of them moves still costs one round and `replay_rounds(&[])` equals
     /// the step count; the overlay builders' round totals include it.
     ///
-    /// A view over the forward log: the arena stores the same directed
-    /// keys the forward pass admitted against, so replaying everything
-    /// reproduces [`WalkStats::rounds`] exactly.
+    /// A view over the forward log, one row per step: the arena stores the
+    /// same directed keys the forward pass admitted against, so replaying
+    /// everything reproduces [`WalkStats::rounds`] exactly.
     pub fn replay_rounds(&self, subset: &[usize]) -> u64 {
         let mut admission = Admission::new(self.arena.directed_keys);
         (0..self.stats.steps as usize)
             .map(|s| {
+                let row = self.arena.row(s);
                 for &i in subset {
-                    let key = self.arena.edge_key(i, s);
+                    let key = row[i];
                     if key != STAY_KEY {
                         admission.admit(key as usize);
                     }
@@ -475,8 +504,8 @@ impl Admission {
 }
 
 /// The trajectory engines' bookkeeping beyond grouping and admission: the
-/// longest-first active prefix and the step-boundary occupancy (module
-/// docs, step 4).
+/// longest-first active prefix, the dense positions, the key log and the
+/// step-boundary occupancy (module docs, step 4).
 struct BatchScratch {
     /// Walk ids ordered longest-spec-first (stable), so the active set at
     /// any step is a prefix and groups order longest-remaining first.
@@ -484,12 +513,17 @@ struct BatchScratch {
     /// Number of active walks at step `s` (a prefix length of `by_steps`).
     active_at: Vec<u32>,
     grouping: Grouping,
-    occupancy: Occupancy,
+    walks: Walks,
     admission: Admission,
 }
 
-/// Step-boundary token occupancy and its running peaks.
-struct Occupancy {
+/// The walks as the engine steps them: where each sits now, the key log
+/// so far and the step-boundary token occupancy.
+struct Walks {
+    /// Current node per walk; finished walks keep their final position.
+    pos: Vec<u32>,
+    /// The step-major key log, one row of `pos.len()` keys per step begun.
+    log: Vec<u32>,
     /// Token occupancy per node (all walks; finished walks stay counted
     /// at their final position, as resident tokens).
     node_tokens: Vec<u32>,
@@ -511,61 +545,96 @@ impl BatchScratch {
             node_tokens[s.start.index()] += 1;
         }
         BatchScratch {
+            // Allocated first: the order moves where glibc places the
+            // build's long-lived slabs among the freed walk buffers. Over
+            // seeds 1–8, `paper_build_route` peak RSS read 18.4–24.5 MB
+            // (median 22.0) this way and 20.6–24.4 MB (median 23.8) with
+            // the admission counters allocated last.
+            admission: Admission::new(2 * g.edge_count()),
             by_steps,
             active_at,
-            // Allocated in this order: with the admission counters before
-            // the peaks, glibc's heap after an n = 256 build stayed about
-            // 1.6 MB larger (peak RSS of the benchmark's build workload).
             grouping: Grouping::new(g.len(), specs.len()),
-            occupancy: Occupancy {
+            walks: Walks {
+                pos: specs.iter().map(|s| s.start.0).collect(),
+                log: Vec::with_capacity(specs.len() * steps as usize),
                 node_peaks: node_tokens.clone(),
                 node_tokens,
                 arrivals: Vec::new(),
             },
-            admission: Admission::new(2 * g.edge_count()),
         }
     }
 
-    /// Groups the walks active at step `s` by their arena position;
-    /// returns how many are active.
-    fn group(&mut self, arena: &WalkArena, s: u32) -> usize {
-        let ns = arena.steps as usize + 1;
+    /// Opens step `s`'s log row, every walk staying until its move is
+    /// committed, and groups the walks active at `s` by position.
+    fn begin_step(&mut self, s: u32) {
+        let walks = &mut self.walks;
+        walks
+            .log
+            .resize(walks.log.len() + walks.pos.len(), STAY_KEY);
         let active = self.active_at[s as usize] as usize;
+        let pos = &walks.pos;
         self.grouping
             .group(self.by_steps[..active].iter().copied(), |wid| {
-                arena.nodes[wid as usize * ns + s as usize]
+                pos[wid as usize]
             });
-        active
     }
 
-    /// Copies finished walks' positions forward (the arena padding that
-    /// keeps synchronous occupancy total).
-    fn pad_finished(&self, arena: &mut WalkArena, s: u32, active: usize) {
-        let ns = arena.steps as usize + 1;
-        for &wid in &self.by_steps[active..] {
-            let base = wid as usize * ns + s as usize;
-            arena.nodes[base + 1] = arena.nodes[base];
+    /// Closes step `s`: folds its arrivals into the peaks and records its
+    /// phase cost.
+    fn end_step(&mut self, per_step_rounds: &mut Vec<u32>) {
+        self.walks.commit_boundary();
+        per_step_rounds.push(self.admission.close_phase());
+    }
+
+    /// The finished run: the log becomes the arena, the positions its ends.
+    fn finish(
+        self,
+        g: &Graph,
+        specs: &[WalkSpec],
+        steps: u32,
+        per_step_rounds: Vec<u32>,
+        traversals: u64,
+        started: Instant,
+    ) -> ParallelWalkRun {
+        let rounds = per_step_rounds.iter().map(|&r| u64::from(r)).sum();
+        let mut wall = PhaseTimings::new();
+        wall.record("walks", started.elapsed());
+        let Walks {
+            pos,
+            log,
+            node_peaks,
+            ..
+        } = self.walks;
+        ParallelWalkRun {
+            arena: WalkArena {
+                keys: log,
+                starts: specs.iter().map(|s| s.start.0).collect(),
+                ends: pos,
+                steps,
+                walk_steps: specs.iter().map(|s| s.steps).collect(),
+                directed_keys: 2 * g.edge_count(),
+            },
+            stats: WalkStats {
+                steps,
+                rounds,
+                per_step_rounds,
+                node_token_peaks: node_peaks,
+                traversals,
+                wall,
+            },
         }
     }
 }
 
-impl Occupancy {
-    /// Records one committed traversal `from → next` of walk `wid` at step
-    /// `s` into the arena and the occupancy counters.
+impl Walks {
+    /// Records one committed traversal `from → next` of walk `wid` over
+    /// directed key `key` into the current log row, the positions and the
+    /// occupancy counters.
     #[inline]
-    fn commit_move(
-        &mut self,
-        arena: &mut WalkArena,
-        s: u32,
-        wid: u32,
-        from: u32,
-        next: NodeId,
-        key: usize,
-    ) {
-        let ns = arena.steps as usize + 1;
-        let es = arena.steps as usize;
-        arena.nodes[wid as usize * ns + s as usize + 1] = next.0;
-        arena.keys[wid as usize * es + s as usize] = key as u32;
+    fn commit_move(&mut self, wid: u32, from: u32, next: NodeId, key: usize) {
+        let row = self.log.len() - self.pos.len();
+        self.log[row + wid as usize] = key as u32;
+        self.pos[wid as usize] = next.0;
         self.node_tokens[from as usize] -= 1;
         self.node_tokens[next.index()] += 1;
         self.arrivals.push(next.0);
@@ -597,8 +666,8 @@ fn directed_key(g: &Graph, edge: EdgeId, from: NodeId) -> usize {
 /// occupied node, in ascending id order, draws its group's transitions
 /// with [`WalkKind::step`] in group order. Every move is admitted against
 /// directed-edge capacity and handed to `commit` as
-/// `(walk, from, Some((to, directed key)))`, every stay as
-/// `(walk, at, None)`. Returns the step's traversals.
+/// `(walk, from, to, directed key)`; a stay commits nothing. Returns the
+/// step's traversals.
 #[inline]
 fn draw_step<R: Rng>(
     g: &Graph,
@@ -607,20 +676,17 @@ fn draw_step<R: Rng>(
     grouping: &Grouping,
     admission: &mut Admission,
     rng: &mut R,
-    mut commit: impl FnMut(u32, NodeId, Option<(NodeId, usize)>),
+    mut commit: impl FnMut(u32, NodeId, NodeId, usize),
 ) -> u64 {
     let mut traversals = 0u64;
     for (j, &v) in grouping.occupied.iter().enumerate() {
         let here = NodeId(v);
         for &wid in grouping.members(j) {
-            match kind.step(g, here, delta, rng) {
-                Some((next, edge)) => {
-                    let key = directed_key(g, edge, here);
-                    admission.admit(key);
-                    commit(wid, here, Some((next, key)));
-                    traversals += 1;
-                }
-                None => commit(wid, here, None),
+            if let Some((next, edge)) = kind.step(g, here, delta, rng) {
+                let key = directed_key(g, edge, here);
+                admission.admit(key);
+                commit(wid, here, next, key);
+                traversals += 1;
             }
         }
     }
@@ -628,7 +694,8 @@ fn draw_step<R: Rng>(
 }
 
 /// Runs all `specs` as independent walks of kind `kind`, step-synchronously
-/// and batched per node, recording trajectories and measured round costs.
+/// and batched per node, recording every walk's keys and measured round
+/// costs.
 ///
 /// Within a step, each occupied node (ascending id order) draws the
 /// transitions of its resident active tokens as one batch; all moves
@@ -643,14 +710,13 @@ pub fn run_parallel_walks<R: Rng>(
 ) -> ParallelWalkRun {
     let started = Instant::now();
     let delta = g.max_degree();
-    let mut arena = WalkArena::with_specs(g, specs);
-    let steps = arena.steps;
+    let steps = specs.iter().map(|s| s.steps).max().unwrap_or(0);
     let mut sc = BatchScratch::new(g, specs, steps);
     let mut per_step_rounds = Vec::with_capacity(steps as usize);
     let mut traversals = 0u64;
     for s in 0..steps {
-        let active = sc.group(&arena, s);
-        let occupancy = &mut sc.occupancy;
+        sc.begin_step(s);
+        let walks = &mut sc.walks;
         traversals += draw_step(
             g,
             kind,
@@ -658,33 +724,11 @@ pub fn run_parallel_walks<R: Rng>(
             &sc.grouping,
             &mut sc.admission,
             rng,
-            |wid, here, moved| match moved {
-                Some((next, key)) => occupancy.commit_move(&mut arena, s, wid, here.0, next, key),
-                None => {
-                    let ns = steps as usize + 1;
-                    arena.nodes[wid as usize * ns + s as usize + 1] = here.0;
-                }
-            },
+            |wid, here, next, key| walks.commit_move(wid, here.0, next, key),
         );
-        sc.pad_finished(&mut arena, s, active);
-        sc.occupancy.commit_boundary();
-        per_step_rounds.push(sc.admission.close_phase());
+        sc.end_step(&mut per_step_rounds);
     }
-
-    let rounds = per_step_rounds.iter().map(|&r| u64::from(r)).sum();
-    let mut wall = PhaseTimings::new();
-    wall.record("walks", started.elapsed());
-    ParallelWalkRun {
-        arena,
-        stats: WalkStats {
-            steps,
-            rounds,
-            per_step_rounds,
-            node_token_peaks: sc.occupancy.node_peaks,
-            traversals,
-            wall,
-        },
-    }
+    sc.finish(g, specs, steps, per_step_rounds, traversals, started)
 }
 
 /// Where a set of equal-length independent walks ended, and what running
@@ -706,7 +750,7 @@ pub struct WalkEnds {
 ///
 /// It steps one current-position vector through the same grouping,
 /// admission pass and draw loop as [`run_parallel_walks`] and records no
-/// arena, peaks or per-step log. For specs of equal length `steps` the two
+/// key log, peaks or per-step costs. For specs of equal length `steps` the two
 /// are draw-for-draw identical: the ends equal the trajectories' ends,
 /// `rounds` and `traversals` equal the run's statistics, and `rng` is left
 /// in the same state. No starts means no steps, as with no specs.
@@ -732,11 +776,7 @@ pub fn run_walk_ends<R: Rng>(
             &grouping,
             &mut admission,
             rng,
-            |wid, _, moved| {
-                if let Some((next, _)) = moved {
-                    pos[wid as usize] = next;
-                }
-            },
+            |wid, _, next, _| pos[wid as usize] = next,
         );
         rounds += u64::from(admission.close_phase());
     }
@@ -772,14 +812,13 @@ pub fn run_correlated_walks<R: Rng>(
 ) -> ParallelWalkRun {
     let started = Instant::now();
     let delta = g.max_degree();
-    let mut arena = WalkArena::with_specs(g, specs);
-    let steps = arena.steps;
+    let steps = specs.iter().map(|s| s.steps).max().unwrap_or(0);
     let mut sc = BatchScratch::new(g, specs, steps);
     let mut per_step_rounds = Vec::with_capacity(steps as usize);
     let mut traversals = 0u64;
     let mut movers: Vec<u32> = Vec::new();
     for s in 0..steps {
-        let active = sc.group(&arena, s);
+        sc.begin_step(s);
         for (j, &v) in sc.grouping.occupied.iter().enumerate() {
             let here = NodeId(v);
             let d = g.degree(here);
@@ -796,14 +835,13 @@ pub fn run_correlated_walks<R: Rng>(
             // Stay/move draws for the whole group, then the round-robin
             // deal of the movers over a shuffled slot order.
             movers.clear();
-            for &wid in sc.grouping.members(j) {
-                if move_prob > 0.0 && rng.random_bool(move_prob) {
-                    movers.push(wid);
-                } else {
-                    let ns = steps as usize + 1;
-                    arena.nodes[wid as usize * ns + s as usize + 1] = here.0;
-                }
-            }
+            movers.extend(
+                sc.grouping
+                    .members(j)
+                    .iter()
+                    .copied()
+                    .filter(|_| move_prob > 0.0 && rng.random_bool(move_prob)),
+            );
             if movers.is_empty() {
                 continue;
             }
@@ -815,29 +853,13 @@ pub fn run_correlated_walks<R: Rng>(
                 let (next, edge) = g.neighbor_at(here, port);
                 let key = directed_key(g, edge, here);
                 sc.admission.admit(key);
-                sc.occupancy
-                    .commit_move(&mut arena, s, wid, here.0, next, key);
+                sc.walks.commit_move(wid, here.0, next, key);
                 traversals += 1;
             }
         }
-        sc.pad_finished(&mut arena, s, active);
-        sc.occupancy.commit_boundary();
-        per_step_rounds.push(sc.admission.close_phase());
+        sc.end_step(&mut per_step_rounds);
     }
-    let rounds = per_step_rounds.iter().map(|&r| u64::from(r)).sum();
-    let mut wall = PhaseTimings::new();
-    wall.record("walks", started.elapsed());
-    ParallelWalkRun {
-        arena,
-        stats: WalkStats {
-            steps,
-            rounds,
-            per_step_rounds,
-            node_token_peaks: sc.occupancy.node_peaks,
-            traversals,
-            wall,
-        },
-    }
+    sc.finish(g, specs, steps, per_step_rounds, traversals, started)
 }
 
 /// Builds the standard spec set of Lemma 2.5: `k · d(v)` walks of `steps`
@@ -864,24 +886,53 @@ mod tests {
         StdRng::seed_from_u64(77)
     }
 
-    /// Synchronous occupancy recount straight from the trajectories: the
+    /// Every walk's position at every step boundary, re-derived from its
+    /// start and keys; finished walks sit at their end.
+    fn boundary_positions(g: &Graph, run: &ParallelWalkRun) -> Vec<Vec<NodeId>> {
+        run.trajectories()
+            .map(|t| {
+                let mut at: Vec<NodeId> = t.positions(g).collect();
+                at.resize(run.stats.steps as usize + 1, t.end());
+                at
+            })
+            .collect()
+    }
+
+    /// Synchronous occupancy recount from the re-derived positions: the
     /// specification `node_token_peaks` must satisfy.
-    fn brute_force_peaks(n: usize, run: &ParallelWalkRun) -> Vec<u32> {
-        let mut occ = vec![0u32; n];
-        for w in 0..run.len() {
-            occ[run.arena.position(w, 0) as usize] += 1;
-        }
-        let mut peaks = occ.clone();
-        for b in 1..=run.stats.steps as usize {
-            occ.fill(0);
-            for w in 0..run.len() {
-                occ[run.arena.position(w, b) as usize] += 1;
+    fn brute_force_peaks(g: &Graph, run: &ParallelWalkRun) -> Vec<u32> {
+        let positions = boundary_positions(g, run);
+        let mut peaks = vec![0u32; g.len()];
+        for b in 0..=run.stats.steps as usize {
+            let mut occ = vec![0u32; g.len()];
+            for at in &positions {
+                occ[at[b].index()] += 1;
             }
             for (p, &o) in peaks.iter_mut().zip(&occ) {
                 *p = (*p).max(o);
             }
         }
         peaks
+    }
+
+    /// Checks that every trajectory of `run` is a walk on `g`: each move's
+    /// edge joins consecutive re-derived positions, leaving from the first
+    /// (the key's direction bit), and the last position is `end()`.
+    fn assert_graph_walks(g: &Graph, run: &ParallelWalkRun) {
+        for t in run.trajectories() {
+            let at: Vec<NodeId> = t.positions(g).collect();
+            assert_eq!(at.len(), t.steps() + 1);
+            for (s, edge) in t.edges().enumerate() {
+                match edge {
+                    Some(e) => {
+                        let (a, b) = g.endpoints(e);
+                        assert!((a, b) == (at[s], at[s + 1]) || (a, b) == (at[s + 1], at[s]));
+                    }
+                    None => assert_eq!(at[s], at[s + 1]),
+                }
+            }
+            assert_eq!(at.last(), Some(&t.end()));
+        }
     }
 
     #[test]
@@ -898,9 +949,12 @@ mod tests {
             },
         ];
         let run = run_parallel_walks(&g, WalkKind::Lazy, &specs, &mut rng());
-        assert_eq!(run.trajectory(0).nodes.len(), 6);
+        assert_eq!(run.trajectory(0).positions(&g).count(), 6);
         assert_eq!(run.trajectory(0).steps(), 5);
-        assert_eq!(run.trajectory(1).nodes.len(), 3);
+        assert_eq!(run.trajectory(1).positions(&g).count(), 3);
+        assert_eq!(run.trajectory(1).edges().count(), 2);
+        // The shorter walk's rows after its last step hold `STAY_KEY`.
+        assert!((2..5).all(|s| run.arena.edge_key(1, s) == STAY_KEY));
         assert_eq!(run.stats.steps, 5);
     }
 
@@ -909,18 +963,7 @@ mod tests {
         let g = generators::torus_2d(4, 4);
         let specs = degree_proportional_specs(&g, 1, 8);
         let run = run_parallel_walks(&g, WalkKind::Lazy, &specs, &mut rng());
-        for t in run.trajectories() {
-            for s in 0..t.steps() {
-                match t.edge(s) {
-                    Some(e) => {
-                        let (a, b) = g.endpoints(e);
-                        let (x, y) = (NodeId(t.nodes[s]), NodeId(t.nodes[s + 1]));
-                        assert!((a, b) == (x, y) || (a, b) == (y, x));
-                    }
-                    None => assert_eq!(t.nodes[s], t.nodes[s + 1]),
-                }
-            }
-        }
+        assert_graph_walks(&g, &run);
     }
 
     #[test]
@@ -985,7 +1028,7 @@ mod tests {
             run_parallel_walks(&g, WalkKind::Lazy, &specs, &mut rng()),
             run_correlated_walks(&g, WalkKind::Lazy, &specs, &mut rng()),
         ] {
-            assert_eq!(run.stats.node_token_peaks, brute_force_peaks(g.len(), &run));
+            assert_eq!(run.stats.node_token_peaks, brute_force_peaks(&g, &run));
         }
     }
 
@@ -1060,19 +1103,8 @@ mod tests {
         let g = generators::torus_2d(5, 5);
         let specs = degree_proportional_specs(&g, 2, 10);
         let run = run_correlated_walks(&g, WalkKind::Lazy, &specs, &mut rng());
-        for t in run.trajectories() {
-            assert_eq!(t.nodes.len(), 11);
-            for s in 0..t.steps() {
-                match t.edge(s) {
-                    Some(e) => {
-                        let (a, b) = g.endpoints(e);
-                        let (x, y) = (NodeId(t.nodes[s]), NodeId(t.nodes[s + 1]));
-                        assert!((a, b) == (x, y) || (a, b) == (y, x));
-                    }
-                    None => assert_eq!(t.nodes[s], t.nodes[s + 1]),
-                }
-            }
-        }
+        assert!(run.trajectories().all(|t| t.steps() == 10));
+        assert_graph_walks(&g, &run);
     }
 
     #[test]
@@ -1212,17 +1244,17 @@ mod tests {
         assert_eq!(a.stats.node_token_peaks, b.stats.node_token_peaks);
     }
 
-    /// Order-insensitive fold of an arena (FNV over sorted-by-walk data is
-    /// already canonical: arenas are keyed by `(walk, step)`).
-    fn arena_checksum(run: &ParallelWalkRun) -> u64 {
+    /// FNV fold of a run, walk by walk: every position (re-derived from
+    /// the keys), then every key, then the rounds.
+    fn arena_checksum(g: &Graph, run: &ParallelWalkRun) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |x: u64| {
             h ^= x;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         };
-        for w in 0..run.len() {
-            for b in 0..=run.stats.steps as usize {
-                mix(u64::from(run.arena.position(w, b)));
+        for (w, at) in boundary_positions(g, run).iter().enumerate() {
+            for v in at {
+                mix(u64::from(v.0));
             }
             for s in 0..run.stats.steps as usize {
                 mix(u64::from(run.arena.edge_key(w, s)));
@@ -1242,7 +1274,7 @@ mod tests {
         let ind = run_parallel_walks(&g, WalkKind::Lazy, &specs, &mut StdRng::seed_from_u64(5));
         let cor = run_correlated_walks(&g, WalkKind::Lazy, &specs, &mut StdRng::seed_from_u64(5));
         assert_eq!(
-            (arena_checksum(&ind), arena_checksum(&cor)),
+            (arena_checksum(&g, &ind), arena_checksum(&g, &cor)),
             (PINNED_INDEPENDENT, PINNED_CORRELATED),
             "pinned walk-engine goldens drifted (rounds: ind {} cor {})",
             ind.stats.rounds,

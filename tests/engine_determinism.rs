@@ -140,12 +140,14 @@ mod walk_reference {
     }
 }
 
-/// The batched, arena-backed engine is byte-identical — trajectories,
-/// directed keys, rounds, peaks — to the per-token reference stepper for
-/// the same seed, across walk kinds and heterogeneous walk lengths.
+/// The batched engine is byte-identical — per-walk key sequences, ends,
+/// positions re-derived from the keys, rounds, peaks — to the per-token
+/// reference stepper for the same seed, across walk kinds and
+/// heterogeneous walk lengths; a walk's log rows after its last step hold
+/// `STAY_KEY`.
 #[test]
 fn batched_engine_matches_per_token_reference() {
-    use amt_core::walks::parallel::run_parallel_walks;
+    use amt_core::walks::parallel::{run_parallel_walks, STAY_KEY};
     let mut rng = StdRng::seed_from_u64(19);
     let g = generators::random_regular(64, 6, &mut rng).unwrap();
     let mut specs = degree_proportional_specs(&g, 2, 18);
@@ -158,16 +160,28 @@ fn batched_engine_matches_per_token_reference() {
             let reference = walk_reference::run(&g, kind, &specs, &mut StdRng::seed_from_u64(seed));
             for (w, spec) in specs.iter().enumerate() {
                 let t = run.trajectory(w);
+                let keys: Vec<u32> = (0..spec.steps as usize)
+                    .map(|s| run.arena.edge_key(w, s))
+                    .collect();
                 assert_eq!(
-                    t.nodes,
-                    &reference.nodes[w][..],
-                    "{kind:?} seed {seed} walk {w}: positions diverged"
+                    keys, reference.keys[w],
+                    "{kind:?} seed {seed} walk {w}: keys diverged"
                 );
-                for s in 0..spec.steps as usize {
+                assert_eq!(
+                    t.end().0,
+                    *reference.nodes[w].last().unwrap(),
+                    "{kind:?} seed {seed} walk {w}: ends diverged"
+                );
+                let positions: Vec<u32> = t.positions(&g).map(|v| v.0).collect();
+                assert_eq!(
+                    positions, reference.nodes[w],
+                    "{kind:?} seed {seed} walk {w}: re-derived positions diverged"
+                );
+                for s in spec.steps..run.stats.steps {
                     assert_eq!(
-                        run.arena.edge_key(w, s),
-                        reference.keys[w][s],
-                        "{kind:?} seed {seed} walk {w} step {s}: keys diverged"
+                        run.arena.edge_key(w, s as usize),
+                        STAY_KEY,
+                        "{kind:?} seed {seed} walk {w} step {s}: finished walk moved"
                     );
                 }
             }
@@ -180,9 +194,10 @@ fn batched_engine_matches_per_token_reference() {
 }
 
 /// The correlated engine's claimed statistics all re-derive exactly from
-/// its own trajectory log: rounds from the per-step directed-key loads,
-/// peaks from synchronous occupancy recounts, traversals from the non-stay
-/// steps — and repeated runs are byte-identical.
+/// its own key log: rounds from the per-step directed-key loads, peaks
+/// from synchronous occupancy recounts over positions re-derived from the
+/// starts and the keys, traversals from the non-stay steps — and repeated
+/// runs are byte-identical.
 #[test]
 fn correlated_engine_stats_re_derive_from_the_log() {
     use amt_core::walks::parallel::{run_correlated_walks, STAY_KEY};
@@ -222,12 +237,22 @@ fn correlated_engine_stats_re_derive_from_the_log() {
     );
     assert_eq!(run.stats.traversals, traversals);
 
+    // Each walk's position at every boundary, re-derived from its start
+    // and keys; a finished walk sits at its end.
+    let positions: Vec<Vec<NodeId>> = run
+        .trajectories()
+        .map(|t| {
+            let mut at: Vec<NodeId> = t.positions(&g).collect();
+            assert_eq!(at.last(), Some(&t.end()));
+            at.resize(steps + 1, t.end());
+            at
+        })
+        .collect();
     let mut peaks = vec![0u32; g.len()];
-    let mut occ = vec![0u32; g.len()];
     for b in 0..=steps {
-        occ.fill(0);
-        for w in 0..run.len() {
-            occ[run.arena.position(w, b) as usize] += 1;
+        let mut occ = vec![0u32; g.len()];
+        for at in &positions {
+            occ[at[b].index()] += 1;
         }
         for (p, &o) in peaks.iter_mut().zip(&occ) {
             *p = (*p).max(o);

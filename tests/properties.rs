@@ -104,21 +104,19 @@ proptest! {
         let specs: Vec<_> =
             (0..24u32).map(|i| WalkSpec { start: NodeId(i), steps }).collect();
         let run = run_parallel_walks(&g, WalkKind::Lazy, &specs, &mut rng);
-        for t in run.trajectories() {
-            prop_assert_eq!(t.nodes.len(), steps as usize + 1);
-            for s in 0..t.steps() {
-                match t.edge(s) {
-                    Some(e) => {
-                        let (a, b) = g.endpoints(e);
-                        let (x, y) = (t.nodes[s], t.nodes[s + 1]);
-                        prop_assert!(
-                            (a.0, b.0) == (x, y) || (a.0, b.0) == (y, x),
-                            "edge/trajectory mismatch"
-                        );
-                    }
-                    None => prop_assert_eq!(t.nodes[s], t.nodes[s + 1]),
-                }
+        for (t, spec) in run.trajectories().zip(&specs) {
+            prop_assert_eq!(t.steps(), steps as usize);
+            prop_assert_eq!(t.start(), spec.start);
+            // Consecutive keys chain: each move leaves the node the walk
+            // reached, from the spec's start, and the last lands on `end()`.
+            let mut at = t.start();
+            for key in t.dir_keys() {
+                let (a, b) = g.endpoints(EdgeId((key >> 1) as u32));
+                let (from, to) = if key & 1 == 0 { (a, b) } else { (b, a) };
+                prop_assert_eq!(from, at, "key {} does not leave {:?}", key, at);
+                at = to;
             }
+            prop_assert_eq!(at, t.end());
         }
         // Reversal costs exactly the forward rounds.
         prop_assert_eq!(run.reverse_rounds(), run.stats.rounds);

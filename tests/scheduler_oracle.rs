@@ -339,6 +339,40 @@ fn emulation_pricing_matches_the_naive_recursion() {
     }
 }
 
+/// The build prices the full round of level 0 with the path scheduler and
+/// of every level above with the batch race; both must give the path
+/// scheduler's capacity-1 makespan on the level's full-round path set
+/// (every directed key's path), times the level below's full round.
+#[test]
+fn full_round_costs_match_the_path_scheduler() {
+    for (n, levels) in [(32usize, 2u32), (128, 3)] {
+        for seed in [1u64, 2, 3] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::random_regular(n, 4, &mut rng).unwrap();
+            let mut cfg = HierarchyConfig::auto(&g, 20, seed);
+            cfg.beta = 2;
+            cfg.levels = levels;
+            let h = Hierarchy::build(&g, cfg).unwrap();
+            for level in 0..=h.depth() {
+                let ov = h.overlay(level);
+                let every: Vec<Vec<u64>> = (0..2 * ov.graph().edge_count() as u64)
+                    .map(|key| ov.dir_path(key).collect())
+                    .collect();
+                let rounds = PathScheduler::new().measure(&every, 1).rounds.max(1);
+                let below = match level {
+                    0 => 1,
+                    _ => h.full_round_cost(level - 1),
+                };
+                assert_eq!(
+                    h.full_round_cost(level),
+                    rounds * below,
+                    "n {n}, seed {seed}, level {level}"
+                );
+            }
+        }
+    }
+}
+
 /// The tokens of one level with the most contention: 24 copies of the
 /// longest directed path, then the directed keys whose paths share the
 /// longest prefixes with another path of the level.

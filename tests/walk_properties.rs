@@ -184,12 +184,22 @@ proptest! {
         }
         for engine in [run_parallel_walks::<StdRng>, run_correlated_walks::<StdRng>] {
             let run = engine(&g, WalkKind::Lazy, &specs, &mut StdRng::seed_from_u64(seed));
-            let mut occ = vec![0u32; g.len()];
+            // Positions re-derived from each walk's start and keys; a
+            // finished walk sits at its end.
+            let steps = run.stats.steps as usize;
+            let positions: Vec<Vec<NodeId>> = run
+                .trajectories()
+                .map(|t| {
+                    let mut at: Vec<NodeId> = t.positions(&g).collect();
+                    at.resize(steps + 1, t.end());
+                    at
+                })
+                .collect();
             let mut peaks = vec![0u32; g.len()];
-            for b in 0..=run.stats.steps as usize {
-                occ.fill(0);
-                for w in 0..run.len() {
-                    occ[run.arena.position(w, b) as usize] += 1;
+            for b in 0..=steps {
+                let mut occ = vec![0u32; g.len()];
+                for at in &positions {
+                    occ[at[b].index()] += 1;
                 }
                 for (p, &o) in peaks.iter_mut().zip(&occ) {
                     *p = (*p).max(o);
@@ -212,12 +222,15 @@ proptest! {
             prop_assert_eq!(run.len(), specs.len());
             for (t, spec) in run.trajectories().zip(&specs) {
                 prop_assert_eq!(t.start(), spec.start);
-                prop_assert_eq!(t.nodes.len() as u32, steps + 1);
-                // Every hop is a real edge.
+                prop_assert_eq!(t.steps() as u32, steps);
+                // Every hop is a real edge between re-derived positions.
+                let at: Vec<NodeId> = t.positions(&g).collect();
+                prop_assert_eq!(at.len() as u32, steps + 1);
+                prop_assert_eq!(at[steps as usize], t.end());
                 for s in 0..t.steps() {
                     if let Some(e) = t.edge(s) {
                         let (a, b) = g.endpoints(e);
-                        let (x, y) = (NodeId(t.nodes[s]), NodeId(t.nodes[s + 1]));
+                        let (x, y) = (at[s], at[s + 1]);
                         prop_assert!((a, b) == (x, y) || (a, b) == (y, x));
                     }
                 }
