@@ -82,7 +82,6 @@ fn bench_path_router(c: &mut Criterion) {
             })
         })
         .take(32)
-        .map(|path| path.iter().map(|&(e, fwd)| dir_key(e, fwd)).collect())
         .collect();
     assert_eq!(journeys.len(), 32, "too few 2–3 key paths");
     c.bench_function("schedule/emulate_paths_exact_n32_2level_multi_key", |b| {

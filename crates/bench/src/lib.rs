@@ -32,16 +32,6 @@ pub fn tau_estimate(g: &Graph) -> u32 {
         .min((8 * g.len()) as u32)
 }
 
-/// A standard small hierarchy configuration for experiments: β and depth
-/// explicit, logarithmic degrees, practical constants (stated in the
-/// experiment output).
-pub fn experiment_config(g: &Graph, beta: u32, levels: u32, seed: u64) -> HierarchyConfig {
-    let mut cfg = HierarchyConfig::auto(g, tau_estimate(g), seed);
-    cfg.beta = beta;
-    cfg.levels = levels;
-    cfg
-}
-
 /// Depth policy used by the scaling experiments: keeps expected bottom
 /// parts near 16 virtual nodes (`Θ(log n)` at these sizes), growing with
 /// the virtual-node count exactly as the paper's `k = log_β(m / log m)`.
@@ -106,12 +96,5 @@ mod tests {
     fn slope_of_linear_data_is_one() {
         let s = loglog_slope(100, 100.0, 200, 200.0);
         assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn experiment_config_validates() {
-        let g = expander(64, 4, 3);
-        let cfg = experiment_config(&g, 4, 1, 3);
-        assert!(cfg.validate(&g).is_ok());
     }
 }

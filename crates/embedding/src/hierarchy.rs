@@ -2,19 +2,19 @@
 //! portal tables, and recursively measured emulation costs.
 
 use crate::race::BatchRace;
+use crate::walk_level::{embed_walk_level, Ends};
 use crate::{
-    dir_key, key_edge, key_is_forward, level0, EmbedError, HierarchyConfig, LevelStats, Overlay,
-    PortalEntry, PortalTable, Result, VirtualId, VirtualMap,
+    dir_key, EmbedError, HierarchyConfig, LevelStats, Overlay, PortalEntry, PortalTable, Result,
+    VirtualId, VirtualMap,
 };
 use amt_congest::PhaseTimings;
 use amt_graphs::{traversal, EdgeId, Graph, GraphBuilder, NodeId};
 use amt_kwise::PartitionHash;
-use amt_walks::{parallel, KeyPaths, KeySlab, PathScheduler, WalkKind, WalkSpec};
+use amt_walks::{parallel, KeyPaths, KeySlab, PathScheduler, WalkKind};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How overlay emulation is priced ([`Hierarchy::emulate_paths`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -101,14 +101,10 @@ pub struct Hierarchy<'g> {
     vmap: VirtualMap,
     partition: PartitionHash,
     cfg: HierarchyConfig,
-    leaf_of: Vec<u64>,
-    /// `β^d` for `d = 0..=levels`.
-    pow_beta: Vec<u64>,
+    parts: Parts,
     overlays: Vec<Overlay>,
     /// Portal table for partition depth `p` at index `p − 1`.
     portals: Vec<PortalTable>,
-    /// `members[d]` maps depth-`d` part index to its virtual nodes.
-    members: Vec<Vec<Vec<u32>>>,
     /// Measured base rounds of one full round of each overlay level.
     full_round: Vec<u64>,
     /// `solo[p][k]`: exact base-round price of a level-`p` batch holding
@@ -136,7 +132,6 @@ impl<'g> Hierarchy<'g> {
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let vmap = VirtualMap::new(base);
-        let vnodes = vmap.count();
         let levels = cfg.levels;
         let partition = PartitionHash::new(
             cfg.beta,
@@ -144,25 +139,7 @@ impl<'g> Hierarchy<'g> {
             cfg.independence,
             cfg.seed ^ 0x9E37_79B9_7F4A_7C15,
         );
-        let leaf_of: Vec<u64> = (0..vnodes).map(|v| partition.leaf(v as u64)).collect();
-        let mut pow_beta = Vec::with_capacity(levels as usize + 1);
-        pow_beta.push(1u64);
-        for _ in 0..levels {
-            pow_beta.push(pow_beta.last().unwrap() * u64::from(cfg.beta));
-        }
-        let part_of = |vid: u32, depth: u32| -> u64 {
-            leaf_of[vid as usize] / pow_beta[(levels - depth) as usize]
-        };
-        let label_at =
-            |vid: u32, depth: u32| -> u32 { (part_of(vid, depth) % u64::from(cfg.beta)) as u32 };
-        let mut members: Vec<Vec<Vec<u32>>> = Vec::with_capacity(levels as usize + 1);
-        for d in 0..=levels {
-            let mut m = vec![Vec::new(); pow_beta[d as usize] as usize];
-            for vid in 0..vnodes as u32 {
-                m[part_of(vid, d) as usize].push(vid);
-            }
-            members.push(m);
-        }
+        let parts = Parts::new(&partition, cfg.beta, levels, vmap.count());
 
         // Shared-randomness dissemination: diameter + pipelined seed words.
         let diam = traversal::diameter_double_sweep(base, NodeId(0)).unwrap_or(0) as u64;
@@ -171,76 +148,59 @@ impl<'g> Hierarchy<'g> {
         let seed_words = partition.seed_bits().div_ceil(budget_bits.max(1)) as u64;
         let seed_broadcast_rounds = diam + seed_words;
 
-        // --- Level 0 ---
+        // --- Levels 0 ..= levels: the walk levels, then the bottom cliques ---
         let mut wall = PhaseTimings::new();
         let mut mark = Instant::now();
-        let (ov0, mut st0) = level0::build(base, &vmap, &cfg, &mut rng);
-        let mut full_round = vec![Self::full_round_of(&ov0, None)];
-        let mut solo = vec![Self::solo_prices(&ov0, None)];
-        let mut overlays = vec![ov0];
-        st0.full_round_base_cost = full_round[0];
-        let mut level_stats = vec![st0];
-        wall.record("level0", mark.elapsed());
-        mark = Instant::now();
-
-        // --- Walk-built levels 1 .. levels-1 ---
-        for p in 1..levels {
-            let (ov, mut st) = Self::build_walk_level(
-                &overlays[(p - 1) as usize],
-                vnodes,
-                p,
-                &cfg,
-                &part_of,
-                &members[p as usize],
-                full_round[(p - 1) as usize],
-                &mut rng,
-            )?;
-            let below = (&overlays[(p - 1) as usize], full_round[(p - 1) as usize]);
-            full_round.push(Self::full_round_of(&ov, Some(below)));
-            st.full_round_base_cost = full_round[p as usize];
-            solo.push(Self::solo_prices(&ov, solo.last()));
-            overlays.push(ov);
+        let mut overlays: Vec<Overlay> = Vec::with_capacity(levels as usize + 1);
+        let mut full_round = Vec::with_capacity(levels as usize + 1);
+        let mut solo = Vec::with_capacity(levels as usize + 1);
+        let mut level_stats = Vec::with_capacity(levels as usize + 1);
+        for level in 0..=levels {
+            let below = level
+                .checked_sub(1)
+                .map(|b| (&overlays[b as usize], full_round[b as usize]));
+            let (overlay, mut st) = match below {
+                None => embed_walk_level(level, base, 1, &cfg, Ends::Slots(&vmap), &mut rng)?,
+                Some((below, _)) if level == levels => Self::build_bottom(below.graph(), &parts)?,
+                Some((below, below_full_round)) => embed_walk_level(
+                    level,
+                    below.graph(),
+                    below_full_round,
+                    &cfg,
+                    Ends::SamePart(&parts),
+                    &mut rng,
+                )?,
+            };
+            let cost = Self::full_round_of(&overlay, below);
+            st.full_round_base_cost = cost;
+            if level == levels {
+                // The bottom level's build is charged one full round of it.
+                st.build_base_rounds = cost;
+            }
+            full_round.push(cost);
+            solo.push(Self::solo_prices(&overlay, solo.last()));
+            overlays.push(overlay);
             level_stats.push(st);
+            let phase = match level {
+                0 => "level0",
+                l if l < levels => "walk_levels",
+                _ => "bottom",
+            };
+            wall.record(phase, mark.elapsed());
+            if level == 0 {
+                // The label stands even when there is no walk level.
+                wall.record("walk_levels", Duration::ZERO);
+            }
+            mark = Instant::now();
         }
-        wall.record("walk_levels", mark.elapsed());
-        mark = Instant::now();
-
-        // --- Bottom level: complete graphs on the depth-`levels` parts ---
-        let (ovb, mut stb) = Self::build_bottom(
-            &overlays[(levels - 1) as usize],
-            vnodes,
-            levels,
-            &members[levels as usize],
-        )?;
-        let below = (
-            &overlays[(levels - 1) as usize],
-            full_round[(levels - 1) as usize],
-        );
-        full_round.push(Self::full_round_of(&ovb, Some(below)));
-        stb.full_round_base_cost = full_round[levels as usize];
-        stb.build_base_rounds = full_round[levels as usize];
-        solo.push(Self::solo_prices(&ovb, solo.last()));
-        overlays.push(ovb);
-        level_stats.push(stb);
-        wall.record("bottom", mark.elapsed());
-        mark = Instant::now();
 
         // --- Portals for depths 1 ..= levels ---
         let mut portals = Vec::with_capacity(levels as usize);
         let mut portal_base_rounds = Vec::with_capacity(levels as usize);
         let mut portal_fallbacks = 0u64;
         for p in 1..=levels {
-            let (table, rounds, fallbacks) = Self::build_portal_table(
-                &overlays,
-                vnodes,
-                p,
-                &cfg,
-                &part_of,
-                &label_at,
-                &members,
-                &full_round,
-                &mut rng,
-            );
+            let (table, rounds, fallbacks) =
+                Self::build_portal_table(&overlays, &parts, p, &cfg, &full_round, &mut rng);
             portals.push(table);
             portal_base_rounds.push(rounds);
             portal_fallbacks += fallbacks;
@@ -262,11 +222,9 @@ impl<'g> Hierarchy<'g> {
             vmap,
             partition,
             cfg,
-            leaf_of,
-            pow_beta,
+            parts,
             overlays,
             portals,
-            members,
             full_round,
             solo,
             stats,
@@ -318,103 +276,17 @@ impl<'g> Hierarchy<'g> {
             .collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_walk_level(
-        prev: &Overlay,
-        vnodes: usize,
-        p: u32,
-        cfg: &HierarchyConfig,
-        part_of: &impl Fn(u32, u32) -> u64,
-        members_p: &[Vec<u32>],
-        prev_full_round: u64,
-        rng: &mut StdRng,
-    ) -> Result<(Overlay, LevelStats)> {
-        let gp = prev.graph();
-        let walk_len = cfg.level_walk_len(vnodes, p);
-        let wpv = cfg.walks_per_vnode();
-        let mut specs = Vec::with_capacity(vnodes * wpv);
-        for vid in 0..vnodes as u32 {
-            for _ in 0..wpv {
-                specs.push(WalkSpec {
-                    start: NodeId(vid),
-                    steps: walk_len,
-                });
-            }
-        }
-        let run = parallel::run_parallel_walks(gp, WalkKind::DeltaRegular, &specs, rng);
-
-        let mut builder = GraphBuilder::with_capacity(vnodes, vnodes * cfg.overlay_degree);
-        let mut edge_paths = KeySlab::new();
-        let mut kept: Vec<usize> = Vec::new();
-        let mut fallback_edges = 0usize;
-        let mut chosen: Vec<u32> = Vec::with_capacity(cfg.overlay_degree);
-        for vid in 0..vnodes as u32 {
-            chosen.clear();
-            let my_part = part_of(vid, p);
-            for w in 0..wpv {
-                if chosen.len() >= cfg.overlay_degree {
-                    break;
-                }
-                let idx = vid as usize * wpv + w;
-                let t = run.trajectory(idx);
-                let end = t.end().0;
-                if end == vid || part_of(end, p) != my_part || chosen.contains(&end) {
-                    continue;
-                }
-                chosen.push(end);
-                builder.add_edge(vid as usize, end as usize);
-                edge_paths.push(t.dir_keys());
-                kept.push(idx);
-            }
-            if chosen.is_empty() {
-                // Connectivity fallback: BFS-embed an edge to a random
-                // same-part virtual node.
-                let peers = &members_p[my_part as usize];
-                let mut order: Vec<u32> = peers.iter().copied().filter(|&w| w != vid).collect();
-                order.shuffle(rng);
-                let mut linked = false;
-                for w in order.into_iter().take(8) {
-                    if let Some(path) = bfs_edge_path(gp, NodeId(vid), NodeId(w)) {
-                        builder.add_edge(vid as usize, w as usize);
-                        edge_paths.push(path);
-                        fallback_edges += 1;
-                        linked = true;
-                        break;
-                    }
-                }
-                if !linked && peers.len() > 1 {
-                    return Err(EmbedError::InsufficientExpansion {
-                        level: p,
-                        what: format!("virtual node {vid} could not join part {my_part}"),
-                    });
-                }
-            }
-        }
-
-        let lower_rounds = 2 * run.stats.rounds + run.replay_rounds(&kept);
-        // Freed before the paths are copied, as in `level0::build`.
-        drop(run);
-        let overlay = Overlay::new(p, builder.build(), edge_paths, fallback_edges);
-        let st = LevelStats::measure(&overlay, lower_rounds, lower_rounds * prev_full_round);
-        Ok((overlay, st))
-    }
-
     /// Bottom level: the complete graph on each depth-`levels` part, each
     /// clique edge embedded as a BFS path in the level below (the paper
     /// "just takes the complete graph" at `O(log n)` part size).
-    fn build_bottom(
-        prev: &Overlay,
-        vnodes: usize,
-        levels: u32,
-        members_bottom: &[Vec<u32>],
-    ) -> Result<(Overlay, LevelStats)> {
-        let gp = prev.graph();
-        let mut builder = GraphBuilder::new(vnodes);
+    fn build_bottom(below: &Graph, parts: &Parts) -> Result<(Overlay, LevelStats)> {
+        let levels = parts.levels;
+        let mut builder = GraphBuilder::new(parts.vnodes());
         let mut edge_paths = KeySlab::new();
-        for part in members_bottom {
+        for part in &parts.members[levels as usize] {
             for (i, &a) in part.iter().enumerate() {
                 for &b in part.iter().skip(i + 1) {
-                    let path = bfs_edge_path(gp, NodeId(a), NodeId(b)).ok_or_else(|| {
+                    let path = bfs_edge_path(below, NodeId(a), NodeId(b)).ok_or_else(|| {
                         EmbedError::InsufficientExpansion {
                             level: levels,
                             what: format!("bottom pair ({a}, {b}) unreachable in level below"),
@@ -431,19 +303,16 @@ impl<'g> Hierarchy<'g> {
         Ok((overlay, st))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build_portal_table(
         overlays: &[Overlay],
-        vnodes: usize,
+        parts: &Parts,
         p: u32,
         cfg: &HierarchyConfig,
-        part_of: &impl Fn(u32, u32) -> u64,
-        label_at: &impl Fn(u32, u32) -> u32,
-        members: &[Vec<Vec<u32>>],
         full_round: &[u64],
         rng: &mut StdRng,
     ) -> (PortalTable, u64, u64) {
         let beta = cfg.beta;
+        let vnodes = parts.vnodes();
         let gp = overlays[p as usize].graph();
         let prev = &overlays[(p - 1) as usize];
         // Boundary mask: bit j set iff the node has a prev-level neighbor in
@@ -453,10 +322,10 @@ impl<'g> Hierarchy<'g> {
         let mut mask = vec![0u64; vnodes];
         for vid in 0..vnodes as u32 {
             for (w, _) in prev.graph().neighbors(NodeId(vid)) {
-                if p >= 2 && part_of(w.0, p - 1) != part_of(vid, p - 1) {
+                if p >= 2 && parts.part_of(w.0, p - 1) != parts.part_of(vid, p - 1) {
                     continue;
                 }
-                mask[vid as usize] |= 1u64 << label_at(w.0, p);
+                mask[vid as usize] |= 1u64 << parts.label_at(w.0, p);
             }
         }
 
@@ -474,22 +343,22 @@ impl<'g> Hierarchy<'g> {
         // Lazily built uniform-boundary lists per (part, label).
         let mut boundary_cache: HashMap<(u64, u32), Vec<u32>> = HashMap::new();
         for vid in 0..vnodes as u32 {
-            let my_part = part_of(vid, p);
-            let my_label = label_at(vid, p);
+            let my_part = parts.part_of(vid, p);
+            let my_label = parts.label_at(vid, p);
             let parent = my_part / u64::from(beta);
             for j in 0..beta {
                 if j == my_label {
                     continue;
                 }
                 let target_part = parent * u64::from(beta) + u64::from(j);
-                if members[p as usize][target_part as usize].is_empty() {
+                if parts.members(p, target_part).is_empty() {
                     continue; // no destinations there, portal unneeded
                 }
                 // First successful walk endpoint with a boundary edge to j.
                 let mut portal: Option<u32> = None;
                 for w in 0..wpv {
                     let end = walked.ends[vid as usize * wpv + w].0;
-                    if mask[end as usize] & (1u64 << j) != 0 && part_of(end, p) == my_part {
+                    if mask[end as usize] & (1u64 << j) != 0 && parts.part_of(end, p) == my_part {
                         portal = Some(end);
                         break;
                     }
@@ -497,7 +366,8 @@ impl<'g> Hierarchy<'g> {
                 let portal = portal.or_else(|| {
                     // Uniform fallback over the boundary set.
                     let list = boundary_cache.entry((my_part, j)).or_insert_with(|| {
-                        members[p as usize][my_part as usize]
+                        parts
+                            .members(p, my_part)
                             .iter()
                             .copied()
                             .filter(|&u| mask[u as usize] & (1u64 << j) != 0)
@@ -516,8 +386,8 @@ impl<'g> Hierarchy<'g> {
                     .graph()
                     .neighbors(NodeId(t_prime))
                     .filter(|(w, _)| {
-                        label_at(w.0, p) == j
-                            && (p < 2 || part_of(w.0, p - 1) == part_of(t_prime, p - 1))
+                        parts.label_at(w.0, p) == j
+                            && (p < 2 || parts.part_of(w.0, p - 1) == parts.part_of(t_prime, p - 1))
                     })
                     .map(|(w, e)| (e, w))
                     .collect();
@@ -588,23 +458,23 @@ impl<'g> Hierarchy<'g> {
 
     /// The depth-`d` part containing `vid`.
     pub fn part_of(&self, vid: VirtualId, d: u32) -> u64 {
-        self.leaf_of[vid.index()] / self.pow_beta[(self.cfg.levels - d) as usize]
+        self.parts.part_of(vid.0, d)
     }
 
     /// The level-`d` label (`0..β`) of `vid` (the last digit of its
     /// depth-`d` part index).
     pub fn label_at(&self, vid: VirtualId, d: u32) -> u32 {
-        (self.part_of(vid, d) % u64::from(self.cfg.beta)) as u32
+        self.parts.label_at(vid.0, d)
     }
 
     /// Virtual nodes of the given depth-`d` part.
     pub fn members(&self, d: u32, part: u64) -> &[u32] {
-        &self.members[d as usize][part as usize]
+        self.parts.members(d, part)
     }
 
     /// Number of parts at depth `d` (`β^d`, including empty ones).
     pub fn parts_at(&self, d: u32) -> u64 {
-        self.pow_beta[d as usize]
+        self.parts.pow_beta[d as usize]
     }
 
     /// The portal of `vid` towards the depth-`p` sibling with label `j`.
@@ -709,24 +579,70 @@ impl<'g> Hierarchy<'g> {
     }
 
     /// BFS path between two virtual nodes in the `level` overlay, as
-    /// directed edge crossings (used by the router's portal-miss fallback).
-    pub fn bfs_overlay_path(
-        &self,
-        level: u32,
-        from: VirtualId,
-        to: VirtualId,
-    ) -> Option<Vec<(EdgeId, bool)>> {
+    /// directed level-`level` keys (used by the router's portal-miss
+    /// fallback).
+    pub fn bfs_overlay_path(&self, level: u32, from: VirtualId, to: VirtualId) -> Option<Vec<u64>> {
         let g = self.overlays[level as usize].graph();
-        bfs_edge_path(g, NodeId(from.0), NodeId(to.0)).map(|keys| {
-            keys.into_iter()
-                .map(|k| (key_edge(k), key_is_forward(k)))
-                .collect()
-        })
+        bfs_edge_path(g, NodeId(from.0), NodeId(to.0))
+    }
+}
+
+/// The partition arithmetic of a hierarchy: the β-ary partition tree of
+/// depth `levels` over the virtual nodes, with each node's leaf and every
+/// part's members.
+pub(crate) struct Parts {
+    beta: u32,
+    levels: u32,
+    /// The leaf (depth-`levels` part) of each virtual node.
+    leaf_of: Vec<u64>,
+    /// `β^d` for `d = 0..=levels`.
+    pow_beta: Vec<u64>,
+    /// `members[d]` maps depth-`d` part index to its virtual nodes.
+    members: Vec<Vec<Vec<u32>>>,
+}
+
+impl Parts {
+    fn new(partition: &PartitionHash, beta: u32, levels: u32, vnodes: usize) -> Self {
+        let mut parts = Parts {
+            beta,
+            levels,
+            leaf_of: (0..vnodes).map(|v| partition.leaf(v as u64)).collect(),
+            pow_beta: (0..=levels).map(|d| u64::from(beta).pow(d)).collect(),
+            members: Vec::with_capacity(levels as usize + 1),
+        };
+        for d in 0..=levels {
+            let mut m = vec![Vec::new(); parts.pow_beta[d as usize] as usize];
+            for vid in 0..vnodes as u32 {
+                m[parts.part_of(vid, d) as usize].push(vid);
+            }
+            parts.members.push(m);
+        }
+        parts
+    }
+
+    /// Number of virtual nodes.
+    pub(crate) fn vnodes(&self) -> usize {
+        self.leaf_of.len()
+    }
+
+    /// The depth-`d` part containing `vid`.
+    pub(crate) fn part_of(&self, vid: u32, d: u32) -> u64 {
+        self.leaf_of[vid as usize] / self.pow_beta[(self.levels - d) as usize]
+    }
+
+    /// The level-`d` label (`0..β`) of `vid`.
+    pub(crate) fn label_at(&self, vid: u32, d: u32) -> u32 {
+        (self.part_of(vid, d) % u64::from(self.beta)) as u32
+    }
+
+    /// Virtual nodes of the given depth-`d` part.
+    pub(crate) fn members(&self, d: u32, part: u64) -> &[u32] {
+        &self.members[d as usize][part as usize]
     }
 }
 
 /// BFS path from `from` to `to` as directed keys, or `None` if unreachable.
-fn bfs_edge_path(g: &Graph, from: NodeId, to: NodeId) -> Option<Vec<u64>> {
+pub(crate) fn bfs_edge_path(g: &Graph, from: NodeId, to: NodeId) -> Option<Vec<u64>> {
     if from == to {
         return Some(Vec::new());
     }
@@ -766,6 +682,7 @@ fn bfs_edge_path(g: &Graph, from: NodeId, to: NodeId) -> Option<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{key_edge, key_is_forward};
     use amt_graphs::generators;
 
     fn small_hierarchy(seed: u64) -> (Graph, HierarchyConfig) {

@@ -6,8 +6,8 @@
 //!    `d_G(v)` virtual nodes, `2m` in total ([`VirtualMap`]).
 //! 2. **Level-0 overlay `G₀`** — an Erdős–Rényi-like random graph on the
 //!    virtual nodes, built from parallel lazy random walks of length
-//!    `τ_mix` ([`level0`]); each overlay edge remembers the base-graph walk
-//!    path that realizes it.
+//!    `τ_mix`; each overlay edge remembers the base-graph walk path that
+//!    realizes it.
 //! 3. **Recursive levels `G₁ … G_k`** — the virtual nodes are partitioned by
 //!    a Θ(log n)-wise independent hash into β parts per level
 //!    ([`amt_kwise::PartitionHash`]); each level's random graph connects
@@ -41,8 +41,7 @@ mod portals;
 mod race;
 mod stats;
 mod virt;
-
-pub mod level0;
+mod walk_level;
 
 pub use config::HierarchyConfig;
 pub use error::EmbedError;

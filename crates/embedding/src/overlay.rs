@@ -113,11 +113,6 @@ impl Overlay {
         &self.edge_paths
     }
 
-    /// Raw stored (forward) path length of edge `e`.
-    pub fn path_len(&self, e: EdgeId) -> usize {
-        self.edge_paths.get(e.index()).len()
-    }
-
     /// `(average, max)` stored path length over all edges; `(0, 0)` when
     /// edgeless.
     pub fn path_length_stats(&self) -> (f64, usize) {
@@ -244,7 +239,6 @@ mod tests {
     fn stats_and_accessors() {
         let ov = tiny_overlay();
         assert_eq!(ov.level(), 1);
-        assert_eq!(ov.path_len(EdgeId(0)), 2);
         assert_eq!(ov.path_length_stats(), (2.0, 2));
         assert_eq!(ov.fallback_edges(), 0);
     }

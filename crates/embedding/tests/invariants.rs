@@ -2,7 +2,8 @@
 //! families.
 
 use amt_embedding::{
-    dir_key, EmulationMode, EmulationScratch, Hierarchy, HierarchyConfig, VirtualId,
+    dir_key, key_edge, key_is_forward, EmulationMode, EmulationScratch, Hierarchy, HierarchyConfig,
+    VirtualId,
 };
 use amt_graphs::{generators, Graph, NodeId};
 use rand::rngs::StdRng;
@@ -146,9 +147,9 @@ fn bfs_overlay_paths_connect_what_they_claim() {
         .bfs_overlay_path(0, VirtualId(0), VirtualId(17))
         .expect("G0 connected");
     let mut here = NodeId(0);
-    for (e, fwd) in path {
-        let (a, b) = og.endpoints(e);
-        let (from, to) = if fwd { (a, b) } else { (b, a) };
+    for key in path {
+        let (a, b) = og.endpoints(key_edge(key));
+        let (from, to) = if key_is_forward(key) { (a, b) } else { (b, a) };
         assert_eq!(from, here);
         here = to;
     }

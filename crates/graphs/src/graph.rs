@@ -123,23 +123,6 @@ impl Graph {
         (NodeId(u), NodeId(v))
     }
 
-    /// The endpoint of `e` that is not `v` (for a self-loop, returns `v`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not an endpoint of `e`.
-    #[inline]
-    pub fn other_endpoint(&self, e: EdgeId, v: NodeId) -> NodeId {
-        let (a, b) = self.endpoints(e);
-        if a == v {
-            b
-        } else if b == v {
-            a
-        } else {
-            panic!("{v:?} is not an endpoint of {e:?}")
-        }
-    }
-
     /// Iterates over all node ids `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.len()).map(NodeId::from)
@@ -334,7 +317,6 @@ mod tests {
             .filter(|&(w, _)| w == NodeId(0))
             .collect();
         assert_eq!(loops.len(), 2);
-        assert_eq!(g.other_endpoint(EdgeId(0), NodeId(0)), NodeId(0));
     }
 
     #[test]
@@ -350,20 +332,6 @@ mod tests {
     fn out_of_range_edge_is_rejected() {
         let err = Graph::from_edges(2, &[(0, 5)]).unwrap_err();
         assert_eq!(err, GraphError::NodeOutOfRange { node: 5, n: 2 });
-    }
-
-    #[test]
-    fn other_endpoint_resolves_both_directions() {
-        let g = path3();
-        assert_eq!(g.other_endpoint(EdgeId(0), NodeId(0)), NodeId(1));
-        assert_eq!(g.other_endpoint(EdgeId(0), NodeId(1)), NodeId(0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn other_endpoint_panics_for_non_incident() {
-        let g = path3();
-        let _ = g.other_endpoint(EdgeId(0), NodeId(2));
     }
 
     #[test]

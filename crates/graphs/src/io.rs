@@ -21,19 +21,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut out: W) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes `wg` as a weighted edge list (`u v w` per line).
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn write_weighted_edge_list<W: Write>(wg: &WeightedGraph, mut out: W) -> std::io::Result<()> {
-    writeln!(out, "# nodes: {}", wg.len())?;
-    for (e, u, v) in wg.graph().edges() {
-        writeln!(out, "{} {} {}", u.0, v.0, wg.weight(e))?;
-    }
-    Ok(())
-}
-
 /// Parses an edge list; weights (third column) are ignored if present.
 ///
 /// # Errors
@@ -113,8 +100,6 @@ fn parse<R: BufRead>(input: R) -> Result<(Vec<(usize, usize, Option<u64>)>, usiz
 mod tests {
     use super::*;
     use crate::generators;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn unweighted_roundtrip() {
@@ -123,17 +108,6 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let back = read_edge_list(&buf[..]).unwrap();
         assert_eq!(back, g);
-    }
-
-    #[test]
-    fn weighted_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = generators::random_regular(20, 4, &mut rng).unwrap();
-        let wg = WeightedGraph::with_random_weights(g, 500, &mut rng);
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&wg, &mut buf).unwrap();
-        let back = read_weighted_edge_list(&buf[..]).unwrap();
-        assert_eq!(back, wg);
     }
 
     #[test]

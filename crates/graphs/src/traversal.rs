@@ -99,15 +99,6 @@ pub fn bfs_tree(g: &Graph, root: NodeId) -> BfsTree {
     }
 }
 
-/// A shortest (minimum-hop) path from `from` to `to` as a node sequence
-/// (both endpoints included), or `None` if disconnected.
-pub fn shortest_path(g: &Graph, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-    let tree = bfs_tree(g, from);
-    let mut p = tree.path_to_root(to)?;
-    p.reverse();
-    Some(p)
-}
-
 /// Returns `true` if the graph is connected; the empty graph is not.
 pub fn is_connected(g: &Graph) -> bool {
     if g.is_empty() {
@@ -174,58 +165,6 @@ pub fn diameter_double_sweep(g: &Graph, start: NodeId) -> Option<u32> {
     d2.into_iter().max()
 }
 
-/// Multi-source BFS: distance to the *nearest* source per node
-/// ([`UNREACHABLE`] when no source reaches it), plus the nearest source id.
-pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> (Vec<u32>, Vec<Option<NodeId>>) {
-    let mut dist = vec![UNREACHABLE; g.len()];
-    let mut owner: Vec<Option<NodeId>> = vec![None; g.len()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s.index()] != 0 || owner[s.index()].is_none() {
-            dist[s.index()] = 0;
-            owner[s.index()] = Some(s);
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        for (w, _) in g.neighbors(v) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = d + 1;
-                owner[w.index()] = owner[v.index()];
-                queue.push_back(w);
-            }
-        }
-    }
-    (dist, owner)
-}
-
-/// Eccentricity of every node (max BFS distance), `O(n·m)`; entries are
-/// [`UNREACHABLE`] on disconnected graphs. `radius = min`, `diameter = max`.
-pub fn eccentricities(g: &Graph) -> Vec<u32> {
-    g.nodes()
-        .map(|v| {
-            let d = bfs_distances(g, v);
-            if d.contains(&UNREACHABLE) {
-                UNREACHABLE
-            } else {
-                d.into_iter().max().unwrap_or(0)
-            }
-        })
-        .collect()
-}
-
-/// The radius (minimum eccentricity) and a center node realizing it, or
-/// `None` when disconnected or empty.
-pub fn radius_and_center(g: &Graph) -> Option<(u32, NodeId)> {
-    let ecc = eccentricities(g);
-    ecc.iter()
-        .enumerate()
-        .filter(|&(_, &e)| e != UNREACHABLE)
-        .min_by_key(|&(_, &e)| e)
-        .map(|(i, &e)| (e, NodeId::from(i)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,17 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_endpoints_inclusive() {
-        let g = path_graph(4);
-        let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(
-            shortest_path(&g, NodeId(2), NodeId(2)).unwrap(),
-            vec![NodeId(2)]
-        );
-    }
-
-    #[test]
     fn components_counted_and_labeled() {
         let g = Graph::from_edges(5, &[(0, 1), (2, 3)]).unwrap();
         let (comp, k) = connected_components(&g);
@@ -298,31 +226,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert_eq!(diameter_exact(&g), None);
         assert_eq!(diameter_double_sweep(&g, NodeId(0)), None);
-    }
-
-    #[test]
-    fn multi_source_bfs_assigns_nearest_source() {
-        let g = path_graph(7);
-        let (dist, owner) = multi_source_bfs(&g, &[NodeId(0), NodeId(6)]);
-        assert_eq!(dist, vec![0, 1, 2, 3, 2, 1, 0]);
-        assert_eq!(owner[1], Some(NodeId(0)));
-        assert_eq!(owner[5], Some(NodeId(6)));
-        // No sources → everything unreachable.
-        let (d2, o2) = multi_source_bfs(&g, &[]);
-        assert!(d2.iter().all(|&d| d == UNREACHABLE));
-        assert!(o2.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn eccentricities_radius_center() {
-        let g = path_graph(5);
-        let ecc = eccentricities(&g);
-        assert_eq!(ecc, vec![4, 3, 2, 3, 4]);
-        let (r, c) = radius_and_center(&g).unwrap();
-        assert_eq!(r, 2);
-        assert_eq!(c, NodeId(2));
-        let disc = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        assert_eq!(radius_and_center(&disc), None);
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl<'h, 'g> HierarchicalRouter<'h, 'g> {
                         .bfs_overlay_path(d, VirtualId(p.cur), VirtualId(p.goal))
                     {
                         Some(path) => {
-                            fallback_paths.push(path.iter().map(|&(e, f)| dir_key(e, f)));
+                            fallback_paths.push(path);
                             results.push((p.id, p.goal));
                         }
                         None => results.push((p.id, p.cur)),

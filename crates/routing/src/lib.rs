@@ -32,7 +32,6 @@ mod outcome;
 pub mod baseline;
 pub mod clique;
 pub mod congest_route;
-pub mod lenzen;
 
 pub use amt_embedding::EmulationMode;
 pub use congest_route::{

@@ -1,4 +1,4 @@
-//! Hitting, cover and total-variation mixing times.
+//! Hitting and total-variation mixing times.
 //!
 //! These classical walk quantities contextualize the experiments: the
 //! naive walk-router baseline pays (roughly) the hitting time per packet,
@@ -29,40 +29,6 @@ pub fn empirical_hitting_time<R: Rng>(
         while here != to && steps < max_steps {
             if let Some((next, _)) = WalkKind::Lazy.step(g, here, delta, rng) {
                 here = next;
-            }
-            steps += 1;
-        }
-        total += u64::from(steps);
-    }
-    total as f64 / f64::from(trials.max(1))
-}
-
-/// Empirical mean cover time from `from`: average steps of a lazy walk
-/// until every node has been visited, over `trials` runs capped at
-/// `max_steps` (censored runs count as `max_steps`).
-pub fn empirical_cover_time<R: Rng>(
-    g: &Graph,
-    from: NodeId,
-    trials: u32,
-    max_steps: u32,
-    rng: &mut R,
-) -> f64 {
-    let delta = g.max_degree();
-    let mut total = 0u64;
-    for _ in 0..trials {
-        let mut seen = vec![false; g.len()];
-        let mut remaining = g.len();
-        let mut here = from;
-        seen[here.index()] = true;
-        remaining -= 1;
-        let mut steps = 0u32;
-        while remaining > 0 && steps < max_steps {
-            if let Some((next, _)) = WalkKind::Lazy.step(g, here, delta, rng) {
-                here = next;
-                if !seen[here.index()] {
-                    seen[here.index()] = true;
-                    remaining -= 1;
-                }
             }
             steps += 1;
         }
@@ -110,15 +76,6 @@ mod tests {
         let near = empirical_hitting_time(&path, NodeId(0), NodeId(1), 200, 100_000, &mut rng);
         let far = empirical_hitting_time(&path, NodeId(0), NodeId(15), 200, 100_000, &mut rng);
         assert!(far > 20.0 * near, "far {far} vs near {near}");
-    }
-
-    #[test]
-    fn cover_time_exceeds_hitting_time() {
-        let g = generators::hypercube(4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let cover = empirical_cover_time(&g, NodeId(0), 100, 100_000, &mut rng);
-        let hit = empirical_hitting_time(&g, NodeId(0), NodeId(15), 100, 100_000, &mut rng);
-        assert!(cover > hit, "cover {cover} vs hit {hit}");
     }
 
     #[test]
