@@ -59,8 +59,7 @@
 use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::{e16_fault_plan, expander, report::git_describe, scaled_levels, Report};
 use amt_core::congest::{
-    Metrics, Observe, ObservedRuns, PhaseTimings, ProfileConfig, RunConfig, RunTrace, Simulator,
-    TraceConfig, TrafficProfile,
+    Metrics, Observe, ObservedRuns, PhaseTimings, RunConfig, RunTrace, Simulator, TrafficProfile,
 };
 use amt_core::mst::{congest_boruvka, run_healing_observed};
 use amt_core::prelude::*;
@@ -113,7 +112,7 @@ fn walk_specs(count: usize, n: usize) -> Vec<WalkSpec> {
 
 /// A Borůvka tier: `congest_boruvka` on `g` with random weights (seed 2),
 /// profiled when `profile` is set.
-fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: Option<ProfileConfig>) {
+fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: bool) {
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
     let observe = Observe {
@@ -122,8 +121,7 @@ fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: Option
     };
     let ((metrics, profile), wall) = repeat_median(name, || {
         let t0 = Instant::now();
-        let (out, runs) =
-            congest_boruvka::run_observed(&wg, 3, observe.clone()).expect("connected");
+        let (out, runs) = congest_boruvka::run_observed(&wg, 3, observe).expect("connected");
         let wall = t0.elapsed();
         let p = runs.profile;
         // `CongestMstOutcome` has no `Metrics`; reconstruct the comparable
@@ -142,7 +140,7 @@ fn boruvka_tier(bench: &mut Bench, name: &'static str, g: Graph, profile: Option
 
 /// A bit-fix routing tier: the canonical permutation on the dim-`dim`
 /// hypercube, profiled when `profile` is set.
-fn bitfix_tier(bench: &mut Bench, name: &'static str, dim: u32, profile: Option<ProfileConfig>) {
+fn bitfix_tier(bench: &mut Bench, name: &'static str, dim: u32, profile: bool) {
     let g = generators::hypercube(dim);
     let reqs = canonical_permutation(1 << dim);
     let observe = Observe {
@@ -151,8 +149,8 @@ fn bitfix_tier(bench: &mut Bench, name: &'static str, dim: u32, profile: Option<
     };
     let ((metrics, profile), wall) = repeat_median(name, || {
         let t0 = Instant::now();
-        let (out, runs) = route_bitfix_observed(&g, &reqs, 12, ChurnPlan::none(), observe.clone())
-            .expect("hypercube");
+        let (out, runs) =
+            route_bitfix_observed(&g, &reqs, 12, ChurnPlan::none(), observe).expect("hypercube");
         let wall = t0.elapsed();
         assert!(!out.degraded(), "{name}: every packet must arrive");
         (wall, (out.metrics, runs.profile))
@@ -219,7 +217,7 @@ impl Bench {
         let ((out, runs), wall) = repeat_median(name, || {
             let t0 = Instant::now();
             let (out, runs) = run(Observe {
-                profile: Some(ProfileConfig::default()),
+                profile: true,
                 phases: true,
                 ..Observe::default()
             });
@@ -257,7 +255,6 @@ fn main() {
         throughput: PhaseTimings::new(),
         engine: Vec::new(),
     };
-    let profile_cfg = Some(ProfileConfig::default());
     let scale_only = std::env::var("AMT_BENCH_SCALE_ONLY").is_ok_and(|v| v == "1");
     println!("# Canonical bench suite ({stem})\n");
     bench.report.config("scale_only", scale_only);
@@ -277,7 +274,7 @@ fn main() {
 
     // e1 MST: Borůvka on the canonical expander, n ∈ {256, 1024}.
     for (name, n) in [("e1_mst_n256", 256), ("e1_mst_n1024", 1024)] {
-        boruvka_tier(&mut bench, name, expander(n, 6, 1), profile_cfg);
+        boruvka_tier(&mut bench, name, expander(n, 6, 1), true);
     }
 
     // e2 build: E2's n = 256 hierarchy build (§3.1, once per network),
@@ -373,7 +370,7 @@ fn main() {
     };
 
     // e2 routing, simulator-executed: bit-fix on the dim-8 hypercube.
-    bitfix_tier(&mut bench, "e2_route_bitfix_dim8", 8, profile_cfg);
+    bitfix_tier(&mut bench, "e2_route_bitfix_dim8", 8, true);
 
     // e2 walk engine: the hierarchy build's walk phase in isolation at
     // n = 4096 — the Lemma 2.5 workload (`k·d(v)` walks per node) through
@@ -431,7 +428,7 @@ fn main() {
         ));
     }
     for (name, g) in mst_tiers {
-        boruvka_tier(&mut bench, name, g, None);
+        boruvka_tier(&mut bench, name, g, false);
     }
 
     // Large routing: the full `i → 5i+3 mod n` permutation, bit-fixed on
@@ -441,7 +438,7 @@ fn main() {
         route_tiers.push(("e2_route_bitfix_dim20", 20));
     }
     for (name, dim) in route_tiers {
-        bitfix_tier(&mut bench, name, dim, None);
+        bitfix_tier(&mut bench, name, dim, false);
     }
 
     // e16 faulty walk: the e16 repeat-run configuration.
@@ -605,10 +602,10 @@ fn scale_run(g: &Graph) -> (Duration, (Metrics, Vec<u64>, TrafficProfile, RunTra
     let mut sim = Simulator::new(g, scale_fleet(g.len()), 77)
         .expect("fleet size matches")
         .with_observe(Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             // The tier gates the trace's folds (work totals and high-water
             // marks), not its per-round series.
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         });
     let t0 = Instant::now();

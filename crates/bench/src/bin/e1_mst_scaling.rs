@@ -6,7 +6,7 @@
 //! tree is verified against Kruskal.
 
 use amt_bench::{expander, loglog_slope, paper_growth, scaled_levels, tau_estimate, Report};
-use amt_core::congest::{Distribution, Observe, PhaseTimings, ProfileConfig};
+use amt_core::congest::{Distribution, Observe, PhaseTimings};
 use amt_core::mst::{congest_boruvka, gkp};
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -203,7 +203,7 @@ fn round_distribution_table(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(2);
     let wg = WeightedGraph::with_random_weights(g, 1_000_000, &mut rng);
     let observe = Observe {
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..Observe::default()
     };
     let (_, runs) = congest_boruvka::run_observed(&wg, 3, observe).expect("connected");

@@ -15,7 +15,7 @@
 //! `profiles` section and each walk epoch's trace in `traces`.
 
 use amt_bench::{expander, Report};
-use amt_core::congest::{class, Distribution, Observe, ProfileConfig, TraceConfig, TrafficProfile};
+use amt_core::congest::{class, Distribution, Observe, TrafficProfile};
 use amt_core::mst::{congest_boruvka, run_healing_observed};
 use amt_core::prelude::*;
 use amt_core::routing::route_bitfix_observed;
@@ -104,7 +104,7 @@ fn distribution_rows(report: &mut Report, run: &str, p: &TrafficProfile) {
 fn main() {
     let mut report = Report::new("profile_run");
     let profiled = Observe {
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..Observe::default()
     };
     println!("# Traffic-class congestion profiles (top-10 hot edges, reliability tax)\n");
@@ -117,17 +117,15 @@ fn main() {
     report.config("mst_n", n);
     report.config("mst_family", "random 6-regular expander, seed 1");
 
-    let (clean, clean_runs) =
-        congest_boruvka::run_observed(&wg, 3, profiled.clone()).expect("connected");
+    let (clean, clean_runs) = congest_boruvka::run_observed(&wg, 3, profiled).expect("connected");
     let clean_profile = clean_runs.profile.expect("profiling on");
 
     let plan = FaultPlan::none()
         .seeded(7)
         .with_drops(0.05)
         .with_crash(NodeId(0), 10);
-    let (healing, healing_runs) =
-        run_healing_observed(&wg, 3, plan, ChurnPlan::none(), profiled.clone())
-            .expect("connected survivors");
+    let (healing, healing_runs) = run_healing_observed(&wg, 3, plan, ChurnPlan::none(), profiled)
+        .expect("connected survivors");
     let healing_profile = healing_runs.profile.expect("profiling on");
     assert_eq!(healing_profile.total_messages(), healing.metrics.messages);
     assert_eq!(healing_profile.total_bits(), healing.metrics.bits);
@@ -184,8 +182,7 @@ fn main() {
         .map(|i| (NodeId(i), NodeId((5 * i + 3) % hn as u32)))
         .collect();
     let (route, route_runs) =
-        route_bitfix_observed(&hg, &reqs, 12, ChurnPlan::none(), profiled.clone())
-            .expect("hypercube");
+        route_bitfix_observed(&hg, &reqs, 12, ChurnPlan::none(), profiled).expect("hypercube");
     assert!(
         !route.degraded(),
         "bit-fix without churn delivers every request"
@@ -227,7 +224,7 @@ fn main() {
         plan,
         ChurnPlan::none(),
         Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..profiled
         },
     )

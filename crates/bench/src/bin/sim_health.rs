@@ -28,7 +28,7 @@ use amt_bench::scale::{scale_fleet, scaling_instances};
 use amt_bench::Report;
 use amt_core::congest::{
     ChurnEvent, Distribution, FaultEvent, Metrics, Observe, Observed, RoundSample, RunConfig,
-    RunTrace, Simulator, TraceConfig,
+    RunTrace, Simulator,
 };
 use amt_core::prelude::*;
 
@@ -98,7 +98,7 @@ fn analyze(smoke: bool) {
         let (m, digests, observed) = run(
             g,
             Observe {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..Observe::default()
             },
         );
@@ -240,7 +240,7 @@ fn force_failure() {
     let mut sim = Simulator::new(&g, scale_fleet(g.len()), SEED)
         .expect("fleet size matches")
         .with_observe(Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         });
     let err = sim

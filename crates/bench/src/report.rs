@@ -27,7 +27,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Schema version written to every report file, and the only one
 /// [`validate`] accepts. Bump when a required key is added, removed, or
 /// changes shape.
-pub const SCHEMA_VERSION: u64 = 7;
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The keys a report opens with, in the order [`Report::finish`] writes
 /// them: run identity, the `config` scalars and the printed `tables`. The
@@ -61,9 +61,7 @@ pub struct Section {
 }
 
 /// Every keyed section of a report, in the order [`Report::finish`] writes
-/// them, each required (possibly empty). A `traces` entry that recorded
-/// edge-load snapshots also carries a `final_snapshot_round`, which must
-/// equal its `rounds`.
+/// them, each required (possibly empty).
 pub const SECTIONS: [Section; 5] = [
     // Simulator counters per run ([`Report::metrics`]).
     Section {
@@ -100,8 +98,6 @@ pub const SECTIONS: [Section; 5] = [
             "rounds",
             "samples",
             "events",
-            "snapshots",
-            "edge_load_stride",
             "messages",
             "bits",
             "peak_messages_per_round",
@@ -598,31 +594,6 @@ pub fn validate(root: &Json) -> Result<(), String> {
             }
         }
     }
-    // Final-round-snapshot guarantee: a trace that recorded strided
-    // snapshots must say which round closed the series, and it must be the
-    // run's final round.
-    let traces = SECTIONS[TRACES].name;
-    if let Some(Json::Obj(entries)) = root.get(traces) {
-        for (run, entry) in entries {
-            if entry.get("snapshots") == Some(&Json::Num(0.0)) {
-                continue;
-            }
-            match (entry.get("final_snapshot_round"), entry.get("rounds")) {
-                (Some(last), Some(rounds)) if last == rounds => {}
-                (Some(Json::Num(last)), Some(Json::Num(rounds))) => {
-                    return Err(format!(
-                        "{traces}.{run}: final snapshot at round {last} but the run ended at \
-                         round {rounds}"
-                    ))
-                }
-                _ => {
-                    return Err(format!(
-                        "{traces}.{run}: snapshots recorded but no final_snapshot_round"
-                    ))
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -792,23 +763,20 @@ impl Report {
     }
 
     /// Records a named run's [`RunTrace`], folded once: its length
-    /// (rounds, samples, events, snapshots and their stride), its delivery
-    /// totals ([`RunTrace::reconstruct_metrics`]), its work totals (the sums
-    /// of `active_nodes` and `staged_sends`) and the gauge high-water marks
-    /// ([`RunTrace::high_water`]), plus the round of the last edge-load
-    /// snapshot when it recorded any. Logical counters only — the gauges
+    /// (rounds, samples, events), its delivery totals
+    /// ([`RunTrace::reconstruct_metrics`]), its work totals (the sums of
+    /// `active_nodes` and `staged_sends`) and the gauge high-water marks
+    /// ([`RunTrace::high_water`]). Logical counters only — the gauges
     /// are visit-order-invariant, so the regression gate compares exact
     /// integers.
     pub fn trace(&mut self, name: &str, trace: &RunTrace) {
         let m = trace.reconstruct_metrics();
         let total = |f: fn(&RoundSample) -> u64| trace.samples.iter().map(f).sum::<u64>();
         let hwm = trace.high_water();
-        let mut fields: Vec<(String, Json)> = vec![
+        let fields: Vec<(String, Json)> = vec![
             ("rounds".into(), m.rounds.into()),
             ("samples".into(), trace.samples.len().into()),
             ("events".into(), trace.events.len().into()),
-            ("snapshots".into(), trace.snapshots.len().into()),
-            ("edge_load_stride".into(), trace.edge_load_stride.into()),
             ("messages".into(), m.messages.into()),
             ("bits".into(), m.bits.into()),
             (
@@ -823,9 +791,6 @@ impl Report {
             ("wake_queue_hwm".into(), hwm.wake_queue.into()),
             ("arena_bytes_hwm".into(), hwm.arena_bytes.into()),
         ];
-        if let Some(last) = trace.snapshots.last() {
-            fields.push(("final_snapshot_round".into(), last.round.into()));
-        }
         self.sections[TRACES].push((name.to_string(), Json::Obj(fields)));
     }
 
@@ -947,25 +912,14 @@ mod tests {
         t.record_nanos("prep", 1234);
         r.phase_timings("router", &t);
         r.trace("empty", &RunTrace::default());
-        let mut traced = RunTrace {
-            edge_load_stride: 2,
-            ..RunTrace::default()
-        };
+        let mut traced = RunTrace::default();
         traced.samples.push(amt_congest::RoundSample {
             round: 3,
             messages: 5,
             bits: 50,
             ..Default::default()
         });
-        traced.snapshots.push(amt_congest::trace::EdgeLoadSnapshot {
-            round: 2,
-            load: vec![1, 2],
-        });
-        traced.snapshots.push(amt_congest::trace::EdgeLoadSnapshot {
-            round: 3,
-            load: vec![2, 3],
-        });
-        r.trace("snapshotted", &traced);
+        r.trace("one_round", &traced);
         let mut tp = TrafficProfile::empty(2);
         tp.per_class.push(amt_congest::ClassStats {
             class: amt_congest::class::WALK_TOKEN,
@@ -1069,7 +1023,6 @@ mod tests {
         for (key, want) in [
             ("rounds", 10.0),
             ("samples", 2.0),
-            ("snapshots", 0.0),
             ("nodes_stepped", 64.0),
             ("messages_staged", 40.0),
             ("active_nodes_hwm", 40.0),
@@ -1077,13 +1030,11 @@ mod tests {
         ] {
             assert_eq!(run.get(key), Some(&Json::Num(want)), "{key}");
         }
-        let snap = parsed
+        let one = parsed
             .get("traces")
-            .and_then(|t| t.get("snapshotted"))
-            .expect("snapshotted trace survives the round trip");
-        assert_eq!(snap.get("edge_load_stride"), Some(&Json::Num(2.0)));
-        assert_eq!(snap.get("messages"), Some(&Json::Num(5.0)));
-        assert_eq!(snap.get("final_snapshot_round"), Some(&Json::Num(3.0)));
+            .and_then(|t| t.get("one_round"))
+            .expect("one-round trace survives the round trip");
+        assert_eq!(one.get("messages"), Some(&Json::Num(5.0)));
     }
 
     #[test]
@@ -1157,7 +1108,7 @@ mod tests {
 
     #[test]
     fn a_v6_document_is_rejected() {
-        // The v6 layout: `timelines` and `telemetry` where v7 has `traces`.
+        // The v6 layout: `timelines` and `telemetry` where v7 on has `traces`.
         let good = sample_report().to_json();
         let Json::Obj(pairs) = &good else {
             unreachable!()
@@ -1175,33 +1126,9 @@ mod tests {
         }
         let err = validate(&Json::Obj(v6.clone())).expect_err("v6 is rejected");
         assert!(err.contains("unknown top-level key timelines"), "{err}");
-        // Stamping it v7 does not make the old sections valid either.
-        v6[0].1 = Json::Num(7.0);
+        // Stamping it current does not make the old sections valid either.
+        v6[0].1 = Json::Num(SCHEMA_VERSION as f64);
         assert!(validate(&Json::Obj(v6)).is_err());
-    }
-
-    #[test]
-    fn validator_enforces_final_snapshot_round() {
-        let good = sample_report().to_json();
-        let round = |r: u64| Some(Json::from(r));
-        // A snapshotted trace whose last snapshot is not the final round
-        // violates the final-round-snapshot guarantee and is rejected...
-        let torn = with_field(
-            &good,
-            "traces",
-            "snapshotted",
-            "final_snapshot_round",
-            round(2),
-        );
-        assert!(validate(&torn).is_err());
-        // ...as is one that recorded snapshots but never said where the
-        // series ended.
-        let silent = with_field(&good, "traces", "snapshotted", "final_snapshot_round", None);
-        assert!(validate(&silent).is_err());
-        // A trace without snapshots needs no final round.
-        let none = with_field(&good, "traces", "snapshotted", "snapshots", round(0));
-        let none = with_field(&none, "traces", "snapshotted", "final_snapshot_round", None);
-        validate(&none).expect("no snapshots, no final round");
     }
 
     #[test]

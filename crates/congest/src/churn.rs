@@ -481,7 +481,7 @@ pub(crate) trait ChurnHook {
     /// Accounts one message lost to churn and logs the event.
     fn record_loss(&mut self, round: u64, src: usize, port: usize, metrics: &mut Metrics);
 
-    /// Nodes offline this round (for the availability timeline).
+    /// Nodes offline this round (for the trace's `nodes_down` gauge).
     fn down_count(&self) -> u64;
 }
 

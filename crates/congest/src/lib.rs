@@ -29,7 +29,7 @@
 //!   record of a run's rounds: the per-round history of [`RoundSample`]
 //!   records (deliveries, faults and engine gauges: nodes stepped, inbox /
 //!   staged-send / wake-queue depth, arena bytes), protocol-emitted span
-//!   events ([`Ctx::trace_event`]), striding per-edge load snapshots, and
+//!   events ([`Ctx::trace_event`]), the final per-edge loads, and
 //!   the wall-clock [`PhaseTimings`] type shared by the protocol crates.
 //!   Run-wide gauge high-water marks ([`RunTrace::high_water`]) and work
 //!   totals are folds over that history, and an aborted run keeps its trace
@@ -76,16 +76,13 @@ pub use error::CongestError;
 pub use faults::{backoff_timeout, keyed_splitmix, CrashEvent, FaultEvent, FaultKind, FaultPlan};
 pub use message::{bits_for_count, bits_for_value, CongestMessage};
 pub use metrics::Metrics;
-pub use observe::{Observe, Observed, ObservedRuns};
+pub use observe::{Observe, Observed, ObservedRuns, ProfileConfig, TraceConfig};
 pub use primitives::reliable::{reliable_broadcast, Reliable, ReliableLink};
-pub use profile::{
-    class, ClassStats, CongestionProfile, HotEdge, ProfileConfig, TrafficClass, TrafficProfile,
-};
+pub use profile::{class, ClassStats, CongestionProfile, HotEdge, TrafficClass, TrafficProfile};
 pub use sim::{Ctx, Protocol, RunConfig, Simulator, StopCondition};
 pub use stage::StageRunner;
 pub use trace::{
-    Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace,
-    TraceConfig, TraceEvent,
+    Distribution, GaugeHighWater, PhaseTimings, RecoveryTimeline, RoundSample, RunTrace, TraceEvent,
 };
 
 /// Result alias for simulator operations.

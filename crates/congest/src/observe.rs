@@ -18,22 +18,20 @@
 //! another layer's record. The phase timers are host wall-clock, so like
 //! every [`PhaseTimings`] they take no part in any equality.
 
-use crate::profile::{ProfileConfig, TrafficClass, TrafficProfile};
-use crate::trace::{
-    EdgeLoadSnapshot, PhaseTimings, RoundSample, RunTrace, TraceConfig, TraceEvent,
-};
+use crate::profile::{TrafficClass, TrafficProfile};
+use crate::trace::{PhaseTimings, RoundSample, RunTrace, TraceEvent};
 use crate::Metrics;
 use std::time::Instant;
 
 /// Which observation layers record the runs of a [`crate::Simulator`];
-/// `None` (or `false`) leaves a layer off, the default for all three.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// `false` leaves a layer off, the default for all three.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Observe {
     /// Round timeline (one record per round: deliveries, faults and engine
-    /// gauges), protocol span events, and edge-load snapshots.
-    pub trace: Option<TraceConfig>,
+    /// gauges), protocol span events, and the final per-edge loads.
+    pub trace: bool,
     /// Per-traffic-class delivery attribution.
-    pub profile: Option<ProfileConfig>,
+    pub profile: bool,
     /// Host time per round-engine phase, summed over the run's rounds:
     /// `topology` (start-of-round crashes and the churn diff), `activate`
     /// (the active set), `step` (the protocol steps), `merge` (the ordered
@@ -41,6 +39,18 @@ pub struct Observe {
     /// messages, and the round's record) and `group` (the next inbox).
     pub phases: bool,
 }
+
+/// The trace argument of the `#[doc(hidden)]` `_instrumented` driver
+/// wrappers, kept for the repository benchmark's pinned calls: `Some`
+/// turns [`Observe::trace`] on. It carries no setting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceConfig;
+
+/// The profile argument of the `#[doc(hidden)]` `_instrumented` driver
+/// wrappers, kept for the repository benchmark's pinned calls: `Some`
+/// turns [`Observe::profile`] on. It carries no setting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProfileConfig;
 
 /// The phases of one round of the round engine, in round order (see
 /// [`Observe::phases`]).
@@ -122,11 +132,8 @@ impl Recorder {
     /// A recorder for a run over a graph with `edges` edges.
     pub(crate) fn new(observe: &Observe, edges: usize) -> Self {
         Recorder {
-            trace: observe.trace.map(|tc| RunTrace {
-                edge_load_stride: tc.edge_load_stride,
-                ..RunTrace::default()
-            }),
-            profile: observe.profile.map(|_| TrafficProfile::new(edges)),
+            trace: observe.trace.then(RunTrace::default),
+            profile: observe.profile.then(|| TrafficProfile::new(edges)),
             phases: observe.phases.then(|| (Instant::now(), [0; 5])),
             sample: RoundSample::default(),
             start: Metrics::default(),
@@ -193,7 +200,6 @@ impl Recorder {
         metrics: Metrics,
         nodes_down: impl FnOnce(&Metrics) -> u64,
         active_nodes: u64,
-        edge_load: &[u64],
     ) {
         let Some(t) = self.trace.as_mut() else {
             return;
@@ -213,32 +219,13 @@ impl Recorder {
             active_nodes,
             ..self.sample
         };
-        let round = sample.round;
         t.samples.push(sample);
-        let stride = t.edge_load_stride;
-        if stride > 0 && round.is_multiple_of(stride) {
-            t.snapshots.push(EdgeLoadSnapshot {
-                round,
-                load: edge_load.to_vec(),
-            });
-        }
     }
 
     /// Records the final per-edge loads of a run that stopped cleanly.
     pub(crate) fn stopped(&mut self, edge_load: &[u64]) {
-        let Some(t) = self.trace.as_mut() else {
-            return;
-        };
-        t.final_edge_load = edge_load.to_vec();
-        // Strided snapshots always include the final round: without this, a
-        // stride that does not divide the stopping round would leave the
-        // series ending mid-run.
-        let round = self.sample.round;
-        if t.edge_load_stride > 0 && t.snapshots.last().map(|s| s.round) != Some(round) {
-            t.snapshots.push(EdgeLoadSnapshot {
-                round,
-                load: edge_load.to_vec(),
-            });
+        if let Some(t) = self.trace.as_mut() {
+            t.final_edge_load = edge_load.to_vec();
         }
     }
 

@@ -23,8 +23,8 @@
 use crate::churn::{ChurnHook, ChurnKind, ChurnState};
 use crate::faults::Transitions;
 use crate::{
-    ChurnEvent, ChurnPlan, CongestError, FaultEvent, Metrics, Observe, ProfileConfig, Protocol,
-    RunConfig, RunTrace, Simulator, TraceConfig, TrafficProfile,
+    ChurnEvent, ChurnPlan, CongestError, FaultEvent, Metrics, Observe, Protocol, RunConfig,
+    RunTrace, Simulator, TrafficProfile,
 };
 use amt_graphs::{EdgeId, NodeId};
 use std::fmt::Debug;
@@ -64,8 +64,8 @@ fn observe<P: Protocol, T>(
     output: &impl Fn(&P) -> T,
 ) -> EngineObservation<T> {
     let mut sim = sim.with_observe(Observe {
-        trace: Some(TraceConfig::default().with_edge_load_stride(3)),
-        profile: Some(ProfileConfig::default()),
+        trace: true,
+        profile: true,
         ..Observe::default()
     });
     let cfg = cfg.with_full_sweep(full_sweep);

@@ -458,26 +458,6 @@ pub fn tree_downcast(
 }
 
 // ---------------------------------------------------------------------------
-// Composite primitives
-// ---------------------------------------------------------------------------
-
-/// Aggregates `values` with `combine` and informs **every** node of the
-/// result: convergecast to the root of `tree`, then downcast. The classic
-/// "global aggregate" building block (2·height rounds).
-pub fn aggregate_to_all(
-    g: &Graph,
-    tree: &DistBfsTree,
-    values: &[u64],
-    combine: fn(u64, u64) -> u64,
-    seed: u64,
-) -> Result<(u64, Metrics)> {
-    let (agg, m1) = convergecast(g, tree, values, combine, seed)?;
-    let (learned, m2) = tree_downcast(g, tree, agg, seed ^ 0xA66)?;
-    debug_assert!(learned.iter().all(|&v| v == Some(agg)));
-    Ok((agg, m1.then(m2)))
-}
-
-// ---------------------------------------------------------------------------
 // Pipelined downcast over a tree
 // ---------------------------------------------------------------------------
 
@@ -1100,16 +1080,6 @@ mod tests {
         let (vals, m) = tree_downcast(&g, &tree, 1234, 6).unwrap();
         assert!(vals.iter().all(|&v| v == Some(1234)));
         assert!(m.rounds as u32 >= tree.height());
-    }
-
-    #[test]
-    fn aggregate_to_all_informs_everyone() {
-        let g = generators::hypercube(4);
-        let (tree, _) = build_bfs_tree(&g, NodeId(2), 9).unwrap();
-        let values: Vec<u64> = (0..16).map(|i| 100 - i).collect();
-        let (min, m) = aggregate_to_all(&g, &tree, &values, u64::min, 9).unwrap();
-        assert_eq!(min, 85);
-        assert!(m.rounds as u32 >= 2 * tree.height());
     }
 
     #[test]

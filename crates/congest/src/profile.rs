@@ -59,19 +59,6 @@ pub mod class {
     pub const REL_RETRANSMIT: TrafficClass = "reliable/retransmit";
 }
 
-/// What the profiler should record ([`crate::Observe::profile`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfileConfig {
-    /// How many hot edges [`TrafficProfile::analyze`] ranks by default.
-    pub top_k: usize,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig { top_k: 10 }
-    }
-}
-
 /// Per-class deliveries of one executed round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassRoundSample {

@@ -1306,7 +1306,7 @@ where
         // cumulative count is exactly "down now"; churn outages are the
         // churn hook's view of this round.
         let nodes_down = |m: &Metrics| m.crashed + churn.down_count();
-        rec.end_round(metrics, nodes_down, out.stepped, edge_load);
+        rec.end_round(metrics, nodes_down, out.stepped);
         rec.lap(Phase::Merge);
         // Group this round's deliveries into next round's inbox arena and
         // swap it in (the consumed arena becomes the next grouping target).
@@ -1635,7 +1635,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProfileConfig, RunTrace, TraceConfig};
+    use crate::RunTrace;
     use amt_graphs::EdgeId;
     use rand::RngExt;
 
@@ -2168,7 +2168,7 @@ mod tests {
             let mut sim = Simulator::new(&g, ticker_fleet(6), 3)
                 .unwrap()
                 .with_observe(Observe {
-                    trace: Some(TraceConfig::default()),
+                    trace: true,
                     ..Observe::default()
                 });
             let cfg = RunConfig::all_done().with_full_sweep(full_sweep);
@@ -2321,7 +2321,7 @@ mod tests {
         let mut profiled = Simulator::new(&g, walker_fleet(32), 77)
             .unwrap()
             .with_observe(Observe {
-                profile: Some(ProfileConfig::default()),
+                profile: true,
                 ..Observe::default()
             });
         let m_profiled = profiled.run(&cfg).unwrap();
@@ -2357,7 +2357,7 @@ mod tests {
             let mut sim = Simulator::new(&g, walker_fleet(32), 77).unwrap();
             if traced {
                 sim = sim.with_observe(Observe {
-                    trace: Some(TraceConfig::default()),
+                    trace: true,
                     ..Observe::default()
                 });
             }
@@ -2419,7 +2419,7 @@ mod tests {
         let mut traced = Simulator::new(&g, walker_fleet(32), 77)
             .unwrap()
             .with_observe(Observe {
-                trace: Some(TraceConfig::default().with_edge_load_stride(2)),
+                trace: true,
                 ..Observe::default()
             });
         let m_traced = traced.run(&cfg).unwrap();
@@ -2432,7 +2432,6 @@ mod tests {
         assert_eq!(trace.reconstruct_metrics(), m_traced);
         assert_eq!(trace.samples.len() as u64, m_traced.rounds + 1);
         assert!(trace.events.iter().any(|e| e.label == "token_seen"));
-        assert!(!trace.snapshots.is_empty());
         assert_eq!(trace.final_edge_load, traced.edge_load());
     }
 
@@ -2443,7 +2442,7 @@ mod tests {
         let mut sim = Simulator::new(&g, walker_fleet(32), 5)
             .unwrap()
             .with_observe(Observe {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..Observe::default()
             });
         sim.run(&RunConfig::default()).unwrap();
@@ -2574,7 +2573,7 @@ mod tests {
             .unwrap()
             .with_churn_plan(plan)
             .with_observe(Observe {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..Observe::default()
             });
         let cfg = RunConfig {

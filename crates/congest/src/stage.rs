@@ -74,7 +74,7 @@ impl StageRunner {
         let mut sim = Simulator::new(g, nodes, seed)?
             .with_fault_plan(plan)
             .with_churn_plan(self.churn.clone().at_offset(offset))
-            .with_observe(self.observe.clone());
+            .with_observe(self.observe);
         self.metrics = self.metrics.then(sim.run(cfg)?);
         self.runs.absorb(sim.take_observed(), start);
         Ok((sim, start))
@@ -110,7 +110,7 @@ impl StageRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Ctx, ProfileConfig, TraceConfig, TrafficProfile};
+    use crate::{Ctx, TrafficProfile};
     use amt_graphs::EdgeId;
 
     /// Sends over port 0 for `left` rounds, logging whether the link was up.
@@ -146,8 +146,8 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let churn = ChurnPlan::none().with_edge_outage(EdgeId(0), 2, 6);
         let observe = Observe {
-            trace: Some(TraceConfig::default()),
-            profile: Some(ProfileConfig::default()),
+            trace: true,
+            profile: true,
             ..Observe::default()
         };
         let cfg = RunConfig::all_done();
@@ -157,10 +157,10 @@ mod tests {
             let mut sim = Simulator::new(&g, beacons(left), 5)
                 .unwrap()
                 .with_churn_plan(churn.clone().at_offset(offset))
-                .with_observe(observe.clone());
+                .with_observe(observe);
             (sim.run(&cfg).unwrap(), sim.take_observed())
         };
-        let mut runner = StageRunner::new(churn.clone(), observe.clone());
+        let mut runner = StageRunner::new(churn.clone(), observe);
         let (_, start) = runner
             .run(&g, beacons(4), 5, FaultPlan::none(), &cfg)
             .unwrap();

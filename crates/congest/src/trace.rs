@@ -4,8 +4,9 @@
 //! records *how the run got there*. A [`RunTrace`] is the run's per-round
 //! history: one [`RoundSample`] per executed round (deliveries, per-round
 //! fault counts, engine gauges), the protocol-emitted [`TraceEvent`] stream
-//! ([`crate::Ctx::trace_event`]), optional cumulative per-edge load
-//! snapshots at a configurable stride, and the final per-edge load vector.
+//! ([`crate::Ctx::trace_event`]), and the final per-edge load vector.
+//! Those two carry the paper's CONGEST cost, per round and per edge; a
+//! trace keeps no mid-run per-edge series.
 //!
 //! The trace is the one record of a run's rounds. Everything else said
 //! about them is a fold over [`RunTrace::samples`]: the run's `Metrics`
@@ -32,23 +33,6 @@
 use crate::Metrics;
 use amt_graphs::NodeId;
 use std::time::Duration;
-
-/// What a [`RunTrace`] should record ([`crate::Observe::trace`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record a cumulative per-edge load snapshot every `edge_load_stride`
-    /// rounds (at rounds `0, s, 2s, …`); `0` (the default) records none.
-    /// The final per-edge loads are always captured on successful runs.
-    pub edge_load_stride: u64,
-}
-
-impl TraceConfig {
-    /// Config with per-edge load snapshots every `stride` rounds.
-    pub fn with_edge_load_stride(mut self, stride: u64) -> Self {
-        self.edge_load_stride = stride;
-        self
-    }
-}
 
 /// The record of one executed round: its deliveries and faults (deltas)
 /// and the engine's gauges. The trace keeps one per round; high-water
@@ -78,7 +62,7 @@ pub struct RoundSample {
     /// Churn rejoins completed at the start of this round.
     pub restarts: u64,
     /// **Gauge**, not a delta: nodes unavailable during this round — fault
-    /// crash-stops plus churn outages. [`RunTrace::availability`] reads it.
+    /// crash-stops plus churn outages.
     pub nodes_down: u64,
     /// **Gauge**: protocol callbacks that ran this round. Under the
     /// full-sweep reference engine this is every live node; under the
@@ -130,15 +114,6 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-/// Cumulative per-edge delivery counts captured mid-run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EdgeLoadSnapshot {
-    /// Round after which the snapshot was taken.
-    pub round: u64,
-    /// Cumulative messages delivered per (undirected) edge id so far.
-    pub load: Vec<u64>,
-}
-
 /// The recorded timeline of one [`crate::Simulator::run`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTrace {
@@ -146,15 +121,6 @@ pub struct RunTrace {
     pub samples: Vec<RoundSample>,
     /// Protocol-emitted events in `(round, node)` order.
     pub events: Vec<TraceEvent>,
-    /// Cumulative per-edge load snapshots ([`TraceConfig::edge_load_stride`]).
-    /// When the stride is non-zero the series always ends with a final-round
-    /// snapshot, whether or not the stride divides the stopping round.
-    pub snapshots: Vec<EdgeLoadSnapshot>,
-    /// The snapshot stride the run actually used — a copy of
-    /// [`TraceConfig::edge_load_stride`], stamped by the engine so readers
-    /// of a detached trace don't have to carry the config alongside it
-    /// (0 = snapshots disabled).
-    pub edge_load_stride: u64,
     /// Final cumulative per-edge loads (empty if the run aborted early).
     pub final_edge_load: Vec<u64>,
 }
@@ -199,19 +165,6 @@ impl RunTrace {
             h.arena_bytes = h.arena_bytes.max(s.arena_bytes);
         }
         h
-    }
-
-    /// Per-round availability: for each recorded round, the fraction of `n`
-    /// nodes that were up (1.0 when nothing was down). Empty for an empty
-    /// trace or `n == 0`.
-    pub fn availability(&self, n: usize) -> Vec<f64> {
-        if n == 0 {
-            return Vec::new();
-        }
-        self.samples
-            .iter()
-            .map(|s| (n as u64).saturating_sub(s.nodes_down) as f64 / n as f64)
-            .collect()
     }
 
     /// The trace with the two executor-dependent gauges, `active_nodes`
@@ -477,8 +430,6 @@ mod tests {
                 },
             ],
             events: Vec::new(),
-            snapshots: Vec::new(),
-            edge_load_stride: 0,
             final_edge_load: vec![3, 7, 0],
         };
         let m = trace.reconstruct_metrics();
@@ -499,9 +450,6 @@ mod tests {
                 restarts: 1,
             }
         );
-        // The gauge never feeds reconstruction; it feeds availability.
-        assert_eq!(trace.availability(4), vec![0.75, 0.5, 0.75]);
-        assert_eq!(trace.availability(0), Vec::<f64>::new());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use amt_congest::{
     Ctx, FaultKind, FaultPlan, Metrics, Observe, Protocol, RunConfig, RunTrace, Simulator,
-    TraceConfig,
 };
 use amt_graphs::{Graph, NodeId};
 use rand::RngExt;
@@ -81,7 +80,7 @@ fn clean_repeat_and_inert_fault_paths_agree() {
             Simulator::new(&g, fleet(32), 2024)
                 .unwrap()
                 .with_observe(Observe {
-                    trace: Some(TraceConfig::default().with_edge_load_stride(3)),
+                    trace: true,
                     ..Observe::default()
                 }),
         )
@@ -100,7 +99,7 @@ fn clean_repeat_and_inert_fault_paths_agree() {
             .unwrap()
             .with_fault_plan(inert)
             .with_observe(Observe {
-                trace: Some(TraceConfig::default().with_edge_load_stride(3)),
+                trace: true,
                 ..Observe::default()
             }),
     );
@@ -180,7 +179,7 @@ fn corrupted_frame_bits_count_delivered_widths() {
         .unwrap()
         .with_fault_plan(FaultPlan::none().seeded(31).with_corruption(1.0))
         .with_observe(Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         });
     let cfg = RunConfig {
@@ -236,40 +235,6 @@ fn corrupted_frame_bits_count_delivered_widths() {
     assert_eq!(trace.reconstruct_metrics(), m);
 }
 
-/// The strided per-edge snapshot series must always end with a final-round
-/// snapshot — whether the stride divides the stopping round (no duplicate),
-/// exceeds the run length (only rounds 0 and the end), or anything between.
-#[test]
-fn strided_snapshots_always_include_the_final_round() {
-    let g = amt_graphs::generators::hypercube(4);
-    let probe = |stride| {
-        let mut sim = Simulator::new(&g, fleet(16), 7)
-            .unwrap()
-            .with_observe(Observe {
-                trace: Some(TraceConfig::default().with_edge_load_stride(stride)),
-                ..Observe::default()
-            });
-        let m = sim.run(&RunConfig::default()).unwrap();
-        (m, sim.take_observed().trace.unwrap())
-    };
-    let (baseline, _) = probe(1);
-    let run_len = baseline.rounds;
-    assert!(run_len > 3, "workload long enough to exercise the strides");
-    for stride in [1, 3, run_len, run_len + 7] {
-        let (m, trace) = probe(stride);
-        assert_eq!(m, baseline, "the stride must never change the run");
-        let last = trace.snapshots.last().expect("at least one snapshot");
-        assert_eq!(last.round, m.rounds, "stride {stride} missed the end");
-        assert_eq!(last.load, trace.final_edge_load);
-        let finals = trace
-            .snapshots
-            .iter()
-            .filter(|s| s.round == m.rounds)
-            .count();
-        assert_eq!(finals, 1, "stride {stride} duplicated the final snapshot");
-    }
-}
-
 /// A genuinely faulty run (drops, corruption, delays, a mid-run crash)
 /// must be reconstructible from its timeline alone, field for field.
 #[test]
@@ -285,7 +250,7 @@ fn faulty_timeline_replays_metrics_exactly() {
         .unwrap()
         .with_fault_plan(plan)
         .with_observe(Observe {
-            trace: Some(TraceConfig::default().with_edge_load_stride(1)),
+            trace: true,
             ..Observe::default()
         });
     let m = sim.run(&RunConfig::default()).unwrap();
@@ -295,11 +260,8 @@ fn faulty_timeline_replays_metrics_exactly() {
     assert!(m.message_faults() > 0, "plan must actually inject faults");
     assert_eq!(m.crashed, 1);
     assert_eq!(trace.samples.len() as u64, m.rounds + 1);
-    // The striding snapshots are cumulative and end at the final loads.
-    assert_eq!(
-        trace.snapshots.last().map(|s| s.load.clone()),
-        Some(trace.final_edge_load.clone())
-    );
+    // The final per-edge loads are the engine's own.
+    assert_eq!(trace.final_edge_load, sim.edge_load());
     // Fault events and timeline agree per kind.
     let by_kind = |pred: &dyn Fn(&FaultKind) -> bool| {
         sim.fault_events().iter().filter(|e| pred(&e.kind)).count() as u64

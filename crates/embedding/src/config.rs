@@ -103,6 +103,10 @@ impl HierarchyConfig {
         if self.beta < 2 {
             return fail(format!("beta = {} must be ≥ 2", self.beta));
         }
+        // The portal builder keeps a node's boundary labels as a `u64` mask.
+        if self.beta > 64 {
+            return fail(format!("beta = {} must be ≤ 64", self.beta));
+        }
         if self.levels == 0 {
             return fail("levels must be ≥ 1".into());
         }
@@ -164,6 +168,15 @@ mod tests {
         let mut c = base.clone();
         c.beta = 1;
         assert!(c.validate(&g).is_err());
+        // β = 65 on a graph big enough for one level of 65 parts: only the
+        // β bound rejects it.
+        let big = generators::ring(128);
+        let mut c = HierarchyConfig::auto(&big, 10, 0);
+        c.levels = 1;
+        c.beta = 64;
+        assert!(c.validate(&big).is_ok());
+        c.beta = 65;
+        assert!(c.validate(&big).is_err());
         let mut c = base.clone();
         c.levels = 0;
         assert!(c.validate(&g).is_err());

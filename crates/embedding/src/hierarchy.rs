@@ -125,11 +125,6 @@ impl<'g> Hierarchy<'g> {
     pub fn build(base: &'g Graph, cfg: HierarchyConfig) -> Result<Self> {
         cfg.validate(base)?;
         base.require_connected()?;
-        if cfg.beta > 64 {
-            return Err(EmbedError::InvalidConfig {
-                reason: format!("beta = {} exceeds the supported maximum of 64", cfg.beta),
-            });
-        }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let vmap = VirtualMap::new(base);
         let levels = cfg.levels;

@@ -8,8 +8,10 @@ use amt_walks::{KeyPaths, KeySlab};
 /// Directed capacity key of an overlay (or base) edge: `edge·2 + direction`.
 ///
 /// Direction bit 0 means "from `endpoints(e).0` to `endpoints(e).1`". These
-/// keys feed [`amt_walks::route_paths`], giving each edge unit capacity per
-/// direction per round — the CONGEST constraint.
+/// are the keys emulation pricing schedules: [`amt_walks::PathScheduler`]
+/// orders multi-hop paths and level 0's full-round probe, and the batch race
+/// prices every batch of two or more crossings. Either way each edge has
+/// unit capacity per direction per round — the CONGEST constraint.
 #[inline]
 pub fn dir_key(e: EdgeId, forward: bool) -> u64 {
     (u64::from(e.0) << 1) | u64::from(!forward)

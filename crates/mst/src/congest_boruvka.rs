@@ -312,7 +312,7 @@ pub fn run_instrumented(
     profile: Option<ProfileConfig>,
 ) -> Result<(CongestMstOutcome, Option<TrafficProfile>)> {
     let observe = Observe {
-        profile,
+        profile: profile.is_some(),
         ..Observe::default()
     };
     let (out, runs) = run_observed(wg, seed, observe)?;

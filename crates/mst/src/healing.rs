@@ -727,8 +727,8 @@ pub fn run_healing_churned_instrumented(
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedMstOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
     let observe = Observe {
-        trace,
-        profile,
+        trace: trace.is_some(),
+        profile: profile.is_some(),
         ..Observe::default()
     };
     let (out, runs) = run_healing_observed(wg, seed, plan, churn, observe)?;

@@ -26,7 +26,6 @@ pub mod congest_boruvka;
 pub mod gkp;
 pub mod healing;
 pub mod reference;
-pub mod verification;
 
 pub use almost_mixing::{AlmostMixingMst, AmtMstOutcome, IterationStats};
 pub use error::MstError;

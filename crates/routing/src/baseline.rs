@@ -11,6 +11,7 @@
 //!   destination. Fast per step but needs `Θ(m/d)·polylog` steps per
 //!   delivery; the experiments show why the hierarchy is necessary.
 
+use amt_embedding::dir_key;
 use amt_graphs::{traversal, Graph, NodeId};
 use amt_walks::{route_paths, PathRouteStats, WalkKind};
 use rand::Rng;
@@ -51,7 +52,7 @@ pub fn shortest_path_route(g: &Graph, requests: &[(NodeId, NodeId)]) -> PathRout
             let (p, e) = tree.parent[node_path[hop].index()].expect("interior node has parent");
             debug_assert_eq!(p, node_path[hop - 1]);
             let (a, _) = g.endpoints(e);
-            keys.push((u64::from(e.0) << 1) | u64::from(a != node_path[hop - 1]));
+            keys.push(dir_key(e, a == node_path[hop - 1]));
         }
         paths.push(keys);
     }

@@ -499,8 +499,8 @@ pub fn route_bitfix_churned_instrumented(
     profile: Option<ProfileConfig>,
 ) -> Result<(ChurnedRouteOutcome, Vec<RunTrace>, Option<TrafficProfile>)> {
     let observe = Observe {
-        trace,
-        profile,
+        trace: trace.is_some(),
+        profile: profile.is_some(),
         ..Observe::default()
     };
     let (out, runs) = route_bitfix_observed(g, requests, seed, churn, observe)?;
@@ -595,7 +595,7 @@ mod tests {
         let g = generators::hypercube(4);
         let reqs = shift_permutation(16, 5);
         let observe = Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..Observe::default()
         };
         let (out, runs) = route_bitfix_observed(&g, &reqs, 9, ChurnPlan::none(), observe).unwrap();

@@ -648,8 +648,8 @@ pub fn run_walks_healing_churned_instrumented(
     profile: Option<ProfileConfig>,
 ) -> Result<(HealedWalkRun, Vec<RunTrace>, Option<TrafficProfile>), CongestError> {
     let observe = Observe {
-        trace,
-        profile,
+        trace: trace.is_some(),
+        profile: profile.is_some(),
         ..Observe::default()
     };
     let (run, runs) = run_walks_healing_observed(g, kind, specs, seed, plan, churn, observe)?;

@@ -17,9 +17,10 @@
 //!   only need where walks end use its endpoint-only entry point.
 //! * [`schedule`] — a store-and-forward path router: given tokens with fixed
 //!   paths over an arbitrary directed-capacity key space, computes the FIFO
-//!   makespan under capacity `c` per key per round. This single primitive
-//!   provides honest round accounting for every overlay-graph emulation in
-//!   `amt-embedding`.
+//!   makespan under capacity `c` per key per round. `amt-embedding` uses it
+//!   for the multi-hop schedule of an emulation and for level 0's
+//!   full-round probe; the batches inside each schedule are priced by that
+//!   crate's batch race, which gives the same makespan at capacity 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

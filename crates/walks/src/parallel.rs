@@ -77,11 +77,9 @@
 //! pass.
 
 use crate::WalkKind;
-use amt_congest::PhaseTimings;
 use amt_graphs::{EdgeId, Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
-use std::time::Instant;
 
 /// Specification of one walk: where it starts and how many steps it takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,9 +266,6 @@ pub struct WalkStats {
     pub node_token_peaks: Vec<u32>,
     /// Total edge traversals (excludes stay-steps).
     pub traversals: u64,
-    /// Host wall-clock time of the step loop (`"walks"` entry); excluded
-    /// from equality like all [`PhaseTimings`].
-    pub wall: PhaseTimings,
 }
 
 impl WalkStats {
@@ -594,11 +589,8 @@ impl BatchScratch {
         steps: u32,
         per_step_rounds: Vec<u32>,
         traversals: u64,
-        started: Instant,
     ) -> ParallelWalkRun {
         let rounds = per_step_rounds.iter().map(|&r| u64::from(r)).sum();
-        let mut wall = PhaseTimings::new();
-        wall.record("walks", started.elapsed());
         let Walks {
             pos,
             log,
@@ -620,7 +612,6 @@ impl BatchScratch {
                 per_step_rounds,
                 node_token_peaks: node_peaks,
                 traversals,
-                wall,
             },
         }
     }
@@ -708,7 +699,6 @@ pub fn run_parallel_walks<R: Rng>(
     specs: &[WalkSpec],
     rng: &mut R,
 ) -> ParallelWalkRun {
-    let started = Instant::now();
     let delta = g.max_degree();
     let steps = specs.iter().map(|s| s.steps).max().unwrap_or(0);
     let mut sc = BatchScratch::new(g, specs, steps);
@@ -728,7 +718,7 @@ pub fn run_parallel_walks<R: Rng>(
         );
         sc.end_step(&mut per_step_rounds);
     }
-    sc.finish(g, specs, steps, per_step_rounds, traversals, started)
+    sc.finish(g, specs, steps, per_step_rounds, traversals)
 }
 
 /// Where a set of equal-length independent walks ended, and what running
@@ -810,7 +800,6 @@ pub fn run_correlated_walks<R: Rng>(
     specs: &[WalkSpec],
     rng: &mut R,
 ) -> ParallelWalkRun {
-    let started = Instant::now();
     let delta = g.max_degree();
     let steps = specs.iter().map(|s| s.steps).max().unwrap_or(0);
     let mut sc = BatchScratch::new(g, specs, steps);
@@ -859,7 +848,7 @@ pub fn run_correlated_walks<R: Rng>(
         }
         sc.end_step(&mut per_step_rounds);
     }
-    sc.finish(g, specs, steps, per_step_rounds, traversals, started)
+    sc.finish(g, specs, steps, per_step_rounds, traversals)
 }
 
 /// Builds the standard spec set of Lemma 2.5: `k · d(v)` walks of `steps`

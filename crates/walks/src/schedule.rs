@@ -28,9 +28,6 @@
 //! collects the keys and then sorts them once and writes this schedule
 //! directly; stats and schedule are the same as the queues would give.
 
-use amt_congest::PhaseTimings;
-use std::time::Instant;
-
 /// Empty-queue / end-of-list sentinel for the intrusive token lists.
 const NONE: u32 = u32::MAX;
 
@@ -45,10 +42,6 @@ pub struct PathRouteStats {
     /// Maximum number of tokens that crossed any single key in total
     /// (the congestion of the path system).
     pub max_key_congestion: u64,
-    /// Host wall-clock time of the schedule computation (`"schedule"`
-    /// entry, recorded by [`route_paths`]); excluded from equality like all
-    /// [`PhaseTimings`].
-    pub wall: PhaseTimings,
 }
 
 /// A set of token paths the scheduler can route: token `i` crosses the
@@ -234,8 +227,7 @@ impl PathScheduler {
     }
 
     /// Routes every token along its path under per-key `capacity` and
-    /// records the schedule (see [`PathScheduler::schedule`]). The returned
-    /// stats carry no wall-clock entry.
+    /// records the schedule (see [`PathScheduler::schedule`]).
     ///
     /// # Panics
     ///
@@ -313,7 +305,6 @@ impl PathScheduler {
                 rounds,
                 traversals: traversals as u64,
                 max_key_congestion,
-                wall: PhaseTimings::new(),
             };
         }
         distinct.sort_unstable();
@@ -400,7 +391,6 @@ impl PathScheduler {
             rounds,
             traversals: traversals as u64,
             max_key_congestion,
-            wall: PhaseTimings::new(),
         }
     }
 
@@ -507,10 +497,7 @@ fn enqueue(
 /// assert_eq!(stats.max_key_congestion, 3);
 /// ```
 pub fn route_paths<P: KeyPaths + ?Sized>(paths: &P, capacity: u32) -> PathRouteStats {
-    let started = Instant::now();
-    let mut stats = PathScheduler::new().measure(paths, capacity);
-    stats.wall.record("schedule", started.elapsed());
-    stats
+    PathScheduler::new().measure(paths, capacity)
 }
 
 #[cfg(test)]

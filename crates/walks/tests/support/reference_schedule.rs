@@ -72,7 +72,6 @@ pub fn route_paths_schedule(paths: &[Vec<u64>], capacity: u32) -> (PathRouteStat
             rounds,
             traversals,
             max_key_congestion: congestion.values().copied().max().unwrap_or(0),
-            ..PathRouteStats::default()
         },
         schedule,
     )

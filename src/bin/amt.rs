@@ -3,7 +3,7 @@
 //! ```text
 //! amt gen <family> [params…] -o graph.txt     generate a graph file
 //! amt info <graph.txt>                        structural + spectral stats
-//! amt mst <graph.txt> [--algo X] [--seed S]   distributed MST + verification
+//! amt mst <graph.txt> [--algo X] [--seed S]   MST, checked against Kruskal
 //! amt route <graph.txt> --shift K [--seed S]  permutation routing
 //! amt mincut <graph.txt> [--trees K]          min cut via tree packing
 //! ```

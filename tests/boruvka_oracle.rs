@@ -8,8 +8,8 @@
 //! rounds, messages, iterations and the traffic profile.
 
 use amt_core::congest::{
-    bits_for_value, class, Ctx, Metrics, Observe, ObservedRuns, ProfileConfig, Protocol, RunConfig,
-    Simulator, TrafficClass, TrafficProfile,
+    bits_for_value, class, Ctx, Metrics, Observe, ObservedRuns, Protocol, RunConfig, Simulator,
+    TrafficClass, TrafficProfile,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::mst::reference::UnionFind;
@@ -82,7 +82,7 @@ fn fresh_flood(
     let mut sim = Simulator::new(g, nodes, seed)
         .expect("one node state per node")
         .with_observe(Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..Observe::default()
         });
     let cfg = RunConfig {
@@ -171,7 +171,7 @@ fn oracle(wg: &WeightedGraph, seed: u64) -> Outcome {
 
 fn production(wg: &WeightedGraph, seed: u64) -> Outcome {
     let observe = Observe {
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..Observe::default()
     };
     let (out, runs) = congest_boruvka::run_observed(wg, seed, observe).expect("connected");

@@ -6,8 +6,7 @@
 //! where the loss pattern itself is part of the contract.
 
 use amt_core::congest::{
-    class, Ctx, Metrics, Observe, ProfileConfig, Protocol, RunConfig, Simulator, StopCondition,
-    TraceConfig,
+    class, Ctx, Metrics, Observe, Protocol, RunConfig, Simulator, StopCondition,
 };
 use amt_core::mst::congest_boruvka;
 use amt_core::prelude::*;
@@ -423,7 +422,7 @@ fn profiled_runs_sum_exactly_and_are_identical_under_visit_order_reversal() {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8)
             .unwrap()
             .with_observe(Observe {
-                profile: Some(ProfileConfig::default()),
+                profile: true,
                 ..Observe::default()
             });
         let m = if reverse {
@@ -484,7 +483,7 @@ fn traced_runs_are_identical_under_visit_order_reversal() {
         let mut sim = Simulator::new(&g, mk_nodes(8), 8).unwrap();
         if traced {
             sim = sim.with_observe(Observe {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..Observe::default()
             });
         }
@@ -606,7 +605,7 @@ fn profiled_boruvka_accumulates_exactly_on_a_repeat_run() {
     let wg = WeightedGraph::with_random_weights(g, 1000, &mut rng);
     let run = || {
         let observe = Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..Observe::default()
         };
         let (out, runs) = congest_boruvka::run_observed(&wg, 4, observe).unwrap();

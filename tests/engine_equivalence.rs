@@ -11,7 +11,7 @@
 
 use amt_core::congest::oracle::{assert_engines_agree, EngineObservation};
 use amt_core::congest::{
-    ChurnPlan, Ctx, FaultPlan, Metrics, Observe, Protocol, RunConfig, Simulator, TraceConfig,
+    ChurnPlan, Ctx, FaultPlan, Metrics, Observe, Protocol, RunConfig, Simulator,
 };
 use amt_core::graphs::{generators, EdgeId, GraphBuilder, NodeId};
 use rand::RngExt;
@@ -239,7 +239,7 @@ fn rounds_with_empty_active_sets_match_across_strategies() {
             })
             .collect();
         let mut sim = Simulator::new(&g, nodes, 7).unwrap().with_observe(Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         });
         let cfg = RunConfig::all_done().with_full_sweep(full_sweep);

@@ -13,8 +13,8 @@
 //! counterpart returns with the trace and profile layers on.
 
 use amt_core::congest::{
-    Ctx, Metrics, Observe, ProfileConfig, Protocol, RoundSample, RunConfig, Simulator,
-    StopCondition, TraceConfig, TrafficProfile,
+    Ctx, Metrics, Observe, Protocol, RoundSample, RunConfig, Simulator, StopCondition,
+    TrafficProfile,
 };
 use amt_core::mst::healing::run_healing_churned_instrumented;
 use amt_core::mst::{congest_boruvka, run_healing, run_healing_observed};
@@ -33,10 +33,16 @@ use rand::SeedableRng;
 /// turn on.
 fn traced_and_profiled() -> Observe {
     Observe {
-        trace: Some(TraceConfig::default()),
-        profile: Some(ProfileConfig::default()),
+        trace: true,
+        profile: true,
         ..Observe::default()
     }
+}
+
+/// The trace and profile arguments of the benchmark's pinned wrappers,
+/// both on (`Some` turns a layer on; the argument types carry nothing).
+fn wrapper_layers_on<T: Default, P: Default>() -> (Option<T>, Option<P>) {
+    (Some(T::default()), Some(P::default()))
 }
 
 /// A chatty fixed-horizon workload: every node floods a running checksum
@@ -138,7 +144,7 @@ fn profiled_chatter_run(
         .unwrap()
         .with_fault_plan(plan.clone())
         .with_observe(Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..Observe::default()
         });
     let cfg = RunConfig {
@@ -216,7 +222,7 @@ fn traced_chatter_run(
         .unwrap()
         .with_fault_plan(plan.clone())
         .with_observe(Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         });
     let cfg = RunConfig {
@@ -399,7 +405,7 @@ fn healing_boruvka_profile_sums_exactly_and_is_identical_on_a_repeat_run() {
         .with_crash(NodeId(11), 12);
     let run = || {
         let observe = Observe {
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..Observe::default()
         };
         let (out, runs) =
@@ -544,7 +550,7 @@ fn churned_healing_walks_are_identical_on_a_repeat_run() {
     .unwrap();
     assert_eq!(observed, baseline, "observation moved the churned walks");
     assert!(!runs.traces.is_empty());
-    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let (trace, profile) = wrapper_layers_on();
     let shim = run_walks_healing_churned_instrumented(
         &g,
         WalkKind::Lazy,
@@ -581,7 +587,7 @@ fn churned_healing_boruvka_is_identical_on_a_repeat_run() {
         run_healing_observed(&wg, 3, plan.clone(), churn.clone(), traced_and_profiled()).unwrap();
     assert_eq!(observed, baseline, "observation moved the churned boruvka");
     assert!(!runs.traces.is_empty());
-    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let (trace, profile) = wrapper_layers_on();
     let shim = run_healing_churned_instrumented(&wg, 3, plan, churn, 2, trace, profile).unwrap();
     assert_eq!(shim, (observed, runs.traces, runs.profile));
 
@@ -619,7 +625,7 @@ fn churned_bitfix_routing_is_identical_on_a_repeat_run() {
         route_bitfix_observed(&g, &reqs, 12, churn.clone(), traced_and_profiled()).unwrap();
     assert_eq!(observed, baseline, "observation moved the churned routing");
     assert!(!runs.traces.is_empty());
-    let (trace, profile) = (Some(TraceConfig::default()), Some(ProfileConfig::default()));
+    let (trace, profile) = wrapper_layers_on();
     let shim = route_bitfix_churned_instrumented(&g, &reqs, 12, churn, 2, trace, profile).unwrap();
     assert_eq!(shim, (observed, runs.traces, runs.profile));
 

@@ -2,7 +2,7 @@
 //! epoch re-issues must surface as `trace_event` spans in `RunTrace`, and
 //! a repeat run must record byte-identical spans.
 
-use amt_core::congest::{ChurnPlan, FaultPlan, Observe, ProfileConfig, TraceConfig};
+use amt_core::congest::{ChurnPlan, FaultPlan, Observe};
 use amt_core::graphs::{generators, NodeId, WeightedGraph};
 use amt_core::mst::run_healing_observed;
 use amt_core::walks::healing::run_walks_healing_observed;
@@ -25,7 +25,7 @@ fn mst_phase_spans_cover_every_healing_phase_identically_on_a_repeat_run() {
     let plan = FaultPlan::none().seeded(5).with_crash(NodeId(0), 10);
     let run = || {
         let observe = Observe {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..Observe::default()
         };
         let (out, runs) =
@@ -69,8 +69,8 @@ fn walk_epoch_reissue_spans_name_the_restarted_walks_identically_on_a_repeat_run
         .with_crash(NodeId(20), 6);
     let run = || {
         let observe = Observe {
-            trace: Some(TraceConfig::default()),
-            profile: Some(ProfileConfig::default()),
+            trace: true,
+            profile: true,
             ..Observe::default()
         };
         let (out, runs) = run_walks_healing_observed(

@@ -7,8 +7,7 @@
 
 use amt_core::congest::{
     class, ChurnEvent, ChurnPlan, Ctx, FaultEvent, FaultPlan, GaugeHighWater, Metrics, Observe,
-    Observed, ProfileConfig, Protocol, RoundSample, RunConfig, Simulator, StopCondition,
-    TraceConfig,
+    Observed, Protocol, RoundSample, RunConfig, Simulator, StopCondition,
 };
 use amt_core::prelude::*;
 use rand::rngs::StdRng;
@@ -132,8 +131,8 @@ fn every_observer_subset_is_observably_free_and_layer_independent() {
     let mut profile_ref = None;
     for mask in 0..8u8 {
         let observe = Observe {
-            trace: (mask & 1 != 0).then(|| TraceConfig::default().with_edge_load_stride(4)),
-            profile: (mask & 2 != 0).then(ProfileConfig::default),
+            trace: mask & 1 != 0,
+            profile: mask & 2 != 0,
             phases: mask & 4 != 0,
         };
         let (observables, observed) = run(&g, observe);
